@@ -1,29 +1,34 @@
 #!/usr/bin/env python
-"""Differential fuzzer: the event core against the tick oracle.
+"""Seeded fuzzer: random machines checked against invariants and a snapshot.
 
 Generates seeded random (machine, program, latency) cases via
-:mod:`repro.core.fuzz` and asserts that the event-driven skip-ahead core
-reproduces the tick core exactly — total cycles, per-category stall
-counters, final scoreboard, and even the text of any simulation error.
+:mod:`repro.core.fuzz` and checks each one against the conservation
+invariants and, for the cases it covers, the frozen snapshot in
+``tests/golden/fuzz_cycles.json`` (total cycles, per-family counters, or
+the exact text of a simulation error).
 
 Every case is deterministic in ``(--seed, index)``, so a failing batch
 always prints the one-case repro command:
 
-    PYTHONPATH=src python scripts/fuzz_cores.py --seed <master> --case <index>
+    PYTHONPATH=src python scripts/fuzz.py --seed <master> --case <index>
 
 Run a batch from the repository root:
 
-    PYTHONPATH=src python scripts/fuzz_cores.py --seed 20260808 --cases 200
+    PYTHONPATH=src python scripts/fuzz.py --seed 20260808 --cases 200
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SNAPSHOT_PATH = os.path.join(ROOT, "tests", "golden", "fuzz_cycles.json")
+
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.core.fuzz import (  # noqa: E402
     DEFAULT_SEED,
@@ -54,24 +59,28 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    with open(SNAPSHOT_PATH) as handle:
+        snapshot = json.load(handle)["cells"]
     indices = [args.case] if args.case is not None else range(args.cases)
-    failures = 0
+    failures = pinned = 0
     started = time.perf_counter()
     for index in indices:
         case = generate_case(case_seed(args.seed, index))
         if args.verbose:
             print(f"case {index}: {case.describe()}")
-        failure = run_case(case)
+        expected = snapshot.get(str(case.seed))
+        pinned += expected is not None
+        failure = run_case(case, expected)
         if failure is None:
             continue
         failures += 1
-        print(f"MISMATCH at case {index}:\n{failure}", file=sys.stderr)
+        print(f"FAIL at case {index}: {failure}", file=sys.stderr)
         print(f"  repro: {repro_command(args.seed, index)}", file=sys.stderr)
     elapsed = time.perf_counter() - started
-    total = len(list(indices))
+    total = len(indices)
     print(
-        f"fuzz_cores: {total - failures}/{total} cases identical "
-        f"(seed {args.seed}, {elapsed:.1f}s)"
+        f"fuzz: {total - failures}/{total} cases pass "
+        f"({pinned} against the snapshot; seed {args.seed}, {elapsed:.1f}s)"
     )
     return 1 if failures else 0
 

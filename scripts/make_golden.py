@@ -1,13 +1,19 @@
 #!/usr/bin/env python
-"""Regenerate the golden-equivalence snapshot in tests/golden/golden_cycles.json.
+"""Regenerate the golden snapshots in tests/golden/.
 
-The snapshot pins ``total_cycles`` and the key stall counters of every cell of
-the grid (six Perfect Club programs x latencies {1, 50, 100} x the paper's
-three machines).  It was generated from the pre-engine seed simulators and
-must NOT be regenerated casually: the whole point of the file is that the
-simulators — today resolved declaratively through ``MachineSpec`` presets —
-reproduce the seed timing exactly, however they are implemented.  Regenerate only
-when a deliberate, reviewed timing-model change makes the old numbers wrong:
+``golden_cycles.json`` pins ``total_cycles`` and the key stall counters of
+every cell of the paper grid (six Perfect Club programs x latencies
+{1, 50, 100} x the paper's three machines).  ``fuzz_cycles.json`` pins the
+same counters — or the exact simulation error — for the first cases of the
+fuzzer's default master seed (see :mod:`repro.core.fuzz`), so random
+machines are pinned too.
+
+Both snapshots record the timing-model and trace-generator versions they
+were taken at.  A deliberate timing-model change bumps one of those
+constants; this script refuses (exit 1, listing the changed cells) to
+overwrite cells that differ while the recorded versions still equal the
+code's, so numbers never drift silently.  Regenerate only after a
+deliberate, reviewed change:
 
     PYTHONPATH=src python scripts/make_golden.py
 """
@@ -21,51 +27,93 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro import Runner, SweepSpec  # noqa: E402
+from repro.core.fuzz import (  # noqa: E402
+    DEFAULT_SEED,
+    SNAPSHOT_CASES,
+    snapshot_cells,
+    snapshot_keys,
+)
+from repro.engine import TIMING_MODEL_VERSION  # noqa: E402
+from repro.trace.generator import TRACE_GENERATOR_VERSION  # noqa: E402
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "golden")
 
 PROGRAMS = ("ARC2D", "BDNA", "DYFESM", "FLO52", "SPEC77", "TRFD")
 LATENCIES = (1, 50, 100)
 ARCHITECTURES = ("ref", "dva", "dva-nobypass")
 
-# Stall/headline counters pinned per architecture, beyond total_cycles.
-COMMON_KEYS = ("instructions", "memory_traffic_bytes",
-               "scalar_cache_hits", "scalar_cache_misses")
-REF_KEYS = ("dispatch_stall_cycles",)
-DVA_KEYS = ("fetch_stall_cycles", "disambiguation_stalls", "bypassed_loads")
+VERSIONS = {
+    "timing_model": TIMING_MODEL_VERSION,
+    "trace_generator": TRACE_GENERATOR_VERSION,
+}
 
 
-def snapshot_keys(architecture: str) -> tuple:
-    extra = REF_KEYS if architecture.startswith("ref") else DVA_KEYS
-    return ("total_cycles",) + COMMON_KEYS + extra
-
-
-def main() -> int:
+def golden_payload() -> dict:
     spec = SweepSpec(
         programs=PROGRAMS, latencies=LATENCIES, architectures=ARCHITECTURES
     )
-    sweep = Runner(jobs=1).run(spec)
     cells = {}
-    for result in sweep:
+    for result in Runner(jobs=1).run(spec):
         key = f"{result.program}/{result.latency}/{result.architecture}"
-        cells[key] = {
-            name: result.detail[name] for name in snapshot_keys(result.architecture)
-        }
-
-    destination = os.path.join(
-        os.path.dirname(__file__), os.pardir, "tests", "golden", "golden_cycles.json"
-    )
-    os.makedirs(os.path.dirname(destination), exist_ok=True)
-    payload = {
+        family = "ref" if result.architecture.startswith("ref") else "dva"
+        cells[key] = {name: result.detail[name] for name in snapshot_keys(family)}
+    return {
         "spec": {
             "programs": list(PROGRAMS),
             "latencies": list(LATENCIES),
             "architectures": list(ARCHITECTURES),
         },
         "cells": cells,
+        "versions": VERSIONS,
     }
-    with open(destination, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {os.path.normpath(destination)} ({len(cells)} cells)")
+
+
+def fuzz_payload() -> dict:
+    return {
+        "spec": {"seed": DEFAULT_SEED, "cases": SNAPSHOT_CASES},
+        "cells": snapshot_cells(DEFAULT_SEED, SNAPSHOT_CASES),
+        "versions": VERSIONS,
+    }
+
+
+def drifted_cells(path: str, payload: dict) -> list:
+    """Cells that would change although the recorded versions did not."""
+    if not os.path.exists(path):
+        return []
+    with open(path) as handle:
+        recorded = json.load(handle)
+    if recorded.get("versions") != VERSIONS:
+        return []
+    old, new = recorded["cells"], payload["cells"]
+    return sorted(key for key in set(old) | set(new) if old.get(key) != new.get(key))
+
+
+def main() -> int:
+    snapshots = {
+        os.path.join(GOLDEN_DIR, "golden_cycles.json"): golden_payload(),
+        os.path.join(GOLDEN_DIR, "fuzz_cycles.json"): fuzz_payload(),
+    }
+    refused = False
+    for path, payload in snapshots.items():
+        drifted = drifted_cells(path, payload)
+        if drifted:
+            refused = True
+            print(
+                f"refusing to overwrite {os.path.normpath(path)}: "
+                f"{len(drifted)} cells changed with versions unchanged "
+                f"{VERSIONS}; bump TIMING_MODEL_VERSION or "
+                f"TRACE_GENERATOR_VERSION if the change is deliberate: "
+                + ", ".join(drifted),
+                file=sys.stderr,
+            )
+    if refused:
+        return 1
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for path, payload in snapshots.items():
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {os.path.normpath(path)} ({len(payload['cells'])} cells)")
     return 0
 
 

@@ -230,19 +230,6 @@ class ClaimSet:
         with self._lock:
             self._held.pop(key, None)
 
-    # -- listing -----------------------------------------------------------------------
-
-    def list_claims(self) -> List[ClaimInfo]:
-        """Every claim currently on disk for this sweep (any worker's)."""
-        if not self.directory.is_dir():
-            return []
-        claims = []
-        for path in sorted(self.directory.glob("*.claim")):
-            claim = read_claim(path)
-            if claim is not None:
-                claims.append(claim)
-        return claims
-
 
 class Heartbeat:
     """A daemon thread refreshing a :class:`ClaimSet`'s leases.

@@ -44,7 +44,6 @@ from typing import List, Optional, Sequence
 from repro.common.errors import ConfigurationError, ReproError
 from repro.core import figures as figures_module
 from repro.core import machine as machine_module
-from repro.core.config import RunConfig
 from repro.core.experiment import CellProgress, Runner, SweepResult, SweepSpec
 from repro.core.registry import (
     architecture,
@@ -131,13 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--scale", type=float, default=1.0, help="trace scale factor"
     )
-    run_parser.add_argument(
-        "--core",
-        choices=("tick", "event"),
-        default="tick",
-        help="timing-core control flow: the one-pass tick oracle or the "
-        "event-driven skip-ahead scheduler (cycle-identical by contract)",
-    )
     run_parser.set_defaults(handler=_cmd_run)
 
     sweep_parser = subparsers.add_parser(
@@ -168,15 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--scale", type=float, default=1.0, help="trace scale factor"
-    )
-    sweep_parser.add_argument(
-        "--core",
-        choices=("tick", "event"),
-        default="tick",
-        help="timing-core control flow for every cell: the one-pass tick "
-        "oracle or the event-driven skip-ahead scheduler (cycle-identical "
-        "by contract; store keys ignore the choice, so warm cells hit "
-        "either way)",
     )
     sweep_parser.add_argument(
         "--jobs", type=int, default=1, help="worker processes (1 = serial)"
@@ -434,8 +417,7 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     architecture(args.arch)  # fail fast before the (slower) trace build
     trace = load_program(args.program).build_trace(scale=args.scale)
-    config = RunConfig(latency=args.latency, core=getattr(args, "core", "tick"))
-    result = simulate(trace, args.arch, config=config)
+    result = simulate(trace, args.arch, latency=args.latency)
     print(json.dumps(result.summary(), indent=2))
     return 0
 
@@ -464,16 +446,10 @@ def _run_sweep(args: argparse.Namespace) -> SweepResult:
         axes=tuple(getattr(args, "axis", ()) or ()),
     )
     progress = _print_progress if getattr(args, "progress", False) else None
-    core = getattr(args, "core", "tick")
     if getattr(args, "distributed", False):
         # Imported here so the cluster layer is only paid for when used.
         from repro.cluster import DEFAULT_LEASE_SECONDS, ClusterCoordinator
 
-        if core != "tick":
-            raise ConfigurationError(
-                "--distributed workers always simulate on the tick core; "
-                "drop --core event (results are cycle-identical either way)"
-            )
         store = _store_from_args(args)
         if store is None:
             raise ConfigurationError(
@@ -485,7 +461,7 @@ def _run_sweep(args: argparse.Namespace) -> SweepResult:
             spec, workers=args.workers, lease_seconds=lease, progress=progress
         )
     return Runner(jobs=args.jobs, store=_store_from_args(args)).run(
-        spec, config=RunConfig(core=core), progress=progress
+        spec, progress=progress
     )
 
 

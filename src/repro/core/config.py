@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
 from repro.dva.config import DecoupledConfig
-from repro.engine import validate_core
 from repro.refarch.config import ReferenceConfig
 
 
@@ -34,26 +33,16 @@ class RunConfig:
         decoupled: parameters of the decoupled machine.  Architectures that
             fix the bypass setting (``"dva"``, ``"dva-nobypass"``) override
             ``enable_bypass`` and keep everything else.
-        core: timing-core control flow (``"tick"`` or ``"event"``).  The two
-            cores are cycle-identical by contract (the differential fuzz
-            suite pins it), so the selection changes how a run is computed,
-            never what it measures — store keys deliberately ignore it.
     """
 
     latency: int = 1
     reference: ReferenceConfig = field(default_factory=ReferenceConfig)
     decoupled: DecoupledConfig = field(default_factory=DecoupledConfig)
-    core: str = "tick"
 
     def __post_init__(self) -> None:
         if self.latency < 0:
             raise ConfigurationError("memory latency cannot be negative")
-        validate_core(self.core)
 
     def with_latency(self, latency: int) -> "RunConfig":
         """A copy of this configuration at a different memory latency."""
         return replace(self, latency=latency)
-
-    def with_core(self, core: str) -> "RunConfig":
-        """A copy of this configuration on a different timing core."""
-        return replace(self, core=core)

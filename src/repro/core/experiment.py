@@ -395,22 +395,6 @@ class TraceCache:
         return len(self._traces)
 
 
-def _restore_provenance(found: RunResult, simulator: Simulator) -> RunResult:
-    """A store hit relabelled with the *requesting* cell's provenance.
-
-    Cell keys are timing-core-invariant (see :mod:`repro.store.keys`), so a
-    hit may have been written by a cell whose label or spec pins a different
-    core (``dva`` vs ``dva@core=event``).  The numbers are identical by the
-    equivalence contract; only the provenance strings need to match the cell
-    that asked, or a core-axis sweep would see duplicate labels.
-    """
-    spec = getattr(simulator, "spec", None)
-    expected_spec = spec.to_json() if spec is not None else None
-    if found.architecture == simulator.name and found.spec == expected_spec:
-        return found
-    return replace(found, architecture=simulator.name, spec=expected_spec)
-
-
 def _run_cells(
     trace: Trace,
     tasks: Sequence[CellTask],
@@ -631,7 +615,6 @@ class Runner:
                     if key is not None:
                         found = self.store.get(key)
                         if found is not None:
-                            found = _restore_provenance(found, simulator)
                             hits[(program_index, pair_index)] = found
                             if tracker is not None:
                                 tracker.report(found)

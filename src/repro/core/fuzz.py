@@ -1,33 +1,37 @@
-"""Differential fuzzing of the tick and event timing cores.
+"""Seeded fuzzing of the timing model against oracles that need no second core.
 
-The two timing cores (:mod:`repro.engine.events` explains the inversion)
-promise *cycle identity*: for any trace and any machine, the event-driven
-skip-ahead core must produce exactly the result the one-pass tick oracle
-produces — same total cycles, same per-category stall counters, same final
-scoreboard — or raise exactly the same error.  This module generates random
-(machine, program, latency) cases and checks that promise, one case at a
-time.
+This module generates random (machine, program, latency) cases and checks
+each one two ways:
+
+* **Conservation invariants** (:func:`check_invariants`), which hold for any
+  correct run whatever its numbers: no unit is busy longer than the run, the
+  eight-state breakdown and the AVDQ occupancy histogram partition the run
+  exactly, and the instruction counters add up.
+* **A frozen snapshot** (``tests/golden/fuzz_cycles.json``, written by
+  ``scripts/make_golden.py``) of ``total_cycles`` and the per-family
+  counters the golden snapshot pins — or the exact
+  :class:`~repro.common.errors.SimulationError` text — for the first cases of
+  the default master seed.  A timing change anywhere in the model shows up
+  as a snapshot mismatch on some random machine, not just on the paper grid.
 
 Everything here is deterministic in the seed: :func:`case_seed` derives one
 case seed per index from a master seed, :func:`generate_case` expands a case
 seed into a fully-described :class:`FuzzCase`, and :func:`run_case` runs the
-case on both cores and reports the first divergence (or ``None``).  The CI
-batch in ``tests/engine/test_event_equivalence.py`` and the standalone
-driver ``scripts/fuzz_cores.py`` both build on these three functions, so a
-CI failure always comes with a one-line repro command.
+case and reports the first failed check (or ``None``).  The test suite and
+the standalone driver ``scripts/fuzz.py`` both build on these functions, so
+a failure always comes with a one-line repro command.
 
-The harness deliberately instantiates the simulation *states* directly
-(rather than going through :class:`~repro.core.registry.SpecArchitecture`)
-so it can compare the final scoreboard — internal machine state the public
-result does not carry.  Results are still compared via ``to_json()``, the
-exact payload the store persists.
+The harness drives the family simulators directly with a hand-built
+configuration block (rather than going through
+:class:`~repro.core.registry.SpecArchitecture`) so a case can pin every
+queue depth and the load-chaining switch.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.memory.model import MemoryModel
@@ -50,9 +54,30 @@ KERNELS: Tuple[str, ...] = (
 #: Memory latencies exercised — the paper's extremes plus two interior points.
 LATENCIES: Tuple[int, ...] = (1, 7, 50, 100)
 
-#: Default master seed (today's date when the suite was written); the CI batch
-#: uses it so failures are reproducible across machines.
+#: Default master seed; the snapshot and the test suite use it so failures
+#: are reproducible across machines.
 DEFAULT_SEED = 20260808
+
+#: Cases of the default master seed the frozen snapshot covers.
+SNAPSHOT_CASES = 200
+
+#: Result counters pinned per family beyond ``total_cycles`` — shared by the
+#: golden paper-grid snapshot and the fuzz snapshot.
+COMMON_KEYS: Tuple[str, ...] = (
+    "instructions",
+    "memory_traffic_bytes",
+    "scalar_cache_hits",
+    "scalar_cache_misses",
+)
+FAMILY_KEYS: Dict[str, Tuple[str, ...]] = {
+    "ref": ("dispatch_stall_cycles",),
+    "dva": ("fetch_stall_cycles", "disambiguation_stalls", "bypassed_loads"),
+}
+
+
+def snapshot_keys(family: str) -> Tuple[str, ...]:
+    """The result fields a snapshot pins for one simulator family."""
+    return ("total_cycles",) + COMMON_KEYS + FAMILY_KEYS[family]
 
 
 def case_seed(master: int, index: int) -> int:
@@ -66,10 +91,10 @@ def case_seed(master: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class FuzzCase:
-    """One fully-described differential test case.
+    """One fully-described fuzz case.
 
     Every field that shapes timing is explicit, so ``describe()`` is a
-    complete record of what diverged.  Reference-family cases ignore the
+    complete record of what failed.  Reference-family cases ignore the
     queue-depth fields; decoupled-family cases ignore ``chaining``.
     """
 
@@ -116,7 +141,7 @@ class FuzzCase:
         )
         model = ProgramModel(
             name=f"fuzz-{self.seed}",
-            description="differential fuzz case",
+            description="fuzz case",
             schedules=(KernelSchedule(kernel, 1),),
             targets=ProgramTargets(),
             prologue_scalar_instructions=8,
@@ -148,43 +173,23 @@ class FuzzCase:
             memory_ports=self.ports,
         )
 
-    def _state_class(self, core: str):
-        if self.family == "ref":
-            from repro.refarch.event_core import _EventReferenceState
-            from repro.refarch.simulator import _SimulationState
+    def simulate(self, trace=None):
+        """Run this case; returns ``(result, error_message)``.
 
-            return _EventReferenceState if core == "event" else _SimulationState
-        from repro.dva.event_core import _EventDecoupledState
-        from repro.dva.simulator import _DecoupledState
-
-        return _EventDecoupledState if core == "event" else _DecoupledState
-
-    def simulate(self, core: str, trace=None):
-        """Run this case on one core.
-
-        Returns ``(result_json, scoreboard_snapshot, error_message)``; on a
-        :class:`SimulationError` the first two are ``None`` and the message
-        carries the exact error text (the cores must raise identically).
+        ``result`` is the family's result object (``None`` when the run
+        raised a :class:`SimulationError`, whose text is then the message).
         """
         if trace is None:
             trace = self.build_trace()
-        state_class = self._state_class(core)
-        state = state_class(MemoryModel(latency=self.latency), self.build_config())
+        if self.family == "ref":
+            from repro.refarch.simulator import ReferenceSimulator as simulator_class
+        else:
+            from repro.dva.simulator import DecoupledSimulator as simulator_class
+        simulator = simulator_class(MemoryModel(latency=self.latency), self.build_config())
         try:
-            state.consume(trace)
-            result = state.finish(trace)
+            return simulator.run(trace), None
         except SimulationError as exc:
-            return None, None, str(exc)
-        return result.to_json(), _scoreboard_snapshot(state), None
-
-
-def _scoreboard_snapshot(state) -> List[Tuple[str, int, Optional[int], str]]:
-    """The final scoreboard as a sorted, comparable list of tuples."""
-    entries = state.core.scoreboard._entries
-    return sorted(
-        (repr(register), entry.ready, entry.chain_start, repr(entry.owner))
-        for register, entry in entries.items()
-    )
+            return None, str(exc)
 
 
 def generate_case(seed: int) -> FuzzCase:
@@ -230,52 +235,95 @@ def generate_case(seed: int) -> FuzzCase:
     )
 
 
-def run_case(case: FuzzCase) -> Optional[str]:
-    """Run one case on both cores; ``None`` on identity, else a diagnosis.
-
-    The trace is built once and shared — trace generation is deterministic
-    and read-only, but sharing it also rules out the generator as a source
-    of divergence.
-    """
-    trace = case.build_trace()
-    tick_json, tick_board, tick_error = case.simulate("tick", trace)
-    event_json, event_board, event_error = case.simulate("event", trace)
-    if tick_error is not None or event_error is not None:
-        if tick_error == event_error:
-            return None
-        return (
-            f"error divergence: tick={tick_error!r} event={event_error!r}\n"
-            f"  case: {case.describe()}"
-        )
-    if tick_json != event_json:
-        diffs = sorted(
-            key
-            for key in set(tick_json) | set(event_json)
-            if tick_json.get(key) != event_json.get(key)
-        )
-        return (
-            f"result divergence in fields {diffs}: "
-            f"tick={[tick_json.get(k) for k in diffs]} "
-            f"event={[event_json.get(k) for k in diffs]}\n"
-            f"  case: {case.describe()}"
-        )
-    if tick_board != event_board:
-        pairs = [
-            (t, e) for t, e in zip(tick_board, event_board) if t != e
-        ] or [(tick_board[-1], event_board[-1])]
-        return (
-            f"scoreboard divergence: tick={pairs[0][0]} event={pairs[0][1]}\n"
-            f"  case: {case.describe()}"
-        )
+def check_invariants(case: FuzzCase, result, trace_length: int) -> Optional[str]:
+    """The first violated conservation invariant of one run, or ``None``."""
+    total = result.total_cycles
+    for name, recorder in (
+        ("FU1", result.fu1_busy),
+        ("FU2", result.fu2_busy),
+        ("port", result.port_busy),
+    ):
+        busy = recorder.busy_time()
+        if busy > total:
+            return f"{name} busy {busy} > total_cycles {total}"
+    states = sum(result.state_breakdown().cycles.values())
+    if states != total:
+        return f"state breakdown sums to {states}, not total_cycles {total}"
+    if case.family == "ref":
+        split = result.vector_instructions + result.scalar_instructions
+        if split != result.instructions:
+            return (
+                f"vector + scalar instructions {split} != "
+                f"instructions {result.instructions}"
+            )
+        return None
+    avdq = result.avdq_histogram().total()
+    if avdq != total:
+        return f"AVDQ histogram sums to {avdq}, not total_cycles {total}"
+    if result.instructions != trace_length:
+        return f"instructions {result.instructions} != trace length {trace_length}"
+    loads = result.instructions_per_processor["vector_loads"]
+    if result.bypassed_loads > loads:
+        return f"bypassed loads {result.bypassed_loads} > vector loads {loads}"
     return None
 
 
+def snapshot_cell(case: FuzzCase, result, error: Optional[str]) -> Dict[str, object]:
+    """What the frozen snapshot records for one run."""
+    if error is not None:
+        return {"error": error}
+    payload = result.to_json()
+    return {name: payload[name] for name in snapshot_keys(case.family)}
+
+
+def run_case(
+    case: FuzzCase, expected: Optional[Mapping[str, object]] = None
+) -> Optional[str]:
+    """Run one case; ``None`` if every check passes, else a one-line diagnosis.
+
+    The invariants run on every case that simulates without error.
+    ``expected`` is the case's frozen snapshot cell, when the snapshot
+    covers it; the run must then reproduce it exactly — counters or error
+    text alike.
+    """
+    trace = case.build_trace()
+    result, error = case.simulate(trace)
+    problem = None
+    if result is not None:
+        problem = check_invariants(case, result, len(trace))
+    if problem is None and expected is not None:
+        actual = snapshot_cell(case, result, error)
+        if actual != dict(expected):
+            fields = sorted(
+                name
+                for name in set(actual) | set(expected)
+                if actual.get(name) != expected.get(name)
+            )
+            problem = (
+                f"snapshot mismatch in {fields}: "
+                f"expected {[expected.get(name) for name in fields]} "
+                f"got {[actual.get(name) for name in fields]}"
+            )
+    if problem is None:
+        return None
+    return f"{problem} ({case.describe()})"
+
+
+def snapshot_cells(
+    master: int = DEFAULT_SEED, cases: int = SNAPSHOT_CASES
+) -> Dict[str, object]:
+    """The snapshot cells of the first ``cases`` cases, keyed by case seed."""
+    cells: Dict[str, object] = {}
+    for index in range(cases):
+        case = generate_case(case_seed(master, index))
+        result, error = case.simulate()
+        cells[str(case.seed)] = snapshot_cell(case, result, error)
+    return cells
+
+
 def repro_command(master: int, index: int) -> str:
-    """The minimized one-case repro command printed on a mismatch."""
-    return (
-        f"PYTHONPATH=src python scripts/fuzz_cores.py "
-        f"--seed {master} --case {index}"
-    )
+    """The minimized one-case repro command printed on a failure."""
+    return f"PYTHONPATH=src python scripts/fuzz.py --seed {master} --case {index}"
 
 
 __all__ = [
@@ -283,8 +331,13 @@ __all__ = [
     "FuzzCase",
     "KERNELS",
     "LATENCIES",
+    "SNAPSHOT_CASES",
     "case_seed",
+    "check_invariants",
     "generate_case",
     "repro_command",
     "run_case",
+    "snapshot_cell",
+    "snapshot_cells",
+    "snapshot_keys",
 ]

@@ -210,17 +210,6 @@ class MemoryPipeline:
         )
         return push_time
 
-    def vector_store_data_slot_free(self) -> int:
-        """Cycle the VADQ can accept another QMOV (forcing a drain when full).
-
-        The request-independent half of :meth:`reserve_vector_store_data_slot`
-        for the event core: the forced drain must still happen (it mutates the
-        store queues and the port), but the resulting free cycle is registered
-        as a wakeup instead of folded into a ``max``.
-        """
-        self._make_room(self.vadq)
-        return self.vadq.slot_free_time()
-
     def reserve_vector_store_data_slot(self, requested: int) -> int:
         """Reserve a VADQ slot for a QMOV (forcing a drain when the queue is full)."""
         self._make_room(self.vadq)

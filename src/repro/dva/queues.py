@@ -62,31 +62,17 @@ class TimedQueue:
 
     # -- producer side ---------------------------------------------------------------
 
-    def slot_free_time(self) -> int:
-        """Cycle the next push's slot becomes free, independent of the push.
-
-        Zero while the queue is under capacity; otherwise the *release* cycle
-        of the entry ``capacity`` positions back — a slot is reusable on the
-        very cycle its pop happens, not the cycle after (the same-cycle rule
-        ``tests/engine/test_same_cycle_ordering.py`` pins).  This is the
-        skip-ahead form of :meth:`earliest_push`: the blocking time with the
-        request-dependent ``max`` left to the caller, so an event core can
-        register it as a wakeup before it knows the requesting cycle.
-        """
+    def earliest_push(self, requested: int) -> int:
+        """Earliest cycle a new entry can be accepted, given the capacity."""
         index = len(self.push_times)
         if index < self.capacity:
-            return 0
+            return requested
         blocking = self.pop_times[index - self.capacity]
         if blocking is None:
             raise SimulationError(
                 f"queue {self.name!r}: entry {index - self.capacity} has not been "
                 f"released yet; the consumer must be simulated first"
             )
-        return blocking
-
-    def earliest_push(self, requested: int) -> int:
-        """Earliest cycle a new entry can be accepted, given the capacity."""
-        blocking = self.slot_free_time()
         return blocking if blocking > requested else requested
 
     def push(self, requested: int, ready: Optional[int] = None) -> int:
@@ -110,10 +96,6 @@ class TimedQueue:
         self.ready_times.append(ready)
         self.pop_times.append(None)
         return len(self.push_times) - 1
-
-    def set_ready(self, index: int, ready: int) -> None:
-        """Record when the data of entry ``index`` becomes available."""
-        self.ready_times[index] = ready
 
     @property
     def last_index(self) -> int:
@@ -165,10 +147,6 @@ class TimedQueue:
         self._next_pop_index += 1
 
     # -- statistics ----------------------------------------------------------------------
-
-    @property
-    def total_entries(self) -> int:
-        return len(self.push_times)
 
     @property
     def outstanding(self) -> int:

@@ -1,4 +1,4 @@
-"""Event-driven simulator of the decoupled vector architecture.
+"""One-pass timing simulator of the decoupled vector architecture.
 
 The simulator performs a single pass over the dynamic trace in program order.
 For every traced instruction it advances, in this order, the fetch processor
@@ -37,7 +37,7 @@ from repro.dva.fetch import Processor, route_instruction
 from repro.dva.queues import TimedQueue
 from repro.dva.result import DecoupledResult
 from repro.dva.vector import VectorExecutionResources
-from repro.engine import TimingCore, validate_core
+from repro.engine import TimingCore
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import Register, RegisterClass
 from repro.memory.model import MemoryModel
@@ -115,32 +115,18 @@ def _default_owner(register: Register) -> Processor:
 
 
 class DecoupledSimulator:
-    """Simulates one trace on the decoupled vector architecture.
-
-    ``core`` selects the control flow driving the shared engine primitives:
-    ``"tick"`` (the default oracle) folds issue constraints into a running
-    ``max``; ``"event"`` (:mod:`repro.dva.event_core`) gives every processor
-    a wakeup scheduler and jumps between registered wakeups.  Results are
-    cycle-identical by contract — the differential fuzz suite pins it.
-    """
+    """Simulates one trace on the decoupled vector architecture."""
 
     def __init__(
         self,
         memory: MemoryModel,
         config: Optional[DecoupledConfig] = None,
-        core: str = "tick",
     ) -> None:
         self.memory_model = memory
         self.config = config if config is not None else DecoupledConfig()
-        self.core = validate_core(core)
 
     def run(self, trace: Trace) -> DecoupledResult:
-        if self.core == "event":
-            from repro.dva.event_core import _EventDecoupledState
-
-            state = _EventDecoupledState(self.memory_model, self.config)
-        else:
-            state = _DecoupledState(self.memory_model, self.config)
+        state = _DecoupledState(self.memory_model, self.config)
         state.consume(trace)
         return state.finish(trace)
 
@@ -149,10 +135,9 @@ def simulate_decoupled(
     trace: Trace,
     latency: int,
     config: Optional[DecoupledConfig] = None,
-    core: str = "tick",
 ) -> DecoupledResult:
     """Convenience wrapper: simulate ``trace`` on the DVA at a given latency."""
-    simulator = DecoupledSimulator(MemoryModel(latency=latency), config=config, core=core)
+    simulator = DecoupledSimulator(MemoryModel(latency=latency), config=config)
     return simulator.run(trace)
 
 

@@ -54,9 +54,6 @@ class VectorExecutionResources:
         """Reserve the earliest-free QMOV unit; return (start_cycle, unit_index)."""
         return self.qmovs.acquire(earliest, length)
 
-    def earliest_qmov_free(self) -> int:
-        return self.qmovs.earliest_free()
-
     # -- statistics -----------------------------------------------------------------------
 
     @property
@@ -70,9 +67,6 @@ class VectorExecutionResources:
     @property
     def qmov_units(self) -> List[IntervalRecorder]:
         return list(self.qmovs.recorders or ())
-
-    def qmov_busy_time(self) -> int:
-        return self.qmovs.busy_time()
 
     def functional_unit_busy_time(self) -> int:
         return self.fus.busy_time()

@@ -20,15 +20,6 @@ Everything works in one-pass timestamp arithmetic: simulators process the
 trace once in program order and never step individual cycles, so a new
 machine variant (more lanes, more ports, different queueing) is configuration
 over these primitives rather than a new 400-line simulator.
-
-Two control flows drive the primitives.  The default ``tick`` cores fold
-every issue constraint into a running ``max``; the ``event`` cores
-(:mod:`repro.engine.events`) register each constraint as a wakeup on a
-:class:`WakeupScheduler` and jump the clock straight to the last one,
-attributing every skipped span to the blocking resource.  Both produce
-cycle-identical results — the golden suite and the differential fuzz
-harness (``scripts/fuzz_cores.py``) pin the equivalence — so the core
-selector never participates in store keys or the timing-model version.
 """
 
 #: Version of the timing model the simulators implement on these primitives.
@@ -42,7 +33,6 @@ selector never participates in store keys or the timing-model version.
 #: implementation are not served as hits across the representation change.
 TIMING_MODEL_VERSION = 2
 
-from repro.engine.events import CORES, EventQueue, WakeupScheduler, validate_core
 from repro.engine.memory import MemoryFabric, ScalarAccess
 from repro.engine.resources import ResourcePool, occupancy_cycles
 from repro.engine.scoreboard import RegisterEntry, Scoreboard
@@ -50,9 +40,7 @@ from repro.engine.stalls import StallAccountant
 from repro.engine.timing import TimingCore
 
 __all__ = [
-    "CORES",
     "TIMING_MODEL_VERSION",
-    "EventQueue",
     "MemoryFabric",
     "RegisterEntry",
     "ResourcePool",
@@ -60,7 +48,5 @@ __all__ = [
     "Scoreboard",
     "StallAccountant",
     "TimingCore",
-    "WakeupScheduler",
     "occupancy_cycles",
-    "validate_core",
 ]

@@ -117,13 +117,3 @@ class MemoryFabric:
             self.memory.timings.scalar_bus_cycles,
             self.memory.traffic_bytes(record),
         )
-
-    def occupy_vector_bus(
-        self, earliest: int, record: DynamicInstruction
-    ) -> Tuple[int, int]:
-        """Drive one vector reference over a port; return ``(start, end)``."""
-        return self.occupy_bus(
-            earliest,
-            self.memory.bus_occupancy(record),
-            self.memory.traffic_bytes(record),
-        )

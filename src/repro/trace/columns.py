@@ -30,7 +30,7 @@ stored.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
@@ -327,28 +327,6 @@ class ColumnarTrace:
                     f"trace {name!r}: record {expected} carries sequence "
                     f"number {sequence}"
                 )
-
-    def counts_by_kind(self) -> Dict[int, int]:
-        """How many dynamic records fall in each ``kind`` code."""
-        counts: Dict[int, int] = {}
-        for code in self.kind:
-            counts[code] = counts.get(code, 0) + 1
-        return counts
-
-    def memory_bounds(self) -> Optional[Tuple[int, int]]:
-        """Smallest and largest base address touched (``None`` without any)."""
-        lowest: Optional[int] = None
-        highest: Optional[int] = None
-        for address in self.addr:
-            if address == NO_ADDRESS:
-                continue
-            if lowest is None or address < lowest:
-                lowest = address
-            if highest is None or address > highest:
-                highest = address
-        if lowest is None or highest is None:
-            return None
-        return lowest, highest
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

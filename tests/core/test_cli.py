@@ -84,11 +84,23 @@ class TestInProcess:
         summary = json.loads(capsys.readouterr().out)
         assert summary["architecture"] == "dva@lanes=2,ports=2"
 
-    def test_invalid_inline_spec_exits_with_error(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--program", "trfd", "--arch", "dva@lanes=0"], "lanes"),
+            (
+                ["sweep", "--programs", "trfd", "--latencies", "1", "--arch", "dva",
+                 "--axis", "core=tick"],
+                "unknown machine field 'core'",
+            ),
+            (["run", "--program", "trfd", "--" + "core", "event"], "unrecognized arguments"),
+        ],
+    )
+    def test_invalid_inline_spec_exits_with_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--program", "trfd", "--arch", "dva@lanes=0"])
+            main(argv)
         assert excinfo.value.code == 2
-        assert "lanes" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_list_archs_default_listing(self, capsys):
         assert main(["list-archs"]) == 0

@@ -72,9 +72,10 @@ class TestStringErrors:
         with pytest.raises(ConfigurationError, match="unknown machine preset"):
             MachineSpec.from_string("vliw@lanes=2")
 
-    def test_unknown_field(self):
+    @pytest.mark.parametrize("text", ["dva@warp=9", "dva@core=event"])
+    def test_unknown_field(self, text):
         with pytest.raises(ConfigurationError, match="unknown machine field"):
-            MachineSpec.from_string("dva@warp=9")
+            MachineSpec.from_string(text)
 
     def test_malformed_assignment(self):
         with pytest.raises(ConfigurationError, match="malformed assignment"):

@@ -4,9 +4,7 @@ The timestamp-arithmetic simulators never step cycles, so every "who goes
 first within one cycle" question is answered by a convention baked into
 :class:`~repro.dva.queues.TimedQueue`,
 :class:`~repro.common.intervals.IntervalRecorder` and
-:class:`~repro.engine.ResourcePool`.  The event core leans on exactly these
-conventions when it registers wakeups (``slot_free_time`` et al.), so each
-one is pinned here:
+:class:`~repro.engine.ResourcePool`.  Each one is pinned here:
 
 * a queue entry may be popped on the very cycle it was pushed (zero
   residency is legal), but never earlier;
@@ -42,7 +40,6 @@ class TestTimedQueueSameCycleRules:
         queue = TimedQueue("iq", capacity=1)
         queue.push(0)
         queue.pop(5)
-        assert queue.slot_free_time() == 5
         assert queue.earliest_push(3) == 5
         assert queue.push(3) == 5  # accepted at the pop cycle, not 6
 
@@ -53,28 +50,28 @@ class TestTimedQueueSameCycleRules:
         queue.push(3)
         assert queue.push_stall_cycles == 2
 
-    def test_slot_free_time_is_zero_under_capacity(self):
+    def test_push_is_unblocked_under_capacity(self):
         queue = TimedQueue("iq", capacity=2)
         queue.push(9)
-        assert queue.slot_free_time() == 0
+        assert queue.earliest_push(0) == 0
+        assert queue.push(0) == 0
 
-    def test_slot_free_time_matches_earliest_push_for_any_request(self):
+    def test_earliest_push_is_the_later_of_request_and_release(self):
         queue = TimedQueue("iq", capacity=1)
         queue.push(0)
         queue.pop(7)
         for requested in (0, 6, 7, 8, 20):
-            assert queue.earliest_push(requested) == max(
-                queue.slot_free_time(), requested
-            )
+            assert queue.earliest_push(requested) == max(7, requested)
 
-    def test_slot_free_time_requires_the_consumer_to_have_run(self):
-        # The event core registers slot_free_time as a wakeup; if the
-        # consumer side has not been simulated yet that is a program-order
-        # bug, and it must fail loudly on both cores with the same message.
+    def test_push_requires_the_consumer_to_have_run(self):
+        # Pushing into a full queue whose blocking entry the consumer has not
+        # released yet is a program-order bug and must fail loudly.
         queue = TimedQueue("iq", capacity=1)
         queue.push(0)
         with pytest.raises(SimulationError, match="has not been released yet"):
-            queue.slot_free_time()
+            queue.earliest_push(0)
+        with pytest.raises(SimulationError, match="has not been released yet"):
+            queue.push(0)
 
     def test_same_cycle_push_then_pop_round_trip(self):
         # A full capacity-1 pipeline: every entry lives zero cycles and the

@@ -265,6 +265,12 @@ class TestEndpoints:
             ("POST", "/v1/run", {"program": "no-such-program"}, 400),
             ("POST", "/v1/run", {"program": "trfd", "arch": "no-such-arch"}, 400),
             ("POST", "/v1/sweeps", {"programs": ["trfd"], "latencies": []}, 400),
+            (
+                "POST",
+                "/v1/sweeps",
+                {"programs": ["trfd"], "latencies": [1], "axes": {"core": ["tick"]}},
+                400,
+            ),
         ],
     )
     def test_errors_come_back_as_json_with_the_right_status(

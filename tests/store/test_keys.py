@@ -39,7 +39,7 @@ class TestKeyStability:
     def test_scheme_version_is_current(self):
         # A bump of KEY_SCHEME_VERSION is an intentional, reviewed act of
         # cache invalidation; this pin makes accidental bumps visible.
-        assert KEY_SCHEME_VERSION == 1
+        assert KEY_SCHEME_VERSION == 2
 
 
 class TestKeySensitivity:
