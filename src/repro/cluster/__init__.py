@@ -5,13 +5,15 @@ no server and no protocol — the :class:`~repro.store.ResultStore` directory is
 the only coordination substrate, so anything that can mount it (processes on
 one machine, hosts on a shared filesystem) can cooperate:
 
-* the **coordinator** (:mod:`repro.cluster.coordinator`) publishes a
-  cost-ranked manifest of unfinished cells and assembles the final
+* the **coordinator** (:mod:`repro.cluster.coordinator`) plans the sweep the
+  way the in-process runner does, publishes the unfinished cells as a
+  manifest (costliest program first), and assembles the final
   :class:`~repro.core.experiment.SweepResult` when the store answers them all;
-* **workers** (:mod:`repro.cluster.worker`) claim cells through atomic
-  ``O_CREAT | O_EXCL`` claim files with heartbeat-refreshed leases
-  (:mod:`repro.cluster.claims`), simulate them exactly the way the in-process
-  runner does, and write results through the store;
+* **workers** (:mod:`repro.cluster.worker`), started by the user as
+  ``repro worker`` on any host that mounts the store, claim cells through
+  atomic ``O_CREAT | O_EXCL`` claim files with heartbeat-refreshed leases
+  (:mod:`repro.cluster.claims`), simulate them through the in-process
+  runner's cell executor, and write results through the store;
 * crashed workers' leases expire and their cells are **stolen** by peers, so
   killing any worker — or the coordinator — never loses work: at-least-once
   execution is safe because cells are deterministic and content-addressed
@@ -34,7 +36,6 @@ from repro.cluster.coordinator import (
     cluster_status,
     reap_cluster,
     read_worker_statuses,
-    spawn_worker,
 )
 from repro.cluster.manifest import (
     MANIFEST_FORMAT_VERSION,
@@ -84,5 +85,4 @@ __all__ = [
     "cluster_status",
     "reap_cluster",
     "read_worker_statuses",
-    "spawn_worker",
 ]

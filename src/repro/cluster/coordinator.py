@@ -1,22 +1,21 @@
-"""The cluster coordinator: manifest out, workers loose, results assembled.
+"""The cluster coordinator: manifest out, standing workers in, results assembled.
 
 A :class:`ClusterCoordinator` turns a :class:`~repro.core.experiment.SweepSpec`
 into a shared work queue and back into a :class:`~repro.core.experiment.SweepResult`:
 
-* :meth:`~ClusterCoordinator.prepare` resolves the grid, answers what it can
-  from the store, and publishes the rest as a cost-ranked manifest;
+* :meth:`~ClusterCoordinator.prepare` plans the grid exactly as the
+  in-process :class:`~repro.core.experiment.Runner` does
+  (:func:`~repro.core.experiment.plan_sweep`: validate, key, probe the
+  store) and publishes the cells the store cannot answer as a manifest;
 * :meth:`~ClusterCoordinator.wait` polls the store until every manifest cell
-  resolves, firing per-cell progress, watching worker status files for
-  reported failures and — when the coordinator spawned the workers itself —
-  for a fleet that died with work outstanding;
-* :meth:`~ClusterCoordinator.assemble` reads the full grid back out of the
-  store in grid order, producing a sweep result golden-identical to a serial
-  run (the store is provenance-only by construction);
-* :meth:`~ClusterCoordinator.run_distributed` composes the three around a
-  fleet of spawned ``repro worker`` subprocesses — the one-machine,
-  N-process mode the bench and CI exercise.  Workers on *other* hosts join
-  the same sweep by pointing ``repro worker`` at the shared store directory;
-  the coordinator cannot tell the difference and does not need to.
+  resolves, firing per-cell progress and watching worker status files for
+  reported failures;
+* :meth:`~ClusterCoordinator.assemble` returns the full grid in grid order,
+  a sweep result golden-identical to a serial run (the store is
+  provenance-only by construction);
+* :meth:`~ClusterCoordinator.run_distributed` composes the three.  The work
+  itself is done by ``repro worker`` processes, started by the user on any
+  host that mounts the store directory; the coordinator never starts one.
 
 This module also carries the cluster's two maintenance surfaces:
 :func:`cluster_status` (behind ``repro cluster status`` and the service's
@@ -26,26 +25,22 @@ This module also carries the cluster's two maintenance surfaces:
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.config import RunConfig
 from repro.core.experiment import (
-    CellProgress,
+    PlannedCell,
     ProgressCallback,
     SweepResult,
     SweepSpec,
+    _ProgressTracker,
     estimate_cell_cost,
-    resolve_sweep_machines,
+    plan_sweep,
 )
-from repro.core.result import RunResult
-from repro.store import ResultStore, cell_key
-from repro.workloads.perfect_club import load_program
+from repro.store import ResultStore
 from repro.cluster.claims import DEFAULT_LEASE_SECONDS, read_claim
 from repro.cluster.manifest import (
     ClusterError,
@@ -57,68 +52,31 @@ from repro.cluster.manifest import (
     load_manifest,
     new_sweep_id,
     remaining_cells,
-    sweep_dir,
     workers_dir,
 )
 
 
 @dataclass
 class PreparedSweep:
-    """One sweep, resolved and (if needed) published for workers.
+    """One sweep, planned and (if needed) published for workers.
 
-    ``grid`` holds every cell in grid order as ``(program, latency, label,
-    key)``; ``hits`` the results the store answered at preparation time; the
-    ``manifest`` (``None`` when the sweep was fully warm) everything left
-    for the cluster to simulate.
+    ``cells`` is the plan in grid order: store hits hold their result from
+    the start, manifest cells get theirs once a worker has stored it.
+    ``manifest`` is ``None`` when the sweep was fully warm.
     """
 
     sweep_id: str
     spec: SweepSpec
-    config: RunConfig
-    grid: List[Tuple[str, int, str, str]]
-    hits: Dict[str, RunResult]
+    cells: List[PlannedCell]
     manifest: Optional[Manifest]
 
     @property
     def total(self) -> int:
-        return len(self.grid)
+        return len(self.cells)
 
     @property
     def unfinished(self) -> int:
         return len(self.manifest.cells) if self.manifest is not None else 0
-
-
-class _Progress:
-    """Counts finished cells for the coordinator's progress callback."""
-
-    def __init__(self, callback: Optional[ProgressCallback], total: int) -> None:
-        self.callback = callback
-        self.total = total
-        self.done = 0
-        self.cached = 0
-        self.simulated = 0
-
-    def report(
-        self, program: str, latency: int, architecture: str, from_store: bool
-    ) -> None:
-        self.done += 1
-        if from_store:
-            self.cached += 1
-        else:
-            self.simulated += 1
-        if self.callback is not None:
-            self.callback(
-                CellProgress(
-                    done=self.done,
-                    total=self.total,
-                    cached=self.cached,
-                    simulated=self.simulated,
-                    program=program,
-                    latency=latency,
-                    architecture=architecture,
-                    from_store=from_store,
-                )
-            )
 
 
 class ClusterCoordinator:
@@ -139,7 +97,7 @@ class ClusterCoordinator:
     def prepare(
         self, spec: SweepSpec, sweep_id: Optional[str] = None
     ) -> PreparedSweep:
-        """Resolve the grid, split it into store hits and manifest cells.
+        """Plan the grid, publish the cells the store cannot answer.
 
         Distributed sweeps run the default :class:`RunConfig` — the same
         contract as CLI sweeps and the service — because workers recompute
@@ -148,46 +106,29 @@ class ClusterCoordinator:
         an uncacheable cell has no content-addressed identity for workers to
         rendezvous on, so it is rejected here, before anything is published.
         """
-        config = RunConfig()
-        for program in spec.programs:
-            load_program(program)  # fail fast on unknown programs
-        machines = resolve_sweep_machines(spec)
-        pairs = [
-            (latency, simulator)
-            for latency in spec.latencies
-            for simulator in machines
-        ]
-        grid: List[Tuple[str, int, str, str]] = []
-        hits: Dict[str, RunResult] = {}
-        pending: Dict[str, ManifestCell] = {}
-        for program in spec.programs:
-            for latency, simulator in pairs:
-                key = cell_key(program, spec.scale, latency, simulator, config)
-                if key is None:
-                    raise ClusterError(
-                        f"cell ({program}, {latency}, {simulator.name}) is not "
-                        "cacheable; distributed sweeps need spec-backed "
-                        "machines (the cell key is the cluster's unit of "
-                        "coordination)"
-                    )
-                grid.append((program, latency, simulator.name, key))
-                if key in hits or key in pending:
-                    continue
-                found = self.store.get(key)
-                if found is not None:
-                    hits[key] = found
-                    continue
-                pending[key] = ManifestCell(
-                    key=key,
-                    program=program,
-                    latency=latency,
-                    architecture=simulator.name,
-                    scale=spec.scale,
-                    cost=estimate_cell_cost(program, spec.scale, latency),
+        cells = plan_sweep(spec, RunConfig(), self.store)
+        pending: List[ManifestCell] = []
+        for cell in cells:
+            if cell.key is None:
+                raise ClusterError(
+                    f"cell ({cell.program}, {cell.latency}, {cell.simulator.name}) "
+                    "is not cacheable; distributed sweeps need spec-backed "
+                    "machines (the cell key is the cluster's unit of "
+                    "coordination)"
                 )
-        cells = list(pending.values())
+            if cell.result is None:
+                pending.append(
+                    ManifestCell(
+                        key=cell.key,
+                        program=cell.program,
+                        latency=cell.latency,
+                        architecture=cell.simulator.name,
+                        scale=spec.scale,
+                        cost=estimate_cell_cost(cell.program, spec.scale, cell.latency),
+                    )
+                )
         manifest: Optional[Manifest] = None
-        if cells:
+        if pending:
             manifest = Manifest(
                 sweep_id=sweep_id if sweep_id else new_sweep_id(),
                 spec={
@@ -198,15 +139,13 @@ class ClusterCoordinator:
                     "axes": [[name, list(values)] for name, values in spec.axes],
                 },
                 created_unix=time.time(),
-                cells=tuple(cells),
+                cells=tuple(pending),
             )
             manifest.write(self.store)
         return PreparedSweep(
             sweep_id=manifest.sweep_id if manifest is not None else (sweep_id or "warm"),
             spec=spec,
-            config=config,
-            grid=grid,
-            hits=hits,
+            cells=cells,
             manifest=manifest,
         )
 
@@ -217,73 +156,47 @@ class ClusterCoordinator:
         prepared: PreparedSweep,
         timeout: Optional[float] = None,
         progress: Optional[ProgressCallback] = None,
-        procs: Sequence["subprocess.Popen"] = (),
-        _tracker: Optional[_Progress] = None,
     ) -> None:
         """Block until every manifest cell resolves in the store.
 
-        Raises :class:`ClusterError` when the sweep can no longer finish:
-        every unfinished cell has a failure reported against it in some
-        worker's status file, every coordinator-spawned worker process has
-        exited with cells outstanding, or ``timeout`` elapsed.
+        Each cell's result is read back the moment it lands (and marked
+        ``cached=False``: this sweep simulated it) and reported through the
+        same progress tracker the :class:`~repro.core.experiment.Runner`
+        uses.  Raises :class:`ClusterError` when the sweep can no longer
+        finish: every unfinished cell has a failure reported against it in
+        some worker's status file, or ``timeout`` elapsed.
         """
-        tracker = _tracker if _tracker is not None else _Progress(
-            progress, prepared.total
-        )
-        if _tracker is None:
-            for program, latency, label, key in prepared.grid:
-                if key in prepared.hits:
-                    tracker.report(program, latency, label, from_store=True)
-        if prepared.manifest is None:
-            return
-        remaining: Dict[str, ManifestCell] = {
-            cell.key: cell for cell in prepared.manifest.cells
-        }
-        # Progress counts *grid* cells; a key normally backs exactly one but
-        # degenerate specs (repeated latencies) can fold several onto it.
-        multiplicity: Dict[str, int] = {}
-        for _program, _latency, _label, key in prepared.grid:
-            if key in remaining:
-                multiplicity[key] = multiplicity.get(key, 0) + 1
+        tracker = _ProgressTracker(progress, prepared.total)
+        remaining: Dict[str, PlannedCell] = {}
+        for cell in prepared.cells:
+            if cell.result is not None:
+                tracker.report(cell.result)
+            else:
+                remaining[cell.key] = cell  # type: ignore[index]
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        sweep_id = prepared.manifest.sweep_id
         while remaining:
-            for key in list(remaining):
-                if key in self.store:
-                    cell = remaining.pop(key)
-                    for _ in range(multiplicity.get(key, 1)):
-                        tracker.report(
-                            cell.program, cell.latency, cell.architecture,
-                            from_store=False,
-                        )
+            for key, cell in list(remaining.items()):
+                found = self.store.get(key) if key in self.store else None
+                if found is not None:
+                    del remaining[key]
+                    cell.result = replace(found, cached=False)
+                    tracker.report(cell.result)
             if not remaining:
                 return
-            failed = self._failed_keys(sweep_id)
+            failed = self._failed_keys(prepared.sweep_id)
             if failed and set(remaining) <= failed.keys():
                 details = "; ".join(
                     failed[key] for key in list(remaining)[:3]
                 )
                 raise ClusterError(
-                    f"sweep {sweep_id}: all {len(remaining)} unfinished "
+                    f"sweep {prepared.sweep_id}: all {len(remaining)} unfinished "
                     f"cells failed on every worker that tried ({details})"
-                )
-            if procs and all(proc.poll() is not None for proc in procs):
-                # The fleet is gone.  One final store re-check closes the
-                # race where the last worker wrote results and exited
-                # between our store pass and the poll.
-                if any(key in self.store for key in remaining):
-                    continue
-                codes = [proc.returncode for proc in procs]
-                raise ClusterError(
-                    f"sweep {sweep_id}: all {len(procs)} workers exited "
-                    f"(return codes {codes}) with {len(remaining)} cells "
-                    "unfinished"
                 )
             if deadline is not None and time.monotonic() >= deadline:
                 raise ClusterError(
-                    f"sweep {sweep_id}: timed out with {len(remaining)} of "
+                    f"sweep {prepared.sweep_id}: timed out with {len(remaining)} of "
                     f"{prepared.unfinished} cells unfinished"
                 )
             time.sleep(self.poll_seconds)
@@ -300,140 +213,47 @@ class ClusterCoordinator:
     # -- phase 3: collect --------------------------------------------------------------
 
     def assemble(self, prepared: PreparedSweep) -> SweepResult:
-        """Read the full grid out of the store, in grid order.
+        """The full grid, in grid order.
 
-        Manifest cells come back marked ``cached=False``: the store is how
-        their results travelled, but *this* sweep simulated them — so the
-        cached/simulated split matches what a serial run would report, and
-        the assembled :class:`SweepResult` is golden-identical to one.
+        Manifest cells that :meth:`wait` did not read back (a caller that
+        ran the workers itself) are read from the store now.  They come back
+        marked ``cached=False``: the store is how their results travelled,
+        but *this* sweep simulated them — so the cached/simulated split
+        matches what a serial run would report, and the assembled
+        :class:`SweepResult` is golden-identical to one.
         """
-        results: List[RunResult] = []
-        for program, latency, label, key in prepared.grid:
-            result = prepared.hits.get(key)
-            if result is None:
-                result = self.store.get(key)
-                if result is None:
+        for cell in prepared.cells:
+            if cell.result is None:
+                found = self.store.get(cell.key)  # type: ignore[arg-type]
+                if found is None:
                     raise ClusterError(
-                        f"cell ({program}, {latency}, {label}) vanished from "
-                        "the store during assembly (evicted mid-sweep?)"
+                        f"cell ({cell.program}, {cell.latency}, {cell.simulator.name}) "
+                        "vanished from the store during assembly (evicted mid-sweep?)"
                     )
-                result = replace(result, cached=False)
-            results.append(result)
-        fresh = [
-            (result.store_key, result)
-            for result in results
-            if not result.cached and result.store_key is not None
-        ]
-        if fresh:
-            # Workers merge their own cells into the advisory index, but one
-            # terminated mid-sweep (or killed) never gets to; merging here is
-            # idempotent and closes that gap.
-            self.store.update_index(fresh, scale=prepared.spec.scale)
-        return SweepResult(spec=prepared.spec, results=results)
-
-    # -- the composed one-machine mode -------------------------------------------------
+                cell.result = replace(found, cached=False)
+        results = [cell.result for cell in prepared.cells]
+        # Workers merge their own cells into the advisory index, but one
+        # terminated mid-sweep (or killed) never gets to; merging here is
+        # idempotent and closes that gap.
+        self.store.update_index(results, scale=prepared.spec.scale)
+        return SweepResult(spec=prepared.spec, results=results)  # type: ignore[arg-type]
 
     def run_distributed(
         self,
         spec: SweepSpec,
-        workers: int = 2,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         timeout: Optional[float] = None,
         progress: Optional[ProgressCallback] = None,
-        quiet: bool = True,
     ) -> SweepResult:
-        """Run ``spec`` across ``workers`` spawned worker processes.
+        """Publish ``spec`` for the standing ``repro worker`` fleet and wait.
 
-        Fully-warm sweeps never spawn anything.  Spawned workers exit on
-        their own when the manifest drains; whatever survives an error path
-        is terminated before the error propagates.  ``workers=0`` spawns
-        nothing and only publishes and waits — the mode for a fleet of
-        standing ``repro worker`` daemons that discover manifests
-        themselves (pair it with ``timeout`` so a fleetless store cannot
-        block forever).
+        A fully warm sweep publishes nothing and returns at once.  Otherwise
+        the call blocks until workers serving this store have simulated every
+        published cell; pass ``timeout`` so a store no worker serves cannot
+        block forever.
         """
-        if workers < 0:
-            raise ClusterError("worker count cannot be negative")
         prepared = self.prepare(spec)
-        tracker = _Progress(progress, prepared.total)
-        for program, latency, label, key in prepared.grid:
-            if key in prepared.hits:
-                tracker.report(program, latency, label, from_store=True)
-        if prepared.manifest is None:
-            return self.assemble(prepared)
-        procs = [
-            spawn_worker(
-                self.store.root,
-                prepared.sweep_id,
-                lease_seconds=lease_seconds,
-                quiet=quiet,
-            )
-            for _ in range(workers)
-        ]
-        try:
-            self.wait(prepared, timeout=timeout, procs=procs, _tracker=tracker)
-        finally:
-            # Workers exit by themselves once every manifest cell resolves;
-            # give them a moment to do so — terminating the instant the last
-            # result hits the store races the worker's final status write
-            # and under-reports its counters.  Stragglers (error paths,
-            # hung workers) are then terminated.
-            deadline = time.monotonic() + 5.0
-            for proc in procs:
-                if proc.poll() is None:
-                    try:
-                        proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-                    except subprocess.TimeoutExpired:
-                        pass
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-                    proc.kill()
-                    proc.wait()
+        self.wait(prepared, timeout=timeout, progress=progress)
         return self.assemble(prepared)
-
-
-def spawn_worker(
-    store_root: Union[str, Path],
-    sweep_id: str,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    worker_id: Optional[str] = None,
-    quiet: bool = True,
-) -> "subprocess.Popen":
-    """Start one ``repro worker`` subprocess attached to ``sweep_id``.
-
-    The child runs the same interpreter and sees this process's ``repro``
-    package (its ``src`` directory is prepended to ``PYTHONPATH``), so
-    spawning works from a source checkout and an installed package alike.
-    """
-    import repro
-
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "worker",
-        "--store-dir",
-        str(store_root),
-        "--sweep",
-        sweep_id,
-        "--lease",
-        str(lease_seconds),
-    ]
-    if worker_id:
-        command += ["--worker-id", worker_id]
-    env = dict(os.environ)
-    package_parent = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = (
-        package_parent + (os.pathsep + existing if existing else "")
-    )
-    sink = subprocess.DEVNULL if quiet else None
-    return subprocess.Popen(command, env=env, stdout=sink, stderr=sink)
 
 
 # -- status and maintenance ------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The cell manifest: one sweep's unfinished work, as a shared file.
 
 A distributed sweep is coordinated entirely through the result-store
-directory, and the manifest is its root object: the coordinator resolves the
+directory, and the manifest is its root object: the coordinator plans the
 sweep grid, drops every cell the store already answers, ranks the remainder
-by estimated simulation cost (a latency-100 cell burns ~100x the cycles of a
-latency-1 cell of the same trace, so costliest-first dispatch keeps the
-sweep's critical path short), and writes the result atomically as::
+by estimated simulation cost (the program's trace length, see
+:func:`~repro.core.experiment.estimate_cell_cost`, so the longest programs
+are claimed first and the sweep's critical path stays short), and writes
+the result atomically as::
 
     <store>/v<N>/cluster/<sweep_id>/manifest.json
 

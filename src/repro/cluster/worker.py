@@ -9,10 +9,11 @@ protocol — the shared store directory *is* the coordination substrate:
    store (another worker may have finished it), then race an atomic claim
    (:mod:`repro.cluster.claims`), then — for cells whose claim has expired —
    steal the dead holder's lease;
-3. simulate won cells exactly the way the in-process runner does (one
-   per-worker :class:`~repro.core.experiment.TraceCache`, so cells of the
-   same program share a trace build), write the result through the
-   :class:`~repro.store.ResultStore`, and release the claim;
+3. simulate won cells through the in-process runner's own cell executor
+   (:func:`~repro.core.experiment._run_cells`, over one per-worker
+   :class:`~repro.core.experiment.TraceCache`, so cells of the same program
+   share a trace build), which writes the result through the
+   :class:`~repro.store.ResultStore`; then release the claim;
 4. loop until every manifest cell resolves in the store.
 
 A heartbeat thread refreshes the leases of held claims and rewrites the
@@ -34,13 +35,12 @@ import os
 import socket
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.common.errors import ReproError
 from repro.core.config import RunConfig
-from repro.core.experiment import TraceCache
+from repro.core.experiment import TraceCache, _run_cells
 from repro.core.registry import resolve_architecture
 from repro.core.result import RunResult
 from repro.store import ResultStore, cell_key
@@ -116,7 +116,7 @@ class ClusterWorker:
         # Claim/steal bookkeeping lives in the current sweep's ClaimSet until
         # run_sweep folds it into the lifetime counters on the way out; the
         # live view must include it, because a worker terminated mid-sweep
-        # (the coordinator reaps idle workers with SIGTERM) never reaches
+        # (SIGTERM, SIGKILL, a lost host) never reaches
         # that fold — its last heartbeat write is all the record there is.
         claimed, stolen = self.claimed, self.stolen
         active = self._active_claims
@@ -185,11 +185,10 @@ class ClusterWorker:
                     "and worker must run the same repro version)"
                 )
             trace = self.trace_cache.get(cell.program, cell.scale)
-            result = simulator.simulate(
-                trace, self.config.with_latency(cell.latency)
+            (result,) = _run_cells(
+                trace, [(cell.latency, simulator, cell.key)], self.config,
+                self.store, cell.scale,
             )
-            result = replace(result, store_key=cell.key)
-            self.store.put(cell.key, result, scale=cell.scale)
         except ReproError as exc:
             self.failed += 1
             self.errors.append({"key": cell.key, "error": f"{type(exc).__name__}: {exc}"})
@@ -271,10 +270,7 @@ class ClusterWorker:
             # Claims of refused cells stay behind deliberately (see
             # _execute); everything else was released on completion.
             if written:
-                self.store.update_index(
-                    [(result.store_key, result) for result in written],
-                    scale=manifest_scale(manifest),
-                )
+                self.store.update_index(written, scale=manifest_scale(manifest))
             self.write_status()
         return dict(self.status_payload()["counters"])  # type: ignore[arg-type]
 

@@ -29,8 +29,8 @@ Six subcommands drive the experiment API end to end:
 * ``cluster`` — observe distributed sweeps: ``status`` prints each
   manifest's progress, claims and per-worker counters.
 
-``sweep --distributed`` composes the two cluster roles on one machine:
-publish the manifest, spawn ``--workers`` worker processes, assemble.
+``sweep --distributed`` is the coordinator role: publish the manifest, wait
+for standing ``repro worker`` processes to drain it, assemble.
 """
 
 from __future__ import annotations
@@ -167,21 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--distributed",
         action="store_true",
-        help="run through repro.cluster: publish a cost-ranked cell manifest "
-        "in the store directory, spawn --workers worker processes that "
-        "claim cells through atomic lease files, and assemble the result "
-        "when the manifest drains (requires the store)",
-    )
-    sweep_parser.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes to spawn with --distributed (default: 2); "
-        "additional 'repro worker' processes on any host sharing the "
-        "store directory join the same sweep",
-    )
-    sweep_parser.add_argument(
-        "--lease", type=float, default=None, metavar="SECONDS",
-        help="claim lease duration for --distributed; a crashed worker's "
-        "cells become stealable after this (default: 30)",
+        help="run through repro.cluster: publish the cells the store cannot "
+        "answer as a manifest in the store directory and wait until "
+        "'repro worker' processes serving that directory have simulated "
+        "them (requires the store; start the workers yourself, on this or "
+        "any host that mounts the store)",
     )
     sweep_parser.add_argument(
         "--output", help="write the full sweep result as JSON to this path"
@@ -448,7 +438,7 @@ def _run_sweep(args: argparse.Namespace) -> SweepResult:
     progress = _print_progress if getattr(args, "progress", False) else None
     if getattr(args, "distributed", False):
         # Imported here so the cluster layer is only paid for when used.
-        from repro.cluster import DEFAULT_LEASE_SECONDS, ClusterCoordinator
+        from repro.cluster import ClusterCoordinator
 
         store = _store_from_args(args)
         if store is None:
@@ -456,10 +446,7 @@ def _run_sweep(args: argparse.Namespace) -> SweepResult:
                 "--distributed coordinates through the result store; "
                 "it cannot run with --no-store"
             )
-        lease = args.lease if args.lease is not None else DEFAULT_LEASE_SECONDS
-        return ClusterCoordinator(store).run_distributed(
-            spec, workers=args.workers, lease_seconds=lease, progress=progress
-        )
+        return ClusterCoordinator(store).run_distributed(spec, progress=progress)
     return Runner(jobs=args.jobs, store=_store_from_args(args)).run(
         spec, progress=progress
     )

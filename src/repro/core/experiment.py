@@ -88,15 +88,16 @@ _LENGTH_CACHE: Dict[Tuple[str, float], int] = {}
 def estimate_cell_cost(program: str, scale: float, latency: int) -> int:
     """A unitless estimate of one cell's simulation cost, for scheduling.
 
-    Cost is (latency + 1) x the program's estimated dynamic trace length: a
-    latency-100 cell stalls the cycle-by-cycle engine through roughly two
-    orders of magnitude more idle cycles than a latency-1 cell of the same
-    trace, so latency dominates and trace length breaks ties across programs.
-    Used to dispatch work longest-job-first — by the :class:`Runner` (so
-    static batches stop starving on long-latency cells), the sweep service's
-    batch scheduler, and the cluster manifest (costliest cells are claimed
-    first).  Unknown programs cost 1: scheduling must never fail a cell that
-    validation has already admitted.
+    Cost is the program's estimated dynamic trace length; ``latency`` is
+    part of the call shape but not of the value.  The timing core does one
+    pass of timestamp arithmetic per instruction whatever the memory latency:
+    measured on a 2-CPU host (min of 3), every latency-100 cell of the golden
+    grid took 0.97-1.09x the time of its latency-1 cell, while per-cell time
+    followed trace length (1,776-8,879 instructions) at 5.6-8.8 ms per 1k
+    instructions.  Used to put the costliest program first — in the
+    :class:`Runner`'s pool chunks, the sweep service's batch flush and the
+    cluster manifest.  Unknown programs cost 1: scheduling must never fail a
+    cell that validation has already admitted.
     """
     key = (program.upper(), float(scale))
     length = _LENGTH_CACHE.get(key)
@@ -106,7 +107,7 @@ def estimate_cell_cost(program: str, scale: float, latency: int) -> int:
         except WorkloadError:
             length = 1
         _LENGTH_CACHE[key] = length
-    return (int(latency) + 1) * length
+    return length
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,14 @@ ProgressCallback = Callable[[CellProgress], None]
 
 
 class _ProgressTracker:
-    """Counts finished cells and fans events out to the user's callback."""
+    """Counts finished cells and fans events out to the user's callback.
 
-    def __init__(self, callback: ProgressCallback, total: int) -> None:
+    The one progress implementation: the :class:`Runner` reports cells as it
+    finishes them, the cluster coordinator as their results land in the
+    store, and the sweep service as its scheduler answers them.
+    """
+
+    def __init__(self, callback: Optional[ProgressCallback], total: int) -> None:
         self.callback = callback
         self.total = total
         self.done = 0
@@ -149,22 +155,19 @@ class _ProgressTracker:
             self.cached += 1
         else:
             self.simulated += 1
-        self.callback(
-            CellProgress(
-                done=self.done,
-                total=self.total,
-                cached=self.cached,
-                simulated=self.simulated,
-                program=result.program,
-                latency=result.latency,
-                architecture=result.architecture,
-                from_store=result.cached,
+        if self.callback is not None:
+            self.callback(
+                CellProgress(
+                    done=self.done,
+                    total=self.total,
+                    cached=self.cached,
+                    simulated=self.simulated,
+                    program=result.program,
+                    latency=result.latency,
+                    architecture=result.architecture,
+                    from_store=result.cached,
+                )
             )
-        )
-
-    def report_all(self, results: Sequence[RunResult]) -> None:
-        for result in results:
-            self.report(result)
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,9 @@ class SweepSpec:
             raise ConfigurationError("a sweep needs at least one architecture")
         if any(latency < 0 for latency in self.latencies):
             raise ConfigurationError("memory latencies cannot be negative")
+        for axis, values in (("programs", self.programs), ("latencies", self.latencies)):
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"sweep {axis} repeat a value")
         if self.scale <= 0:
             raise ConfigurationError("trace scale must be positive")
 
@@ -329,16 +335,18 @@ class SweepSpec:
 
 
 def resolve_sweep_machines(spec: SweepSpec) -> List[Simulator]:
-    """Resolve every (axis-combo × architecture) of ``spec`` into simulators.
+    """Check ``spec``'s programs and resolve every (axis-combo × architecture).
 
-    Unknown architectures, non-spec-backed machines under an axis sweep, and
-    distinct grid cells that collapse onto the same machine label all fail
-    here, before any simulation: the :class:`Runner` calls this up front,
-    and the sweep service calls it at request admission so a bad sweep is
-    rejected with a clean error instead of dying mid-run.  The returned
-    simulators are axis-combo-major, matching the pair order of
+    Unknown programs, unknown architectures, non-spec-backed machines under
+    an axis sweep, and distinct grid cells that collapse onto the same
+    machine label all fail here, before any simulation: :func:`plan_sweep`
+    calls this first, and the sweep service calls it at request admission so
+    a bad sweep is rejected with a clean error instead of dying mid-run.
+    The returned simulators are axis-combo-major, matching the pair order of
     :meth:`SweepSpec.cells`.
     """
+    for program in spec.programs:
+        load_program(program)
     machines: List[Simulator] = []
     seen_labels: Dict[str, Tuple[str, Overrides]] = {}
     for combo in spec.axis_combinations():
@@ -354,6 +362,53 @@ def resolve_sweep_machines(spec: SweepSpec) -> List[Simulator]:
             seen_labels[simulator.name] = (arch, combo)
             machines.append(simulator)
     return machines
+
+
+@dataclass
+class PlannedCell:
+    """One grid cell on its way to a result.
+
+    ``key`` is the cell's store key (``None`` without a store, or for a
+    machine that is not spec-backed).  ``result`` is set at planning time
+    for a store hit and by whoever executes the cell otherwise, so a cell
+    still holding ``None`` is a task to run.
+    """
+
+    program: str
+    latency: int
+    simulator: Simulator
+    key: Optional[str]
+    result: Optional[RunResult] = None
+
+    @property
+    def task(self) -> CellTask:
+        return (self.latency, self.simulator, self.key)
+
+
+def plan_sweep(
+    spec: SweepSpec, config: RunConfig, store: Optional[ResultStore]
+) -> List[PlannedCell]:
+    """Every cell of ``spec`` in grid order, each either a store hit or a task.
+
+    Validation (:func:`resolve_sweep_machines`) runs first, so a bad spec
+    fails before any key is computed.  With a store, each cell's key is
+    computed and probed; hits come back holding their ``cached=True``
+    result.  The :class:`Runner` and the cluster coordinator both start
+    from this plan.
+    """
+    machines = resolve_sweep_machines(spec)
+    cells: List[PlannedCell] = []
+    for program in spec.programs:
+        for latency in spec.latencies:
+            for simulator in machines:
+                key = None
+                hit = None
+                if store is not None:
+                    key = cell_key(program, spec.scale, latency, simulator, config)
+                    if key is not None:
+                        hit = store.get(key)
+                cells.append(PlannedCell(program, latency, simulator, key, hit))
+    return cells
 
 
 class TraceCache:
@@ -405,6 +460,9 @@ def _run_cells(
 ) -> List[RunResult]:
     """Sweep one trace across its cells, persisting each as it completes.
 
+    The one cell executor: the :class:`Runner`'s serial loop and pool
+    workers, the service's batches and cluster workers all simulate here.
+    Each result is stamped with its store key before it is written.
     Write-back happens per cell, not per batch, so a simulation process
     killed mid-batch leaves every already-finished cell in the store.
     ``on_result`` fires per cell, after the store write (serial progress
@@ -482,33 +540,14 @@ def _available_parallelism() -> int:
         return os.cpu_count() or 1
 
 
-def _balanced_chunks(costs: Sequence[int], chunks: int) -> List[List[int]]:
-    """Deal task indices into at most ``chunks`` cost-balanced groups.
-
-    ``costs`` is expected cost-descending (the runner sorts misses that way);
-    dealing each task onto the currently lightest group is the classic
-    longest-processing-time-first heuristic, so the groups finish at roughly
-    the same time instead of one group hoarding every expensive cell.  Groups
-    keep their tasks in the incoming order; empty groups are dropped.
-    """
-    chunks = max(1, min(chunks, len(costs)))
-    groups: List[List[int]] = [[] for _ in range(chunks)]
-    loads = [0] * chunks
-    for index, cost in enumerate(costs):
-        target = min(range(chunks), key=loads.__getitem__)
-        groups[target].append(index)
-        loads[target] += cost
-    return [group for group in groups if group]
-
-
 class Runner:
     """Executes sweep grids, serially or across a persistent process pool.
 
     ``jobs`` is a ceiling, not a demand: the runner never uses more workers
     than the machine can actually run in parallel, so asking for ``jobs=2``
     on a one-CPU host degrades gracefully to the in-process serial path
-    instead of paying pool and scheduling overhead for no speedup (pass
-    ``adaptive=False`` to force the pool regardless, e.g. to test it).
+    instead of paying pool and scheduling overhead for no speedup.  A sweep
+    with a single cell to simulate always runs in-process.
 
     The serial path runs in-process against a shared :class:`TraceCache`.
     The parallel path distributes batches of cells over a ``multiprocessing``
@@ -535,13 +574,11 @@ class Runner:
     def __init__(
         self,
         jobs: int = 1,
-        adaptive: bool = True,
         store: Union[ResultStore, str, Path, None] = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError("runner needs at least one job")
         self.jobs = jobs
-        self.adaptive = adaptive
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
@@ -556,9 +593,7 @@ class Runner:
     @property
     def effective_jobs(self) -> int:
         """Workers the runner will actually use for a parallel sweep."""
-        if self.adaptive:
-            return min(self.jobs, _available_parallelism())
-        return self.jobs
+        return min(self.jobs, _available_parallelism())
 
     def run(
         self,
@@ -577,204 +612,99 @@ class Runner:
         batch by batch when parallel), so long sweeps are observable.
         """
         config = config if config is not None else RunConfig()
-        tracker = (
-            _ProgressTracker(progress, len(spec)) if progress is not None else None
-        )
-        for program in spec.programs:
-            load_program(program)  # fail fast on unknown programs
+        cells = plan_sweep(spec, config, self.store)
+        tracker = _ProgressTracker(progress, len(cells))
+        # Tasks grouped per program, in grid order: each group shares a trace.
+        batches: Dict[str, List[PlannedCell]] = {}
+        for cell in cells:
+            if cell.result is not None:
+                tracker.report(cell.result)
+            else:
+                batches.setdefault(cell.program, []).append(cell)
+        pending = sum(len(batch) for batch in batches.values())
+        if pending == 1 or (pending and self.effective_jobs == 1):
+            self._run_serial(spec.scale, batches, config, tracker)
+        elif pending:
+            self._run_parallel(spec.scale, batches, config, tracker)
 
-        # Resolve names once, up front: unknown architectures, non-spec-backed
-        # machines under an axis sweep, and cells that collapse onto the same
-        # machine all fail before any simulation.  Workers receive the
-        # resolved simulator objects themselves (plain frozen dataclasses, so
-        # they pickle), not registry names.
-        machines = resolve_sweep_machines(spec)
-        pairs = [
-            (latency, simulator)
-            for latency in spec.latencies
-            for simulator in machines
-        ]
-
-        # Consult the store: every grid slot is either a hit (a ready result)
-        # or a miss (a CellTask still to simulate).  Misses are cost-ordered —
-        # longest job first, so a latency-100 cell starts before the cheap
-        # latency-1 cells of the same program instead of anchoring the tail of
-        # a static batch — and each task's original pair index travels with it
-        # (``positions``), so re-assembly below restores exact grid order no
-        # matter how dispatch reordered the work.
-        hits: Dict[Tuple[int, int], RunResult] = {}
-        misses: List[List[CellTask]] = []
-        miss_positions: List[List[int]] = []
-        for program_index, program in enumerate(spec.programs):
-            program_misses: List[CellTask] = []
-            positions: List[int] = []
-            for pair_index, (latency, simulator) in enumerate(pairs):
-                key = None
-                if self.store is not None:
-                    key = cell_key(program, spec.scale, latency, simulator, config)
-                    if key is not None:
-                        found = self.store.get(key)
-                        if found is not None:
-                            hits[(program_index, pair_index)] = found
-                            if tracker is not None:
-                                tracker.report(found)
-                            continue
-                program_misses.append((latency, simulator, key))
-                positions.append(pair_index)
-            if len(program_misses) > 1:
-                order = sorted(
-                    range(len(program_misses)),
-                    key=lambda i: -estimate_cell_cost(
-                        program, spec.scale, program_misses[i][0]
-                    ),
-                )
-                program_misses = [program_misses[i] for i in order]
-                positions = [positions[i] for i in order]
-            misses.append(program_misses)
-            miss_positions.append(positions)
-        miss_programs = [
-            (index, program)
-            for index, program in enumerate(spec.programs)
-            if misses[index]
-        ]
-        miss_count = sum(len(batch) for batch in misses)
-
-        # A single-cell dispatch gains nothing from the pool, but only skip
-        # it when adaptive: adaptive=False means "force the pool regardless"
-        # (e.g. to prove a custom simulator pickles into workers).
-        if miss_count == 0:
-            per_program: List[List[RunResult]] = [[] for _ in spec.programs]
-        elif self.effective_jobs == 1 or (self.adaptive and miss_count == 1):
-            per_program = self._run_serial(spec, miss_programs, misses, config, tracker)
-        else:
-            per_program = self._run_parallel(spec, miss_programs, misses, config, tracker)
-
-        for program_index in range(len(spec.programs)):
-            for position, result in zip(
-                miss_positions[program_index], per_program[program_index]
-            ):
-                hits[(program_index, position)] = result
-        results = [
-            hits[(program_index, pair_index)]
-            for program_index in range(len(spec.programs))
-            for pair_index in range(len(pairs))
-        ]
-
-        if self.store is not None and miss_count:
+        results = [cell.result for cell in cells]
+        if self.store is not None:
             # Workers (or the serial loop) wrote the objects; merge this
             # sweep's cells into the advisory index once, in the parent —
             # O(cells written), never a full store scan.
-            self.store.update_index(
-                [
-                    (result.store_key, result)
-                    for result in results
-                    if result.store_key is not None and not result.cached
-                ],
-                scale=spec.scale,
-            )
-        return SweepResult(spec=spec, results=results)
+            self.store.update_index(results, scale=spec.scale)
+        return SweepResult(spec=spec, results=results)  # type: ignore[arg-type]
 
     def _run_serial(
         self,
-        spec: SweepSpec,
-        miss_programs: Sequence[Tuple[int, str]],
-        misses: Sequence[Sequence[CellTask]],
+        scale: float,
+        batches: Mapping[str, Sequence[PlannedCell]],
         config: RunConfig,
-        tracker: Optional[_ProgressTracker] = None,
-    ) -> List[List[RunResult]]:
-        """Run every miss batch in-process.
+        tracker: _ProgressTracker,
+    ) -> None:
+        """Run every batch in-process, filling in each cell's result.
 
         A runner asked for more than one job is in batch-throughput mode even
         when the machine caps it to in-process execution, so it simulates the
         way the pool workers do: cyclic GC paused during each batch and a
         collection between batches (the caller's GC state is restored after).
-        Only programs that actually have misses get their traces built.
+        Only programs that actually have tasks get their traces built.
         """
-        traces = {
-            index: self.trace_cache.get(program, spec.scale)
-            for index, program in miss_programs
-        }
         throughput_mode = self.jobs > 1 and gc.isenabled()
         if throughput_mode:
             gc.disable()
         try:
-            per_program: List[List[RunResult]] = [[] for _ in spec.programs]
-            on_result = tracker.report if tracker is not None else None
-            for index, _program in miss_programs:
-                per_program[index] = _run_cells(
-                    traces[index], misses[index], config, self.store, spec.scale,
-                    on_result=on_result,
+            for program, cells in batches.items():
+                trace = self.trace_cache.get(program, scale)
+                results = _run_cells(
+                    trace, [cell.task for cell in cells], config, self.store, scale,
+                    on_result=tracker.report,
                 )
+                for cell, result in zip(cells, results):
+                    cell.result = result
                 if throughput_mode:
                     gc.collect()
-            return per_program
         finally:
             if throughput_mode:
                 gc.enable()
 
     def _run_parallel(
         self,
-        spec: SweepSpec,
-        miss_programs: Sequence[Tuple[int, str]],
-        misses: Sequence[Sequence[CellTask]],
+        scale: float,
+        batches: Mapping[str, Sequence[PlannedCell]],
         config: RunConfig,
-        tracker: Optional[_ProgressTracker] = None,
-    ) -> List[List[RunResult]]:
-        """Distribute the miss batches over the worker pool, costliest first.
+        tracker: _ProgressTracker,
+    ) -> None:
+        """Distribute the batches over the worker pool, costliest chunk first.
 
-        Each program's (cost-ordered) tasks are dealt into per-worker chunks
-        longest-job-first, so every chunk carries a balanced share of the
-        expensive high-latency cells instead of one chunk hoarding them, and
-        the chunks themselves are submitted costliest first so the pool
-        starts the longest work immediately.  Results are mapped back to
-        each program's miss order explicitly, so reordering dispatch can
-        never reorder results.
-
-        With a progress tracker attached the batches stream back through
-        ``imap`` (still in submission order) and each batch's cells are
-        reported the moment the batch lands.
+        Each program's cells are dealt round-robin into per-worker chunks
+        (every cell of a program costs the same, see
+        :func:`estimate_cell_cost`), and the chunks are submitted costliest
+        first so the pool starts the longest work immediately.  Each chunk's
+        results land back on its own cells as the chunk returns, and are
+        reported then.
         """
         store_root = str(self.store.root) if self.store is not None else None
-        chunks_per_program = -(-self.effective_jobs // len(miss_programs))
-        # One entry per dispatched chunk:
-        # (program index, program, local task indices, chunk cost).
-        entries: List[Tuple[int, str, List[int], int]] = []
-        for index, program in miss_programs:
-            costs = [
-                estimate_cell_cost(program, spec.scale, latency)
-                for latency, _simulator, _key in misses[index]
-            ]
-            for local in _balanced_chunks(costs, chunks_per_program):
-                entries.append(
-                    (index, program, local, sum(costs[i] for i in local))
-                )
-        entries.sort(key=lambda entry: -entry[3])
-        tasks = [
-            (
-                program,
-                spec.scale,
-                tuple(misses[index][i] for i in local),
-                config,
-                store_root,
+        per_program = -(-self.effective_jobs // len(batches))
+        chunks = [
+            cells[offset::per_program]
+            for cells in batches.values()
+            for offset in range(min(per_program, len(cells)))
+        ]
+        chunks.sort(
+            key=lambda chunk: -sum(
+                estimate_cell_cost(cell.program, scale, cell.latency) for cell in chunk
             )
-            for index, program, local, _cost in entries
+        )
+        tasks = [
+            (chunk[0].program, scale, tuple(cell.task for cell in chunk), config, store_root)
+            for chunk in chunks
         ]
         pool = self._ensure_pool()
-        if tracker is not None:
-            flat = []
-            for batch in pool.imap(_run_program_cells, tasks):
-                tracker.report_all(batch)
-                flat.append(batch)
-        else:
-            flat = pool.map(_run_program_cells, tasks)
-        per_program: List[List[RunResult]] = [
-            [None] * len(program_misses)  # type: ignore[list-item]
-            for program_misses in misses
-        ]
-        for (index, _program, local, _cost), batch in zip(entries, flat):
-            for position, result in zip(local, batch):
-                per_program[index][position] = result
-        return per_program
+        for chunk, results in zip(chunks, pool.imap(_run_program_cells, tasks)):
+            for cell, result in zip(chunk, results):
+                cell.result = result
+                tracker.report(result)
 
     def run_batch(
         self,

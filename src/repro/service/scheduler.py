@@ -160,10 +160,10 @@ class CellScheduler:
     def _flush(self) -> None:
         """Close the batch window: group pending cells and dispatch each group.
 
-        Groups are dispatched costliest first (estimated trace length x
-        latency), so when the window gathered more program groups than the
-        runner has workers, the pool starts the longest simulations
-        immediately instead of discovering them last.
+        Groups are dispatched costliest first (cells x the program's
+        estimated trace length), so when the window gathered more program
+        groups than the runner has workers, the pool starts the longest
+        simulations immediately instead of discovering them last.
         """
         self._flush_handle = None
         pending, self._pending = self._pending, []
@@ -209,15 +209,9 @@ class CellScheduler:
             if not cell.future.done():
                 cell.future.set_result(result)
         if self.store is not None:
-            written = [
-                (result.store_key, result)
-                for result in results
-                if result.store_key is not None and not result.cached
-            ]
-            if written:
-                await loop.run_in_executor(
-                    self._executor, lambda: self.store.update_index(written, scale=scale)
-                )
+            await loop.run_in_executor(
+                self._executor, self.store.update_index, results, scale
+            )
 
     # -- introspection and lifecycle ---------------------------------------------------
 

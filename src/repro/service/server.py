@@ -241,9 +241,7 @@ class ReproService:
 
     async def _handle_submit_sweep(self, request: Request) -> Response:
         spec = parse_sweep_request(request.json())
-        for program in spec.programs:
-            load_program(program)  # fail fast, exactly like Runner.run
-        machines = resolve_sweep_machines(spec)
+        machines = resolve_sweep_machines(spec)  # the Runner's own validation
         job = SweepJob(f"sw-{next(self._ids):05d}-{secrets.token_hex(4)}", spec)
         self.sweeps[job.id] = job
         job.task = asyncio.ensure_future(self._run_sweep(job, machines))

@@ -51,7 +51,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigurationError
 from repro.core.result import RunResult
@@ -383,17 +383,20 @@ class ResultStore:
         return self.index_path
 
     def update_index(
-        self, written: Sequence[Tuple[str, RunResult]], scale: float = 1.0
+        self, results: Sequence[RunResult], scale: float = 1.0
     ) -> bool:
-        """Merge just-written entries into ``index.json`` without a full scan.
+        """Merge just-written results into ``index.json`` without a full scan.
 
-        The sweep runner calls this once per sweep with the cells it wrote:
-        cost is O(cells written), not O(store size), so a small incremental
-        sweep against a large long-lived store stays cheap.  The existing
-        index is taken as-is (an unreadable or foreign one is discarded and
-        the merge starts from this sweep's entries); entries for keys some
-        other process evicted meanwhile linger until the next full rebuild —
-        the index is advisory, and ``cache stats``/``gc`` rebuild it exactly.
+        Every cell driver calls this with the results it produced; cached
+        results (already indexed when first written) and results without a
+        ``store_key`` (uncacheable cells) are skipped here, so callers pass
+        their results as they are.  Cost is O(cells written), not O(store
+        size), so a small incremental sweep against a large long-lived store
+        stays cheap.  The existing index is taken as-is (an unreadable or
+        foreign one is discarded and the merge starts from this sweep's
+        entries); entries for keys some other process evicted meanwhile
+        linger until the next full rebuild — the index is advisory, and
+        ``cache stats``/``gc`` rebuild it exactly.
 
         The whole read-merge-write cycle holds the index lock, so concurrent
         mergers (service requests, parallel sweeps, other hosts on a shared
@@ -403,6 +406,11 @@ class ResultStore:
         the objects themselves are already on disk and the next merge or
         full rebuild indexes them.
         """
+        written = [
+            result
+            for result in results
+            if result.store_key is not None and not result.cached
+        ]
         if not written:
             return True
         with self._index_lock() as acquired:
@@ -422,7 +430,8 @@ class ResultStore:
             except (OSError, ValueError, KeyError):
                 entries = {}
             changed = False
-            for key, result in written:
+            for result in written:
+                key = result.store_key
                 try:
                     stat = self.object_path(key).stat()
                 except OSError:

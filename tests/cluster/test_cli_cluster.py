@@ -17,23 +17,47 @@ class TestSweepDistributed:
         assert "--no-store" in capsys.readouterr().err
 
     def test_distributed_sweep_runs_and_warm_rerun_simulates_zero(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, start_worker, monkeypatch
     ):
+        from repro.cluster import ClusterCoordinator
+
+        # The CLI waits for workers without a deadline; bound it here so a
+        # broken worker fails the test instead of hanging it.
+        run = ClusterCoordinator.run_distributed
+        monkeypatch.setattr(
+            ClusterCoordinator,
+            "run_distributed",
+            lambda self, spec, **kwargs: run(self, spec, timeout=120.0, **kwargs),
+        )
+        store_dir = tmp_path / "store"
+        # Standing workers poll the store for manifests; the sweep publishes
+        # one and waits for them.
+        for name in ("w1", "w2"):
+            start_worker(store_dir, "--worker-id", name)
         argv = [
             "sweep", "--programs", "dyfesm", "--latencies", "1,50",
             "--arch", "ref,dva", "--scale", "0.2",
-            "--distributed", "--workers", "2", "--lease", "10",
-            "--store-dir", str(tmp_path / "store"),
+            "--distributed", "--store-dir", str(store_dir),
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "sweep: 4 cells" in out
         assert "0 cached, 4 simulated" in out
         # Warm re-run: the coordinator answers everything from the store and
-        # spawns no workers at all.
+        # publishes nothing.
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "4 cached, 0 simulated" in out
+
+    @pytest.mark.parametrize("flag", ["--workers", "--lease"])
+    def test_local_spawn_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sweep", "--programs", "dyfesm", "--latencies", "1",
+                "--distributed", flag, "2",
+            ])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestWorkerAndStatus:

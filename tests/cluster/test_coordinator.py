@@ -43,7 +43,7 @@ class TestPrepare:
         prepared = coordinator.prepare(SPEC)
         assert prepared.total == len(SPEC)
         assert prepared.unfinished == len(SPEC)
-        assert prepared.hits == {}
+        assert all(cell.result is None for cell in prepared.cells)
         manifest = load_manifest(store, prepared.sweep_id)
         assert len(manifest) == len(SPEC)
 
@@ -56,7 +56,7 @@ class TestPrepare:
         Runner(jobs=1, store=store).run(SPEC)
         prepared = coordinator.prepare(SPEC)
         assert prepared.manifest is None
-        assert len(prepared.hits) == len(SPEC)
+        assert all(cell.result.cached for cell in prepared.cells)
         assert list_sweep_ids(store) == []
 
     def test_partially_warm_prepare_publishes_only_misses(
@@ -68,8 +68,9 @@ class TestPrepare:
         )
         Runner(jobs=1, store=store).run(warm)
         prepared = coordinator.prepare(SPEC)
-        assert len(prepared.hits) == 2
         assert prepared.unfinished == len(SPEC) - 2
+        hits = [cell for cell in prepared.cells if cell.result is not None]
+        assert [(cell.program, cell.latency) for cell in hits] == [("DYFESM", 1)] * 2
 
     def test_uncacheable_cells_are_rejected(self, store, coordinator):
         from repro.core.registry import (
@@ -159,52 +160,69 @@ class TestWaitAndAssemble:
 
 
 class TestRunDistributed:
-    def test_two_workers_finish_the_sweep(self, store, coordinator, tmp_path):
+    def test_two_standing_workers_finish_the_sweep(
+        self, store, coordinator, start_worker, tmp_path
+    ):
+        prepared = coordinator.prepare(SPEC)
+        workers = [
+            start_worker(store.root, "--sweep", prepared.sweep_id, "--worker-id", name)
+            for name in ("w1", "w2")
+        ]
         events = []
-        result = coordinator.run_distributed(
-            SPEC, workers=2, lease_seconds=10.0, timeout=120.0,
-            progress=events.append,
-        )
+        coordinator.wait(prepared, timeout=120.0, progress=events.append)
+        result = coordinator.assemble(prepared)
+        assert [worker.wait(timeout=30.0) for worker in workers] == [0, 0]
         serial = Runner(jobs=1, store=ResultStore(tmp_path / "other")).run(SPEC)
         assert result == serial
         assert len(events) == len(SPEC)
-        status = cluster_status(store)
-        statuses = status["sweeps"][0]["workers"]
-        assert len(statuses) == 2
+        statuses = cluster_status(store)["sweeps"][0]["workers"]
         assert sum(w["completed"] for w in statuses) == len(SPEC)
+        # Warm: nothing published, nothing simulated.
+        warm = coordinator.run_distributed(SPEC)
+        assert (warm.cached_count, warm.simulated_count) == (len(SPEC), 0)
+        assert list_sweep_ids(store) == [prepared.sweep_id]
+        # Fresh coordination state survives gc.
+        report = store.gc()
+        assert (report["cluster_sweeps_reaped"], report["cluster_claims_reaped"]) == (0, 0)
 
-    def test_warm_run_spawns_nothing_and_simulates_zero(
-        self, store, coordinator, monkeypatch
-    ):
+    def test_warm_run_publishes_nothing_and_simulates_zero(self, store, coordinator):
         Runner(jobs=1, store=store).run(SPEC)
-
-        def no_spawn(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("warm sweep spawned a worker")
-
-        monkeypatch.setattr(
-            "repro.cluster.coordinator.spawn_worker", no_spawn
-        )
-        result = coordinator.run_distributed(SPEC, workers=2)
+        result = coordinator.run_distributed(SPEC, timeout=0.2)
         assert result.cached_count == len(SPEC)
         assert result.simulated_count == 0
+        assert list_sweep_ids(store) == []
 
-    def test_negative_workers_is_rejected(self, coordinator):
-        with pytest.raises(ClusterError, match="negative"):
-            coordinator.run_distributed(SPEC, workers=-1)
-
-    def test_zero_workers_publishes_and_times_out_without_a_fleet(
-        self, store, coordinator, monkeypatch
-    ):
-        # workers=0 is the standing-fleet mode: publish + wait only.  With
-        # no fleet serving the store, the wait must hit the timeout (and
-        # the manifest must be left behind for workers to discover).
-        def no_spawn(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("workers=0 spawned a worker")
-
-        monkeypatch.setattr("repro.cluster.coordinator.spawn_worker", no_spawn)
+    def test_publishes_and_times_out_without_a_fleet(self, store, coordinator):
+        # With no worker serving the store, the wait must hit the timeout
+        # and leave the manifest behind for workers to discover.
         with pytest.raises(ClusterError, match="timed out"):
-            coordinator.run_distributed(SPEC, workers=0, timeout=0.2)
+            coordinator.run_distributed(SPEC, timeout=0.2)
         assert list_sweep_ids(store)
+
+    def test_progress_matches_a_serial_run_on_a_half_warm_store(self, tmp_path):
+        half = SweepSpec(
+            programs=("dyfesm", "trfd"), latencies=(1,), architectures=("ref", "dva"),
+            scale=0.2,
+        )
+        serial_store = ResultStore(tmp_path / "serial")
+        cluster_store = ResultStore(tmp_path / "cluster")
+        for half_warm in (serial_store, cluster_store):
+            Runner(jobs=1, store=half_warm).run(half)
+
+        serial_events = []
+        Runner(jobs=1, store=serial_store).run(SPEC, progress=serial_events.append)
+        coordinator = ClusterCoordinator(cluster_store, poll_seconds=0.01)
+        prepared = coordinator.prepare(SPEC)
+        ClusterWorker(cluster_store, worker_id="w1").run_sweep(prepared.sweep_id)
+        cluster_events = []
+        coordinator.wait(prepared, timeout=5.0, progress=cluster_events.append)
+
+        def final(events):
+            last = events[-1]
+            return (last.done, last.total, last.cached, last.simulated)
+
+        assert final(serial_events) == final(cluster_events) == (8, 8, 4, 4)
+        assert len(serial_events) == len(cluster_events) == 8
 
 
 class TestStatus:

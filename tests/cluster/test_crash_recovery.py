@@ -18,13 +18,12 @@ from repro.cluster import (
     ClusterCoordinator,
     ClusterWorker,
     claims_dir,
-    spawn_worker,
 )
 from repro.core.experiment import Runner, SweepSpec
 from repro.store import ResultStore
 
 # Big enough that a worker cannot race through it before the kill lands
-# (latency-100 cells of two programs), small enough to drain in seconds.
+# (eight cells over two programs), small enough to drain in seconds.
 SPEC = SweepSpec(
     programs=("dyfesm", "trfd"),
     latencies=(1, 100),
@@ -35,38 +34,37 @@ SPEC = SweepSpec(
 LEASE = 1.0
 
 
-def test_sigkilled_workers_cells_are_stolen_and_the_sweep_completes(tmp_path):
+def test_sigkilled_workers_cells_are_stolen_and_the_sweep_completes(
+    tmp_path, start_worker
+):
     store = ResultStore(tmp_path / "cache")
     coordinator = ClusterCoordinator(store)
     prepared = coordinator.prepare(SPEC)
     directory = claims_dir(store, prepared.sweep_id)
 
-    victim = spawn_worker(
-        store.root, prepared.sweep_id, lease_seconds=LEASE, worker_id="victim"
+    victim = start_worker(
+        store.root, "--sweep", prepared.sweep_id, "--lease", str(LEASE),
+        "--worker-id", "victim",
     )
-    try:
-        # Kill the victim the moment it holds a claim on a cell whose result
-        # is not in the store yet — mid-simulation, work genuinely in flight.
-        deadline = time.monotonic() + 60.0
-        claimed_key = None
-        while time.monotonic() < deadline:
-            for path in directory.glob("*.claim"):
-                key = path.name[: -len(".claim")]
-                if key not in store:
-                    claimed_key = key
-                    break
-            if claimed_key is not None:
+    # Kill the victim the moment it holds a claim on a cell whose result is
+    # not in the store yet — mid-simulation, work genuinely in flight.  The
+    # fixture kills it on any early exit.
+    deadline = time.monotonic() + 60.0
+    claimed_key = None
+    while time.monotonic() < deadline:
+        for path in directory.glob("*.claim"):
+            key = path.name[: -len(".claim")]
+            if key not in store:
+                claimed_key = key
                 break
-            if victim.poll() is not None:
-                pytest.fail("worker exited before it could be killed")
-            time.sleep(0.002)
-        assert claimed_key is not None, "worker never claimed a cell"
-        victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=10.0)
-    finally:
-        if victim.poll() is None:  # pragma: no cover - defensive
-            victim.kill()
-            victim.wait()
+        if claimed_key is not None:
+            break
+        if victim.poll() is not None:
+            pytest.fail("worker exited before it could be killed")
+        time.sleep(0.002)
+    assert claimed_key is not None, "worker never claimed a cell"
+    victim.send_signal(signal.SIGKILL)
+    victim.wait(timeout=10.0)
 
     # The kill left the claim file behind, unreleased.
     assert claimed_key not in store

@@ -15,3 +15,9 @@ import pytest
 @pytest.fixture(autouse=True)
 def _isolated_result_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-store"))
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Let a ``Runner(jobs=2)`` use its pool even on a one-CPU host."""
+    monkeypatch.setattr("repro.core.experiment._available_parallelism", lambda: 2)

@@ -143,13 +143,13 @@ class TestMultiAxisExecution:
         )
         assert occupancy
 
-    def test_serial_and_parallel_identical(self):
+    def test_serial_and_parallel_identical(self, two_cpus):
         spec = SweepSpec(
             programs=("trfd",), architectures=("ref", "dva"), scale=0.2,
             axes={"lanes": (1, 2), "latency": (1, 50)},
         )
         serial = Runner(jobs=1).run(spec)
-        with Runner(jobs=2, adaptive=False) as runner:
+        with Runner(jobs=2) as runner:
             parallel = runner.run(spec)
         assert serial.results == parallel.results
 

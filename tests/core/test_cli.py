@@ -94,6 +94,8 @@ class TestInProcess:
                 "unknown machine field 'core'",
             ),
             (["run", "--program", "trfd", "--" + "core", "event"], "unrecognized arguments"),
+            (["sweep", "--programs", "trfd,TRFD", "--latencies", "1"], "programs repeat"),
+            (["sweep", "--programs", "trfd", "--latencies", "1,50,1"], "latencies repeat"),
         ],
     )
     def test_invalid_inline_spec_exits_with_error(self, capsys, argv, message):

@@ -255,7 +255,7 @@ class TestRegistryResolution:
 
 
 class TestWorkerPickling:
-    def test_inline_specs_run_in_pool_workers(self):
+    def test_inline_specs_run_in_pool_workers(self, two_cpus):
         """Inline machine specs must pickle into multiprocessing workers."""
         spec = SweepSpec(
             programs=("trfd",),
@@ -264,7 +264,7 @@ class TestWorkerPickling:
             scale=0.2,
         )
         serial = Runner(jobs=1).run(spec)
-        with Runner(jobs=2, adaptive=False) as runner:
+        with Runner(jobs=2) as runner:
             parallel = runner.run(spec)
         assert serial.results == parallel.results
         labels = {r.architecture for r in parallel}

@@ -6,8 +6,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError, WorkloadError
 from repro.core import Experiment, RunConfig, Runner, SweepSpec, run_sweep
-from repro.core.experiment import SweepCell, SweepResult
+from repro.core.experiment import SweepCell, SweepResult, estimate_cell_cost
 from repro.refarch.config import ReferenceConfig
+from repro.workloads.perfect_club import load_program, program_names
 
 SPEC = SweepSpec(
     programs=("dyfesm", "trfd"),
@@ -40,6 +41,10 @@ class TestSweepSpec:
             {"architectures": ()},
             {"latencies": (-1,)},
             {"scale": 0.0},
+            {"programs": ("trfd", "trfd")},
+            {"programs": ("trfd", "TRFD")},
+            {"latencies": (1, 1)},
+            {"latencies": (), "axes": {"latency": (50, 50)}},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -51,6 +56,22 @@ class TestSweepSpec:
         }
         with pytest.raises(ConfigurationError):
             SweepSpec(**{**base, **kwargs})
+
+
+class TestCostModel:
+    def test_cost_ignores_latency(self):
+        for program in program_names():
+            costs = {estimate_cell_cost(program, 1.0, latency) for latency in (0, 1, 50, 100)}
+            assert len(costs) == 1, program
+
+    def test_cost_orders_programs_by_estimated_trace_length(self):
+        def by(key):
+            return sorted(program_names(), key=lambda program: (key(program), program))
+
+        assert by(lambda p: estimate_cell_cost(p, 1.0, 100)) == by(
+            lambda p: load_program(p).estimated_trace_length(1.0)
+        )
+        assert len({estimate_cell_cost(p, 1.0, 1) for p in program_names()}) == 6
 
 
 class TestRunner:
@@ -83,24 +104,24 @@ class TestRunner:
         assert first.results == second.results
         assert first.summaries() == second.summaries()
 
-    def test_serial_and_multiprocess_runs_are_identical(self):
+    def test_serial_and_multiprocess_runs_are_identical(self, two_cpus):
         serial = Runner(jobs=1).run(SPEC)
-        # adaptive=False forces the pool even on single-CPU machines, so the
-        # multiprocessing path is exercised regardless of where the tests run.
-        with Runner(jobs=2, adaptive=False) as parallel_runner:
+        with Runner(jobs=2) as parallel_runner:
             parallel = parallel_runner.run(SPEC)
+        assert parallel_runner.effective_jobs == 2
         assert serial.results == parallel.results
 
-    def test_pool_persists_across_runs(self):
-        with Runner(jobs=2, adaptive=False) as runner:
+    def test_pool_persists_across_runs(self, two_cpus):
+        with Runner(jobs=2) as runner:
             first = runner.run(SPEC)
             pool = runner._pool
+            assert pool is not None
             second = runner.run(SPEC)
             assert runner._pool is pool
             assert first.results == second.results
         assert runner._pool is None
 
-    def test_single_program_grid_parallelizes_by_cell_chunks(self):
+    def test_single_program_grid_parallelizes_by_cell_chunks(self, two_cpus):
         spec = SweepSpec(
             programs=("dyfesm",),
             latencies=(1, 50),
@@ -108,19 +129,25 @@ class TestRunner:
             scale=0.2,
         )
         serial = Runner(jobs=1).run(spec)
-        with Runner(jobs=2, adaptive=False) as runner:
+        with Runner(jobs=2) as runner:
             parallel = runner.run(spec)
         assert serial.results == parallel.results
 
-    def test_adaptive_runner_caps_workers_to_available_cpus(self):
-        from repro.core.experiment import _available_parallelism
+    def test_single_cell_sweep_runs_in_process(self, two_cpus):
+        spec = SweepSpec(programs=("trfd",), latencies=(1,), architectures=("dva",), scale=0.2)
+        with Runner(jobs=2) as runner:
+            assert runner.run(spec).results == Runner(jobs=1).run(spec).results
+            assert runner._pool is None
 
+    def test_runner_caps_workers_to_available_cpus(self, monkeypatch):
+        monkeypatch.setattr("repro.core.experiment._available_parallelism", lambda: 3)
+        assert Runner(jobs=4096).effective_jobs == 3
+        assert Runner(jobs=2).effective_jobs == 2
+        monkeypatch.setattr("repro.core.experiment._available_parallelism", lambda: 1)
         runner = Runner(jobs=4096)
-        assert runner.effective_jobs == min(4096, _available_parallelism())
-        assert Runner(jobs=4096, adaptive=False).effective_jobs == 4096
-        # Whatever the cap resolves to, results stay identical to serial.
+        # Capped to one worker, the runner stays in-process.
         assert runner.run(SPEC).results == Runner(jobs=1).run(SPEC).results
-        runner.close()
+        assert runner._pool is None
 
     def test_invalid_job_count_rejected(self):
         with pytest.raises(ConfigurationError):

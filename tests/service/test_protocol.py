@@ -107,6 +107,8 @@ class TestParseSweepRequest:
             {"programs": ["trfd"], "latencies": [1], "bogus": True},
             {"programs": ["trfd"], "latencies": [1], "scale": -1.0},
             {"programs": ["trfd"], "latencies": [1, 1.5]},
+            {"programs": ["trfd", "TRFD"], "latencies": [1]},
+            {"programs": ["trfd"], "latencies": "1,1"},
         ],
     )
     def test_malformed_sweeps_raise_protocol_errors(self, payload):

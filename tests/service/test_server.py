@@ -265,6 +265,8 @@ class TestEndpoints:
             ("POST", "/v1/run", {"program": "no-such-program"}, 400),
             ("POST", "/v1/run", {"program": "trfd", "arch": "no-such-arch"}, 400),
             ("POST", "/v1/sweeps", {"programs": ["trfd"], "latencies": []}, 400),
+            ("POST", "/v1/sweeps", {"programs": "trfd,trfd", "latencies": [1]}, 400),
+            ("POST", "/v1/sweeps", {"programs": ["trfd"], "latencies": [1, 1]}, 400),
             (
                 "POST",
                 "/v1/sweeps",

@@ -25,6 +25,7 @@ def make_result(key_number: int) -> RunResult:
         latency=1,
         total_cycles=100 + key_number,
         instructions=10,
+        store_key=KEYS[key_number],
     )
 
 
@@ -51,7 +52,7 @@ class TestConcurrentMerges:
 
         def merge(number, key):
             barrier.wait()
-            ok = store.update_index([(key, make_result(number))])
+            ok = store.update_index([make_result(number)])
             with lock:
                 outcomes.append(ok)
 
@@ -79,7 +80,7 @@ class TestConcurrentMerges:
 
         def merge(store, pairs):
             for number, key in pairs:
-                store.update_index([(key, make_result(number))])
+                store.update_index([make_result(number)])
 
         pairs = list(enumerate(KEYS[:8]))
         threads = [
@@ -104,7 +105,7 @@ class TestLockEdgeCases:
         store.version_dir.mkdir(parents=True, exist_ok=True)
         store.index_lock_path.write_text("held elsewhere")
         try:
-            assert store.update_index([(KEYS[0], make_result(0))]) is False
+            assert store.update_index([make_result(0)]) is False
         finally:
             store.index_lock_path.unlink()
         assert store.index_merges_skipped == 1
@@ -117,7 +118,7 @@ class TestLockEdgeCases:
         store.index_lock_path.write_text("crashed holder")
         ancient = time.time() - 2 * store.index_lock_stale_after
         os.utime(store.index_lock_path, (ancient, ancient))
-        assert store.update_index([(KEYS[0], make_result(0))]) is True
+        assert store.update_index([make_result(0)]) is True
         assert indexed_keys(store) == {KEYS[0]}
         assert not store.index_lock_path.exists()  # released after the merge
 
@@ -127,7 +128,7 @@ class TestLockEdgeCases:
             store, "_write_index_payload", lambda entries: (_ for _ in ()).throw(OSError("disk"))
         )
         with pytest.raises(OSError):
-            store.update_index([(KEYS[0], make_result(0))])
+            store.update_index([make_result(0)])
         assert not store.index_lock_path.exists()
 
     def test_full_rebuild_proceeds_despite_a_held_lock(self, store):

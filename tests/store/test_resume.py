@@ -74,8 +74,8 @@ class TestWarmSweeps:
         assert sweep.get("trfd", 50, "dva").cached is True
         assert sweep.get("trfd", 1, "dva").cached is False
 
-    def test_parallel_and_serial_share_the_store(self, store):
-        with Runner(jobs=2, adaptive=False, store=store) as parallel:
+    def test_parallel_and_serial_share_the_store(self, store, two_cpus):
+        with Runner(jobs=2, store=store) as parallel:
             cold = parallel.run(SPEC)
         warm = Runner(jobs=1, store=store).run(SPEC)
         assert cold.cached_count == 0

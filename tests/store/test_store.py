@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -101,17 +102,24 @@ class TestIndexAndStats:
         store.put(KEY, ref_result, scale=0.2)
         store.write_index()
         store.put(other, ref_result, scale=0.2)
-        store.update_index([(other, ref_result)], scale=0.2)
+        store.update_index([replace(ref_result, store_key=other)], scale=0.2)
         index = json.loads(store.index_path.read_text())
         assert set(index["entries"]) == {KEY, other}
         assert index["entry_count"] == 2
         assert index["entries"][other]["program"] == "TRFD"
 
+    def test_update_index_skips_cached_and_keyless_results(self, store, ref_result):
+        store.put(KEY, ref_result)
+        cached = replace(ref_result, store_key=KEY, cached=True)
+        assert store.update_index([cached, replace(ref_result, store_key=None)])
+        assert not store.index_path.exists()
+        assert store.index_merges == 0
+
     def test_update_index_survives_a_corrupt_index(self, store, ref_result):
         store.put(KEY, ref_result)
         store.version_dir.mkdir(parents=True, exist_ok=True)
         store.index_path.write_text("{ torn")
-        store.update_index([(KEY, ref_result)])
+        store.update_index([replace(ref_result, store_key=KEY)])
         index = json.loads(store.index_path.read_text())
         assert set(index["entries"]) == {KEY}
 
