@@ -14,26 +14,15 @@ timestamp arithmetic:
 Entry lifetimes are stored as three parallel timestamp lists rather than one
 object per entry: the simulator pushes into these queues for every dynamic
 instruction, so the columnar layout keeps the hot path to integer list
-operations.  :class:`QueueEntry` remains as a materialized *view* of one
-entry for callers that want named fields.
+operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.timeline import OccupancyTimeline
-
-
-@dataclass
-class QueueEntry:
-    """Lifetime of one element of a timed queue (a view, not the storage)."""
-
-    push_time: int
-    ready_time: int
-    pop_time: Optional[int] = None
 
 
 class TimedQueue:
@@ -84,18 +73,17 @@ class TimedQueue:
         self.pop_times.append(None)
         return push_time
 
-    def push_at(self, push_time: int, ready: int) -> int:
+    def push_at(self, push_time: int, ready: int) -> None:
         """Append an entry at a cycle the caller has already legalized.
 
         The fast path for producers that called :meth:`earliest_push`
         themselves (the fetch processor computes one push cycle across
         several queues): no capacity re-check, no stall accounting — both
-        are the caller's responsibility.  Returns the new entry's index.
+        are the caller's responsibility.
         """
         self.push_times.append(push_time)
         self.ready_times.append(ready)
         self.pop_times.append(None)
-        return len(self.push_times) - 1
 
     @property
     def last_index(self) -> int:
@@ -114,18 +102,6 @@ class TimedQueue:
     def front_ready(self) -> int:
         """Ready cycle of the entry at the head of the queue."""
         return self.ready_times[self.front_index()]
-
-    def front(self) -> QueueEntry:
-        """A view of the entry at the head of the queue."""
-        return self.entry(self.front_index())
-
-    def entry(self, index: int) -> QueueEntry:
-        """A view of entry ``index``."""
-        return QueueEntry(
-            push_time=self.push_times[index],
-            ready_time=self.ready_times[index],
-            pop_time=self.pop_times[index],
-        )
 
     def pop(self, requested: int) -> None:
         """Release the entry at the head of the queue at ``requested`` or later.

@@ -16,7 +16,7 @@ class DecoupledResult:
 
     In addition to the quantities the reference result exposes (total cycles,
     functional-unit and memory-port busy intervals, traffic), the decoupled
-    result carries the queue occupancy timelines needed for Figure 6, the
+    result carries the AVDQ occupancy timeline needed for Figure 6, the
     bypass statistics of Section 7 and per-processor instruction counts.
     """
 
@@ -33,8 +33,6 @@ class DecoupledResult:
     bypass_busy: IntervalRecorder
 
     avdq_occupancy: OccupancyTimeline
-    vadq_occupancy: OccupancyTimeline
-    instruction_queue_occupancy: Dict[str, OccupancyTimeline]
 
     instructions_per_processor: Dict[str, int] = field(default_factory=dict)
     memory_traffic_bytes: int = 0

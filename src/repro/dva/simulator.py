@@ -10,15 +10,18 @@ behaviour of the bounded queues reduces to timestamp arithmetic handled by
 :class:`~repro.dva.queues.TimedQueue`, and a single pass reproduces the timing
 a cycle-stepped simulation would give.
 
-The timing machinery — the owner-aware register scoreboard, the per-processor
-issue pointers, the functional-unit/QMOV/port pools, fetch-stall accounting
-and the completion horizon — is the shared :mod:`repro.engine` kernel; this
-module contributes only the issue rules of the four processors.  The main
-loop runs over the trace's columns: routing decisions and operand lists are
-precomputed per unique static instruction (cached on the trace via
+The register scoreboard, the functional-unit/QMOV/port pools, stall
+accounting and the completion horizon come from the shared
+:mod:`repro.engine` kernel; this module contributes the issue rules of the
+four processors, and runs them inline in one loop over the trace's columns.
+Routing decisions and operand register ids are precomputed per unique static
+instruction (cached on the trace via
 :meth:`~repro.trace.columns.ColumnarTrace.instruction_infos` and the
-``dva_routes`` annotation), and the dynamic facts — vector length, stride,
-base address — are integer column reads held in locals.  The decoupling (and
+``dva_routes`` annotation); the dynamic facts — vector length, stride, base
+address — are integer column reads.  Register state is flat: the scoreboard
+is three lists indexed by :attr:`~repro.isa.registers.Register.id`, and a
+value's owner is the integer code of the processor that produced it, so the
+loop touches no dicts and hashes no objects.  The decoupling (and
 its limits) emerge from the timestamps: the address processor is free to run
 ahead of the vector processor because nothing it does waits for vector
 computation — until it meets a full queue, a memory hazard against a queued
@@ -39,7 +42,7 @@ from repro.dva.result import DecoupledResult
 from repro.dva.vector import VectorExecutionResources
 from repro.engine import TimingCore
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import Register, RegisterClass
+from repro.isa.registers import RegisterClass
 from repro.memory.model import MemoryModel
 from repro.trace.columns import ColumnarTrace, InstructionInfo
 from repro.trace.record import Trace
@@ -59,8 +62,9 @@ _QMOV_CODES = {
     Opcode.QMOV_S_STORE: _QMOV_S_STORE,
 }
 
-#: Primary-processor dispatch codes (also the instruction-queue ids of the
-#: three queue-backed processors, in ``(APIQ, VPIQ, SPIQ)`` order).
+#: Primary-processor dispatch codes.  They are also the scoreboard's owner
+#: codes and the instruction-queue ids of the three queue-backed processors,
+#: in ``(APIQ, VPIQ, SPIQ)`` order.
 _PRIMARY_ADDRESS = 0
 _PRIMARY_VECTOR = 1
 _PRIMARY_SCALAR = 2
@@ -73,9 +77,47 @@ _PRIMARY_CODES = {
     Processor.FETCH: _PRIMARY_FETCH,
 }
 
+#: Initial owner of each register file (machine state at cycle 0); the
+#: scoreboard's owners are primary-processor codes.
+_DEFAULT_OWNERS = {
+    RegisterClass.ADDRESS: _PRIMARY_ADDRESS,
+    RegisterClass.SCALAR: _PRIMARY_SCALAR,
+    RegisterClass.VECTOR: _PRIMARY_VECTOR,
+    RegisterClass.VECTOR_LENGTH: _PRIMARY_FETCH,
+    RegisterClass.VECTOR_STRIDE: _PRIMARY_FETCH,
+}
+
 #: One routing entry per unique instruction: (primary dispatch code, QMOV
-#: dispatch code, instruction-queue ids receiving an entry).
-RouteEntry = Tuple[int, int, Tuple[int, ...]]
+#: dispatch code, instruction-queue ids receiving an entry, register id the
+#: QMOV writes or reads — ``-1`` when it has none).
+RouteEntry = Tuple[int, int, Tuple[int, ...], int]
+
+
+def _qmov_register(info: InstructionInfo, qmov: int) -> int:
+    """Id of the register a QMOV moves into or out of (``-1``: none).
+
+    A vector QMOV without its vector register is malformed; checking here
+    raises once per static instruction rather than once per dynamic record.
+    """
+    if qmov == _QMOV_V_LOAD:
+        registers = info.vector_destinations
+        if not registers:
+            raise SimulationError(
+                f"vector load without a vector destination: {info.instruction}"
+            )
+    elif qmov == _QMOV_V_STORE:
+        registers = info.vector_sources
+        if not registers:
+            raise SimulationError(
+                f"vector store without a vector data register: {info.instruction}"
+            )
+    elif qmov == _QMOV_S_LOAD:
+        registers = info.scalar_destinations
+    elif qmov == _QMOV_S_STORE:
+        registers = info.scalar_sources
+    else:
+        registers = ()
+    return registers[0].id if registers else -1
 
 
 def _routing_table(columns: ColumnarTrace) -> List[RouteEntry]:
@@ -93,25 +135,17 @@ def _routing_table(columns: ColumnarTrace) -> List[RouteEntry]:
     table = []
     for info in infos:
         decision = route_instruction(info.instruction)
+        qmov = _QMOV_CODES[decision.queue_move]
         table.append(
             (
                 _PRIMARY_CODES[decision.primary],
-                _QMOV_CODES[decision.queue_move],
+                qmov,
                 tuple(_PRIMARY_CODES[target] for target in decision.targets()),
+                _qmov_register(info, qmov),
             )
         )
     columns.annotations["dva_routes"] = table
     return table
-
-
-def _default_owner(register: Register) -> Processor:
-    if register.register_class is RegisterClass.ADDRESS:
-        return Processor.ADDRESS
-    if register.register_class is RegisterClass.SCALAR:
-        return Processor.SCALAR
-    if register.register_class is RegisterClass.VECTOR:
-        return Processor.VECTOR
-    return Processor.FETCH
 
 
 class DecoupledSimulator:
@@ -146,7 +180,7 @@ class _DecoupledState:
 
     def __init__(self, memory: MemoryModel, config: DecoupledConfig) -> None:
         self.config = config
-        self.core = TimingCore(default_owner=_default_owner)
+        self.core = TimingCore(default_owners=_DEFAULT_OWNERS)
         self.memory = MemoryPipeline(memory, config)
         self.resources = VectorExecutionResources(
             qmov_unit_count=config.qmov_units, lanes=config.lanes
@@ -156,55 +190,22 @@ class _DecoupledState:
         self.apiq = TimedQueue("APIQ", queue_size)
         self.vpiq = TimedQueue("VPIQ", queue_size)
         self.spiq = TimedQueue("SPIQ", queue_size)
-        # Indexed by the routing table's integer queue ids.
-        self._iqs = (self.apiq, self.vpiq, self.spiq)
 
-        # Per-processor issue pointers: each processor is a one-unit pool
-        # whose free time is the cycle it will look at its next instruction
-        # (no busy intervals are recorded — nothing reads them).
-        self.fp = self.core.add_pool("FP", record=False)
-        self.ap = self.core.add_pool("AP", record=False)
-        self.vp = self.core.add_pool("VP", record=False)
-        self.sp = self.core.add_pool("SP", record=False)
+        # Per-processor issue pointers: the cycle each processor will look at
+        # its next instruction.
+        self.fp_free = 0
+        self.ap_free = 0
+        self.vp_free = 0
+        self.sp_free = 0
 
-        # Per-processor instruction counters; folded into the result's
-        # ``instructions_per_processor`` dict at wind-down (plain int
-        # attributes keep the hot loop free of dict writes).
+        # Per-processor instruction counters, folded into the result's
+        # ``instructions_per_processor`` dict at wind-down.
         self.fp_count = 0
         self.ap_count = 0
         self.vp_count = 0
         self.sp_count = 0
         self.vector_loads = 0
         self.vector_stores = 0
-
-    # -- register bookkeeping ----------------------------------------------------------
-
-    def _operand_time(
-        self, register: Register, consumer: Processor, allow_chain: bool = False
-    ) -> int:
-        """Cycle at which ``consumer`` may use ``register``.
-
-        Values produced on another processor travel through the (large) scalar
-        data queues and arrive ``cross_processor_delay`` cycles after they were
-        produced; chaining is only possible inside the vector processor.
-        """
-        return self.core.scoreboard.read(
-            register,
-            consumer=consumer,
-            allow_chain=allow_chain,
-            cross_delay=self.config.cross_processor_delay,
-        )
-
-    def _set_register(
-        self,
-        register: Register,
-        owner: Processor,
-        ready: int,
-        chain_start: Optional[int] = None,
-    ) -> None:
-        self.core.scoreboard.write(
-            register, ready, chain_start=chain_start, owner=owner
-        )
 
     # -- main loop ------------------------------------------------------------------------
 
@@ -213,7 +214,16 @@ class _DecoupledState:
 
         One pass over the columns: static facts come from the shared
         instruction-info and routing tables, dynamic facts (VL, stride, base
-        address) are integer column reads held in locals.
+        address) are integer column reads.  The issue rules of all four
+        processors run inline on locals — the scoreboard lists, the issue
+        pointers, the horizon and the counters — which are written back once
+        at the end.
+
+        The scoreboard read rule: a value owned by another processor arrives
+        ``cross_processor_delay`` cycles after it is fully written (it
+        travels through the scalar data queues); a local read by a chaining
+        consumer (the VP) may start at the producer's chain start; any other
+        read waits for the value to be fully written.
         """
         columns = trace.columns
         infos = columns.instruction_infos()
@@ -223,282 +233,254 @@ class _DecoupledState:
         strides = columns.stride
         addresses = columns.addr
 
-        core = self.core
-        iqs = self._iqs
-        fp_free = self.fp.free
-        fetch_stall = core.stalls.stall
-        address_execute = self._address_execute
-        vector_compute = self._vector_compute
-        scalar_execute = self._scalar_execute
+        config = self.config
+        cross_delay = config.cross_processor_delay
+        fu_startup = config.functional_unit_startup
+        qmov_startup = config.queue_move_startup
+        scoreboard = self.core.scoreboard
+        ready_at = scoreboard.ready
+        chain_at = scoreboard.chain_start
+        owner_of = scoreboard.owner
 
-        vector_loads = 0
-        vector_stores = 0
+        # Indexed by the routing table's integer queue ids.
+        iqs = (self.apiq, self.vpiq, self.spiq)
+        apiq_pop = self.apiq.pop
+        vpiq_pop = self.vpiq.pop
+        spiq_pop = self.spiq.pop
+        memory = self.memory
+        avdq = memory.avdq
+        asdq = memory.asdq
+        acquire_fu = self.resources.acquire_functional_unit
+        acquire_qmov = self.resources.acquire_qmov_unit
+
+        fp_free = self.fp_free
+        ap_free = self.ap_free
+        vp_free = self.vp_free
+        sp_free = self.sp_free
+        horizon = self.core.horizon
+        fetch_stall = 0
+        ap_count = vp_count = sp_count = 0
+        vector_loads = vector_stores = 0
 
         for index in range(len(insn)):
             table_index = insn[index]
             info = infos[table_index]
-            primary, qmov, targets = routes[table_index]
+            primary, qmov, targets, qmov_register = routes[table_index]
 
             # Fetch: translate and distribute.  The push cycle is the first
-            # cycle every target queue can accept an entry; the entry indices
-            # are remembered for the executing processors (primary first,
-            # QMOV second — push order matters for queue state).
-            push_time = requested = fp_free[0]
+            # cycle every target queue can accept an entry (primary first,
+            # QMOV second — push order matters for queue state); each entry
+            # is ready one cycle later, when the fetch processor moves on.
+            push_time = requested = fp_free
             for queue_id in targets:
                 earliest = iqs[queue_id].earliest_push(requested)
                 if earliest > push_time:
                     push_time = earliest
-            if push_time > requested:
-                fetch_stall("fetch", push_time - requested)
-            primary_entry = qmov_entry = -1
+            fetch_stall += push_time - requested
+            fp_free = push_time + 1
             for queue_id in targets:
-                entry = iqs[queue_id].push_at(push_time, push_time + 1)
-                if primary_entry < 0:
-                    primary_entry = entry
-                else:
-                    qmov_entry = entry
-            fp_free[0] = push_time + 1
-            if push_time + 1 > core.horizon:
-                core.horizon = push_time + 1
+                iqs[queue_id].push_at(push_time, fp_free)
+            if fp_free > horizon:
+                horizon = fp_free
 
             if primary == _PRIMARY_ADDRESS:
-                if info.is_vector_memory:
-                    if info.is_load:
-                        vector_loads += 1
-                    else:
-                        vector_stores += 1
-                address_execute(
-                    info, index, lengths[index], strides[index],
-                    addresses[index], primary_entry,
-                )
+                # The AP only waits for scalar operands (addresses, lengths);
+                # the data registers of vector accesses belong to the VP and
+                # travel through the queues instead.
+                ap_count += 1
+                start = ap_free if ap_free > fp_free else fp_free
+                for register in info.scalar_source_ids:
+                    operand = ready_at[register]
+                    if owner_of[register] != _PRIMARY_ADDRESS:
+                        operand += cross_delay
+                    if operand > start:
+                        start = operand
+                if qmov == _QMOV_V_LOAD:
+                    vector_loads += 1
+                    slot = memory.reserve_load_data_slot(start)
+                    if slot > start:
+                        start = slot
+                    data_ready = memory.issue_vector_load(
+                        addresses[index], lengths[index], strides[index],
+                        info.is_indexed, start,
+                    ).data_ready
+                    avdq.push(start, ready=data_ready)
+                    if data_ready > horizon:
+                        horizon = data_ready
+                    ap_free = start + 1
+                elif qmov == _QMOV_V_STORE:
+                    vector_stores += 1
+                    pushed = memory.enqueue_vector_store(
+                        index, addresses[index], lengths[index], strides[index],
+                        info.is_indexed, start,
+                    )
+                    ap_free = (pushed if pushed > start else start) + 1
+                elif qmov == _QMOV_S_LOAD:
+                    data_ready = memory.issue_scalar_load(addresses[index], start)
+                    asdq.push(start, ready=data_ready)
+                    if data_ready > horizon:
+                        horizon = data_ready
+                    ap_free = start + 1
+                elif qmov == _QMOV_S_STORE:
+                    pushed = memory.enqueue_scalar_store(index, addresses[index], start)
+                    ap_free = (pushed if pushed > start else start) + 1
+                else:
+                    # Address arithmetic and AP-resolved branches take one cycle.
+                    ap_free = start + 1
+                    for register in info.destination_ids:
+                        ready_at[register] = ap_free
+                        chain_at[register] = None
+                        owner_of[register] = _PRIMARY_ADDRESS
+                apiq_pop(start)
+                if ap_free > horizon:
+                    horizon = ap_free
             elif primary == _PRIMARY_VECTOR:
-                vector_compute(info, lengths[index], primary_entry)
+                vp_count += 1
+                start = vp_free if vp_free > fp_free else fp_free
+                for register in info.data_source_ids:
+                    if owner_of[register] != _PRIMARY_VECTOR:
+                        operand = ready_at[register] + cross_delay
+                    else:
+                        operand = chain_at[register]
+                        if operand is None:
+                            operand = ready_at[register]
+                    if operand > start:
+                        start = operand
+                length = lengths[index]
+                start, busy = acquire_fu(
+                    start, length if length > 1 else 1, info.requires_fu2
+                )
+                vpiq_pop(start)
+                vp_free = start + 1
+                chain = start + fu_startup
+                completion = chain + busy
+                for register, is_vector in info.destination_id_flags:
+                    ready_at[register] = completion
+                    chain_at[register] = chain if is_vector else None
+                    owner_of[register] = _PRIMARY_VECTOR
+                if completion > horizon:
+                    horizon = completion
             elif primary == _PRIMARY_SCALAR:
-                scalar_execute(info, primary_entry)
+                sp_count += 1
+                start = sp_free if sp_free > fp_free else fp_free
+                for register in info.source_ids:
+                    operand = ready_at[register]
+                    if owner_of[register] != _PRIMARY_SCALAR:
+                        operand += cross_delay
+                    if operand > start:
+                        start = operand
+                spiq_pop(start)
+                sp_free = start + 1
+                for register in info.destination_ids:
+                    ready_at[register] = sp_free
+                    chain_at[register] = None
+                    owner_of[register] = _PRIMARY_SCALAR
+                if sp_free > horizon:
+                    horizon = sp_free
             # _PRIMARY_FETCH: consumed during translation, nothing further.
 
             if qmov == _QMOV_NONE:
                 continue
             if qmov == _QMOV_V_LOAD:
-                self._vector_qmov_load(info, lengths[index], qmov_entry)
+                vp_count += 1
+                start = vp_free if vp_free > fp_free else fp_free
+                front_ready = avdq.front_ready()
+                if front_ready > start:
+                    start = front_ready
+                length = lengths[index]
+                if length < 1:
+                    length = 1
+                start, _unit = acquire_qmov(start, length)
+                vpiq_pop(start)
+                vp_free = start + 1
+                avdq.pop(start + length)
+                chain = start + qmov_startup
+                completion = chain + length
+                ready_at[qmov_register] = completion
+                chain_at[qmov_register] = chain
+                owner_of[qmov_register] = _PRIMARY_VECTOR
+                if completion > horizon:
+                    horizon = completion
             elif qmov == _QMOV_V_STORE:
-                self._vector_qmov_store(info, index, lengths[index], qmov_entry)
-            elif qmov == _QMOV_S_LOAD:
-                self._scalar_qmov_load(info, qmov_entry)
-            else:
-                self._scalar_qmov_store(info, index, qmov_entry)
-
-        self.fp_count += len(insn)
-        self.vector_loads += vector_loads
-        self.vector_stores += vector_stores
-
-    # -- address processor --------------------------------------------------------------------------
-
-    def _address_execute(
-        self,
-        info: InstructionInfo,
-        index: int,
-        vector_length: int,
-        stride_elements: int,
-        address: int,
-        entry_index: int,
-    ) -> None:
-        self.ap_count += 1
-        ready = self.apiq.ready_times[entry_index]
-        free = self.ap.free[0]
-        start = free if free > ready else ready
-        # The AP only waits for scalar operands (addresses, lengths); the data
-        # registers of vector accesses belong to the VP and travel through the
-        # queues instead.
-        for register in info.scalar_sources:
-            operand = self._operand_time(register, Processor.ADDRESS)
-            if operand > start:
-                start = operand
-
-        memory = self.memory
-        if info.is_vector_memory:
-            if info.is_load:
-                slot = memory.reserve_load_data_slot(start)
+                vp_count += 1
+                start = vp_free if vp_free > fp_free else fp_free
+                if owner_of[qmov_register] != _PRIMARY_VECTOR:
+                    operand = ready_at[qmov_register] + cross_delay
+                else:
+                    operand = chain_at[qmov_register]
+                    if operand is None:
+                        operand = ready_at[qmov_register]
+                if operand > start:
+                    start = operand
+                slot = memory.reserve_vector_store_data_slot(start)
                 if slot > start:
                     start = slot
-                outcome = memory.issue_vector_load(
-                    address, vector_length, stride_elements, info.is_indexed, start
+                length = lengths[index]
+                if length < 1:
+                    length = 1
+                start, _unit = acquire_qmov(start, length)
+                vpiq_pop(start)
+                vp_free = start + 1
+                data_ready = start + length
+                memory.attach_vector_store_data(
+                    index, push_time=start, data_ready=data_ready
                 )
-                memory.avdq.push(start, ready=outcome.data_ready)
-                self.core.bump(outcome.data_ready)
-                finish = start + 1
+                if data_ready > horizon:
+                    horizon = data_ready
+            elif qmov == _QMOV_S_LOAD:
+                sp_count += 1
+                start = sp_free if sp_free > fp_free else fp_free
+                front_ready = asdq.front_ready()
+                if front_ready > start:
+                    start = front_ready
+                spiq_pop(start)
+                sp_free = start + 1
+                asdq.pop(sp_free)
+                if qmov_register >= 0:
+                    ready_at[qmov_register] = sp_free
+                    chain_at[qmov_register] = None
+                    owner_of[qmov_register] = _PRIMARY_SCALAR
+                if sp_free > horizon:
+                    horizon = sp_free
             else:
-                push_time = memory.enqueue_vector_store(
-                    index, address, vector_length, stride_elements,
-                    info.is_indexed, start,
+                sp_count += 1
+                start = sp_free if sp_free > fp_free else fp_free
+                if qmov_register >= 0:
+                    operand = ready_at[qmov_register]
+                    if owner_of[qmov_register] != _PRIMARY_SCALAR:
+                        operand += cross_delay
+                    if operand > start:
+                        start = operand
+                spiq_pop(start)
+                sp_free = start + 1
+                memory.attach_scalar_store_data(
+                    index, push_time=start, data_ready=sp_free
                 )
-                finish = max(start, push_time) + 1
-        elif info.is_scalar_memory:
-            if info.is_load:
-                data_ready = memory.issue_scalar_load(address, start)
-                memory.asdq.push(start, ready=data_ready)
-                self.core.bump(data_ready)
-                finish = start + 1
-            else:
-                push_time = memory.enqueue_scalar_store(index, address, start)
-                finish = max(start, push_time) + 1
-        else:
-            # Address arithmetic and AP-resolved branches take one cycle.
-            finish = start + 1
-            for register in info.destinations:
-                self._set_register(register, Processor.ADDRESS, finish)
+                if sp_free > horizon:
+                    horizon = sp_free
 
-        self.apiq.pop(start)
-        self.ap.occupy(start, finish)
-        self.core.bump(finish)
-
-    # -- vector processor -----------------------------------------------------------------------------
-
-    def _vector_compute(
-        self, info: InstructionInfo, vector_length: int, entry_index: int
-    ) -> None:
-        self.vp_count += 1
-        ready = self.vpiq.ready_times[entry_index]
-        free = self.vp.free[0]
-        start = free if free > ready else ready
-        for register in info.data_sources:
-            operand = self._operand_time(register, Processor.VECTOR, allow_chain=True)
-            if operand > start:
-                start = operand
-
-        length = vector_length if vector_length > 1 else 1
-        start, busy = self.resources.acquire_functional_unit(
-            start, length, info.requires_fu2
-        )
-        self.vpiq.pop(start)
-        self.vp.occupy(start, start + 1)
-
-        startup = self.config.functional_unit_startup
-        completion = start + startup + busy
-        for register, is_vector in info.destination_flags:
-            chain = start + startup if is_vector else None
-            self._set_register(register, Processor.VECTOR, completion, chain)
-        self.core.bump(completion)
-
-    def _vector_qmov_load(
-        self, info: InstructionInfo, vector_length: int, entry_index: int
-    ) -> None:
-        self.vp_count += 1
-        ready = self.vpiq.ready_times[entry_index]
-        free = self.vp.free[0]
-        start = free if free > ready else ready
-        front_ready = self.memory.avdq.front_ready()
-        if front_ready > start:
-            start = front_ready
-
-        length = vector_length if vector_length > 1 else 1
-        start, _unit = self.resources.acquire_qmov_unit(start, length)
-        self.vpiq.pop(start)
-        self.vp.occupy(start, start + 1)
-
-        end = start + length
-        self.memory.avdq.pop(end)
-        startup = self.config.queue_move_startup
-        completion = start + startup + length
-        destinations = info.vector_destinations
-        if not destinations:
-            raise SimulationError(
-                f"vector load without a vector destination: {info.instruction}"
-            )
-        self._set_register(
-            destinations[0], Processor.VECTOR, completion, chain_start=start + startup
-        )
-        self.core.bump(completion)
-
-    def _vector_qmov_store(
-        self, info: InstructionInfo, index: int, vector_length: int, entry_index: int
-    ) -> None:
-        self.vp_count += 1
-        ready = self.vpiq.ready_times[entry_index]
-        free = self.vp.free[0]
-        start = free if free > ready else ready
-        sources = info.vector_sources
-        if not sources:
-            raise SimulationError(
-                f"vector store without a vector data register: {info.instruction}"
-            )
-        operand = self._operand_time(sources[0], Processor.VECTOR, allow_chain=True)
-        if operand > start:
-            start = operand
-        slot = self.memory.reserve_vector_store_data_slot(start)
-        if slot > start:
-            start = slot
-
-        length = vector_length if vector_length > 1 else 1
-        start, _unit = self.resources.acquire_qmov_unit(start, length)
-        self.vpiq.pop(start)
-        self.vp.occupy(start, start + 1)
-
-        data_ready = start + length
-        self.memory.attach_vector_store_data(index, push_time=start, data_ready=data_ready)
-        self.core.bump(data_ready)
-
-    # -- scalar processor ----------------------------------------------------------------------------------
-
-    def _scalar_execute(self, info: InstructionInfo, entry_index: int) -> None:
-        self.sp_count += 1
-        ready = self.spiq.ready_times[entry_index]
-        free = self.sp.free[0]
-        start = free if free > ready else ready
-        for register in info.sources:
-            operand = self._operand_time(register, Processor.SCALAR)
-            if operand > start:
-                start = operand
-
-        self.spiq.pop(start)
-        self.sp.occupy(start, start + 1)
-        completion = start + 1
-        for register in info.destinations:
-            self._set_register(register, Processor.SCALAR, completion)
-        self.core.bump(completion)
-
-    def _scalar_qmov_load(self, info: InstructionInfo, entry_index: int) -> None:
-        self.sp_count += 1
-        ready = self.spiq.ready_times[entry_index]
-        front_ready = self.memory.asdq.front_ready()
-        start = max(self.sp.free[0], ready, front_ready)
-
-        self.spiq.pop(start)
-        self.sp.occupy(start, start + 1)
-        self.memory.asdq.pop(start + 1)
-        completion = start + 1
-        destinations = info.scalar_destinations
-        if destinations:
-            self._set_register(destinations[0], Processor.SCALAR, completion)
-        self.core.bump(completion)
-
-    def _scalar_qmov_store(
-        self, info: InstructionInfo, index: int, entry_index: int
-    ) -> None:
-        self.sp_count += 1
-        ready = self.spiq.ready_times[entry_index]
-        free = self.sp.free[0]
-        start = free if free > ready else ready
-        sources = info.scalar_sources
-        if sources:
-            operand = self._operand_time(sources[0], Processor.SCALAR)
-            if operand > start:
-                start = operand
-
-        self.spiq.pop(start)
-        self.sp.occupy(start, start + 1)
-        self.memory.attach_scalar_store_data(index, push_time=start, data_ready=start + 1)
-        self.core.bump(start + 1)
+        self.fp_free = fp_free
+        self.ap_free = ap_free
+        self.vp_free = vp_free
+        self.sp_free = sp_free
+        self.core.horizon = horizon
+        self.core.stalls.stall("fetch", fetch_stall)
+        self.fp_count += len(insn)
+        self.ap_count += ap_count
+        self.vp_count += vp_count
+        self.sp_count += sp_count
+        self.vector_loads += vector_loads
+        self.vector_stores += vector_stores
 
     # -- wind-down ------------------------------------------------------------------------------------------
 
     def finish(self, trace: Trace) -> DecoupledResult:
         drain_end = self.memory.drain_all()
         total_cycles = self.core.finish_time(
-            self.fp.free_time(),
-            self.ap.free_time(),
-            self.vp.free_time(),
-            self.sp.free_time(),
+            self.fp_free,
+            self.ap_free,
+            self.vp_free,
+            self.sp_free,
             self.memory.port_quiet,
             self.memory.bypass_free,
             drain_end,
@@ -506,11 +488,6 @@ class _DecoupledState:
         if not len(trace):
             total_cycles = 0
 
-        instruction_queue_occupancy = {
-            "APIQ": self.apiq.occupancy_timeline(horizon=total_cycles),
-            "VPIQ": self.vpiq.occupancy_timeline(horizon=total_cycles),
-            "SPIQ": self.spiq.occupancy_timeline(horizon=total_cycles),
-        }
         counts = {
             "FP": self.fp_count,
             "AP": self.ap_count,
@@ -531,8 +508,6 @@ class _DecoupledState:
             qmov_busy=list(self.resources.qmov_units),
             bypass_busy=self.memory.bypass_unit,
             avdq_occupancy=self.memory.avdq.occupancy_timeline("AVDQ", horizon=total_cycles),
-            vadq_occupancy=self.memory.vadq.occupancy_timeline("VADQ", horizon=total_cycles),
-            instruction_queue_occupancy=instruction_queue_occupancy,
             instructions_per_processor=counts,
             memory_traffic_bytes=self.memory.traffic_bytes,
             bypassed_loads=self.memory.bypassed_loads,

@@ -66,7 +66,4 @@ class VectorExecutionResources:
 
     @property
     def qmov_units(self) -> List[IntervalRecorder]:
-        return list(self.qmovs.recorders or ())
-
-    def functional_unit_busy_time(self) -> int:
-        return self.fus.busy_time()
+        return list(self.qmovs.recorders)

@@ -6,7 +6,9 @@ bookkeeping for functional units and the memory port, stall accounting, the
 completion-horizon logic.  This package is that machinery as one tested
 kernel:
 
-* :class:`Scoreboard` — register ready/chain-start/owner tracking.
+* :class:`Scoreboard` — register ready/chain-start/owner lists indexed by
+  :attr:`~repro.isa.registers.Register.id`; each simulator's issue loop
+  applies its own read rule to them inline.
 * :class:`ResourcePool` — *k* interchangeable units, each a free-time +
   :class:`~repro.common.intervals.IntervalRecorder` pair, with the seed's
   least-loaded/first-wins selection rule; :func:`occupancy_cycles` converts
@@ -17,8 +19,9 @@ kernel:
 * :class:`TimingCore` — composes the above with the completion horizon.
 
 Everything works in one-pass timestamp arithmetic: simulators process the
-trace once in program order and never step individual cycles, so a new
-machine variant (more lanes, more ports, different queueing) is configuration
+trace once in program order and never step individual cycles.  The issue
+rules themselves live in each machine's ``consume`` loop.  A new machine
+variant (more lanes, more ports, different queueing) is configuration
 over these primitives rather than a new 400-line simulator.
 """
 
@@ -35,14 +38,13 @@ TIMING_MODEL_VERSION = 2
 
 from repro.engine.memory import MemoryFabric, ScalarAccess
 from repro.engine.resources import ResourcePool, occupancy_cycles
-from repro.engine.scoreboard import RegisterEntry, Scoreboard
+from repro.engine.scoreboard import Scoreboard
 from repro.engine.stalls import StallAccountant
 from repro.engine.timing import TimingCore
 
 __all__ = [
     "TIMING_MODEL_VERSION",
     "MemoryFabric",
-    "RegisterEntry",
     "ResourcePool",
     "ScalarAccess",
     "Scoreboard",

@@ -14,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder
 from repro.engine.resources import ResourcePool
 from repro.memory.model import MemoryModel
 from repro.memory.scalar_cache import ScalarCache, ScalarCacheConfig
-from repro.trace.record import DynamicInstruction
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,6 @@ class MemoryFabric:
             uses_port = True
         return ScalarAccess(hit=hit, uses_port=uses_port)
 
-    def scalar_access(self, record: DynamicInstruction) -> ScalarAccess:
-        """Record-object form of :meth:`scalar_access_at`."""
-        if record.base_address is None:
-            raise SimulationError(f"scalar memory access without address: {record}")
-        return self.scalar_access_at(record.base_address, record.instruction.is_store)
-
     def scalar_load_ready(self, access: ScalarAccess, start: int) -> int:
         """Cycle a scalar load's value arrives, given its bus/issue start."""
         if access.hit:
@@ -100,20 +92,10 @@ class MemoryFabric:
     def occupy_bus(self, earliest: int, cycles: int, traffic: int) -> Tuple[int, int]:
         """Drive one reference over a port for ``cycles``; return ``(start, end)``.
 
-        This is the hot-loop primitive: the caller supplies the bus occupancy
-        and the bytes moved (both derived from trace columns), the fabric
-        picks the least-loaded port unit and accounts the traffic.
+        The caller supplies the bus occupancy and the bytes moved (both
+        derived from trace columns); the fabric picks the least-loaded port
+        unit and accounts the traffic.
         """
         start, _unit = self.ports.acquire(earliest, cycles)
         self.traffic_bytes += traffic
         return start, start + cycles
-
-    def occupy_scalar_bus(
-        self, earliest: int, record: DynamicInstruction
-    ) -> Tuple[int, int]:
-        """Drive one scalar reference over a port; return ``(start, end)``."""
-        return self.occupy_bus(
-            earliest,
-            self.memory.timings.scalar_bus_cycles,
-            self.memory.traffic_bytes(record),
-        )

@@ -32,7 +32,7 @@ def occupancy_cycles(elements: int, lanes: int = 1) -> int:
 class ResourcePool:
     """A named group of interchangeable units with per-unit free times.
 
-    Each unit pairs a next-free cycle with an optional
+    Each unit pairs a next-free cycle with an
     :class:`IntervalRecorder` of its busy intervals.  Selection among free
     units is least-loaded with the *first* unit winning ties — exactly the
     seed's ``fu1_free <= fu2_free`` rule, which golden tests pin.
@@ -43,7 +43,6 @@ class ResourcePool:
         name: str,
         count: int = 1,
         unit_names: Optional[Sequence[str]] = None,
-        record: bool = True,
     ) -> None:
         if count <= 0:
             raise ConfigurationError(f"resource pool {name!r} needs at least one unit")
@@ -57,9 +56,9 @@ class ResourcePool:
             unit_names = [name] if count == 1 else [f"{name}{i}" for i in range(count)]
         self.unit_names: Tuple[str, ...] = tuple(unit_names)
         self.free: List[int] = [0] * count
-        self.recorders: Optional[List[IntervalRecorder]] = (
-            [IntervalRecorder(unit) for unit in self.unit_names] if record else None
-        )
+        self.recorders: List[IntervalRecorder] = [
+            IntervalRecorder(unit) for unit in self.unit_names
+        ]
 
     def __len__(self) -> int:
         return len(self.free)
@@ -68,7 +67,8 @@ class ResourcePool:
 
     def least_loaded(self) -> int:
         """Index of the unit that frees up first (first unit wins ties)."""
-        return min(range(len(self.free)), key=self.free.__getitem__)
+        free = self.free
+        return free.index(min(free))
 
     def earliest_free(self) -> int:
         """Earliest cycle at which *some* unit is free."""
@@ -110,8 +110,7 @@ class ResourcePool:
                 f"resource pool {self.name!r}: busy interval ends ({end}) "
                 f"before it starts ({start})"
             )
-        if self.recorders is not None:
-            self.recorders[unit].record(start, end)
+        self.recorders[unit].record(start, end)
         if end > self.free[unit]:
             self.free[unit] = end
 
@@ -119,10 +118,6 @@ class ResourcePool:
 
     def recorder(self, unit: int = 0) -> IntervalRecorder:
         """The busy-interval recorder of one unit."""
-        if self.recorders is None:
-            raise SimulationError(
-                f"resource pool {self.name!r} was created with record=False"
-            )
         return self.recorders[unit]
 
     def combined_recorder(self, name: Optional[str] = None) -> IntervalRecorder:
@@ -131,10 +126,6 @@ class ResourcePool:
         With a single unit this is that unit's own recorder, so existing
         single-port results stay structurally identical to the seed's.
         """
-        if self.recorders is None:
-            raise SimulationError(
-                f"resource pool {self.name!r} was created with record=False"
-            )
         if len(self.recorders) == 1 and name is None:
             return self.recorders[0]
         combined = IntervalRecorder(name or self.name)
@@ -142,14 +133,6 @@ class ResourcePool:
             for interval in recorder:
                 combined.record_interval(interval)
         return combined
-
-    def busy_time(self) -> int:
-        """Total busy cycles summed over all units."""
-        if self.recorders is None:
-            raise SimulationError(
-                f"resource pool {self.name!r} was created with record=False"
-            )
-        return sum(recorder.busy_time() for recorder in self.recorders)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResourcePool(name={self.name!r}, free={self.free})"

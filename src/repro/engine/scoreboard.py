@@ -4,112 +4,44 @@ Both simulators keep, per architectural register, the cycle at which its value
 is fully written and — when the producer supports chaining — the cycle at
 which its *first* element becomes available.  The decoupled machine adds a
 third fact: which processor owns the value, because reading a value produced
-on another processor costs a queue traversal.  :class:`Scoreboard` models all
-three so one implementation serves machines with and without ownership.
+on another processor costs a queue traversal.
+
+:class:`Scoreboard` holds the three facts as plain lists indexed by
+:attr:`~repro.isa.registers.Register.id`.  It has no read or write methods:
+each simulator's issue loop binds the lists to locals and applies its own
+read rule inline, because that rule runs once per operand of every traced
+instruction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional
+from typing import Hashable, List, Mapping, Optional
 
-from repro.isa.registers import Register
-
-
-@dataclass(slots=True)
-class RegisterEntry:
-    """Availability of one architectural register.
-
-    Attributes:
-        ready: cycle at which the value is fully written.
-        chain_start: cycle at which the first element is available to a
-            chaining consumer, or ``None`` when the producer is not chainable.
-        owner: token identifying who produced the value (``None`` on machines
-            without the concept, e.g. the reference architecture).
-    """
-
-    ready: int = 0
-    chain_start: Optional[int] = None
-    owner: Optional[Hashable] = None
+from repro.isa.registers import REGISTER_CLASS_OF_ID, REGISTER_COUNT, RegisterClass
 
 
 class Scoreboard:
-    """Ready/chain-start/owner tracking for the architectural register file.
+    """Ready/chain-start/owner lists for the architectural register file.
 
-    ``default_owner`` assigns an owner to registers that are read before ever
-    being written (machine state at cycle 0); machines without ownership leave
-    it ``None`` and never pass ``consumer`` to :meth:`read`.
+    Attributes:
+        ready: cycle at which each register's value is fully written (0 for
+            registers never written: machine state at cycle 0).
+        chain_start: cycle at which the first element is available to a
+            chaining consumer, or ``None`` when the producer is not chainable.
+        owner: who produced each value.  ``default_owners`` assigns the
+            initial owner per register file; without it every owner is
+            ``None`` (machines without the concept, e.g. the reference
+            architecture).
     """
 
+    __slots__ = ("ready", "chain_start", "owner")
+
     def __init__(
-        self, default_owner: Optional[Callable[[Register], Hashable]] = None
+        self, default_owners: Optional[Mapping[RegisterClass, Hashable]] = None
     ) -> None:
-        self._entries: Dict[Register, RegisterEntry] = {}
-        self._default_owner = default_owner
-
-    def entry(self, register: Register) -> RegisterEntry:
-        """The (created-on-demand) entry for ``register``."""
-        entry = self._entries.get(register)
-        if entry is None:
-            owner = self._default_owner(register) if self._default_owner else None
-            entry = RegisterEntry(owner=owner)
-            self._entries[register] = entry
-        return entry
-
-    def read(
-        self,
-        register: Register,
-        *,
-        consumer: Optional[Hashable] = None,
-        allow_chain: bool = False,
-        cross_delay: int = 0,
-    ) -> int:
-        """Cycle at which a consumer may use ``register``.
-
-        Chaining applies only when the consumer asks for it and the value is
-        local (same owner, or ownership untracked).  A value owned by another
-        producer arrives ``cross_delay`` cycles after it is fully written.
-
-        The entry lookup is inlined (rather than delegated to :meth:`entry`)
-        because this method runs once per operand of every traced
-        instruction.
-        """
-        entry = self._entries.get(register)
-        if entry is None:
-            owner = self._default_owner(register) if self._default_owner else None
-            entry = RegisterEntry(owner=owner)
-            self._entries[register] = entry
-        if consumer is not None and entry.owner is not consumer:
-            return entry.ready + cross_delay
-        if allow_chain and entry.chain_start is not None:
-            return entry.chain_start
-        return entry.ready
-
-    def write(
-        self,
-        register: Register,
-        ready: int,
-        *,
-        chain_start: Optional[int] = None,
-        owner: Optional[Hashable] = None,
-    ) -> None:
-        """Record a new value: fully written at ``ready``.
-
-        ``chain_start=None`` marks the value non-chainable (every write
-        resolves chainability anew).  ``owner=None`` keeps the current owner.
-        """
-        entry = self._entries.get(register)
-        if entry is None:
-            default = self._default_owner(register) if self._default_owner else None
-            entry = RegisterEntry(owner=default)
-            self._entries[register] = entry
-        entry.ready = ready
-        entry.chain_start = chain_start
-        if owner is not None:
-            entry.owner = owner
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, register: Register) -> bool:
-        return register in self._entries
+        self.ready: List[int] = [0] * REGISTER_COUNT
+        self.chain_start: List[Optional[int]] = [None] * REGISTER_COUNT
+        self.owner: List[Optional[Hashable]] = [
+            default_owners[register_class] if default_owners else None
+            for register_class in REGISTER_CLASS_OF_ID
+        ]

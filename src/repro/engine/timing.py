@@ -8,13 +8,13 @@ per-machine pointers (dispatcher, processors, ports) are still moving.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, Mapping, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.engine.resources import ResourcePool
 from repro.engine.scoreboard import Scoreboard
 from repro.engine.stalls import StallAccountant
-from repro.isa.registers import Register
+from repro.isa.registers import RegisterClass
 
 
 class TimingCore:
@@ -22,9 +22,9 @@ class TimingCore:
 
     def __init__(
         self,
-        default_owner: Optional[Callable[[Register], Hashable]] = None,
+        default_owners: Optional[Mapping[RegisterClass, Hashable]] = None,
     ) -> None:
-        self.scoreboard = Scoreboard(default_owner)
+        self.scoreboard = Scoreboard(default_owners)
         self.stalls = StallAccountant()
         self.pools: Dict[str, ResourcePool] = {}
         self.horizon = 0
@@ -36,12 +36,11 @@ class TimingCore:
         name: str,
         count: int = 1,
         unit_names: Optional[Sequence[str]] = None,
-        record: bool = True,
     ) -> ResourcePool:
         """Create and register a named :class:`ResourcePool`."""
         if name in self.pools:
             raise ConfigurationError(f"resource pool {name!r} already exists")
-        pool = ResourcePool(name, count=count, unit_names=unit_names, record=record)
+        pool = ResourcePool(name, count=count, unit_names=unit_names)
         self.pools[name] = pool
         return pool
 
@@ -55,11 +54,6 @@ class TimingCore:
             ) from exc
 
     # -- completion horizon ------------------------------------------------------------
-
-    def bump(self, completion: int) -> None:
-        """Extend the completion horizon to ``completion`` if it is later."""
-        if completion > self.horizon:
-            self.horizon = completion
 
     def finish_time(self, *pointers: int) -> int:
         """Total execution time: the horizon plus any still-moving pointers."""

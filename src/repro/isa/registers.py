@@ -4,13 +4,16 @@ The reference architecture has eight vector registers of 128 elements of
 64 bits each, grouped pairwise into register banks that share ports
 (paper §2.1).  The scalar side has address (``A``) and scalar data (``S``)
 registers.  The simulators only track register *names* for dependence
-analysis; no values are stored.
+analysis; no values are stored.  Every register also has a dense integer
+:attr:`Register.id` (its file's offset plus its index), so the simulators'
+scoreboards are plain lists indexed by id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, unique
+from itertools import accumulate
 
 from repro.common.errors import ConfigurationError
 
@@ -49,13 +52,29 @@ _FILE_SIZES = {
     RegisterClass.VECTOR_STRIDE: 1,
 }
 
+#: First register id of each file: the files laid end to end in declaration order.
+_FILE_OFFSETS = dict(zip(_FILE_SIZES, accumulate(_FILE_SIZES.values(), initial=0)))
+
+#: Number of architectural registers; :attr:`Register.id` is in ``range(REGISTER_COUNT)``.
+REGISTER_COUNT = sum(_FILE_SIZES.values())
+
+#: The register file of every id, indexed by :attr:`Register.id`.
+REGISTER_CLASS_OF_ID = tuple(
+    register_class for register_class, size in _FILE_SIZES.items() for _ in range(size)
+)
+
 
 @dataclass(frozen=True, order=True)
 class Register:
-    """An architectural register identified by class and index."""
+    """An architectural register identified by class and index.
+
+    ``id`` is the register's dense global number (file offset + index),
+    derived from the two fields and fixed for the life of the process.
+    """
 
     register_class: RegisterClass
     index: int
+    id: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         limit = _FILE_SIZES[self.register_class]
@@ -64,14 +83,10 @@ class Register:
                 f"register index {self.index} out of range for class "
                 f"{self.register_class.value!r} (size {limit})"
             )
-        # Registers key the simulators' scoreboard dictionaries, which are
-        # probed once per operand of every dynamic instruction; caching the
-        # (immutable) hash here keeps those probes from re-hashing the enum
-        # member and index tuple millions of times per run.
-        object.__setattr__(self, "_hash", hash((self.register_class, self.index)))
+        object.__setattr__(self, "id", _FILE_OFFSETS[self.register_class] + self.index)
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self.id
 
     @property
     def is_vector(self) -> bool:
@@ -105,10 +120,7 @@ def canonical_register(register_class: RegisterClass, index: int) -> Register:
     """The interned :class:`Register` for ``(register_class, index)``.
 
     The register files are tiny, so every register that appears in a program
-    can be a single shared object.  Interning makes the scoreboard's
-    dictionary probes hit on identity instead of falling back to field
-    comparison — a measurable win when every traced instruction's operands
-    are looked up.
+    can be a single shared object.
     """
     key = (register_class, index)
     register = _REGISTER_CACHE.get(key)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
-from repro.trace.record import DynamicInstruction
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,6 @@ class MemoryModel:
     def latency(self) -> int:
         return self.timings.latency
 
-    # -- scalar-argument timing (the hot-loop interface) ---------------------
-
     def vector_bus_cycles(self, vector_length: int) -> int:
         """Address-bus cycles a VL-element vector reference holds the port.
 
@@ -87,37 +84,6 @@ class MemoryModel:
     def first_element_arrival(self, bus_start: int) -> int:
         """Cycle at which the first element of a load starting at ``bus_start`` arrives."""
         return bus_start + self.timings.latency
-
-    # -- record views (kept for callers that hold record objects) ------------
-
-    def bus_occupancy(self, record: DynamicInstruction) -> int:
-        """Cycles the shared address bus is held by this reference."""
-        if not record.is_memory:
-            return 0
-        if record.is_vector_memory:
-            return self.vector_bus_cycles(record.vector_length)
-        return self.timings.scalar_bus_cycles
-
-    def load_complete(self, record: DynamicInstruction, bus_start: int) -> int:
-        """Cycle at which the *last* element of a load arrives."""
-        if not record.is_load:
-            raise ConfigurationError("load_complete called on a non-load reference")
-        return self.load_ready(bus_start, self.bus_occupancy(record))
-
-    def store_complete(self, record: DynamicInstruction, bus_start: int) -> int:
-        """Cycle at which a store stops occupying the processor-visible port.
-
-        Stores do not expose memory latency (paper §4.2): the reference is
-        finished, as far as the processor is concerned, when the address bus
-        has been released.
-        """
-        if not record.is_store:
-            raise ConfigurationError("store_complete called on a non-store reference")
-        return bus_start + self.bus_occupancy(record)
-
-    def traffic_bytes(self, record: DynamicInstruction) -> int:
-        """Bytes of main-memory traffic generated by this reference."""
-        return record.bytes_accessed
 
     def with_latency(self, latency: int) -> "MemoryModel":
         """Return a copy of this model with a different latency."""

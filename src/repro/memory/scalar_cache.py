@@ -68,11 +68,6 @@ class ScalarCache:
         self.misses += 1
         return False
 
-    def probe(self, address: int) -> bool:
-        """Check for a hit without updating cache state or statistics."""
-        index, tag = self._line_index_and_tag(address)
-        return self._tags.get(index) == tag
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses

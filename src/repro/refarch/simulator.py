@@ -11,14 +11,15 @@ started executing.  An instruction starts executing when
 * and its execution resource is free (FU1/FU2 for vector arithmetic, the
   memory port for vector memory and scalar-cache misses).
 
-The timing machinery — the register scoreboard, the functional-unit and
-memory-port pools, stall accounting and the completion horizon — is the
-shared :mod:`repro.engine` kernel; this module contributes only the issue
-rules of the reference machine.  The issue loop runs over the trace's
-columns: per dynamic instruction it reads the precomputed
-:class:`~repro.trace.columns.InstructionInfo` of the static instruction plus
-the vector-length and address columns into locals, so the per-record cost is
-integer indexing rather than attribute access on record objects.  Processing
+The register scoreboard, the functional-unit and memory-port pools, stall
+accounting and the completion horizon come from the shared
+:mod:`repro.engine` kernel; this module contributes the issue rules of the
+reference machine, run inline in one loop over the trace's columns.  Per
+dynamic instruction the loop reads the precomputed
+:class:`~repro.trace.columns.InstructionInfo` of the static instruction —
+whose operands are integer register ids indexing the scoreboard lists — plus
+the vector-length and address columns, so the per-record cost is integer
+indexing rather than method calls and dict probes.  Processing
 the trace once in program order yields exactly the timing a cycle-by-cycle
 simulation would produce, at a small fraction of the cost.
 """
@@ -100,132 +101,160 @@ class _SimulationState:
     def consume(self, trace: Trace) -> None:
         """Issue every dynamic instruction of the trace, in program order.
 
-        One pass over the columns with per-field locals: the static facts of
-        each instruction come from the shared
-        :class:`~repro.trace.columns.InstructionInfo` table, the dynamic
-        facts (VL, base address) from integer column reads.
+        One pass over the columns: the static facts of each instruction come
+        from the shared :class:`~repro.trace.columns.InstructionInfo` table,
+        the dynamic facts (VL, base address) from integer column reads.  The
+        issue rules of every instruction class run inline on locals — the
+        scoreboard lists, the dispatch pointer, the horizon, the stall and
+        category counters — which are written back once at the end.
+
+        The scoreboard read rule: a chaining consumer may start at the
+        producer's chain start when it has one; any other read waits for the
+        value to be fully written.
         """
         columns = trace.columns
         infos = columns.instruction_infos()
         insn = columns.insn
         lengths = columns.vl
         addresses = columns.addr
-        read = self.core.scoreboard.read
 
+        config = self.config
+        lanes = config.lanes
+        fu_startup = config.functional_unit_startup
+        load_chaining = config.allow_load_chaining
+        memory = self.memory
+        scalar_bus_cycles = memory.timings.scalar_bus_cycles
+        fabric = self.fabric
+        occupy_bus = fabric.occupy_bus
+        acquire_fu = self.fus.acquire
+        scoreboard = self.core.scoreboard
+        ready_at = scoreboard.ready
+        chain_at = scoreboard.chain_start
+
+        dispatch_free = self.dispatch_free
+        horizon = self.core.horizon
+        dispatch_stall = 0
         vector_instructions = 0
+        # Execution cycles per category, and the categories in the order
+        # they were first charged (the result's dict keeps that order).
+        scalar_cycles = vector_compute_cycles = 0
+        vector_memory_cycles = scalar_memory_cycles = 0
+        first_charged = []
+
         for index in range(len(insn)):
             info = infos[insn[index]]
-            may_chain = info.may_chain
-            earliest = self.dispatch_free
-            for register in info.sources:
-                ready = read(register, allow_chain=may_chain)
-                if ready > earliest:
-                    earliest = ready
+            earliest = dispatch_free
+            if info.may_chain:
+                for register in info.source_ids:
+                    operand = chain_at[register]
+                    if operand is None:
+                        operand = ready_at[register]
+                    if operand > earliest:
+                        earliest = operand
+            else:
+                for register in info.source_ids:
+                    operand = ready_at[register]
+                    if operand > earliest:
+                        earliest = operand
 
             kind = info.kind
             if kind == KIND_VECTOR_COMPUTE:
                 vector_instructions += 1
-                self._issue_vector_compute(info, lengths[index], earliest)
+                busy = occupancy_cycles(lengths[index], lanes)
+                issue_time, _unit = acquire_fu(
+                    earliest, busy, _FU2 if info.requires_fu2 else None
+                )
+                dispatch_stall += issue_time - dispatch_free
+                dispatch_free = issue_time + 1
+                first_element = issue_time + fu_startup
+                completion = first_element + busy
+                # Scalar results of reductions are not chainable; vector
+                # results are.
+                for register, is_vector in info.destination_id_flags:
+                    ready_at[register] = completion
+                    chain_at[register] = first_element if is_vector else None
+                if not vector_compute_cycles:
+                    first_charged.append("vector_compute")
+                vector_compute_cycles += busy
             elif kind == KIND_VECTOR_MEMORY:
                 vector_instructions += 1
-                self._issue_vector_memory(info, lengths[index], addresses[index], earliest)
+                vector_length = lengths[index]
+                bus_cycles = memory.vector_bus_cycles(vector_length)
+                issue_time, bus_end = occupy_bus(
+                    earliest, bus_cycles, vector_length * ELEMENT_SIZE_BYTES
+                )
+                dispatch_stall += issue_time - dispatch_free
+                dispatch_free = issue_time + 1
+                if info.is_load:
+                    completion = memory.load_ready(issue_time, bus_cycles)
+                    first_element = (
+                        memory.first_element_arrival(issue_time)
+                        if load_chaining
+                        else None
+                    )
+                    for register in info.destination_ids:
+                        ready_at[register] = completion
+                        chain_at[register] = first_element
+                else:
+                    completion = issue_time + bus_cycles
+                if not vector_memory_cycles:
+                    first_charged.append("vector_memory")
+                vector_memory_cycles += bus_end - issue_time
             elif kind == KIND_SCALAR_MEMORY:
-                self._issue_scalar_memory(info, addresses[index], earliest)
+                is_store = info.is_store
+                access = fabric.scalar_access_at(addresses[index], is_store)
+                if access.uses_port:
+                    issue_time, _bus_end = occupy_bus(
+                        earliest, scalar_bus_cycles, ELEMENT_SIZE_BYTES
+                    )
+                else:
+                    issue_time = earliest
+                dispatch_stall += issue_time - dispatch_free
+                dispatch_free = issue_time + 1
+                if is_store:
+                    completion = issue_time + 1
+                else:
+                    completion = fabric.scalar_load_ready(access, issue_time)
+                    for register in info.destination_ids:
+                        ready_at[register] = completion
+                        chain_at[register] = None
+                if not scalar_memory_cycles:
+                    first_charged.append("scalar_memory")
+                scalar_memory_cycles += 1
             elif kind == KIND_QUEUE_MOVE:
                 raise SimulationError(
                     "queue-move opcodes are internal to the decoupled architecture "
                     "and cannot appear in a reference-architecture trace"
                 )
             else:
-                self._issue_scalar(info, earliest)
+                # Scalar computation, vector control and branches: one cycle.
+                dispatch_stall += earliest - dispatch_free
+                dispatch_free = earliest + 1
+                completion = dispatch_free
+                for register in info.destination_ids:
+                    ready_at[register] = completion
+                    chain_at[register] = None
+                if not scalar_cycles:
+                    first_charged.append("scalar")
+                scalar_cycles += 1
+            if completion > horizon:
+                horizon = completion
 
+        self.dispatch_free = dispatch_free
+        self.core.horizon = horizon
+        stalls = self.core.stalls
+        stalls.stall("dispatch", dispatch_stall)
+        totals = {
+            "scalar": scalar_cycles,
+            "vector_compute": vector_compute_cycles,
+            "vector_memory": vector_memory_cycles,
+            "scalar_memory": scalar_memory_cycles,
+        }
+        for category in first_charged:
+            stalls.account(category, totals[category])
         self.instructions = len(insn)
         self.vector_instructions = vector_instructions
         self.scalar_instructions = len(insn) - vector_instructions
-
-    # -- per-class issue rules -----------------------------------------------------------
-
-    def _advance_dispatch(self, issue_time: int) -> None:
-        self.core.stalls.stall("dispatch", issue_time - self.dispatch_free)
-        self.dispatch_free = issue_time + 1
-
-    def _issue_scalar(self, info, earliest: int) -> None:
-        issue_time = earliest
-        self._advance_dispatch(issue_time)
-        completion = issue_time + 1
-        for register in info.destinations:
-            self.core.scoreboard.write(register, completion)
-        self.core.bump(completion)
-        self.core.stalls.account("scalar", 1)
-
-    def _issue_vector_compute(self, info, vector_length: int, earliest: int) -> None:
-        busy = occupancy_cycles(vector_length, self.config.lanes)
-
-        unit = _FU2 if info.requires_fu2 else None
-        issue_time, _unit = self.fus.acquire(earliest, busy, unit=unit)
-        self._advance_dispatch(issue_time)
-
-        startup = self.config.functional_unit_startup
-        first_element = issue_time + startup
-        completion = issue_time + startup + busy
-        write = self.core.scoreboard.write
-        for register, is_vector in info.destination_flags:
-            # Scalar results of reductions are not chainable; vector results are.
-            write(
-                register,
-                completion,
-                chain_start=first_element if is_vector else None,
-            )
-        self.core.bump(completion)
-        self.core.stalls.account("vector_compute", busy)
-
-    def _issue_vector_memory(
-        self, info, vector_length: int, address: int, earliest: int
-    ) -> None:
-        memory = self.memory
-        bus_cycles = memory.vector_bus_cycles(vector_length)
-        traffic = vector_length * ELEMENT_SIZE_BYTES
-        issue_time, bus_end = self.fabric.occupy_bus(earliest, bus_cycles, traffic)
-        self._advance_dispatch(issue_time)
-
-        if info.is_load:
-            completion = memory.load_ready(issue_time, bus_cycles)
-            chain_start = (
-                memory.first_element_arrival(issue_time)
-                if self.config.allow_load_chaining
-                else None
-            )
-            write = self.core.scoreboard.write
-            for register in info.destinations:
-                write(register, completion, chain_start=chain_start)
-            self.core.bump(completion)
-        else:
-            completion = issue_time + bus_cycles
-            self.core.bump(completion)
-        self.core.stalls.account("vector_memory", bus_end - issue_time)
-
-    def _issue_scalar_memory(self, info, address: int, earliest: int) -> None:
-        fabric = self.fabric
-        is_store = info.is_store
-        access = fabric.scalar_access_at(address, is_store)
-
-        if access.uses_port:
-            issue_time, _bus_end = fabric.occupy_bus(
-                earliest, self.memory.timings.scalar_bus_cycles, ELEMENT_SIZE_BYTES
-            )
-        else:
-            issue_time = earliest
-        self._advance_dispatch(issue_time)
-
-        if not is_store:
-            completion = fabric.scalar_load_ready(access, issue_time)
-            write = self.core.scoreboard.write
-            for register in info.destinations:
-                write(register, completion)
-        else:
-            completion = issue_time + 1
-        self.core.bump(completion)
-        self.core.stalls.account("scalar_memory", 1)
 
     # -- wind-down -------------------------------------------------------------------------
 

@@ -16,10 +16,10 @@ dynamic stream as parallel machine-typed columns instead:
 * ``block``  — index into the table of basic-block labels.
 
 Everything a simulator asks *per static instruction* — classification flags,
-operand lists, which functional unit it needs — is precomputed once per
-unique instruction into an :class:`InstructionInfo` and shared by every
-dynamic occurrence, so hot loops read plain attributes off a table entry
-plus integers off column slices.
+operand lists and their register ids, which functional unit it needs — is
+precomputed once per unique instruction into an :class:`InstructionInfo` and
+shared by every dynamic occurrence, so hot loops read plain attributes off a
+table entry plus integers off column slices.
 
 The legacy one-object-per-record view (:class:`~repro.trace.record.DynamicInstruction`)
 is still available through :meth:`ColumnarTrace.record` and
@@ -102,12 +102,15 @@ class InstructionInfo:
         "may_chain",
         "sources",
         "destinations",
-        "destination_flags",
         "vector_destinations",
         "scalar_destinations",
         "vector_sources",
         "scalar_sources",
-        "data_sources",
+        "source_ids",
+        "scalar_source_ids",
+        "data_source_ids",
+        "destination_ids",
+        "destination_id_flags",
         "immediate",
     )
 
@@ -136,22 +139,26 @@ class InstructionInfo:
         )
         self.sources = instruction.sources
         self.destinations = instruction.destinations
-        # (register, is_vector) pairs: issue rules that chain vector results
-        # but not scalar ones read the flag instead of a register property.
-        self.destination_flags = tuple(
-            (register, register.is_vector) for register in instruction.destinations
-        )
         self.vector_destinations = instruction.vector_destinations()
         self.scalar_destinations = instruction.scalar_destinations()
         self.vector_sources = instruction.vector_sources()
         self.scalar_sources = instruction.scalar_sources()
+        # The issue loops index their scoreboard lists by register id.
+        self.source_ids = tuple(register.id for register in self.sources)
+        self.scalar_source_ids = tuple(register.id for register in self.scalar_sources)
         # Data sources as the VP sees them: everything except the implicit
         # VL/VS control registers, which the fetch processor resolves.
-        self.data_sources = tuple(
-            register
+        self.data_source_ids = tuple(
+            register.id
             for register in instruction.sources
             if register.register_class
             not in (RegisterClass.VECTOR_LENGTH, RegisterClass.VECTOR_STRIDE)
+        )
+        self.destination_ids = tuple(register.id for register in self.destinations)
+        # (id, is_vector) pairs: issue rules that chain vector results but
+        # not scalar ones read the flag instead of a register property.
+        self.destination_id_flags = tuple(
+            (register.id, register.is_vector) for register in self.destinations
         )
         self.immediate = instruction.immediate
 

@@ -96,15 +96,6 @@ class TestOccupy:
 
 
 class TestRecording:
-    def test_record_false_tracks_time_without_intervals(self):
-        pool = ResourcePool("FP", record=False)
-        pool.occupy(0, 100)
-        assert pool.free_time() == 100
-        with pytest.raises(SimulationError):
-            pool.recorder()
-        with pytest.raises(SimulationError):
-            pool.busy_time()
-
     def test_combined_recorder_single_unit_is_the_unit(self):
         pool = ResourcePool("LD")
         pool.acquire(0, 5)
@@ -117,9 +108,3 @@ class TestRecording:
         combined = pool.combined_recorder()
         assert combined.name == "LD"
         assert combined.busy_time() == 7  # [0,5) U [2,7)
-
-    def test_busy_time_sums_all_units(self):
-        pool = ResourcePool("QMOV", count=2)
-        pool.acquire(0, 5, unit=0)
-        pool.acquire(0, 3, unit=1)
-        assert pool.busy_time() == 8

@@ -1,87 +1,120 @@
-"""Unit tests for the engine scoreboard (register availability tracking)."""
+"""The register scoreboard and its read rule, pinned through small traces.
 
+:class:`~repro.engine.Scoreboard` is three lists indexed by register id; the
+read rule lives in each simulator's issue loop.  So the cases below build
+few-instruction traces and check the cycle counts both simulators give
+(functional-unit startup 4, vector length 128, one lane).
+"""
+
+import pytest
+
+from repro.common.errors import SimulationError
+from repro.dva.config import DecoupledConfig
+from repro.dva.simulator import simulate_decoupled
 from repro.engine import Scoreboard
-from repro.isa.registers import Register, RegisterClass
+from repro.isa.instruction import Instruction, MemoryOperand
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import REGISTER_COUNT, RegisterClass, a_reg, s_reg, v_reg
+from repro.refarch.simulator import simulate_reference
+from repro.trace.generator import TraceBuilder
 
 
-def v(number: int) -> Register:
-    return Register(RegisterClass.VECTOR, number)
+def _trace(*instructions):
+    builder = TraceBuilder("scoreboard")
+    for instruction in instructions:
+        builder.append_instruction(instruction)
+    return builder.build()
 
 
-def s(number: int) -> Register:
-    return Register(RegisterClass.SCALAR, number)
+def _op(opcode, destination, *sources):
+    return Instruction(opcode, destinations=(destination,), sources=sources)
 
 
-class TestOwnerlessScoreboard:
-    """The reference machine's usage: ready + chain_start, no ownership."""
-
-    def test_unwritten_register_is_ready_at_cycle_zero(self):
+class TestScoreboardLists:
+    def test_unwritten_registers_are_ready_at_cycle_zero(self):
         board = Scoreboard()
-        assert board.read(v(1)) == 0
+        assert board.ready == [0] * REGISTER_COUNT
+        assert board.chain_start == [None] * REGISTER_COUNT
+        assert board.owner == [None] * REGISTER_COUNT
 
-    def test_write_sets_ready(self):
-        board = Scoreboard()
-        board.write(v(1), 42)
-        assert board.read(v(1)) == 42
-
-    def test_chain_start_served_only_when_asked(self):
-        board = Scoreboard()
-        board.write(v(1), 100, chain_start=54)
-        assert board.read(v(1)) == 100
-        assert board.read(v(1), allow_chain=True) == 54
-
-    def test_chain_request_without_chainable_producer_waits_for_ready(self):
-        board = Scoreboard()
-        board.write(v(1), 100)  # chain_start=None: not chainable
-        assert board.read(v(1), allow_chain=True) == 100
-
-    def test_rewrite_clears_stale_chain_start(self):
-        """Every write resolves chainability anew — a scalar producer after a
-        chainable one must not leave the old chain_start behind."""
-        board = Scoreboard()
-        board.write(v(1), 100, chain_start=54)
-        board.write(v(1), 200)
-        assert board.read(v(1), allow_chain=True) == 200
+    def test_default_owners_follow_the_register_file(self):
+        owners = {register_class: register_class.value for register_class in RegisterClass}
+        board = Scoreboard(default_owners=owners)
+        assert board.owner[a_reg(2).id] == "a"
+        assert board.owner[s_reg(5).id] == "s"
+        assert board.owner[v_reg(7).id] == "v"
 
 
-class TestOwnedScoreboard:
-    """The decoupled machine's usage: ownership and cross-processor delay."""
+class TestReferenceReadRule:
+    def test_unwritten_sources_do_not_delay_issue(self):
+        trace = _trace(_op(Opcode.V_ADD, v_reg(0), v_reg(1), v_reg(2)))
+        assert simulate_reference(trace, latency=1).total_cycles == 0 + 4 + 128
 
-    def test_default_owner_assigned_on_first_touch(self):
-        board = Scoreboard(default_owner=lambda r: r.register_class)
-        assert board.entry(s(3)).owner is RegisterClass.SCALAR
+    def test_chaining_consumer_starts_on_the_first_element(self):
+        trace = _trace(
+            _op(Opcode.V_ADD, v_reg(1), v_reg(2), v_reg(3)),
+            _op(Opcode.V_ADD, v_reg(4), v_reg(1), v_reg(1)),
+        )
+        # The consumer issues at the producer's chain start (cycle 4) on FU2.
+        assert simulate_reference(trace, latency=1).total_cycles == 4 + 4 + 128
 
-    def test_local_read_ignores_cross_delay(self):
-        board = Scoreboard(default_owner=lambda r: r.register_class)
-        board.write(s(1), 10, owner=RegisterClass.SCALAR)
-        assert board.read(s(1), consumer=RegisterClass.SCALAR, cross_delay=5) == 10
+    def test_rewrite_clears_a_stale_chain_start(self):
+        # A vector load (not chainable) rewrites v1 after a chainable add: the
+        # consumer must wait for the load's last element, not the add's chain.
+        trace = _trace(
+            _op(Opcode.V_ADD, v_reg(1), v_reg(2), v_reg(3)),
+            Instruction(
+                Opcode.V_LOAD, destinations=(v_reg(1),), memory=MemoryOperand("x")
+            ),
+            _op(Opcode.V_ADD, v_reg(4), v_reg(1), v_reg(1)),
+        )
+        load_ready = 1 + 1 + 128  # bus start 1, latency 1, 128 elements
+        assert simulate_reference(trace, latency=1).total_cycles == load_ready + 4 + 128
 
-    def test_remote_read_pays_cross_delay(self):
-        board = Scoreboard(default_owner=lambda r: r.register_class)
-        board.write(s(1), 10, owner=RegisterClass.SCALAR)
-        assert board.read(s(1), consumer=RegisterClass.ADDRESS, cross_delay=5) == 15
+
+class TestDecoupledReadRule:
+    """The DVA adds owners: a read from another processor pays the delay."""
+
+    def test_default_owners_decide_local_and_remote_reads(self):
+        config = DecoupledConfig(cross_processor_delay=10)
+        # s-registers start on the SP: a local read, ready at cycle 0.
+        local = _trace(_op(Opcode.S_ADD, s_reg(0), s_reg(1)))
+        assert simulate_decoupled(local, 1, config).total_cycles == 2
+        # a-registers start on the AP: the SP waits for the cross delay.
+        remote = _trace(_op(Opcode.S_ADD, s_reg(0), a_reg(1)))
+        assert simulate_decoupled(remote, 1, config).total_cycles == 0 + 10 + 1
+
+    def test_remote_read_pays_cross_processor_delay(self):
+        config = DecoupledConfig(cross_processor_delay=10)
+        produce = _op(Opcode.S_ADD, s_reg(1), s_reg(2))  # SP, ready at 2
+        on_address = _trace(produce, _op(Opcode.S_ADD, a_reg(1), s_reg(1)))
+        on_scalar = _trace(produce, _op(Opcode.S_ADD, s_reg(3), s_reg(1)))
+        assert simulate_decoupled(on_address, 1, config).total_cycles == 2 + 10 + 1
+        assert simulate_decoupled(on_scalar, 1, config).total_cycles == 2 + 1
 
     def test_chaining_is_local_only(self):
-        board = Scoreboard(default_owner=lambda r: r.register_class)
-        board.write(v(1), 100, chain_start=54, owner=RegisterClass.VECTOR)
-        local = board.read(
-            v(1), consumer=RegisterClass.VECTOR, allow_chain=True, cross_delay=1
-        )
-        remote = board.read(
-            v(1), consumer=RegisterClass.ADDRESS, allow_chain=True, cross_delay=1
-        )
-        assert local == 54
-        assert remote == 101
+        produce = _op(Opcode.V_ADD, v_reg(1), v_reg(2), v_reg(3))  # VP, starts at 1
+        chained = _trace(produce, _op(Opcode.V_ADD, v_reg(4), v_reg(1), v_reg(1)))
+        # The VP consumer starts on the producer's first element (1 + 4).
+        assert simulate_decoupled(chained, 1).total_cycles == 5 + 4 + 128
+        # A branch on v1 executes on the SP: it waits for the full value
+        # (1 + 4 + 128) plus the cross delay, chainable or not.
+        branch = Instruction(Opcode.BRANCH, sources=(v_reg(1),))
+        remote = _trace(produce, branch)
+        assert simulate_decoupled(remote, 1).total_cycles == 133 + 1 + 1
 
-    def test_write_without_owner_keeps_current_owner(self):
-        board = Scoreboard(default_owner=lambda r: r.register_class)
-        board.write(s(1), 10, owner=RegisterClass.ADDRESS)
-        board.write(s(1), 20)
-        assert board.entry(s(1)).owner is RegisterClass.ADDRESS
 
-    def test_len_and_contains(self):
-        board = Scoreboard()
-        assert s(1) not in board
-        board.write(s(1), 1)
-        assert s(1) in board
-        assert len(board) == 1
+class TestMalformedQueueMoves:
+    """Vector memory instructions without their vector register are rejected."""
+
+    def test_vector_load_without_vector_destination(self):
+        trace = _trace(Instruction(Opcode.V_LOAD, memory=MemoryOperand("x")))
+        with pytest.raises(SimulationError, match="without a vector destination"):
+            simulate_decoupled(trace, 1)
+
+    def test_vector_store_without_vector_data_register(self):
+        trace = _trace(
+            Instruction(Opcode.V_STORE, sources=(a_reg(0),), memory=MemoryOperand("y"))
+        )
+        with pytest.raises(SimulationError, match="without a vector data register"):
+            simulate_decoupled(trace, 1)

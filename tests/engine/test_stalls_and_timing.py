@@ -4,11 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.engine import MemoryFabric, StallAccountant, TimingCore
-from repro.isa.instruction import Instruction, MemoryOperand
-from repro.isa.opcodes import Opcode
-from repro.isa.registers import Register, RegisterClass
 from repro.memory.model import MemoryModel
-from repro.trace.record import DynamicInstruction
 
 
 class TestStallAccountant:
@@ -38,15 +34,9 @@ class TestStallAccountant:
 
 
 class TestTimingCore:
-    def test_bump_only_extends(self):
-        core = TimingCore()
-        core.bump(10)
-        core.bump(5)
-        assert core.horizon == 10
-
     def test_finish_time_includes_pointers(self):
         core = TimingCore()
-        core.bump(10)
+        core.horizon = 10
         assert core.finish_time() == 10
         assert core.finish_time(25, 3) == 25
 
@@ -60,69 +50,45 @@ class TestTimingCore:
             core.pool("LD")
 
 
-def _scalar_load(address: int) -> DynamicInstruction:
-    instruction = Instruction(
-        opcode=Opcode.S_LOAD,
-        destinations=(Register(RegisterClass.SCALAR, 0),),
-        sources=(Register(RegisterClass.ADDRESS, 0),),
-        memory=MemoryOperand(region="data"),
-    )
-    return DynamicInstruction(instruction=instruction, sequence=0, base_address=address)
-
-
-def _scalar_store(address: int) -> DynamicInstruction:
-    instruction = Instruction(
-        opcode=Opcode.S_STORE,
-        sources=(
-            Register(RegisterClass.SCALAR, 0),
-            Register(RegisterClass.ADDRESS, 0),
-        ),
-        memory=MemoryOperand(region="data"),
-    )
-    return DynamicInstruction(instruction=instruction, sequence=0, base_address=address)
-
-
 class TestMemoryFabric:
     def test_scalar_load_miss_then_hit(self):
         fabric = MemoryFabric(MemoryModel(latency=50))
-        miss = fabric.scalar_access(_scalar_load(0x1000))
+        miss = fabric.scalar_access_at(0x1000, is_store=False)
         assert not miss.hit and miss.uses_port
-        hit = fabric.scalar_access(_scalar_load(0x1000))
+        hit = fabric.scalar_access_at(0x1000, is_store=False)
         assert hit.hit and not hit.uses_port
 
     def test_scalar_load_ready_latencies(self):
         fabric = MemoryFabric(MemoryModel(latency=50))
-        miss = fabric.scalar_access(_scalar_load(0x1000))
+        miss = fabric.scalar_access_at(0x1000, is_store=False)
         assert fabric.scalar_load_ready(miss, 10) == 10 + 1 + 50
-        hit = fabric.scalar_access(_scalar_load(0x1000))
+        hit = fabric.scalar_access_at(0x1000, is_store=False)
         assert fabric.scalar_load_ready(hit, 10) == 10 + 1  # hit latency 1
 
     def test_store_hit_stays_off_port_unless_write_through(self):
         fabric = MemoryFabric(MemoryModel(latency=1))
-        fabric.scalar_access(_scalar_load(0x2000))  # allocate the line
-        assert not fabric.scalar_access(_scalar_store(0x2000)).uses_port
+        fabric.scalar_access_at(0x2000, is_store=False)  # allocate the line
+        assert not fabric.scalar_access_at(0x2000, is_store=True).uses_port
 
         through = MemoryFabric(
             MemoryModel(latency=1), scalar_store_writes_through=True
         )
-        through.scalar_access(_scalar_load(0x2000))
-        assert through.scalar_access(_scalar_store(0x2000)).uses_port
+        through.scalar_access_at(0x2000, is_store=False)
+        assert through.scalar_access_at(0x2000, is_store=True).uses_port
 
     def test_bus_occupation_accumulates_traffic_and_port_time(self):
         fabric = MemoryFabric(MemoryModel(latency=1))
-        record = _scalar_load(0x3000)
-        start, end = fabric.occupy_scalar_bus(4, record)
+        start, end = fabric.occupy_bus(4, 1, 8)
         assert (start, end) == (4, 5)
-        assert fabric.traffic_bytes == record.bytes_accessed
+        assert fabric.traffic_bytes == 8
         assert fabric.port_free() == 5
         # The next reference waits for the single port.
-        start, end = fabric.occupy_scalar_bus(0, record)
+        start, end = fabric.occupy_bus(0, 1, 8)
         assert start == 5
 
     def test_two_ports_overlap_references(self):
         fabric = MemoryFabric(MemoryModel(latency=1), ports=2)
-        record = _scalar_load(0x4000)
-        first, _ = fabric.occupy_scalar_bus(0, record)
-        second, _ = fabric.occupy_scalar_bus(0, record)
+        first, _ = fabric.occupy_bus(0, 1, 8)
+        second, _ = fabric.occupy_bus(0, 1, 8)
         assert (first, second) == (0, 0)
         assert fabric.port_recorder().busy_time() == 1  # merged "any port busy"

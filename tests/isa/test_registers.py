@@ -4,15 +4,46 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.isa.registers import (
+    REGISTER_CLASS_OF_ID,
+    REGISTER_COUNT,
+    Register,
     RegisterClass,
     RegisterFile,
     VECTOR_REGISTER_COUNT,
     VL_REGISTER,
     VS_REGISTER,
     a_reg,
+    canonical_register,
     s_reg,
     v_reg,
 )
+
+
+def _every_register():
+    return [
+        Register(register_class, index)
+        for register_class in RegisterClass
+        for index in range(REGISTER_CLASS_OF_ID.count(register_class))
+    ]
+
+
+class TestRegisterIds:
+    def test_ids_are_dense_and_unique(self):
+        ids = [register.id for register in _every_register()]
+        assert sorted(ids) == list(range(REGISTER_COUNT))
+
+    def test_id_names_its_register_file(self):
+        for register in _every_register():
+            assert REGISTER_CLASS_OF_ID[register.id] is register.register_class
+
+    def test_ids_are_stable_under_canonical_register(self):
+        for register in _every_register():
+            canonical = canonical_register(register.register_class, register.index)
+            assert canonical.id == register.id
+            assert canonical == register and hash(canonical) == hash(register)
+
+    def test_control_registers_have_ids(self):
+        assert {VL_REGISTER.id, VS_REGISTER.id} == {REGISTER_COUNT - 2, REGISTER_COUNT - 1}
 
 
 class TestRegister:

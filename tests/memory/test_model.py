@@ -3,43 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.isa.instruction import MemoryOperand, make_instruction
-from repro.isa.opcodes import Opcode
-from repro.isa.registers import s_reg, v_reg
 from repro.memory.model import MemoryModel, MemoryTimings
-from repro.trace.record import DynamicInstruction
-
-
-def _vector_load(vl=64, base=0x1000):
-    instruction = make_instruction(
-        Opcode.V_LOAD, destinations=[v_reg(0)], memory=MemoryOperand(region="x")
-    )
-    return DynamicInstruction(
-        instruction=instruction, sequence=0, vector_length=vl, base_address=base
-    )
-
-
-def _vector_store(vl=64, base=0x2000):
-    instruction = make_instruction(
-        Opcode.V_STORE, sources=[v_reg(0)], memory=MemoryOperand(region="y")
-    )
-    return DynamicInstruction(
-        instruction=instruction, sequence=0, vector_length=vl, base_address=base
-    )
-
-
-def _scalar_load(base=0x3000):
-    instruction = make_instruction(
-        Opcode.S_LOAD, destinations=[s_reg(0)], memory=MemoryOperand(region="g")
-    )
-    return DynamicInstruction(instruction=instruction, sequence=0, base_address=base)
-
-
-def _vector_add(vl=64):
-    instruction = make_instruction(
-        Opcode.V_ADD, destinations=[v_reg(2)], sources=[v_reg(0), v_reg(1)]
-    )
-    return DynamicInstruction(instruction=instruction, sequence=0, vector_length=vl)
 
 
 class TestMemoryTimings:
@@ -66,39 +30,20 @@ class TestMemoryModel:
         assert MemoryModel(latency=30).latency == 30
         assert MemoryModel().latency == 1
 
-    def test_bus_occupancy(self):
+    def test_bus_cycles(self):
         model = MemoryModel(latency=10)
-        assert model.bus_occupancy(_vector_load(vl=50)) == 50
-        assert model.bus_occupancy(_vector_store(vl=7)) == 7
-        assert model.bus_occupancy(_scalar_load()) == 1
-        assert model.bus_occupancy(_vector_add()) == 0
+        assert model.vector_bus_cycles(50) == 50
+        assert model.vector_bus_cycles(7) == 7
+        assert model.scalar_bus_cycles == 1
 
     def test_zero_length_vector_still_issues(self):
         model = MemoryModel(latency=10)
-        assert model.bus_occupancy(_vector_load(vl=0)) == 1
+        assert model.vector_bus_cycles(0) == 1
 
-    def test_load_complete_includes_latency_and_streaming(self):
+    def test_load_ready_includes_latency_and_streaming(self):
         model = MemoryModel(latency=30)
-        record = _vector_load(vl=64)
-        assert model.load_complete(record, bus_start=100) == 100 + 30 + 64
+        assert model.load_ready(bus_start=100, bus_cycles=64) == 100 + 30 + 64
         assert model.first_element_arrival(bus_start=100) == 130
-
-    def test_store_complete_hides_latency(self):
-        model = MemoryModel(latency=100)
-        record = _vector_store(vl=16)
-        assert model.store_complete(record, bus_start=40) == 56
-
-    def test_direction_guards(self):
-        model = MemoryModel()
-        with pytest.raises(ConfigurationError):
-            model.load_complete(_vector_store(), bus_start=0)
-        with pytest.raises(ConfigurationError):
-            model.store_complete(_vector_load(), bus_start=0)
-
-    def test_traffic_bytes(self):
-        model = MemoryModel()
-        assert model.traffic_bytes(_vector_load(vl=10)) == 80
-        assert model.traffic_bytes(_scalar_load()) == 8
 
     def test_with_latency_preserves_other_parameters(self):
         base = MemoryModel(MemoryTimings(latency=1, bus_cycles_per_element=2))

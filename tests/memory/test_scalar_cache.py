@@ -45,20 +45,12 @@ class TestScalarCache:
         cache.access(0x40)          # maps to line 0 again, evicts
         assert not cache.access(0x00)
 
-    def test_probe_does_not_modify_state(self):
-        cache = ScalarCache()
-        assert not cache.probe(0x500)
-        assert cache.accesses == 0
-        cache.access(0x500)
-        assert cache.probe(0x500)
-        assert cache.accesses == 1
-
     def test_reset(self):
         cache = ScalarCache()
         cache.access(0x100)
         cache.reset()
         assert cache.accesses == 0
-        assert not cache.probe(0x100)
+        assert not cache.access(0x100)
 
     def test_hit_rate_empty(self):
         assert ScalarCache().hit_rate == 0.0

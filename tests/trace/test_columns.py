@@ -10,7 +10,7 @@ from repro.isa.builder import InstructionBuilder
 from repro.isa.instruction import MemoryOperand, make_instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
-from repro.isa.registers import s_reg, v_reg
+from repro.isa.registers import VL_REGISTER, VS_REGISTER, s_reg, v_reg
 from repro.trace.columns import NO_ADDRESS, ColumnarTrace
 from repro.trace.generator import TraceBuilder
 from repro.trace.reader import iter_trace_records, read_trace
@@ -147,6 +147,24 @@ class TestColumnarTraceInvariants:
             assert info.instruction is instruction
             assert info.is_vector == instruction.is_vector
             assert info.opcode_class == instruction.opcode_class
+
+    @pytest.mark.parametrize("name", program_names())
+    def test_instruction_info_ids_match_registers(self, name):
+        def ids(registers):
+            return tuple(register.id for register in registers)
+
+        for info in _program_trace(name).columns.instruction_infos():
+            assert info.source_ids == ids(info.sources)
+            assert info.scalar_source_ids == ids(info.scalar_sources)
+            assert info.destination_ids == ids(info.destinations)
+            assert info.destination_id_flags == tuple(
+                (register.id, register.is_vector) for register in info.destinations
+            )
+            assert set(info.data_source_ids) <= set(info.source_ids)
+            assert info.data_source_ids == ids(
+                register for register in info.sources
+                if register not in (VL_REGISTER, VS_REGISTER)
+            )
 
 
 def _small_trace():
