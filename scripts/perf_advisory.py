@@ -1,12 +1,13 @@
-"""Advisory check of the hot-loop rates in a benchmark layer ledger.
+"""Advisory check of the per-record rates in a benchmark layer ledger.
 
 Usage, from the repository root::
 
     python perfbench/run.py --workload paper-cold --seed 1 --seconds 10 --trace 1 > ledger.txt
     python scripts/perf_advisory.py ledger.txt
 
-The ledger's last line is the benchmark's JSON result, holding
-``dva.insns_per_s`` and ``refarch.insns_per_s``; the line before it describes
+The ledger's last line is the benchmark's JSON result, holding the hot-loop
+rates ``dva.insns_per_s`` and ``refarch.insns_per_s`` and the trace-build
+rate ``trace.records_per_s``; the line before it describes
 the host (CPU count, Python version).  Each rate is compared with
 ``perf_baseline.json`` next to this script.  A rate more than the baseline's
 tolerance below it prints a GitHub ``::warning::`` line.  The comparison is
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 BASELINE_PATH = Path(__file__).resolve().with_name("perf_baseline.json")
-METRICS = ("dva.insns_per_s", "refarch.insns_per_s")
+METRICS = ("dva.insns_per_s", "refarch.insns_per_s", "trace.records_per_s")
 
 
 def read_ledger(path: Path) -> Tuple[Dict[str, object], Dict[str, float]]:

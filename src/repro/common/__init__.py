@@ -2,10 +2,12 @@
 
 The simulators in :mod:`repro.refarch` and :mod:`repro.dva` are event driven:
 instead of stepping the machine cycle by cycle they record, for every hardware
-resource, the *intervals* of time during which the resource was busy.  The
-helpers in this package turn those interval records back into the per-cycle
-quantities the paper reports (functional-unit state breakdowns, queue
-occupancy histograms) without ever iterating over individual cycles.
+resource, the *intervals* of time during which the resource was busy, and for
+every queue element the cycles it entered and left.  The helpers in this
+package turn those records back into the per-cycle quantities the paper
+reports with one sweep each per result: the functional-unit state breakdown
+(a busy bitmask per merged interval edge) and the queue occupancy histogram
+(+1/-1 per residency edge), never iterating over individual cycles.
 """
 
 from repro.common.errors import (
@@ -15,34 +17,22 @@ from repro.common.errors import (
     TraceError,
     WorkloadError,
 )
-from repro.common.intervals import (
-    Interval,
-    IntervalRecorder,
-    StateBreakdown,
-    merge_intervals,
-    state_breakdown,
-    total_busy_time,
-)
+from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
 from repro.common.stats import Histogram, RunningStats, geometric_mean, weighted_mean
-from repro.common.timeline import OccupancyTimeline, Residency, occupancy_histogram
+from repro.common.timeline import OccupancyTimeline
 
 __all__ = [
     "ConfigurationError",
     "Histogram",
-    "Interval",
     "IntervalRecorder",
     "OccupancyTimeline",
     "ReproError",
-    "Residency",
     "RunningStats",
     "SimulationError",
     "StateBreakdown",
     "TraceError",
     "WorkloadError",
     "geometric_mean",
-    "merge_intervals",
-    "occupancy_histogram",
     "state_breakdown",
-    "total_busy_time",
     "weighted_mean",
 ]

@@ -1,53 +1,20 @@
 """Busy-interval bookkeeping for event-driven simulation.
 
 The reference and decoupled simulators do not step cycle by cycle.  Instead,
-each hardware resource (functional unit, memory port, queue slot) records the
-half-open intervals ``[start, end)`` during which it was occupied.  The
-functions here merge, intersect and measure those intervals so that per-cycle
-statistics — such as the eight-state execution breakdown of Figure 1 — can be
-recovered exactly.
+each hardware resource (functional unit, memory port) records the half-open
+intervals ``[start, end)`` during which it was occupied.  A recorder merges
+its intervals once per result; :func:`state_breakdown` then recovers the
+eight-state execution breakdown of Figure 1 exactly with one sweep over the
+merged edges, and :func:`level_cycles` is that sweep, shared with the queue
+occupancy histogram of :mod:`repro.common.timeline`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Dict, Sequence
 
 from repro.common.errors import SimulationError
-
-
-@dataclass(frozen=True, order=True)
-class Interval:
-    """A half-open interval ``[start, end)`` measured in cycles."""
-
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise SimulationError(
-                f"interval end ({self.end}) precedes start ({self.start})"
-            )
-
-    @property
-    def length(self) -> int:
-        """Number of cycles covered by the interval."""
-        return self.end - self.start
-
-    def overlaps(self, other: "Interval") -> bool:
-        """Return ``True`` when the two intervals share at least one cycle."""
-        return self.start < other.end and other.start < self.end
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        """Return the overlapping part of the two intervals, or ``None``."""
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        if start >= end:
-            return None
-        return Interval(start, end)
-
-    def __bool__(self) -> bool:
-        return self.length > 0
 
 
 class IntervalRecorder:
@@ -59,17 +26,17 @@ class IntervalRecorder:
     memory-port occupancy.
 
     Intervals are stored as two parallel integer lists — the simulators
-    record one per issued instruction, so the hot path is two list appends;
-    :class:`Interval` objects are materialized only when intervals are read
-    back.
+    record one per issued instruction, so the hot path is two list appends.
     """
 
-    __slots__ = ("name", "_starts", "_ends")
+    __slots__ = ("name", "_starts", "_ends", "_merged", "_merged_count")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._starts: list[int] = []
         self._ends: list[int] = []
+        self._merged: list[tuple[int, int]] = []
+        self._merged_count = 0
 
     def record(self, start: int, end: int) -> None:
         """Record that the resource was busy over ``[start, end)``.
@@ -86,42 +53,36 @@ class IntervalRecorder:
                 f"resource {self.name!r}: busy interval ends ({end}) before it starts ({start})"
             )
 
-    def record_interval(self, interval: Interval) -> None:
-        """Record an already-constructed :class:`Interval`."""
-        self.record(interval.start, interval.end)
-
-    @property
-    def raw_intervals(self) -> Sequence[Interval]:
-        """The intervals exactly as recorded (possibly overlapping)."""
-        return tuple(
-            Interval(start, end) for start, end in zip(self._starts, self._ends)
-        )
+    def extend(self, other: "IntervalRecorder") -> None:
+        """Record every interval of ``other`` as well."""
+        self._starts += other._starts
+        self._ends += other._ends
 
     def merged_pairs(self) -> list[tuple[int, int]]:
-        """The recorded intervals merged into disjoint sorted (start, end) pairs."""
-        merged: list[list[int]] = []
-        for start, end in sorted(zip(self._starts, self._ends)):
-            if merged and start <= merged[-1][1]:
-                tail = merged[-1]
-                if end > tail[1]:
-                    tail[1] = end
-            else:
-                merged.append([start, end])
-        return [(start, end) for start, end in merged]
+        """The recorded intervals merged into disjoint sorted (start, end) pairs.
 
-    def merged(self) -> list[Interval]:
-        """Return the recorded intervals merged into disjoint, sorted pieces."""
-        return [Interval(start, end) for start, end in self.merged_pairs()]
+        Touching intervals merge.  Recording only appends, so the merge is
+        kept until the next record: a result's state breakdown and busy time
+        share one merge.  Callers must not mutate the returned list.
+        """
+        if self._merged_count != len(self._starts):
+            merged = []
+            pairs = sorted(zip(self._starts, self._ends))
+            first, last = pairs[0]
+            for start, end in pairs:
+                if start > last:
+                    merged.append((first, last))
+                    first, last = start, end
+                elif end > last:
+                    last = end
+            merged.append((first, last))
+            self._merged = merged
+            self._merged_count = len(pairs)
+        return self._merged
 
     def busy_time(self) -> int:
         """Total number of distinct cycles during which the resource was busy."""
         return sum(end - start for start, end in self.merged_pairs())
-
-    def busy_at(self, cycle: int) -> bool:
-        """Return ``True`` when the resource is busy during ``cycle``."""
-        return any(
-            start <= cycle < end for start, end in zip(self._starts, self._ends)
-        )
 
     def last_end(self) -> int:
         """Cycle at which the resource last became free (0 when never used)."""
@@ -132,32 +93,31 @@ class IntervalRecorder:
     def __len__(self) -> int:
         return len(self._starts)
 
-    def __iter__(self) -> Iterator[Interval]:
-        return iter(self.raw_intervals)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntervalRecorder(name={self.name!r}, intervals={len(self._starts)})"
 
 
-def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
-    """Merge possibly-overlapping intervals into disjoint sorted intervals."""
-    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
-    merged: list[Interval] = []
-    for interval in ordered:
-        if interval.length == 0:
-            continue
-        if merged and interval.start <= merged[-1].end:
-            previous = merged[-1]
-            if interval.end > previous.end:
-                merged[-1] = Interval(previous.start, interval.end)
-        else:
-            merged.append(interval)
-    return merged
+def level_cycles(deltas: Dict[int, int], total_cycles: int) -> Dict[int, int]:
+    """Cycles of ``[0, total_cycles)`` spent at each level of a running sum.
 
-
-def total_busy_time(intervals: Iterable[Interval]) -> int:
-    """Number of distinct cycles covered by a collection of intervals."""
-    return sum(iv.length for iv in merge_intervals(intervals))
+    ``deltas`` maps a cycle to the signed change of the level at that cycle;
+    the level is 0 before the first change.  Changes at or after
+    ``total_cycles`` are ignored.  Levels appear in the order they are first
+    held, and the result sums to ``total_cycles`` (it is empty when that is
+    not positive).
+    """
+    cycles: Dict[int, int] = {}
+    level = previous = 0
+    for time in sorted(deltas):
+        if time >= total_cycles:
+            break
+        if time > previous:
+            cycles[level] = cycles.get(level, 0) + time - previous
+            previous = time
+        level += deltas[time]
+    if total_cycles > previous:
+        cycles[level] = cycles.get(level, 0) + total_cycles - previous
+    return cycles
 
 
 @dataclass
@@ -183,57 +143,31 @@ class StateBreakdown:
         """Cycles spent with every resource idle — the paper's ``( , , )`` state."""
         return self.cycles_in(*([False] * len(self.resource_names)))
 
-    def cycles_resource_idle(self, name: str) -> int:
-        """Total cycles during which the named resource was idle."""
-        index = self.resource_names.index(name)
-        return sum(
-            count for pattern, count in self.cycles.items() if not pattern[index]
-        )
-
-    def fraction(self, *busy: bool) -> float:
-        """Fraction of total cycles spent with the given busy pattern."""
-        if self.total_cycles == 0:
-            return 0.0
-        return self.cycles_in(*busy) / self.total_cycles
-
 
 def state_breakdown(
     recorders: Sequence[IntervalRecorder], total_cycles: int
 ) -> StateBreakdown:
     """Partition ``[0, total_cycles)`` by which resources are busy.
 
-    The breakdown is computed with a sweep over the interval endpoints, so its
-    cost is proportional to the number of recorded intervals rather than to
-    the number of cycles simulated.
+    Recorder ``i`` owns bit ``i`` of a busy mask.  Each merged interval adds
+    its bit at its start and subtracts it at its end (a recorder's merged
+    intervals are disjoint, so its bit is never added twice), and one
+    :func:`level_cycles` sweep over the edges yields the cycles per mask.
+    The cost is proportional to the number of merged intervals, not to the
+    number of cycles simulated.
     """
-    names = tuple(recorder.name for recorder in recorders)
-    result = StateBreakdown(resource_names=names, total_cycles=total_cycles)
-    if total_cycles <= 0:
-        return result
-
-    merged_per_resource = [recorder.merged_pairs() for recorder in recorders]
-    boundaries = {0, total_cycles}
-    for intervals in merged_per_resource:
-        for interval_start, interval_end in intervals:
-            if interval_start < total_cycles:
-                boundaries.add(interval_start)
-            if interval_end < total_cycles:
-                boundaries.add(interval_end)
-    ordered = sorted(boundaries)
-
-    cursors = [0] * len(recorders)
-    for index, start in enumerate(ordered):
-        end = ordered[index + 1] if index + 1 < len(ordered) else total_cycles
-        if end <= start:
-            continue
-        pattern: list[bool] = []
-        for res_index, intervals in enumerate(merged_per_resource):
-            cursor = cursors[res_index]
-            while cursor < len(intervals) and intervals[cursor][1] <= start:
-                cursor += 1
-            cursors[res_index] = cursor
-            busy = cursor < len(intervals) and intervals[cursor][0] <= start
-            pattern.append(busy)
-        key = tuple(pattern)
-        result.cycles[key] = result.cycles.get(key, 0) + (end - start)
-    return result
+    deltas: Dict[int, int] = {}
+    for position, recorder in enumerate(recorders):
+        bit = 1 << position
+        for start, end in recorder.merged_pairs():
+            deltas[start] = deltas.get(start, 0) + bit
+            deltas[end] = deltas.get(end, 0) - bit
+    positions = range(len(recorders))
+    return StateBreakdown(
+        resource_names=tuple(recorder.name for recorder in recorders),
+        cycles={
+            tuple(bool(mask >> position & 1) for position in positions): count
+            for mask, count in level_cycles(deltas, total_cycles).items()
+        },
+        total_cycles=total_cycles,
+    )

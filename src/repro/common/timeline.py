@@ -3,31 +3,18 @@
 Figure 6 of the paper plots, for each benchmark, how many cycles the AVDQ
 (the vector load data queue) held 0, 1, 2, ... busy slots.  The decoupled
 simulator records one ``(enter, leave)`` pair per queue element; the
-:class:`OccupancyTimeline` sweeps those events to reconstruct the per-cycle
-occupancy histogram without stepping cycles.
+:class:`OccupancyTimeline` turns them into +1/-1 deltas and sweeps those once
+with :func:`~repro.common.intervals.level_cycles` to reconstruct the
+per-cycle occupancy histogram without stepping cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Dict
 
 from repro.common.errors import SimulationError
+from repro.common.intervals import level_cycles
 from repro.common.stats import Histogram
-
-
-@dataclass(frozen=True)
-class Residency:
-    """The lifetime of one element inside a queue: ``[enter, leave)``."""
-
-    enter: int
-    leave: int
-
-    def __post_init__(self) -> None:
-        if self.leave < self.enter:
-            raise SimulationError(
-                f"queue element leaves ({self.leave}) before it enters ({self.enter})"
-            )
 
 
 class OccupancyTimeline:
@@ -35,7 +22,7 @@ class OccupancyTimeline:
 
     Residencies live in two parallel integer lists (one entry per queue
     element, recorded at simulation wind-down for every element of every
-    queue); :class:`Residency` views are materialized only on request.
+    queue).
     """
 
     __slots__ = ("name", "capacity", "_enters", "_leaves")
@@ -56,88 +43,25 @@ class OccupancyTimeline:
                 f"queue element leaves ({leave}) before it enters ({enter})"
             )
 
-    @property
-    def residencies(self) -> tuple[Residency, ...]:
-        return tuple(
-            Residency(enter, leave)
-            for enter, leave in zip(self._enters, self._leaves)
-        )
-
     def occupancy_histogram(self, total_cycles: int) -> Histogram:
-        """Cycles spent at each occupancy level over ``[0, total_cycles)``."""
-        return _histogram_of_events(self._enters, self._leaves, total_cycles)
+        """Cycles spent at each occupancy level over ``[0, total_cycles)``.
 
-    def max_occupancy(self) -> int:
-        """The largest number of simultaneously-resident elements ever observed."""
-        histogram = self.occupancy_histogram(self._horizon())
-        occupied_levels = [level for level, count in histogram.items() if count > 0]
-        return max(occupied_levels, default=0)
+        Cycles after the last element leaves count as occupancy zero, so a
+        non-empty histogram sums to ``total_cycles``.
+        """
+        deltas: Dict[int, int] = {}
+        for enter in self._enters:
+            deltas[enter] = deltas.get(enter, 0) + 1
+        for leave in self._leaves:
+            deltas[leave] = deltas.get(leave, 0) - 1
+        histogram = Histogram()
+        for level, cycles in level_cycles(deltas, total_cycles).items():
+            histogram.add(level, cycles)
+        return histogram
 
-    def mean_occupancy(self, total_cycles: int) -> float:
-        """Time-weighted mean number of busy slots over ``[0, total_cycles)``."""
-        if total_cycles <= 0:
-            return 0.0
-        histogram = self.occupancy_histogram(total_cycles)
-        weighted = sum(level * cycles for level, cycles in histogram.items())
-        return weighted / total_cycles
-
-    def _horizon(self) -> int:
-        if not self._leaves:
-            return 0
-        return max(self._leaves)
+    def last_leave(self) -> int:
+        """Cycle at which the last element left the queue (0 when never used)."""
+        return max(self._leaves, default=0)
 
     def __len__(self) -> int:
         return len(self._enters)
-
-
-def occupancy_histogram(
-    residencies: Iterable[Residency], total_cycles: int
-) -> Histogram:
-    """Compute cycles-at-each-occupancy-level from residency records.
-
-    Cycles beyond the lifetime of the last element count as occupancy zero so
-    the histogram always sums to ``total_cycles``.
-    """
-    enters = []
-    leaves = []
-    for residency in residencies:
-        enters.append(residency.enter)
-        leaves.append(residency.leave)
-    return _histogram_of_events(enters, leaves, total_cycles)
-
-
-def _histogram_of_events(
-    enters: list[int], leaves: list[int], total_cycles: int
-) -> Histogram:
-    """The occupancy sweep over parallel enter/leave lists."""
-    histogram = Histogram()
-    if total_cycles <= 0:
-        return histogram
-
-    events: list[tuple[int, int]] = []
-    for enter, leave in zip(enters, leaves):
-        start = enter if enter < total_cycles else total_cycles
-        end = leave if leave < total_cycles else total_cycles
-        if end > start:
-            events.append((start, +1))
-            events.append((end, -1))
-
-    if not events:
-        histogram.add(0, total_cycles)
-        return histogram
-
-    events.sort()
-    level = 0
-    previous_time = 0
-    index = 0
-    while index < len(events):
-        time = events[index][0]
-        if time > previous_time:
-            histogram.add(level, time - previous_time)
-            previous_time = time
-        while index < len(events) and events[index][0] == time:
-            level += events[index][1]
-            index += 1
-    if previous_time < total_cycles:
-        histogram.add(level, total_cycles - previous_time)
-    return histogram

@@ -44,6 +44,7 @@ class DecoupledResult:
     scalar_cache_misses: int = 0
 
     _breakdown: StateBreakdown | None = field(default=None, repr=False, compare=False)
+    _avdq_histogram: Histogram | None = field(default=None, repr=False, compare=False)
 
     # -- unit-state analysis (Figures 1/4 style) ---------------------------------------
 
@@ -75,14 +76,22 @@ class DecoupledResult:
     # -- queue analysis (Figure 6) -------------------------------------------------------
 
     def avdq_histogram(self) -> Histogram:
-        """Cycles at each AVDQ occupancy level over the whole run."""
-        return self.avdq_occupancy.occupancy_histogram(self.total_cycles)
+        """Cycles at each AVDQ occupancy level over the whole run (swept once).
+
+        Every AVDQ residency ends by ``total_cycles`` (a fuzz invariant), so
+        this histogram also yields the run's peak and mean occupancy.
+        """
+        if self._avdq_histogram is None:
+            self._avdq_histogram = self.avdq_occupancy.occupancy_histogram(
+                self.total_cycles
+            )
+        return self._avdq_histogram
 
     def max_avdq_occupancy(self) -> int:
-        return self.avdq_occupancy.max_occupancy()
+        return self.avdq_histogram().max_key()
 
     def mean_avdq_occupancy(self) -> float:
-        return self.avdq_occupancy.mean_occupancy(self.total_cycles)
+        return self.avdq_histogram().mean()
 
     # -- bypass analysis (Section 7 / Figure 8) -------------------------------------------
 

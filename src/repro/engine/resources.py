@@ -130,8 +130,7 @@ class ResourcePool:
             return self.recorders[0]
         combined = IntervalRecorder(name or self.name)
         for recorder in self.recorders:
-            for interval in recorder:
-                combined.record_interval(interval)
+            combined.extend(recorder)
         return combined
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -68,12 +68,6 @@ class ReferenceResult:
         return self.port_busy.busy_time() / self.total_cycles
 
     @property
-    def peak_state_cycles(self) -> int:
-        """Cycles with both functional units busy (the paper's peak FP states)."""
-        breakdown = self.state_breakdown()
-        return breakdown.cycles_in(True, True, True) + breakdown.cycles_in(True, True, False)
-
-    @property
     def scalar_cache_accesses(self) -> int:
         return self.scalar_cache_hits + self.scalar_cache_misses
 

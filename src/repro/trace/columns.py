@@ -254,21 +254,46 @@ class ColumnarTrace:
         stride_elements: int = 1,
         base_address: Optional[int] = None,
     ) -> None:
-        """Append one dynamic record to the columns."""
+        """Validate one dynamic record, intern its tables and append it."""
         if vector_length < 0:
             raise TraceError("vector length cannot be negative")
         if instruction.is_memory and base_address is None:
             raise TraceError(
                 f"memory instruction {instruction} traced without a base address"
             )
-        index = self.intern_instruction(instruction)
+        self.append_row(
+            self.intern_instruction(instruction),
+            kind_of(instruction),
+            sequence,
+            vector_length,
+            stride_elements,
+            NO_ADDRESS if base_address is None else base_address,
+            self.intern_block(block_label),
+        )
+
+    def append_row(
+        self,
+        index: int,
+        kind: int,
+        sequence: int,
+        vector_length: int,
+        stride_elements: int,
+        address: int,
+        block: int,
+    ) -> None:
+        """Append one already-validated record of interned table indices.
+
+        The one writer of the columns: :meth:`append` calls it per record,
+        and trace generation calls it directly with facts it validated once
+        per static instruction.
+        """
         self.insn.append(index)
-        self.kind.append(kind_of(instruction))
+        self.kind.append(kind)
         self.seq.append(sequence)
         self.vl.append(vector_length)
         self.stride.append(stride_elements)
-        self.addr.append(NO_ADDRESS if base_address is None else base_address)
-        self.block.append(self.intern_block(block_label))
+        self.addr.append(address)
+        self.block.append(block)
 
     def _invalidate(self) -> None:
         self._infos = None

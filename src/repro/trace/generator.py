@@ -10,13 +10,14 @@ columns, with no intermediate record object per instruction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH
+from repro.trace.columns import NO_ADDRESS, kind_of
 from repro.trace.record import DynamicInstruction, Trace
 
 #: Version of the trace-generation algorithm.  Any change that alters the
@@ -66,10 +67,6 @@ class RegionAllocator:
         self._addresses[region] = base
         return base
 
-    def address_of(self, region: str, element_offset: int = 0) -> int:
-        """Byte address of element ``element_offset`` within ``region``."""
-        return self.base_of(region) + element_offset * ELEMENT_SIZE_BYTES
-
     @property
     def regions(self) -> Dict[str, int]:
         """A copy of the region → base-address map."""
@@ -89,6 +86,13 @@ class TraceBuilder:
     block's memory references land through ``region_offsets`` — a map from
     region name to an element offset — which is how loop iterations advance
     through their arrays.
+
+    Replay touches the same few hundred static instructions again and again,
+    so what a record shares with every other occurrence of its instruction
+    (table index, kind, vector-ness, stride, region and its base, the
+    ``SET_VL``/``SET_VS`` value) is derived and validated once per static
+    instruction; each record then only reads the vector-length state and
+    adds its region offset.
     """
 
     def __init__(self, name: str, allocator: Optional[RegionAllocator] = None) -> None:
@@ -97,6 +101,9 @@ class TraceBuilder:
         self._vector_length = VECTOR_REGISTER_LENGTH
         self._vector_stride = 1
         self._sequence = 0
+        #: ``id(instruction)`` -> its static facts; each entry holds the
+        #: instruction itself, so the id cannot be reused while it lives.
+        self._static: Dict[int, tuple] = {}
 
     # -- architectural state ---------------------------------------------------
 
@@ -116,10 +123,8 @@ class TraceBuilder:
         region_offsets: Optional[Dict[str, int]] = None,
     ) -> None:
         """Replay one basic block, emitting a dynamic record per instruction."""
-        offsets = region_offsets or {}
         self.trace.blocks_executed += 1
-        for instruction in block.instructions:
-            self._append_instruction(instruction, block.label, offsets)
+        self._emit(block.instructions, block.label, region_offsets or {})
 
     def append_instruction(
         self,
@@ -128,27 +133,52 @@ class TraceBuilder:
         region_offsets: Optional[Dict[str, int]] = None,
     ) -> DynamicInstruction:
         """Emit a single dynamic record outside of block replay."""
-        self._append_instruction(instruction, block_label, region_offsets or {})
+        self._emit((instruction,), block_label, region_offsets or {})
         return self.trace[len(self.trace) - 1]
 
-    def _append_instruction(
+    def _emit(
         self,
-        instruction: Instruction,
+        instructions: Sequence[Instruction],
         block_label: str,
         offsets: Dict[str, int],
     ) -> None:
-        self._update_control_registers(instruction)
-        self.trace.columns.append(
-            instruction,
-            sequence=self._sequence,
-            block_label=block_label,
-            vector_length=self._effective_length(instruction),
-            stride_elements=self._effective_stride(instruction),
-            base_address=self._effective_address(instruction, offsets),
-        )
-        self._sequence += 1
+        if not instructions:
+            return
+        columns = self.trace.columns
+        append_row = columns.append_row
+        block = columns.intern_block(block_label)
+        static = self._static
+        sequence = self._sequence
+        vector_length = self._vector_length
+        try:
+            for instruction in instructions:
+                facts = static.get(id(instruction))
+                if facts is None:
+                    facts = self._static_facts(instruction)
+                _, index, kind, is_vector, region, base, stride, set_vl, set_vs = facts
+                if set_vl is not None:
+                    vector_length = set_vl
+                elif set_vs is not None:
+                    self._vector_stride = set_vs
+                append_row(
+                    index,
+                    kind,
+                    sequence,
+                    vector_length if is_vector else 1,
+                    stride,
+                    NO_ADDRESS
+                    if region is None
+                    else base + offsets.get(region, 0) * ELEMENT_SIZE_BYTES,
+                    block,
+                )
+                sequence += 1
+        finally:
+            self._sequence = sequence
+            self._vector_length = vector_length
 
-    def _update_control_registers(self, instruction: Instruction) -> None:
+    def _static_facts(self, instruction: Instruction) -> tuple:
+        """Validate ``instruction`` and memoize what all its records share."""
+        set_vl = set_vs = None
         if instruction.opcode is Opcode.SET_VL:
             if instruction.immediate is None:
                 raise TraceError("SET_VL traced without an immediate vector length")
@@ -157,30 +187,26 @@ class TraceBuilder:
                     f"SET_VL immediate {instruction.immediate} outside "
                     f"[0, {VECTOR_REGISTER_LENGTH}]"
                 )
-            self._vector_length = instruction.immediate
+            set_vl = instruction.immediate
         elif instruction.opcode is Opcode.SET_VS:
             if instruction.immediate is None:
                 raise TraceError("SET_VS traced without an immediate stride")
-            self._vector_stride = instruction.immediate
-
-    def _effective_length(self, instruction: Instruction) -> int:
-        if instruction.is_vector:
-            return self._vector_length
-        return 1
-
-    def _effective_stride(self, instruction: Instruction) -> int:
-        if instruction.memory is not None and instruction.is_vector_memory:
-            return instruction.memory.stride
-        return 1
-
-    def _effective_address(
-        self, instruction: Instruction, offsets: Dict[str, int]
-    ) -> Optional[int]:
-        if instruction.memory is None:
-            return None
-        region = instruction.memory.region
-        offset = offsets.get(region, 0)
-        return self.allocator.address_of(region, offset)
+            set_vs = instruction.immediate
+        memory = instruction.memory
+        region = None if memory is None else memory.region
+        facts = (
+            instruction,
+            self.trace.columns.intern_instruction(instruction),
+            kind_of(instruction),
+            instruction.is_vector,
+            region,
+            None if region is None else self.allocator.base_of(region),
+            memory.stride if memory is not None and instruction.is_vector_memory else 1,
+            set_vl,
+            set_vs,
+        )
+        self._static[id(instruction)] = facts
+        return facts
 
     # -- results -----------------------------------------------------------------
 

@@ -4,78 +4,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import SimulationError
-from repro.common.intervals import (
-    Interval,
-    IntervalRecorder,
-    merge_intervals,
-    state_breakdown,
-    total_busy_time,
+from repro.common.intervals import IntervalRecorder, state_breakdown
+
+#: Up to eight (start, length) pairs on a small axis, so intervals overlap,
+#: touch and run past ``total_cycles``; zero lengths exercise the no-op rule.
+_intervals = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(0, 20)), max_size=8
 )
 
 
-class TestInterval:
-    def test_length(self):
-        assert Interval(3, 10).length == 7
-
-    def test_zero_length_is_falsy(self):
-        assert not Interval(5, 5)
-        assert Interval(5, 6)
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(SimulationError):
-            Interval(10, 3)
-
-    def test_overlap_detection(self):
-        assert Interval(0, 5).overlaps(Interval(4, 8))
-        assert not Interval(0, 5).overlaps(Interval(5, 8))
-        assert not Interval(6, 9).overlaps(Interval(0, 6))
-
-    def test_intersection(self):
-        assert Interval(0, 5).intersection(Interval(3, 9)) == Interval(3, 5)
-        assert Interval(0, 3).intersection(Interval(3, 9)) is None
-
-
-class TestMergeIntervals:
-    def test_empty(self):
-        assert merge_intervals([]) == []
-
-    def test_disjoint_are_sorted(self):
-        merged = merge_intervals([Interval(10, 12), Interval(0, 2)])
-        assert merged == [Interval(0, 2), Interval(10, 12)]
-
-    def test_overlapping_are_joined(self):
-        merged = merge_intervals([Interval(0, 5), Interval(3, 8), Interval(8, 9)])
-        assert merged == [Interval(0, 9)]
-
-    def test_contained_intervals_collapse(self):
-        merged = merge_intervals([Interval(0, 10), Interval(2, 3)])
-        assert merged == [Interval(0, 10)]
-
-    def test_total_busy_time_ignores_double_counting(self):
-        assert total_busy_time([Interval(0, 5), Interval(3, 8)]) == 8
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 500), st.integers(0, 100)).map(
-                lambda t: Interval(t[0], t[0] + t[1])
-            ),
-            max_size=40,
-        )
-    )
-    def test_merge_preserves_coverage(self, intervals):
-        merged = merge_intervals(intervals)
-        # Merged intervals are disjoint and sorted.
-        for first, second in zip(merged, merged[1:]):
-            assert first.end < second.start or first.end <= second.start
-        # Every original cycle is covered by some merged interval.
-        covered = set()
-        for interval in merged:
-            covered.update(range(interval.start, interval.end))
-        original = set()
-        for interval in intervals:
-            original.update(range(interval.start, interval.end))
-        assert covered == original
-        assert total_busy_time(intervals) == len(original)
+def _recorder(name, pairs):
+    recorder = IntervalRecorder(name)
+    for start, length in pairs:
+        recorder.record(start, start + length)
+    return recorder
 
 
 class TestIntervalRecorder:
@@ -89,19 +31,28 @@ class TestIntervalRecorder:
         recorder = IntervalRecorder("fu1")
         recorder.record(4, 4)
         assert len(recorder) == 0
+        assert recorder.merged_pairs() == []
 
     def test_invalid_record_raises(self):
         recorder = IntervalRecorder("fu1")
         with pytest.raises(SimulationError):
             recorder.record(10, 2)
 
-    def test_busy_at(self):
+    def test_merged_pairs_follow_later_records(self):
         recorder = IntervalRecorder("ld")
-        recorder.record(5, 8)
-        assert recorder.busy_at(5)
-        assert recorder.busy_at(7)
-        assert not recorder.busy_at(8)
-        assert not recorder.busy_at(0)
+        recorder.record(10, 12)
+        recorder.record(0, 2)
+        assert recorder.merged_pairs() == [(0, 2), (10, 12)]
+        recorder.record(2, 10)
+        assert recorder.merged_pairs() == [(0, 12)]
+        assert recorder.busy_time() == 12
+
+    def test_extend_adds_the_other_recorders_intervals(self):
+        first = _recorder("a", [(0, 5)])
+        first.merged_pairs()
+        first.extend(_recorder("b", [(8, 2)]))
+        assert len(first) == 2
+        assert first.merged_pairs() == [(0, 5), (8, 10)]
 
     def test_last_end(self):
         recorder = IntervalRecorder("ld")
@@ -109,6 +60,32 @@ class TestIntervalRecorder:
         recorder.record(5, 8)
         recorder.record(1, 3)
         assert recorder.last_end() == 8
+
+    @given(_intervals)
+    def test_merged_pairs_cover_exactly_the_recorded_cycles(self, pairs):
+        recorder = _recorder("fu", pairs)
+        merged = recorder.merged_pairs()
+        # Disjoint, sorted and never touching: touching intervals merge.
+        for (_, first_end), (second_start, _) in zip(merged, merged[1:]):
+            assert first_end < second_start
+        covered = {cycle for start, end in merged for cycle in range(start, end)}
+        recorded = {
+            cycle for start, length in pairs for cycle in range(start, start + length)
+        }
+        assert covered == recorded
+        assert recorder.busy_time() == len(recorded)
+
+
+def _brute_force_breakdown(pair_lists, total_cycles):
+    """Busy pattern of every cycle of ``[0, total_cycles)``, counted one by one."""
+    cycles = {}
+    for cycle in range(total_cycles):
+        pattern = tuple(
+            any(start <= cycle < start + length for start, length in pairs)
+            for pairs in pair_lists
+        )
+        cycles[pattern] = cycles.get(pattern, 0) + 1
+    return cycles
 
 
 class TestStateBreakdown:
@@ -128,6 +105,7 @@ class TestStateBreakdown:
         fu1.record(5, 15)
         ld.record(0, 20)
         breakdown = state_breakdown([fu2, fu1, ld], total_cycles=25)
+        assert breakdown.resource_names == ("FU2", "FU1", "LD")
         assert breakdown.cycles_in(True, False, True) == 5    # [0, 5)
         assert breakdown.cycles_in(True, True, True) == 5     # [5, 10)
         assert breakdown.cycles_in(False, True, True) == 5    # [10, 15)
@@ -135,44 +113,18 @@ class TestStateBreakdown:
         assert breakdown.cycles_all_idle() == 5               # [20, 25)
         assert sum(breakdown.cycles.values()) == 25
 
-    def test_resource_idle_cycles(self):
-        fu2 = IntervalRecorder("FU2")
-        ld = IntervalRecorder("LD")
-        ld.record(0, 4)
-        breakdown = state_breakdown([fu2, ld], total_cycles=10)
-        assert breakdown.cycles_resource_idle("LD") == 6
-        assert breakdown.cycles_resource_idle("FU2") == 10
-
-    def test_fraction(self):
-        fu2 = IntervalRecorder("FU2")
-        fu2.record(0, 25)
-        breakdown = state_breakdown([fu2], total_cycles=100)
-        assert breakdown.fraction(True) == pytest.approx(0.25)
-
     def test_zero_total_cycles(self):
-        breakdown = state_breakdown([IntervalRecorder("FU2")], total_cycles=0)
+        breakdown = state_breakdown([_recorder("FU2", [(0, 5)])], total_cycles=0)
         assert breakdown.cycles == {}
-        assert breakdown.fraction(True) == 0.0
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 200), st.integers(1, 50)),
-            min_size=0,
-            max_size=20,
-        ),
-        st.lists(
-            st.tuples(st.integers(0, 200), st.integers(1, 50)),
-            min_size=0,
-            max_size=20,
-        ),
-        st.integers(1, 300),
-    )
-    def test_breakdown_partitions_total_cycles(self, first, second, total_cycles):
-        recorder_a = IntervalRecorder("A")
-        recorder_b = IntervalRecorder("B")
-        for start, length in first:
-            recorder_a.record(start, start + length)
-        for start, length in second:
-            recorder_b.record(start, start + length)
-        breakdown = state_breakdown([recorder_a, recorder_b], total_cycles)
-        assert sum(breakdown.cycles.values()) == total_cycles
+    @given(st.lists(_intervals, min_size=1, max_size=4), st.integers(0, 80))
+    def test_breakdown_equals_a_per_cycle_count(self, pair_lists, total_cycles):
+        recorders = [
+            _recorder(f"R{position}", pairs) for position, pairs in enumerate(pair_lists)
+        ]
+        breakdown = state_breakdown(recorders, total_cycles)
+        expected = _brute_force_breakdown(pair_lists, total_cycles)
+        assert breakdown.cycles == expected
+        # Patterns appear in the order they are first held.
+        assert list(breakdown.cycles) == list(expected)
+        assert breakdown.total_cycles == total_cycles

@@ -1,77 +1,36 @@
-"""Tests for queue-occupancy timelines."""
+"""Tests for queue-occupancy timelines and the AVDQ numbers derived from them."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import SimulationError
-from repro.common.timeline import OccupancyTimeline, Residency, occupancy_histogram
+from repro.common.intervals import IntervalRecorder
+from repro.common.timeline import OccupancyTimeline
+from repro.dva.result import DecoupledResult
 
 
-class TestResidency:
-    def test_rejects_negative_duration(self):
-        with pytest.raises(SimulationError):
-            Residency(enter=10, leave=5)
-
-    def test_zero_duration_allowed(self):
-        residency = Residency(enter=4, leave=4)
-        assert residency.enter == residency.leave
+def _timeline(pairs):
+    timeline = OccupancyTimeline("AVDQ")
+    for enter, length in pairs:
+        timeline.record(enter, enter + length)
+    return timeline
 
 
-class TestOccupancyHistogram:
-    def test_empty_counts_all_cycles_at_zero(self):
-        histogram = occupancy_histogram([], total_cycles=50)
-        assert histogram.count(0) == 50
-        assert histogram.total() == 50
-
-    def test_single_element(self):
-        histogram = occupancy_histogram([Residency(10, 20)], total_cycles=30)
-        assert histogram.count(0) == 20
-        assert histogram.count(1) == 10
-        assert histogram.total() == 30
-
-    def test_overlapping_elements(self):
-        residencies = [Residency(0, 10), Residency(5, 15), Residency(5, 8)]
-        histogram = occupancy_histogram(residencies, total_cycles=20)
-        assert histogram.count(3) == 3   # [5, 8)
-        assert histogram.count(2) == 2   # [8, 10)
-        assert histogram.count(1) == 10  # [0, 5) and [10, 15)
-        assert histogram.count(0) == 5   # [15, 20)
-        assert histogram.total() == 20
-
-    def test_truncation_at_horizon(self):
-        histogram = occupancy_histogram([Residency(0, 100)], total_cycles=10)
-        assert histogram.count(1) == 10
-        assert histogram.total() == 10
-
-    def test_zero_cycles(self):
-        histogram = occupancy_histogram([Residency(0, 5)], total_cycles=0)
-        assert histogram.total() == 0
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 100), st.integers(0, 40)),
-            max_size=30,
-        ),
-        st.integers(1, 200),
+def _decoupled_result(timeline, total_cycles):
+    """A decoupled result that carries nothing but an AVDQ timeline."""
+    return DecoupledResult(
+        program="p",
+        latency=1,
+        total_cycles=total_cycles,
+        instructions=0,
+        bypass_enabled=False,
+        fu1_busy=IntervalRecorder("FU1"),
+        fu2_busy=IntervalRecorder("FU2"),
+        port_busy=IntervalRecorder("LD"),
+        qmov_busy=[],
+        bypass_busy=IntervalRecorder("bypass"),
+        avdq_occupancy=timeline,
     )
-    def test_histogram_always_sums_to_total_cycles(self, raw, total_cycles):
-        residencies = [Residency(start, start + length) for start, length in raw]
-        histogram = occupancy_histogram(residencies, total_cycles)
-        assert histogram.total() == total_cycles
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 100), st.integers(1, 40)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_mean_occupancy_matches_total_residency_time(self, raw):
-        residencies = [Residency(start, start + length) for start, length in raw]
-        horizon = max(r.leave for r in residencies)
-        histogram = occupancy_histogram(residencies, horizon)
-        weighted = sum(level * cycles for level, cycles in histogram.items())
-        assert weighted == sum(r.leave - r.enter for r in residencies)
 
 
 class TestOccupancyTimeline:
@@ -84,21 +43,48 @@ class TestOccupancyTimeline:
         assert histogram.count(1) == 7
         assert histogram.count(0) == 8
 
+    def test_empty_counts_all_cycles_at_zero(self):
+        histogram = OccupancyTimeline("AVDQ").occupancy_histogram(total_cycles=50)
+        assert histogram.as_dict() == {0: 50}
+
+    def test_overlapping_elements(self):
+        histogram = _timeline([(0, 10), (5, 10), (5, 3)]).occupancy_histogram(20)
+        assert histogram.as_dict() == {1: 10, 3: 3, 2: 2, 0: 5}
+
+    def test_zero_cycles(self):
+        assert _timeline([(0, 5)]).occupancy_histogram(total_cycles=0).total() == 0
+
     def test_zero_length_residency_ignored(self):
         timeline = OccupancyTimeline("AVDQ")
         timeline.record(3, 3)
         assert len(timeline) == 0
 
-    def test_max_occupancy(self):
+    def test_negative_residency_raises(self):
+        with pytest.raises(SimulationError, match="before it enters"):
+            OccupancyTimeline("AVDQ").record(10, 5)
+
+    def test_last_leave(self):
         timeline = OccupancyTimeline("AVDQ")
-        assert timeline.max_occupancy() == 0
+        assert timeline.last_leave() == 0
         timeline.record(0, 10)
         timeline.record(2, 4)
-        timeline.record(3, 4)
-        assert timeline.max_occupancy() == 3
+        assert timeline.last_leave() == 10
 
-    def test_mean_occupancy(self):
-        timeline = OccupancyTimeline("AVDQ")
-        timeline.record(0, 10)
-        assert timeline.mean_occupancy(total_cycles=20) == pytest.approx(0.5)
-        assert timeline.mean_occupancy(total_cycles=0) == 0.0
+    @given(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 20)), max_size=12),
+        st.integers(0, 80),
+    )
+    def test_histogram_and_avdq_numbers_equal_a_per_cycle_count(self, pairs, total_cycles):
+        levels = [
+            sum(enter <= cycle < enter + length for enter, length in pairs)
+            for cycle in range(total_cycles)
+        ]
+        expected = {}
+        for level in levels:
+            expected[level] = expected.get(level, 0) + 1
+        result = _decoupled_result(_timeline(pairs), total_cycles)
+        assert result.avdq_histogram().as_dict() == expected
+        assert result.max_avdq_occupancy() == max(levels, default=0)
+        mean = sum(levels) / total_cycles if total_cycles else 0.0
+        assert result.mean_avdq_occupancy() == mean
+        assert result.avdq_histogram() is result.avdq_histogram()

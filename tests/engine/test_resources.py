@@ -101,10 +101,16 @@ class TestRecording:
         pool.acquire(0, 5)
         assert pool.combined_recorder() is pool.recorder()
 
-    def test_combined_recorder_merges_units(self):
+    def test_combined_recorder_is_the_union_of_its_units(self):
         pool = ResourcePool("LD", count=2)
-        pool.acquire(0, 5, unit=0)
-        pool.acquire(2, 5, unit=1)
+        for earliest, busy in ((0, 5), (2, 5), (3, 2), (9, 1), (12, 3), (12, 1)):
+            pool.acquire(earliest, busy)
         combined = pool.combined_recorder()
         assert combined.name == "LD"
-        assert combined.busy_time() == 7  # [0,5) U [2,7)
+        assert len(combined) == sum(len(unit) for unit in pool.recorders)
+        union = set()
+        for unit in pool.recorders:
+            union.update(c for start, end in unit.merged_pairs() for c in range(start, end))
+        covered = {c for start, end in combined.merged_pairs() for c in range(start, end)}
+        assert covered == union
+        assert combined.merged_pairs() == [(0, 7), (9, 10), (12, 15)]

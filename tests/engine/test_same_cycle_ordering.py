@@ -18,7 +18,7 @@ first within one cycle" question is answered by a convention baked into
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.common.intervals import Interval, IntervalRecorder
+from repro.common.intervals import IntervalRecorder, state_breakdown
 from repro.dva.queues import TimedQueue
 from repro.engine import ResourcePool
 
@@ -105,9 +105,12 @@ class TestIntervalSameCycleRules:
     def test_intervals_are_half_open_at_the_end(self):
         recorder = IntervalRecorder("FU")
         recorder.record(0, 5)
-        assert recorder.busy_at(4)
-        assert not recorder.busy_at(5)
-        assert not Interval(0, 5).overlaps(Interval(5, 8))
+        recorder.record(6, 8)
+        # Cycle 5 is free: [0, 5) ends before it and [6, 8) starts after it.
+        assert recorder.merged_pairs() == [(0, 5), (6, 8)]
+        assert recorder.busy_time() == 7
+        breakdown = state_breakdown([recorder], total_cycles=8)
+        assert breakdown.cycles == {(True,): 7, (False,): 1}
 
     def test_last_end_is_the_handover_cycle(self):
         recorder = IntervalRecorder("FU")

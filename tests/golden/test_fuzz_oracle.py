@@ -27,6 +27,7 @@ from repro.core.fuzz import (
     LATENCIES,
     SNAPSHOT_CASES,
     case_seed,
+    check_invariants,
     generate_case,
     repro_command,
     run_case,
@@ -76,6 +77,16 @@ def test_case_passes_invariants_and_snapshot(snapshot, cases, index):
     case = cases[index]
     message = run_case(case, snapshot["cells"][str(case.seed)])
     assert message is None, "fuzz oracle failure:\n" + _report([(index, message)])
+
+
+def test_invariants_flag_an_avdq_residency_past_total_cycles(cases):
+    case = next(case for case in cases if case.family == "dva")
+    trace = case.build_trace()
+    result, _ = case.simulate(trace)
+    assert check_invariants(case, result, len(trace)) is None
+    result.avdq_occupancy.record(0, result.total_cycles + 1)
+    message = check_invariants(case, result, len(trace))
+    assert message.startswith("AVDQ residency ends at")
 
 
 def _violations(case):

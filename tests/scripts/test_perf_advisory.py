@@ -15,17 +15,22 @@ _BASELINE = {
     "cpu_count": 2,
     "python": "3.11.7",
     "tolerance": 0.3,
-    "metrics": {"dva.insns_per_s": 200000.0, "refarch.insns_per_s": 500000.0},
+    "metrics": {
+        "dva.insns_per_s": 200000.0,
+        "refarch.insns_per_s": 500000.0,
+        "trace.records_per_s": 600000.0,
+    },
 }
 
 
-def _ledger(tmp_path, dva, ref):
+def _ledger(tmp_path, dva, ref, trace=650000.0):
     host = {"workload": "paper-cold", "cpu_count": 4, "python": "3.12.1"}
     result = {
         "correct": True,
         "metrics": {
             "dva.insns_per_s": {"value": dva, "unit": "1/s"},
             "refarch.insns_per_s": {"value": ref, "unit": "1/s"},
+            "trace.records_per_s": {"value": trace, "unit": "1/s"},
         },
     }
     path = tmp_path / "ledger.txt"
@@ -40,7 +45,7 @@ def baseline(tmp_path, monkeypatch):
     monkeypatch.setattr(perf_advisory, "BASELINE_PATH", path)
 
 
-def test_committed_baseline_names_both_rates():
+def test_committed_baseline_names_every_rate():
     committed = json.loads(perf_advisory.BASELINE_PATH.read_text())
     assert set(committed["metrics"]) == set(perf_advisory.METRICS)
     assert {"cpu_count", "python", "tolerance"} <= set(committed)
@@ -66,6 +71,17 @@ def test_rate_below_tolerance_warns(tmp_path, baseline, capsys, monkeypatch):
     ]
     assert len(warnings) == 1
     assert "dva.insns_per_s" in warnings[0] and "50% below" in warnings[0]
+
+
+def test_slow_trace_build_warns(tmp_path, baseline, capsys, monkeypatch):
+    monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
+    ledger = _ledger(tmp_path, dva=200000.0, ref=500000.0, trace=300000.0)
+    assert perf_advisory.main([str(ledger)]) == 0
+    out = capsys.readouterr().out
+    warnings = [line for line in out.splitlines() if line.startswith("::warning")]
+    assert len(warnings) == 1
+    assert "trace.records_per_s" in warnings[0] and "50% below" in warnings[0]
+    assert "| trace.records_per_s | 600,000 | 300,000 | 0.50x |" in out
 
 
 def test_missing_ledger_still_exits_zero(tmp_path, baseline, capsys, monkeypatch):

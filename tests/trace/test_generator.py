@@ -3,12 +3,15 @@
 import pytest
 
 from repro.common.errors import TraceError
+from repro.core import fuzz
 from repro.isa.builder import InstructionBuilder
 from repro.isa.instruction import make_instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH, s_reg, v_reg
 from repro.trace.generator import RegionAllocator, TraceBuilder
+from repro.trace.record import Trace
+from repro.workloads.perfect_club import load_program, program_names
 
 
 def _simple_block(vl=64, region="x"):
@@ -40,11 +43,6 @@ class TestRegionAllocator:
         spill = allocator.base_of("spill_loop0")
         assert spill > data
 
-    def test_address_of_offsets_by_elements(self):
-        allocator = RegionAllocator()
-        base = allocator.base_of("a")
-        assert allocator.address_of("a", 10) == base + 10 * ELEMENT_SIZE_BYTES
-
     def test_regions_map_copy(self):
         allocator = RegionAllocator()
         allocator.base_of("a")
@@ -65,17 +63,28 @@ class TestTraceBuilder:
         vector_records = [r for r in trace if r.is_vector]
         assert all(r.vector_length == 33 for r in vector_records)
 
-    def test_set_vl_requires_immediate(self):
+    @pytest.mark.parametrize("immediate", [None, -1, VECTOR_REGISTER_LENGTH + 1])
+    def test_bad_set_vl_raises_on_its_first_occurrence(self, immediate):
+        block = BasicBlock("bad")
+        block.append(make_instruction(Opcode.S_ADD, destinations=(s_reg(0),)))
+        block.append(make_instruction(Opcode.SET_VL, immediate=immediate))
         builder = TraceBuilder("demo")
-        bad = make_instruction(Opcode.SET_VL)
-        with pytest.raises(TraceError):
-            builder.append_instruction(bad)
+        with pytest.raises(TraceError, match="SET_VL"):
+            builder.append_block(block)
+        assert len(builder.trace) == 1
+        with pytest.raises(TraceError, match="SET_VL"):
+            builder.append_instruction(block.instructions[1])
 
-    def test_set_vl_range_checked(self):
+    def test_replayed_block_picks_up_a_new_vector_length(self):
+        block = BasicBlock("body")
+        InstructionBuilder(block).vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
         builder = TraceBuilder("demo")
-        bad = make_instruction(Opcode.SET_VL, immediate=VECTOR_REGISTER_LENGTH + 1)
-        with pytest.raises(TraceError):
-            builder.append_instruction(bad)
+        for length in (10, 20, 10):
+            builder.append_instruction(make_instruction(Opcode.SET_VL, immediate=length))
+            builder.append_block(block)
+        trace = builder.build()
+        assert [r.vector_length for r in trace if r.opcode is Opcode.V_ADD] == [10, 20, 10]
+        assert builder.vector_length == 10
 
     def test_set_vs_updates_stride_state(self):
         builder = TraceBuilder("demo")
@@ -89,7 +98,8 @@ class TestTraceBuilder:
         builder.append_block(block, region_offsets={"x": 64})
         trace = builder.build()
         loads = [r for r in trace if r.is_load]
-        assert loads[1].base_address - loads[0].base_address == 64 * ELEMENT_SIZE_BYTES
+        base = trace.metadata["regions"]["x"]
+        assert [r.base_address for r in loads] == [base, base + 64 * ELEMENT_SIZE_BYTES]
 
     def test_block_counting(self):
         builder = TraceBuilder("demo")
@@ -133,3 +143,41 @@ class TestTraceBuilder:
         trace = builder.build()
         assert "x" in trace.metadata["regions"]
         assert "y" in trace.metadata["regions"]
+
+
+def _perfect_club_trace(name):
+    return load_program(name).build_trace()
+
+
+def _kernel_trace(kernel):
+    case = fuzz.FuzzCase(
+        seed=0,
+        family="dva",
+        kernel=kernel,
+        elements=200,
+        max_vector_length=64,
+        invocations=2,
+        latency=1,
+        lanes=1,
+        ports=1,
+    )
+    return case.build_trace()
+
+
+_SOURCES = [(_perfect_club_trace, name) for name in program_names()] + [
+    (_kernel_trace, kernel) for kernel in fuzz.KERNELS
+]
+
+
+@pytest.mark.parametrize("build, name", _SOURCES, ids=[name for _, name in _SOURCES])
+def test_builder_columns_equal_record_by_record_appends(build, name):
+    """The builder's once-per-instruction facts match per-record validation."""
+    built = build(name)
+    replayed = Trace(built.name)
+    for record in built:
+        replayed.append(record)
+    mine, theirs = built.columns, replayed.columns
+    for column in ("insn", "kind", "seq", "vl", "stride", "addr", "block"):
+        assert getattr(mine, column) == getattr(theirs, column), column
+    assert mine.block_labels == theirs.block_labels
+    assert mine.instructions == theirs.instructions
