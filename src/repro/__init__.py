@@ -26,11 +26,6 @@ contribution:
   asyncio HTTP daemon over the store that answers warm cells in
   microseconds, deduplicates identical in-flight cells across concurrent
   clients, and streams per-cell sweep progress as server-sent events.
-* :mod:`repro.cluster` — distributed sweeps over a shared store directory:
-  a coordinator publishes a cost-ranked manifest of unfinished cells and
-  ``repro worker`` processes on any number of hosts race atomic,
-  lease-guarded claim files to simulate them, stealing the cells of
-  crashed peers when their leases expire.
 
 The :mod:`repro.core` facade is re-exported here, so most callers only need::
 

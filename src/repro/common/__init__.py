@@ -18,7 +18,7 @@ from repro.common.errors import (
     WorkloadError,
 )
 from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
-from repro.common.stats import Histogram, RunningStats, geometric_mean, weighted_mean
+from repro.common.stats import Histogram
 from repro.common.timeline import OccupancyTimeline
 
 __all__ = [
@@ -27,12 +27,9 @@ __all__ = [
     "IntervalRecorder",
     "OccupancyTimeline",
     "ReproError",
-    "RunningStats",
     "SimulationError",
     "StateBreakdown",
     "TraceError",
     "WorkloadError",
-    "geometric_mean",
     "state_breakdown",
-    "weighted_mean",
 ]

@@ -84,12 +84,6 @@ class IntervalRecorder:
         """Total number of distinct cycles during which the resource was busy."""
         return sum(end - start for start, end in self.merged_pairs())
 
-    def last_end(self) -> int:
-        """Cycle at which the resource last became free (0 when never used)."""
-        if not self._ends:
-            return 0
-        return max(self._ends)
-
     def __len__(self) -> int:
         return len(self._starts)
 

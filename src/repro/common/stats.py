@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 
 class Histogram:
@@ -47,14 +46,6 @@ class Histogram:
             return 0.0
         return sum(key * count for key, count in self._counts.items()) / total
 
-    def fraction_at_or_below(self, key: int) -> float:
-        """Fraction of the total weight at keys less than or equal to ``key``."""
-        total = self.total()
-        if total == 0:
-            return 0.0
-        below = sum(count for k, count in self._counts.items() if k <= key)
-        return below / total
-
     def as_dict(self) -> Dict[int, int]:
         """A plain ``dict`` copy of the histogram contents."""
         return dict(self._counts)
@@ -69,75 +60,3 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({dict(sorted(self._counts.items()))!r})"
-
-
-class RunningStats:
-    """Streaming mean / variance / min / max accumulator (Welford's method)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the accumulator."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold many observations into the accumulator."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations seen so far."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RunningStats(count={self.count}, mean={self.mean:.4g}, "
-            f"stddev={self.stddev:.4g})"
-        )
-
-
-def weighted_mean(pairs: Iterable[Tuple[float, float]]) -> float:
-    """Mean of ``value`` weighted by ``weight`` for ``(value, weight)`` pairs."""
-    total_weight = 0.0
-    total = 0.0
-    for value, weight in pairs:
-        total += value * weight
-        total_weight += weight
-    if total_weight == 0:
-        return 0.0
-    return total / total_weight
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of strictly positive values (0.0 for an empty input)."""
-    log_sum = 0.0
-    count = 0
-    for value in values:
-        if value <= 0:
-            raise ValueError("geometric mean requires strictly positive values")
-        log_sum += math.log(value)
-        count += 1
-    if count == 0:
-        return 0.0
-    return math.exp(log_sum / count)

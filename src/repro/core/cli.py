@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro``.
 
-Six subcommands drive the experiment API end to end:
+Seven subcommands drive the experiment API end to end:
 
 * ``list-programs`` — the available Perfect Club program models and the
   registered architectures they can run on.
@@ -18,19 +18,11 @@ Six subcommands drive the experiment API end to end:
 * ``figures`` — run the paper's headline grid and write the Figure 5,
   Figure 6 and Section 7 artifacts as CSV files (also store-backed).
 * ``cache`` — inspect and manage the result store: ``stats``, ``gc``
-  (eviction by age and/or size, plus reaping dead cluster state), ``clear``.
+  (eviction by age and/or size), ``clear``.
 * ``serve`` — run the long-lived sweep service: an asyncio HTTP daemon whose
   JSON API answers warm cells from the store in microseconds, deduplicates
   identical in-flight cells across clients, and streams per-cell progress
   (see :mod:`repro.service`).
-* ``worker`` — join distributed sweeps as one cooperating worker process:
-  claim manifest cells through the shared store directory, simulate them,
-  steal from crashed peers (see :mod:`repro.cluster`).
-* ``cluster`` — observe distributed sweeps: ``status`` prints each
-  manifest's progress, claims and per-worker counters.
-
-``sweep --distributed`` is the coordinator role: publish the manifest, wait
-for standing ``repro worker`` processes to drain it, assemble.
 """
 
 from __future__ import annotations
@@ -41,7 +33,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.common.errors import ConfigurationError, ReproError
+from repro.common.errors import ReproError
 from repro.core import figures as figures_module
 from repro.core import machine as machine_module
 from repro.core.experiment import CellProgress, Runner, SweepResult, SweepSpec
@@ -165,15 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="worker processes (1 = serial)"
     )
     sweep_parser.add_argument(
-        "--distributed",
-        action="store_true",
-        help="run through repro.cluster: publish the cells the store cannot "
-        "answer as a manifest in the store directory and wait until "
-        "'repro worker' processes serving that directory have simulated "
-        "them (requires the store; start the workers yourself, on this or "
-        "any host that mounts the store)",
-    )
-    sweep_parser.add_argument(
         "--output", help="write the full sweep result as JSON to this path"
     )
     sweep_parser.add_argument(
@@ -276,60 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir", default=None, help=_STORE_DIR_HELP
     )
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    worker_parser = subparsers.add_parser(
-        "worker",
-        help="join distributed sweeps as one worker process: claim cells "
-        "from store-published manifests, simulate them, write results "
-        "back through the store, steal expired claims from dead peers",
-    )
-    worker_parser.add_argument(
-        "--store-dir", default=None, help=_STORE_DIR_HELP
-    )
-    worker_parser.add_argument(
-        "--sweep",
-        action="append",
-        default=[],
-        metavar="SWEEP_ID",
-        help="serve only this sweep id and exit when it drains (repeatable; "
-        "default: serve every manifest in the store)",
-    )
-    worker_parser.add_argument(
-        "--once",
-        action="store_true",
-        help="drain every manifest currently in the store, then exit "
-        "instead of polling for new ones",
-    )
-    worker_parser.add_argument(
-        "--lease", type=float, default=None, metavar="SECONDS",
-        help="claim lease duration; this worker's cells become stealable "
-        "after missing heartbeats for this long (default: 30)",
-    )
-    worker_parser.add_argument(
-        "--worker-id", default=None,
-        help="worker identity used in claim files and status reporting "
-        "(default: <hostname>-<pid>)",
-    )
-    worker_parser.set_defaults(handler=_cmd_worker)
-
-    cluster_parser = subparsers.add_parser(
-        "cluster", help="observe distributed sweeps coordinated through the store"
-    )
-    cluster_subparsers = cluster_parser.add_subparsers(
-        dest="cluster_command", required=True
-    )
-    cluster_status_parser = cluster_subparsers.add_parser(
-        "status",
-        help="per-sweep progress, claim counts and per-worker "
-        "claim/steal/complete counters",
-    )
-    cluster_status_parser.add_argument(
-        "--store-dir", default=None, help=_STORE_DIR_HELP
-    )
-    cluster_status_parser.add_argument(
-        "--json", action="store_true", help="print the status as JSON"
-    )
-    cluster_status_parser.set_defaults(handler=_cmd_cluster_status)
 
     return parser
 
@@ -436,17 +365,6 @@ def _run_sweep(args: argparse.Namespace) -> SweepResult:
         axes=tuple(getattr(args, "axis", ()) or ()),
     )
     progress = _print_progress if getattr(args, "progress", False) else None
-    if getattr(args, "distributed", False):
-        # Imported here so the cluster layer is only paid for when used.
-        from repro.cluster import ClusterCoordinator
-
-        store = _store_from_args(args)
-        if store is None:
-            raise ConfigurationError(
-                "--distributed coordinates through the result store; "
-                "it cannot run with --no-store"
-            )
-        return ClusterCoordinator(store).run_distributed(spec, progress=progress)
     return Runner(jobs=args.jobs, store=_store_from_args(args)).run(
         spec, progress=progress
     )
@@ -586,14 +504,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     if orphans:
         what = "orphaned tmp files removed" if not args.dry_run else "orphaned tmp files to remove"
         print(f"{what}: {orphans}")
-    claims = report.get("cluster_claims_reaped", 0)
-    sweeps = report.get("cluster_sweeps_reaped", 0)
-    if claims or sweeps:
-        verb = "would reap" if args.dry_run else "reaped"
-        print(
-            f"cluster: {verb} {claims} stale claims, "
-            f"{sweeps} drained sweep dirs"
-        )
     return 0
 
 
@@ -618,71 +528,4 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=args.store_dir,
         jobs=args.jobs,
     )
-    return 0
-
-
-# -- distributed sweeps ----------------------------------------------------------------
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    # Imported here so the cluster layer is only paid for by the commands
-    # that need it.
-    from repro.cluster import DEFAULT_LEASE_SECONDS, ClusterWorker
-
-    worker = ClusterWorker(
-        _cache_store(args),
-        worker_id=args.worker_id,
-        lease_seconds=args.lease if args.lease is not None else DEFAULT_LEASE_SECONDS,
-    )
-    sweep_ids = list(args.sweep) or None
-    print(
-        f"worker {worker.worker_id}: store {worker.store.root}, "
-        f"sweeps {sweep_ids if sweep_ids else '(all manifests)'}",
-        file=sys.stderr,
-    )
-    try:
-        counters = worker.run(sweep_ids=sweep_ids, once=args.once)
-    except KeyboardInterrupt:
-        counters = worker.status_payload()["counters"]
-    assert isinstance(counters, dict)
-    print(
-        f"worker {worker.worker_id}: "
-        + ", ".join(f"{name}={value}" for name, value in counters.items()),
-        file=sys.stderr,
-    )
-    return 1 if counters.get("failed") else 0
-
-
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    from repro.cluster import cluster_status
-
-    status = cluster_status(_cache_store(args))
-    if args.json:
-        print(json.dumps(status, indent=2))
-        return 0
-    sweeps = status["sweeps"]
-    assert isinstance(sweeps, list)
-    print(f"cluster root: {status['root']}")
-    if not sweeps:
-        print("no sweeps (no manifests published)")
-        return 0
-    for sweep in sweeps:
-        print(
-            f"\nsweep {sweep['sweep']} [{sweep['state']}]: "
-            f"{sweep['done']}/{sweep['total']} cells done, "
-            f"{sweep['remaining']} remaining, "
-            f"{sweep['claims_active']} active claims"
-            + (
-                f", {sweep['claims_expired']} expired"
-                if sweep["claims_expired"]
-                else ""
-            )
-        )
-        for worker in sweep["workers"]:
-            liveness = "live" if worker["live"] else "stale"
-            print(
-                f"  worker {worker['worker']} [{liveness}]: "
-                f"claimed={worker['claimed']} stolen={worker['stolen']} "
-                f"completed={worker['completed']} failed={worker['failed']}"
-            )
     return 0

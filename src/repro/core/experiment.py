@@ -72,6 +72,7 @@ from repro.core.result import RunResult
 from repro.store import ResultStore, cell_key
 from repro.trace.record import Trace
 from repro.workloads.perfect_club import load_program
+from repro.workloads.program_model import check_scale
 
 Overrides = Tuple[Tuple[str, object], ...]
 Axes = Tuple[Tuple[str, Tuple[object, ...]], ...]
@@ -95,9 +96,9 @@ def estimate_cell_cost(program: str, scale: float, latency: int) -> int:
     grid took 0.97-1.09x the time of its latency-1 cell, while per-cell time
     followed trace length (1,776-8,879 instructions) at 5.6-8.8 ms per 1k
     instructions.  Used to put the costliest program first — in the
-    :class:`Runner`'s pool chunks, the sweep service's batch flush and the
-    cluster manifest.  Unknown programs cost 1: scheduling must never fail a
-    cell that validation has already admitted.
+    :class:`Runner`'s pool chunks and the sweep service's batch flush.
+    Unknown programs cost 1: scheduling must never fail a cell that
+    validation has already admitted.
     """
     key = (program.upper(), float(scale))
     length = _LENGTH_CACHE.get(key)
@@ -138,8 +139,7 @@ class _ProgressTracker:
     """Counts finished cells and fans events out to the user's callback.
 
     The one progress implementation: the :class:`Runner` reports cells as it
-    finishes them, the cluster coordinator as their results land in the
-    store, and the sweep service as its scheduler answers them.
+    finishes them, and the sweep service as its scheduler answers them.
     """
 
     def __init__(self, callback: Optional[ProgressCallback], total: int) -> None:
@@ -270,8 +270,10 @@ class SweepSpec:
         for axis, values in (("programs", self.programs), ("latencies", self.latencies)):
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"sweep {axis} repeat a value")
-        if self.scale <= 0:
-            raise ConfigurationError("trace scale must be positive")
+        try:
+            check_scale(self.scale)
+        except WorkloadError as exc:
+            raise ConfigurationError(str(exc)) from None
 
     @classmethod
     def from_strings(
@@ -393,8 +395,7 @@ def plan_sweep(
     Validation (:func:`resolve_sweep_machines`) runs first, so a bad spec
     fails before any key is computed.  With a store, each cell's key is
     computed and probed; hits come back holding their ``cached=True``
-    result.  The :class:`Runner` and the cluster coordinator both start
-    from this plan.
+    result.  The :class:`Runner` starts from this plan.
     """
     machines = resolve_sweep_machines(spec)
     cells: List[PlannedCell] = []
@@ -461,7 +462,7 @@ def _run_cells(
     """Sweep one trace across its cells, persisting each as it completes.
 
     The one cell executor: the :class:`Runner`'s serial loop and pool
-    workers, the service's batches and cluster workers all simulate here.
+    workers and the service's batches all simulate here.
     Each result is stamped with its store key before it is written.
     Write-back happens per cell, not per batch, so a simulation process
     killed mid-batch leaves every already-finished cell in the store.

@@ -407,7 +407,3 @@ class MemoryPipeline:
         while self._next_undrained < len(self.pending_stores):
             finish = max(finish, self._drain_oldest())
         return finish
-
-    @property
-    def outstanding_stores(self) -> int:
-        return len(self.pending_stores) - self._next_undrained

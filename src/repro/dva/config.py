@@ -11,7 +11,7 @@ variant blocks by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
 from repro.memory.scalar_cache import ScalarCacheConfig
@@ -107,43 +107,3 @@ class DecoupledConfig:
             raise ConfigurationError("a vector unit needs at least one lane")
         if self.memory_ports <= 0:
             raise ConfigurationError("the machine needs at least one memory port")
-
-    # -- convenience constructors --------------------------------------------------
-
-    def with_bypass(self, enabled: bool = True) -> "DecoupledConfig":
-        """A copy of this configuration with bypassing switched on or off."""
-        return replace(self, enable_bypass=enabled)
-
-    def with_variant(self, lanes: int, memory_ports: int) -> "DecoupledConfig":
-        """A copy of this configuration with different lane/port counts."""
-        return replace(self, lanes=lanes, memory_ports=memory_ports)
-
-    def with_queue_sizes(
-        self,
-        load_slots: int | None = None,
-        store_slots: int | None = None,
-        instruction_slots: int | None = None,
-    ) -> "DecoupledConfig":
-        """A copy with different AVDQ / store-queue / instruction-queue sizes."""
-        queues = QueueSizes(
-            instruction_queue=(
-                instruction_slots if instruction_slots is not None else self.queues.instruction_queue
-            ),
-            vector_load_data=(
-                load_slots if load_slots is not None else self.queues.vector_load_data
-            ),
-            vector_store_data=(
-                store_slots if store_slots is not None else self.queues.vector_store_data
-            ),
-            vector_store_address=None,
-            scalar_store_address=self.queues.scalar_store_address,
-            scalar_data=self.queues.scalar_data,
-        )
-        return replace(self, queues=queues)
-
-
-def bypass_configuration(load_slots: int, store_slots: int) -> DecoupledConfig:
-    """The paper's ``BYP <load>/<store>`` configurations (Figure 7)."""
-    return DecoupledConfig(enable_bypass=True).with_queue_sizes(
-        load_slots=load_slots, store_slots=store_slots
-    )

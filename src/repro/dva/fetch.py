@@ -27,7 +27,6 @@ from typing import Optional
 from repro.common.errors import SimulationError
 from repro.isa.opcodes import Opcode, OpcodeClass
 from repro.isa.registers import RegisterClass
-from repro.trace.record import DynamicInstruction
 
 
 @unique
@@ -70,11 +69,6 @@ class RoutingDecision:
         if target is not None:
             destinations.append(target)
         return tuple(destinations)
-
-
-def route(record: DynamicInstruction) -> RoutingDecision:
-    """Apply the fetch processor's translation rules to one traced instruction."""
-    return route_instruction(record.instruction)
 
 
 def route_instruction(instruction) -> RoutingDecision:

@@ -33,18 +33,6 @@ class BasicBlock:
     def extend(self, instructions: Iterable[Instruction]) -> None:
         self.instructions.extend(instructions)
 
-    @property
-    def vector_instruction_count(self) -> int:
-        return sum(1 for i in self.instructions if i.is_vector)
-
-    @property
-    def scalar_instruction_count(self) -> int:
-        return sum(1 for i in self.instructions if not i.is_vector)
-
-    @property
-    def memory_instruction_count(self) -> int:
-        return sum(1 for i in self.instructions if i.is_memory)
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -102,10 +90,6 @@ class Program:
     @property
     def block_labels(self) -> list[str]:
         return [block.label for block in self.blocks]
-
-    @property
-    def static_instruction_count(self) -> int:
-        return sum(len(block) for block in self.blocks)
 
     def __iter__(self) -> Iterator[BasicBlock]:
         return iter(self.blocks)

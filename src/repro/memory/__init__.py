@@ -16,13 +16,7 @@ arguments depend on:
 """
 
 from repro.memory.model import MemoryModel, MemoryTimings
-from repro.memory.ranges import (
-    FULL_RANGE,
-    MemoryRange,
-    accesses_identical,
-    range_of_access,
-    ranges_conflict,
-)
+from repro.memory.ranges import FULL_RANGE, MemoryRange
 from repro.memory.scalar_cache import ScalarCache, ScalarCacheConfig
 
 __all__ = [
@@ -32,7 +26,4 @@ __all__ = [
     "MemoryTimings",
     "ScalarCache",
     "ScalarCacheConfig",
-    "accesses_identical",
-    "range_of_access",
-    "ranges_conflict",
 ]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import SimulationError
 from repro.isa.registers import ELEMENT_SIZE_BYTES
-from repro.trace.record import DynamicInstruction
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,7 @@ def access_range(
 ) -> MemoryRange:
     """The memory range of one access, from its scalar description.
 
-    This is the hot-loop form of :func:`range_of_access`: the simulators read
-    base/length/stride straight off trace columns instead of a record object.
+    The simulators read base/length/stride straight off trace columns.
     Scalar references cover one element; strided vector references follow the
     paper's formula; indexed references (gathers/scatters) return
     :data:`FULL_RANGE`.
@@ -90,46 +88,3 @@ def access_range(
     if span >= 0:
         return MemoryRange(base, base + span + ELEMENT_SIZE_BYTES)
     return MemoryRange(base + span, base + ELEMENT_SIZE_BYTES)
-
-
-def range_of_access(record: DynamicInstruction) -> MemoryRange:
-    """The memory range accessed by one traced memory instruction."""
-    if not record.is_memory:
-        raise SimulationError(f"{record} is not a memory access")
-    if record.is_indexed_memory:
-        return FULL_RANGE
-    base = record.base_address
-    if base is None:
-        raise SimulationError(f"{record} carries no base address")
-    return access_range(
-        base,
-        record.vector_length,
-        record.stride_elements,
-        is_scalar=record.is_scalar_memory,
-        indexed=False,
-    )
-
-
-def ranges_conflict(first: MemoryRange, second: MemoryRange) -> bool:
-    """True when two ranges overlap in at least one byte (paper's hazard rule)."""
-    return first.overlaps(second)
-
-
-def accesses_identical(load: DynamicInstruction, store: DynamicInstruction) -> bool:
-    """True when a load would read exactly what a queued store will write.
-
-    This is the condition under which the bypass of Section 7 may forward the
-    store data straight into the load queue: same base address, same stride,
-    same vector length, and neither access is indexed.
-    """
-    if not (load.is_load and store.is_store):
-        return False
-    if load.is_indexed_memory or store.is_indexed_memory:
-        return False
-    if load.is_scalar_memory != store.is_scalar_memory:
-        return False
-    return (
-        load.base_address == store.base_address
-        and load.stride_elements == store.stride_elements
-        and load.effective_length == store.effective_length
-    )

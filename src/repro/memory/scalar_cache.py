@@ -35,10 +35,6 @@ class ScalarCacheConfig:
         if self.hit_latency < 0:
             raise ConfigurationError("hit latency cannot be negative")
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.line_bytes * self.lines
-
 
 class ScalarCache:
     """A direct-mapped, write-allocate, address-only scalar cache."""

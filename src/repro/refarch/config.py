@@ -11,7 +11,7 @@ blocks by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
 from repro.memory.scalar_cache import ScalarCacheConfig
@@ -56,7 +56,3 @@ class ReferenceConfig:
             raise ConfigurationError("a vector unit needs at least one lane")
         if self.memory_ports <= 0:
             raise ConfigurationError("the machine needs at least one memory port")
-
-    def with_variant(self, lanes: int, memory_ports: int) -> "ReferenceConfig":
-        """A copy of this configuration with different lane/port counts."""
-        return replace(self, lanes=lanes, memory_ports=memory_ports)

@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, WorkloadError
 from repro.core.experiment import CellProgress, SweepSpec
 from repro.core.result import RunResult
+from repro.workloads.program_model import check_scale
 
 
 class ProtocolError(ReproError):
@@ -70,6 +71,13 @@ def _number(value: object, what: str) -> float:
     return float(value)
 
 
+def _scale(value: object) -> float:
+    try:
+        return check_scale(_number(value, "'scale'"))
+    except WorkloadError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class RunRequest:
     """One validated ``POST /v1/run`` body."""
@@ -99,7 +107,7 @@ def parse_run_request(payload: object) -> RunRequest:
         program=program.strip(),
         architecture=architecture.strip(),
         latency=int(latency),
-        scale=_number(body.get("scale", 1.0), "'scale'"),
+        scale=_scale(body.get("scale", 1.0)),
     )
 
 

@@ -222,12 +222,6 @@ class ReproService:
             ),
             "scheduler": self.scheduler.counters(),
         }
-        # Distributed sweeps coordinate through the same store directory, so
-        # the service can report on them without participating: the stats
-        # endpoint doubles as `repro cluster status` over HTTP.
-        from repro.cluster import cluster_status
-
-        payload["cluster"] = cluster_status(self.store)
         return json_response(payload)
 
     async def _handle_run(self, request: Request) -> Response:

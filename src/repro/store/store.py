@@ -503,12 +503,6 @@ class ResultStore:
         * ``max_bytes`` then evicts oldest-written-first until the current
           tree fits the budget.
 
-        Dead cluster-coordination state is reaped alongside: claim files
-        whose lease expired over an hour ago (their sweeps have no live
-        workers) and fully-drained sweep directories untouched for an hour
-        (their results live in the store; the scaffolding is disposable).
-        See :func:`repro.cluster.coordinator.reap_cluster`.
-
         With ``dry_run=True`` nothing is deleted; the report shows what
         would be.  The index is rewritten after a real collection.
         """
@@ -576,12 +570,6 @@ class ResultStore:
             if self.version_dir.is_dir():
                 self.write_index(kept)
 
-        # Imported lazily: the cluster layer sits above the store (workers
-        # and coordinators are store clients), so a module-level import here
-        # would be circular.
-        from repro.cluster.coordinator import reap_cluster
-
-        cluster_report = reap_cluster(self, dry_run=dry_run)
         return {
             "dry_run": dry_run,
             "stale_version_dirs_removed": [path.name for path in stale_dirs],
@@ -590,8 +578,6 @@ class ResultStore:
             "evicted_bytes": sum(entry.size_bytes for entry in evicted),
             "kept": len(kept),
             "kept_bytes": sum(entry.size_bytes for entry in kept),
-            "cluster_claims_reaped": cluster_report["claims_reaped"],
-            "cluster_sweeps_reaped": cluster_report["sweeps_reaped"],
         }
 
     def clear(self) -> int:

@@ -21,9 +21,7 @@ columns directly.
 from repro.trace.columns import ColumnarTrace, InstructionInfo
 from repro.trace.record import DynamicInstruction, Trace
 from repro.trace.generator import RegionAllocator, TraceBuilder
-from repro.trace.reader import iter_trace_records, read_trace
 from repro.trace.statistics import TraceStatistics, compute_statistics
-from repro.trace.writer import write_trace
 
 __all__ = [
     "ColumnarTrace",
@@ -34,7 +32,4 @@ __all__ = [
     "TraceBuilder",
     "TraceStatistics",
     "compute_statistics",
-    "iter_trace_records",
-    "read_trace",
-    "write_trace",
 ]

@@ -59,17 +59,9 @@ _KIND_OF_CLASS = {
     OpcodeClass.QUEUE_MOVE: KIND_QUEUE_MOVE,
 }
 
-_CLASS_OF_KIND = {code: cls for cls, code in _KIND_OF_CLASS.items()}
-
-
 def kind_of(instruction: Instruction) -> int:
     """The one-byte ``kind`` code of an instruction's opcode class."""
     return _KIND_OF_CLASS[instruction.opcode_class]
-
-
-def opcode_class_of_kind(kind: int) -> OpcodeClass:
-    """The :class:`OpcodeClass` a ``kind`` byte stands for."""
-    return _CLASS_OF_KIND[kind]
 
 
 class InstructionInfo:

@@ -21,13 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
-from repro.isa.registers import ELEMENT_SIZE_BYTES
-from repro.trace.columns import (
-    KIND_SCALAR_MEMORY,
-    KIND_VECTOR_COMPUTE,
-    KIND_VECTOR_MEMORY,
-    ColumnarTrace,
-)
+from repro.trace.columns import ColumnarTrace
 
 
 @dataclass(frozen=True)
@@ -111,22 +105,6 @@ class DynamicInstruction:
         from vector *operations* on exactly this basis).
         """
         return self.vector_length if self.is_vector else 1
-
-    @property
-    def effective_length(self) -> int:
-        """Vector length for vector instructions, 1 for scalar instructions."""
-        return self.vector_length if self.is_vector else 1
-
-    @property
-    def stride_bytes(self) -> int:
-        return self.stride_elements * ELEMENT_SIZE_BYTES
-
-    @property
-    def bytes_accessed(self) -> int:
-        """Total number of bytes moved to or from memory by this record."""
-        if not self.is_memory:
-            return 0
-        return self.effective_length * ELEMENT_SIZE_BYTES
 
     def __str__(self) -> str:
         extra = []
@@ -216,30 +194,6 @@ class Trace:
                 self.columns.iter_records(), other.columns.iter_records()
             )
         )
-
-    @property
-    def vector_instruction_count(self) -> int:
-        kinds = self.columns.kind
-        return kinds.count(KIND_VECTOR_COMPUTE) + kinds.count(KIND_VECTOR_MEMORY)
-
-    @property
-    def scalar_instruction_count(self) -> int:
-        return len(self.columns) - self.vector_instruction_count
-
-    @property
-    def vector_operation_count(self) -> int:
-        kinds = self.columns.kind
-        lengths = self.columns.vl
-        return sum(
-            lengths[index]
-            for index, kind in enumerate(kinds)
-            if kind == KIND_VECTOR_COMPUTE or kind == KIND_VECTOR_MEMORY
-        )
-
-    @property
-    def memory_instruction_count(self) -> int:
-        kinds = self.columns.kind
-        return kinds.count(KIND_VECTOR_MEMORY) + kinds.count(KIND_SCALAR_MEMORY)
 
     def validate(self) -> None:
         """Check internal consistency of the trace.

@@ -34,10 +34,6 @@ class TraceStatistics:
     vector_length_histogram: Histogram = field(default_factory=Histogram)
 
     @property
-    def total_instructions(self) -> int:
-        return self.scalar_instructions + self.vector_instructions
-
-    @property
     def total_operations(self) -> int:
         """Scalar instructions each count as one operation (paper Table 1)."""
         return self.scalar_instructions + self.vector_operations
@@ -68,18 +64,6 @@ class TraceStatistics:
         if total == 0:
             return 0.0
         return self.spill_memory_instructions / total
-
-    def as_table_row(self) -> dict[str, float]:
-        """The row of Table 1 for this program, as a plain dictionary."""
-        return {
-            "program": self.name,
-            "basic_blocks": self.basic_blocks,
-            "scalar_instructions": self.scalar_instructions,
-            "vector_instructions": self.vector_instructions,
-            "vector_operations": self.vector_operations,
-            "vectorization_percent": round(self.vectorization_percent, 1),
-            "average_vector_length": round(self.average_vector_length, 1),
-        }
 
 
 def compute_statistics(trace: Trace) -> TraceStatistics:

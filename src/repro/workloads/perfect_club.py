@@ -41,11 +41,6 @@ def load_program(name: str) -> ProgramModel:
     return factory()
 
 
-def build_all_programs() -> Dict[str, ProgramModel]:
-    """Build every benchmark program model."""
-    return {name: factory() for name, factory in PERFECT_CLUB_PROGRAMS.items()}
-
-
 def build_trace(name: str, scale: float = 1.0) -> Trace:
     """Convenience helper: build the trace of one benchmark program."""
     return load_program(name).build_trace(scale=scale)

@@ -2,9 +2,10 @@
 
 A :class:`ProgramModel` combines several loop kernels (with invocation counts)
 into a stand-in for one Perfect Club program.  The model also records the
-*targets* — the numbers the paper publishes for the real program — so that
-tests, EXPERIMENTS.md and the calibration example can compare what the
-synthetic model achieves against what the paper reports.
+*targets* (:class:`ProgramTargets`) — the numbers the paper publishes for the
+real program — and every trace it builds carries the published ones in
+``trace.metadata["targets"]``.  ``docs/paper-map.md`` maps the paper's
+sections and figures to the code that reproduces them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,28 @@ from repro.trace.generator import TraceBuilder
 from repro.trace.record import Trace
 from repro.workloads.compiler import VectorizingCompiler
 from repro.workloads.kernel import KernelSchedule
+
+
+def check_scale(scale: float) -> float:
+    """Return ``scale`` if it is a finite positive number, else raise.
+
+    The one validation of a trace scale factor: program models, sweep specs
+    and service requests all call it, so NaN, infinities, zero and negative
+    scales fail the same way everywhere (:class:`WorkloadError`).
+    """
+    if not (math.isfinite(scale) and scale > 0):
+        raise WorkloadError(
+            f"trace scale must be a finite positive number, got {scale!r}"
+        )
+    return scale
+
+
+def _scaled_invocations(total_invocations: int, scale: float) -> int:
+    """A schedule's invocation count at ``scale``: at least one."""
+    try:
+        return max(1, math.ceil(total_invocations * scale))
+    except OverflowError:
+        raise WorkloadError(f"trace scale {scale!r} is too large") from None
 
 
 @dataclass(frozen=True)
@@ -79,16 +102,14 @@ class ProgramModel:
         (``scale > 1``).  At least one invocation of every kernel is always
         emitted so small scales never drop a program phase entirely.
         """
-        if scale <= 0:
-            raise WorkloadError("trace scale must be positive")
-
+        check_scale(scale)
         compiler = VectorizingCompiler(program_name=self.name)
         compiled = [compiler.compile(schedule.kernel) for schedule in self.schedules]
 
         builder = TraceBuilder(self.name)
         self._emit_prologue(compiler, builder)
         for schedule, compiled_kernel in zip(self.schedules, compiled):
-            invocations = max(1, math.ceil(schedule.total_invocations * scale))
+            invocations = _scaled_invocations(schedule.total_invocations, scale)
             compiled_kernel.emit_program(builder, invocations=invocations)
         trace = builder.build()
         trace.metadata["program"] = self.name
@@ -104,16 +125,15 @@ class ProgramModel:
         Computed from the kernel schedules alone — invocation counts, strip
         counts and per-strip instruction shapes — without compiling kernels or
         emitting a single trace record, so callers can rank the *cost* of
-        simulating a cell (the sweep runner and the cluster manifest order
-        work longest-job-first) before any trace exists.  It tracks the real
+        simulating a cell (the sweep runner and the service order work
+        longest-job-first) before any trace exists.  It tracks the real
         trace length closely but is not exact; never use it where the actual
         length matters.
         """
-        if scale <= 0:
-            raise WorkloadError("trace scale must be positive")
+        check_scale(scale)
         total = self.prologue_scalar_instructions
         for schedule in self.schedules:
-            invocations = max(1, math.ceil(schedule.total_invocations * scale))
+            invocations = _scaled_invocations(schedule.total_invocations, scale)
             kernel = schedule.kernel
             per_strip = (
                 kernel.vector_instructions_per_strip
@@ -142,12 +162,6 @@ class ProgramModel:
     @property
     def kernels(self):
         return [schedule.kernel for schedule in self.schedules]
-
-    def kernel_named(self, name: str):
-        for kernel in self.kernels:
-            if kernel.name == name:
-                return kernel
-        raise WorkloadError(f"program {self.name!r} has no kernel named {name!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kernel_names = ", ".join(kernel.name for kernel in self.kernels)

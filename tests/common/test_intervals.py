@@ -54,13 +54,6 @@ class TestIntervalRecorder:
         assert len(first) == 2
         assert first.merged_pairs() == [(0, 5), (8, 10)]
 
-    def test_last_end(self):
-        recorder = IntervalRecorder("ld")
-        assert recorder.last_end() == 0
-        recorder.record(5, 8)
-        recorder.record(1, 3)
-        assert recorder.last_end() == 8
-
     @given(_intervals)
     def test_merged_pairs_cover_exactly_the_recorded_cycles(self, pairs):
         recorder = _recorder("fu", pairs)

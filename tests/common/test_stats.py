@@ -4,7 +4,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.stats import Histogram, RunningStats, geometric_mean, weighted_mean
+from repro.common.stats import Histogram
 
 
 class TestHistogram:
@@ -38,14 +38,6 @@ class TestHistogram:
         assert histogram.mean() == pytest.approx(4.0)
         assert Histogram().mean() == 0.0
 
-    def test_fraction_at_or_below(self):
-        histogram = Histogram()
-        histogram.add(1, 2)
-        histogram.add(5, 2)
-        assert histogram.fraction_at_or_below(1) == pytest.approx(0.5)
-        assert histogram.fraction_at_or_below(5) == pytest.approx(1.0)
-        assert Histogram().fraction_at_or_below(10) == 0.0
-
     def test_equality_and_as_dict(self):
         first = Histogram()
         second = Histogram()
@@ -61,47 +53,3 @@ class TestHistogram:
         for value in values:
             histogram.add(value)
         assert histogram.total() == len(values)
-
-
-class TestRunningStats:
-    def test_empty(self):
-        stats = RunningStats()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-
-    def test_mean_and_extremes(self):
-        stats = RunningStats()
-        stats.extend([1.0, 2.0, 3.0, 4.0])
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=100))
-    def test_matches_batch_computation(self, values):
-        stats = RunningStats()
-        stats.extend(values)
-        expected_mean = sum(values) / len(values)
-        expected_var = sum((v - expected_mean) ** 2 for v in values) / len(values)
-        assert stats.mean == pytest.approx(expected_mean, rel=1e-6, abs=1e-6)
-        assert stats.variance == pytest.approx(expected_var, rel=1e-6, abs=1e-3)
-
-
-class TestMeans:
-    def test_weighted_mean(self):
-        assert weighted_mean([(10.0, 1.0), (20.0, 3.0)]) == pytest.approx(17.5)
-        assert weighted_mean([]) == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        assert geometric_mean([]) == 0.0
-
-    def test_geometric_mean_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    @given(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=20))
-    def test_geometric_mean_bounded_by_extremes(self, values):
-        result = geometric_mean(values)
-        assert min(values) <= result * (1 + 1e-9)
-        assert result <= max(values) * (1 + 1e-9)

@@ -96,6 +96,14 @@ class TestInProcess:
             (["run", "--program", "trfd", "--" + "core", "event"], "unrecognized arguments"),
             (["sweep", "--programs", "trfd,TRFD", "--latencies", "1"], "programs repeat"),
             (["sweep", "--programs", "trfd", "--latencies", "1,50,1"], "latencies repeat"),
+            *(
+                (command + [f"--scale={scale}"], "scale")
+                for command in (
+                    ["run", "--program", "dyfesm"],
+                    ["sweep", "--programs", "dyfesm", "--latencies", "1"],
+                )
+                for scale in ("nan", "inf", "-inf", "1e308")
+            ),
         ],
     )
     def test_invalid_inline_spec_exits_with_error(self, capsys, argv, message):
@@ -159,10 +167,15 @@ class TestInProcess:
         assert "memory latency" in capsys.readouterr().err
 
 
+def _subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 class TestSubprocess:
     def test_python_dash_m_repro(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env = _subprocess_env()
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "sweep",
              "--programs", "trfd", "--latencies", "1,50",
@@ -174,3 +187,18 @@ class TestSubprocess:
         )
         assert completed.returncode == 0, completed.stderr
         assert "Figure 5" in completed.stdout
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_is_an_error_not_a_traceback(self, scale):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--program", "dyfesm",
+             "--scale", scale],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.startswith("error: ")
+        assert completed.stderr.count("\n") == 1

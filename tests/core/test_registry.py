@@ -1,6 +1,6 @@
 """Unit tests for the Simulator protocol and the architecture registry."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -124,7 +124,9 @@ class TestAdapters:
     def test_dva_matches_hand_wired_decoupled_with_bypass(self, trace):
         unified = simulate(trace, "dva", latency=50)
         direct = simulate_decoupled(
-            trace, latency=50, config=RunConfig().decoupled.with_bypass(True)
+            trace,
+            latency=50,
+            config=replace(RunConfig().decoupled, enable_bypass=True),
         )
         assert unified.total_cycles == direct.total_cycles
         assert unified.detail == direct.to_json()

@@ -45,6 +45,9 @@ class TestSweepSpec:
             {"programs": ("trfd", "TRFD")},
             {"latencies": (1, 1)},
             {"latencies": (), "axes": {"latency": (50, 50)}},
+            {"scale": float("nan")},
+            {"scale": float("inf")},
+            {"scale": -float("inf")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

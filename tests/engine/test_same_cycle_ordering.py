@@ -115,7 +115,7 @@ class TestIntervalSameCycleRules:
     def test_last_end_is_the_handover_cycle(self):
         recorder = IntervalRecorder("FU")
         recorder.record(2, 6)
-        assert recorder.last_end() == 6
+        assert recorder.merged_pairs()[-1][1] == 6
 
 
 class TestResourcePoolSameCycleRules:

@@ -24,9 +24,9 @@ class TestBasicBlock:
         builder.vector_store(v_reg(1), "y")
         builder.scalar_op(Opcode.S_ADD, s_reg(0), [s_reg(0)])
         assert len(block) == 5
-        assert block.vector_instruction_count == 3
-        assert block.scalar_instruction_count == 2
-        assert block.memory_instruction_count == 2
+        assert sum(instruction.is_vector for instruction in block) == 3
+        assert sum(not instruction.is_vector for instruction in block) == 2
+        assert sum(instruction.is_memory for instruction in block) == 2
 
     def test_iteration_and_str(self):
         block = BasicBlock("header")
@@ -59,12 +59,12 @@ class TestProgram:
         with pytest.raises(ConfigurationError):
             program.block("nope")
 
-    def test_static_instruction_count(self):
+    def test_new_block_collects_its_instructions(self):
         program = Program("demo")
         block = program.new_block("entry")
         block.append(make_instruction(Opcode.S_ADD, destinations=[s_reg(0)]))
         block.append(make_instruction(Opcode.S_ADD, destinations=[s_reg(1)]))
-        assert program.static_instruction_count == 2
+        assert [len(block) for block in program] == [2]
         assert len(program) == 1
 
     def test_blocks_supplied_at_construction_are_indexed(self):

@@ -4,45 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import SimulationError
-from repro.isa.instruction import MemoryOperand, make_instruction
-from repro.isa.opcodes import Opcode
-from repro.isa.registers import ELEMENT_SIZE_BYTES, s_reg, v_reg
-from repro.memory.ranges import (
-    FULL_RANGE,
-    MemoryRange,
-    accesses_identical,
-    range_of_access,
-    ranges_conflict,
-)
-from repro.trace.record import DynamicInstruction
-
-
-def _vector_access(opcode, base, vl, stride, indexed=False, spill=False):
-    instruction = make_instruction(
-        opcode,
-        destinations=[v_reg(0)] if opcode in (Opcode.V_LOAD, Opcode.V_GATHER) else (),
-        sources=[v_reg(0)] if opcode in (Opcode.V_STORE, Opcode.V_SCATTER) else (),
-        memory=MemoryOperand(region="r", stride=stride, indexed=indexed, is_spill=spill),
-    )
-    return DynamicInstruction(
-        instruction=instruction,
-        sequence=0,
-        vector_length=vl,
-        stride_elements=stride,
-        base_address=base,
-    )
-
-
-def _scalar_access(opcode, base):
-    instruction = make_instruction(
-        opcode,
-        destinations=[s_reg(0)] if opcode is Opcode.S_LOAD else (),
-        sources=[s_reg(0)] if opcode is Opcode.S_STORE else (),
-        memory=MemoryOperand(region="r"),
-    )
-    return DynamicInstruction(
-        instruction=instruction, sequence=0, base_address=base
-    )
+from repro.isa.registers import ELEMENT_SIZE_BYTES
+from repro.memory.ranges import FULL_RANGE, MemoryRange, access_range
 
 
 class TestMemoryRange:
@@ -67,55 +30,39 @@ class TestMemoryRange:
     def test_overlap(self):
         assert MemoryRange(0, 10).overlaps(MemoryRange(9, 20))
         assert not MemoryRange(0, 10).overlaps(MemoryRange(10, 20))
-        assert ranges_conflict(MemoryRange(0, 10), MemoryRange(5, 6))
+        assert MemoryRange(0, 10).overlaps(MemoryRange(5, 6))
 
 
 class TestRangeOfAccess:
     def test_unit_stride_vector(self):
-        record = _vector_access(Opcode.V_LOAD, base=0x1000, vl=10, stride=1)
-        memory_range = range_of_access(record)
+        memory_range = access_range(0x1000, 10, 1)
         assert memory_range.start == 0x1000
         assert memory_range.end == 0x1000 + 9 * 8 + 8
 
     def test_strided_vector(self):
-        record = _vector_access(Opcode.V_STORE, base=0x2000, vl=4, stride=3)
-        memory_range = range_of_access(record)
+        memory_range = access_range(0x2000, 4, 3)
         assert memory_range.start == 0x2000
         assert memory_range.end == 0x2000 + 3 * 3 * 8 + 8
 
     def test_negative_stride_swaps_endpoints(self):
-        record = _vector_access(Opcode.V_LOAD, base=0x3000, vl=5, stride=-2)
-        memory_range = range_of_access(record)
+        memory_range = access_range(0x3000, 5, -2)
         assert memory_range.start == 0x3000 - 4 * 2 * 8
         assert memory_range.end == 0x3000 + 8
 
     def test_zero_length_vector(self):
-        record = _vector_access(Opcode.V_LOAD, base=0x4000, vl=0, stride=1)
-        memory_range = range_of_access(record)
+        memory_range = access_range(0x4000, 0, 1)
         assert memory_range.size == 0
 
     def test_scalar_access_covers_one_element(self):
-        record = _scalar_access(Opcode.S_LOAD, base=0x5000)
-        memory_range = range_of_access(record)
+        memory_range = access_range(0x5000, 1, 1, is_scalar=True)
         assert memory_range.size == ELEMENT_SIZE_BYTES
 
     def test_gather_and_scatter_cover_all_memory(self):
-        gather = _vector_access(Opcode.V_GATHER, base=0x100, vl=8, stride=1, indexed=True)
-        scatter = _vector_access(Opcode.V_SCATTER, base=0x9000, vl=8, stride=1, indexed=True)
-        assert range_of_access(gather).full
-        assert range_of_access(scatter).full
-        assert range_of_access(gather).overlaps(MemoryRange(0, 1))
-
-    def test_non_memory_instruction_rejected(self):
-        record = DynamicInstruction(
-            instruction=make_instruction(
-                Opcode.V_ADD, destinations=[v_reg(0)], sources=[v_reg(1)]
-            ),
-            sequence=0,
-            vector_length=8,
-        )
-        with pytest.raises(SimulationError):
-            range_of_access(record)
+        gather = access_range(0x100, 8, 1, indexed=True)
+        scatter = access_range(0x9000, 8, 1, indexed=True)
+        assert gather.full
+        assert scatter.full
+        assert gather.overlaps(MemoryRange(0, 1))
 
     @given(
         base=st.integers(0, 2**30),
@@ -123,45 +70,7 @@ class TestRangeOfAccess:
         stride=st.integers(-16, 16).filter(lambda s: s != 0),
     )
     def test_every_element_address_is_inside_the_range(self, base, vl, stride):
-        record = _vector_access(Opcode.V_LOAD, base=base, vl=vl, stride=stride)
-        memory_range = range_of_access(record)
+        memory_range = access_range(base, vl, stride)
         for element in range(vl):
             address = base + element * stride * ELEMENT_SIZE_BYTES
             assert memory_range.contains(address)
-
-
-class TestAccessesIdentical:
-    def test_identical_load_store_pair(self):
-        store = _vector_access(Opcode.V_STORE, base=0x100, vl=16, stride=1)
-        load = _vector_access(Opcode.V_LOAD, base=0x100, vl=16, stride=1)
-        assert accesses_identical(load, store)
-
-    def test_different_base_not_identical(self):
-        store = _vector_access(Opcode.V_STORE, base=0x100, vl=16, stride=1)
-        load = _vector_access(Opcode.V_LOAD, base=0x108, vl=16, stride=1)
-        assert not accesses_identical(load, store)
-
-    def test_different_length_not_identical(self):
-        store = _vector_access(Opcode.V_STORE, base=0x100, vl=16, stride=1)
-        load = _vector_access(Opcode.V_LOAD, base=0x100, vl=8, stride=1)
-        assert not accesses_identical(load, store)
-
-    def test_indexed_never_identical(self):
-        store = _vector_access(Opcode.V_SCATTER, base=0x100, vl=16, stride=1, indexed=True)
-        load = _vector_access(Opcode.V_GATHER, base=0x100, vl=16, stride=1, indexed=True)
-        assert not accesses_identical(load, store)
-
-    def test_scalar_vector_mismatch(self):
-        store = _scalar_access(Opcode.S_STORE, base=0x100)
-        load = _vector_access(Opcode.V_LOAD, base=0x100, vl=1, stride=1)
-        assert not accesses_identical(load, store)
-
-    def test_scalar_pair_identical(self):
-        store = _scalar_access(Opcode.S_STORE, base=0x200)
-        load = _scalar_access(Opcode.S_LOAD, base=0x200)
-        assert accesses_identical(load, store)
-
-    def test_wrong_direction_rejected(self):
-        store = _vector_access(Opcode.V_STORE, base=0x100, vl=16, stride=1)
-        load = _vector_access(Opcode.V_LOAD, base=0x100, vl=16, stride=1)
-        assert not accesses_identical(store, load)

@@ -10,7 +10,7 @@ from repro.memory.scalar_cache import ScalarCache, ScalarCacheConfig
 class TestScalarCacheConfig:
     def test_defaults(self):
         config = ScalarCacheConfig()
-        assert config.capacity_bytes == 32 * 1024
+        assert config.line_bytes * config.lines == 32 * 1024
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """The JSON wire protocol: request parsing and payload rendering."""
 
+import json
+
 import pytest
 
 from repro.core.experiment import CellProgress, SweepSpec
@@ -48,6 +50,11 @@ class TestParseRunRequest:
             {"program": "trfd", "arch": ""},
             {"program": "trfd", "arch": "ref", "architecture": "dva"},
             {"program": "trfd", "unknown_field": 1},
+            # Python's json module accepts the non-standard literals NaN and
+            # Infinity, so the protocol itself must refuse them as a scale.
+            json.loads('{"program": "trfd", "scale": NaN}'),
+            json.loads('{"program": "trfd", "scale": Infinity}'),
+            json.loads('{"program": "trfd", "scale": -Infinity}'),
         ],
     )
     def test_malformed_requests_raise_protocol_errors(self, payload):
@@ -109,6 +116,8 @@ class TestParseSweepRequest:
             {"programs": ["trfd"], "latencies": [1, 1.5]},
             {"programs": ["trfd", "TRFD"], "latencies": [1]},
             {"programs": ["trfd"], "latencies": "1,1"},
+            json.loads('{"programs": ["trfd"], "latencies": [1], "scale": NaN}'),
+            json.loads('{"programs": ["trfd"], "latencies": [1], "scale": Infinity}'),
         ],
     )
     def test_malformed_sweeps_raise_protocol_errors(self, payload):

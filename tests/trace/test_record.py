@@ -9,6 +9,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import s_reg, v_reg
 from repro.trace.record import DynamicInstruction, Trace
+from repro.trace.statistics import compute_statistics
 
 
 def _vector_load(region="x", stride=1, spill=False):
@@ -47,29 +48,6 @@ class TestDynamicInstruction:
             vector_length=100,
         )
         assert scalar.operations == 1
-
-    def test_bytes_accessed(self):
-        record = DynamicInstruction(
-            instruction=_vector_load(),
-            sequence=0,
-            vector_length=32,
-            base_address=0x1000,
-        )
-        assert record.bytes_accessed == 32 * 8
-        compute = DynamicInstruction(
-            instruction=_vector_add(), sequence=1, vector_length=32
-        )
-        assert compute.bytes_accessed == 0
-
-    def test_stride_bytes(self):
-        record = DynamicInstruction(
-            instruction=_vector_load(stride=4),
-            sequence=0,
-            vector_length=8,
-            stride_elements=4,
-            base_address=0,
-        )
-        assert record.stride_bytes == 32
 
     def test_classification_delegation(self):
         record = DynamicInstruction(
@@ -125,10 +103,11 @@ class TestTrace:
             )
         )
         assert len(trace) == 3
-        assert trace.vector_instruction_count == 2
-        assert trace.scalar_instruction_count == 1
-        assert trace.vector_operation_count == 100
-        assert trace.memory_instruction_count == 1
+        stats = compute_statistics(trace)
+        assert stats.vector_instructions == 2
+        assert stats.scalar_instructions == 1
+        assert stats.vector_operations == 100
+        assert stats.memory_instructions == 1
         assert trace[0].sequence == 0
 
     def test_validate_detects_sequence_gaps(self):

@@ -39,7 +39,6 @@ class TestComputeStatistics:
         assert stats.vector_instructions == 16
         assert stats.vector_operations == 16 * 50
         assert stats.basic_blocks == 4
-        assert stats.total_instructions == 28
 
     def test_vectorization_percent(self):
         stats = compute_statistics(_make_trace(vl=50, iterations=4))
@@ -70,18 +69,6 @@ class TestComputeStatistics:
         assert stats.average_vector_length == 0.0
         assert stats.spill_fraction == 0.0
         assert stats.total_operations == 0
-
-    def test_table_row_shape(self):
-        row = compute_statistics(_make_trace()).as_table_row()
-        assert set(row) == {
-            "program",
-            "basic_blocks",
-            "scalar_instructions",
-            "vector_instructions",
-            "vector_operations",
-            "vectorization_percent",
-            "average_vector_length",
-        }
 
     def test_vector_length_histogram(self):
         stats = compute_statistics(_make_trace(vl=32, iterations=3))

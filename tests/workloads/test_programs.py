@@ -12,7 +12,7 @@ from repro.workloads import (
     synthetic,
 )
 from repro.workloads.kernel import KernelSchedule
-from repro.workloads.perfect_club import build_all_programs, build_trace
+from repro.workloads.perfect_club import build_trace
 
 
 class TestProgramModel:
@@ -28,6 +28,14 @@ class TestProgramModel:
         model = synthetic.simple_program()
         with pytest.raises(WorkloadError):
             model.build_trace(scale=0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 1e308])
+    def test_non_finite_or_overflowing_scale_rejected(self, scale):
+        model = synthetic.simple_program()
+        with pytest.raises(WorkloadError, match="scale"):
+            model.build_trace(scale=scale)
+        with pytest.raises(WorkloadError, match="scale"):
+            model.estimated_trace_length(scale=scale)
 
     def test_scale_changes_trace_length(self):
         model = synthetic.simple_program(repetitions=4)
@@ -56,12 +64,6 @@ class TestProgramModel:
         assert trace.metadata["scale"] == 0.5
         assert "vectorization_percent" in trace.metadata["targets"]
 
-    def test_kernel_named(self):
-        model = load_program("DYFESM")
-        assert model.kernel_named("dyfesm_element_forces").reduction_carried is False
-        with pytest.raises(WorkloadError):
-            model.kernel_named("missing")
-
 
 class TestPerfectClubRegistry:
     def test_six_programs_registered(self):
@@ -74,11 +76,6 @@ class TestPerfectClubRegistry:
     def test_unknown_program_rejected(self):
         with pytest.raises(WorkloadError):
             load_program("NASA7")
-
-    def test_build_all_programs(self):
-        programs = build_all_programs()
-        assert set(programs) == set(program_names())
-        assert all(isinstance(model, ProgramModel) for model in programs.values())
 
     def test_build_trace_helper(self):
         trace = build_trace("FLO52", scale=0.25)

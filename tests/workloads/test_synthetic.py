@@ -69,7 +69,6 @@ class TestFactories:
         kernel = factory()
         stats = _stats_for(kernel)
         assert stats.vector_instructions > 0
-        assert stats.total_instructions > 0
 
     def test_simple_program(self):
         model = synthetic.simple_program(elements=256, repetitions=2)
