@@ -1,0 +1,197 @@
+"""Unit and property tests for the decoupled-architecture simulator.
+
+The hand-computed timings follow the DVA's hand-over rules: the fetch
+processor distributes one instruction per cycle and each instruction-queue
+entry is ready the cycle after it is pushed; a vector load's data reaches
+the VP through a QMOV that waits for the whole register in the AVDQ and can
+chain into its consumer ``queue_move_startup`` cycles after it starts.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dva import DecoupledConfig, DecoupledSimulator, QueueSizes, simulate_decoupled
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import s_reg, v_reg
+from repro.memory.model import MemoryModel
+from repro.refarch import simulate_reference
+from repro.trace.generator import TraceBuilder
+from repro.trace.statistics import compute_statistics
+from repro.workloads import load_program, program_names, synthetic
+from repro.workloads.compiler import VectorizingCompiler
+
+SCALE = 0.1
+
+
+def _trace_for_kernel(kernel, name="dva"):
+    compiled = VectorizingCompiler(name).compile(kernel)
+    builder = TraceBuilder(name)
+    compiled.emit_program(builder, invocations=1)
+    return builder.build()
+
+
+@pytest.fixture(scope="module")
+def program_traces():
+    return {name: load_program(name).build_trace(scale=SCALE) for name in program_names()}
+
+
+class TestHandTimings:
+    def test_empty_trace_takes_no_cycles(self):
+        result = simulate_decoupled(TraceBuilder("empty").build(), latency=50)
+        assert result.total_cycles == 0
+        assert result.instructions == 0
+
+    def test_scalar_stream_runs_one_per_cycle_behind_the_fetch(self, trace_from_block):
+        def emit(b):
+            for index in range(10):
+                b.scalar_op(Opcode.S_ADD, s_reg(index % 4), [s_reg((index + 1) % 4)])
+
+        result = simulate_decoupled(trace_from_block(emit), latency=50)
+        # Fetched at 0..9, issued on the SP at 1..10, the last done at 11.
+        assert result.total_cycles == 11
+        assert result.instructions_per_processor["SP"] == 10
+        assert result.instructions_per_processor["AP"] == 0
+        assert result.port_busy.busy_time() == 0
+
+    def test_load_reaches_its_consumer_through_a_qmov(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(64)
+            b.vector_load(v_reg(0), "x")
+            b.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
+
+        result = simulate_decoupled(trace_from_block(emit), latency=30)
+        # The AP issues the load at 2 (bus [2, 66), last element at 96); the
+        # QMOV starts at 96 and chains into the add at 97, which completes
+        # after the FU startup and 64 elements.
+        assert result.total_cycles == 97 + 4 + 64
+        assert [unit.busy_time() for unit in result.qmov_busy] == [64, 0]
+        assert result.max_avdq_occupancy() == 1
+
+    def test_stores_are_performed_behind_the_aps_back(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(32)
+            b.vector_op(Opcode.V_ADD, v_reg(0), [v_reg(1), v_reg(1)])
+            b.vector_store(v_reg(0), "y")
+
+        result = simulate_decoupled(trace_from_block(emit), latency=100)
+        # The add starts at 2 and chains at 6; the store's QMOV starts at 6
+        # and has the data in the VADQ at 38; the store then holds the port
+        # for 32 cycles and pays no memory latency.
+        assert result.total_cycles == 38 + 32
+        assert result.memory_traffic_bytes == 32 * 8
+
+    def test_repeated_loads_decouple_from_computation(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(64)
+            b.vector_load(v_reg(0), "x")
+            b.vector_op(Opcode.V_MUL, v_reg(1), [v_reg(0), v_reg(0)])
+
+        trace = trace_from_block(emit, repeats=8)
+        decoupled = simulate_decoupled(trace, latency=100).total_cycles
+        reference = simulate_reference(trace, latency=100).total_cycles
+        # The AP runs ahead, so memory latency is paid about once, not per load.
+        assert decoupled < reference
+        assert decoupled < 8 * 64 + 2 * 100 + 4 * 64
+
+
+class TestConfigurationEffects:
+    def test_bypass_services_a_reload_of_just_stored_data(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(16)
+            b.vector_op(Opcode.V_ADD, v_reg(0), [v_reg(1), v_reg(1)])
+            b.vector_store(v_reg(0), "y")
+            b.vector_load(v_reg(2), "y")
+
+        trace = trace_from_block(emit)
+        plain = simulate_decoupled(trace, latency=50)
+        bypassed = simulate_decoupled(trace, latency=50, config=DecoupledConfig(enable_bypass=True))
+        assert (plain.bypassed_loads, plain.disambiguation_stalls) == (0, 1)
+        assert (bypassed.bypassed_loads, bypassed.disambiguation_stalls) == (1, 0)
+        assert bypassed.bypassed_bytes == 16 * 8
+        assert bypassed.bypass_busy.busy_time() == 16
+        assert bypassed.memory_traffic_bytes == plain.memory_traffic_bytes - 16 * 8
+        assert bypassed.total_cycles < plain.total_cycles
+        assert bypassed.bypass_fraction_of_loads == 1.0
+
+    def test_avdq_capacity_throttles_the_address_processor(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(64)
+            b.vector_load(v_reg(0), "x")
+            b.vector_op(Opcode.V_MUL, v_reg(1), [v_reg(0), v_reg(0)])
+
+        trace = trace_from_block(emit, repeats=8)
+        one = DecoupledConfig(queues=QueueSizes(vector_load_data=1))
+        narrow = simulate_decoupled(trace, latency=100, config=one)
+        wide = simulate_decoupled(trace, latency=100)
+        assert narrow.max_avdq_occupancy() == 1
+        assert wide.max_avdq_occupancy() > 1
+        assert narrow.total_cycles > wide.total_cycles
+
+    def test_simulator_class_matches_the_convenience_wrapper(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(8)
+            b.vector_load(v_reg(0), "x")
+            b.vector_store(v_reg(0), "y")
+
+        trace = trace_from_block(emit, repeats=3)
+        config = DecoupledConfig(lanes=2)
+        direct = DecoupledSimulator(MemoryModel(latency=7), config).run(trace)
+        assert direct.to_json() == simulate_decoupled(trace, 7, config).to_json()
+
+    @settings(max_examples=15, deadline=None)
+    @given(vl=st.integers(4, 128), latency=st.integers(1, 100), lanes=st.integers(1, 4))
+    def test_cycles_cover_every_units_busy_time(self, vl, latency, lanes):
+        trace = _trace_for_kernel(synthetic.daxpy(elements=vl * 4, max_vector_length=vl))
+        result = simulate_decoupled(trace, latency, DecoupledConfig(lanes=lanes))
+        for recorder in (result.port_busy, result.fu1_busy, result.fu2_busy, *result.qmov_busy):
+            assert recorder.busy_time() <= result.total_cycles
+        # The first load's last element cannot arrive before latency + VL.
+        assert result.total_cycles > latency + vl
+
+
+@pytest.mark.parametrize("name", program_names())
+class TestBenchmarkPrograms:
+    def test_result_accounting_is_consistent(self, program_traces, name):
+        trace = program_traces[name]
+        result = simulate_decoupled(trace, latency=50)
+        counts = result.instructions_per_processor
+        stats = compute_statistics(trace)
+        assert counts["FP"] == result.instructions == len(trace)
+        assert counts["vector_loads"] + counts["vector_stores"] == stats.vector_memory_instructions
+        assert sum(result.state_breakdown().cycles.values()) == result.total_cycles
+        assert result.avdq_histogram().total() == result.total_cycles
+        for recorder in (result.port_busy, result.fu1_busy, result.fu2_busy):
+            assert recorder.busy_time() <= result.total_cycles
+
+    def test_payload_survives_a_json_round_trip(self, program_traces, name):
+        payload = simulate_decoupled(program_traces[name], latency=10).to_json()
+        assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize("capacity", [1, 4])
+    def test_avdq_occupancy_never_exceeds_its_capacity(self, program_traces, name, capacity):
+        config = DecoupledConfig(queues=QueueSizes(vector_load_data=capacity))
+        result = simulate_decoupled(program_traces[name], latency=50, config=config)
+        assert result.max_avdq_occupancy() <= capacity
+
+    def test_bypass_never_adds_memory_traffic(self, program_traces, name):
+        small_avdq = QueueSizes(vector_load_data=4)
+        plain = simulate_decoupled(
+            program_traces[name], 50, DecoupledConfig(queues=small_avdq)
+        )
+        bypassed = simulate_decoupled(
+            program_traces[name], 50, DecoupledConfig(queues=small_avdq, enable_bypass=True)
+        )
+        assert bypassed.memory_traffic_bytes <= plain.memory_traffic_bytes
+        assert bypassed.bypassed_loads <= bypassed.instructions_per_processor["vector_loads"]
+
+    def test_decoupling_tolerates_latency_better_than_the_reference(self, program_traces, name):
+        """Paper §5: the DVA's speedup over REF grows with memory latency."""
+        trace = program_traces[name]
+        speedups = [
+            simulate_reference(trace, latency).total_cycles
+            / simulate_decoupled(trace, latency).total_cycles
+            for latency in (1, 100)
+        ]
+        assert speedups[1] > speedups[0]

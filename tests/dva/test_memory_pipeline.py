@@ -1,0 +1,204 @@
+"""The address processor's memory pipeline: two-step stores, dynamic
+disambiguation and the store→load bypass (paper §4.2 and §7).
+
+Each test drives :class:`~repro.dva.address.MemoryPipeline` directly with the
+scalars the simulator reads off trace columns, so the expected cycles follow
+from the memory model: a vector reference holds the port for VL cycles and
+its last element arrives ``latency`` cycles after its bus occupancy ends.
+"""
+
+import pytest
+
+from repro.common.errors import SimulationError
+from repro.dva.address import MemoryPipeline
+from repro.dva.config import DecoupledConfig, QueueSizes
+from repro.memory.model import MemoryModel
+
+LATENCY = 20
+BASE = 0x1000
+
+
+def _pipeline(**config):
+    return MemoryPipeline(MemoryModel(latency=LATENCY), DecoupledConfig(**config))
+
+
+def _queued_store(pipeline, key=0, base=BASE, length=8, stride=1, indexed=False,
+                  requested=0, data_ready=10):
+    """Enqueue a vector store's address at ``requested`` and its data at ``data_ready``."""
+    pipeline.enqueue_vector_store(key, base, length, stride, indexed, requested)
+    slot = pipeline.reserve_vector_store_data_slot(requested + 1)
+    pipeline.attach_vector_store_data(key, push_time=slot, data_ready=data_ready)
+
+
+class TestLoads:
+    def test_load_without_queued_stores_goes_straight_to_memory(self):
+        pipeline = _pipeline()
+        outcome = pipeline.issue_vector_load(BASE, 16, 1, False, requested=5)
+        assert (outcome.start, outcome.data_ready, outcome.bypassed) == (5, 5 + LATENCY + 16, False)
+        assert pipeline.traffic_bytes == 16 * 8
+        assert pipeline.disambiguation_stalls == 0
+
+    def test_loads_serialize_on_a_single_port(self):
+        pipeline = _pipeline()
+        pipeline.issue_vector_load(BASE, 16, 1, False, requested=0)
+        second = pipeline.issue_vector_load(BASE + 0x800, 16, 1, False, requested=0)
+        assert second.start == 16
+
+    def test_a_second_port_overlaps_loads(self):
+        pipeline = _pipeline(memory_ports=2)
+        pipeline.issue_vector_load(BASE, 16, 1, False, requested=0)
+        second = pipeline.issue_vector_load(BASE + 0x800, 16, 1, False, requested=0)
+        assert second.start == 0
+        assert pipeline.port_free == 16
+        assert pipeline.port_quiet == 16
+
+    def test_scalar_load_hits_the_cache_the_second_time(self):
+        pipeline = _pipeline()
+        assert pipeline.issue_scalar_load(BASE, requested=0) == 0 + 1 + LATENCY
+        assert pipeline.issue_scalar_load(BASE, requested=40) == 40 + 1
+        assert (pipeline.cache.hits, pipeline.cache.misses) == (1, 1)
+        assert pipeline.traffic_bytes == 8
+
+
+class TestDisambiguation:
+    def test_disjoint_load_does_not_wait_for_a_queued_store(self):
+        pipeline = _pipeline()
+        pipeline.enqueue_vector_store(0, BASE, 8, 1, False, requested=0)
+        outcome = pipeline.issue_vector_load(BASE + 0x800, 8, 1, False, requested=3)
+        assert outcome.start == 3
+        assert pipeline.disambiguation_stalls == 0
+
+    def test_overlapping_load_waits_for_the_store_to_drain(self):
+        pipeline = _pipeline()
+        _queued_store(pipeline, data_ready=10)
+        outcome = pipeline.issue_vector_load(BASE + 8, 8, 1, False, requested=3)
+        # The store drains as soon as its data is ready: bus [10, 18).
+        assert outcome.start == 18
+        assert outcome.data_ready == 18 + LATENCY + 8
+        assert pipeline.disambiguation_stalls == 1
+        assert pipeline.traffic_bytes == 2 * 8 * 8
+
+    def test_gather_conflicts_with_every_queued_store(self):
+        pipeline = _pipeline()
+        _queued_store(pipeline, data_ready=10)
+        outcome = pipeline.issue_vector_load(0xF0000, 8, 1, True, requested=3)
+        assert outcome.start == 18
+        assert pipeline.disambiguation_stalls == 1
+
+    def test_scalar_load_waits_for_an_overlapping_scalar_store(self):
+        pipeline = _pipeline()
+        pipeline.enqueue_scalar_store(0, BASE, requested=0)
+        pipeline.attach_scalar_store_data(0, push_time=1, data_ready=6)
+        # The store misses the cache and takes the port at 6; the load then
+        # finds the line allocated and hits.
+        assert pipeline.issue_scalar_load(BASE, requested=2) == 7 + 1
+        assert pipeline.disambiguation_stalls == 1
+
+    def test_conflicting_store_without_data_is_a_simulation_error(self):
+        pipeline = _pipeline()
+        pipeline.enqueue_vector_store(0, BASE, 8, 1, False, requested=0)
+        with pytest.raises(SimulationError, match="has no data yet"):
+            pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
+
+    def test_ready_store_uses_the_port_before_a_later_load(self):
+        pipeline = _pipeline()
+        _queued_store(pipeline, data_ready=2)
+        outcome = pipeline.issue_vector_load(BASE + 0x800, 8, 1, False, requested=5)
+        # The store (ready at 2) is performed first: bus [2, 10).
+        assert outcome.start == 10
+        assert pipeline.disambiguation_stalls == 0
+
+
+class TestBypass:
+    def test_identical_load_is_serviced_from_the_store_data_queue(self):
+        pipeline = _pipeline(enable_bypass=True)
+        _queued_store(pipeline, data_ready=10)
+        outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
+        # VL cycles on the bypass unit once the store data is there; no
+        # memory latency and no port traffic.
+        assert (outcome.start, outcome.data_ready, outcome.bypassed) == (10, 18, True)
+        assert pipeline.bypassed_loads == 1
+        assert pipeline.bypassed_bytes == 64
+        assert pipeline.traffic_bytes == 0
+        assert pipeline.disambiguation_stalls == 0
+        assert pipeline.bypass_free == 18
+
+    def test_bypass_is_off_by_default(self):
+        pipeline = _pipeline()
+        _queued_store(pipeline, data_ready=10)
+        outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
+        assert not outcome.bypassed
+        assert pipeline.disambiguation_stalls == 1
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            pytest.param({"base": BASE + 8}, id="different-base"),
+            pytest.param({"length": 4}, id="different-length"),
+            pytest.param({"stride": 2}, id="different-stride"),
+            pytest.param({"indexed": True}, id="gather"),
+        ],
+    )
+    def test_overlapping_but_not_identical_loads_drain_instead(self, load):
+        pipeline = _pipeline(enable_bypass=True)
+        _queued_store(pipeline, data_ready=10)
+        request = {"base": BASE, "length": 8, "stride": 1, "indexed": False, **load}
+        outcome = pipeline.issue_vector_load(
+            request["base"], request["length"], request["stride"], request["indexed"], 3
+        )
+        assert not outcome.bypassed
+        assert pipeline.bypassed_loads == 0
+        assert pipeline.disambiguation_stalls == 1
+
+    def test_a_scatter_is_never_bypassed(self):
+        pipeline = _pipeline(enable_bypass=True)
+        _queued_store(pipeline, indexed=True, data_ready=10)
+        outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
+        assert not outcome.bypassed
+
+    def test_a_scalar_store_is_never_bypassed(self):
+        pipeline = _pipeline(enable_bypass=True)
+        pipeline.enqueue_scalar_store(0, BASE, requested=0)
+        pipeline.attach_scalar_store_data(0, push_time=1, data_ready=6)
+        outcome = pipeline.issue_vector_load(BASE, 1, 1, False, requested=3)
+        assert not outcome.bypassed
+        assert pipeline.disambiguation_stalls == 1
+
+    def test_the_youngest_matching_store_is_bypassed(self):
+        pipeline = _pipeline(enable_bypass=True)
+        _queued_store(pipeline, key=0, data_ready=10)
+        _queued_store(pipeline, key=1, requested=1, data_ready=30)
+        outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
+        assert outcome.bypassed
+        assert outcome.start == 30
+        assert pipeline.pending_stores[1].bypassed_to_loads == 1
+        assert pipeline.pending_stores[0].bypassed_to_loads == 0
+
+
+class TestStoreQueues:
+    def test_full_vsaq_forces_the_oldest_store_to_drain(self):
+        pipeline = _pipeline(queues=QueueSizes(vector_store_data=1))
+        _queued_store(pipeline, key=0, data_ready=10)
+        pipeline.enqueue_vector_store(1, BASE + 0x800, 8, 1, False, requested=2)
+        assert pipeline.forced_drains == 1
+        assert pipeline.pending_stores[0].drained
+        # The second address waited for the first store's bus release.
+        assert pipeline.vsaq.push_times == [0, 18]
+
+    def test_attaching_data_to_an_unknown_store_raises(self):
+        pipeline = _pipeline()
+        with pytest.raises(SimulationError, match="no pending store"):
+            pipeline.attach_vector_store_data(7, push_time=0, data_ready=1)
+
+    def test_drain_all_performs_the_remaining_stores_in_order(self):
+        pipeline = _pipeline()
+        _queued_store(pipeline, key=0, data_ready=10)
+        _queued_store(pipeline, key=1, base=BASE + 0x800, requested=1, data_ready=12)
+        assert pipeline.drain_all() == 26
+        assert [store.drain_end for store in pipeline.pending_stores] == [18, 26]
+        assert pipeline.vsaq.outstanding == pipeline.vadq.outstanding == 0
+
+    def test_drain_all_without_stores_is_the_port_quiet_cycle(self):
+        pipeline = _pipeline()
+        pipeline.issue_vector_load(BASE, 8, 1, False, requested=4)
+        assert pipeline.drain_all() == 12
