@@ -33,7 +33,6 @@ The :mod:`repro.core` facade is re-exported here, so most callers only need::
 """
 
 from repro.core import (
-    Experiment,
     MachineSpec,
     ResultStore,
     RunConfig,
@@ -54,7 +53,6 @@ from repro.core import (
 __version__ = "1.9.0"
 
 __all__ = [
-    "Experiment",
     "MachineSpec",
     "ResultStore",
     "RunConfig",

@@ -14,7 +14,7 @@ touching the per-architecture packages:
   with either a spec or a ready-made simulator.  Results come back as a
   unified, JSON-serializable :class:`RunResult` carrying the resolved spec
   as provenance.
-* :class:`SweepSpec` / :class:`Experiment` declaring (programs × latencies ×
+* :class:`SweepSpec` declaring (programs × latencies ×
   machine axes × architectures) grids — any :class:`MachineSpec` field can
   be a sweep axis — and the :class:`Runner` executing them serially or
   across a ``multiprocessing`` pool with per-program trace caching.
@@ -31,7 +31,6 @@ touching the per-architecture packages:
 from repro.core.config import RunConfig
 from repro.core.experiment import (
     CellProgress,
-    Experiment,
     Runner,
     SweepCell,
     SweepResult,
@@ -58,7 +57,6 @@ from repro.store import ResultStore, cell_key
 
 __all__ = [
     "CellProgress",
-    "Experiment",
     "FieldInfo",
     "MachineSpec",
     "PRESETS",

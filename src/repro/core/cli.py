@@ -318,17 +318,15 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
     ]
     print(figures_module.format_table(rows))
 
-    print("\npresets (pinned fields marked *, others inherit the RunConfig):")
+    print("\npresets (fields that differ from the defaults above; the rest run at them):")
     for name in names:
         try:
             spec = machine_spec(name)
         except ReproError:
             continue
-        pins = spec.pins()
         fields = ", ".join(
-            f"{attr}={value}{'*' if attr in pins else ''}"
-            for attr, value in spec.effective().items()
-        )
+            f"{attr}={value}" for attr, value in spec.overrides().items()
+        ) or "-"
         print(f"  {name:{width}s}  family={spec.family}  {fields}")
     return 0
 

@@ -2,16 +2,16 @@
 
 The paper's central experiment is a grid — six Perfect Club programs × memory
 latencies {1, 10, 50, 100} × machines {REF, DVA} (§4–§7).  A
-:class:`SweepSpec` declares such a grid, an :class:`Experiment` binds it to a
-base :class:`~repro.core.config.RunConfig`, and a :class:`Runner` executes
-every cell either serially or across a ``multiprocessing`` pool.
+:class:`SweepSpec` declares such a grid and a :class:`Runner` executes every
+cell either serially or across a ``multiprocessing`` pool.  A cell is fully
+described by its program, scale, latency and machine spec.
 
 Sweeps are not limited to the latency axis: any
 :class:`~repro.core.machine.MachineSpec` field can be an axis too, so
 ``SweepSpec(programs=..., axes={"lanes": (1, 2, 4), "ports": (1, 2),
 "latency": (1, 50, 100)})`` crosses every machine parameter with every
 latency for every architecture in the grid.  Each cell's machine-axis values
-are pinned onto the architecture's spec before simulation, the resolved
+are set on the architecture's spec before simulation, the resolved
 spec's canonical string becomes the cell's architecture label (``"dva"``,
 ``"dva@lanes=2"``, ...), and the resolved spec itself travels with the
 :class:`~repro.core.result.RunResult` as provenance.
@@ -45,7 +45,7 @@ import multiprocessing.pool
 import os
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -219,8 +219,8 @@ class SweepSpec:
     :class:`~repro.core.machine.MachineSpec` fields, as a mapping (or pair
     sequence) of axis name → values, e.g. ``{"lanes": (1, 2, 4), "ports":
     (1, 2)}``.  A ``"latency"`` axis is folded into :attr:`latencies` (it is
-    the one :class:`~repro.core.config.RunConfig` axis), so it may be given
-    either way but not both.
+    the one axis that is not a machine field), so it may be given either way
+    but not both.
     """
 
     programs: Tuple[str, ...]
@@ -387,9 +387,7 @@ class PlannedCell:
         return (self.latency, self.simulator, self.key)
 
 
-def plan_sweep(
-    spec: SweepSpec, config: RunConfig, store: Optional[ResultStore]
-) -> List[PlannedCell]:
+def plan_sweep(spec: SweepSpec, store: Optional[ResultStore]) -> List[PlannedCell]:
     """Every cell of ``spec`` in grid order, each either a store hit or a task.
 
     Validation (:func:`resolve_sweep_machines`) runs first, so a bad spec
@@ -405,7 +403,9 @@ def plan_sweep(
                 key = None
                 hit = None
                 if store is not None:
-                    key = cell_key(program, spec.scale, latency, simulator, config)
+                    key = cell_key(
+                        program, spec.scale, latency, simulator, RunConfig(latency=latency)
+                    )
                     if key is not None:
                         hit = store.get(key)
                 cells.append(PlannedCell(program, latency, simulator, key, hit))
@@ -454,7 +454,6 @@ class TraceCache:
 def _run_cells(
     trace: Trace,
     tasks: Sequence[CellTask],
-    config: RunConfig,
     store: Optional[ResultStore],
     scale: float,
     on_result: Optional[Callable[[RunResult], None]] = None,
@@ -471,7 +470,7 @@ def _run_cells(
     """
     results: List[RunResult] = []
     for latency, simulator, key in tasks:
-        result = simulator.simulate(trace, config.with_latency(latency))
+        result = simulator.simulate(trace, RunConfig(latency=latency))
         if store is not None and key is not None:
             result = replace(result, store_key=key)
             store.put(key, result, scale=scale)
@@ -503,7 +502,7 @@ def _worker_init() -> None:
 
 
 def _run_program_cells(
-    task: Tuple[str, float, Sequence[CellTask], RunConfig, Optional[str]]
+    task: Tuple[str, float, Sequence[CellTask], Optional[str]]
 ) -> List[RunResult]:
     """Worker: sweep one batch of a program's cells over its cached trace.
 
@@ -516,11 +515,11 @@ def _run_program_cells(
     :class:`~repro.store.ResultStore` touches no files, and each completed
     cell is written back immediately so killed sweeps keep their progress.
     """
-    program, scale, cell_tasks, config, store_root = task
+    program, scale, cell_tasks, store_root = task
     store = ResultStore(store_root) if store_root is not None else None
     trace = _WORKER_CACHE.get(program, scale)
     try:
-        return _run_cells(trace, cell_tasks, config, store, scale)
+        return _run_cells(trace, cell_tasks, store, scale)
     finally:
         if not gc.isenabled():
             gc.collect()
@@ -599,7 +598,6 @@ class Runner:
     def run(
         self,
         spec: SweepSpec,
-        config: Optional[RunConfig] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> "SweepResult":
         """Execute every cell of ``spec`` and collect the results.
@@ -612,8 +610,7 @@ class Runner:
         (store hits first, then simulated cells — cell by cell when serial,
         batch by batch when parallel), so long sweeps are observable.
         """
-        config = config if config is not None else RunConfig()
-        cells = plan_sweep(spec, config, self.store)
+        cells = plan_sweep(spec, self.store)
         tracker = _ProgressTracker(progress, len(cells))
         # Tasks grouped per program, in grid order: each group shares a trace.
         batches: Dict[str, List[PlannedCell]] = {}
@@ -624,9 +621,9 @@ class Runner:
                 batches.setdefault(cell.program, []).append(cell)
         pending = sum(len(batch) for batch in batches.values())
         if pending == 1 or (pending and self.effective_jobs == 1):
-            self._run_serial(spec.scale, batches, config, tracker)
+            self._run_serial(spec.scale, batches, tracker)
         elif pending:
-            self._run_parallel(spec.scale, batches, config, tracker)
+            self._run_parallel(spec.scale, batches, tracker)
 
         results = [cell.result for cell in cells]
         if self.store is not None:
@@ -640,7 +637,6 @@ class Runner:
         self,
         scale: float,
         batches: Mapping[str, Sequence[PlannedCell]],
-        config: RunConfig,
         tracker: _ProgressTracker,
     ) -> None:
         """Run every batch in-process, filling in each cell's result.
@@ -658,7 +654,7 @@ class Runner:
             for program, cells in batches.items():
                 trace = self.trace_cache.get(program, scale)
                 results = _run_cells(
-                    trace, [cell.task for cell in cells], config, self.store, scale,
+                    trace, [cell.task for cell in cells], self.store, scale,
                     on_result=tracker.report,
                 )
                 for cell, result in zip(cells, results):
@@ -673,7 +669,6 @@ class Runner:
         self,
         scale: float,
         batches: Mapping[str, Sequence[PlannedCell]],
-        config: RunConfig,
         tracker: _ProgressTracker,
     ) -> None:
         """Distribute the batches over the worker pool, costliest chunk first.
@@ -698,7 +693,7 @@ class Runner:
             )
         )
         tasks = [
-            (chunk[0].program, scale, tuple(cell.task for cell in chunk), config, store_root)
+            (chunk[0].program, scale, tuple(cell.task for cell in chunk), store_root)
             for chunk in chunks
         ]
         pool = self._ensure_pool()
@@ -712,7 +707,6 @@ class Runner:
         program: str,
         scale: float,
         tasks: Sequence[CellTask],
-        config: RunConfig,
     ) -> List[RunResult]:
         """Execute one batch of a single program's cells, off the grid path.
 
@@ -732,11 +726,11 @@ class Runner:
             store_root = str(self.store.root) if self.store is not None else None
             pool = self._ensure_pool()
             return pool.apply(
-                _run_program_cells, ((program, scale, tasks, config, store_root),)
+                _run_program_cells, ((program, scale, tasks, store_root),)
             )
         with self._trace_lock:
             trace = self.trace_cache.get(program, scale)
-        return _run_cells(trace, tasks, config, self.store, scale)
+        return _run_cells(trace, tasks, self.store, scale)
 
     def _ensure_pool(self) -> multiprocessing.pool.Pool:
         """The persistent worker pool, created on first use (thread-safe).
@@ -883,36 +877,8 @@ class SweepResult:
         return cls(spec=spec, results=results)
 
 
-@dataclass
-class Experiment:
-    """A sweep grid bound to a base run configuration.
-
-    The grid's per-cell latency overrides the base configuration's; everything
-    else (chaining flags, queue sizes, cache geometry) applies to every cell.
-    """
-
-    spec: SweepSpec
-    config: RunConfig = field(default_factory=RunConfig)
-    name: str = ""
-
-    def run(
-        self,
-        runner: Optional[Runner] = None,
-        jobs: int = 1,
-        store: Union[ResultStore, str, Path, None] = None,
-    ) -> SweepResult:
-        """Execute the experiment with ``runner`` (or a fresh one).
-
-        ``jobs`` and ``store`` configure the fresh runner and are ignored
-        when an explicit ``runner`` is given (it already carries both).
-        """
-        runner = runner if runner is not None else Runner(jobs=jobs, store=store)
-        return runner.run(self.spec, self.config)
-
-
 def run_sweep(
     spec: SweepSpec,
-    config: Optional[RunConfig] = None,
     jobs: int = 1,
     store: Union[ResultStore, str, Path, None] = None,
     progress: Optional[ProgressCallback] = None,
@@ -924,4 +890,4 @@ def run_sweep(
     instead of simulated, and fresh cells are persisted for next time.
     ``progress`` receives one :class:`CellProgress` per finished cell.
     """
-    return Runner(jobs=jobs, store=store).run(spec, config, progress=progress)
+    return Runner(jobs=jobs, store=store).run(spec, progress=progress)

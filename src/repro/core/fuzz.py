@@ -21,10 +21,11 @@ case and reports the first failed check (or ``None``).  The test suite and
 the standalone driver ``scripts/fuzz.py`` both build on these functions, so
 a failure always comes with a one-line repro command.
 
-The harness drives the family simulators directly with a hand-built
-configuration block (rather than going through
-:class:`~repro.core.registry.SpecArchitecture`) so a case can pin every
-queue depth and the load-chaining switch.
+Each case describes its machine as a :class:`~repro.core.machine.MachineSpec`
+and builds the configuration block with
+:meth:`~repro.core.machine.MachineSpec.to_config` — the mapping every sweep
+uses — then drives the family simulator directly, so the checks see the
+family's own result object.
 """
 
 from __future__ import annotations
@@ -149,29 +150,29 @@ class FuzzCase:
         return model.build_trace(scale=1.0)
 
     def build_config(self):
-        """The family configuration block this case pins."""
-        if self.family == "ref":
-            from repro.refarch.config import ReferenceConfig
+        """The family configuration block, built the way sweeps build it."""
+        from repro.core.machine import MachineSpec
 
-            return ReferenceConfig(
-                allow_load_chaining=self.chaining,
+        if self.family == "ref":
+            spec = MachineSpec(
+                family="ref",
                 lanes=self.lanes,
                 memory_ports=self.ports,
+                chaining=self.chaining,
             )
-        from repro.dva.config import DecoupledConfig, QueueSizes
-
-        return DecoupledConfig(
-            queues=QueueSizes(
+        else:
+            spec = MachineSpec(
+                family="dva",
+                lanes=self.lanes,
+                memory_ports=self.ports,
+                bypass=self.bypass,
                 instruction_queue=self.instruction_queue,
                 vector_load_data=self.vector_load_data,
                 vector_store_data=self.vector_store_data,
                 scalar_store_address=self.scalar_store_address,
                 scalar_data=self.scalar_data,
-            ),
-            enable_bypass=self.bypass,
-            lanes=self.lanes,
-            memory_ports=self.ports,
-        )
+            )
+        return spec.to_config()
 
     def simulate(self, trace=None):
         """Run this case; returns ``(result, error_message)``.

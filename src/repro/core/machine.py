@@ -3,18 +3,15 @@
 The paper's results are ablations over machine parameters — memory latency,
 store→load bypass on/off, datapath width — and every one of those knobs is a
 *value*, so the machine itself should be one too.  A :class:`MachineSpec` is
-exactly that: a validated, frozen description of one machine — the simulator
-family (``ref`` or ``dva``), lanes, memory ports, the bypass and chaining
-switches, the decoupled queue depths and the scalar-cache geometry — that
-round-trips through strings, JSON and TOML unchanged and that the registry
-(:mod:`repro.core.registry`) resolves into a runnable simulator over the
-shared :mod:`repro.engine` pools.
-
-Fields are tri-state: ``None`` means *inherit* the value from the
-:class:`~repro.core.config.RunConfig` block at simulation time, anything else
-*pins* the field so the spec always means the same machine no matter what
-configuration it is run under (the registry names ``"dva"`` and
-``"dva-nobypass"`` pin the bypass for exactly this reason).
+exactly that: a validated, frozen description of one whole machine — the
+simulator family (``ref`` or ``dva``), lanes, memory ports, the bypass and
+chaining switches, the decoupled queue depths and the scalar-cache geometry —
+that round-trips through strings, JSON and TOML unchanged and that the
+registry (:mod:`repro.core.registry`) resolves into a runnable simulator.
+Every field the family has gets a value: one left out takes its
+:data:`FIELDS` default, so ``MachineSpec(family="dva")`` is the ``dva``
+preset.  :meth:`MachineSpec.to_config` turns a spec into the family's
+mechanism-level configuration block.
 
 Spec strings use the grammar::
 
@@ -26,13 +23,8 @@ Spec strings use the grammar::
 
 so ``dva@lanes=2,ports=2,bypass=off`` is a two-lane, two-port decoupled
 machine without the bypass.  :meth:`MachineSpec.to_string` emits the canonical
-form (primary keys, non-default pins only), and
-``MachineSpec.from_string(spec.to_string())`` is the identity for any spec
-parsed from a string.  Note the string form cannot express *inherit*: a
-hand-built spec that leaves a preset-pinned field unpinned (e.g.
-``MachineSpec(family="dva")`` with no bypass pin) stringifies to the preset
-name, whose pins differ.  JSON and TOML preserve the tri-state exactly; use
-them when inherit semantics must survive serialization.
+form (the family plus its non-default fields, primary keys), and
+``MachineSpec.from_string(spec.to_string()) == spec`` for every spec.
 """
 
 from __future__ import annotations
@@ -64,9 +56,8 @@ class FieldInfo:
         families: the simulator families the field applies to.
         lo / hi: inclusive valid range for integer fields.
         power_of_two: integer values must additionally be powers of two.
-        default: the canonical default — the value the field takes when a
-            spec string does not mention it; also what :meth:`MachineSpec.to_string`
-            elides.
+        default: the value the field takes when a spec leaves it out; also
+            what :meth:`MachineSpec.to_string` elides.
         description: one line for ``repro list-archs --schema``.
     """
 
@@ -203,7 +194,7 @@ def format_override(key: str, value: FieldValue) -> str:
 
 
 def parse_assignments(assignments: str, context: str) -> Dict[str, FieldValue]:
-    """Parse a spec string's ``key=value,...`` clause into attribute pins.
+    """Parse a spec string's ``key=value,...`` clause into attribute values.
 
     ``context`` is the full spec string, used only for error messages.
     """
@@ -232,11 +223,10 @@ class MachineSpec:
 
     ``family`` selects the simulator (``"ref"`` — the in-order reference
     vector machine — or ``"dva"`` — the decoupled machine).  Every other
-    field is optional: ``None`` inherits the corresponding
-    :class:`~repro.core.config.RunConfig` block value at simulation time,
-    anything else pins the field regardless of the run configuration.
-    Fields that only exist on one family (the bypass and the queue depths on
-    ``dva``, load chaining on ``ref``) are rejected on the other.
+    field the family has takes its :data:`FIELDS` default when left out;
+    fields that only exist on one family (the bypass and the queue depths on
+    ``dva``, load chaining on ``ref``) stay ``None`` on the other and are
+    rejected there.
     """
 
     family: str
@@ -260,13 +250,16 @@ class MachineSpec:
             )
         for info in FIELDS:
             value = getattr(self, info.attribute)
-            if value is None:
-                continue
             if self.family not in info.families:
-                raise ConfigurationError(
-                    f"field {info.key!r} is not valid for family "
-                    f"{self.family!r} (applies to: {', '.join(info.families)})"
-                )
+                if value is not None:
+                    raise ConfigurationError(
+                        f"field {info.key!r} is not valid for family "
+                        f"{self.family!r} (applies to: {', '.join(info.families)})"
+                    )
+                continue
+            if value is None:
+                object.__setattr__(self, info.attribute, info.default)
+                continue
             if info.kind == "bool":
                 if not isinstance(value, bool):
                     raise ConfigurationError(
@@ -288,32 +281,49 @@ class MachineSpec:
 
     # -- introspection ---------------------------------------------------------------
 
-    def pins(self) -> Dict[str, FieldValue]:
-        """The explicitly pinned fields, by attribute name, in canonical order."""
+    def overrides(self) -> Dict[str, FieldValue]:
+        """The fields that differ from their default, by attribute, in canonical order.
+
+        Exactly what :meth:`to_string`, :meth:`to_json` and :meth:`to_toml`
+        write out: everything else is the :data:`FIELDS` default.
+        """
         return {
             info.attribute: getattr(self, info.attribute)
             for info in FIELDS
-            if getattr(self, info.attribute) is not None
-        }
-
-    def effective(self) -> Dict[str, FieldValue]:
-        """Every applicable field with its pinned or canonical-default value."""
-        return {
-            info.attribute: (
-                getattr(self, info.attribute)
-                if getattr(self, info.attribute) is not None
-                else info.default
-            )
-            for info in FIELDS
             if self.family in info.families
+            and getattr(self, info.attribute) != info.default
         }
 
     def with_pins(self, **overrides: FieldValue) -> "MachineSpec":
-        """A copy with extra fields pinned (keys may be primary, alias or attribute)."""
+        """A copy with some fields changed (keys may be primary, alias or attribute)."""
         resolved = {
             lookup_field(name).attribute: value for name, value in overrides.items()
         }
         return replace(self, **resolved)
+
+    def to_config(self) -> Union[ReferenceConfig, DecoupledConfig]:
+        """The family's mechanism-level configuration block for this machine."""
+        cache = ScalarCacheConfig(line_bytes=self.cache_line_bytes, lines=self.cache_lines)
+        if self.family == "ref":
+            return ReferenceConfig(
+                allow_load_chaining=self.chaining,
+                scalar_cache=cache,
+                lanes=self.lanes,
+                memory_ports=self.memory_ports,
+            )
+        return DecoupledConfig(
+            queues=QueueSizes(
+                instruction_queue=self.instruction_queue,
+                vector_load_data=self.vector_load_data,
+                vector_store_data=self.vector_store_data,
+                scalar_store_address=self.scalar_store_address,
+                scalar_data=self.scalar_data,
+            ),
+            enable_bypass=self.bypass,
+            scalar_cache=cache,
+            lanes=self.lanes,
+            memory_ports=self.memory_ports,
+        )
 
     # -- string form -----------------------------------------------------------------
 
@@ -342,19 +352,10 @@ class MachineSpec:
         return spec.with_pins(**parse_assignments(assignments, text))
 
     def to_string(self) -> str:
-        """The canonical spec string (primary keys, non-default pins only).
-
-        Inverse of :meth:`from_string` for any spec parsed from a string.
-        Lossy for hand-built specs that leave a field *unpinned* where the
-        family preset pins it: the string names the preset, whose pins
-        differ from inherit semantics — serialize such specs with
-        :meth:`to_json`/:meth:`to_toml` instead.
-        """
+        """The canonical spec string: the family plus its non-default fields."""
         parts = [
-            f"{info.key}={_format_value(info, getattr(self, info.attribute))}"
-            for info in FIELDS
-            if getattr(self, info.attribute) is not None
-            and getattr(self, info.attribute) != info.default
+            format_override(attribute, value)
+            for attribute, value in self.overrides().items()
         ]
         if not parts:
             return self.family
@@ -365,7 +366,7 @@ class MachineSpec:
     def to_json(self) -> Dict[str, object]:
         """A dictionary that survives ``json.dumps``/``json.loads`` unchanged."""
         payload: Dict[str, object] = {"family": self.family}
-        payload.update(self.pins())
+        payload.update(self.overrides())
         return payload
 
     @classmethod
@@ -373,95 +374,28 @@ class MachineSpec:
         """Rebuild a spec from :meth:`to_json` output (unknown keys rejected)."""
         if "family" not in data:
             raise ConfigurationError("machine spec JSON needs a 'family' key")
-        pins: Dict[str, FieldValue] = {}
+        values: Dict[str, FieldValue] = {}
         for name, value in data.items():
             if name == "family":
                 continue
             info = lookup_field(str(name))
-            pins[info.attribute] = value  # type: ignore[assignment]
-        return cls(family=str(data["family"]), **pins)
+            values[info.attribute] = value  # type: ignore[assignment]
+        return cls(family=str(data["family"]), **values)
 
     def to_toml(self) -> str:
         """The spec as a flat TOML document."""
         lines = [f'family = "{self.family}"']
-        for info in FIELDS:
-            value = getattr(self, info.attribute)
-            if value is None:
-                continue
-            if info.kind == "bool":
-                lines.append(f"{info.attribute} = {'true' if value else 'false'}")
+        for attribute, value in self.overrides().items():
+            if isinstance(value, bool):
+                lines.append(f"{attribute} = {'true' if value else 'false'}")
             else:
-                lines.append(f"{info.attribute} = {value}")
+                lines.append(f"{attribute} = {value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_toml(cls, text: str) -> "MachineSpec":
         """Parse :meth:`to_toml` output (any flat TOML table works)."""
         return cls.from_json(_parse_flat_toml(text))
-
-    # -- resolution against the RunConfig blocks --------------------------------------
-
-    def apply_reference(self, config: ReferenceConfig) -> ReferenceConfig:
-        """``config`` with this spec's pins applied (family must be ``ref``)."""
-        self._require_family("ref")
-        updates: Dict[str, object] = {}
-        if self.lanes is not None:
-            updates["lanes"] = self.lanes
-        if self.memory_ports is not None:
-            updates["memory_ports"] = self.memory_ports
-        if self.chaining is not None:
-            updates["allow_load_chaining"] = self.chaining
-        cache = self._apply_cache(config.scalar_cache)
-        if cache is not None:
-            updates["scalar_cache"] = cache
-        return replace(config, **updates) if updates else config
-
-    def apply_decoupled(self, config: DecoupledConfig) -> DecoupledConfig:
-        """``config`` with this spec's pins applied (family must be ``dva``)."""
-        self._require_family("dva")
-        updates: Dict[str, object] = {}
-        if self.lanes is not None:
-            updates["lanes"] = self.lanes
-        if self.memory_ports is not None:
-            updates["memory_ports"] = self.memory_ports
-        if self.bypass is not None:
-            updates["enable_bypass"] = self.bypass
-        queues = self._apply_queues(config.queues)
-        if queues is not None:
-            updates["queues"] = queues
-        cache = self._apply_cache(config.scalar_cache)
-        if cache is not None:
-            updates["scalar_cache"] = cache
-        return replace(config, **updates) if updates else config
-
-    def _require_family(self, family: str) -> None:
-        if self.family != family:
-            raise ConfigurationError(
-                f"spec {self.to_string()!r} is a {self.family!r}-family machine, "
-                f"not {family!r}"
-            )
-
-    def _apply_cache(self, cache: ScalarCacheConfig) -> Optional[ScalarCacheConfig]:
-        updates: Dict[str, int] = {}
-        if self.cache_line_bytes is not None:
-            updates["line_bytes"] = self.cache_line_bytes
-        if self.cache_lines is not None:
-            updates["lines"] = self.cache_lines
-        return replace(cache, **updates) if updates else None
-
-    def _apply_queues(self, queues: QueueSizes) -> Optional[QueueSizes]:
-        updates: Dict[str, int] = {}
-        if self.instruction_queue is not None:
-            updates["instruction_queue"] = self.instruction_queue
-        if self.vector_load_data is not None:
-            updates["vector_load_data"] = self.vector_load_data
-        if self.vector_store_data is not None:
-            updates["vector_store_data"] = self.vector_store_data
-        if self.scalar_store_address is not None:
-            updates["scalar_store_address"] = self.scalar_store_address
-        if self.scalar_data is not None:
-            updates["scalar_data"] = self.scalar_data
-        return replace(queues, **updates) if updates else None
 
 
 def _parse_flat_toml(text: str) -> Dict[str, object]:
@@ -517,36 +451,33 @@ class Preset:
 
 # The paper's machines and the engine-derived variants.  The family names
 # themselves are presets, so a spec-string base is always a preset name.
-# Each preset pins its datapath (and, on dva, the bypass) so the name always
-# means the same machine no matter the run configuration; everything it
-# leaves unpinned inherits from the RunConfig block.
 PRESETS: Dict[str, Preset] = {
     preset.name: preset
     for preset in (
         Preset(
             "ref",
             "reference in-order vector machine (paper §2.1)",
-            MachineSpec(family="ref", lanes=1, memory_ports=1),
+            MachineSpec(family="ref"),
         ),
         Preset(
             "dva",
             "decoupled vector machine with store→load bypass (paper §7)",
-            MachineSpec(family="dva", bypass=True, lanes=1, memory_ports=1),
+            MachineSpec(family="dva"),
         ),
         Preset(
             "dva-nobypass",
             "decoupled vector machine without the bypass (paper §5)",
-            MachineSpec(family="dva", bypass=False, lanes=1, memory_ports=1),
+            MachineSpec(family="dva", bypass=False),
         ),
         Preset(
             "ref-2lane",
             "reference machine with a two-lane vector unit",
-            MachineSpec(family="ref", lanes=2, memory_ports=1),
+            MachineSpec(family="ref", lanes=2),
         ),
         Preset(
             "dva-2port",
             "decoupled machine (bypass on) with two memory ports",
-            MachineSpec(family="dva", bypass=True, lanes=1, memory_ports=2),
+            MachineSpec(family="dva", memory_ports=2),
         ),
     )
 }
@@ -554,8 +485,8 @@ PRESETS: Dict[str, Preset] = {
 
 # -- sweep axes ------------------------------------------------------------------------
 
-# The one RunConfig axis: per-cell memory latency.  Everything else a sweep
-# can vary is a MachineSpec field.
+# The one axis that is not a machine field: per-cell memory latency.
+# Everything else a sweep can vary is a MachineSpec field.
 LATENCY_AXIS = "latency"
 
 

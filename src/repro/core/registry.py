@@ -63,52 +63,31 @@ class Simulator(Protocol):
 class SpecArchitecture:
     """A :class:`MachineSpec` resolved into a runnable :class:`Simulator`.
 
-    The spec's pinned fields override the matching block of the
-    :class:`~repro.core.config.RunConfig` (so registry names always mean what
-    they say); everything it leaves unpinned is taken from the run
-    configuration.  The adapter is a frozen dataclass of plain data, so sweep
-    cells pickle into pool workers whether the spec came from a preset, an
-    inline string or a runtime registration.
+    The spec is the whole machine; the run configuration only supplies the
+    memory latency.  The adapter is a frozen dataclass of plain data, so
+    sweep cells pickle into pool workers whether the spec came from a
+    preset, an inline string or a runtime registration.
     """
 
     name: str
     description: str
     spec: MachineSpec
 
-    # Convenience passthroughs so callers (and older code) can introspect the
-    # machine without reaching into ``spec``.
-    @property
-    def family(self) -> str:
-        return self.spec.family
-
-    @property
-    def lanes(self) -> Optional[int]:
-        return self.spec.lanes
-
-    @property
-    def memory_ports(self) -> Optional[int]:
-        return self.spec.memory_ports
-
-    @property
-    def bypass(self) -> Optional[bool]:
-        return self.spec.bypass
-
     def simulate(self, trace: Trace, config: RunConfig) -> RunResult:
-        """Run ``trace`` on this machine: the spec's pins override ``config``."""
+        """Run ``trace`` on this machine at ``config.latency``."""
         memory = MemoryModel(latency=config.latency)
+        machine = self.spec.to_config()
         provenance = self.spec.to_json()
         if self.spec.family == "ref":
-            simulator = ReferenceSimulator(
-                memory, config=self.spec.apply_reference(config.reference)
-            )
             return RunResult.from_reference(
-                simulator.run(trace), architecture=self.name, spec=provenance
+                ReferenceSimulator(memory, config=machine).run(trace),
+                architecture=self.name,
+                spec=provenance,
             )
-        simulator = DecoupledSimulator(
-            memory, config=self.spec.apply_decoupled(config.decoupled)
-        )
         return RunResult.from_decoupled(
-            simulator.run(trace), architecture=self.name, spec=provenance
+            DecoupledSimulator(memory, config=machine).run(trace),
+            architecture=self.name,
+            spec=provenance,
         )
 
 
@@ -213,11 +192,9 @@ def resolve_architecture(
     must be spec-backed (a :class:`SpecArchitecture`); the resolved
     simulator's name — the sweep cell's label — is the *base name* plus the
     override assignments (``"dva-2port@lanes=2"``), not the merged spec's
-    canonical string, so labels keep the registered base's identity: two
-    bases whose canonical strings coincide (e.g. a fully-pinned preset and a
-    partially-pinned registration that inherits the rest from the RunConfig)
-    stay distinguishable, and every label re-resolves through
-    :func:`architecture` to the same machine.
+    canonical string, so labels keep the registered base's identity and
+    every label re-resolves through :func:`architecture` to the same
+    machine.
     """
     base = architecture(name)
     pins = dict(overrides)
@@ -230,11 +207,11 @@ def resolve_architecture(
             "need a MachineSpec preset or inline spec"
         )
     merged = spec.with_pins(**pins)
-    # Overrides the base already pins at that exact value change nothing, so
+    # Overrides the base already has at that exact value change nothing, so
     # they are elided from the label ("dva" stays "dva" at lanes=1); any
     # override that does change the machine appears.  Distinct axis combos
     # therefore always get distinct labels under one base: at most one value
-    # per axis can equal the base's pin.
+    # per axis can equal the base's value.
     visible = {
         key: value
         for key, value in pins.items()
@@ -282,22 +259,9 @@ def architecture_names() -> List[str]:
     return builtin + extensions
 
 
-def simulate(
-    trace: Trace,
-    architecture_name: str,
-    latency: Optional[int] = None,
-    config: Optional[RunConfig] = None,
-) -> RunResult:
-    """One-call entry point: simulate ``trace`` on a named architecture.
-
-    ``latency`` is a convenience shortcut for the common case; pass a full
-    :class:`RunConfig` to control the architectural parameter blocks too.
-    """
-    if config is None:
-        config = RunConfig(latency=latency if latency is not None else 1)
-    elif latency is not None:
-        config = config.with_latency(latency)
-    return architecture(architecture_name).simulate(trace, config)
+def simulate(trace: Trace, architecture_name: str, latency: int = 1) -> RunResult:
+    """One-call entry point: simulate ``trace`` on a named architecture."""
+    return architecture(architecture_name).simulate(trace, RunConfig(latency=latency))
 
 
 for _preset in PRESETS.values():

@@ -3,8 +3,8 @@
 This is the *mechanism* layer: frozen blocks of every decoupled-machine
 parameter, consumed by :class:`~repro.dva.simulator.DecoupledSimulator`.
 The declarative layer above it — :class:`~repro.core.machine.MachineSpec`
-with family ``"dva"`` — pins fields onto these blocks via
-:meth:`~repro.core.machine.MachineSpec.apply_decoupled`; prefer describing
+with family ``"dva"`` — builds these blocks via
+:meth:`~repro.core.machine.MachineSpec.to_config`; prefer describing
 machines there (``"dva@ports=2,avdq=4,bypass=off"``) over constructing
 variant blocks by hand.
 """
@@ -69,8 +69,6 @@ class DecoupledConfig:
         functional_unit_startup: pipeline depth of the vector functional units.
         queue_move_startup: cycles before the first element moved by a QMOV
             becomes available for chaining.
-        fetch_per_cycle: instructions the FP can translate and distribute per
-            cycle.
         cross_processor_delay: cycles to move a scalar value between
             processors through the (large) scalar queues.
         scalar_cache: geometry of the scalar cache in front of the AP.
@@ -87,7 +85,6 @@ class DecoupledConfig:
     qmov_units: int = 2
     functional_unit_startup: int = 4
     queue_move_startup: int = 1
-    fetch_per_cycle: int = 1
     cross_processor_delay: int = 1
     scalar_cache: ScalarCacheConfig = field(default_factory=ScalarCacheConfig)
     scalar_store_writes_through: bool = False
@@ -99,8 +96,6 @@ class DecoupledConfig:
             raise ConfigurationError("the VP needs at least one queue-move unit")
         if self.functional_unit_startup < 0 or self.queue_move_startup < 0:
             raise ConfigurationError("pipeline startup cannot be negative")
-        if self.fetch_per_cycle <= 0:
-            raise ConfigurationError("fetch width must be positive")
         if self.cross_processor_delay < 0:
             raise ConfigurationError("cross-processor delay cannot be negative")
         if self.lanes <= 0:

@@ -10,10 +10,10 @@ behaviour of the bounded queues reduces to timestamp arithmetic handled by
 :class:`~repro.dva.queues.TimedQueue`, and a single pass reproduces the timing
 a cycle-stepped simulation would give.
 
-The register scoreboard, the functional-unit/QMOV/port pools, stall
-accounting and the completion horizon come from the shared
-:mod:`repro.engine` kernel; this module contributes the issue rules of the
-four processors, and runs them inline in one loop over the trace's columns.
+The register scoreboard and the functional-unit/QMOV/port pools come from
+the shared :mod:`repro.engine` kernel; this module contributes the issue
+rules of the four processors, and runs them inline in one loop over the
+trace's columns.
 Routing decisions and operand register ids are precomputed per unique static
 instruction (cached on the trace via
 :meth:`~repro.trace.columns.ColumnarTrace.instruction_infos` and the
@@ -40,7 +40,7 @@ from repro.dva.fetch import Processor, route_instruction
 from repro.dva.queues import TimedQueue
 from repro.dva.result import DecoupledResult
 from repro.dva.vector import VectorExecutionResources
-from repro.engine import TimingCore
+from repro.engine import Scoreboard
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RegisterClass
 from repro.memory.model import MemoryModel
@@ -176,11 +176,11 @@ def simulate_decoupled(
 
 
 class _DecoupledState:
-    """Issue rules of the four decoupled processors over a :class:`TimingCore`."""
+    """Issue rules of the four decoupled processors over the engine primitives."""
 
     def __init__(self, memory: MemoryModel, config: DecoupledConfig) -> None:
         self.config = config
-        self.core = TimingCore(default_owners=_DEFAULT_OWNERS)
+        self.scoreboard = Scoreboard(_DEFAULT_OWNERS)
         self.memory = MemoryPipeline(memory, config)
         self.resources = VectorExecutionResources(
             qmov_unit_count=config.qmov_units, lanes=config.lanes
@@ -197,6 +197,9 @@ class _DecoupledState:
         self.ap_free = 0
         self.vp_free = 0
         self.sp_free = 0
+        # The latest completion any issued instruction has reached.
+        self.horizon = 0
+        self.fetch_stall_cycles = 0
 
         # Per-processor instruction counters, folded into the result's
         # ``instructions_per_processor`` dict at wind-down.
@@ -237,7 +240,7 @@ class _DecoupledState:
         cross_delay = config.cross_processor_delay
         fu_startup = config.functional_unit_startup
         qmov_startup = config.queue_move_startup
-        scoreboard = self.core.scoreboard
+        scoreboard = self.scoreboard
         ready_at = scoreboard.ready
         chain_at = scoreboard.chain_start
         owner_of = scoreboard.owner
@@ -257,7 +260,7 @@ class _DecoupledState:
         ap_free = self.ap_free
         vp_free = self.vp_free
         sp_free = self.sp_free
-        horizon = self.core.horizon
+        horizon = self.horizon
         fetch_stall = 0
         ap_count = vp_count = sp_count = 0
         vector_loads = vector_stores = 0
@@ -463,8 +466,8 @@ class _DecoupledState:
         self.ap_free = ap_free
         self.vp_free = vp_free
         self.sp_free = sp_free
-        self.core.horizon = horizon
-        self.core.stalls.stall("fetch", fetch_stall)
+        self.horizon = horizon
+        self.fetch_stall_cycles += fetch_stall
         self.fp_count += len(insn)
         self.ap_count += ap_count
         self.vp_count += vp_count
@@ -476,7 +479,8 @@ class _DecoupledState:
 
     def finish(self, trace: Trace) -> DecoupledResult:
         drain_end = self.memory.drain_all()
-        total_cycles = self.core.finish_time(
+        total_cycles = max(
+            self.horizon,
             self.fp_free,
             self.ap_free,
             self.vp_free,
@@ -513,7 +517,7 @@ class _DecoupledState:
             bypassed_loads=self.memory.bypassed_loads,
             bypassed_bytes=self.memory.bypassed_bytes,
             disambiguation_stalls=self.memory.disambiguation_stalls,
-            fetch_stall_cycles=self.core.stalls.stalls("fetch"),
+            fetch_stall_cycles=self.fetch_stall_cycles,
             scalar_cache_hits=self.memory.cache.hits,
             scalar_cache_misses=self.memory.cache.misses,
         )

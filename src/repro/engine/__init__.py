@@ -1,10 +1,9 @@
 """The shared timing kernel both simulated machines are built on.
 
-The reference and decoupled simulators used to hand-roll the same timing
-machinery twice — register scoreboards with chain-start tracking, free-time
-bookkeeping for functional units and the memory port, stall accounting, the
-completion-horizon logic.  This package is that machinery as one tested
-kernel:
+The reference and decoupled simulators share the same timing machinery —
+register scoreboards with chain-start tracking, free-time bookkeeping for
+functional units and the memory port, the scalar cache in front of the
+ports.  This package is that machinery as one tested kernel:
 
 * :class:`Scoreboard` — register ready/chain-start/owner lists indexed by
   :attr:`~repro.isa.registers.Register.id`; each simulator's issue loop
@@ -13,14 +12,13 @@ kernel:
   :class:`~repro.common.intervals.IntervalRecorder` pair, with the seed's
   least-loaded/first-wins selection rule; :func:`occupancy_cycles` converts
   vector lengths to busy cycles for multi-lane units.
-* :class:`StallAccountant` — named stall counters and per-category cycles.
 * :class:`MemoryFabric` — the memory-port pool, the scalar cache in front of
   it, and traffic accounting, wired once for both machines.
-* :class:`TimingCore` — composes the above with the completion horizon.
 
 Everything works in one-pass timestamp arithmetic: simulators process the
 trace once in program order and never step individual cycles.  The issue
-rules themselves live in each machine's ``consume`` loop.  A new machine
+rules themselves live in each machine's ``consume`` loop, which keeps its
+completion horizon and stall counters as plain attributes.  A new machine
 variant (more lanes, more ports, different queueing) is configuration
 over these primitives rather than a new 400-line simulator.
 """
@@ -39,8 +37,6 @@ TIMING_MODEL_VERSION = 2
 from repro.engine.memory import MemoryFabric, ScalarAccess
 from repro.engine.resources import ResourcePool, occupancy_cycles
 from repro.engine.scoreboard import Scoreboard
-from repro.engine.stalls import StallAccountant
-from repro.engine.timing import TimingCore
 
 __all__ = [
     "TIMING_MODEL_VERSION",
@@ -48,7 +44,5 @@ __all__ = [
     "ResourcePool",
     "ScalarAccess",
     "Scoreboard",
-    "StallAccountant",
-    "TimingCore",
     "occupancy_cycles",
 ]

@@ -3,8 +3,8 @@
 This is the *mechanism* layer: a frozen block of every reference-machine
 parameter, consumed by :class:`~repro.refarch.simulator.ReferenceSimulator`.
 The declarative layer above it — :class:`~repro.core.machine.MachineSpec`
-with family ``"ref"`` — pins fields onto this block via
-:meth:`~repro.core.machine.MachineSpec.apply_reference`; prefer describing
+with family ``"ref"`` — builds this block via
+:meth:`~repro.core.machine.MachineSpec.to_config`; prefer describing
 machines there (``"ref@lanes=2,chaining=on"``) over constructing variant
 blocks by hand.
 """

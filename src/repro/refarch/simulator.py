@@ -11,10 +11,10 @@ started executing.  An instruction starts executing when
 * and its execution resource is free (FU1/FU2 for vector arithmetic, the
   memory port for vector memory and scalar-cache misses).
 
-The register scoreboard, the functional-unit and memory-port pools, stall
-accounting and the completion horizon come from the shared
-:mod:`repro.engine` kernel; this module contributes the issue rules of the
-reference machine, run inline in one loop over the trace's columns.  Per
+The register scoreboard and the functional-unit and memory-port pools come
+from the shared :mod:`repro.engine` kernel; this module contributes the
+issue rules of the reference machine, run inline in one loop over the
+trace's columns.  Per
 dynamic instruction the loop reads the precomputed
 :class:`~repro.trace.columns.InstructionInfo` of the static instruction —
 whose operands are integer register ids indexing the scoreboard lists — plus
@@ -26,10 +26,10 @@ simulation would produce, at a small fraction of the cost.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.common.errors import SimulationError
-from repro.engine import MemoryFabric, TimingCore, occupancy_cycles
+from repro.engine import MemoryFabric, ResourcePool, Scoreboard, occupancy_cycles
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.memory.model import MemoryModel
 from repro.refarch.config import ReferenceConfig
@@ -77,13 +77,13 @@ def simulate_reference(
 
 
 class _SimulationState:
-    """Issue rules of the reference machine over a :class:`TimingCore`."""
+    """Issue rules of the reference machine over the engine primitives."""
 
     def __init__(self, memory: MemoryModel, config: ReferenceConfig) -> None:
         self.memory = memory
         self.config = config
-        self.core = TimingCore()
-        self.fus = self.core.add_pool("FU", count=2, unit_names=("FU1", "FU2"))
+        self.scoreboard = Scoreboard()
+        self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
         self.fabric = MemoryFabric(
             memory,
             config.scalar_cache,
@@ -91,7 +91,11 @@ class _SimulationState:
             scalar_store_writes_through=config.scalar_store_writes_through,
         )
 
+        # The latest completion any issued instruction has reached.
+        self.horizon = 0
         self.dispatch_free = 0
+        self.dispatch_stall_cycles = 0
+        self.category_cycles: Dict[str, int] = {}
         self.instructions = 0
         self.vector_instructions = 0
         self.scalar_instructions = 0
@@ -127,12 +131,12 @@ class _SimulationState:
         fabric = self.fabric
         occupy_bus = fabric.occupy_bus
         acquire_fu = self.fus.acquire
-        scoreboard = self.core.scoreboard
+        scoreboard = self.scoreboard
         ready_at = scoreboard.ready
         chain_at = scoreboard.chain_start
 
         dispatch_free = self.dispatch_free
-        horizon = self.core.horizon
+        horizon = self.horizon
         dispatch_stall = 0
         vector_instructions = 0
         # Execution cycles per category, and the categories in the order
@@ -241,17 +245,15 @@ class _SimulationState:
                 horizon = completion
 
         self.dispatch_free = dispatch_free
-        self.core.horizon = horizon
-        stalls = self.core.stalls
-        stalls.stall("dispatch", dispatch_stall)
+        self.horizon = horizon
+        self.dispatch_stall_cycles = dispatch_stall
         totals = {
             "scalar": scalar_cycles,
             "vector_compute": vector_compute_cycles,
             "vector_memory": vector_memory_cycles,
             "scalar_memory": scalar_memory_cycles,
         }
-        for category in first_charged:
-            stalls.account(category, totals[category])
+        self.category_cycles = {category: totals[category] for category in first_charged}
         self.instructions = len(insn)
         self.vector_instructions = vector_instructions
         self.scalar_instructions = len(insn) - vector_instructions
@@ -259,7 +261,7 @@ class _SimulationState:
     # -- wind-down -------------------------------------------------------------------------
 
     def finish(self, trace: Trace) -> ReferenceResult:
-        total_cycles = self.core.finish_time(self.dispatch_free)
+        total_cycles = max(self.horizon, self.dispatch_free)
         return ReferenceResult(
             program=trace.name,
             latency=self.memory.latency,
@@ -273,6 +275,6 @@ class _SimulationState:
             memory_traffic_bytes=self.fabric.traffic_bytes,
             scalar_cache_hits=self.fabric.cache.hits,
             scalar_cache_misses=self.fabric.cache.misses,
-            dispatch_stall_cycles=self.core.stalls.stalls("dispatch"),
-            category_cycles=self.core.stalls.categories(),
+            dispatch_stall_cycles=self.dispatch_stall_cycles,
+            category_cycles=self.category_cycles,
         )

@@ -19,7 +19,7 @@ becomes a result, and it enforces the three service invariants:
 * **cold cells are batched.**  A cache-missing cell does not dispatch
   immediately: the scheduler gathers everything that arrives within
   :attr:`CellScheduler.batch_window` seconds (a sweep submission lands its
-  whole grid in one window), groups it by (program, scale, config) so each
+  whole grid in one window), groups it by (program, scale) so each
   batch shares one trace, and hands each group to
   :meth:`~repro.core.experiment.Runner.run_batch` on a thread-pool executor
   — in-process simulation for one job, the runner's multiprocessing pool
@@ -54,7 +54,6 @@ class _PendingCell:
     latency: int
     simulator: Simulator
     key: Optional[str]
-    config: RunConfig
     future: "asyncio.Future[RunResult]"
 
 
@@ -113,7 +112,6 @@ class CellScheduler:
         latency: int,
         simulator: Simulator,
         scale: float = 1.0,
-        config: Optional[RunConfig] = None,
     ) -> RunResult:
         """One cell's result: from the store, a shared in-flight simulation,
         or a freshly dispatched batch — in that order of preference.
@@ -124,9 +122,8 @@ class CellScheduler:
         """
         if self._closed:
             raise RuntimeError("scheduler is closed")
-        config = config if config is not None else RunConfig()
         self.cells_requested += 1
-        key = cell_key(program, scale, latency, simulator, config)
+        key = cell_key(program, scale, latency, simulator, RunConfig(latency=latency))
         if key is None:
             self.uncacheable += 1
         else:
@@ -146,7 +143,7 @@ class CellScheduler:
             self._inflight[key] = future
             future.add_done_callback(lambda _done, _key=key: self._inflight.pop(_key, None))
         self._pending.append(
-            _PendingCell(program, scale, latency, simulator, key, config, future)
+            _PendingCell(program, scale, latency, simulator, key, future)
         )
         self._schedule_flush(loop)
         return await asyncio.shield(future)
@@ -169,9 +166,9 @@ class CellScheduler:
         pending, self._pending = self._pending, []
         if not pending:
             return
-        groups: Dict[Tuple[str, float, RunConfig], List[_PendingCell]] = {}
+        groups: Dict[Tuple[str, float], List[_PendingCell]] = {}
         for cell in pending:
-            groups.setdefault((cell.program, cell.scale, cell.config), []).append(cell)
+            groups.setdefault((cell.program, cell.scale), []).append(cell)
         ordered = sorted(
             groups.items(),
             key=lambda item: -sum(
@@ -179,8 +176,8 @@ class CellScheduler:
                 for cell in item[1]
             ),
         )
-        for (program, scale, config), cells in ordered:
-            task = asyncio.ensure_future(self._run_batch(program, scale, config, cells))
+        for (program, scale), cells in ordered:
+            task = asyncio.ensure_future(self._run_batch(program, scale, cells))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
@@ -188,7 +185,6 @@ class CellScheduler:
         self,
         program: str,
         scale: float,
-        config: RunConfig,
         cells: Sequence[_PendingCell],
     ) -> None:
         """Simulate one per-program batch off-loop and resolve its futures."""
@@ -197,7 +193,7 @@ class CellScheduler:
         self.batches_dispatched += 1
         try:
             results = await loop.run_in_executor(
-                self._executor, self.runner.run_batch, program, scale, tasks, config
+                self._executor, self.runner.run_batch, program, scale, tasks
             )
         except Exception as exc:
             for cell in cells:

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import AsyncIterator, Dict, List, Optional, Union
 
 from repro import __version__
-from repro.core.config import RunConfig
 from repro.core.experiment import (
     CellProgress,
     SweepResult,
@@ -229,7 +228,7 @@ class ReproService:
         load_program(run.program)  # unknown program → clean 400
         simulator: Simulator = resolve_architecture(run.architecture)
         result: RunResult = await self.scheduler.run_cell(
-            run.program, run.latency, simulator, scale=run.scale, config=RunConfig()
+            run.program, run.latency, simulator, scale=run.scale
         )
         return json_response(result_payload(result))
 
@@ -300,7 +299,7 @@ class ReproService:
 
         async def _cell(program: str, latency: int, simulator: Simulator) -> RunResult:
             result = await self.scheduler.run_cell(
-                program, latency, simulator, scale=spec.scale, config=RunConfig()
+                program, latency, simulator, scale=spec.scale
             )
             tracker.report(result)
             return result

@@ -6,10 +6,10 @@ resolved machine the cell runs on.  :func:`cell_key` hashes exactly that
 description — nothing less, nothing more — so two cells share a key if and
 only if the simulators would produce identical results:
 
-* the canonical :class:`~repro.core.machine.MachineSpec` string *and* the
-  fully-resolved per-family configuration block (a spec field left unpinned
-  inherits from the :class:`~repro.core.config.RunConfig`, so the spec string
-  alone would under-identify the machine);
+* the canonical :class:`~repro.core.machine.MachineSpec` string and the
+  per-family configuration block it builds
+  (:meth:`~repro.core.machine.MachineSpec.to_config`), so a change to how a
+  spec maps onto the mechanism layer changes the key too;
 * the architecture label, because it travels on the result as provenance and
   a cache hit must restore the result byte-for-byte, label included;
 * :data:`~repro.trace.generator.TRACE_GENERATOR_VERSION`, so changing how
@@ -41,7 +41,10 @@ from repro.trace.generator import TRACE_GENERATOR_VERSION
 #: hashing below changes, so old store entries can never be misread as hits.
 #: v2: v1 keys stripped a ``core=`` pin from the label, so a v1 entry under a
 #: plain ``dva`` key may carry a ``dva@core=event`` label; v2 never serves them.
-KEY_SCHEME_VERSION = 2
+#: v3: a spec is the whole machine and its ``RunResult.spec`` provenance lists
+#: only non-default fields (``ref`` is ``{"family": "ref"}``), so v2 payloads
+#: would restore stale provenance.
+KEY_SCHEME_VERSION = 3
 
 
 def cell_key(
@@ -59,7 +62,8 @@ def cell_key(
         latency: memory latency in cycles.
         simulator: the resolved simulator the cell runs on; must expose a
             ``name`` label and a ``spec`` :class:`MachineSpec` to be keyable.
-        config: the sweep-wide run configuration the spec resolves against.
+        config: the cell's run configuration; unused, since ``latency`` and
+            the spec describe the cell, but kept so the call shape is stable.
 
     Returns:
         A 64-character SHA-256 hex digest, stable across processes and
@@ -68,10 +72,6 @@ def cell_key(
     spec = getattr(simulator, "spec", None)
     if not isinstance(spec, MachineSpec):
         return None
-    if spec.family == "ref":
-        machine = asdict(spec.apply_reference(config.reference))
-    else:
-        machine = asdict(spec.apply_decoupled(config.decoupled))
     payload = {
         "scheme": KEY_SCHEME_VERSION,
         "trace_generator": TRACE_GENERATOR_VERSION,
@@ -81,7 +81,7 @@ def cell_key(
         "latency": int(latency),
         "architecture": str(getattr(simulator, "name", spec.to_string())),
         "spec": spec.to_string(),
-        "machine": machine,
+        "machine": asdict(spec.to_config()),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

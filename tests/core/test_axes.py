@@ -189,28 +189,32 @@ class TestMultiAxisExecution:
             == sweep.get("trfd", 50, "dva-2port").total_cycles
         )
 
-    def test_partially_pinned_base_keeps_its_identity(self):
-        """A spec that *inherits* bypass from the RunConfig is not the 'dva'
-        preset (which pins it); base-anchored labels keep them apart."""
+    def test_registered_copy_of_a_preset_keeps_its_identity(self):
+        """A registration equal to the 'dva' preset runs the same machine;
+        base-anchored labels keep the two apart."""
         from repro.core import MachineSpec, register_architecture, unregister_architecture
 
-        register_architecture(MachineSpec(family="dva"), name="dva-inherit")
+        register_architecture(MachineSpec(family="dva"), name="dva-copy")
         try:
             spec = SweepSpec(
                 programs=("trfd",), latencies=(1,),
-                architectures=("dva", "dva-inherit"),
+                architectures=("dva", "dva-copy"),
                 axes={"lanes": (1, 2)},
                 scale=0.2,
             )
             sweep = Runner(jobs=1).run(spec)
-            # "dva" pins lanes=1 so that override is elided; "dva-inherit"
-            # pins nothing, so every override is visible in its label.
+            # Both bases have lanes=1, so that override is elided from both.
             assert sweep.architecture_labels() == [
-                "dva", "dva-inherit@lanes=1",
-                "dva@lanes=2", "dva-inherit@lanes=2",
+                "dva", "dva-copy", "dva@lanes=2", "dva-copy@lanes=2",
             ]
+            for label in ("dva", "dva@lanes=2"):
+                copy = label.replace("dva", "dva-copy", 1)
+                assert (
+                    sweep.get("trfd", 1, copy).total_cycles
+                    == sweep.get("trfd", 1, label).total_cycles
+                )
         finally:
-            unregister_architecture("dva-inherit")
+            unregister_architecture("dva-copy")
 
     def test_non_spec_backed_architecture_rejects_axes(self):
         from dataclasses import dataclass

@@ -126,7 +126,21 @@ class TestInProcess:
         assert "on|off" in out  # bypass range
         assert "presets" in out
         assert "family=dva" in out
-        assert "memory_ports=2*" in out  # dva-2port pins its ports
+        assert "memory_ports=2" in out  # dva-2port's one non-default field
+
+    def test_list_archs_schema_shows_what_runs(self, capsys):
+        """A registered bare-family spec lists as the default machine it runs."""
+        from repro.core import MachineSpec, register_architecture, unregister_architecture
+
+        register_architecture(MachineSpec(family="dva"), name="dva-bare")
+        try:
+            assert main(["list-archs", "--schema"]) == 0
+        finally:
+            unregister_architecture("dva-bare")
+        presets = capsys.readouterr().out.split("\npresets")[1].splitlines()[1:]
+        fields = {line.split()[0]: line.split()[2:] for line in presets}
+        assert fields["dva-bare"] == fields["dva"] == ["-"]
+        assert fields["dva-nobypass"] == ["bypass=False"]
 
     def test_multi_axis_sweep_end_to_end(self, capsys, tmp_path):
         """CLI → Runner(jobs=2) → JSON → figures, over lanes × ports × latency."""

@@ -145,28 +145,69 @@ class TestJsonTomlRoundTrip:
             MachineSpec.from_json({"family": "dva", "lanes": 1000})
 
 
-class TestApply:
-    def test_apply_reference_pins_only_pinned_fields(self):
-        base = ReferenceConfig(functional_unit_startup=7, allow_load_chaining=True)
-        applied = MachineSpec.from_string("ref@lanes=2").apply_reference(base)
-        assert applied.lanes == 2
-        assert applied.functional_unit_startup == 7  # inherited
-        assert applied.allow_load_chaining is True  # inherited (not pinned)
+class TestDefaults:
+    @pytest.mark.parametrize("family", ["ref", "dva"])
+    def test_bare_family_is_its_preset(self, family):
+        assert MachineSpec(family=family) == PRESETS[family].spec
+        assert MachineSpec(family=family).to_string() == family
 
-    def test_apply_decoupled_queues_and_cache(self):
-        spec = MachineSpec.from_string("dva@avdq=4,vadq=8,cache_lines=64")
-        applied = spec.apply_decoupled(DecoupledConfig())
-        assert applied.queues.vector_load_data == 4
-        assert applied.queues.vector_store_data == 8
-        assert applied.queues.instruction_queue == 16  # inherited
-        assert applied.scalar_cache.lines == 64
-        assert applied.enable_bypass is True  # dva preset pins the bypass
+    def test_inapplicable_fields_stay_unset(self):
+        assert MachineSpec(family="ref").bypass is None
+        assert MachineSpec(family="dva").chaining is None
 
-    def test_apply_wrong_family_rejected(self):
-        with pytest.raises(ConfigurationError, match="family"):
-            MachineSpec.from_string("ref").apply_decoupled(DecoupledConfig())
-        with pytest.raises(ConfigurationError, match="family"):
-            MachineSpec.from_string("dva").apply_reference(ReferenceConfig())
+    @pytest.mark.parametrize("family", ["ref", "dva"])
+    def test_to_config_carries_every_field_default(self, family):
+        config = MachineSpec(family=family).to_config()
+        assert _config_fields(config) == {
+            info.attribute: info.default
+            for info in field_infos()
+            if family in info.families
+        }
+
+    def test_to_config_carries_every_set_field(self):
+        spec = MachineSpec.from_string(
+            "dva@lanes=2,ports=3,bypass=off,iq=4,avdq=5,vadq=6,ssaq=7,sdq=8,"
+            "cache_line=64,cache_lines=128"
+        )
+        assert _config_fields(spec.to_config()) == {
+            "lanes": 2, "memory_ports": 3, "bypass": False,
+            "instruction_queue": 4, "vector_load_data": 5, "vector_store_data": 6,
+            "scalar_store_address": 7, "scalar_data": 8,
+            "cache_line_bytes": 64, "cache_lines": 128,
+        }
+        ref = MachineSpec.from_string("ref@chaining=on,lanes=4").to_config()
+        assert isinstance(ref, ReferenceConfig)
+        assert ref.allow_load_chaining is True and ref.lanes == 4
+
+    def test_overrides_are_exactly_the_non_default_fields(self):
+        spec = MachineSpec(family="dva", lanes=1, bypass=False, vector_load_data=4)
+        assert spec.overrides() == {"bypass": False, "vector_load_data": 4}
+        assert spec.to_json() == {"family": "dva", "bypass": False, "vector_load_data": 4}
+        assert spec.to_string() == "dva@bypass=off,avdq=4"
+
+
+def _config_fields(config):
+    """A family configuration block, read back as MachineSpec attributes."""
+    fields = {
+        "lanes": config.lanes,
+        "memory_ports": config.memory_ports,
+        "cache_line_bytes": config.scalar_cache.line_bytes,
+        "cache_lines": config.scalar_cache.lines,
+    }
+    if isinstance(config, ReferenceConfig):
+        fields["chaining"] = config.allow_load_chaining
+        return fields
+    assert isinstance(config, DecoupledConfig)
+    queues = config.queues
+    fields.update(
+        bypass=config.enable_bypass,
+        instruction_queue=queues.instruction_queue,
+        vector_load_data=queues.vector_load_data,
+        vector_store_data=queues.vector_store_data,
+        scalar_store_address=queues.scalar_store_address,
+        scalar_data=queues.scalar_data,
+    )
+    return fields
 
 
 class TestFieldSchema:
@@ -278,9 +319,4 @@ class TestWorkerPickling:
             scale=0.2,
         )
         result = Runner(jobs=1).run(spec).results[0]
-        assert result.spec == {
-            "family": "dva",
-            "lanes": 2,
-            "memory_ports": 1,
-            "bypass": True,
-        }
+        assert result.spec == {"family": "dva", "lanes": 2}

@@ -1,6 +1,6 @@
 """Unit tests for the Simulator protocol and the architecture registry."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -15,6 +15,7 @@ from repro.core import (
     simulate,
     unregister_architecture,
 )
+from repro.dva.config import DecoupledConfig
 from repro.dva.simulator import simulate_decoupled
 from repro.refarch.simulator import simulate_reference
 from repro.workloads.perfect_club import build_trace
@@ -111,6 +112,24 @@ class TestRegistration:
         finally:
             unregister_architecture("dva-wide")
 
+    def test_bare_family_spec_runs_the_family_defaults(self):
+        """A spec that leaves every field out is the family's default machine.
+
+        ``MachineSpec(family="dva")`` once reported the bypass on but ran
+        without it (41,155 cycles on BDNA at latency 50).
+        """
+        from repro.core import MachineSpec
+
+        bdna = build_trace("BDNA")
+        register_architecture(MachineSpec(family="dva"), name="dva-bare")
+        try:
+            bare = simulate(bdna, "dva-bare", latency=50)
+            named = simulate(bdna, "dva", latency=50)
+        finally:
+            unregister_architecture("dva-bare")
+        assert bare.total_cycles == named.total_cycles == 28292
+        assert bare.detail["bypass"] is True
+
 
 class TestAdapters:
     """The adapters must reproduce the hand-wired simulator calls exactly."""
@@ -126,7 +145,7 @@ class TestAdapters:
         direct = simulate_decoupled(
             trace,
             latency=50,
-            config=replace(RunConfig().decoupled, enable_bypass=True),
+            config=DecoupledConfig(enable_bypass=True),
         )
         assert unified.total_cycles == direct.total_cycles
         assert unified.detail == direct.to_json()
@@ -138,10 +157,9 @@ class TestAdapters:
         assert without.detail["bypass"] is False
         assert without.detail["bypassed_loads"] == 0
 
-    def test_config_latency_override(self, trace):
-        config = RunConfig(latency=1)
-        overridden = simulate(trace, "ref", latency=100, config=config)
-        assert overridden.latency == 100
+    def test_run_config_supplies_the_latency(self, trace):
+        result = architecture("ref").simulate(trace, RunConfig(latency=100))
+        assert result.latency == 100
 
     def test_architecture_tag_on_results(self, trace):
         for name in ("ref", "dva", "dva-nobypass"):

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError, WorkloadError
-from repro.core import Experiment, RunConfig, Runner, SweepSpec, run_sweep
+from repro.core import Runner, SweepSpec, run_sweep
 from repro.core.experiment import SweepCell, SweepResult, estimate_cell_cost
-from repro.refarch.config import ReferenceConfig
 from repro.workloads.perfect_club import load_program, program_names
 
 SPEC = SweepSpec(
@@ -178,21 +177,13 @@ class TestSweepResult:
         assert rebuilt.results == sweep.results
 
 
-class TestExperiment:
-    def test_base_config_applies_to_every_cell(self):
-        spec = SweepSpec(programs=("dyfesm",), latencies=(50,), architectures=("ref",))
-        default = Experiment(spec).run()
-        chained = Experiment(
-            spec, config=RunConfig(reference=ReferenceConfig(allow_load_chaining=True))
-        ).run()
-        assert (
-            chained.get("dyfesm", 50, "ref").total_cycles
-            < default.get("dyfesm", 50, "ref").total_cycles
+class TestSpecMachines:
+    def test_chaining_machine_from_a_spec_string(self):
+        spec = SweepSpec(
+            programs=("dyfesm",), latencies=(50,), architectures=("ref", "ref@chaining=on")
         )
-
-    def test_experiment_accepts_shared_runner(self):
-        runner = Runner()
-        first = Experiment(SPEC).run(runner=runner)
-        second = Experiment(SPEC).run(runner=runner)
-        assert first.results == second.results
-        assert len(runner.trace_cache) == 2
+        sweep = run_sweep(spec)
+        assert (
+            sweep.get("dyfesm", 50, "ref@chaining=on").total_cycles
+            < sweep.get("dyfesm", 50, "ref").total_cycles
+        )

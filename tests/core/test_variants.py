@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core import RunConfig, architecture, architecture_names, simulate
+from repro.core import architecture, architecture_names, simulate
 from repro.core.experiment import SweepSpec, run_sweep
 from repro.core import figures
-from repro.dva.config import DecoupledConfig
 from repro.refarch.config import ReferenceConfig
 from repro.workloads.perfect_club import build_trace
 
@@ -34,24 +33,8 @@ class TestRegistration:
         assert "dva-2port" in names
 
     def test_variant_parameters(self):
-        assert architecture("ref-2lane").lanes == 2
-        assert architecture("dva-2port").memory_ports == 2
-
-    def test_variants_pin_their_datapath(self, trace):
-        """Like bypass on "dva", the registry name wins over the RunConfig."""
-        wide_config = RunConfig(
-            latency=50,
-            reference=ReferenceConfig(lanes=8),
-            decoupled=DecoupledConfig(memory_ports=8),
-        )
-        pinned_ref = architecture("ref").simulate(trace, wide_config)
-        plain_ref = simulate(trace, "ref", latency=50)
-        assert pinned_ref.total_cycles == plain_ref.total_cycles
-
-        pinned_dva = architecture("dva").simulate(trace, wide_config)
-        plain_dva = simulate(trace, "dva", latency=50)
-        assert pinned_dva.total_cycles == plain_dva.total_cycles
-
+        assert architecture("ref-2lane").spec.lanes == 2
+        assert architecture("dva-2port").spec.memory_ports == 2
 
 class TestTiming:
     def test_two_lanes_never_slower(self, sweep):

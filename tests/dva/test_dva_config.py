@@ -52,7 +52,6 @@ class TestDecoupledConfig:
             ({"qmov_units": 0}, "queue-move unit"),
             ({"functional_unit_startup": -1}, "startup"),
             ({"queue_move_startup": -1}, "startup"),
-            ({"fetch_per_cycle": 0}, "fetch width"),
             ({"cross_processor_delay": -1}, "cross-processor delay"),
             ({"lanes": 0}, "lane"),
             ({"memory_ports": 0}, "memory port"),

@@ -1,53 +1,7 @@
-"""Unit tests for StallAccountant, TimingCore and MemoryFabric."""
+"""Unit tests for MemoryFabric."""
 
-import pytest
-
-from repro.common.errors import ConfigurationError
-from repro.engine import MemoryFabric, StallAccountant, TimingCore
+from repro.engine import MemoryFabric
 from repro.memory.model import MemoryModel
-
-
-class TestStallAccountant:
-    def test_stalls_accumulate_by_kind(self):
-        stalls = StallAccountant()
-        stalls.stall("dispatch", 3)
-        stalls.stall("dispatch", 4)
-        stalls.stall("fetch", 1)
-        assert stalls.stalls("dispatch") == 7
-        assert stalls.stalls("fetch") == 1
-        assert stalls.stalls("unknown") == 0
-
-    def test_negative_charges_clamp_to_zero(self):
-        stalls = StallAccountant()
-        stalls.stall("dispatch", -5)
-        assert stalls.stalls("dispatch") == 0
-
-    def test_categories_accumulate_and_copy(self):
-        stalls = StallAccountant()
-        stalls.account("vector_compute", 64)
-        stalls.account("vector_compute", 36)
-        stalls.account("scalar", 1)
-        assert stalls.total("vector_compute") == 100
-        copied = stalls.categories()
-        copied["scalar"] = 999
-        assert stalls.total("scalar") == 1
-
-
-class TestTimingCore:
-    def test_finish_time_includes_pointers(self):
-        core = TimingCore()
-        core.horizon = 10
-        assert core.finish_time() == 10
-        assert core.finish_time(25, 3) == 25
-
-    def test_pools_are_registered_by_name(self):
-        core = TimingCore()
-        pool = core.add_pool("FU", count=2)
-        assert core.pool("FU") is pool
-        with pytest.raises(ConfigurationError, match="already exists"):
-            core.add_pool("FU")
-        with pytest.raises(ConfigurationError, match="unknown resource pool"):
-            core.pool("LD")
 
 
 class TestMemoryFabric:

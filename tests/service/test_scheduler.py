@@ -31,7 +31,7 @@ class CountingRunner:
         self.simulated = 0
         self.effective_jobs = 1
 
-    def run_batch(self, program, scale, tasks, config):
+    def run_batch(self, program, scale, tasks):
         if self.delay:
             time.sleep(self.delay)
         if self.fail:
@@ -186,7 +186,7 @@ class TestStoreFastPath:
                 scheduler.close()
 
         asyncio.run(main())
-        key = cell_key("TRFD", 1.0, 50, DVA, RunConfig())
+        key = cell_key("TRFD", 1.0, 50, DVA, RunConfig(latency=50))
         import json
 
         index = json.loads(store.index_path.read_text())

@@ -2,8 +2,7 @@
 
 from dataclasses import replace
 
-from repro.core import RunConfig, architecture
-from repro.refarch.config import ReferenceConfig
+from repro.core import MachineSpec, RunConfig, architecture
 from repro.store import cell_key
 from repro.store.keys import KEY_SCHEME_VERSION
 
@@ -39,7 +38,7 @@ class TestKeyStability:
     def test_scheme_version_is_current(self):
         # A bump of KEY_SCHEME_VERSION is an intentional, reviewed act of
         # cache invalidation; this pin makes accidental bumps visible.
-        assert KEY_SCHEME_VERSION == 2
+        assert KEY_SCHEME_VERSION == 3
 
 
 class TestKeySensitivity:
@@ -60,16 +59,17 @@ class TestKeySensitivity:
         # so a hit must restore it — the keys must differ.
         assert _key(arch="dva-nobypass") != _key(arch="dva@bypass=off")
 
-    def test_inherited_run_config_fields_change_the_key(self):
-        # The canonical spec string alone under-identifies a machine whose
-        # spec inherits fields from the RunConfig; the key must capture the
-        # fully-resolved configuration.
-        tweaked = replace(
-            CONFIG, reference=ReferenceConfig(functional_unit_startup=7)
+    def test_the_built_machine_configuration_changes_the_key(self, monkeypatch):
+        # A change to how a spec maps onto the mechanism layer must not serve
+        # results simulated under the old mapping.
+        base = _key(arch="ref")
+        original = MachineSpec.to_config
+        monkeypatch.setattr(
+            MachineSpec,
+            "to_config",
+            lambda spec: replace(original(spec), functional_unit_startup=7),
         )
-        assert _key(arch="ref", config=tweaked) != _key(arch="ref")
-        # ... and a block the family ignores must NOT change the key.
-        assert _key(arch="dva", config=tweaked) == _key(arch="dva")
+        assert _key(arch="ref") != base
 
     def test_latency_in_config_does_not_leak_into_the_key(self):
         # The cell's latency is an explicit argument; the config's own

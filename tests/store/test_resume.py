@@ -8,7 +8,7 @@ provenance) from freshly simulated ones.
 
 import pytest
 
-from repro.core import RunConfig, Runner, SweepSpec, run_sweep
+from repro.core import Runner, SweepSpec, run_sweep
 from repro.core.registry import SpecArchitecture
 from repro.store import ResultStore
 
@@ -139,17 +139,19 @@ class TestStoreScoping:
         assert sweep.cached_count == 0
         assert len(calls) == 16
 
-    def test_different_run_config_is_a_cold_sweep(self, store, simulated):
+    def test_different_machine_is_a_cold_sweep(self, store, simulated):
         calls, _ = simulated
         run_sweep(SPEC, store=store)
-        from repro.refarch.config import ReferenceConfig
-
-        tweaked = RunConfig(reference=ReferenceConfig(functional_unit_startup=7))
-        sweep = run_sweep(SPEC, config=tweaked, store=store)
-        # Both families' keys fold in their resolved config block, but only
-        # the ref block changed — dva cells still hit.
+        chained = SweepSpec(
+            programs=SPEC.programs,
+            latencies=SPEC.latencies,
+            architectures=("ref@chaining=on", "dva"),
+            scale=SPEC.scale,
+        )
+        sweep = run_sweep(chained, store=store)
+        # Only the ref machine changed — dva cells still hit.
         assert sweep.cached_count == 4
-        assert all(r.cached == (r.architecture != "ref") for r in sweep)
+        assert all(r.cached == (r.architecture == "dva") for r in sweep)
         assert len(calls) == 12
 
     def test_non_spec_backed_cells_bypass_the_store(self, store, simulated):
