@@ -36,6 +36,17 @@ class TestRegistration:
         assert architecture("ref-2lane").spec.lanes == 2
         assert architecture("dva-2port").spec.memory_ports == 2
 
+    def test_variants_pin_their_datapath(self, trace):
+        """A variant runs exactly the machine its spec names, and not its base."""
+        for variant, inline, base in (
+            ("ref-2lane", "ref@lanes=2", "ref"),
+            ("dva-2port", "dva@ports=2", "dva"),
+        ):
+            cycles = simulate(trace, variant, latency=50).total_cycles
+            assert cycles == simulate(trace, inline, latency=50).total_cycles
+            assert cycles != simulate(trace, base, latency=50).total_cycles
+
+
 class TestTiming:
     def test_two_lanes_never_slower(self, sweep):
         for latency in sweep.spec.latencies:

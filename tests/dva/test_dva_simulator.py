@@ -129,6 +129,21 @@ class TestConfigurationEffects:
         assert wide.max_avdq_occupancy() > 1
         assert narrow.total_cycles > wide.total_cycles
 
+    def test_full_instruction_queue_stalls_the_fetch(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(64)
+            b.vector_load(v_reg(0), "x")
+            for index in range(4):
+                b.vector_op(Opcode.V_ADD, v_reg(1 + index), [v_reg(0), v_reg(0)])
+
+        trace = trace_from_block(emit)
+        one = DecoupledConfig(queues=QueueSizes(instruction_queue=1))
+        narrow = simulate_decoupled(trace, latency=100, config=one)
+        wide = simulate_decoupled(trace, latency=100)
+        # The adds wait on the load; with one IQ slot the fetch waits behind them.
+        assert wide.fetch_stall_cycles == 0
+        assert narrow.fetch_stall_cycles > 0
+
     def test_simulator_class_matches_the_convenience_wrapper(self, trace_from_block):
         def emit(b):
             b.set_vector_length(8)

@@ -226,6 +226,46 @@ class TestDispatchOrder:
         assert result.dispatch_stall_cycles > 0
 
 
+class TestAccounting:
+    def test_unblocked_stream_never_stalls(self, trace_from_block):
+        def emit(b):
+            for index in range(10):
+                b.scalar_op(Opcode.S_ADD, s_reg(index % 4), [s_reg((index + 1) % 4)])
+
+        result = simulate_reference(trace_from_block(emit), latency=50)
+        assert result.dispatch_stall_cycles == 0
+        assert result.category_cycles == {"scalar": 10}
+
+    def test_stalls_accumulate_over_blocked_instructions(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(64)
+            b.vector_load(v_reg(0), "x")
+            b.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
+            b.vector_op(Opcode.V_ADD, v_reg(2), [v_reg(1), v_reg(1)])
+
+        result = simulate_reference(trace_from_block(emit), latency=40)
+        # The first add waits for the load data at 105 instead of issuing at
+        # 2 (103 cycles); the second chains off it at 105 + 4 = 109 on the
+        # other FU instead of issuing at 106 (3 cycles).
+        assert result.dispatch_stall_cycles == 103 + 3
+        assert result.total_cycles == 109 + 4 + 64
+
+    def test_category_cycles_keep_first_charged_order(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(64)
+            b.vector_load(v_reg(0), "x")
+            b.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
+            b.vector_op(Opcode.V_ADD, v_reg(2), [v_reg(1), v_reg(1)])
+
+        result = simulate_reference(trace_from_block(emit), latency=40)
+        # Uncharged categories (scalar memory here) are absent.
+        assert list(result.category_cycles.items()) == [
+            ("scalar", 1),
+            ("vector_memory", 64),
+            ("vector_compute", 2 * 64),
+        ]
+
+
 class TestValidation:
     def test_queue_move_rejected(self):
         instruction = make_instruction(Opcode.QMOV_V_LOAD, destinations=[v_reg(0)])
