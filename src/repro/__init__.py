@@ -14,8 +14,8 @@ contribution:
 * :mod:`repro.refarch` — the reference (non-decoupled) vector architecture.
 * :mod:`repro.dva` — the decoupled vector architecture with load/store queues
   and the store→load bypass.
-* :mod:`repro.core` — the unified experiment API: the :class:`~repro.core.Simulator`
-  protocol and architecture registry, run configuration, the sweep
+* :mod:`repro.core` — the unified experiment API: machine specs and the
+  architecture registry, run configuration, the sweep
   runner (serial or multiprocessing, with per-program trace caching),
   figure/table reproduction and the ``python -m repro`` command line.
 * :mod:`repro.store` — the persistent, content-addressed result store that
@@ -38,7 +38,7 @@ from repro.core import (
     RunConfig,
     RunResult,
     Runner,
-    Simulator,
+    SpecArchitecture,
     SweepResult,
     SweepSpec,
     architecture,
@@ -58,7 +58,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "Runner",
-    "Simulator",
+    "SpecArchitecture",
     "SweepResult",
     "SweepSpec",
     "__version__",

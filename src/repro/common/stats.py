@@ -29,9 +29,6 @@ class Histogram:
         """Total weight across all keys."""
         return sum(self._counts.values())
 
-    def keys(self) -> list[int]:
-        return sorted(self._counts)
-
     def items(self) -> Iterator[Tuple[int, int]]:
         return iter(sorted(self._counts.items()))
 

@@ -5,15 +5,15 @@ touching the per-architecture packages:
 
 * :class:`MachineSpec` — a declarative, validated machine description
   (family, lanes, ports, bypass, chaining, queue depths, scalar-cache
-  geometry) that round-trips through strings (``dva@lanes=2,ports=2``),
-  JSON and TOML.  Named presets (``"ref"``, ``"dva"``, ``"dva-nobypass"``,
-  ``"ref-2lane"``, ``"dva-2port"``) are :class:`MachineSpec` instances.
-* :class:`Simulator` protocol and the architecture registry resolving
-  presets and inline specs into runnable simulators
-  (:class:`SpecArchitecture`); extensible via :func:`register_architecture`
-  with either a spec or a ready-made simulator.  Results come back as a
-  unified, JSON-serializable :class:`RunResult` carrying the resolved spec
-  as provenance.
+  geometry) with a canonical string form (``dva@lanes=2,ports=2``) that
+  :func:`machine_spec` parses back.
+* the architecture registry: every machine is a :class:`SpecArchitecture`
+  (a name, a description and a :class:`MachineSpec`).  The built-ins
+  (``"ref"``, ``"dva"``, ``"dva-nobypass"``, ``"ref-2lane"``,
+  ``"dva-2port"``) and inline spec strings resolve to one, and
+  :func:`register_architecture` names further specs.  Results come back as
+  a unified, JSON-serializable :class:`RunResult` carrying the resolved
+  spec as provenance.
 * :class:`SweepSpec` declaring (programs × latencies ×
   machine axes × architectures) grids — any :class:`MachineSpec` field can
   be a sweep axis — and the :class:`Runner` executing them serially or
@@ -32,16 +32,14 @@ from repro.core.config import RunConfig
 from repro.core.experiment import (
     CellProgress,
     Runner,
-    SweepCell,
     SweepResult,
     SweepSpec,
     TraceCache,
     resolve_sweep_machines,
     run_sweep,
 )
-from repro.core.machine import PRESETS, FieldInfo, MachineSpec, Preset
+from repro.core.machine import FieldInfo, MachineSpec
 from repro.core.registry import (
-    Simulator,
     SpecArchitecture,
     architecture,
     architecture_names,
@@ -59,16 +57,12 @@ __all__ = [
     "CellProgress",
     "FieldInfo",
     "MachineSpec",
-    "PRESETS",
-    "Preset",
     "ResultStore",
     "RunConfig",
     "RunResult",
     "Runner",
     "cell_key",
-    "Simulator",
     "SpecArchitecture",
-    "SweepCell",
     "SweepResult",
     "SweepSpec",
     "TraceCache",

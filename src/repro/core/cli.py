@@ -37,12 +37,7 @@ from repro.common.errors import ReproError
 from repro.core import figures as figures_module
 from repro.core import machine as machine_module
 from repro.core.experiment import CellProgress, Runner, SweepResult, SweepSpec
-from repro.core.registry import (
-    architecture,
-    architecture_names,
-    machine_spec,
-    simulate,
-)
+from repro.core.registry import architecture, architecture_names, simulate
 from repro.store import ResultStore, default_store_root
 from repro.workloads.perfect_club import load_program, program_names
 
@@ -294,10 +289,8 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
     names = architecture_names()
     width = max(len(name) for name in names)
     for name in names:
-        simulator = architecture(name)
-        spec = getattr(simulator, "spec", None)
-        spec_text = spec.to_string() if spec is not None else "(not spec-backed)"
-        print(f"{name:{width}s}  {spec_text:24s}  {simulator.description}")
+        arch = architecture(name)
+        print(f"{name:{width}s}  {arch.spec.to_string():24s}  {arch.description}")
     if not args.schema:
         return 0
 
@@ -314,16 +307,13 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
             "families": ",".join(info.families),
             "description": info.description,
         }
-        for info in machine_module.field_infos()
+        for info in machine_module.FIELDS
     ]
     print(figures_module.format_table(rows))
 
     print("\npresets (fields that differ from the defaults above; the rest run at them):")
     for name in names:
-        try:
-            spec = machine_spec(name)
-        except ReproError:
-            continue
+        spec = architecture(name).spec
         fields = ", ".join(
             f"{attr}={value}" for attr, value in spec.overrides().items()
         ) or "-"

@@ -1,4 +1,4 @@
-"""The per-cell run configuration every :class:`~repro.core.registry.Simulator` takes.
+"""The per-cell run configuration every architecture's ``simulate`` takes.
 
 The machine itself is a :class:`~repro.core.machine.MachineSpec`; a
 :class:`RunConfig` carries the one remaining input of a sweep cell besides

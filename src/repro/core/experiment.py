@@ -32,9 +32,7 @@ it consults it before dispatching cells (hits come back as results marked
 ``cached=True``, their programs' traces are never even built), simulates only
 the misses, and writes each miss back the moment it completes — in the
 worker, not at the end of the sweep — so a killed sweep resumes with zero
-re-simulated cells and an identical warm re-run is pure cache hits.  Cells
-whose simulator is not spec-backed have no content-addressed identity and
-transparently bypass the store.
+re-simulated cells and an identical warm re-run is pure cache hits.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from repro.core.machine import (
     canonical_axis_name,
     parse_axis_values,
 )
-from repro.core.registry import Simulator, resolve_architecture
+from repro.core.registry import SpecArchitecture, resolve_architecture
 from repro.core.result import RunResult
 from repro.store import ResultStore, cell_key
 from repro.trace.record import Trace
@@ -77,9 +75,9 @@ from repro.workloads.program_model import check_scale
 Overrides = Tuple[Tuple[str, object], ...]
 Axes = Tuple[Tuple[str, Tuple[object, ...]], ...]
 
-#: One dispatchable unit of work: (latency, resolved simulator, cache key or
-#: ``None`` when the cell is uncacheable or no store is in play).
-CellTask = Tuple[int, Simulator, Optional[str]]
+#: One dispatchable unit of work: (latency, resolved machine, cache key or
+#: ``None`` when no store is in play).
+CellTask = Tuple[int, SpecArchitecture, Optional[str]]
 
 #: Estimated trace lengths, memoized per (program, scale): the program models
 #: are tiny dataclasses but there is no reason to rebuild one per cell.
@@ -168,22 +166,6 @@ class _ProgressTracker:
                     from_store=result.cached,
                 )
             )
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One point of a sweep grid.
-
-    ``architecture`` is the grid's (base) architecture name; ``overrides``
-    holds the cell's machine-axis values as ``(axis, value)`` pairs.  The
-    executed result's architecture *label* is the base name when there are no
-    overrides, and the merged spec's canonical string otherwise.
-    """
-
-    program: str
-    latency: int
-    architecture: str
-    overrides: Overrides = ()
 
 
 def _split_spec_list(text: str) -> Tuple[str, ...]:
@@ -320,15 +302,6 @@ class SweepSpec:
         """Every machine-axis combination, axis-major (``[()]`` with no axes)."""
         return axis_combinations(self.axes)  # type: ignore[arg-type]
 
-    def cells(self) -> Iterator[SweepCell]:
-        """Grid cells in deterministic program-major order."""
-        combos = self.axis_combinations()
-        for program in self.programs:
-            for latency in self.latencies:
-                for combo in combos:
-                    for arch in self.architectures:
-                        yield SweepCell(program, latency, arch, overrides=combo)
-
     def __len__(self) -> int:
         cells = len(self.programs) * len(self.latencies) * len(self.architectures)
         for _, values in self.axes:
@@ -336,20 +309,20 @@ class SweepSpec:
         return cells
 
 
-def resolve_sweep_machines(spec: SweepSpec) -> List[Simulator]:
+def resolve_sweep_machines(spec: SweepSpec) -> List[SpecArchitecture]:
     """Check ``spec``'s programs and resolve every (axis-combo × architecture).
 
-    Unknown programs, unknown architectures, non-spec-backed machines under
-    an axis sweep, and distinct grid cells that collapse onto the same
-    machine label all fail here, before any simulation: :func:`plan_sweep`
-    calls this first, and the sweep service calls it at request admission so
-    a bad sweep is rejected with a clean error instead of dying mid-run.
-    The returned simulators are axis-combo-major, matching the pair order of
-    :meth:`SweepSpec.cells`.
+    Unknown programs, unknown architectures, and distinct grid cells that
+    collapse onto the same machine label all fail here, before any
+    simulation: :func:`plan_sweep` calls this first, and the sweep service
+    calls it at request admission so a bad sweep is rejected with a clean
+    error instead of dying mid-run.
+    The returned machines are axis-combo-major, architecture-minor: the
+    order each (program, latency) group of :func:`plan_sweep` runs them in.
     """
     for program in spec.programs:
         load_program(program)
-    machines: List[Simulator] = []
+    machines: List[SpecArchitecture] = []
     seen_labels: Dict[str, Tuple[str, Overrides]] = {}
     for combo in spec.axis_combinations():
         for arch in spec.architectures:
@@ -370,15 +343,14 @@ def resolve_sweep_machines(spec: SweepSpec) -> List[Simulator]:
 class PlannedCell:
     """One grid cell on its way to a result.
 
-    ``key`` is the cell's store key (``None`` without a store, or for a
-    machine that is not spec-backed).  ``result`` is set at planning time
-    for a store hit and by whoever executes the cell otherwise, so a cell
-    still holding ``None`` is a task to run.
+    ``key`` is the cell's store key (``None`` without a store).  ``result``
+    is set at planning time for a store hit and by whoever executes the cell
+    otherwise, so a cell still holding ``None`` is a task to run.
     """
 
     program: str
     latency: int
-    simulator: Simulator
+    simulator: SpecArchitecture
     key: Optional[str]
     result: Optional[RunResult] = None
 
@@ -390,6 +362,8 @@ class PlannedCell:
 def plan_sweep(spec: SweepSpec, store: Optional[ResultStore]) -> List[PlannedCell]:
     """Every cell of ``spec`` in grid order, each either a store hit or a task.
 
+    Grid order is program-major, then latency, then axis combination, then
+    architecture; it is the order every runner executes and reports in.
     Validation (:func:`resolve_sweep_machines`) runs first, so a bad spec
     fails before any key is computed.  With a store, each cell's key is
     computed and probed; hits come back holding their ``cached=True``
@@ -406,8 +380,7 @@ def plan_sweep(spec: SweepSpec, store: Optional[ResultStore]) -> List[PlannedCel
                     key = cell_key(
                         program, spec.scale, latency, simulator, RunConfig(latency=latency)
                     )
-                    if key is not None:
-                        hit = store.get(key)
+                    hit = store.get(key)
                 cells.append(PlannedCell(program, latency, simulator, key, hit))
     return cells
 
@@ -471,7 +444,7 @@ def _run_cells(
     results: List[RunResult] = []
     for latency, simulator, key in tasks:
         result = simulator.simulate(trace, RunConfig(latency=latency))
-        if store is not None and key is not None:
+        if store is not None:
             result = replace(result, store_key=key)
             store.put(key, result, scale=scale)
         results.append(result)
@@ -507,9 +480,9 @@ def _run_program_cells(
     """Worker: sweep one batch of a program's cells over its cached trace.
 
     Module-level so ``multiprocessing`` can pickle it under both the fork and
-    spawn start methods.  The task carries the resolved :class:`Simulator`
-    objects rather than registry names, so runtime-registered extensions work
-    in workers too — provided the simulator object itself pickles.  When the
+    spawn start methods.  The task carries the resolved
+    :class:`~repro.core.registry.SpecArchitecture` records rather than
+    registry names, so runtime registrations work in workers too.  When the
     parent runs with a result store, the task carries the store *root* (a
     plain path) and the worker opens its own handle: constructing a
     :class:`~repro.store.ResultStore` touches no files, and each completed

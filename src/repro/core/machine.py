@@ -6,32 +6,34 @@ store→load bypass on/off, datapath width — and every one of those knobs is a
 exactly that: a validated, frozen description of one whole machine — the
 simulator family (``ref`` or ``dva``), lanes, memory ports, the bypass and
 chaining switches, the decoupled queue depths and the scalar-cache geometry —
-that round-trips through strings, JSON and TOML unchanged and that the
-registry (:mod:`repro.core.registry`) resolves into a runnable simulator.
-Every field the family has gets a value: one left out takes its
-:data:`FIELDS` default, so ``MachineSpec(family="dva")`` is the ``dva``
-preset.  :meth:`MachineSpec.to_config` turns a spec into the family's
-mechanism-level configuration block.
+that the registry (:mod:`repro.core.registry`) names and resolves into a
+runnable machine.  Every field the family has gets a value: one left out
+takes its :data:`FIELDS` default, so ``MachineSpec(family="dva")`` is the
+``dva`` built-in.  :meth:`MachineSpec.to_config` turns a spec into the
+family's mechanism-level configuration block.
 
 Spec strings use the grammar::
 
     spec        := base [ "@" assignment { "," assignment } ]
-    base        := preset name ("ref", "dva", "dva-nobypass", ...) — the
-                   family names are themselves presets
+    base        := any registered architecture name ("ref", "dva",
+                   "dva-nobypass", ...) — the family names are built-ins
     assignment  := key "=" value
     value       := integer | "on" | "off" | "true" | "false" | "yes" | "no"
 
 so ``dva@lanes=2,ports=2,bypass=off`` is a two-lane, two-port decoupled
-machine without the bypass.  :meth:`MachineSpec.to_string` emits the canonical
-form (the family plus its non-default fields, primary keys), and
-``MachineSpec.from_string(spec.to_string()) == spec`` for every spec.
+machine without the bypass.  The registry's
+:func:`~repro.core.registry.machine_spec` parses them (the base has to be
+looked up there); this module supplies the field schema and the
+``key=value`` clause parser.  :meth:`MachineSpec.to_string` emits the
+canonical form (the family plus its non-default fields, primary keys), and
+``machine_spec(spec.to_string()) == spec`` for every spec.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.dva.config import DecoupledConfig, QueueSizes
@@ -144,11 +146,6 @@ for _info in FIELDS:
 
 _TRUE_WORDS = frozenset({"on", "true", "yes", "1"})
 _FALSE_WORDS = frozenset({"off", "false", "no", "0"})
-
-
-def field_infos() -> Tuple[FieldInfo, ...]:
-    """The sweepable fields, in canonical (spec-string) order."""
-    return FIELDS
 
 
 def lookup_field(name: str) -> FieldInfo:
@@ -284,8 +281,8 @@ class MachineSpec:
     def overrides(self) -> Dict[str, FieldValue]:
         """The fields that differ from their default, by attribute, in canonical order.
 
-        Exactly what :meth:`to_string`, :meth:`to_json` and :meth:`to_toml`
-        write out: everything else is the :data:`FIELDS` default.
+        Exactly what :meth:`to_string` and :meth:`to_json` write out:
+        everything else is the :data:`FIELDS` default.
         """
         return {
             info.attribute: getattr(self, info.attribute)
@@ -325,31 +322,7 @@ class MachineSpec:
             memory_ports=self.memory_ports,
         )
 
-    # -- string form -----------------------------------------------------------------
-
-    @classmethod
-    def from_string(cls, text: str) -> "MachineSpec":
-        """Parse ``base[@key=value,...]``; the base may be any preset name.
-
-        The registry's :func:`~repro.core.registry.architecture` resolves the
-        base against *registered* names too (so ``"my-custom@lanes=2"`` works
-        once ``"my-custom"`` is registered); this classmethod alone only
-        knows the built-in presets.
-        """
-        base, _, assignments = text.strip().partition("@")
-        base = base.strip().lower()
-        if not base:
-            raise ConfigurationError(f"machine spec {text!r} has no base machine")
-        if base in PRESETS:
-            spec = PRESETS[base].spec
-        else:
-            known = ", ".join(PRESETS)
-            raise ConfigurationError(
-                f"unknown machine preset {base!r} (known: {known})"
-            )
-        if "@" not in text:
-            return spec
-        return spec.with_pins(**parse_assignments(assignments, text))
+    # -- string and JSON form ---------------------------------------------------------
 
     def to_string(self) -> str:
         """The canonical spec string: the family plus its non-default fields."""
@@ -361,126 +334,11 @@ class MachineSpec:
             return self.family
         return f"{self.family}@{','.join(parts)}"
 
-    # -- JSON / TOML form ------------------------------------------------------------
-
     def to_json(self) -> Dict[str, object]:
-        """A dictionary that survives ``json.dumps``/``json.loads`` unchanged."""
+        """The non-default fields plus the family, as result provenance."""
         payload: Dict[str, object] = {"family": self.family}
         payload.update(self.overrides())
         return payload
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "MachineSpec":
-        """Rebuild a spec from :meth:`to_json` output (unknown keys rejected)."""
-        if "family" not in data:
-            raise ConfigurationError("machine spec JSON needs a 'family' key")
-        values: Dict[str, FieldValue] = {}
-        for name, value in data.items():
-            if name == "family":
-                continue
-            info = lookup_field(str(name))
-            values[info.attribute] = value  # type: ignore[assignment]
-        return cls(family=str(data["family"]), **values)
-
-    def to_toml(self) -> str:
-        """The spec as a flat TOML document."""
-        lines = [f'family = "{self.family}"']
-        for attribute, value in self.overrides().items():
-            if isinstance(value, bool):
-                lines.append(f"{attribute} = {'true' if value else 'false'}")
-            else:
-                lines.append(f"{attribute} = {value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_toml(cls, text: str) -> "MachineSpec":
-        """Parse :meth:`to_toml` output (any flat TOML table works)."""
-        return cls.from_json(_parse_flat_toml(text))
-
-
-def _parse_flat_toml(text: str) -> Dict[str, object]:
-    """Parse a flat TOML table: stdlib ``tomllib`` when present, else minimal.
-
-    The fallback understands exactly what :meth:`MachineSpec.to_toml` emits
-    (bare ``key = value`` lines with string, boolean and integer values), so
-    specs round-trip on Python 3.10 where ``tomllib`` does not exist.
-    """
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - Python 3.10
-        tomllib = None
-    if tomllib is not None:
-        try:
-            return dict(tomllib.loads(text))
-        except tomllib.TOMLDecodeError as exc:
-            raise ConfigurationError(f"invalid machine spec TOML: {exc}") from exc
-    data: Dict[str, object] = {}
-    for line in text.splitlines():  # pragma: no cover - Python 3.10
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ConfigurationError(f"invalid machine spec TOML line {line!r}")
-        key, value = key.strip(), value.strip()
-        if value.startswith('"') and value.endswith('"') and len(value) >= 2:
-            data[key] = value[1:-1]
-        elif value in ("true", "false"):
-            data[key] = value == "true"
-        else:
-            try:
-                data[key] = int(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"invalid machine spec TOML value {value!r}"
-                ) from None
-    return data
-
-
-# -- presets ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Preset:
-    """A named, documented :class:`MachineSpec` — the registry's built-ins."""
-
-    name: str
-    description: str
-    spec: MachineSpec
-
-
-# The paper's machines and the engine-derived variants.  The family names
-# themselves are presets, so a spec-string base is always a preset name.
-PRESETS: Dict[str, Preset] = {
-    preset.name: preset
-    for preset in (
-        Preset(
-            "ref",
-            "reference in-order vector machine (paper §2.1)",
-            MachineSpec(family="ref"),
-        ),
-        Preset(
-            "dva",
-            "decoupled vector machine with store→load bypass (paper §7)",
-            MachineSpec(family="dva"),
-        ),
-        Preset(
-            "dva-nobypass",
-            "decoupled vector machine without the bypass (paper §5)",
-            MachineSpec(family="dva", bypass=False),
-        ),
-        Preset(
-            "ref-2lane",
-            "reference machine with a two-lane vector unit",
-            MachineSpec(family="ref", lanes=2),
-        ),
-        Preset(
-            "dva-2port",
-            "decoupled machine (bypass on) with two memory ports",
-            MachineSpec(family="dva", memory_ports=2),
-        ),
-    )
-}
 
 
 # -- sweep axes ------------------------------------------------------------------------
@@ -550,11 +408,8 @@ __all__ = [
     "FieldInfo",
     "LATENCY_AXIS",
     "MachineSpec",
-    "PRESETS",
-    "Preset",
     "axis_combinations",
     "canonical_axis_name",
-    "field_infos",
     "lookup_field",
     "parse_axis_values",
     "parse_field_value",

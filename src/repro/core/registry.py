@@ -1,4 +1,4 @@
-"""The :class:`Simulator` protocol and the architecture registry.
+"""The architecture registry: named :class:`MachineSpec` machines.
 
 The two simulators in the library grew incompatible entry points
 (``ReferenceSimulator(memory, config).run(trace)`` versus
@@ -7,29 +7,30 @@ result types).  This module hides both behind one shape::
 
     result = architecture("dva").simulate(trace, RunConfig(latency=50))
 
-Architectures are *data*: every built-in name is a
-:class:`~repro.core.machine.MachineSpec` preset resolved into a
-:class:`SpecArchitecture`, and inline spec strings resolve on the fly, so
+Architectures are *data*: the registry holds only
+:class:`SpecArchitecture` records — a name, a description and the
+:class:`~repro.core.machine.MachineSpec` that is the whole machine — and
+inline spec strings resolve on the fly, so
 
     architecture("dva@lanes=2,ports=2,bypass=off")
 
 is a machine nobody had to write code for.  The registry is seeded with the
 paper's three machines — ``"ref"``, ``"dva"`` (store→load bypass enabled,
 paper §7) and ``"dva-nobypass"`` (the §5 baseline decoupled machine) — plus
-two engine-derived variants, ``"ref-2lane"`` and ``"dva-2port"``, and stays
-extensible through :func:`register_architecture` (now a thin wrapper over
-spec resolution: pass a :class:`MachineSpec` or any ready-made simulator).
+two engine-derived variants, ``"ref-2lane"`` and ``"dva-2port"``, and
+:func:`register_architecture` names further specs.  :func:`machine_spec` is
+the one spec-string parser: the base of ``base@key=value,...`` may be any
+registered name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import RunConfig
 from repro.core.machine import (
-    PRESETS,
     MachineSpec,
     format_override,
     lookup_field,
@@ -42,31 +43,14 @@ from repro.refarch.simulator import ReferenceSimulator
 from repro.trace.record import Trace
 
 
-@runtime_checkable
-class Simulator(Protocol):
-    """Anything that can turn a trace plus a run configuration into a result.
-
-    Implementations must be stateless across calls (one ``simulate`` call must
-    not affect the next) so the sweep runner can reuse them freely across
-    cells and processes.
-    """
-
-    name: str
-    description: str
-
-    def simulate(self, trace: Trace, config: RunConfig) -> RunResult:
-        """Simulate ``trace`` under ``config`` and return the unified result."""
-        ...
-
-
 @dataclass(frozen=True)
 class SpecArchitecture:
-    """A :class:`MachineSpec` resolved into a runnable :class:`Simulator`.
+    """A named :class:`MachineSpec`, ready to simulate.
 
     The spec is the whole machine; the run configuration only supplies the
-    memory latency.  The adapter is a frozen dataclass of plain data, so
+    memory latency.  The record is a frozen dataclass of plain data, so
     sweep cells pickle into pool workers whether the spec came from a
-    preset, an inline string or a runtime registration.
+    built-in, an inline string or a runtime registration.
     """
 
     name: str
@@ -93,42 +77,69 @@ class SpecArchitecture:
 
 # -- the registry ----------------------------------------------------------------------
 
+# The paper's machines and the engine-derived variants.  The family names are
+# built-ins, so a bare family is always a valid spec-string base.
+_BUILTINS = (
+    SpecArchitecture(
+        "ref",
+        "reference in-order vector machine (paper §2.1)",
+        MachineSpec(family="ref"),
+    ),
+    SpecArchitecture(
+        "dva",
+        "decoupled vector machine with store→load bypass (paper §7)",
+        MachineSpec(family="dva"),
+    ),
+    SpecArchitecture(
+        "dva-nobypass",
+        "decoupled vector machine without the bypass (paper §5)",
+        MachineSpec(family="dva", bypass=False),
+    ),
+    SpecArchitecture(
+        "ref-2lane",
+        "reference machine with a two-lane vector unit",
+        MachineSpec(family="ref", lanes=2),
+    ),
+    SpecArchitecture(
+        "dva-2port",
+        "decoupled machine (bypass on) with two memory ports",
+        MachineSpec(family="dva", memory_ports=2),
+    ),
+)
 
-_REGISTRY: Dict[str, Simulator] = {}
+_REGISTRY: Dict[str, SpecArchitecture] = {arch.name: arch for arch in _BUILTINS}
+_BUILTIN_NAMES = tuple(_REGISTRY)
+
+# Characters of the spec-string and ``--arch`` list grammar: a name holding
+# one would be read back as a different machine, or as several.
+_SEPARATORS = ("@", ",", "=")
 
 
 def register_architecture(
-    simulator: Union[Simulator, MachineSpec],
-    *,
-    name: Optional[str] = None,
-    description: str = "",
-    replace: bool = False,
-) -> Simulator:
-    """Add a simulator — or a :class:`MachineSpec` to resolve — to the registry.
+    spec: MachineSpec, *, name: str = "", description: str = ""
+) -> SpecArchitecture:
+    """Register ``spec`` under ``name`` (case-insensitive) and return the record.
 
-    A :class:`MachineSpec` is resolved into a :class:`SpecArchitecture` first
-    (``name`` defaults to the spec's canonical string), so registration is a
-    thin wrapper over spec resolution.  Names are case-insensitive.
-    Registering an existing name raises unless ``replace=True``, to catch
-    accidental collisions between extensions.  Returns the registered
-    simulator so the call can be used as a decorator tail.
+    The name is required, must be new, and may not contain a spec-string
+    separator (``@``, ``,`` or ``=``).
     """
-    if isinstance(simulator, MachineSpec):
-        simulator = SpecArchitecture(
-            name=name if name is not None else simulator.to_string(),
-            description=description,
-            spec=simulator,
+    if not isinstance(spec, MachineSpec):
+        raise ConfigurationError(
+            f"register_architecture takes a MachineSpec, got {type(spec).__name__}"
         )
-    key = simulator.name.lower()
+    key = name.lower()
     if not key:
         raise ConfigurationError("architecture name cannot be empty")
-    if key in _REGISTRY and not replace:
+    separators = [char for char in _SEPARATORS if char in key]
+    if separators:
         raise ConfigurationError(
-            f"architecture {simulator.name!r} is already registered "
-            "(pass replace=True to override)"
+            f"architecture name {name!r} contains {separators[0]!r}, which "
+            "spec strings and --arch lists use as a separator"
         )
-    _REGISTRY[key] = simulator
-    return simulator
+    if key in _REGISTRY:
+        raise ConfigurationError(f"architecture {name!r} is already registered")
+    _REGISTRY[key] = SpecArchitecture(name=name, description=description, spec=spec)
+    return _REGISTRY[key]
 
 
 def unregister_architecture(name: str) -> None:
@@ -136,77 +147,63 @@ def unregister_architecture(name: str) -> None:
     _REGISTRY.pop(name.lower(), None)
 
 
-def architecture(name: str) -> Simulator:
+def machine_spec(text: str) -> MachineSpec:
+    """Parse ``base[@key=value,...]``; the base may be any registered name.
+
+    The clause's assignments are set on the base's spec, so
+    ``machine_spec("dva-2port@lanes=2") == machine_spec("dva@lanes=2,ports=2")``.
+    """
+    base, at, assignments = text.strip().lower().partition("@")
+    base = base.strip()
+    if not base:
+        raise ConfigurationError(f"machine spec {text!r} has no base machine")
+    registered = _REGISTRY.get(base)
+    if registered is None:
+        known = ", ".join(architecture_names())
+        raise ConfigurationError(
+            f"unknown architecture {base!r} (known: {known}; "
+            "inline specs look like 'dva@lanes=2,ports=2')"
+        )
+    if not at:
+        return registered.spec
+    return registered.spec.with_pins(**parse_assignments(assignments, text))
+
+
+def architecture(name: str) -> SpecArchitecture:
     """Look up an architecture by name, or resolve an inline spec string.
 
-    Registered names (case-insensitive) win; anything containing ``@`` is
-    parsed as a ``base@key=value,...`` machine spec — the base may be any
-    registered spec-backed architecture (including runtime registrations),
-    not just the built-in presets — and resolved on the fly without being
-    registered.
+    Registered names (case-insensitive) win; anything else is parsed by
+    :func:`machine_spec` and resolved on the fly, under its canonical spec
+    string, without being registered.
     """
-    key = name.lower()
-    try:
-        return _REGISTRY[key]
-    except KeyError:
-        if "@" in key:
-            spec = _parse_inline_spec(key)
-            return SpecArchitecture(
-                name=spec.to_string(),
-                description=f"inline spec ({spec.to_string()})",
-                spec=spec,
-            )
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigurationError(
-            f"unknown architecture {name!r} (known: {known}; "
-            "inline specs look like 'dva@lanes=2,ports=2')"
-        ) from None
-
-
-def _parse_inline_spec(text: str) -> MachineSpec:
-    """Parse ``base@key=value,...`` resolving the base through the registry.
-
-    A registered spec-backed base (runtime registrations included) takes
-    precedence; otherwise the built-in presets are tried, so the plain
-    ``MachineSpec.from_string`` grammar remains a subset of this one.
-    """
-    base, _, assignments = text.partition("@")
-    registered = _REGISTRY.get(base.strip())
-    if registered is None:
-        return MachineSpec.from_string(text)
-    spec = getattr(registered, "spec", None)
-    if not isinstance(spec, MachineSpec):
-        raise ConfigurationError(
-            f"architecture {base.strip()!r} is not spec-backed; it cannot "
-            "be extended with an @-clause"
-        )
-    return spec.with_pins(**parse_assignments(assignments, text))
+    registered = _REGISTRY.get(name.lower())
+    if registered is not None:
+        return registered
+    spec = machine_spec(name)
+    return SpecArchitecture(
+        name=spec.to_string(),
+        description=f"inline spec ({spec.to_string()})",
+        spec=spec,
+    )
 
 
 def resolve_architecture(
     name: str, overrides: Union[Mapping[str, object], Tuple[Tuple[str, object], ...]] = ()
-) -> Simulator:
+) -> SpecArchitecture:
     """Resolve an architecture name (or inline spec) plus sweep-axis overrides.
 
-    Without overrides this is :func:`architecture`.  With overrides the base
-    must be spec-backed (a :class:`SpecArchitecture`); the resolved
-    simulator's name — the sweep cell's label — is the *base name* plus the
-    override assignments (``"dva-2port@lanes=2"``), not the merged spec's
-    canonical string, so labels keep the registered base's identity and
-    every label re-resolves through :func:`architecture` to the same
+    Without overrides this is :func:`architecture`.  With overrides the
+    resolved machine's name — the sweep cell's label — is the *base name*
+    plus the override assignments (``"dva-2port@lanes=2"``), not the merged
+    spec's canonical string, so labels keep the registered base's identity
+    and every label re-resolves through :func:`architecture` to the same
     machine.
     """
     base = architecture(name)
     pins = dict(overrides)
     if not pins:
         return base
-    spec = getattr(base, "spec", None)
-    if not isinstance(spec, MachineSpec):
-        raise ConfigurationError(
-            f"architecture {name!r} is not spec-backed; machine-axis sweeps "
-            "need a MachineSpec preset or inline spec"
-        )
-    merged = spec.with_pins(**pins)
+    merged = base.spec.with_pins(**pins)
     # Overrides the base already has at that exact value change nothing, so
     # they are elided from the label ("dva" stays "dva" at lanes=1); any
     # override that does change the machine appears.  Distinct axis combos
@@ -215,7 +212,7 @@ def resolve_architecture(
     visible = {
         key: value
         for key, value in pins.items()
-        if getattr(spec, lookup_field(key).attribute) != value
+        if getattr(base.spec, lookup_field(key).attribute) != value
     }
     if not visible:
         return SpecArchitecture(name=base.name, description=base.description, spec=merged)
@@ -238,23 +235,9 @@ def resolve_architecture(
     )
 
 
-def machine_spec(name: str) -> MachineSpec:
-    """The :class:`MachineSpec` behind a registered name or inline string."""
-    simulator = architecture(name)
-    spec = getattr(simulator, "spec", None)
-    if not isinstance(spec, MachineSpec):
-        raise ConfigurationError(
-            f"architecture {name!r} is not described by a MachineSpec"
-        )
-    return spec
-
-
-_BUILTIN_ORDER = tuple(PRESETS)
-
-
 def architecture_names() -> List[str]:
     """Registered architecture names, built-ins first."""
-    builtin = [name for name in _BUILTIN_ORDER if name in _REGISTRY]
+    builtin = [name for name in _BUILTIN_NAMES if name in _REGISTRY]
     extensions = sorted(set(_REGISTRY) - set(builtin))
     return builtin + extensions
 
@@ -262,9 +245,3 @@ def architecture_names() -> List[str]:
 def simulate(trace: Trace, architecture_name: str, latency: int = 1) -> RunResult:
     """One-call entry point: simulate ``trace`` on a named architecture."""
     return architecture(architecture_name).simulate(trace, RunConfig(latency=latency))
-
-
-for _preset in PRESETS.values():
-    register_architecture(
-        _preset.spec, name=_preset.name, description=_preset.description
-    )

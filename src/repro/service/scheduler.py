@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfig
 from repro.core.experiment import CellTask, Runner, estimate_cell_cost
-from repro.core.registry import Simulator
+from repro.core.registry import SpecArchitecture
 from repro.core.result import RunResult
 from repro.store import ResultStore, cell_key
 
@@ -52,8 +52,8 @@ class _PendingCell:
     program: str
     scale: float
     latency: int
-    simulator: Simulator
-    key: Optional[str]
+    simulator: SpecArchitecture
+    key: str
     future: "asyncio.Future[RunResult]"
 
 
@@ -102,7 +102,6 @@ class CellScheduler:
         self.inflight_joins = 0
         self.simulated = 0
         self.batches_dispatched = 0
-        self.uncacheable = 0
 
     # -- the public entry point --------------------------------------------------------
 
@@ -110,7 +109,7 @@ class CellScheduler:
         self,
         program: str,
         latency: int,
-        simulator: Simulator,
+        simulator: SpecArchitecture,
         scale: float = 1.0,
     ) -> RunResult:
         """One cell's result: from the store, a shared in-flight simulation,
@@ -124,24 +123,20 @@ class CellScheduler:
             raise RuntimeError("scheduler is closed")
         self.cells_requested += 1
         key = cell_key(program, scale, latency, simulator, RunConfig(latency=latency))
-        if key is None:
-            self.uncacheable += 1
-        else:
-            shared = self._inflight.get(key)
-            if shared is not None:
-                self.inflight_joins += 1
-                return await asyncio.shield(shared)
-            if self.store is not None:
-                found = self.store.get(key)
-                if found is not None:
-                    self.store_hits += 1
-                    return found
+        shared = self._inflight.get(key)
+        if shared is not None:
+            self.inflight_joins += 1
+            return await asyncio.shield(shared)
+        if self.store is not None:
+            found = self.store.get(key)
+            if found is not None:
+                self.store_hits += 1
+                return found
 
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[RunResult]" = loop.create_future()
-        if key is not None:
-            self._inflight[key] = future
-            future.add_done_callback(lambda _done, _key=key: self._inflight.pop(_key, None))
+        self._inflight[key] = future
+        future.add_done_callback(lambda _done, _key=key: self._inflight.pop(_key, None))
         self._pending.append(
             _PendingCell(program, scale, latency, simulator, key, future)
         )
@@ -224,7 +219,6 @@ class CellScheduler:
             "inflight_joins": self.inflight_joins,
             "simulated": self.simulated,
             "batches_dispatched": self.batches_dispatched,
-            "uncacheable": self.uncacheable,
             "inflight_now": self.inflight_count,
         }
 

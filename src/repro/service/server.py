@@ -48,7 +48,7 @@ from repro.core.experiment import (
     _ProgressTracker,
     resolve_sweep_machines,
 )
-from repro.core.registry import Simulator, resolve_architecture
+from repro.core.registry import SpecArchitecture, resolve_architecture
 from repro.core.result import RunResult
 from repro.service.http import (
     EventStream,
@@ -226,7 +226,7 @@ class ReproService:
     async def _handle_run(self, request: Request) -> Response:
         run = parse_run_request(request.json())
         load_program(run.program)  # unknown program → clean 400
-        simulator: Simulator = resolve_architecture(run.architecture)
+        simulator: SpecArchitecture = resolve_architecture(run.architecture)
         result: RunResult = await self.scheduler.run_cell(
             run.program, run.latency, simulator, scale=run.scale
         )
@@ -285,7 +285,7 @@ class ReproService:
 
     # -- sweep execution ---------------------------------------------------------------
 
-    async def _run_sweep(self, job: SweepJob, machines: List[Simulator]) -> None:
+    async def _run_sweep(self, job: SweepJob, machines: List[SpecArchitecture]) -> None:
         """Fan the grid out to the scheduler; collect results in grid order.
 
         This is the service-side analogue of ``Runner.run``: same grid
@@ -297,7 +297,7 @@ class ReproService:
         spec = job.spec
         tracker = _ProgressTracker(job.record, len(spec))
 
-        async def _cell(program: str, latency: int, simulator: Simulator) -> RunResult:
+        async def _cell(program: str, latency: int, simulator: SpecArchitecture) -> RunResult:
             result = await self.scheduler.run_cell(
                 program, latency, simulator, scale=spec.scale
             )

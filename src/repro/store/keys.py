@@ -18,11 +18,8 @@ only if the simulators would produce identical results:
   simulators compute for an unchanged input invalidates them too; and
 * :data:`KEY_SCHEME_VERSION`, so changing *this* hashing scheme does too.
 
-Only spec-backed simulators (:class:`~repro.core.registry.SpecArchitecture`
-and anything else exposing a ``spec`` attribute holding a
-:class:`~repro.core.machine.MachineSpec`) are keyable; a hand-written
-simulator's behaviour is opaque code, not data, so :func:`cell_key` returns
-``None`` for it and the runner simply never caches those cells.
+Every machine is a :class:`~repro.core.registry.SpecArchitecture`, so every
+cell has a key.
 """
 
 from __future__ import annotations
@@ -30,12 +27,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from repro.core.config import RunConfig
-from repro.core.machine import MachineSpec
 from repro.engine import TIMING_MODEL_VERSION
 from repro.trace.generator import TRACE_GENERATOR_VERSION
+
+if TYPE_CHECKING:
+    from repro.core.registry import SpecArchitecture
 
 #: Version of the key derivation itself.  Bump when the payload layout or the
 #: hashing below changes, so old store entries can never be misread as hits.
@@ -51,27 +50,25 @@ def cell_key(
     program: str,
     scale: float,
     latency: int,
-    simulator: object,
+    simulator: "SpecArchitecture",
     config: RunConfig,
-) -> Optional[str]:
-    """The content-addressed key of one sweep cell, or ``None`` if uncacheable.
+) -> str:
+    """The content-addressed key of one sweep cell.
 
     Args:
         program: benchmark program name (case-insensitive).
         scale: trace scale factor.
         latency: memory latency in cycles.
-        simulator: the resolved simulator the cell runs on; must expose a
-            ``name`` label and a ``spec`` :class:`MachineSpec` to be keyable.
+        simulator: the resolved machine the cell runs on; its ``name`` label
+            and its ``spec`` are both hashed.
         config: the cell's run configuration; unused, since ``latency`` and
             the spec describe the cell, but kept so the call shape is stable.
 
     Returns:
         A 64-character SHA-256 hex digest, stable across processes and
-        Python versions, or ``None`` when the simulator is not spec-backed.
+        Python versions.
     """
-    spec = getattr(simulator, "spec", None)
-    if not isinstance(spec, MachineSpec):
-        return None
+    spec = simulator.spec
     payload = {
         "scheme": KEY_SCHEME_VERSION,
         "trace_generator": TRACE_GENERATOR_VERSION,
@@ -79,7 +76,7 @@ def cell_key(
         "program": str(program).upper(),
         "scale": float(scale),
         "latency": int(latency),
-        "architecture": str(getattr(simulator, "name", spec.to_string())),
+        "architecture": simulator.name,
         "spec": spec.to_string(),
         "machine": asdict(spec.to_config()),
     }

@@ -389,8 +389,8 @@ class ResultStore:
 
         Every cell driver calls this with the results it produced; cached
         results (already indexed when first written) and results without a
-        ``store_key`` (uncacheable cells) are skipped here, so callers pass
-        their results as they are.  Cost is O(cells written), not O(store
+        ``store_key`` (simulated with no store) are skipped here, so callers
+        pass their results as they are.  Cost is O(cells written), not O(store
         size), so a small incremental sweep against a large long-lived store
         stays cheap.  The existing index is taken as-is (an unreadable or
         foreign one is discarded and the merge starts from this sweep's

@@ -52,65 +52,11 @@ class DynamicInstruction:
                 f"memory instruction {self.instruction} traced without a base address"
             )
 
-    # -- delegated classification -------------------------------------------
-
-    @property
-    def opcode(self):
-        return self.instruction.opcode
-
-    @property
-    def is_vector(self) -> bool:
-        return self.instruction.is_vector
-
-    @property
-    def is_memory(self) -> bool:
-        return self.instruction.is_memory
-
-    @property
-    def is_load(self) -> bool:
-        return self.instruction.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.instruction.is_store
-
-    @property
-    def is_vector_memory(self) -> bool:
-        return self.instruction.is_vector_memory
-
-    @property
-    def is_scalar_memory(self) -> bool:
-        return self.instruction.is_scalar_memory
-
-    @property
-    def is_branch(self) -> bool:
-        return self.instruction.is_branch
-
-    @property
-    def is_spill_access(self) -> bool:
-        return self.instruction.is_spill_access
-
-    @property
-    def is_indexed_memory(self) -> bool:
-        return self.instruction.memory is not None and self.instruction.memory.indexed
-
-    # -- derived quantities ----------------------------------------------------
-
-    @property
-    def operations(self) -> int:
-        """Number of element operations performed by this instruction.
-
-        Vector instructions perform ``vector_length`` operations; everything
-        else performs one (paper Table 1 distinguishes vector *instructions*
-        from vector *operations* on exactly this basis).
-        """
-        return self.vector_length if self.is_vector else 1
-
     def __str__(self) -> str:
         extra = []
-        if self.is_vector:
+        if self.instruction.is_vector:
             extra.append(f"vl={self.vector_length}")
-        if self.is_memory:
+        if self.instruction.is_memory:
             extra.append(f"addr=0x{self.base_address:x}")
             extra.append(f"stride={self.stride_elements}")
         suffix = f"  ({', '.join(extra)})" if extra else ""

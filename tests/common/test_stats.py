@@ -28,7 +28,7 @@ class TestHistogram:
         histogram = Histogram()
         for key in (9, 1, 5):
             histogram.add(key)
-        assert histogram.keys() == [1, 5, 9]
+        assert [key for key, _ in histogram.items()] == [1, 5, 9]
         assert histogram.max_key() == 9
 
     def test_mean(self):

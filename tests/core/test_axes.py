@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core import Runner, SweepSpec, figures, run_sweep
-from repro.core.experiment import SweepResult
+from repro.core.experiment import SweepResult, plan_sweep
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +59,14 @@ class TestSpecAxes:
         )
         assert len(spec) == 2 * 2 * 1 * 3 * 2
 
-    def test_cells_carry_overrides(self):
+    def test_planned_cells_carry_the_axis_values(self):
         spec = SweepSpec(
             programs=("trfd",), latencies=(1,), architectures=("dva",),
             axes={"lanes": (1, 2)},
         )
-        cells = list(spec.cells())
-        assert len(cells) == 2
-        assert cells[0].overrides == (("lanes", 1),)
-        assert cells[1].overrides == (("lanes", 2),)
+        cells = plan_sweep(spec, None)
+        assert [cell.simulator.name for cell in cells] == ["dva", "dva@lanes=2"]
+        assert [cell.simulator.spec.lanes for cell in cells] == [1, 2]
 
     def test_from_strings_axes(self):
         spec = SweepSpec.from_strings(
@@ -215,33 +214,6 @@ class TestMultiAxisExecution:
                 )
         finally:
             unregister_architecture("dva-copy")
-
-    def test_non_spec_backed_architecture_rejects_axes(self):
-        from dataclasses import dataclass
-
-        from repro.core import RunResult, register_architecture, unregister_architecture
-
-        @dataclass(frozen=True)
-        class Opaque:
-            name: str = "opaque"
-            description: str = "no spec behind this"
-
-            def simulate(self, trace, config):
-                return RunResult(
-                    architecture=self.name, program=trace.name,
-                    latency=config.latency, total_cycles=1, instructions=0,
-                )
-
-        register_architecture(Opaque())
-        try:
-            spec = SweepSpec(
-                programs=("trfd",), latencies=(1,), architectures=("opaque",),
-                axes={"lanes": (1, 2)},
-            )
-            with pytest.raises(ConfigurationError, match="not spec-backed"):
-                Runner(jobs=1).run(spec)
-        finally:
-            unregister_architecture("opaque")
 
 
 class TestSweepResultIndex:

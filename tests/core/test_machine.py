@@ -1,15 +1,12 @@
 """Unit tests for the declarative MachineSpec API."""
 
-import json
-
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core import MachineSpec, Runner, SweepSpec, architecture, machine_spec
 from repro.core.machine import (
-    PRESETS,
+    FIELDS,
     canonical_axis_name,
-    field_infos,
     lookup_field,
     parse_axis_values,
 )
@@ -19,14 +16,14 @@ from repro.refarch.config import ReferenceConfig
 
 class TestStringRoundTrip:
     def test_issue_example_parses(self):
-        spec = MachineSpec.from_string("dva@lanes=2,ports=2,bypass=off")
+        spec = machine_spec("dva@lanes=2,ports=2,bypass=off")
         assert spec.family == "dva"
         assert spec.lanes == 2
         assert spec.memory_ports == 2
         assert spec.bypass is False
 
     def test_to_string_is_canonical(self):
-        spec = MachineSpec.from_string("dva@bypass=off,ports=2,lanes=2")
+        spec = machine_spec("dva@bypass=off,ports=2,lanes=2")
         assert spec.to_string() == "dva@lanes=2,ports=2,bypass=off"
 
     @pytest.mark.parametrize(
@@ -41,22 +38,22 @@ class TestStringRoundTrip:
             "ref@chaining=on,cache_line=64,cache_lines=256",
         ],
     )
-    def test_from_string_to_string_identity(self, text):
-        spec = MachineSpec.from_string(text)
-        assert MachineSpec.from_string(spec.to_string()) == spec
+    def test_machine_spec_to_string_identity(self, text):
+        spec = machine_spec(text)
+        assert machine_spec(spec.to_string()) == spec
 
     def test_preset_base_with_overrides(self):
         assert (
-            MachineSpec.from_string("dva-2port@lanes=2")
-            == MachineSpec.from_string("dva@lanes=2,ports=2")
+            machine_spec("dva-2port@lanes=2")
+            == machine_spec("dva@lanes=2,ports=2")
         )
 
-    def test_family_names_are_presets(self):
-        assert MachineSpec.from_string("ref") == PRESETS["ref"].spec
-        assert MachineSpec.from_string("dva-nobypass") == PRESETS["dva-nobypass"].spec
+    def test_family_names_are_builtins(self):
+        assert machine_spec("ref") == MachineSpec(family="ref")
+        assert machine_spec("dva-nobypass") == MachineSpec(family="dva", bypass=False)
 
     def test_aliases_accepted(self):
-        spec = MachineSpec.from_string("dva@memory_ports=2,vector_load_data=8")
+        spec = machine_spec("dva@memory_ports=2,vector_load_data=8")
         assert spec.memory_ports == 2
         assert spec.vector_load_data == 8
 
@@ -64,91 +61,66 @@ class TestStringRoundTrip:
         for word, expected in [("on", True), ("true", True), ("yes", True),
                                ("1", True), ("off", False), ("false", False),
                                ("no", False), ("0", False)]:
-            assert MachineSpec.from_string(f"dva@bypass={word}").bypass is expected
+            assert machine_spec(f"dva@bypass={word}").bypass is expected
 
 
 class TestStringErrors:
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigurationError, match="unknown machine preset"):
-            MachineSpec.from_string("vliw@lanes=2")
+    def test_unknown_base(self):
+        with pytest.raises(ConfigurationError, match="unknown architecture 'vliw'"):
+            machine_spec("vliw@lanes=2")
+
+    def test_missing_base(self):
+        with pytest.raises(ConfigurationError, match="no base machine"):
+            machine_spec("@lanes=2")
 
     @pytest.mark.parametrize("text", ["dva@warp=9", "dva@core=event"])
     def test_unknown_field(self, text):
         with pytest.raises(ConfigurationError, match="unknown machine field"):
-            MachineSpec.from_string(text)
+            machine_spec(text)
 
     def test_malformed_assignment(self):
         with pytest.raises(ConfigurationError, match="malformed assignment"):
-            MachineSpec.from_string("dva@lanes")
+            machine_spec("dva@lanes")
 
     def test_empty_assignments(self):
         with pytest.raises(ConfigurationError, match="no assignments"):
-            MachineSpec.from_string("dva@")
+            machine_spec("dva@")
 
     def test_duplicate_assignment(self):
         with pytest.raises(ConfigurationError, match="assigned twice"):
-            MachineSpec.from_string("dva@lanes=2,lanes=4")
+            machine_spec("dva@lanes=2,lanes=4")
 
     def test_non_integer_value(self):
         with pytest.raises(ConfigurationError, match="takes an integer"):
-            MachineSpec.from_string("dva@lanes=wide")
+            machine_spec("dva@lanes=wide")
 
     def test_non_bool_value(self):
         with pytest.raises(ConfigurationError, match="takes on/off"):
-            MachineSpec.from_string("dva@bypass=maybe")
+            machine_spec("dva@bypass=maybe")
 
     def test_out_of_range_value(self):
         with pytest.raises(ConfigurationError, match="must be in 1..64"):
-            MachineSpec.from_string("dva@lanes=0")
+            machine_spec("dva@lanes=0")
 
     def test_power_of_two_enforced(self):
         with pytest.raises(ConfigurationError, match="power of two"):
-            MachineSpec.from_string("ref@cache_line=48")
+            machine_spec("ref@cache_line=48")
 
     def test_field_wrong_family(self):
         with pytest.raises(ConfigurationError, match="not valid for family"):
-            MachineSpec.from_string("ref@bypass=off")
+            machine_spec("ref@bypass=off")
         with pytest.raises(ConfigurationError, match="not valid for family"):
-            MachineSpec.from_string("dva@chaining=on")
+            machine_spec("dva@chaining=on")
 
     def test_unknown_family_constructor(self):
         with pytest.raises(ConfigurationError, match="unknown machine family"):
             MachineSpec(family="vliw")
 
 
-class TestJsonTomlRoundTrip:
-    @pytest.mark.parametrize(
-        "text", ["ref", "dva@lanes=2,ports=2,bypass=off", "dva@avdq=4,vadq=4"]
-    )
-    def test_json_round_trip(self, text):
-        spec = MachineSpec.from_string(text)
-        rebuilt = MachineSpec.from_json(json.loads(json.dumps(spec.to_json())))
-        assert rebuilt == spec
-
-    @pytest.mark.parametrize(
-        "text", ["ref", "dva@lanes=2,ports=2,bypass=off", "ref@chaining=on"]
-    )
-    def test_toml_round_trip(self, text):
-        spec = MachineSpec.from_string(text)
-        assert MachineSpec.from_toml(spec.to_toml()) == spec
-
-    def test_json_missing_family_rejected(self):
-        with pytest.raises(ConfigurationError, match="family"):
-            MachineSpec.from_json({"lanes": 2})
-
-    def test_json_unknown_field_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown machine field"):
-            MachineSpec.from_json({"family": "dva", "warp": 9})
-
-    def test_json_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MachineSpec.from_json({"family": "dva", "lanes": 1000})
-
-
 class TestDefaults:
     @pytest.mark.parametrize("family", ["ref", "dva"])
     def test_bare_family_is_its_preset(self, family):
-        assert MachineSpec(family=family) == PRESETS[family].spec
+        assert MachineSpec(family=family) == machine_spec(family)
         assert MachineSpec(family=family).to_string() == family
 
     def test_inapplicable_fields_stay_unset(self):
@@ -160,12 +132,12 @@ class TestDefaults:
         config = MachineSpec(family=family).to_config()
         assert _config_fields(config) == {
             info.attribute: info.default
-            for info in field_infos()
+            for info in FIELDS
             if family in info.families
         }
 
     def test_to_config_carries_every_set_field(self):
-        spec = MachineSpec.from_string(
+        spec = machine_spec(
             "dva@lanes=2,ports=3,bypass=off,iq=4,avdq=5,vadq=6,ssaq=7,sdq=8,"
             "cache_line=64,cache_lines=128"
         )
@@ -175,7 +147,7 @@ class TestDefaults:
             "scalar_store_address": 7, "scalar_data": 8,
             "cache_line_bytes": 64, "cache_lines": 128,
         }
-        ref = MachineSpec.from_string("ref@chaining=on,lanes=4").to_config()
+        ref = machine_spec("ref@chaining=on,lanes=4").to_config()
         assert isinstance(ref, ReferenceConfig)
         assert ref.allow_load_chaining is True and ref.lanes == 4
 
@@ -212,7 +184,7 @@ def _config_fields(config):
 
 class TestFieldSchema:
     def test_every_field_has_range_text(self):
-        for info in field_infos():
+        for info in FIELDS:
             assert info.range_text
             assert info.description
 
@@ -239,10 +211,6 @@ class TestFieldSchema:
 
 
 class TestRegistryResolution:
-    def test_presets_are_spec_backed(self):
-        for name in PRESETS:
-            assert machine_spec(name) == PRESETS[name].spec
-
     def test_inline_spec_resolves_without_registration(self):
         simulator = architecture("dva@lanes=2")
         assert simulator.name == "dva@lanes=2"
@@ -253,11 +221,11 @@ class TestRegistryResolution:
             architecture("dva@warp=9")
 
     def test_inline_spec_over_runtime_registered_base(self):
-        """An @-clause composes with any registered spec-backed name."""
+        """An @-clause composes with any registered name."""
         from repro.core import register_architecture, unregister_architecture
 
         register_architecture(
-            MachineSpec.from_string("dva@avdq=4"), name="dva-tiny"
+            machine_spec("dva@avdq=4"), name="dva-tiny"
         )
         try:
             extended = architecture("dva-tiny@lanes=2")
@@ -266,29 +234,6 @@ class TestRegistryResolution:
             assert extended.name == "dva@lanes=2,avdq=4"
         finally:
             unregister_architecture("dva-tiny")
-
-    def test_inline_spec_over_non_spec_base_rejected(self):
-        from dataclasses import dataclass
-
-        from repro.core import RunResult, register_architecture, unregister_architecture
-
-        @dataclass(frozen=True)
-        class Opaque:
-            name: str = "opaque"
-            description: str = "no spec behind this"
-
-            def simulate(self, trace, config):
-                return RunResult(
-                    architecture=self.name, program=trace.name,
-                    latency=config.latency, total_cycles=1, instructions=0,
-                )
-
-        register_architecture(Opaque())
-        try:
-            with pytest.raises(ConfigurationError, match="not spec-backed"):
-                architecture("opaque@lanes=2")
-        finally:
-            unregister_architecture("opaque")
 
     def test_unknown_name_still_lists_known(self):
         with pytest.raises(ConfigurationError, match="unknown architecture"):

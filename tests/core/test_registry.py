@@ -1,17 +1,17 @@
-"""Unit tests for the Simulator protocol and the architecture registry."""
-
-from dataclasses import dataclass
+"""Unit tests for the architecture registry."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core import (
+    MachineSpec,
     RunConfig,
-    RunResult,
-    Simulator,
+    SpecArchitecture,
     architecture,
     architecture_names,
+    machine_spec,
     register_architecture,
+    resolve_architecture,
     simulate,
     unregister_architecture,
 )
@@ -41,64 +41,73 @@ class TestLookup:
         with pytest.raises(ConfigurationError, match="dva-nobypass"):
             architecture("vliw")
 
-    def test_builtins_satisfy_protocol(self):
+    def test_every_registered_name_is_a_spec_architecture(self):
         for name in architecture_names():
-            assert isinstance(architecture(name), Simulator)
+            assert isinstance(architecture(name), SpecArchitecture)
 
-
-@dataclass(frozen=True)
-class _ConstantArchitecture:
-    """A trivial Simulator used to exercise registration."""
-
-    name: str = "const"
-    description: str = "always takes 42 cycles"
-
-    def simulate(self, trace, config):
-        return RunResult(
-            architecture=self.name,
-            program=trace.name,
-            latency=config.latency,
-            total_cycles=42,
-            instructions=len(trace.records),
-        )
+    def test_builtin_machines(self):
+        assert {name: machine_spec(name) for name in architecture_names()} == {
+            "ref": MachineSpec(family="ref"),
+            "dva": MachineSpec(family="dva"),
+            "dva-nobypass": MachineSpec(family="dva", bypass=False),
+            "ref-2lane": MachineSpec(family="ref", lanes=2),
+            "dva-2port": MachineSpec(family="dva", memory_ports=2),
+        }
 
 
 class TestRegistration:
     def test_register_and_use_extension(self, trace):
-        register_architecture(_ConstantArchitecture())
+        register_architecture(
+            MachineSpec(family="ref", lanes=4), name="ref-wide", description="4 lanes"
+        )
         try:
-            result = simulate(trace, "const", latency=7)
-            assert result.total_cycles == 42
+            result = simulate(trace, "ref-wide", latency=7)
+            assert result.architecture == "ref-wide"
             assert result.latency == 7
-            assert "const" in architecture_names()
+            assert "ref-wide" in architecture_names()
+            assert architecture("ref-wide").description == "4 lanes"
         finally:
-            unregister_architecture("const")
+            unregister_architecture("ref-wide")
         with pytest.raises(ConfigurationError):
-            architecture("const")
+            architecture("ref-wide")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_architecture(_ConstantArchitecture(name="ref"))
-
-    def test_replace_allows_override(self):
-        register_architecture(_ConstantArchitecture())
-        try:
-            replacement = _ConstantArchitecture(description="other")
-            register_architecture(replacement, replace=True)
-            assert architecture("const") is replacement
-        finally:
-            unregister_architecture("const")
+            register_architecture(MachineSpec(family="ref"), name="REF")
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
-            register_architecture(_ConstantArchitecture(name=""))
+            register_architecture(MachineSpec(family="ref"))
+
+    @pytest.mark.parametrize("candidate", [object(), "dva@lanes=2", None])
+    def test_only_machine_specs_register(self, candidate):
+        with pytest.raises(ConfigurationError, match="takes a MachineSpec"):
+            register_architecture(candidate)
+
+    @pytest.mark.parametrize("name", ["dva@lanes=4", "a,b", "lanes=4"])
+    def test_names_with_spec_separators_rejected(self, name):
+        """A name holding '@', ',' or '=' would be read back as another machine.
+
+        ``dva@lanes=4`` registered as a lanes=1 machine once ran under that
+        label, and ``a,b`` could not be picked from ``--arch``.
+        """
+        with pytest.raises(ConfigurationError, match="separator"):
+            register_architecture(MachineSpec(family="dva"), name=name)
+        assert name not in architecture_names()
+
+    def test_axis_labels_re_resolve_to_the_machine_they_run(self):
+        register_architecture(MachineSpec(family="dva", lanes=4), name="dva-4lane")
+        try:
+            for name in architecture_names():
+                resolved = resolve_architecture(name, (("ports", 4),))
+                assert architecture(resolved.name).spec == resolved.spec, name
+        finally:
+            unregister_architecture("dva-4lane")
 
     def test_register_machine_spec_directly(self, trace):
-        """register_architecture is a thin wrapper over spec resolution."""
-        from repro.core import MachineSpec
-
+        """A registered spec runs exactly like the inline string it came from."""
         register_architecture(
-            MachineSpec.from_string("dva@ports=2,bypass=off"),
+            machine_spec("dva@ports=2,bypass=off"),
             name="dva-wide",
             description="two ports, no bypass",
         )
@@ -118,8 +127,6 @@ class TestRegistration:
         ``MachineSpec(family="dva")`` once reported the bypass on but ran
         without it (41,155 cycles on BDNA at latency 50).
         """
-        from repro.core import MachineSpec
-
         bdna = build_trace("BDNA")
         register_architecture(MachineSpec(family="dva"), name="dva-bare")
         try:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError, WorkloadError
 from repro.core import Runner, SweepSpec, run_sweep
-from repro.core.experiment import SweepCell, SweepResult, estimate_cell_cost
+from repro.core.experiment import SweepResult, estimate_cell_cost, plan_sweep
 from repro.workloads.perfect_club import load_program, program_names
 
 SPEC = SweepSpec(
@@ -22,11 +22,11 @@ class TestSweepSpec:
         assert SPEC.programs == ("DYFESM", "TRFD")
         assert SPEC.architectures == ("ref", "dva")
 
-    def test_cells_in_program_major_order(self):
-        cells = list(SPEC.cells())
+    def test_plan_is_in_program_major_order(self):
+        cells = [(c.program, c.latency, c.simulator.name) for c in plan_sweep(SPEC, None)]
         assert len(cells) == len(SPEC) == 8
-        assert cells[0] == SweepCell("DYFESM", 1, "ref")
-        assert cells[-1] == SweepCell("TRFD", 50, "dva")
+        assert cells[:3] == [("DYFESM", 1, "ref"), ("DYFESM", 1, "dva"), ("DYFESM", 50, "ref")]
+        assert cells[-1] == ("TRFD", 50, "dva")
 
     def test_from_strings(self):
         parsed = SweepSpec.from_strings("dyfesm, trfd", "1, 50", "ref,dva", scale=0.2)
@@ -87,10 +87,10 @@ class TestRunner:
         with pytest.raises(WorkloadError, match="unknown benchmark"):
             Runner().run(spec)
 
-    def test_results_follow_cell_order(self):
+    def test_results_follow_plan_order(self):
         sweep = run_sweep(SPEC)
         assert [r.cell_key for r in sweep] == [
-            (c.program, c.latency, c.architecture) for c in SPEC.cells()
+            (c.program, c.latency, c.simulator.name) for c in plan_sweep(SPEC, None)
         ]
 
     def test_trace_cache_builds_each_program_once(self):

@@ -11,7 +11,7 @@ but sharp.
 
 import pytest
 
-from repro import MachineSpec, Runner, SweepSpec
+from repro import Runner, SweepSpec, machine_spec
 
 # Every named preset and the inline spec that must be the same machine.
 PRESET_EQUIVALENTS = {
@@ -53,7 +53,7 @@ def test_preset_is_cycle_identical_to_inline_spec(preset, sweeps):
     named, inline = sweeps
     # Sweep cells are labelled by the spec's *canonical* string, which elides
     # default-valued pins ("ref@lanes=1,ports=1" is just "ref").
-    inline_label = MachineSpec.from_string(PRESET_EQUIVALENTS[preset]).to_string()
+    inline_label = machine_spec(PRESET_EQUIVALENTS[preset]).to_string()
     for program in PROGRAMS:
         for latency in LATENCIES:
             a = named.get(program, latency, preset)
@@ -68,6 +68,6 @@ def test_inline_and_named_specs_resolve_equal(sweeps):
     for preset, inline_text in PRESET_EQUIVALENTS.items():
         a = named.get(PROGRAMS[0], 1, preset)
         b = inline.get(
-            PROGRAMS[0], 1, MachineSpec.from_string(inline_text).to_string()
+            PROGRAMS[0], 1, machine_spec(inline_text).to_string()
         )
         assert a.spec == b.spec, preset

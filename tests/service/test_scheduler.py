@@ -60,7 +60,7 @@ class CountingRunner:
                 instructions=100,
                 detail=detail,
             )
-            if self.store is not None and key is not None:
+            if self.store is not None:
                 result = replace(result, store_key=key)
                 self.store.put(key, result, scale=scale)
             results.append(result)
@@ -102,6 +102,24 @@ class TestSingleFlight:
         assert scheduler.inflight_joins == 7
         assert scheduler.cells_requested == 8
         assert all(result == results[0] for result in results)
+
+    def test_separately_resolved_inline_specs_share_one_simulation(self, store):
+        """Cell identity is the spec and label, not the resolved object."""
+
+        async def main():
+            scheduler, runner = make_scheduler(store, delay=0.02)
+            try:
+                await asyncio.gather(
+                    scheduler.run_cell("TRFD", 50, resolve_architecture("dva@lanes=2")),
+                    scheduler.run_cell("TRFD", 50, resolve_architecture("dva@lanes=2")),
+                )
+            finally:
+                scheduler.close()
+            return runner, scheduler
+
+        runner, scheduler = asyncio.run(main())
+        assert runner.simulated == 1
+        assert scheduler.inflight_joins == 1
 
     def test_a_cancelled_waiter_does_not_cancel_the_shared_simulation(self, store):
         async def main():
@@ -238,30 +256,24 @@ class TestBatching:
         assert [result.program for result in second] == ["DYFESM"] * 3
         assert runner.simulated == 6
 
-    def test_uncacheable_cells_are_simulated_not_deduplicated(self, store):
-        class OpaqueSimulator:
-            name = "opaque"
-            description = "not spec-backed"
-
-            def simulate(self, trace, config):  # pragma: no cover - faked away
-                raise AssertionError
-
+    def test_counters_have_exactly_the_documented_keys(self, store):
         async def main():
-            scheduler, runner = make_scheduler(store, delay=0.01)
-            opaque = OpaqueSimulator()
+            scheduler, _runner = make_scheduler(store)
             try:
-                await asyncio.gather(
-                    scheduler.run_cell("TRFD", 1, opaque),
-                    scheduler.run_cell("TRFD", 1, opaque),
-                )
-                return runner, scheduler
+                await scheduler.run_cell("TRFD", 1, DVA)
+                await scheduler.run_cell("TRFD", 1, DVA)
+                return scheduler.counters()
             finally:
                 scheduler.close()
 
-        runner, scheduler = asyncio.run(main())
-        assert scheduler.uncacheable == 2
-        assert scheduler.inflight_joins == 0
-        assert runner.simulated == 2  # no identity → no dedup, by design
+        assert asyncio.run(main()) == {
+            "cells_requested": 2,
+            "store_hits": 1,
+            "inflight_joins": 0,
+            "simulated": 1,
+            "batches_dispatched": 1,
+            "inflight_now": 0,
+        }
 
     def test_closed_scheduler_rejects_new_cells(self, store):
         async def main():

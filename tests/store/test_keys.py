@@ -2,7 +2,9 @@
 
 from dataclasses import replace
 
-from repro.core import MachineSpec, RunConfig, architecture
+import pytest
+
+from repro.core import MachineSpec, RunConfig, architecture, architecture_names
 from repro.store import cell_key
 from repro.store.keys import KEY_SCHEME_VERSION
 
@@ -77,13 +79,11 @@ class TestKeySensitivity:
         assert _key(config=RunConfig(latency=99)) == _key(config=RunConfig(latency=1))
 
 
-class TestUncacheable:
-    def test_non_spec_backed_simulator_has_no_key(self):
-        class Opaque:
-            name = "opaque"
-            description = "hand-written simulator"
-
-            def simulate(self, trace, config):  # pragma: no cover - unused
-                raise NotImplementedError
-
-        assert cell_key("trfd", 1.0, 1, Opaque(), CONFIG) is None
+class TestEveryMachineHasAKey:
+    @pytest.mark.parametrize(
+        "arch", [*architecture_names(), "dva-2port@lanes=2,bypass=off"]
+    )
+    def test_registered_and_inline_machines_get_a_sha256_key(self, arch):
+        key = _key(arch=arch)
+        assert isinstance(key, str) and len(key) == 64
+        assert all(c in "0123456789abcdef" for c in key)

@@ -9,6 +9,7 @@ provenance) from freshly simulated ones.
 import pytest
 
 from repro.core import Runner, SweepSpec, run_sweep
+from repro.core.experiment import plan_sweep
 from repro.core.registry import SpecArchitecture
 from repro.store import ResultStore
 
@@ -69,7 +70,7 @@ class TestWarmSweeps:
         sweep = run_sweep(SPEC, store=store)
         assert sweep.cached_count == 1
         assert [r.cell_key for r in sweep] == [
-            (c.program, c.latency, c.architecture) for c in SPEC.cells()
+            (c.program, c.latency, c.simulator.name) for c in plan_sweep(SPEC, None)
         ]
         assert sweep.get("trfd", 50, "dva").cached is True
         assert sweep.get("trfd", 1, "dva").cached is False
@@ -154,33 +155,23 @@ class TestStoreScoping:
         assert all(r.cached == (r.architecture == "dva") for r in sweep)
         assert len(calls) == 12
 
-    def test_non_spec_backed_cells_bypass_the_store(self, store, simulated):
+    def test_runtime_registered_machines_are_cached(self, store, simulated):
         calls, _ = simulated
-        from repro.core import register_architecture, unregister_architecture
-        from repro.core.registry import architecture
+        from repro.core import MachineSpec, register_architecture, unregister_architecture
 
-        class Opaque:
-            """Delegates to ref but exposes no MachineSpec."""
-
-            name = "opaque"
-            description = "hand-written simulator"
-
-            def simulate(self, trace, config):
-                return architecture("ref").simulate(trace, config)
-
-        register_architecture(Opaque())
+        register_architecture(MachineSpec(family="ref", lanes=4), name="ref-4lane")
         try:
             spec = SweepSpec(
                 programs=("trfd",), latencies=(1,),
-                architectures=("opaque",), scale=0.2,
+                architectures=("ref-4lane",), scale=0.2,
             )
             first = run_sweep(spec, store=store)
             second = run_sweep(spec, store=store)
-            assert first.cached_count == 0 and second.cached_count == 0
-            assert len(store) == 0
-            assert len(calls) == 2  # the delegated ref simulations
         finally:
-            unregister_architecture("opaque")
+            unregister_architecture("ref-4lane")
+        assert first.cached_count == 0 and second.cached_count == 1
+        assert second.results == first.results
+        assert len(calls) == 1
 
     def test_runner_accepts_a_path_in_place_of_a_store(self, tmp_path):
         root = tmp_path / "by-path"

@@ -21,7 +21,7 @@ def _program_trace(name):
 
 def _records_equal(first, second):
     assert first.sequence == second.sequence
-    assert first.opcode == second.opcode
+    assert first.instruction.opcode == second.instruction.opcode
     assert first.block_label == second.block_label
     assert first.vector_length == second.vector_length
     assert first.stride_elements == second.stride_elements
@@ -57,18 +57,19 @@ class TestColumnarRecordEquivalence:
         """The one-pass columnar statistics agree with a record-by-record walk."""
         trace = _program_trace("DYFESM")
         stats = compute_statistics(trace)
-        assert stats.vector_instructions == sum(1 for r in trace if r.is_vector)
-        assert stats.scalar_instructions == sum(1 for r in trace if not r.is_vector)
+        static = [r.instruction for r in trace]
+        assert stats.vector_instructions == sum(1 for i in static if i.is_vector)
+        assert stats.scalar_instructions == sum(1 for i in static if not i.is_vector)
         assert stats.vector_operations == sum(
-            r.operations for r in trace if r.is_vector
+            r.vector_length for r in trace if r.instruction.is_vector
         )
         assert stats.memory_bytes == sum(
-            (r.vector_length if r.is_vector else 1) * ELEMENT_SIZE_BYTES
+            (r.vector_length if r.instruction.is_vector else 1) * ELEMENT_SIZE_BYTES
             for r in trace
-            if r.is_memory
+            if r.instruction.is_memory
         )
         assert stats.spill_memory_instructions == sum(
-            1 for r in trace if r.is_memory and r.is_spill_access
+            1 for i in static if i.is_memory and i.is_spill_access
         )
 
 class TestColumnarTraceInvariants:

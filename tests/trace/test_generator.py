@@ -60,7 +60,7 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(_simple_block(vl=33))
         trace = builder.build()
-        vector_records = [r for r in trace if r.is_vector]
+        vector_records = [r for r in trace if r.instruction.is_vector]
         assert all(r.vector_length == 33 for r in vector_records)
 
     @pytest.mark.parametrize("immediate", [None, -1, VECTOR_REGISTER_LENGTH + 1])
@@ -83,7 +83,8 @@ class TestTraceBuilder:
             builder.append_instruction(make_instruction(Opcode.SET_VL, immediate=length))
             builder.append_block(block)
         trace = builder.build()
-        assert [r.vector_length for r in trace if r.opcode is Opcode.V_ADD] == [10, 20, 10]
+        adds = [r for r in trace if r.instruction.opcode is Opcode.V_ADD]
+        assert [r.vector_length for r in adds] == [10, 20, 10]
         assert builder.vector_length == 10
 
     def test_set_vs_updates_stride_state(self):
@@ -97,7 +98,7 @@ class TestTraceBuilder:
         builder.append_block(block, region_offsets={"x": 0})
         builder.append_block(block, region_offsets={"x": 64})
         trace = builder.build()
-        loads = [r for r in trace if r.is_load]
+        loads = [r for r in trace if r.instruction.is_load]
         base = trace.metadata["regions"]["x"]
         assert [r.base_address for r in loads] == [base, base + 64 * ELEMENT_SIZE_BYTES]
 
@@ -124,7 +125,7 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(block)
         trace = builder.build()
-        load = [r for r in trace if r.is_load][0]
+        load = [r for r in trace if r.instruction.is_load][0]
         assert load.stride_elements == 5
 
     def test_scalar_memory_gets_addresses_too(self):
@@ -135,7 +136,7 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(block)
         trace = builder.build()
-        assert all(r.base_address is not None for r in trace if r.is_memory)
+        assert all(r.base_address is not None for r in trace if r.instruction.is_memory)
 
     def test_metadata_contains_regions(self):
         builder = TraceBuilder("demo")

@@ -12,11 +12,11 @@ from repro.trace.record import DynamicInstruction, Trace
 from repro.trace.statistics import compute_statistics
 
 
-def _vector_load(region="x", stride=1, spill=False):
+def _vector_load():
     return make_instruction(
         Opcode.V_LOAD,
         destinations=[v_reg(0)],
-        memory=MemoryOperand(region=region, stride=stride, is_spill=spill),
+        memory=MemoryOperand(region="x"),
     )
 
 
@@ -36,33 +36,6 @@ class TestDynamicInstruction:
             DynamicInstruction(
                 instruction=_vector_add(), sequence=0, vector_length=-1
             )
-
-    def test_operations_counts_elements_for_vectors(self):
-        record = DynamicInstruction(
-            instruction=_vector_add(), sequence=0, vector_length=100
-        )
-        assert record.operations == 100
-        scalar = DynamicInstruction(
-            instruction=make_instruction(Opcode.S_ADD, destinations=[s_reg(0)]),
-            sequence=1,
-            vector_length=100,
-        )
-        assert scalar.operations == 1
-
-    def test_classification_delegation(self):
-        record = DynamicInstruction(
-            instruction=_vector_load(spill=True),
-            sequence=0,
-            vector_length=16,
-            base_address=0x2000,
-        )
-        assert record.is_vector
-        assert record.is_memory
-        assert record.is_load
-        assert record.is_vector_memory
-        assert record.is_spill_access
-        assert not record.is_indexed_memory
-        assert not record.is_branch
 
     def test_string_rendering(self):
         record = DynamicInstruction(

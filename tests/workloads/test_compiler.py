@@ -148,7 +148,7 @@ class TestEmission:
         builder = TraceBuilder("demo")
         compiled.emit_invocation(builder)
         trace = builder.build()
-        loads = [r for r in trace if r.opcode is Opcode.V_LOAD]
+        loads = [r for r in trace if r.instruction.opcode is Opcode.V_LOAD]
         # Two load streams, three strips each.
         assert len(loads) == 6
         assert sum(r.vector_length for r in loads) == 2 * 300
@@ -160,7 +160,7 @@ class TestEmission:
         compiled.emit_invocation(builder)
         trace = builder.build()
         x_loads = [
-            r for r in trace if r.is_load and r.instruction.memory.region == "daxpy.x"
+            r for r in trace if r.instruction.is_load and r.instruction.memory.region == "daxpy.x"
         ]
         assert len(x_loads) == 2
         assert x_loads[1].base_address == x_loads[0].base_address + 128 * 8
@@ -171,7 +171,10 @@ class TestEmission:
         builder = TraceBuilder("demo")
         compiled.emit_invocation(builder)
         trace = builder.build()
-        spills = [r for r in trace if r.is_spill_access and r.is_vector_memory]
+        spills = [
+            r for r in trace
+            if r.instruction.is_spill_access and r.instruction.is_vector_memory
+        ]
         assert len(spills) == 4  # store+reload per strip, two strips
         assert spills[0].base_address == spills[1].base_address
         assert spills[2].base_address == spills[3].base_address
