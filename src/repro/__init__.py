@@ -7,10 +7,10 @@ contribution:
 * :mod:`repro.trace` — dynamic instruction traces (the Dixie substitute).
 * :mod:`repro.workloads` — synthetic Perfect Club workload models and a small
   vectorizing compiler.
-* :mod:`repro.memory` — memory latency model, scalar cache and vector memory
-  disambiguation.
+* :mod:`repro.memory` — scalar cache and vector memory disambiguation.
 * :mod:`repro.engine` — the shared timing kernel (register scoreboard,
-  resource pools, stall accounting, memory fabric) both machines build on.
+  resource pools, memory fabric and the fixed memory timing) both machines
+  build on.
 * :mod:`repro.refarch` — the reference (non-decoupled) vector architecture.
 * :mod:`repro.dva` — the decoupled vector architecture with load/store queues
   and the store→load bypass.

@@ -22,10 +22,8 @@ the standalone driver ``scripts/fuzz.py`` both build on these functions, so
 a failure always comes with a one-line repro command.
 
 Each case describes its machine as a :class:`~repro.core.machine.MachineSpec`
-and builds the configuration block with
-:meth:`~repro.core.machine.MachineSpec.to_config` — the mapping every sweep
-uses — then drives the family simulator directly, so the checks see the
-family's own result object.
+— the one machine description every sweep uses — and drives the family
+simulator directly, so the checks see the family's own result object.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.memory.model import MemoryModel
 from repro.workloads import synthetic
 from repro.workloads.kernel import KernelSchedule
 from repro.workloads.program_model import ProgramModel, ProgramTargets
@@ -149,30 +146,28 @@ class FuzzCase:
         )
         return model.build_trace(scale=1.0)
 
-    def build_config(self):
-        """The family configuration block, built the way sweeps build it."""
+    def build_spec(self):
+        """The case's machine as a :class:`~repro.core.machine.MachineSpec`."""
         from repro.core.machine import MachineSpec
 
         if self.family == "ref":
-            spec = MachineSpec(
+            return MachineSpec(
                 family="ref",
                 lanes=self.lanes,
                 memory_ports=self.ports,
                 chaining=self.chaining,
             )
-        else:
-            spec = MachineSpec(
-                family="dva",
-                lanes=self.lanes,
-                memory_ports=self.ports,
-                bypass=self.bypass,
-                instruction_queue=self.instruction_queue,
-                vector_load_data=self.vector_load_data,
-                vector_store_data=self.vector_store_data,
-                scalar_store_address=self.scalar_store_address,
-                scalar_data=self.scalar_data,
-            )
-        return spec.to_config()
+        return MachineSpec(
+            family="dva",
+            lanes=self.lanes,
+            memory_ports=self.ports,
+            bypass=self.bypass,
+            instruction_queue=self.instruction_queue,
+            vector_load_data=self.vector_load_data,
+            vector_store_data=self.vector_store_data,
+            scalar_store_address=self.scalar_store_address,
+            scalar_data=self.scalar_data,
+        )
 
     def simulate(self, trace=None):
         """Run this case; returns ``(result, error_message)``.
@@ -186,7 +181,7 @@ class FuzzCase:
             from repro.refarch.simulator import ReferenceSimulator as simulator_class
         else:
             from repro.dva.simulator import DecoupledSimulator as simulator_class
-        simulator = simulator_class(MemoryModel(latency=self.latency), self.build_config())
+        simulator = simulator_class(self.build_spec(), self.latency)
         try:
             return simulator.run(trace), None
         except SimulationError as exc:

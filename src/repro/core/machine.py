@@ -9,8 +9,9 @@ chaining switches, the decoupled queue depths and the scalar-cache geometry —
 that the registry (:mod:`repro.core.registry`) names and resolves into a
 runnable machine.  Every field the family has gets a value: one left out
 takes its :data:`FIELDS` default, so ``MachineSpec(family="dva")`` is the
-``dva`` built-in.  :meth:`MachineSpec.to_config` turns a spec into the
-family's mechanism-level configuration block.
+``dva`` built-in.  The simulators read their machine straight off the spec;
+what no field covers is a fixed value of the paper's machine, a named
+constant in the module that uses it.
 
 Spec strings use the grammar::
 
@@ -36,9 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError
-from repro.dva.config import DecoupledConfig, QueueSizes
-from repro.memory.scalar_cache import ScalarCacheConfig
-from repro.refarch.config import ReferenceConfig
 
 FAMILIES = ("ref", "dva")
 
@@ -297,30 +295,6 @@ class MachineSpec:
             lookup_field(name).attribute: value for name, value in overrides.items()
         }
         return replace(self, **resolved)
-
-    def to_config(self) -> Union[ReferenceConfig, DecoupledConfig]:
-        """The family's mechanism-level configuration block for this machine."""
-        cache = ScalarCacheConfig(line_bytes=self.cache_line_bytes, lines=self.cache_lines)
-        if self.family == "ref":
-            return ReferenceConfig(
-                allow_load_chaining=self.chaining,
-                scalar_cache=cache,
-                lanes=self.lanes,
-                memory_ports=self.memory_ports,
-            )
-        return DecoupledConfig(
-            queues=QueueSizes(
-                instruction_queue=self.instruction_queue,
-                vector_load_data=self.vector_load_data,
-                vector_store_data=self.vector_store_data,
-                scalar_store_address=self.scalar_store_address,
-                scalar_data=self.scalar_data,
-            ),
-            enable_bypass=self.bypass,
-            scalar_cache=cache,
-            lanes=self.lanes,
-            memory_ports=self.memory_ports,
-        )
 
     # -- string and JSON form ---------------------------------------------------------
 

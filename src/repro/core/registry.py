@@ -1,9 +1,9 @@
 """The architecture registry: named :class:`MachineSpec` machines.
 
-The two simulators in the library grew incompatible entry points
-(``ReferenceSimulator(memory, config).run(trace)`` versus
-``DecoupledSimulator(memory, config).run(trace)`` with different config and
-result types).  This module hides both behind one shape::
+The two simulators in the library have family-specific entry points
+(``ReferenceSimulator(spec, latency).run(trace)`` versus
+``DecoupledSimulator(spec, latency).run(trace)`` with different result
+types).  This module hides both behind one shape::
 
     result = architecture("dva").simulate(trace, RunConfig(latency=50))
 
@@ -38,7 +38,6 @@ from repro.core.machine import (
 )
 from repro.core.result import RunResult
 from repro.dva.simulator import DecoupledSimulator
-from repro.memory.model import MemoryModel
 from repro.refarch.simulator import ReferenceSimulator
 from repro.trace.record import Trace
 
@@ -59,17 +58,15 @@ class SpecArchitecture:
 
     def simulate(self, trace: Trace, config: RunConfig) -> RunResult:
         """Run ``trace`` on this machine at ``config.latency``."""
-        memory = MemoryModel(latency=config.latency)
-        machine = self.spec.to_config()
         provenance = self.spec.to_json()
         if self.spec.family == "ref":
             return RunResult.from_reference(
-                ReferenceSimulator(memory, config=machine).run(trace),
+                ReferenceSimulator(self.spec, config.latency).run(trace),
                 architecture=self.name,
                 spec=provenance,
             )
         return RunResult.from_decoupled(
-            DecoupledSimulator(memory, config=machine).run(trace),
+            DecoupledSimulator(self.spec, config.latency).run(trace),
             architecture=self.name,
             spec=provenance,
         )

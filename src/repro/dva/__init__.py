@@ -19,6 +19,11 @@ before they may access memory.  Optionally, a load that is *identical* to a
 queued store is serviced by the bypass unit (§7), which copies the data from
 the VADQ to the AVDQ without touching main memory.
 
+The machine is read off a ``dva``-family
+:class:`~repro.core.machine.MachineSpec` (lanes, ports, the bypass, the queue
+depths, scalar-cache geometry); the queue-move units, their startup and the
+cross-processor delay are fixed constants of :mod:`repro.dva.simulator`.
+
 Like the reference simulator, the implementation is event driven: the dynamic
 trace is processed once, in program order, and each processor/queue keeps the
 timestamps at which its resources become free.  Per-cycle statistics (queue
@@ -26,14 +31,11 @@ occupancy histograms, unit state breakdowns) are reconstructed from the
 recorded intervals.
 """
 
-from repro.dva.config import DecoupledConfig, QueueSizes
 from repro.dva.result import DecoupledResult
 from repro.dva.simulator import DecoupledSimulator, simulate_decoupled
 
 __all__ = [
-    "DecoupledConfig",
     "DecoupledResult",
     "DecoupledSimulator",
-    "QueueSizes",
     "simulate_decoupled",
 ]

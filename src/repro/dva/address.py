@@ -27,17 +27,18 @@ pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder
-from repro.dva.config import DecoupledConfig
 from repro.dva.queues import TimedQueue
-from repro.engine import MemoryFabric, ResourcePool
+from repro.engine import BUS_CYCLES_PER_ELEMENT, MemoryFabric, ResourcePool
 from repro.isa.registers import ELEMENT_SIZE_BYTES
-from repro.memory.model import MemoryModel
 from repro.memory.ranges import MemoryRange, access_range
 from repro.memory.scalar_cache import ScalarCache
+
+if TYPE_CHECKING:
+    from repro.core.machine import MachineSpec
 
 
 @dataclass
@@ -89,25 +90,23 @@ class VectorLoadOutcome:
 
 
 class MemoryPipeline:
-    """Port, store queues, disambiguation and bypass of the decoupled AP."""
+    """Port, store queues, disambiguation and bypass of the decoupled AP.
 
-    def __init__(self, memory: MemoryModel, config: DecoupledConfig) -> None:
-        self.memory = memory
-        self.config = config
-        self.fabric = MemoryFabric(
-            memory,
-            config.scalar_cache,
-            ports=config.memory_ports,
-            scalar_store_writes_through=config.scalar_store_writes_through,
-        )
+    The spec supplies the queue depths, the bypass switch, the port count
+    and the scalar-cache geometry.  The VSAQ is as deep as the VADQ: the
+    paper treats the store queue length as a single parameter (§5).
+    """
 
-        queues = config.queues
-        self.vsaq = TimedQueue("VSAQ", queues.effective_vector_store_address)
-        self.ssaq = TimedQueue("SSAQ", queues.scalar_store_address)
-        self.vadq = TimedQueue("VADQ", queues.vector_store_data)
-        self.sadq = TimedQueue("SADQ", queues.scalar_data)
-        self.avdq = TimedQueue("AVDQ", queues.vector_load_data)
-        self.asdq = TimedQueue("ASDQ", queues.scalar_data)
+    def __init__(self, spec: "MachineSpec", latency: int) -> None:
+        self.bypass_enabled = spec.bypass
+        self.fabric = MemoryFabric(spec, latency)
+
+        self.vsaq = TimedQueue("VSAQ", spec.vector_store_data)
+        self.ssaq = TimedQueue("SSAQ", spec.scalar_store_address)
+        self.vadq = TimedQueue("VADQ", spec.vector_store_data)
+        self.sadq = TimedQueue("SADQ", spec.scalar_data)
+        self.avdq = TimedQueue("AVDQ", spec.vector_load_data)
+        self.asdq = TimedQueue("ASDQ", spec.scalar_data)
 
         self.bypass = ResourcePool("BYPASS")
 
@@ -170,6 +169,7 @@ class MemoryPipeline:
         """Put a vector store's address into the VSAQ; return the push cycle."""
         self._make_room(self.vsaq)
         push_time = self.vsaq.push(requested)
+        bus_cycles = (vector_length if vector_length > 1 else 1) * BUS_CYCLES_PER_ELEMENT
         self.pending_stores.append(
             PendingStore(
                 key=key,
@@ -181,7 +181,7 @@ class MemoryPipeline:
                     base, vector_length, stride_elements, indexed=indexed
                 ),
                 is_vector=True,
-                bus_cycles=self.memory.vector_bus_cycles(vector_length),
+                bus_cycles=bus_cycles,
                 traffic_bytes=vector_length * ELEMENT_SIZE_BYTES,
                 address_queue_index=self.vsaq.last_index,
                 address_ready=push_time + 1,
@@ -202,7 +202,7 @@ class MemoryPipeline:
                 indexed=False,
                 memory_range=MemoryRange(base, base + ELEMENT_SIZE_BYTES),
                 is_vector=False,
-                bus_cycles=self.memory.timings.scalar_bus_cycles,
+                bus_cycles=BUS_CYCLES_PER_ELEMENT,
                 traffic_bytes=ELEMENT_SIZE_BYTES,
                 address_queue_index=self.ssaq.last_index,
                 address_ready=push_time + 1,
@@ -269,7 +269,7 @@ class MemoryPipeline:
         load_range = access_range(base, vector_length, stride_elements, indexed=indexed)
         conflict_index = self._youngest_conflict(load_range)
 
-        if conflict_index is not None and self.config.enable_bypass:
+        if conflict_index is not None and self.bypass_enabled:
             candidate = self.pending_stores[conflict_index]
             # The bypass requires the load to read exactly what the queued
             # store will write: same base, stride and length, both strided
@@ -299,15 +299,14 @@ class MemoryPipeline:
             requested = max(requested, self._drain_through(conflict_index))
             self.disambiguation_stalls += 1
 
-        access = self.fabric.scalar_access_at(base, False)
-        if access.hit:
-            return self.fabric.scalar_load_ready(access, requested)
+        if self.fabric.cache.access(base):
+            return self.fabric.scalar_load_ready(True, requested)
 
         self._drain_ready_stores(requested)
         bus_start, _bus_end = self.fabric.occupy_bus(
-            requested, self.memory.timings.scalar_bus_cycles, ELEMENT_SIZE_BYTES
+            requested, BUS_CYCLES_PER_ELEMENT, ELEMENT_SIZE_BYTES
         )
-        return self.fabric.scalar_load_ready(access, bus_start)
+        return self.fabric.scalar_load_ready(False, bus_start)
 
     def _bypass_load(
         self, vector_length: int, requested: int, store: PendingStore
@@ -322,11 +321,11 @@ class MemoryPipeline:
 
     def _memory_load(self, vector_length: int, requested: int) -> VectorLoadOutcome:
         self._drain_ready_stores(requested)
-        bus_cycles = self.memory.vector_bus_cycles(vector_length)
+        bus_cycles = (vector_length if vector_length > 1 else 1) * BUS_CYCLES_PER_ELEMENT
         bus_start, _bus_end = self.fabric.occupy_bus(
             requested, bus_cycles, vector_length * ELEMENT_SIZE_BYTES
         )
-        data_ready = self.memory.load_ready(bus_start, bus_cycles)
+        data_ready = bus_start + self.fabric.latency + bus_cycles
         return VectorLoadOutcome(start=bus_start, data_ready=data_ready, bypassed=False)
 
     # -- disambiguation and draining ------------------------------------------------------
@@ -388,13 +387,13 @@ class MemoryPipeline:
         return store.drain_end
 
     def _perform_scalar_store(self, store: PendingStore, ready: int) -> int:
-        access = self.fabric.scalar_access_at(store.base, True)
-        if access.uses_port:
+        # A hit is absorbed by the cache; only a miss uses the port.
+        if self.fabric.cache.access(store.base):
+            end = ready + 1
+        else:
             _bus_start, end = self.fabric.occupy_bus(
                 ready, store.bus_cycles, store.traffic_bytes
             )
-        else:
-            end = ready + 1
         self.ssaq.pop(end)
         self.sadq.pop(end)
         return end

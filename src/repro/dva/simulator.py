@@ -31,21 +31,38 @@ DYFESM lockstep case of paper §5).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.dva.address import MemoryPipeline
-from repro.dva.config import DecoupledConfig
 from repro.dva.fetch import Processor, route_instruction
 from repro.dva.queues import TimedQueue
 from repro.dva.result import DecoupledResult
-from repro.dva.vector import VectorExecutionResources
-from repro.engine import Scoreboard
+from repro.engine import FU_STARTUP, ResourcePool, Scoreboard, occupancy_cycles
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RegisterClass
-from repro.memory.model import MemoryModel
 from repro.trace.columns import ColumnarTrace, InstructionInfo
 from repro.trace.record import Trace
+
+if TYPE_CHECKING:
+    from repro.core.machine import MachineSpec
+
+# Fixed values of the paper's decoupled machine (no spec field covers them;
+# editing one changes timing and must bump TIMING_MODEL_VERSION).
+
+#: Queue-move (QMOV) units in the VP, moving whole vector registers between
+#: the queues and the register file (paper §4.3).
+QMOV_UNITS = 2
+
+#: Cycles before the first element moved by a QMOV is available for chaining.
+QMOV_STARTUP = 1
+
+#: Cycles to move a scalar value between processors through the scalar data
+#: queues.
+CROSS_PROCESSOR_DELAY = 1
+
+_FU1 = 0
+_FU2 = 1
 
 #: Queue-move dispatch codes precomputed per unique instruction.
 _QMOV_NONE = 0
@@ -149,18 +166,25 @@ def _routing_table(columns: ColumnarTrace) -> List[RouteEntry]:
 
 
 class DecoupledSimulator:
-    """Simulates one trace on the decoupled vector architecture."""
+    """Simulates one trace on a ``dva``-family machine at one memory latency.
 
-    def __init__(
-        self,
-        memory: MemoryModel,
-        config: Optional[DecoupledConfig] = None,
-    ) -> None:
-        self.memory_model = memory
-        self.config = config if config is not None else DecoupledConfig()
+    The spec supplies lanes, memory ports, the bypass, the queue depths and
+    the scalar-cache geometry; everything else is a fixed value of the
+    paper's machine.
+    """
+
+    def __init__(self, spec: "MachineSpec", latency: int) -> None:
+        if spec.family != "dva":
+            raise ConfigurationError(
+                f"the decoupled simulator runs 'dva' machines, not {spec.family!r}"
+            )
+        if latency < 0:
+            raise ConfigurationError("memory latency cannot be negative")
+        self.spec = spec
+        self.latency = latency
 
     def run(self, trace: Trace) -> DecoupledResult:
-        state = _DecoupledState(self.memory_model, self.config)
+        state = _DecoupledState(self.spec, self.latency)
         state.consume(trace)
         return state.finish(trace)
 
@@ -168,25 +192,30 @@ class DecoupledSimulator:
 def simulate_decoupled(
     trace: Trace,
     latency: int,
-    config: Optional[DecoupledConfig] = None,
+    spec: Optional["MachineSpec"] = None,
 ) -> DecoupledResult:
-    """Convenience wrapper: simulate ``trace`` on the DVA at a given latency."""
-    simulator = DecoupledSimulator(MemoryModel(latency=latency), config=config)
-    return simulator.run(trace)
+    """Convenience wrapper: simulate ``trace`` on the DVA at a given latency.
+
+    Without a spec this is the built-in ``dva`` machine (bypass on).
+    """
+    if spec is None:
+        from repro.core.machine import MachineSpec
+
+        spec = MachineSpec(family="dva")
+    return DecoupledSimulator(spec, latency).run(trace)
 
 
 class _DecoupledState:
     """Issue rules of the four decoupled processors over the engine primitives."""
 
-    def __init__(self, memory: MemoryModel, config: DecoupledConfig) -> None:
-        self.config = config
+    def __init__(self, spec: "MachineSpec", latency: int) -> None:
+        self.spec = spec
         self.scoreboard = Scoreboard(_DEFAULT_OWNERS)
-        self.memory = MemoryPipeline(memory, config)
-        self.resources = VectorExecutionResources(
-            qmov_unit_count=config.qmov_units, lanes=config.lanes
-        )
+        self.memory = MemoryPipeline(spec, latency)
+        self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
+        self.qmovs = ResourcePool("QMOV", count=QMOV_UNITS)
 
-        queue_size = config.queues.instruction_queue
+        queue_size = spec.instruction_queue
         self.apiq = TimedQueue("APIQ", queue_size)
         self.vpiq = TimedQueue("VPIQ", queue_size)
         self.spiq = TimedQueue("SPIQ", queue_size)
@@ -223,7 +252,7 @@ class _DecoupledState:
         at the end.
 
         The scoreboard read rule: a value owned by another processor arrives
-        ``cross_processor_delay`` cycles after it is fully written (it
+        :data:`CROSS_PROCESSOR_DELAY` cycles after it is fully written (it
         travels through the scalar data queues); a local read by a chaining
         consumer (the VP) may start at the producer's chain start; any other
         read waits for the value to be fully written.
@@ -236,10 +265,8 @@ class _DecoupledState:
         strides = columns.stride
         addresses = columns.addr
 
-        config = self.config
-        cross_delay = config.cross_processor_delay
-        fu_startup = config.functional_unit_startup
-        qmov_startup = config.queue_move_startup
+        lanes = self.spec.lanes
+        cross_delay = CROSS_PROCESSOR_DELAY
         scoreboard = self.scoreboard
         ready_at = scoreboard.ready
         chain_at = scoreboard.chain_start
@@ -253,8 +280,8 @@ class _DecoupledState:
         memory = self.memory
         avdq = memory.avdq
         asdq = memory.asdq
-        acquire_fu = self.resources.acquire_functional_unit
-        acquire_qmov = self.resources.acquire_qmov_unit
+        acquire_fu = self.fus.acquire
+        acquire_qmov = self.qmovs.acquire
 
         fp_free = self.fp_free
         ap_free = self.ap_free
@@ -349,13 +376,13 @@ class _DecoupledState:
                             operand = ready_at[register]
                     if operand > start:
                         start = operand
-                length = lengths[index]
-                start, busy = acquire_fu(
-                    start, length if length > 1 else 1, info.requires_fu2
+                busy = occupancy_cycles(lengths[index], lanes)
+                start, _unit = acquire_fu(
+                    start, busy, _FU2 if info.requires_fu2 else None
                 )
                 vpiq_pop(start)
                 vp_free = start + 1
-                chain = start + fu_startup
+                chain = start + FU_STARTUP
                 completion = chain + busy
                 for register, is_vector in info.destination_id_flags:
                     ready_at[register] = completion
@@ -397,7 +424,7 @@ class _DecoupledState:
                 vpiq_pop(start)
                 vp_free = start + 1
                 avdq.pop(start + length)
-                chain = start + qmov_startup
+                chain = start + QMOV_STARTUP
                 completion = chain + length
                 ready_at[qmov_register] = completion
                 chain_at[qmov_register] = chain
@@ -502,14 +529,14 @@ class _DecoupledState:
         }
         return DecoupledResult(
             program=trace.name,
-            latency=self.memory.memory.latency,
+            latency=self.memory.fabric.latency,
             total_cycles=total_cycles,
             instructions=len(trace),
-            bypass_enabled=self.config.enable_bypass,
-            fu1_busy=self.resources.fu1,
-            fu2_busy=self.resources.fu2,
+            bypass_enabled=self.spec.bypass,
+            fu1_busy=self.fus.recorder(_FU1),
+            fu2_busy=self.fus.recorder(_FU2),
             port_busy=self.memory.port,
-            qmov_busy=list(self.resources.qmov_units),
+            qmov_busy=list(self.qmovs.recorders),
             bypass_busy=self.memory.bypass_unit,
             avdq_occupancy=self.memory.avdq.occupancy_timeline("AVDQ", horizon=total_cycles),
             instructions_per_processor=counts,

@@ -13,14 +13,20 @@ ports.  This package is that machinery as one tested kernel:
   least-loaded/first-wins selection rule; :func:`occupancy_cycles` converts
   vector lengths to busy cycles for multi-lane units.
 * :class:`MemoryFabric` — the memory-port pool, the scalar cache in front of
-  it, and traffic accounting, wired once for both machines.
+  it, and traffic accounting, wired once for both machines, plus the fixed
+  bus and cache-hit timing of the paper's memory system.
+* :data:`FU_STARTUP` — the vector functional units' pipeline depth, the
+  same on both machines.
 
 Everything works in one-pass timestamp arithmetic: simulators process the
 trace once in program order and never step individual cycles.  The issue
 rules themselves live in each machine's ``consume`` loop, which keeps its
-completion horizon and stall counters as plain attributes.  A new machine
-variant (more lanes, more ports, different queueing) is configuration
-over these primitives rather than a new 400-line simulator.
+completion horizon and stall counters as plain attributes.  Both simulators
+read their machine straight off a :class:`~repro.core.machine.MachineSpec`:
+a new variant (more lanes, more ports, different queueing) is a spec value
+over these primitives rather than a new 400-line simulator.  What no spec
+field covers is a named module constant of the paper's machine; editing
+one changes timing, so it must bump :data:`TIMING_MODEL_VERSION`.
 """
 
 #: Version of the timing model the simulators implement on these primitives.
@@ -34,15 +40,17 @@ over these primitives rather than a new 400-line simulator.
 #: implementation are not served as hits across the representation change.
 TIMING_MODEL_VERSION = 2
 
-from repro.engine.memory import MemoryFabric, ScalarAccess
-from repro.engine.resources import ResourcePool, occupancy_cycles
+from repro.engine.memory import BUS_CYCLES_PER_ELEMENT, CACHE_HIT_LATENCY, MemoryFabric
+from repro.engine.resources import FU_STARTUP, ResourcePool, occupancy_cycles
 from repro.engine.scoreboard import Scoreboard
 
 __all__ = [
+    "BUS_CYCLES_PER_ELEMENT",
+    "CACHE_HIT_LATENCY",
+    "FU_STARTUP",
     "TIMING_MODEL_VERSION",
     "MemoryFabric",
     "ResourcePool",
-    "ScalarAccess",
     "Scoreboard",
     "occupancy_cycles",
 ]

@@ -3,56 +3,54 @@
 Everything a simulated machine's issue rules need from the memory system sits
 behind :class:`MemoryFabric`: the (possibly multi-unit) memory-port pool, the
 scalar cache that filters scalar references away from the port, and traffic
-accounting.  The seed simulators wired :class:`~repro.memory.model.MemoryModel`
-and :class:`~repro.memory.scalar_cache.ScalarCache` together differently in
-``refarch`` and in the DVA's :class:`~repro.dva.address.MemoryPipeline`; both
-now share this one wiring.
+accounting.  The reference machine and the DVA's
+:class:`~repro.dva.address.MemoryPipeline` share this one wiring.
+
+The memory timing is fixed arithmetic over the cell's latency (paper §2.1,
+§4.2): the port is pipelined, so a vector reference of VL elements holds the
+address bus for ``max(VL, 1) * BUS_CYCLES_PER_ELEMENT`` cycles and a scalar
+reference for ``BUS_CYCLES_PER_ELEMENT``; a load's last element arrives at
+``bus start + latency + bus cycles``; stores never expose latency.  The
+constants below are fixed values of the paper's machine, not options:
+editing one changes simulated cycles and so must bump
+:data:`~repro.engine.TIMING_MODEL_VERSION`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.common.intervals import IntervalRecorder
 from repro.engine.resources import ResourcePool
-from repro.memory.model import MemoryModel
-from repro.memory.scalar_cache import ScalarCache, ScalarCacheConfig
+from repro.memory.scalar_cache import ScalarCache
 
+if TYPE_CHECKING:
+    from repro.core.machine import MachineSpec
 
-@dataclass(frozen=True)
-class ScalarAccess:
-    """Outcome of presenting one scalar reference to the cache."""
+#: Address-bus cycles per element of a memory reference; a scalar reference
+#: is one element (paper §4.2).
+BUS_CYCLES_PER_ELEMENT = 1
 
-    hit: bool
-    uses_port: bool
+#: Cycles a scalar-cache hit takes to return its value (paper §4.2).
+CACHE_HIT_LATENCY = 1
 
 
 class MemoryFabric:
     """Port pool, scalar cache and traffic accounting for one machine.
 
-    ``ports`` widens the memory port: every bus occupation picks the
-    least-loaded port unit, so a dual-port machine is a constructor argument
-    rather than a simulator fork.  With one port the timing degenerates to the
-    seed's single ``port_free`` integer exactly.
+    The spec's ``memory_ports`` widens the memory port: every bus occupation
+    picks the least-loaded port unit, so with one port the timing is a
+    single ``port_free`` integer.  The scalar cache takes the spec's
+    geometry; scalar references use the port exactly when they miss — store
+    hits are absorbed by the cache (no write-through), which is how the
+    paper can count the cache as a resource separate from the port (§5).
     """
 
-    def __init__(
-        self,
-        memory: MemoryModel,
-        cache_config: Optional[ScalarCacheConfig] = None,
-        ports: int = 1,
-        scalar_store_writes_through: bool = False,
-    ) -> None:
-        self.memory = memory
-        self.cache = ScalarCache(cache_config)
-        self.ports = ResourcePool("LD", ports)
-        self.scalar_store_writes_through = scalar_store_writes_through
+    def __init__(self, spec: "MachineSpec", latency: int) -> None:
+        self.latency = latency
+        self.cache = ScalarCache(spec.cache_line_bytes, spec.cache_lines)
+        self.ports = ResourcePool("LD", spec.memory_ports)
         self.traffic_bytes = 0
-
-    @property
-    def latency(self) -> int:
-        return self.memory.latency
 
     def port_free(self) -> int:
         """Earliest cycle at which some port unit is free."""
@@ -66,28 +64,11 @@ class MemoryFabric:
         """Busy intervals of the port ("any unit busy" when multi-port)."""
         return self.ports.combined_recorder()
 
-    # -- scalar cache ------------------------------------------------------------------
-
-    def scalar_access_at(self, address: int, is_store: bool) -> ScalarAccess:
-        """Present one scalar reference to the cache; decide port usage.
-
-        Loads use the port only on a miss.  Stores additionally use it on a
-        hit when the machine writes through (both seed machines shared this
-        policy, each with its own copy of the code).
-        """
-        hit = self.cache.access(address)
-        uses_port = not hit
-        if is_store and self.scalar_store_writes_through:
-            uses_port = True
-        return ScalarAccess(hit=hit, uses_port=uses_port)
-
-    def scalar_load_ready(self, access: ScalarAccess, start: int) -> int:
-        """Cycle a scalar load's value arrives, given its bus/issue start."""
-        if access.hit:
-            return start + self.cache.config.hit_latency
-        return start + 1 + self.memory.latency
-
-    # -- bus occupation ----------------------------------------------------------------
+    def scalar_load_ready(self, hit: bool, start: int) -> int:
+        """Cycle a scalar load's value arrives, given its cache outcome and start."""
+        if hit:
+            return start + CACHE_HIT_LATENCY
+        return start + BUS_CYCLES_PER_ELEMENT + self.latency
 
     def occupy_bus(self, earliest: int, cycles: int, traffic: int) -> Tuple[int, int]:
         """Drive one reference over a port for ``cycles``; return ``(start, end)``.

@@ -17,6 +17,11 @@ from typing import List, Optional, Sequence, Tuple
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.intervals import IntervalRecorder
 
+#: Pipeline depth of the vector functional units on both machines: the first
+#: element of a result is available for chaining this many cycles after the
+#: instruction starts (paper §2.1; the DVA's VP reuses the same units, §4.3).
+FU_STARTUP = 4
+
 
 def occupancy_cycles(elements: int, lanes: int = 1) -> int:
     """Cycles a ``lanes``-wide unit needs to process ``elements`` elements.

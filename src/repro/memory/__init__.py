@@ -1,12 +1,9 @@
 """Memory-system substrate shared by both simulated architectures.
 
 This package models the parts of the memory system the paper's timing
-arguments depend on:
+arguments depend on beyond the fixed bus arithmetic of
+:mod:`repro.engine.memory`:
 
-* a single pipelined memory port with a shared address bus — a vector
-  reference of length VL occupies the bus for exactly VL cycles (paper §4.2),
-* a configurable main-memory latency seen by loads (stores never expose
-  latency to the processor because the data path for stores is separate),
 * a small scalar cache that services scalar references without using the
   memory port when they hit (paper §4.2 and the five-resource lower bound of
   §5),
@@ -15,15 +12,11 @@ arguments depend on:
   all of memory).
 """
 
-from repro.memory.model import MemoryModel, MemoryTimings
 from repro.memory.ranges import FULL_RANGE, MemoryRange
-from repro.memory.scalar_cache import ScalarCache, ScalarCacheConfig
+from repro.memory.scalar_cache import ScalarCache
 
 __all__ = [
     "FULL_RANGE",
-    "MemoryModel",
     "MemoryRange",
-    "MemoryTimings",
     "ScalarCache",
-    "ScalarCacheConfig",
 ]

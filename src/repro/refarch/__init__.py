@@ -9,17 +9,17 @@ and into stores, and **no** chaining after vector loads.
 The simulator is event driven: it processes the dynamic trace once, in program
 order, computing for every instruction the cycle at which the in-order
 dispatcher can issue it and the intervals during which it occupies its
-functional unit or the memory port.  Per-cycle quantities such as the
+functional unit or the memory port.  The machine is read off a ``ref``-family
+:class:`~repro.core.machine.MachineSpec` (lanes, ports, load chaining,
+scalar-cache geometry).  Per-cycle quantities such as the
 eight-state execution breakdown of Figure 1 are reconstructed from those
 intervals afterwards.
 """
 
-from repro.refarch.config import ReferenceConfig
 from repro.refarch.result import ReferenceResult
 from repro.refarch.simulator import ReferenceSimulator, simulate_reference
 
 __all__ = [
-    "ReferenceConfig",
     "ReferenceResult",
     "ReferenceSimulator",
     "simulate_reference",

@@ -26,13 +26,18 @@ simulation would produce, at a small fraction of the cost.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.common.errors import SimulationError
-from repro.engine import MemoryFabric, ResourcePool, Scoreboard, occupancy_cycles
+from repro.common.errors import ConfigurationError, SimulationError
+from repro.engine import (
+    BUS_CYCLES_PER_ELEMENT,
+    FU_STARTUP,
+    MemoryFabric,
+    ResourcePool,
+    Scoreboard,
+    occupancy_cycles,
+)
 from repro.isa.registers import ELEMENT_SIZE_BYTES
-from repro.memory.model import MemoryModel
-from repro.refarch.config import ReferenceConfig
 from repro.refarch.result import ReferenceResult
 from repro.trace.columns import (
     KIND_QUEUE_MOVE,
@@ -42,26 +47,35 @@ from repro.trace.columns import (
 )
 from repro.trace.record import Trace
 
+if TYPE_CHECKING:
+    from repro.core.machine import MachineSpec
+
 _FU1 = 0
 _FU2 = 1
 
 
 class ReferenceSimulator:
-    """Simulates one trace on the reference architecture."""
+    """Simulates one trace on a ``ref``-family machine at one memory latency.
 
-    def __init__(
-        self,
-        memory: MemoryModel,
-        config: Optional[ReferenceConfig] = None,
-    ) -> None:
-        self.memory = memory
-        self.config = config if config is not None else ReferenceConfig()
+    The spec supplies lanes, memory ports, load chaining and the scalar-cache
+    geometry; everything else is a fixed value of the paper's machine.
+    """
+
+    def __init__(self, spec: "MachineSpec", latency: int) -> None:
+        if spec.family != "ref":
+            raise ConfigurationError(
+                f"the reference simulator runs 'ref' machines, not {spec.family!r}"
+            )
+        if latency < 0:
+            raise ConfigurationError("memory latency cannot be negative")
+        self.spec = spec
+        self.latency = latency
 
     # -- public API ----------------------------------------------------------------
 
     def run(self, trace: Trace) -> ReferenceResult:
         """Simulate ``trace`` and return the measured result."""
-        state = _SimulationState(self.memory, self.config)
+        state = _SimulationState(self.spec, self.latency)
         state.consume(trace)
         return state.finish(trace)
 
@@ -69,27 +83,27 @@ class ReferenceSimulator:
 def simulate_reference(
     trace: Trace,
     latency: int,
-    config: Optional[ReferenceConfig] = None,
+    spec: Optional["MachineSpec"] = None,
 ) -> ReferenceResult:
-    """Convenience wrapper: simulate ``trace`` at the given memory latency."""
-    simulator = ReferenceSimulator(MemoryModel(latency=latency), config=config)
-    return simulator.run(trace)
+    """Convenience wrapper: simulate ``trace`` at the given memory latency.
+
+    Without a spec this is the built-in ``ref`` machine.
+    """
+    if spec is None:
+        from repro.core.machine import MachineSpec
+
+        spec = MachineSpec(family="ref")
+    return ReferenceSimulator(spec, latency).run(trace)
 
 
 class _SimulationState:
     """Issue rules of the reference machine over the engine primitives."""
 
-    def __init__(self, memory: MemoryModel, config: ReferenceConfig) -> None:
-        self.memory = memory
-        self.config = config
+    def __init__(self, spec: "MachineSpec", latency: int) -> None:
+        self.spec = spec
         self.scoreboard = Scoreboard()
         self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
-        self.fabric = MemoryFabric(
-            memory,
-            config.scalar_cache,
-            ports=config.memory_ports,
-            scalar_store_writes_through=config.scalar_store_writes_through,
-        )
+        self.fabric = MemoryFabric(spec, latency)
 
         # The latest completion any issued instruction has reached.
         self.horizon = 0
@@ -122,13 +136,11 @@ class _SimulationState:
         lengths = columns.vl
         addresses = columns.addr
 
-        config = self.config
-        lanes = config.lanes
-        fu_startup = config.functional_unit_startup
-        load_chaining = config.allow_load_chaining
-        memory = self.memory
-        scalar_bus_cycles = memory.timings.scalar_bus_cycles
+        lanes = self.spec.lanes
+        load_chaining = self.spec.chaining
         fabric = self.fabric
+        latency = fabric.latency
+        cache_access = fabric.cache.access
         occupy_bus = fabric.occupy_bus
         acquire_fu = self.fus.acquire
         scoreboard = self.scoreboard
@@ -170,7 +182,7 @@ class _SimulationState:
                 )
                 dispatch_stall += issue_time - dispatch_free
                 dispatch_free = issue_time + 1
-                first_element = issue_time + fu_startup
+                first_element = issue_time + FU_STARTUP
                 completion = first_element + busy
                 # Scalar results of reductions are not chainable; vector
                 # results are.
@@ -183,19 +195,21 @@ class _SimulationState:
             elif kind == KIND_VECTOR_MEMORY:
                 vector_instructions += 1
                 vector_length = lengths[index]
-                bus_cycles = memory.vector_bus_cycles(vector_length)
+                bus_cycles = (
+                    vector_length if vector_length > 1 else 1
+                ) * BUS_CYCLES_PER_ELEMENT
                 issue_time, bus_end = occupy_bus(
                     earliest, bus_cycles, vector_length * ELEMENT_SIZE_BYTES
                 )
                 dispatch_stall += issue_time - dispatch_free
                 dispatch_free = issue_time + 1
                 if info.is_load:
-                    completion = memory.load_ready(issue_time, bus_cycles)
-                    first_element = (
-                        memory.first_element_arrival(issue_time)
-                        if load_chaining
-                        else None
-                    )
+                    # The port is pipelined: the first element arrives after
+                    # the latency, the last one bus_cycles later.
+                    first_element = issue_time + latency
+                    completion = first_element + bus_cycles
+                    if not load_chaining:
+                        first_element = None
                     for register in info.destination_ids:
                         ready_at[register] = completion
                         chain_at[register] = first_element
@@ -205,20 +219,20 @@ class _SimulationState:
                     first_charged.append("vector_memory")
                 vector_memory_cycles += bus_end - issue_time
             elif kind == KIND_SCALAR_MEMORY:
-                is_store = info.is_store
-                access = fabric.scalar_access_at(addresses[index], is_store)
-                if access.uses_port:
-                    issue_time, _bus_end = occupy_bus(
-                        earliest, scalar_bus_cycles, ELEMENT_SIZE_BYTES
-                    )
-                else:
+                # Only a miss uses the port; store hits stay in the cache.
+                hit = cache_access(addresses[index])
+                if hit:
                     issue_time = earliest
+                else:
+                    issue_time, _bus_end = occupy_bus(
+                        earliest, BUS_CYCLES_PER_ELEMENT, ELEMENT_SIZE_BYTES
+                    )
                 dispatch_stall += issue_time - dispatch_free
                 dispatch_free = issue_time + 1
-                if is_store:
+                if info.is_store:
                     completion = issue_time + 1
                 else:
-                    completion = fabric.scalar_load_ready(access, issue_time)
+                    completion = fabric.scalar_load_ready(hit, issue_time)
                     for register in info.destination_ids:
                         ready_at[register] = completion
                         chain_at[register] = None
@@ -264,7 +278,7 @@ class _SimulationState:
         total_cycles = max(self.horizon, self.dispatch_free)
         return ReferenceResult(
             program=trace.name,
-            latency=self.memory.latency,
+            latency=self.fabric.latency,
             total_cycles=total_cycles,
             instructions=self.instructions,
             vector_instructions=self.vector_instructions,

@@ -6,10 +6,9 @@ resolved machine the cell runs on.  :func:`cell_key` hashes exactly that
 description — nothing less, nothing more — so two cells share a key if and
 only if the simulators would produce identical results:
 
-* the canonical :class:`~repro.core.machine.MachineSpec` string and the
-  per-family configuration block it builds
-  (:meth:`~repro.core.machine.MachineSpec.to_config`), so a change to how a
-  spec maps onto the mechanism layer changes the key too;
+* the canonical :class:`~repro.core.machine.MachineSpec` string — the
+  simulators read their whole machine off the spec, and what no field
+  covers is a fixed constant guarded by the timing-model version below;
 * the architecture label, because it travels on the result as provenance and
   a cache hit must restore the result byte-for-byte, label included;
 * :data:`~repro.trace.generator.TRACE_GENERATOR_VERSION`, so changing how
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from repro.core.config import RunConfig
@@ -43,7 +41,9 @@ if TYPE_CHECKING:
 #: v3: a spec is the whole machine and its ``RunResult.spec`` provenance lists
 #: only non-default fields (``ref`` is ``{"family": "ref"}``), so v2 payloads
 #: would restore stale provenance.
-KEY_SCHEME_VERSION = 3
+#: v4: the payload has no ``machine`` entry, because the spec string plus
+#: the version constants describe the whole machine; every v3 key changes.
+KEY_SCHEME_VERSION = 4
 
 
 def cell_key(
@@ -68,7 +68,6 @@ def cell_key(
         A 64-character SHA-256 hex digest, stable across processes and
         Python versions.
     """
-    spec = simulator.spec
     payload = {
         "scheme": KEY_SCHEME_VERSION,
         "trace_generator": TRACE_GENERATOR_VERSION,
@@ -77,8 +76,7 @@ def cell_key(
         "scale": float(scale),
         "latency": int(latency),
         "architecture": simulator.name,
-        "spec": spec.to_string(),
-        "machine": asdict(spec.to_config()),
+        "spec": simulator.spec.to_string(),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

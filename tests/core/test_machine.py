@@ -3,15 +3,27 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core import MachineSpec, Runner, SweepSpec, architecture, machine_spec
+from repro.core import (
+    MachineSpec,
+    RunConfig,
+    Runner,
+    SweepSpec,
+    architecture,
+    machine_spec,
+)
 from repro.core.machine import (
     FIELDS,
     canonical_axis_name,
     lookup_field,
     parse_axis_values,
 )
-from repro.dva.config import DecoupledConfig
-from repro.refarch.config import ReferenceConfig
+from repro.dva.address import MemoryPipeline
+from repro.isa.builder import InstructionBuilder
+from repro.isa.opcodes import Opcode
+from repro.isa.program import BasicBlock
+from repro.isa.registers import s_reg
+from repro.trace.generator import TraceBuilder
+from repro.workloads.perfect_club import build_trace
 
 
 class TestStringRoundTrip:
@@ -102,6 +114,23 @@ class TestStringErrors:
         with pytest.raises(ConfigurationError, match="must be in 1..64"):
             machine_spec("dva@lanes=0")
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "lanes",
+            "memory_ports",
+            "instruction_queue",
+            "vector_load_data",
+            "vector_store_data",
+            "scalar_store_address",
+            "scalar_data",
+        ],
+    )
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_non_positive_sizes_are_refused(self, field, size):
+        with pytest.raises(ConfigurationError, match="must be in 1.."):
+            MachineSpec(family="dva", **{field: size})
+
     def test_power_of_two_enforced(self):
         with pytest.raises(ConfigurationError, match="power of two"):
             machine_spec("ref@cache_line=48")
@@ -127,29 +156,12 @@ class TestDefaults:
         assert MachineSpec(family="ref").bypass is None
         assert MachineSpec(family="dva").chaining is None
 
-    @pytest.mark.parametrize("family", ["ref", "dva"])
-    def test_to_config_carries_every_field_default(self, family):
-        config = MachineSpec(family=family).to_config()
-        assert _config_fields(config) == {
-            info.attribute: info.default
-            for info in FIELDS
-            if family in info.families
-        }
-
-    def test_to_config_carries_every_set_field(self):
-        spec = machine_spec(
-            "dva@lanes=2,ports=3,bypass=off,iq=4,avdq=5,vadq=6,ssaq=7,sdq=8,"
-            "cache_line=64,cache_lines=128"
-        )
-        assert _config_fields(spec.to_config()) == {
-            "lanes": 2, "memory_ports": 3, "bypass": False,
-            "instruction_queue": 4, "vector_load_data": 5, "vector_store_data": 6,
-            "scalar_store_address": 7, "scalar_data": 8,
-            "cache_line_bytes": 64, "cache_lines": 128,
-        }
-        ref = machine_spec("ref@chaining=on,lanes=4").to_config()
-        assert isinstance(ref, ReferenceConfig)
-        assert ref.allow_load_chaining is True and ref.lanes == 4
+    def test_dva_defaults_are_the_papers_section_5_machine(self):
+        spec = MachineSpec(family="dva")
+        assert (spec.instruction_queue, spec.vector_load_data) == (16, 256)
+        assert (spec.vector_store_data, spec.scalar_store_address) == (16, 16)
+        assert spec.scalar_data == 256
+        assert (spec.lanes, spec.memory_ports, spec.bypass) == (1, 1, True)
 
     def test_overrides_are_exactly_the_non_default_fields(self):
         spec = MachineSpec(family="dva", lanes=1, bypass=False, vector_load_data=4)
@@ -158,28 +170,74 @@ class TestDefaults:
         assert spec.to_string() == "dva@bypass=off,avdq=4"
 
 
-def _config_fields(config):
-    """A family configuration block, read back as MachineSpec attributes."""
-    fields = {
-        "lanes": config.lanes,
-        "memory_ports": config.memory_ports,
-        "cache_line_bytes": config.scalar_cache.line_bytes,
-        "cache_lines": config.scalar_cache.lines,
-    }
-    if isinstance(config, ReferenceConfig):
-        fields["chaining"] = config.allow_load_chaining
-        return fields
-    assert isinstance(config, DecoupledConfig)
-    queues = config.queues
-    fields.update(
-        bypass=config.enable_bypass,
-        instruction_queue=queues.instruction_queue,
-        vector_load_data=queues.vector_load_data,
-        vector_store_data=queues.vector_store_data,
-        scalar_store_address=queues.scalar_store_address,
-        scalar_data=queues.scalar_data,
+def _scalar_walk():
+    """Scalar loads walking two regions, their sum stored to a third.
+
+    Program traces touch too few scalar addresses for the cache geometry to
+    matter; this trace hits or misses depending on it.
+    """
+    block = BasicBlock("scalars")
+    emit = InstructionBuilder(block)
+    emit.scalar_load(s_reg(1), "a")
+    emit.scalar_load(s_reg(3), "c")
+    emit.scalar_op(Opcode.S_ADD, s_reg(2), [s_reg(1), s_reg(3)])
+    emit.scalar_store(s_reg(2), "b")
+    builder = TraceBuilder("scalar-walk")
+    for index in range(16):
+        builder.append_block(
+            block, region_offsets={"a": 4 * index, "c": 64 + index, "b": 128 + index}
+        )
+    return builder.build()
+
+
+@pytest.fixture(scope="module")
+def probe_traces():
+    return {"bdna": build_trace("BDNA", scale=0.1), "scalar": _scalar_walk()}
+
+
+class TestSimulatorsReadTheSpec:
+    """The spec is the simulators' only machine description: every field the
+    family has reaches its simulator, so a non-default value changes the run."""
+
+    @pytest.mark.parametrize(
+        "text, trace",
+        [
+            ("ref@lanes=4", "bdna"),
+            ("ref@ports=2", "bdna"),
+            ("ref@chaining=on", "bdna"),
+            ("ref@cache_line=4", "scalar"),
+            ("ref@cache_lines=1", "scalar"),
+            ("dva@lanes=4", "bdna"),
+            ("dva@ports=2", "bdna"),
+            ("dva@bypass=off", "bdna"),
+            ("dva@iq=1", "bdna"),
+            ("dva@avdq=1", "bdna"),
+            ("dva@vadq=1", "bdna"),
+            ("dva@ssaq=1", "bdna"),
+            ("dva@cache_line=4", "scalar"),
+            ("dva@cache_lines=1", "scalar"),
+        ],
     )
-    return fields
+    def test_each_field_changes_the_cycles(self, probe_traces, text, trace):
+        family = text.partition("@")[0]
+        pinned = architecture(text).simulate(probe_traces[trace], RunConfig(latency=50))
+        default = architecture(family).simulate(probe_traces[trace], RunConfig(latency=50))
+        assert pinned.total_cycles != default.total_cycles
+
+    def test_queue_depths_size_the_decoupled_queues(self):
+        spec = machine_spec("dva@avdq=5,vadq=6,ssaq=7,sdq=8")
+        pipeline = MemoryPipeline(spec, 50)
+        capacities = {
+            queue.name: queue.capacity
+            for queue in (pipeline.avdq, pipeline.vadq, pipeline.vsaq,
+                          pipeline.ssaq, pipeline.sadq, pipeline.asdq)
+        }
+        # The VSAQ follows the VADQ: the paper's "store queue length" is
+        # one parameter.
+        assert capacities == {
+            "AVDQ": 5, "VADQ": 6, "VSAQ": 6, "SSAQ": 7, "SADQ": 8, "ASDQ": 8,
+        }
+        assert (pipeline.cache.line_bytes, pipeline.cache.lines) == (32, 1024)
 
 
 class TestFieldSchema:

@@ -15,9 +15,9 @@ from repro.core import (
     simulate,
     unregister_architecture,
 )
-from repro.dva.config import DecoupledConfig
-from repro.dva.simulator import simulate_decoupled
-from repro.refarch.simulator import simulate_reference
+from repro.dva.simulator import DecoupledSimulator, simulate_decoupled
+from repro.refarch.simulator import ReferenceSimulator, simulate_reference
+from repro.workloads import program_names
 from repro.workloads.perfect_club import build_trace
 
 
@@ -150,12 +150,48 @@ class TestAdapters:
     def test_dva_matches_hand_wired_decoupled_with_bypass(self, trace):
         unified = simulate(trace, "dva", latency=50)
         direct = simulate_decoupled(
-            trace,
-            latency=50,
-            config=DecoupledConfig(enable_bypass=True),
+            trace, latency=50, spec=MachineSpec(family="dva", bypass=True)
         )
         assert unified.total_cycles == direct.total_cycles
         assert unified.detail == direct.to_json()
+
+    @pytest.mark.parametrize("program", program_names())
+    @pytest.mark.parametrize(
+        "family, wrapper",
+        [("ref", simulate_reference), ("dva", simulate_decoupled)],
+    )
+    def test_wrappers_without_a_spec_run_the_builtin(self, family, wrapper, program):
+        """The spec-less wrappers are the built-in machines, not a second default.
+
+        ``simulate_decoupled(trace, 50)`` once ran without the bypass while
+        the ``dva`` built-in has it on (BDNA: 41,155 vs 28,292 cycles).
+        """
+        full = build_trace(program)
+        builtin = simulate(full, family, latency=50)
+        assert wrapper(full, 50).total_cycles == builtin.total_cycles
+
+    @pytest.mark.parametrize(
+        "simulator, family",
+        [(ReferenceSimulator, "dva"), (DecoupledSimulator, "ref")],
+    )
+    def test_simulators_refuse_the_other_family(self, simulator, family):
+        with pytest.raises(ConfigurationError, match="machines, not"):
+            simulator(MachineSpec(family=family), 50)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda trace: ReferenceSimulator(MachineSpec(family="ref"), -1),
+            lambda trace: DecoupledSimulator(MachineSpec(family="dva"), -1),
+            lambda trace: simulate_reference(trace, -1),
+            lambda trace: simulate_decoupled(trace, -1),
+        ],
+        ids=["ReferenceSimulator", "DecoupledSimulator", "simulate_reference",
+             "simulate_decoupled"],
+    )
+    def test_negative_latency_is_refused(self, trace, make):
+        with pytest.raises(ConfigurationError, match="latency cannot be negative"):
+            make(trace)
 
     def test_dva_nobypass_disables_bypass(self, trace):
         with_bypass = simulate(trace, "dva", latency=50)

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core import architecture, architecture_names, simulate
+from repro.core import MachineSpec, architecture, architecture_names, simulate
 from repro.core.experiment import SweepSpec, run_sweep
 from repro.core import figures
-from repro.refarch.config import ReferenceConfig
 from repro.workloads.perfect_club import build_trace
 
 
@@ -73,17 +72,16 @@ class TestTiming:
         unit, not the first free one — regression test for the dva-2port
         finish accounting.
         """
-        from repro.dva.config import DecoupledConfig
         from repro.dva.simulator import simulate_decoupled
         from repro.refarch.simulator import simulate_reference
 
         for ports in (1, 2):
             dva = simulate_decoupled(
-                trace, latency=50, config=DecoupledConfig(memory_ports=ports)
+                trace, 50, MachineSpec(family="dva", bypass=False, memory_ports=ports)
             )
             assert dva.port_busy.merged_pairs()[-1][1] <= dva.total_cycles
             ref = simulate_reference(
-                trace, latency=50, config=ReferenceConfig(memory_ports=ports)
+                trace, 50, MachineSpec(family="ref", memory_ports=ports)
             )
             assert ref.port_busy.merged_pairs()[-1][1] <= ref.total_cycles
 

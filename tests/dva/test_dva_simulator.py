@@ -4,7 +4,7 @@ The hand-computed timings follow the DVA's hand-over rules: the fetch
 processor distributes one instruction per cycle and each instruction-queue
 entry is ready the cycle after it is pushed; a vector load's data reaches
 the VP through a QMOV that waits for the whole register in the AVDQ and can
-chain into its consumer ``queue_move_startup`` cycles after it starts.
+chain into its consumer ``QMOV_STARTUP`` (1) cycle after it starts.
 """
 
 import json
@@ -12,10 +12,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dva import DecoupledConfig, DecoupledSimulator, QueueSizes, simulate_decoupled
+from repro.core import MachineSpec
+from repro.dva import DecoupledSimulator, simulate_decoupled
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import s_reg, v_reg
-from repro.memory.model import MemoryModel
 from repro.refarch import simulate_reference
 from repro.trace.generator import TraceBuilder
 from repro.trace.statistics import compute_statistics
@@ -105,8 +105,8 @@ class TestConfigurationEffects:
             b.vector_load(v_reg(2), "y")
 
         trace = trace_from_block(emit)
-        plain = simulate_decoupled(trace, latency=50)
-        bypassed = simulate_decoupled(trace, latency=50, config=DecoupledConfig(enable_bypass=True))
+        plain = simulate_decoupled(trace, 50, MachineSpec(family="dva", bypass=False))
+        bypassed = simulate_decoupled(trace, 50, MachineSpec(family="dva", bypass=True))
         assert (plain.bypassed_loads, plain.disambiguation_stalls) == (0, 1)
         assert (bypassed.bypassed_loads, bypassed.disambiguation_stalls) == (1, 0)
         assert bypassed.bypassed_bytes == 16 * 8
@@ -122,8 +122,8 @@ class TestConfigurationEffects:
             b.vector_op(Opcode.V_MUL, v_reg(1), [v_reg(0), v_reg(0)])
 
         trace = trace_from_block(emit, repeats=8)
-        one = DecoupledConfig(queues=QueueSizes(vector_load_data=1))
-        narrow = simulate_decoupled(trace, latency=100, config=one)
+        one = MachineSpec(family="dva", vector_load_data=1)
+        narrow = simulate_decoupled(trace, latency=100, spec=one)
         wide = simulate_decoupled(trace, latency=100)
         assert narrow.max_avdq_occupancy() == 1
         assert wide.max_avdq_occupancy() > 1
@@ -137,8 +137,8 @@ class TestConfigurationEffects:
                 b.vector_op(Opcode.V_ADD, v_reg(1 + index), [v_reg(0), v_reg(0)])
 
         trace = trace_from_block(emit)
-        one = DecoupledConfig(queues=QueueSizes(instruction_queue=1))
-        narrow = simulate_decoupled(trace, latency=100, config=one)
+        one = MachineSpec(family="dva", instruction_queue=1)
+        narrow = simulate_decoupled(trace, latency=100, spec=one)
         wide = simulate_decoupled(trace, latency=100)
         # The adds wait on the load; with one IQ slot the fetch waits behind them.
         assert wide.fetch_stall_cycles == 0
@@ -151,15 +151,16 @@ class TestConfigurationEffects:
             b.vector_store(v_reg(0), "y")
 
         trace = trace_from_block(emit, repeats=3)
-        config = DecoupledConfig(lanes=2)
-        direct = DecoupledSimulator(MemoryModel(latency=7), config).run(trace)
-        assert direct.to_json() == simulate_decoupled(trace, 7, config).to_json()
+        spec = MachineSpec(family="dva", lanes=2)
+        direct = DecoupledSimulator(spec, 7).run(trace)
+        assert direct.to_json() == simulate_decoupled(trace, 7, spec).to_json()
 
     @settings(max_examples=15, deadline=None)
     @given(vl=st.integers(4, 128), latency=st.integers(1, 100), lanes=st.integers(1, 4))
     def test_cycles_cover_every_units_busy_time(self, vl, latency, lanes):
         trace = _trace_for_kernel(synthetic.daxpy(elements=vl * 4, max_vector_length=vl))
-        result = simulate_decoupled(trace, latency, DecoupledConfig(lanes=lanes))
+        spec = MachineSpec(family="dva", bypass=False, lanes=lanes)
+        result = simulate_decoupled(trace, latency, spec)
         for recorder in (result.port_busy, result.fu1_busy, result.fu2_busy, *result.qmov_busy):
             assert recorder.busy_time() <= result.total_cycles
         # The first load's last element cannot arrive before latency + VL.
@@ -186,17 +187,16 @@ class TestBenchmarkPrograms:
 
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_avdq_occupancy_never_exceeds_its_capacity(self, program_traces, name, capacity):
-        config = DecoupledConfig(queues=QueueSizes(vector_load_data=capacity))
-        result = simulate_decoupled(program_traces[name], latency=50, config=config)
+        spec = MachineSpec(family="dva", bypass=False, vector_load_data=capacity)
+        result = simulate_decoupled(program_traces[name], latency=50, spec=spec)
         assert result.max_avdq_occupancy() <= capacity
 
     def test_bypass_never_adds_memory_traffic(self, program_traces, name):
-        small_avdq = QueueSizes(vector_load_data=4)
         plain = simulate_decoupled(
-            program_traces[name], 50, DecoupledConfig(queues=small_avdq)
+            program_traces[name], 50, MachineSpec(family="dva", vector_load_data=4, bypass=False)
         )
         bypassed = simulate_decoupled(
-            program_traces[name], 50, DecoupledConfig(queues=small_avdq, enable_bypass=True)
+            program_traces[name], 50, MachineSpec(family="dva", vector_load_data=4, bypass=True)
         )
         assert bypassed.memory_traffic_bytes <= plain.memory_traffic_bytes
         assert bypassed.bypassed_loads <= bypassed.instructions_per_processor["vector_loads"]
@@ -204,9 +204,10 @@ class TestBenchmarkPrograms:
     def test_decoupling_tolerates_latency_better_than_the_reference(self, program_traces, name):
         """Paper §5: the DVA's speedup over REF grows with memory latency."""
         trace = program_traces[name]
+        section5 = MachineSpec(family="dva", bypass=False)
         speedups = [
             simulate_reference(trace, latency).total_cycles
-            / simulate_decoupled(trace, latency).total_cycles
+            / simulate_decoupled(trace, latency, section5).total_cycles
             for latency in (1, 100)
         ]
         assert speedups[1] > speedups[0]

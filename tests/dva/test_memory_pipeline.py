@@ -3,23 +3,23 @@ disambiguation and the store→load bypass (paper §4.2 and §7).
 
 Each test drives :class:`~repro.dva.address.MemoryPipeline` directly with the
 scalars the simulator reads off trace columns, so the expected cycles follow
-from the memory model: a vector reference holds the port for VL cycles and
+from the memory timing: a vector reference holds the port for VL cycles and
 its last element arrives ``latency`` cycles after its bus occupancy ends.
+Unless a test names it, the machine has the bypass off.
 """
 
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.core import MachineSpec
 from repro.dva.address import MemoryPipeline
-from repro.dva.config import DecoupledConfig, QueueSizes
-from repro.memory.model import MemoryModel
 
 LATENCY = 20
 BASE = 0x1000
 
 
-def _pipeline(**config):
-    return MemoryPipeline(MemoryModel(latency=LATENCY), DecoupledConfig(**config))
+def _pipeline(bypass=False, **fields):
+    return MemoryPipeline(MachineSpec(family="dva", bypass=bypass, **fields), LATENCY)
 
 
 def _queued_store(pipeline, key=0, base=BASE, length=8, stride=1, indexed=False,
@@ -57,6 +57,17 @@ class TestLoads:
         assert pipeline.issue_scalar_load(BASE, requested=0) == 0 + 1 + LATENCY
         assert pipeline.issue_scalar_load(BASE, requested=40) == 40 + 1
         assert (pipeline.cache.hits, pipeline.cache.misses) == (1, 1)
+        assert pipeline.traffic_bytes == 8
+
+
+    def test_a_scalar_store_hit_stays_off_the_port(self):
+        pipeline = _pipeline()
+        pipeline.issue_scalar_load(BASE, requested=0)  # allocates the line
+        pipeline.enqueue_scalar_store(0, BASE, requested=1)
+        pipeline.attach_scalar_store_data(0, push_time=2, data_ready=60)
+        # The cache absorbs the hit (no write-through): one cycle, no bus.
+        assert pipeline.drain_all() == 60 + 1
+        assert pipeline.port.busy_time() == 1
         assert pipeline.traffic_bytes == 8
 
 
@@ -111,7 +122,7 @@ class TestDisambiguation:
 
 class TestBypass:
     def test_identical_load_is_serviced_from_the_store_data_queue(self):
-        pipeline = _pipeline(enable_bypass=True)
+        pipeline = _pipeline(bypass=True)
         _queued_store(pipeline, data_ready=10)
         outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
         # VL cycles on the bypass unit once the store data is there; no
@@ -123,8 +134,8 @@ class TestBypass:
         assert pipeline.disambiguation_stalls == 0
         assert pipeline.bypass_free == 18
 
-    def test_bypass_is_off_by_default(self):
-        pipeline = _pipeline()
+    def test_without_the_bypass_an_identical_load_drains(self):
+        pipeline = _pipeline(bypass=False)
         _queued_store(pipeline, data_ready=10)
         outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
         assert not outcome.bypassed
@@ -140,7 +151,7 @@ class TestBypass:
         ],
     )
     def test_overlapping_but_not_identical_loads_drain_instead(self, load):
-        pipeline = _pipeline(enable_bypass=True)
+        pipeline = _pipeline(bypass=True)
         _queued_store(pipeline, data_ready=10)
         request = {"base": BASE, "length": 8, "stride": 1, "indexed": False, **load}
         outcome = pipeline.issue_vector_load(
@@ -151,13 +162,13 @@ class TestBypass:
         assert pipeline.disambiguation_stalls == 1
 
     def test_a_scatter_is_never_bypassed(self):
-        pipeline = _pipeline(enable_bypass=True)
+        pipeline = _pipeline(bypass=True)
         _queued_store(pipeline, indexed=True, data_ready=10)
         outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
         assert not outcome.bypassed
 
     def test_a_scalar_store_is_never_bypassed(self):
-        pipeline = _pipeline(enable_bypass=True)
+        pipeline = _pipeline(bypass=True)
         pipeline.enqueue_scalar_store(0, BASE, requested=0)
         pipeline.attach_scalar_store_data(0, push_time=1, data_ready=6)
         outcome = pipeline.issue_vector_load(BASE, 1, 1, False, requested=3)
@@ -165,7 +176,7 @@ class TestBypass:
         assert pipeline.disambiguation_stalls == 1
 
     def test_the_youngest_matching_store_is_bypassed(self):
-        pipeline = _pipeline(enable_bypass=True)
+        pipeline = _pipeline(bypass=True)
         _queued_store(pipeline, key=0, data_ready=10)
         _queued_store(pipeline, key=1, requested=1, data_ready=30)
         outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
@@ -177,7 +188,7 @@ class TestBypass:
 
 class TestStoreQueues:
     def test_full_vsaq_forces_the_oldest_store_to_drain(self):
-        pipeline = _pipeline(queues=QueueSizes(vector_store_data=1))
+        pipeline = _pipeline(vector_store_data=1)
         _queued_store(pipeline, key=0, data_ready=10)
         pipeline.enqueue_vector_store(1, BASE + 0x800, 8, 1, False, requested=2)
         assert pipeline.forced_drains == 1

@@ -3,13 +3,13 @@
 :class:`~repro.engine.Scoreboard` is three lists indexed by register id; the
 read rule lives in each simulator's issue loop.  So the cases below build
 few-instruction traces and check the cycle counts both simulators give
-(functional-unit startup 4, vector length 128, one lane).
+(functional-unit startup 4, vector length 128, one lane, cross-processor
+delay 1).
 """
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.dva.config import DecoupledConfig
 from repro.dva.simulator import simulate_decoupled
 from repro.engine import Scoreboard
 from repro.isa.instruction import Instruction, MemoryOperand
@@ -75,22 +75,32 @@ class TestReferenceReadRule:
 class TestDecoupledReadRule:
     """The DVA adds owners: a read from another processor pays the delay."""
 
-    def test_default_owners_decide_local_and_remote_reads(self):
-        config = DecoupledConfig(cross_processor_delay=10)
-        # s-registers start on the SP: a local read, ready at cycle 0.
+    def test_remote_unwritten_register_is_hidden_behind_the_fetch(self):
+        # s-registers start on the SP: a local read, ready at cycle 0; the
+        # SP sees the instruction at cycle 1 and finishes at 2.
         local = _trace(_op(Opcode.S_ADD, s_reg(0), s_reg(1)))
-        assert simulate_decoupled(local, 1, config).total_cycles == 2
-        # a-registers start on the AP: the SP waits for the cross delay.
+        assert simulate_decoupled(local, 1).total_cycles == 1 + 1
+        # a-registers start on the AP: the SP may read one at 0 + 1 (the
+        # one-cycle cross delay), which is no later than the fetch hands it
+        # the instruction.
         remote = _trace(_op(Opcode.S_ADD, s_reg(0), a_reg(1)))
-        assert simulate_decoupled(remote, 1, config).total_cycles == 0 + 10 + 1
+        assert simulate_decoupled(remote, 1).total_cycles == max(0 + 1, 1) + 1
 
     def test_remote_read_pays_cross_processor_delay(self):
-        config = DecoupledConfig(cross_processor_delay=10)
         produce = _op(Opcode.S_ADD, s_reg(1), s_reg(2))  # SP, ready at 2
         on_address = _trace(produce, _op(Opcode.S_ADD, a_reg(1), s_reg(1)))
         on_scalar = _trace(produce, _op(Opcode.S_ADD, s_reg(3), s_reg(1)))
-        assert simulate_decoupled(on_address, 1, config).total_cycles == 2 + 10 + 1
-        assert simulate_decoupled(on_scalar, 1, config).total_cycles == 2 + 1
+        # Both consumers are fetched at 1 and queued from 2; the AP reads s1
+        # one cycle after it is written, the SP at once.
+        assert simulate_decoupled(on_address, 1).total_cycles == 2 + 1 + 1
+        assert simulate_decoupled(on_scalar, 1).total_cycles == 2 + 1
+
+    def test_a_produced_value_costs_the_sp_the_same_delay(self):
+        produce = _op(Opcode.S_ADD, a_reg(1), a_reg(2))  # AP, ready at 2
+        on_scalar = _trace(produce, _op(Opcode.S_ADD, s_reg(3), a_reg(1)))
+        on_address = _trace(produce, _op(Opcode.S_ADD, a_reg(3), a_reg(1)))
+        assert simulate_decoupled(on_scalar, 1).total_cycles == 2 + 1 + 1
+        assert simulate_decoupled(on_address, 1).total_cycles == 2 + 1
 
     def test_chaining_is_local_only(self):
         produce = _op(Opcode.V_ADD, v_reg(1), v_reg(2), v_reg(3))  # VP, starts at 1

@@ -4,28 +4,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.memory.scalar_cache import ScalarCache, ScalarCacheConfig
+from repro.memory.scalar_cache import ScalarCache
 
 
-class TestScalarCacheConfig:
-    def test_defaults(self):
-        config = ScalarCacheConfig()
-        assert config.line_bytes * config.lines == 32 * 1024
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ScalarCacheConfig(line_bytes=0)
-        with pytest.raises(ConfigurationError):
-            ScalarCacheConfig(line_bytes=24)
-        with pytest.raises(ConfigurationError):
-            ScalarCacheConfig(lines=0)
-        with pytest.raises(ConfigurationError):
-            ScalarCacheConfig(hit_latency=-1)
+def _cache(line_bytes=32, lines=1024):
+    return ScalarCache(line_bytes, lines)
 
 
 class TestScalarCache:
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            ScalarCache(line_bytes=0, lines=8)
+        with pytest.raises(ConfigurationError):
+            ScalarCache(line_bytes=24, lines=8)
+        with pytest.raises(ConfigurationError):
+            ScalarCache(line_bytes=32, lines=0)
+
     def test_cold_miss_then_hit(self):
-        cache = ScalarCache()
+        cache = _cache()
         assert not cache.access(0x1000)
         assert cache.access(0x1000)
         assert cache.access(0x1008)  # same 32-byte line
@@ -33,32 +29,32 @@ class TestScalarCache:
         assert cache.misses == 1
 
     def test_different_lines_miss(self):
-        cache = ScalarCache(ScalarCacheConfig(line_bytes=32, lines=8))
+        cache = _cache(lines=8)
         assert not cache.access(0x0)
         assert not cache.access(0x20)
         assert cache.accesses == 2
         assert cache.hit_rate == 0.0
 
     def test_conflict_eviction(self):
-        cache = ScalarCache(ScalarCacheConfig(line_bytes=32, lines=2))
+        cache = _cache(lines=2)
         cache.access(0x00)          # line 0
         cache.access(0x40)          # maps to line 0 again, evicts
         assert not cache.access(0x00)
 
     def test_reset(self):
-        cache = ScalarCache()
+        cache = _cache()
         cache.access(0x100)
         cache.reset()
         assert cache.accesses == 0
         assert not cache.access(0x100)
 
     def test_hit_rate_empty(self):
-        assert ScalarCache().hit_rate == 0.0
+        assert _cache().hit_rate == 0.0
 
     @given(st.lists(st.integers(0, 0x3FF), min_size=1, max_size=200))
     def test_repeated_small_working_set_eventually_hits(self, addresses):
         # A working set smaller than the cache must hit on every second pass.
-        cache = ScalarCache(ScalarCacheConfig(line_bytes=32, lines=64))
+        cache = _cache(lines=64)
         for address in addresses:
             cache.access(address)
         hits_before = cache.hits

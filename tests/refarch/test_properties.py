@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.refarch import ReferenceConfig, simulate_reference
+from repro.core import MachineSpec
+from repro.refarch import simulate_reference
 from repro.trace.statistics import compute_statistics
 from repro.workloads import load_program, program_names, synthetic
 from repro.workloads.compiler import VectorizingCompiler
@@ -61,7 +62,7 @@ class TestMonotonicity:
         trace = _trace_for_kernel(kernel)
         base = simulate_reference(trace, latency=30)
         chained = simulate_reference(
-            trace, latency=30, config=ReferenceConfig(allow_load_chaining=True)
+            trace, latency=30, spec=MachineSpec(family="ref", chaining=True)
         )
         assert chained.total_cycles <= base.total_cycles
 

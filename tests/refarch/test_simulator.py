@@ -6,7 +6,8 @@ from repro.common.errors import SimulationError
 from repro.core import simulate as core_simulate
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import s_reg, v_reg
-from repro.refarch import ReferenceConfig, simulate_reference
+from repro.core import MachineSpec
+from repro.refarch import simulate_reference
 from repro.trace.record import DynamicInstruction, Trace
 from repro.isa.instruction import make_instruction
 
@@ -60,7 +61,7 @@ class TestVectorMemoryTiming:
         trace = trace_from_block(emit)
         base = simulate_reference(trace, latency=10)
         chained = simulate_reference(
-            trace, latency=10, config=ReferenceConfig(allow_load_chaining=True)
+            trace, latency=10, spec=MachineSpec(family="ref", chaining=True)
         )
         assert chained.total_cycles < base.total_cycles
 
@@ -185,18 +186,17 @@ class TestScalarMemory:
         assert result.scalar_cache_misses == 1
         assert result.port_busy.busy_time() == 1  # only the miss
 
-    def test_scalar_store_write_through_option(self, trace_from_block):
+    def test_scalar_store_hit_stays_off_the_port(self, trace_from_block):
         def emit(b):
             b.scalar_store(s_reg(0), "globals")
             b.scalar_store(s_reg(0), "globals")
 
         trace = trace_from_block(emit)
-        default = simulate_reference(trace, latency=10)
-        write_through = simulate_reference(
-            trace, latency=10, config=ReferenceConfig(scalar_store_writes_through=True)
-        )
-        assert default.port_busy.busy_time() == 1
-        assert write_through.port_busy.busy_time() == 2
+        # The first store misses and allocates the line; the cache absorbs
+        # the second (no write-through).
+        result = simulate_reference(trace, latency=10)
+        assert result.port_busy.busy_time() == 1
+        assert (result.scalar_cache_hits, result.scalar_cache_misses) == (1, 1)
 
     def test_scalar_miss_pays_latency(self, trace_from_block):
         def emit(b):
