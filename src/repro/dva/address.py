@@ -32,7 +32,13 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder
 from repro.dva.queues import TimedQueue
-from repro.engine import BUS_CYCLES_PER_ELEMENT, MemoryFabric, ResourcePool
+from repro.engine import (
+    BUS_CYCLES_PER_ELEMENT,
+    MemoryFabric,
+    ResourcePool,
+    occupancy_cycles,
+    vector_bus_cycles,
+)
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.memory.ranges import MemoryRange, access_range
 from repro.memory.scalar_cache import ScalarCache
@@ -169,7 +175,7 @@ class MemoryPipeline:
         """Put a vector store's address into the VSAQ; return the push cycle."""
         self._make_room(self.vsaq)
         push_time = self.vsaq.push(requested)
-        bus_cycles = (vector_length if vector_length > 1 else 1) * BUS_CYCLES_PER_ELEMENT
+        bus_cycles = vector_bus_cycles(vector_length)
         self.pending_stores.append(
             PendingStore(
                 key=key,
@@ -311,7 +317,7 @@ class MemoryPipeline:
     def _bypass_load(
         self, vector_length: int, requested: int, store: PendingStore
     ) -> VectorLoadOutcome:
-        length = max(vector_length, 1)
+        length = occupancy_cycles(vector_length, 1)
         start, _unit = self.bypass.acquire(max(requested, store.ready), length)
         end = start + length
         self.bypassed_loads += 1
@@ -321,11 +327,11 @@ class MemoryPipeline:
 
     def _memory_load(self, vector_length: int, requested: int) -> VectorLoadOutcome:
         self._drain_ready_stores(requested)
-        bus_cycles = (vector_length if vector_length > 1 else 1) * BUS_CYCLES_PER_ELEMENT
+        bus_cycles = vector_bus_cycles(vector_length)
         bus_start, _bus_end = self.fabric.occupy_bus(
             requested, bus_cycles, vector_length * ELEMENT_SIZE_BYTES
         )
-        data_ready = bus_start + self.fabric.latency + bus_cycles
+        data_ready = self.fabric.vector_load_ready(bus_start, bus_cycles)
         return VectorLoadOutcome(start=bus_start, data_ready=data_ready, bypassed=False)
 
     # -- disambiguation and draining ------------------------------------------------------

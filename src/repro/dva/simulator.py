@@ -20,8 +20,10 @@ instruction (cached on the trace via
 ``dva_routes`` annotation); the dynamic facts — vector length, stride, base
 address — are integer column reads.  Register state is flat: the scoreboard
 is three lists indexed by :attr:`~repro.isa.registers.Register.id`, and a
-value's owner is the integer code of the processor that produced it, so the
-loop touches no dicts and hashes no objects.  The decoupling (and
+value's owner is the integer code of the processor that produced it (``None``
+for a register never written, whose read is hidden behind the fetch: every
+processor starts at or after cycle 1), so the loop touches no dicts and
+hashes no objects.  The decoupling (and
 its limits) emerge from the timestamps: the address processor is free to run
 ahead of the vector processor because nothing it does waits for vector
 computation — until it meets a full queue, a memory hazard against a queued
@@ -40,7 +42,6 @@ from repro.dva.queues import TimedQueue
 from repro.dva.result import DecoupledResult
 from repro.engine import FU_STARTUP, ResourcePool, Scoreboard, occupancy_cycles
 from repro.isa.opcodes import Opcode
-from repro.isa.registers import RegisterClass
 from repro.trace.columns import ColumnarTrace, InstructionInfo
 from repro.trace.record import Trace
 
@@ -92,16 +93,6 @@ _PRIMARY_CODES = {
     Processor.VECTOR: _PRIMARY_VECTOR,
     Processor.SCALAR: _PRIMARY_SCALAR,
     Processor.FETCH: _PRIMARY_FETCH,
-}
-
-#: Initial owner of each register file (machine state at cycle 0); the
-#: scoreboard's owners are primary-processor codes.
-_DEFAULT_OWNERS = {
-    RegisterClass.ADDRESS: _PRIMARY_ADDRESS,
-    RegisterClass.SCALAR: _PRIMARY_SCALAR,
-    RegisterClass.VECTOR: _PRIMARY_VECTOR,
-    RegisterClass.VECTOR_LENGTH: _PRIMARY_FETCH,
-    RegisterClass.VECTOR_STRIDE: _PRIMARY_FETCH,
 }
 
 #: One routing entry per unique instruction: (primary dispatch code, QMOV
@@ -210,7 +201,7 @@ class _DecoupledState:
 
     def __init__(self, spec: "MachineSpec", latency: int) -> None:
         self.spec = spec
-        self.scoreboard = Scoreboard(_DEFAULT_OWNERS)
+        self.scoreboard = Scoreboard()
         self.memory = MemoryPipeline(spec, latency)
         self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
         self.qmovs = ResourcePool("QMOV", count=QMOV_UNITS)
@@ -417,9 +408,8 @@ class _DecoupledState:
                 front_ready = avdq.front_ready()
                 if front_ready > start:
                     start = front_ready
-                length = lengths[index]
-                if length < 1:
-                    length = 1
+                # A QMOV unit moves one element per cycle.
+                length = occupancy_cycles(lengths[index], 1)
                 start, _unit = acquire_qmov(start, length)
                 vpiq_pop(start)
                 vp_free = start + 1
@@ -445,9 +435,8 @@ class _DecoupledState:
                 slot = memory.reserve_vector_store_data_slot(start)
                 if slot > start:
                     start = slot
-                length = lengths[index]
-                if length < 1:
-                    length = 1
+                # A QMOV unit moves one element per cycle.
+                length = occupancy_cycles(lengths[index], 1)
                 start, _unit = acquire_qmov(start, length)
                 vpiq_pop(start)
                 vp_free = start + 1

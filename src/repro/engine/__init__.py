@@ -14,7 +14,8 @@ ports.  This package is that machinery as one tested kernel:
   vector lengths to busy cycles for multi-lane units.
 * :class:`MemoryFabric` — the memory-port pool, the scalar cache in front of
   it, and traffic accounting, wired once for both machines, plus the fixed
-  bus and cache-hit timing of the paper's memory system.
+  bus and cache-hit timing of the paper's memory system
+  (:func:`vector_bus_cycles` is the one bus-occupancy rule).
 * :data:`FU_STARTUP` — the vector functional units' pipeline depth, the
   same on both machines.
 
@@ -40,7 +41,12 @@ one changes timing, so it must bump :data:`TIMING_MODEL_VERSION`.
 #: implementation are not served as hits across the representation change.
 TIMING_MODEL_VERSION = 2
 
-from repro.engine.memory import BUS_CYCLES_PER_ELEMENT, CACHE_HIT_LATENCY, MemoryFabric
+from repro.engine.memory import (
+    BUS_CYCLES_PER_ELEMENT,
+    CACHE_HIT_LATENCY,
+    MemoryFabric,
+    vector_bus_cycles,
+)
 from repro.engine.resources import FU_STARTUP, ResourcePool, occupancy_cycles
 from repro.engine.scoreboard import Scoreboard
 
@@ -53,4 +59,5 @@ __all__ = [
     "ResourcePool",
     "Scoreboard",
     "occupancy_cycles",
+    "vector_bus_cycles",
 ]

@@ -8,9 +8,9 @@ accounting.  The reference machine and the DVA's
 
 The memory timing is fixed arithmetic over the cell's latency (paper §2.1,
 §4.2): the port is pipelined, so a vector reference of VL elements holds the
-address bus for ``max(VL, 1) * BUS_CYCLES_PER_ELEMENT`` cycles and a scalar
-reference for ``BUS_CYCLES_PER_ELEMENT``; a load's last element arrives at
-``bus start + latency + bus cycles``; stores never expose latency.  The
+address bus for :func:`vector_bus_cycles` cycles and a scalar reference for
+``BUS_CYCLES_PER_ELEMENT``; a vector load's last element arrives at
+:meth:`MemoryFabric.vector_load_ready`; stores never expose latency.  The
 constants below are fixed values of the paper's machine, not options:
 editing one changes simulated cycles and so must bump
 :data:`~repro.engine.TIMING_MODEL_VERSION`.
@@ -33,6 +33,15 @@ BUS_CYCLES_PER_ELEMENT = 1
 
 #: Cycles a scalar-cache hit takes to return its value (paper §4.2).
 CACHE_HIT_LATENCY = 1
+
+
+def vector_bus_cycles(vector_length: int) -> int:
+    """Address-bus cycles of a vector reference: ``max(VL, 1)`` elements' worth.
+
+    A zero-length vector reference still issues and holds the bus for one
+    element's slot.
+    """
+    return (vector_length if vector_length > 1 else 1) * BUS_CYCLES_PER_ELEMENT
 
 
 class MemoryFabric:
@@ -69,6 +78,14 @@ class MemoryFabric:
         if hit:
             return start + CACHE_HIT_LATENCY
         return start + BUS_CYCLES_PER_ELEMENT + self.latency
+
+    def vector_load_ready(self, start: int, bus_cycles: int) -> int:
+        """Cycle a vector load's last element arrives, given its bus start.
+
+        The port is pipelined: the first element arrives ``latency`` cycles
+        after the bus start, the last one ``bus_cycles`` later.
+        """
+        return start + self.latency + bus_cycles
 
     def occupy_bus(self, earliest: int, cycles: int, traffic: int) -> Tuple[int, int]:
         """Drive one reference over a port for ``cycles``; return ``(start, end)``.

@@ -15,9 +15,9 @@ instruction.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Mapping, Optional
+from typing import Hashable, List, Optional
 
-from repro.isa.registers import REGISTER_CLASS_OF_ID, REGISTER_COUNT, RegisterClass
+from repro.isa.registers import REGISTER_COUNT
 
 
 class Scoreboard:
@@ -28,20 +28,14 @@ class Scoreboard:
             registers never written: machine state at cycle 0).
         chain_start: cycle at which the first element is available to a
             chaining consumer, or ``None`` when the producer is not chainable.
-        owner: who produced each value.  ``default_owners`` assigns the
-            initial owner per register file; without it every owner is
-            ``None`` (machines without the concept, e.g. the reference
-            architecture).
+        owner: who produced each value; ``None`` for registers never
+            written (and always on machines without the concept, e.g. the
+            reference architecture).
     """
 
     __slots__ = ("ready", "chain_start", "owner")
 
-    def __init__(
-        self, default_owners: Optional[Mapping[RegisterClass, Hashable]] = None
-    ) -> None:
+    def __init__(self) -> None:
         self.ready: List[int] = [0] * REGISTER_COUNT
         self.chain_start: List[Optional[int]] = [None] * REGISTER_COUNT
-        self.owner: List[Optional[Hashable]] = [
-            default_owners[register_class] if default_owners else None
-            for register_class in REGISTER_CLASS_OF_ID
-        ]
+        self.owner: List[Optional[Hashable]] = [None] * REGISTER_COUNT

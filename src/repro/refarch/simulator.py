@@ -36,6 +36,7 @@ from repro.engine import (
     ResourcePool,
     Scoreboard,
     occupancy_cycles,
+    vector_bus_cycles,
 )
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.refarch.result import ReferenceResult
@@ -142,6 +143,8 @@ class _SimulationState:
         latency = fabric.latency
         cache_access = fabric.cache.access
         occupy_bus = fabric.occupy_bus
+        load_ready = fabric.vector_load_ready
+        bus_cycles_of = vector_bus_cycles
         acquire_fu = self.fus.acquire
         scoreboard = self.scoreboard
         ready_at = scoreboard.ready
@@ -195,21 +198,17 @@ class _SimulationState:
             elif kind == KIND_VECTOR_MEMORY:
                 vector_instructions += 1
                 vector_length = lengths[index]
-                bus_cycles = (
-                    vector_length if vector_length > 1 else 1
-                ) * BUS_CYCLES_PER_ELEMENT
+                bus_cycles = bus_cycles_of(vector_length)
                 issue_time, bus_end = occupy_bus(
                     earliest, bus_cycles, vector_length * ELEMENT_SIZE_BYTES
                 )
                 dispatch_stall += issue_time - dispatch_free
                 dispatch_free = issue_time + 1
                 if info.is_load:
+                    completion = load_ready(issue_time, bus_cycles)
                     # The port is pipelined: the first element arrives after
-                    # the latency, the last one bus_cycles later.
-                    first_element = issue_time + latency
-                    completion = first_element + bus_cycles
-                    if not load_chaining:
-                        first_element = None
+                    # the latency.
+                    first_element = issue_time + latency if load_chaining else None
                     for register in info.destination_ids:
                         ready_at[register] = completion
                         chain_at[register] = first_element

@@ -6,9 +6,11 @@ resolved machine the cell runs on.  :func:`cell_key` hashes exactly that
 description — nothing less, nothing more — so two cells share a key if and
 only if the simulators would produce identical results:
 
-* the canonical :class:`~repro.core.machine.MachineSpec` string — the
-  simulators read their whole machine off the spec, and what no field
-  covers is a fixed constant guarded by the timing-model version below;
+* the resolved :class:`~repro.core.machine.MachineSpec` — every field,
+  defaults included, because the simulators read their whole machine off
+  the spec and its short string form leaves default fields out (editing a
+  :data:`~repro.core.machine.FIELDS` default must change the key); what no
+  field covers is a fixed constant guarded by the timing-model version below;
 * the architecture label, because it travels on the result as provenance and
   a cache hit must restore the result byte-for-byte, label included;
 * :data:`~repro.trace.generator.TRACE_GENERATOR_VERSION`, so changing how
@@ -23,6 +25,7 @@ cell has a key.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import TYPE_CHECKING
@@ -41,8 +44,9 @@ if TYPE_CHECKING:
 #: v3: a spec is the whole machine and its ``RunResult.spec`` provenance lists
 #: only non-default fields (``ref`` is ``{"family": "ref"}``), so v2 payloads
 #: would restore stale provenance.
-#: v4: the payload has no ``machine`` entry, because the spec string plus
-#: the version constants describe the whole machine; every v3 key changes.
+#: v4: the ``machine`` entry is the resolved spec (every field, defaults
+#: included) instead of the configuration block built from it; every v3 key
+#: changes.
 KEY_SCHEME_VERSION = 4
 
 
@@ -60,7 +64,7 @@ def cell_key(
         scale: trace scale factor.
         latency: memory latency in cycles.
         simulator: the resolved machine the cell runs on; its ``name`` label
-            and its ``spec`` are both hashed.
+            and its ``spec`` (string form and every resolved field) are hashed.
         config: the cell's run configuration; unused, since ``latency`` and
             the spec describe the cell, but kept so the call shape is stable.
 
@@ -77,6 +81,7 @@ def cell_key(
         "latency": int(latency),
         "architecture": simulator.name,
         "spec": simulator.spec.to_string(),
+        "machine": dataclasses.asdict(simulator.spec),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

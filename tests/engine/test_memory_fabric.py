@@ -1,11 +1,20 @@
 """Unit tests for MemoryFabric."""
 
 from repro.core import MachineSpec
-from repro.engine import MemoryFabric
+from repro.engine import MemoryFabric, vector_bus_cycles
 
 
 def _fabric(latency, **fields):
     return MemoryFabric(MachineSpec(family="ref", **fields), latency)
+
+
+class TestBusRule:
+    def test_vector_reference_holds_the_bus_max_vl_1_cycles(self):
+        # A zero-length vector still issues and takes one element's slot.
+        assert [vector_bus_cycles(vl) for vl in (0, 1, 128)] == [1, 1, 128]
+
+    def test_vector_load_ready_is_start_plus_latency_plus_bus(self):
+        assert _fabric(50).vector_load_ready(10, 128) == 10 + 50 + 128
 
 
 class TestMemoryFabric:

@@ -1,8 +1,12 @@
 """Unit tests for the content-addressed cache-key derivation."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import RunConfig, architecture, architecture_names
+import repro.core.machine as machine_module
+from repro.core import MachineSpec, RunConfig, architecture, architecture_names
+from repro.core.registry import SpecArchitecture
 from repro.store import cell_key
 from repro.store.keys import KEY_SCHEME_VERSION
 
@@ -52,6 +56,22 @@ class TestKeySensitivity:
     def test_machine_pins_change_the_key(self):
         assert _key(arch="dva@lanes=2") != _key(arch="dva")
         assert _key(arch="dva@bypass=off") != _key(arch="dva")
+
+    def test_editing_a_field_default_changes_the_key(self, monkeypatch):
+        # The spec string leaves default fields out, so a plain "dva" spells
+        # the same before and after a default changes; the key must not.
+        def dva_key():
+            machine = SpecArchitecture("dva", "", MachineSpec(family="dva"))
+            return cell_key("trfd", 1.0, 50, machine, CONFIG)
+
+        base = dva_key()
+        fields = tuple(
+            replace(info, default=32) if info.attribute == "instruction_queue" else info
+            for info in machine_module.FIELDS
+        )
+        monkeypatch.setattr(machine_module, "FIELDS", fields)
+        assert MachineSpec(family="dva").to_string() == "dva"
+        assert dva_key() != base
 
     def test_distinct_labels_for_the_same_machine_get_distinct_keys(self):
         # "dva-nobypass" and "dva@bypass=off" resolve to the same machine but
