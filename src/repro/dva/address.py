@@ -229,7 +229,11 @@ class MemoryPipeline:
         store.data_ready = data_ready
 
     def attach_scalar_store_data(self, key: int, push_time: int, data_ready: int) -> None:
-        """Record that the SP has moved store ``key``'s data into the SADQ."""
+        """Record that the SP has moved store ``key``'s data into the SADQ.
+
+        Like the VADQ, a full SADQ forces the oldest stores to drain first.
+        """
+        self._make_room(self.sadq)
         self.sadq.push(push_time, ready=data_ready)
         store = self._find_pending(key)
         store.data_queue_index = self.sadq.last_index

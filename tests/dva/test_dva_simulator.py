@@ -144,6 +144,22 @@ class TestConfigurationEffects:
         assert wide.fetch_stall_cycles == 0
         assert narrow.fetch_stall_cycles > 0
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_shallow_scalar_data_queue_drains_instead_of_failing(
+        self, trace_from_block, depth
+    ):
+        def emit(b):
+            for index in range(6):
+                b.scalar_op(Opcode.S_ADD, s_reg(index % 4), [s_reg((index + 1) % 4)])
+                b.scalar_store(s_reg(index % 4), f"out{index}")
+
+        trace = trace_from_block(emit, repeats=3)
+        shallow = simulate_decoupled(
+            trace, 50, MachineSpec(family="dva", scalar_data=depth)
+        )
+        # Only the AVDQ push stalls the AP, so the SADQ depth moves no cycle.
+        assert shallow.total_cycles == simulate_decoupled(trace, 50).total_cycles
+
     def test_simulator_class_matches_the_convenience_wrapper(self, trace_from_block):
         def emit(b):
             b.set_vector_length(8)
@@ -184,6 +200,14 @@ class TestBenchmarkPrograms:
     def test_payload_survives_a_json_round_trip(self, program_traces, name):
         payload = simulate_decoupled(program_traces[name], latency=10).to_json()
         assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_every_scalar_data_depth_runs(self, program_traces, name, depth):
+        spec = MachineSpec(family="dva", scalar_data=depth)
+        result = simulate_decoupled(program_traces[name], latency=50, spec=spec)
+        assert result.total_cycles == simulate_decoupled(
+            program_traces[name], latency=50
+        ).total_cycles
 
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_avdq_occupancy_never_exceeds_its_capacity(self, program_traces, name, capacity):

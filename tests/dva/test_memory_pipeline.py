@@ -196,6 +196,18 @@ class TestStoreQueues:
         # The second address waited for the first store's bus release.
         assert pipeline.vsaq.push_times == [0, 18]
 
+    def test_full_sadq_forces_the_oldest_store_to_drain(self):
+        pipeline = _pipeline(scalar_data=1)
+        pipeline.enqueue_scalar_store(0, BASE, requested=0)
+        pipeline.attach_scalar_store_data(0, push_time=1, data_ready=5)
+        pipeline.enqueue_scalar_store(1, BASE + 0x800, requested=2)
+        pipeline.attach_scalar_store_data(1, push_time=3, data_ready=6)
+        assert pipeline.forced_drains == 1
+        assert pipeline.pending_stores[0].drained
+        # The first store missed the cache and held the port over [5, 6); the
+        # second data entry waited for that release.
+        assert pipeline.sadq.push_times == [1, 6]
+
     def test_attaching_data_to_an_unknown_store_raises(self):
         pipeline = _pipeline()
         with pytest.raises(SimulationError, match="no pending store"):
