@@ -3,7 +3,10 @@
 
 ``golden_cycles.json`` pins ``total_cycles`` and the key stall counters of
 every cell of the paper grid (six Perfect Club programs x latencies
-{1, 50, 100} x the paper's three machines).  ``fuzz_cycles.json`` pins the
+{1, 50, 100} x the paper's three machines).  ``queue_depth_cycles.json``
+pins the same counters for the six programs at latency 50 on ``dva``
+machines with one queue cut to its shallowest corner, so the paths a full
+queue takes are pinned on real programs too.  ``fuzz_cycles.json`` pins the
 same counters — or the exact simulation error — for the first cases of the
 fuzzer's default master seed (see :mod:`repro.core.fuzz`), so random
 machines are pinned too.
@@ -42,15 +45,25 @@ PROGRAMS = ("ARC2D", "BDNA", "DYFESM", "FLO52", "SPEC77", "TRFD")
 LATENCIES = (1, 50, 100)
 ARCHITECTURES = ("ref", "dva", "dva-nobypass")
 
+QUEUE_DEPTH_LATENCIES = (50,)
+QUEUE_DEPTH_ARCHITECTURES = (
+    "dva@iq=1",
+    "dva@iq=2",
+    "dva@avdq=1",
+    "dva@vadq=1",
+    "dva@ssaq=1",
+    "dva@sdq=2",
+)
+
 VERSIONS = {
     "timing_model": TIMING_MODEL_VERSION,
     "trace_generator": TRACE_GENERATOR_VERSION,
 }
 
 
-def golden_payload() -> dict:
+def grid_payload(latencies: tuple, architectures: tuple) -> dict:
     spec = SweepSpec(
-        programs=PROGRAMS, latencies=LATENCIES, architectures=ARCHITECTURES
+        programs=PROGRAMS, latencies=latencies, architectures=architectures
     )
     cells = {}
     for result in Runner(jobs=1).run(spec):
@@ -60,8 +73,8 @@ def golden_payload() -> dict:
     return {
         "spec": {
             "programs": list(PROGRAMS),
-            "latencies": list(LATENCIES),
-            "architectures": list(ARCHITECTURES),
+            "latencies": list(latencies),
+            "architectures": list(architectures),
         },
         "cells": cells,
         "versions": VERSIONS,
@@ -90,7 +103,12 @@ def drifted_cells(path: str, payload: dict) -> list:
 
 def main() -> int:
     snapshots = {
-        os.path.join(GOLDEN_DIR, "golden_cycles.json"): golden_payload(),
+        os.path.join(GOLDEN_DIR, "golden_cycles.json"): grid_payload(
+            LATENCIES, ARCHITECTURES
+        ),
+        os.path.join(GOLDEN_DIR, "queue_depth_cycles.json"): grid_payload(
+            QUEUE_DEPTH_LATENCIES, QUEUE_DEPTH_ARCHITECTURES
+        ),
         os.path.join(GOLDEN_DIR, "fuzz_cycles.json"): fuzz_payload(),
     }
     refused = False

@@ -3,8 +3,12 @@
 ``golden_cycles.json`` pins ``total_cycles`` and the key stall counters that
 the *seed* (pre-``repro.engine``) simulators produced for every cell of the
 paper's grid — six Perfect Club programs x memory latencies {1, 50, 100} x
-{ref, dva, dva-nobypass}.  These tests assert that the simulators, however
-they are implemented internally, still reproduce those numbers exactly.
+{ref, dva, dva-nobypass}.  ``queue_depth_cycles.json`` pins the same
+counters at latency 50 for ``dva`` machines with one queue at its shallowest
+corner (one- and two-entry instruction queues, a one-entry AVDQ, VADQ or
+SSAQ, a two-entry scalar data queue), where full queues stall the
+processors.  These tests assert that the simulators, however they are
+implemented internally, still reproduce those numbers exactly.
 
 A failure here means the timing model changed.  That is a bug unless the
 change was deliberate and reviewed, in which case the snapshot is regenerated
@@ -21,6 +25,7 @@ from repro.engine import TIMING_MODEL_VERSION
 from repro.trace.generator import TRACE_GENERATOR_VERSION
 
 GOLDEN_PATH = Path(__file__).parent / "golden_cycles.json"
+QUEUE_DEPTH_PATH = Path(__file__).parent / "queue_depth_cycles.json"
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +44,9 @@ def sweep(golden):
     return Runner(jobs=1).run(spec)
 
 
-@pytest.mark.parametrize("name", ["golden_cycles.json", "fuzz_cycles.json"])
+@pytest.mark.parametrize(
+    "name", ["golden_cycles.json", "queue_depth_cycles.json", "fuzz_cycles.json"]
+)
 def test_snapshot_records_the_current_versions(name):
     # scripts/make_golden.py refuses to change cells while these still match
     # the code, so a timing change must bump a version to be re-snapshotted.
@@ -87,3 +94,22 @@ def test_total_cycles_match_per_architecture(golden, sweep):
             for r in sweep.by_architecture(architecture)
         }
         assert actual == expected
+
+
+def test_queue_depth_corners_match_their_snapshot():
+    with QUEUE_DEPTH_PATH.open() as handle:
+        snapshot = json.load(handle)
+    spec = SweepSpec(
+        programs=tuple(snapshot["spec"]["programs"]),
+        latencies=tuple(snapshot["spec"]["latencies"]),
+        architectures=tuple(snapshot["spec"]["architectures"]),
+    )
+    results = Runner(jobs=1).run(spec)
+    assert len(results) == len(snapshot["cells"]) == 36
+    mismatches = []
+    for result in results:
+        key = f"{result.program}/{result.latency}/{result.architecture}"
+        expected = snapshot["cells"][key]
+        if {name: result.detail[name] for name in expected} != expected:
+            mismatches.append(key)
+    assert not mismatches, f"queue-depth cells diverged: {mismatches}"
