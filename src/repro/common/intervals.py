@@ -25,16 +25,19 @@ class IntervalRecorder:
     building block used by the simulators to describe functional-unit and
     memory-port occupancy.
 
-    Intervals are stored as two parallel integer lists — the simulators
-    record one per issued instruction, so the hot path is two list appends.
+    Intervals are stored as two parallel integer lists, :attr:`starts` and
+    :attr:`ends`.  They are the interface the simulators' issue loops use:
+    a loop records one interval per issued instruction by appending to both
+    lists directly, and every interval it appends is non-empty.  Other
+    callers use :meth:`record`.
     """
 
-    __slots__ = ("name", "_starts", "_ends", "_merged", "_merged_count")
+    __slots__ = ("name", "starts", "ends", "_merged", "_merged_count")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._starts: list[int] = []
-        self._ends: list[int] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
         self._merged: list[tuple[int, int]] = []
         self._merged_count = 0
 
@@ -46,8 +49,8 @@ class IntervalRecorder:
         vector instruction with vector length zero).
         """
         if end > start:
-            self._starts.append(start)
-            self._ends.append(end)
+            self.starts.append(start)
+            self.ends.append(end)
         elif end < start:
             raise SimulationError(
                 f"resource {self.name!r}: busy interval ends ({end}) before it starts ({start})"
@@ -55,8 +58,8 @@ class IntervalRecorder:
 
     def extend(self, other: "IntervalRecorder") -> None:
         """Record every interval of ``other`` as well."""
-        self._starts += other._starts
-        self._ends += other._ends
+        self.starts += other.starts
+        self.ends += other.ends
 
     def merged_pairs(self) -> list[tuple[int, int]]:
         """The recorded intervals merged into disjoint sorted (start, end) pairs.
@@ -65,9 +68,9 @@ class IntervalRecorder:
         kept until the next record: a result's state breakdown and busy time
         share one merge.  Callers must not mutate the returned list.
         """
-        if self._merged_count != len(self._starts):
+        if self._merged_count != len(self.starts):
             merged = []
-            pairs = sorted(zip(self._starts, self._ends))
+            pairs = sorted(zip(self.starts, self.ends))
             first, last = pairs[0]
             for start, end in pairs:
                 if start > last:
@@ -85,10 +88,10 @@ class IntervalRecorder:
         return sum(end - start for start, end in self.merged_pairs())
 
     def __len__(self) -> int:
-        return len(self._starts)
+        return len(self.starts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IntervalRecorder(name={self.name!r}, intervals={len(self._starts)})"
+        return f"IntervalRecorder(name={self.name!r}, intervals={len(self.starts)})"
 
 
 def level_cycles(deltas: Dict[int, int], total_cycles: int) -> Dict[int, int]:

@@ -47,7 +47,7 @@ if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingStore:
     """A store whose address sits in a store queue awaiting its data.
 
@@ -86,7 +86,7 @@ class PendingStore:
         return max(self.address_ready, self.data_ready)
 
 
-@dataclass
+@dataclass(slots=True)
 class VectorLoadOutcome:
     """How one vector load was serviced."""
 
@@ -365,12 +365,13 @@ class MemoryPipeline:
         the load that is currently asking for the port, it goes first (stores
         among themselves always retire in program order).
         """
+        port_free = self.fabric.ports.free
         while self._next_undrained < len(self.pending_stores):
             store = self.pending_stores[self._next_undrained]
             if store.data_ready is None:
                 break
-            port_free = self.port_free
-            if max(port_free, store.ready) > max(port_free, candidate_start):
+            earliest = min(port_free)
+            if max(earliest, store.ready) > max(earliest, candidate_start):
                 break
             self._drain_oldest()
 

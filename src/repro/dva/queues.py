@@ -1,20 +1,29 @@
-"""Timestamped bounded FIFO queues.
+"""Timestamped bounded FIFO queues: the DVA's data queues.
 
-The decoupled simulator never steps cycles; instead every queue keeps, per
-entry, the cycle at which the producer reserved the slot, the cycle at which
-the entry's data became available, and the cycle at which the consumer
-released the slot.  Because producers and consumers both work through the
-program in order, the blocking behaviour of a bounded FIFO reduces to simple
-timestamp arithmetic:
+The decoupled simulator never steps cycles; instead every data queue (AVDQ,
+ASDQ, VADQ, SADQ, VSAQ, SSAQ) keeps, per entry, the cycle at which the
+producer reserved the slot, the cycle at which the entry's data became
+available, and the cycle at which the consumer released the slot.  Because
+producers and consumers both work through the program in order, the
+blocking behaviour of a bounded FIFO reduces to simple timestamp
+arithmetic:
 
 * a push must wait until the entry ``capacity`` positions earlier has been
   released, and
 * a pop must wait until the entry at the head of the queue is ready.
 
 Entry lifetimes are stored as three parallel timestamp lists rather than one
-object per entry: the simulator pushes into these queues for every dynamic
-instruction, so the columnar layout keeps the hot path to integer list
-operations.
+object per entry, so the hot path is integer list operations.
+
+The instruction queues (APIQ, VPIQ, SPIQ) need less and are not
+:class:`TimedQueue`\\ s.  The fetch processor pushes an entry and the
+entry's processor pops it in the same trace step, so by the next push every
+earlier entry has been released.  An instruction queue is therefore only the
+pop (issue) cycles of its last ``capacity`` entries, a ring kept by
+:class:`~repro.dva.simulator.DecoupledSimulator`'s loop: the next push waits
+for the oldest of them.  A data queue's entry may stay unreleased across
+steps (a store's data waits for its drain), so data queues keep every
+timestamp.
 """
 
 from __future__ import annotations
@@ -72,18 +81,6 @@ class TimedQueue:
         self.ready_times.append(ready if ready is not None else push_time)
         self.pop_times.append(None)
         return push_time
-
-    def push_at(self, push_time: int, ready: int) -> None:
-        """Append an entry at a cycle the caller has already legalized.
-
-        The fast path for producers that called :meth:`earliest_push`
-        themselves (the fetch processor computes one push cycle across
-        several queues): no capacity re-check, no stall accounting — both
-        are the caller's responsibility.
-        """
-        self.push_times.append(push_time)
-        self.ready_times.append(ready)
-        self.pop_times.append(None)
 
     @property
     def last_index(self) -> int:

@@ -6,14 +6,23 @@ For every traced instruction it advances, in this order, the fetch processor
 executes the instruction itself, and the processor that executes the hidden
 QMOV companion the fetch processor generated for it.  Because every processor
 works through its stream in order and all queues are FIFO, the blocking
-behaviour of the bounded queues reduces to timestamp arithmetic handled by
-:class:`~repro.dva.queues.TimedQueue`, and a single pass reproduces the timing
-a cycle-stepped simulation would give.
+behaviour of the bounded queues reduces to timestamp arithmetic, and a single
+pass reproduces the timing a cycle-stepped simulation would give.
+
+The data queues are :class:`~repro.dva.queues.TimedQueue`\\ s.  The
+instruction queues (APIQ, VPIQ, SPIQ) are pop-time rings, and they rely on
+one invariant: the fetch processor pushes an entry and the entry's processor
+pops it (issues the instruction) in the same trace step.  So when the fetch
+reaches an instruction, every earlier entry has already been released, and
+a queue of depth ``iq`` is fully described by the issue cycles of its last
+``iq`` entries, ``deque([0] * iq, maxlen=iq)``.  The next push waits for the
+oldest of them, ``ring[0]``, and an issue appends its cycle.
 
 The register scoreboard and the functional-unit/QMOV/port pools come from
 the shared :mod:`repro.engine` kernel; this module contributes the issue
 rules of the four processors, and runs them inline in one loop over the
-trace's columns.
+trace's columns.  The unit picks run inline on the pools' free lists and
+busy-interval lists, so a step makes no call unless it touches memory.
 Routing decisions and operand register ids are precomputed per unique static
 instruction (cached on the trace via
 :meth:`~repro.trace.columns.ColumnarTrace.instruction_infos` and the
@@ -33,14 +42,14 @@ DYFESM lockstep case of paper §5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.dva.address import MemoryPipeline
 from repro.dva.fetch import Processor, route_instruction
-from repro.dva.queues import TimedQueue
 from repro.dva.result import DecoupledResult
-from repro.engine import FU_STARTUP, ResourcePool, Scoreboard, occupancy_cycles
+from repro.engine import FU_STARTUP, ResourcePool, Scoreboard
 from repro.isa.opcodes import Opcode
 from repro.trace.columns import ColumnarTrace, InstructionInfo
 from repro.trace.record import Trace
@@ -99,6 +108,11 @@ _PRIMARY_CODES = {
 #: dispatch code, instruction-queue ids receiving an entry, register id the
 #: QMOV writes or reads — ``-1`` when it has none).
 RouteEntry = Tuple[int, int, Tuple[int, ...], int]
+
+
+def _pop_before_push(queue: str, pop: int, push: int) -> SimulationError:
+    """The error of an instruction issued before the fetch pushed it."""
+    return SimulationError(f"queue {queue!r}: pop at {pop} precedes push at {push}")
 
 
 def _qmov_register(info: InstructionInfo, qmov: int) -> int:
@@ -206,10 +220,13 @@ class _DecoupledState:
         self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
         self.qmovs = ResourcePool("QMOV", count=QMOV_UNITS)
 
-        queue_size = spec.instruction_queue
-        self.apiq = TimedQueue("APIQ", queue_size)
-        self.vpiq = TimedQueue("VPIQ", queue_size)
-        self.spiq = TimedQueue("SPIQ", queue_size)
+        # Instruction queues as pop-time rings: the issue cycles of each
+        # queue's last ``iq`` entries, oldest first (see the module
+        # docstring).  The zeros stand for the free slots of an empty queue.
+        depth = spec.instruction_queue
+        self.apiq: Deque[int] = deque([0] * depth, maxlen=depth)
+        self.vpiq: Deque[int] = deque([0] * depth, maxlen=depth)
+        self.spiq: Deque[int] = deque([0] * depth, maxlen=depth)
 
         # Per-processor issue pointers: the cycle each processor will look at
         # its next instruction.
@@ -238,15 +255,21 @@ class _DecoupledState:
         One pass over the columns: static facts come from the shared
         instruction-info and routing tables, dynamic facts (VL, stride, base
         address) are integer column reads.  The issue rules of all four
-        processors run inline on locals — the scoreboard lists, the issue
-        pointers, the horizon and the counters — which are written back once
-        at the end.
+        processors run inline on locals — the scoreboard lists, the
+        instruction-queue rings, the functional-unit and QMOV free times and
+        busy-interval lists, the issue pointers, the horizon and the
+        counters — which are written back once at the end.  Only memory
+        references call out, into the :class:`MemoryPipeline`.
 
         The scoreboard read rule: a value owned by another processor arrives
         :data:`CROSS_PROCESSOR_DELAY` cycles after it is fully written (it
         travels through the scalar data queues); a local read by a chaining
         consumer (the VP) may start at the producer's chain start; any other
         read waits for the value to be fully written.
+
+        The unit picks follow :class:`~repro.engine.ResourcePool`: the
+        least-loaded unit, the first one winning ties, except that an
+        instruction needing FU2 always takes FU2.
         """
         columns = trace.columns
         infos = columns.instruction_infos()
@@ -265,14 +288,21 @@ class _DecoupledState:
 
         # Indexed by the routing table's integer queue ids.
         iqs = (self.apiq, self.vpiq, self.spiq)
-        apiq_pop = self.apiq.pop
-        vpiq_pop = self.vpiq.pop
-        spiq_pop = self.spiq.pop
+        apiq_issue = self.apiq.append
+        vpiq_issue = self.vpiq.append
+        spiq_issue = self.spiq.append
+
+        fu1_free, fu2_free = self.fus.free
+        fu1, fu2 = self.fus.recorders
+        fu1_start, fu1_end = fu1.starts.append, fu1.ends.append
+        fu2_start, fu2_end = fu2.starts.append, fu2.ends.append
+        qmov_free = self.qmovs.free
+        qmov_starts = [recorder.starts for recorder in self.qmovs.recorders]
+        qmov_ends = [recorder.ends for recorder in self.qmovs.recorders]
+
         memory = self.memory
         avdq = memory.avdq
         asdq = memory.asdq
-        acquire_fu = self.fus.acquire
-        acquire_qmov = self.qmovs.acquire
 
         fp_free = self.fp_free
         ap_free = self.ap_free
@@ -289,18 +319,16 @@ class _DecoupledState:
             primary, qmov, targets, qmov_register = routes[table_index]
 
             # Fetch: translate and distribute.  The push cycle is the first
-            # cycle every target queue can accept an entry (primary first,
-            # QMOV second — push order matters for queue state); each entry
-            # is ready one cycle later, when the fetch processor moves on.
-            push_time = requested = fp_free
+            # cycle every target queue has a free slot, i.e. the issue cycle
+            # of the entry ``iq`` places back; each entry is ready one cycle
+            # later, when the fetch processor moves on.
+            push_time = fp_free
             for queue_id in targets:
-                earliest = iqs[queue_id].earliest_push(requested)
-                if earliest > push_time:
-                    push_time = earliest
-            fetch_stall += push_time - requested
+                released = iqs[queue_id][0]
+                if released > push_time:
+                    push_time = released
+            fetch_stall += push_time - fp_free
             fp_free = push_time + 1
-            for queue_id in targets:
-                iqs[queue_id].push_at(push_time, fp_free)
             if fp_free > horizon:
                 horizon = fp_free
 
@@ -352,7 +380,9 @@ class _DecoupledState:
                         ready_at[register] = ap_free
                         chain_at[register] = None
                         owner_of[register] = _PRIMARY_ADDRESS
-                apiq_pop(start)
+                if start < push_time:
+                    raise _pop_before_push("APIQ", start, push_time)
+                apiq_issue(start)
                 if ap_free > horizon:
                     horizon = ap_free
             elif primary == _PRIMARY_VECTOR:
@@ -367,11 +397,24 @@ class _DecoupledState:
                             operand = ready_at[register]
                     if operand > start:
                         start = operand
-                busy = occupancy_cycles(lengths[index], lanes)
-                start, _unit = acquire_fu(
-                    start, busy, _FU2 if info.requires_fu2 else None
-                )
-                vpiq_pop(start)
+                # occupancy_cycles(VL, lanes), inlined.
+                busy = lengths[index]
+                busy = -(-busy // lanes) if busy > 1 else 1
+                if info.requires_fu2 or fu2_free < fu1_free:
+                    if fu2_free > start:
+                        start = fu2_free
+                    fu2_free = start + busy
+                    fu2_start(start)
+                    fu2_end(fu2_free)
+                else:
+                    if fu1_free > start:
+                        start = fu1_free
+                    fu1_free = start + busy
+                    fu1_start(start)
+                    fu1_end(fu1_free)
+                if start < push_time:
+                    raise _pop_before_push("VPIQ", start, push_time)
+                vpiq_issue(start)
                 vp_free = start + 1
                 chain = start + FU_STARTUP
                 completion = chain + busy
@@ -390,7 +433,9 @@ class _DecoupledState:
                         operand += cross_delay
                     if operand > start:
                         start = operand
-                spiq_pop(start)
+                if start < push_time:
+                    raise _pop_before_push("SPIQ", start, push_time)
+                spiq_issue(start)
                 sp_free = start + 1
                 for register in info.destination_ids:
                     ready_at[register] = sp_free
@@ -409,11 +454,21 @@ class _DecoupledState:
                 if front_ready > start:
                     start = front_ready
                 # A QMOV unit moves one element per cycle.
-                length = occupancy_cycles(lengths[index], 1)
-                start, _unit = acquire_qmov(start, length)
-                vpiq_pop(start)
+                length = lengths[index]
+                if length < 1:
+                    length = 1
+                unit = qmov_free.index(min(qmov_free))
+                if qmov_free[unit] > start:
+                    start = qmov_free[unit]
+                end = start + length
+                qmov_free[unit] = end
+                qmov_starts[unit].append(start)
+                qmov_ends[unit].append(end)
+                if start < push_time:
+                    raise _pop_before_push("VPIQ", start, push_time)
+                vpiq_issue(start)
                 vp_free = start + 1
-                avdq.pop(start + length)
+                avdq.pop(end)
                 chain = start + QMOV_STARTUP
                 completion = chain + length
                 ready_at[qmov_register] = completion
@@ -436,11 +491,20 @@ class _DecoupledState:
                 if slot > start:
                     start = slot
                 # A QMOV unit moves one element per cycle.
-                length = occupancy_cycles(lengths[index], 1)
-                start, _unit = acquire_qmov(start, length)
-                vpiq_pop(start)
-                vp_free = start + 1
+                length = lengths[index]
+                if length < 1:
+                    length = 1
+                unit = qmov_free.index(min(qmov_free))
+                if qmov_free[unit] > start:
+                    start = qmov_free[unit]
                 data_ready = start + length
+                qmov_free[unit] = data_ready
+                qmov_starts[unit].append(start)
+                qmov_ends[unit].append(data_ready)
+                if start < push_time:
+                    raise _pop_before_push("VPIQ", start, push_time)
+                vpiq_issue(start)
+                vp_free = start + 1
                 memory.attach_vector_store_data(
                     index, push_time=start, data_ready=data_ready
                 )
@@ -452,7 +516,9 @@ class _DecoupledState:
                 front_ready = asdq.front_ready()
                 if front_ready > start:
                     start = front_ready
-                spiq_pop(start)
+                if start < push_time:
+                    raise _pop_before_push("SPIQ", start, push_time)
+                spiq_issue(start)
                 sp_free = start + 1
                 asdq.pop(sp_free)
                 if qmov_register >= 0:
@@ -470,7 +536,9 @@ class _DecoupledState:
                         operand += cross_delay
                     if operand > start:
                         start = operand
-                spiq_pop(start)
+                if start < push_time:
+                    raise _pop_before_push("SPIQ", start, push_time)
+                spiq_issue(start)
                 sp_free = start + 1
                 memory.attach_scalar_store_data(
                     index, push_time=start, data_ready=sp_free
@@ -478,6 +546,7 @@ class _DecoupledState:
                 if sp_free > horizon:
                     horizon = sp_free
 
+        self.fus.free[:] = (fu1_free, fu2_free)
         self.fp_free = fp_free
         self.ap_free = ap_free
         self.vp_free = vp_free

@@ -90,10 +90,20 @@ class MemoryFabric:
     def occupy_bus(self, earliest: int, cycles: int, traffic: int) -> Tuple[int, int]:
         """Drive one reference over a port for ``cycles``; return ``(start, end)``.
 
-        The caller supplies the bus occupancy and the bytes moved (both
-        derived from trace columns); the fabric picks the least-loaded port
-        unit and accounts the traffic.
+        The caller supplies the bus occupancy (at least one cycle) and the
+        bytes moved, both derived from trace columns; the fabric picks the
+        least-loaded port unit (the first one winning ties) and accounts the
+        traffic.  The pick runs inline on the pool's free list and the unit
+        recorder's interval lists, as the issue loops do.
         """
-        start, _unit = self.ports.acquire(earliest, cycles)
+        free = self.ports.free
+        unit = free.index(min(free))
+        start = free[unit]
+        if earliest > start:
+            start = earliest
+        end = free[unit] = start + cycles
+        recorder = self.ports.recorders[unit]
+        recorder.starts.append(start)
+        recorder.ends.append(end)
         self.traffic_bytes += traffic
-        return start, start + cycles
+        return start, end

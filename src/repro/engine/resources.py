@@ -41,6 +41,13 @@ class ResourcePool:
     :class:`IntervalRecorder` of its busy intervals.  Selection among free
     units is least-loaded with the *first* unit winning ties — exactly the
     seed's ``fu1_free <= fu2_free`` rule, which golden tests pin.
+
+    :attr:`free` (one next-free cycle per unit) and :attr:`recorders` are
+    the interface a hot loop uses to pick a unit inline, without a call per
+    request: take the least-loaded unit, start no earlier than its free
+    time, set its free time to the interval's end and append the interval to
+    that unit recorder's ``starts``/``ends`` lists.  :meth:`acquire` is the
+    same rule as one call.
     """
 
     def __init__(

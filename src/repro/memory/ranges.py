@@ -16,7 +16,7 @@ from repro.common.errors import SimulationError
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryRange:
     """A half-open byte range ``[start, end)``; ``full`` covers all memory."""
 

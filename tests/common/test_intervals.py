@@ -47,6 +47,16 @@ class TestIntervalRecorder:
         assert recorder.merged_pairs() == [(0, 12)]
         assert recorder.busy_time() == 12
 
+    def test_appending_to_the_interval_lists_is_recording(self):
+        recorded = _recorder("fu1", [(10, 2), (0, 4)])
+        appended = IntervalRecorder("fu1")
+        appended.merged_pairs()
+        for start, end in [(10, 12), (0, 4)]:
+            appended.starts.append(start)
+            appended.ends.append(end)
+        assert (appended.starts, appended.ends) == (recorded.starts, recorded.ends)
+        assert appended.merged_pairs() == recorded.merged_pairs() == [(0, 4), (10, 12)]
+
     def test_extend_adds_the_other_recorders_intervals(self):
         first = _recorder("a", [(0, 5)])
         first.merged_pairs()

@@ -96,6 +96,40 @@ class TestHandTimings:
         assert decoupled < 8 * 64 + 2 * 100 + 4 * 64
 
 
+    @pytest.mark.parametrize("depth, stall", [(1, 6), (2, 0)])
+    def test_an_instruction_queue_holds_its_last_issue_cycles(
+        self, trace_from_block, depth, stall
+    ):
+        def emit(b):
+            b.set_vector_length(8)
+            for index in range(4):
+                b.vector_op(Opcode.V_ADD, v_reg(1 + index), [v_reg(0), v_reg(0)])
+
+        spec = MachineSpec(family="dva", instruction_queue=depth)
+        result = simulate_decoupled(trace_from_block(emit), 50, spec)
+        # The adds issue at 2 (FU1), 3 (FU2), 10 (FU1) and 11 (FU2).  The
+        # fourth is fetched once its VPIQ slot frees: with one slot that is
+        # when the third issues (10, six cycles after the fetch reached it);
+        # with two, when the second issued (3), already past.
+        assert result.fetch_stall_cycles == stall
+        assert result.fu1_busy.merged_pairs() == [(2, 18)]
+        assert result.fu2_busy.merged_pairs() == [(3, 19)]
+        assert result.total_cycles == 11 + 4 + 8
+
+    def test_fu2_only_work_waits_for_fu2_while_fu1_idles(self, trace_from_block):
+        def emit(b):
+            b.set_vector_length(8)
+            b.vector_op(Opcode.V_MUL, v_reg(1), [v_reg(0), v_reg(0)])
+            b.vector_op(Opcode.V_MUL, v_reg(2), [v_reg(0), v_reg(0)])
+            b.vector_op(Opcode.V_ADD, v_reg(3), [v_reg(0), v_reg(0)])
+
+        result = simulate_decoupled(trace_from_block(emit), 50)
+        # The second multiply waits for FU2 (until 10) although FU1 is idle;
+        # the in-order VP issues the add after it, on FU1.
+        assert result.fu2_busy.merged_pairs() == [(2, 18)]
+        assert result.fu1_busy.merged_pairs() == [(11, 19)]
+
+
 class TestConfigurationEffects:
     def test_bypass_services_a_reload_of_just_stored_data(self, trace_from_block):
         def emit(b):

@@ -1,9 +1,9 @@
-"""Unit tests for the timestamped FIFO behind every DVA queue.
+"""Unit tests for the timestamped FIFO behind every DVA data queue.
 
 The same-cycle push/pop conventions are pinned in
 ``tests/engine/test_same_cycle_ordering.py``; these tests cover the rest of
-the queue's contract: construction, FIFO order, the ready column, the
-caller-legalized fast path and the occupancy records statistics read.
+the queue's contract: construction, FIFO order, the ready column and the
+occupancy records statistics read.
 """
 
 import pytest
@@ -60,19 +60,6 @@ class TestFifoOrder:
             queue.pop(1)
         with pytest.raises(SimulationError, match="no outstanding entry"):
             queue.front_ready()
-
-
-class TestPushAt:
-    def test_push_at_skips_capacity_and_stall_accounting(self):
-        queue = TimedQueue("SPIQ", 1)
-        queue.push(0)
-        queue.pop(9)
-        # The caller already legalized the cycle; the queue takes it as is.
-        queue.push_at(9, 10)
-        assert queue.push_stall_cycles == 0
-        assert queue.push_times == [0, 9]
-        assert queue.ready_times == [0, 10]
-        assert queue.outstanding == 1
 
 
 class TestOccupancy:

@@ -1,7 +1,7 @@
 """Unit tests for MemoryFabric."""
 
 from repro.core import MachineSpec
-from repro.engine import MemoryFabric, vector_bus_cycles
+from repro.engine import MemoryFabric, ResourcePool, vector_bus_cycles
 
 
 def _fabric(latency, **fields):
@@ -50,3 +50,14 @@ class TestMemoryFabric:
         second, _ = fabric.occupy_bus(0, 1, 8)
         assert (first, second) == (0, 0)
         assert fabric.port_recorder().busy_time() == 1  # merged "any port busy"
+
+    def test_port_pick_is_the_pools_least_loaded_rule(self):
+        fabric = _fabric(1, memory_ports=3)
+        pool = ResourcePool("LD", 3)
+        for earliest, cycles in [(0, 4), (0, 2), (1, 3), (2, 1), (2, 5), (9, 1)]:
+            start, end = fabric.occupy_bus(earliest, cycles, 8)
+            expected, _unit = pool.acquire(earliest, cycles)
+            assert (start, end) == (expected, expected + cycles)
+        assert fabric.ports.free == pool.free
+        for mine, theirs in zip(fabric.ports.recorders, pool.recorders):
+            assert (mine.starts, mine.ends) == (theirs.starts, theirs.ends)
