@@ -20,24 +20,26 @@ from repro.common.stats import Histogram
 class OccupancyTimeline:
     """Records element residencies of a bounded queue and derives statistics.
 
-    Residencies live in two parallel integer lists (one entry per queue
-    element, recorded at simulation wind-down for every element of every
-    queue).
+    Residencies live in two parallel integer lists, :attr:`enters` and
+    :attr:`leaves`, one entry per queue element.  Like
+    :class:`~repro.common.intervals.IntervalRecorder`'s interval lists, they
+    are the interface an issue loop appends to directly, one residency per
+    element, each ending after it starts; other callers use :meth:`record`.
     """
 
-    __slots__ = ("name", "capacity", "_enters", "_leaves")
+    __slots__ = ("name", "capacity", "enters", "leaves")
 
     def __init__(self, name: str, capacity: int | None = None) -> None:
         self.name = name
         self.capacity = capacity
-        self._enters: list[int] = []
-        self._leaves: list[int] = []
+        self.enters: list[int] = []
+        self.leaves: list[int] = []
 
     def record(self, enter: int, leave: int) -> None:
         """Record that one element occupied a slot during ``[enter, leave)``."""
         if leave > enter:
-            self._enters.append(enter)
-            self._leaves.append(leave)
+            self.enters.append(enter)
+            self.leaves.append(leave)
         elif leave < enter:
             raise SimulationError(
                 f"queue element leaves ({leave}) before it enters ({enter})"
@@ -50,9 +52,9 @@ class OccupancyTimeline:
         non-empty histogram sums to ``total_cycles``.
         """
         deltas: Dict[int, int] = {}
-        for enter in self._enters:
+        for enter in self.enters:
             deltas[enter] = deltas.get(enter, 0) + 1
-        for leave in self._leaves:
+        for leave in self.leaves:
             deltas[leave] = deltas.get(leave, 0) - 1
         histogram = Histogram()
         for level, cycles in level_cycles(deltas, total_cycles).items():
@@ -61,7 +63,7 @@ class OccupancyTimeline:
 
     def last_leave(self) -> int:
         """Cycle at which the last element left the queue (0 when never used)."""
-        return max(self._leaves, default=0)
+        return max(self.leaves, default=0)
 
     def __len__(self) -> int:
-        return len(self._enters)
+        return len(self.enters)

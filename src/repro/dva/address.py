@@ -67,9 +67,7 @@ class PendingStore:
     is_vector: bool
     bus_cycles: int
     traffic_bytes: int
-    address_queue_index: int
     address_ready: int
-    data_queue_index: Optional[int] = None
     data_ready: Optional[int] = None
     drained: bool = False
     drain_end: int = 0
@@ -111,8 +109,6 @@ class MemoryPipeline:
         self.ssaq = TimedQueue("SSAQ", spec.scalar_store_address)
         self.vadq = TimedQueue("VADQ", spec.vector_store_data)
         self.sadq = TimedQueue("SADQ", spec.scalar_data)
-        self.avdq = TimedQueue("AVDQ", spec.vector_load_data)
-        self.asdq = TimedQueue("ASDQ", spec.scalar_data)
 
         self.bypass = ResourcePool("BYPASS")
 
@@ -135,15 +131,10 @@ class MemoryPipeline:
         return self.fabric.port_recorder()
 
     @property
-    def port_free(self) -> int:
-        """Earliest cycle the next reference could claim a port."""
-        return self.fabric.port_free()
-
-    @property
     def port_quiet(self) -> int:
         """Cycle at which every port has finished its last reference.
 
-        Identical to :attr:`port_free` on a single-port machine; on a
+        Identical to the earliest free port on a single-port machine; on a
         multi-port machine the wind-down must wait for the *slowest* port,
         not the first free one.
         """
@@ -189,7 +180,6 @@ class MemoryPipeline:
                 is_vector=True,
                 bus_cycles=bus_cycles,
                 traffic_bytes=vector_length * ELEMENT_SIZE_BYTES,
-                address_queue_index=self.vsaq.last_index,
                 address_ready=push_time + 1,
             )
         )
@@ -210,7 +200,6 @@ class MemoryPipeline:
                 is_vector=False,
                 bus_cycles=BUS_CYCLES_PER_ELEMENT,
                 traffic_bytes=ELEMENT_SIZE_BYTES,
-                address_queue_index=self.ssaq.last_index,
                 address_ready=push_time + 1,
             )
         )
@@ -223,10 +212,8 @@ class MemoryPipeline:
 
     def attach_vector_store_data(self, key: int, push_time: int, data_ready: int) -> None:
         """Record that the VP has moved store ``key``'s data into the VADQ."""
-        self.vadq.push(push_time, ready=data_ready)
-        store = self._find_pending(key)
-        store.data_queue_index = self.vadq.last_index
-        store.data_ready = data_ready
+        self.vadq.push(push_time)
+        self._find_pending(key).data_ready = data_ready
 
     def attach_scalar_store_data(self, key: int, push_time: int, data_ready: int) -> None:
         """Record that the SP has moved store ``key``'s data into the SADQ.
@@ -234,10 +221,8 @@ class MemoryPipeline:
         Like the VADQ, a full SADQ forces the oldest stores to drain first.
         """
         self._make_room(self.sadq)
-        self.sadq.push(push_time, ready=data_ready)
-        store = self._find_pending(key)
-        store.data_queue_index = self.sadq.last_index
-        store.data_ready = data_ready
+        self.sadq.push(push_time)
+        self._find_pending(key).data_ready = data_ready
 
     def _find_pending(self, key: int) -> PendingStore:
         for store in reversed(self.pending_stores):
@@ -256,10 +241,6 @@ class MemoryPipeline:
             self._drain_oldest()
 
     # -- load servicing -----------------------------------------------------------------
-
-    def reserve_load_data_slot(self, requested: int) -> int:
-        """Earliest cycle the AVDQ can accept another vector load."""
-        return self.avdq.earliest_push(requested)
 
     def issue_vector_load(
         self,

@@ -1,29 +1,26 @@
-"""Timestamped bounded FIFO queues: the DVA's data queues.
+"""Timestamped bounded FIFO queues: the DVA's store queues.
 
-The decoupled simulator never steps cycles; instead every data queue (AVDQ,
-ASDQ, VADQ, SADQ, VSAQ, SSAQ) keeps, per entry, the cycle at which the
-producer reserved the slot, the cycle at which the entry's data became
-available, and the cycle at which the consumer released the slot.  Because
-producers and consumers both work through the program in order, the
-blocking behaviour of a bounded FIFO reduces to simple timestamp
-arithmetic:
+The decoupled simulator never steps cycles; instead every store queue
+(VSAQ, SSAQ for addresses; VADQ, SADQ for data) keeps, per entry, the cycle
+at which the producer reserved the slot and the cycle at which the store
+left the queue.  Because producers and consumers both work through the
+program in order, the blocking behaviour of a bounded FIFO reduces to simple
+timestamp arithmetic: a push must wait until the entry ``capacity``
+positions earlier has been released.  When a store may leave (both its
+address and its data present) is the
+:class:`~repro.dva.address.MemoryPipeline`'s business.
 
-* a push must wait until the entry ``capacity`` positions earlier has been
-  released, and
-* a pop must wait until the entry at the head of the queue is ready.
-
-Entry lifetimes are stored as three parallel timestamp lists rather than one
+Entry lifetimes are stored as two parallel timestamp lists rather than one
 object per entry, so the hot path is integer list operations.
 
-The instruction queues (APIQ, VPIQ, SPIQ) need less and are not
-:class:`TimedQueue`\\ s.  The fetch processor pushes an entry and the
-entry's processor pops it in the same trace step, so by the next push every
-earlier entry has been released.  An instruction queue is therefore only the
-pop (issue) cycles of its last ``capacity`` entries, a ring kept by
+The other queues need less and are not :class:`TimedQueue`\\ s.  An entry
+of an instruction queue (APIQ, VPIQ, SPIQ) or a load data queue (AVDQ,
+ASDQ) is pushed and popped in the same trace step, so by the next push every
+earlier entry has been released.  Such a queue is only the pop cycles of
+its last ``capacity`` entries, a ring kept by
 :class:`~repro.dva.simulator.DecoupledSimulator`'s loop: the next push waits
-for the oldest of them.  A data queue's entry may stay unreleased across
-steps (a store's data waits for its drain), so data queues keep every
-timestamp.
+for the oldest of them.  A store's entries stay unreleased across steps
+(its data waits for its drain), so the store queues keep every timestamp.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.errors import SimulationError
-from repro.common.timeline import OccupancyTimeline
 
 
 class TimedQueue:
@@ -41,7 +37,6 @@ class TimedQueue:
         "name",
         "capacity",
         "push_times",
-        "ready_times",
         "pop_times",
         "_next_pop_index",
         "push_stall_cycles",
@@ -53,7 +48,6 @@ class TimedQueue:
         self.name = name
         self.capacity = capacity
         self.push_times: List[int] = []
-        self.ready_times: List[int] = []
         self.pop_times: List[Optional[int]] = []
         self._next_pop_index = 0
         self.push_stall_cycles = 0
@@ -73,40 +67,21 @@ class TimedQueue:
             )
         return blocking if blocking > requested else requested
 
-    def push(self, requested: int, ready: Optional[int] = None) -> int:
+    def push(self, requested: int) -> int:
         """Reserve a slot at the earliest legal cycle and return that cycle."""
         push_time = self.earliest_push(requested)
         self.push_stall_cycles += push_time - requested
         self.push_times.append(push_time)
-        self.ready_times.append(ready if ready is not None else push_time)
         self.pop_times.append(None)
         return push_time
 
-    @property
-    def last_index(self) -> int:
-        if not self.push_times:
-            raise SimulationError(f"queue {self.name!r} is empty")
-        return len(self.push_times) - 1
-
     # -- consumer side ----------------------------------------------------------------
-
-    def front_index(self) -> int:
-        """Index of the entry the next pop will take."""
-        if self._next_pop_index >= len(self.push_times):
-            raise SimulationError(f"queue {self.name!r}: pop with no outstanding entry")
-        return self._next_pop_index
-
-    def front_ready(self) -> int:
-        """Ready cycle of the entry at the head of the queue."""
-        return self.ready_times[self.front_index()]
 
     def pop(self, requested: int) -> None:
         """Release the entry at the head of the queue at ``requested`` or later.
 
-        The caller decides what "consuming" means (for instruction queues the
-        pop time is the cycle the instruction issues; for data queues it is the
-        cycle the last element has been drained) — this method only checks FIFO
-        order and records the release time.
+        The caller decides when the store leaves (when it has been performed)
+        — this method only checks FIFO order and records the release time.
         """
         index = self._next_pop_index
         if index >= len(self.push_times):
@@ -124,14 +99,6 @@ class TimedQueue:
     @property
     def outstanding(self) -> int:
         return len(self.push_times) - self._next_pop_index
-
-    def occupancy_timeline(self, name: Optional[str] = None, horizon: int = 0) -> OccupancyTimeline:
-        """Residency records of every entry (unreleased entries last to ``horizon``)."""
-        timeline = OccupancyTimeline(name or self.name, capacity=self.capacity)
-        for push_time, pop_time in zip(self.push_times, self.pop_times):
-            leave = pop_time if pop_time is not None else max(horizon, push_time)
-            timeline.record(push_time, leave)
-        return timeline
 
     def __len__(self) -> int:
         return len(self.push_times)

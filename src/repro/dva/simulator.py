@@ -9,20 +9,26 @@ works through its stream in order and all queues are FIFO, the blocking
 behaviour of the bounded queues reduces to timestamp arithmetic, and a single
 pass reproduces the timing a cycle-stepped simulation would give.
 
-The data queues are :class:`~repro.dva.queues.TimedQueue`\\ s.  The
-instruction queues (APIQ, VPIQ, SPIQ) are pop-time rings, and they rely on
-one invariant: the fetch processor pushes an entry and the entry's processor
-pops it (issues the instruction) in the same trace step.  So when the fetch
-reaches an instruction, every earlier entry has already been released, and
-a queue of depth ``iq`` is fully described by the issue cycles of its last
-``iq`` entries, ``deque([0] * iq, maxlen=iq)``.  The next push waits for the
-oldest of them, ``ring[0]``, and an issue appends its cycle.
+Most queues are pop-time rings, relying on one invariant: an entry is pushed
+and popped in the same trace step.  The fetch processor pushes an
+instruction-queue (APIQ, VPIQ, SPIQ) entry and the entry's processor pops it
+(issues the instruction) in that step; the AP pushes a load's data into the
+AVDQ or ASDQ and the VP's or SP's QMOV pops it in that step.  So at a push
+every earlier entry has already been released, the head entry at a pop is
+the one just pushed, and a queue of depth ``n`` is fully described by the
+pop cycles of its last ``n`` entries, ``deque([0] * n, maxlen=n)``.  A push
+waits for the oldest of them, ``ring[0]``, and a pop appends its cycle.
+Only the store queues, whose entries wait across steps for the store to
+drain, are :class:`~repro.dva.queues.TimedQueue`\\ s inside the
+:class:`~repro.dva.address.MemoryPipeline`.  A full ASDQ delays its entry
+but never stalls the AP (the push cycle is computed and checked, not fed
+back), which is why the ``sdq`` depth moves no cycle.
 
 The register scoreboard and the functional-unit/QMOV/port pools come from
 the shared :mod:`repro.engine` kernel; this module contributes the issue
 rules of the four processors, and runs them inline in one loop over the
 trace's columns.  The unit picks run inline on the pools' free lists and
-busy-interval lists, so a step makes no call unless it touches memory.
+busy-interval lists, so a step calls out only for a memory reference.
 Routing decisions and operand register ids are precomputed per unique static
 instruction (cached on the trace via
 :meth:`~repro.trace.columns.ColumnarTrace.instruction_infos` and the
@@ -46,6 +52,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.timeline import OccupancyTimeline
 from repro.dva.address import MemoryPipeline
 from repro.dva.fetch import Processor, route_instruction
 from repro.dva.result import DecoupledResult
@@ -108,6 +115,11 @@ _PRIMARY_CODES = {
 #: dispatch code, instruction-queue ids receiving an entry, register id the
 #: QMOV writes or reads — ``-1`` when it has none).
 RouteEntry = Tuple[int, int, Tuple[int, ...], int]
+
+
+def _ring(depth: int) -> Deque[int]:
+    """An empty same-step queue of ``depth`` entries (see the module docstring)."""
+    return deque([0] * depth, maxlen=depth)
 
 
 def _pop_before_push(queue: str, pop: int, push: int) -> SimulationError:
@@ -220,13 +232,15 @@ class _DecoupledState:
         self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
         self.qmovs = ResourcePool("QMOV", count=QMOV_UNITS)
 
-        # Instruction queues as pop-time rings: the issue cycles of each
-        # queue's last ``iq`` entries, oldest first (see the module
-        # docstring).  The zeros stand for the free slots of an empty queue.
-        depth = spec.instruction_queue
-        self.apiq: Deque[int] = deque([0] * depth, maxlen=depth)
-        self.vpiq: Deque[int] = deque([0] * depth, maxlen=depth)
-        self.spiq: Deque[int] = deque([0] * depth, maxlen=depth)
+        # Same-step queues as pop-time rings: the pop cycles of each queue's
+        # last ``depth`` entries, oldest first (see the module docstring).
+        # The zeros stand for the free slots of an empty queue.
+        self.apiq = _ring(spec.instruction_queue)
+        self.vpiq = _ring(spec.instruction_queue)
+        self.spiq = _ring(spec.instruction_queue)
+        self.avdq = _ring(spec.vector_load_data)
+        self.asdq = _ring(spec.scalar_data)
+        self.avdq_occupancy = OccupancyTimeline("AVDQ", capacity=spec.vector_load_data)
 
         # Per-processor issue pointers: the cycle each processor will look at
         # its next instruction.
@@ -255,11 +269,11 @@ class _DecoupledState:
         One pass over the columns: static facts come from the shared
         instruction-info and routing tables, dynamic facts (VL, stride, base
         address) are integer column reads.  The issue rules of all four
-        processors run inline on locals — the scoreboard lists, the
-        instruction-queue rings, the functional-unit and QMOV free times and
-        busy-interval lists, the issue pointers, the horizon and the
-        counters — which are written back once at the end.  Only memory
-        references call out, into the :class:`MemoryPipeline`.
+        processors run inline on locals — the scoreboard lists, the queue
+        rings and the AVDQ residency lists, the functional-unit and QMOV
+        free times and busy-interval lists, the issue pointers, the horizon
+        and the counters — which are written back once at the end.  Only
+        memory references call out, into the :class:`MemoryPipeline`.
 
         The scoreboard read rule: a value owned by another processor arrives
         :data:`CROSS_PROCESSOR_DELAY` cycles after it is fully written (it
@@ -300,9 +314,11 @@ class _DecoupledState:
         qmov_starts = [recorder.starts for recorder in self.qmovs.recorders]
         qmov_ends = [recorder.ends for recorder in self.qmovs.recorders]
 
+        avdq = self.avdq
+        asdq = self.asdq
+        avdq_enter = self.avdq_occupancy.enters.append
+        avdq_leave = self.avdq_occupancy.leaves.append
         memory = self.memory
-        avdq = memory.avdq
-        asdq = memory.asdq
 
         fp_free = self.fp_free
         ap_free = self.ap_free
@@ -346,16 +362,17 @@ class _DecoupledState:
                         start = operand
                 if qmov == _QMOV_V_LOAD:
                     vector_loads += 1
-                    slot = memory.reserve_load_data_slot(start)
-                    if slot > start:
-                        start = slot
-                    data_ready = memory.issue_vector_load(
+                    # The load waits for a free AVDQ slot for its data.
+                    if avdq[0] > start:
+                        start = avdq[0]
+                    load_ready = memory.issue_vector_load(
                         addresses[index], lengths[index], strides[index],
                         info.is_indexed, start,
                     ).data_ready
-                    avdq.push(start, ready=data_ready)
-                    if data_ready > horizon:
-                        horizon = data_ready
+                    load_push = start
+                    avdq_enter(start)
+                    if load_ready > horizon:
+                        horizon = load_ready
                     ap_free = start + 1
                 elif qmov == _QMOV_V_STORE:
                     vector_stores += 1
@@ -365,10 +382,12 @@ class _DecoupledState:
                     )
                     ap_free = (pushed if pushed > start else start) + 1
                 elif qmov == _QMOV_S_LOAD:
-                    data_ready = memory.issue_scalar_load(addresses[index], start)
-                    asdq.push(start, ready=data_ready)
-                    if data_ready > horizon:
-                        horizon = data_ready
+                    load_ready = memory.issue_scalar_load(addresses[index], start)
+                    # The value's ASDQ entry waits for a free slot, but the AP
+                    # does not wait for it: a full ASDQ never stalls the AP.
+                    load_push = asdq[0] if asdq[0] > start else start
+                    if load_ready > horizon:
+                        horizon = load_ready
                     ap_free = start + 1
                 elif qmov == _QMOV_S_STORE:
                     pushed = memory.enqueue_scalar_store(index, addresses[index], start)
@@ -449,10 +468,10 @@ class _DecoupledState:
                 continue
             if qmov == _QMOV_V_LOAD:
                 vp_count += 1
+                # The AVDQ's head entry is this step's load.
                 start = vp_free if vp_free > fp_free else fp_free
-                front_ready = avdq.front_ready()
-                if front_ready > start:
-                    start = front_ready
+                if load_ready > start:
+                    start = load_ready
                 # A QMOV unit moves one element per cycle.
                 length = lengths[index]
                 if length < 1:
@@ -468,7 +487,10 @@ class _DecoupledState:
                     raise _pop_before_push("VPIQ", start, push_time)
                 vpiq_issue(start)
                 vp_free = start + 1
-                avdq.pop(end)
+                if end < load_push:
+                    raise _pop_before_push("AVDQ", end, load_push)
+                avdq.append(end)
+                avdq_leave(end)
                 chain = start + QMOV_STARTUP
                 completion = chain + length
                 ready_at[qmov_register] = completion
@@ -512,15 +534,17 @@ class _DecoupledState:
                     horizon = data_ready
             elif qmov == _QMOV_S_LOAD:
                 sp_count += 1
+                # The ASDQ's head entry is this step's load.
                 start = sp_free if sp_free > fp_free else fp_free
-                front_ready = asdq.front_ready()
-                if front_ready > start:
-                    start = front_ready
+                if load_ready > start:
+                    start = load_ready
                 if start < push_time:
                     raise _pop_before_push("SPIQ", start, push_time)
                 spiq_issue(start)
                 sp_free = start + 1
-                asdq.pop(sp_free)
+                if sp_free < load_push:
+                    raise _pop_before_push("ASDQ", sp_free, load_push)
+                asdq.append(sp_free)
                 if qmov_register >= 0:
                     ready_at[qmov_register] = sp_free
                     chain_at[qmov_register] = None
@@ -596,7 +620,7 @@ class _DecoupledState:
             port_busy=self.memory.port,
             qmov_busy=list(self.qmovs.recorders),
             bypass_busy=self.memory.bypass_unit,
-            avdq_occupancy=self.memory.avdq.occupancy_timeline("AVDQ", horizon=total_cycles),
+            avdq_occupancy=self.avdq_occupancy,
             instructions_per_processor=counts,
             memory_traffic_bytes=self.memory.traffic_bytes,
             bypassed_loads=self.memory.bypassed_loads,

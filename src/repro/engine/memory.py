@@ -61,10 +61,6 @@ class MemoryFabric:
         self.ports = ResourcePool("LD", spec.memory_ports)
         self.traffic_bytes = 0
 
-    def port_free(self) -> int:
-        """Earliest cycle at which some port unit is free."""
-        return self.ports.earliest_free()
-
     def port_quiet(self) -> int:
         """Cycle at which every port unit has finished (wind-down accounting)."""
         return self.ports.latest_free()

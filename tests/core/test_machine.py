@@ -17,7 +17,7 @@ from repro.core.machine import (
     lookup_field,
     parse_axis_values,
 )
-from repro.dva.address import MemoryPipeline
+from repro.dva.simulator import _DecoupledState
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
@@ -225,18 +225,23 @@ class TestSimulatorsReadTheSpec:
         assert pinned.total_cycles != default.total_cycles
 
     def test_queue_depths_size_the_decoupled_queues(self):
-        spec = machine_spec("dva@avdq=5,vadq=6,ssaq=7,sdq=8")
-        pipeline = MemoryPipeline(spec, 50)
+        spec = machine_spec("dva@iq=3,avdq=5,vadq=6,ssaq=7,sdq=8")
+        state = _DecoupledState(spec, 50)
+        pipeline = state.memory
         capacities = {
             queue.name: queue.capacity
-            for queue in (pipeline.avdq, pipeline.vadq, pipeline.vsaq,
-                          pipeline.ssaq, pipeline.sadq, pipeline.asdq)
+            for queue in (pipeline.vadq, pipeline.vsaq, pipeline.ssaq, pipeline.sadq)
         }
         # The VSAQ follows the VADQ: the paper's "store queue length" is
         # one parameter.
-        assert capacities == {
-            "AVDQ": 5, "VADQ": 6, "VSAQ": 6, "SSAQ": 7, "SADQ": 8, "ASDQ": 8,
+        assert capacities == {"VADQ": 6, "VSAQ": 6, "SSAQ": 7, "SADQ": 8}
+        # The queues a trace step pushes and pops are the loop's rings.
+        rings = {
+            name: getattr(state, name).maxlen
+            for name in ("apiq", "vpiq", "spiq", "avdq", "asdq")
         }
+        assert rings == {"apiq": 3, "vpiq": 3, "spiq": 3, "avdq": 5, "asdq": 8}
+        assert state.avdq_occupancy.capacity == 5
         assert (pipeline.cache.line_bytes, pipeline.cache.lines) == (32, 1024)
 
 

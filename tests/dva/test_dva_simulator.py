@@ -67,7 +67,8 @@ class TestHandTimings:
         # after the FU startup and 64 elements.
         assert result.total_cycles == 97 + 4 + 64
         assert [unit.busy_time() for unit in result.qmov_busy] == [64, 0]
-        assert result.max_avdq_occupancy() == 1
+        # The load's AVDQ entry lives from the AP issue to the QMOV's end.
+        assert result.avdq_histogram().as_dict() == {0: 2 + 5, 1: 160 - 2}
 
     def test_stores_are_performed_behind_the_aps_back(self, trace_from_block):
         def emit(b):
@@ -94,7 +95,6 @@ class TestHandTimings:
         # The AP runs ahead, so memory latency is paid about once, not per load.
         assert decoupled < reference
         assert decoupled < 8 * 64 + 2 * 100 + 4 * 64
-
 
     @pytest.mark.parametrize("depth, stall", [(1, 6), (2, 0)])
     def test_an_instruction_queue_holds_its_last_issue_cycles(

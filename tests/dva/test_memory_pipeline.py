@@ -49,7 +49,7 @@ class TestLoads:
         pipeline.issue_vector_load(BASE, 16, 1, False, requested=0)
         second = pipeline.issue_vector_load(BASE + 0x800, 16, 1, False, requested=0)
         assert second.start == 0
-        assert pipeline.port_free == 16
+        assert pipeline.fabric.ports.earliest_free() == 16
         assert pipeline.port_quiet == 16
 
     def test_scalar_load_hits_the_cache_the_second_time(self):

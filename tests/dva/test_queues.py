@@ -1,9 +1,8 @@
-"""Unit tests for the timestamped FIFO behind every DVA data queue.
+"""Unit tests for the timestamped FIFO behind the DVA's store queues.
 
 The same-cycle push/pop conventions are pinned in
 ``tests/engine/test_same_cycle_ordering.py``; these tests cover the rest of
-the queue's contract: construction, FIFO order, the ready column and the
-occupancy records statistics read.
+the queue's contract: construction, FIFO order and the occupancy count.
 """
 
 import pytest
@@ -16,41 +15,24 @@ class TestConstruction:
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_non_positive_capacity_is_refused(self, capacity):
         with pytest.raises(SimulationError, match="positive capacity"):
-            TimedQueue("AVDQ", capacity)
+            TimedQueue("VSAQ", capacity)
 
     def test_new_queue_is_empty(self):
-        queue = TimedQueue("AVDQ", 4)
+        queue = TimedQueue("VSAQ", 4)
         assert len(queue) == 0
         assert queue.outstanding == 0
         assert queue.push_stall_cycles == 0
 
 
 class TestFifoOrder:
-    def test_front_follows_push_order(self):
-        queue = TimedQueue("AVDQ", 4)
-        queue.push(0, ready=30)
-        queue.push(1, ready=10)
-        assert queue.front_index() == 0
-        assert queue.front_ready() == 30
+    def test_pops_release_entries_in_push_order(self):
+        queue = TimedQueue("VADQ", 4)
+        queue.push(0)
+        queue.push(1)
         queue.pop(30)
-        # The second entry was ready earlier, but FIFO order made it wait.
-        assert queue.front_index() == 1
-        assert queue.front_ready() == 10
-
-    def test_ready_defaults_to_the_push_cycle(self):
-        queue = TimedQueue("APIQ", 2)
-        queue.push(7)
-        assert queue.front_ready() == 7
-
-    def test_last_index_tracks_the_newest_entry(self):
-        queue = TimedQueue("VSAQ", 4)
-        queue.push(0)
-        queue.push(0)
-        assert queue.last_index == 1
-
-    def test_last_index_of_an_empty_queue_raises(self):
-        with pytest.raises(SimulationError, match="is empty"):
-            TimedQueue("VSAQ", 4).last_index
+        assert queue.pop_times == [30, None]
+        queue.pop(31)
+        assert queue.pop_times == [30, 31]
 
     def test_pop_without_an_outstanding_entry_raises(self):
         queue = TimedQueue("VADQ", 2)
@@ -58,33 +40,13 @@ class TestFifoOrder:
         queue.pop(0)
         with pytest.raises(SimulationError, match="no outstanding entry"):
             queue.pop(1)
-        with pytest.raises(SimulationError, match="no outstanding entry"):
-            queue.front_ready()
 
 
 class TestOccupancy:
     def test_outstanding_counts_pushed_minus_popped(self):
-        queue = TimedQueue("AVDQ", 8)
+        queue = TimedQueue("SSAQ", 8)
         for cycle in range(3):
             queue.push(cycle)
         queue.pop(5)
         assert queue.outstanding == 2
         assert len(queue) == 3
-
-    def test_timeline_records_each_residency(self):
-        queue = TimedQueue("AVDQ", 8)
-        queue.push(0)
-        queue.push(2)
-        queue.pop(4)
-        queue.pop(6)
-        histogram = queue.occupancy_timeline().occupancy_histogram(8)
-        # [0, 2): one entry; [2, 4): two; [4, 6): one; [6, 8): empty.
-        assert histogram.as_dict() == {0: 2, 1: 4, 2: 2}
-
-    def test_unreleased_entries_last_until_the_horizon(self):
-        queue = TimedQueue("AVDQ", 8)
-        queue.push(3)
-        timeline = queue.occupancy_timeline("renamed", horizon=10)
-        assert timeline.name == "renamed"
-        assert timeline.capacity == 8
-        assert timeline.last_leave() == 10

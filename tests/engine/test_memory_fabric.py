@@ -39,7 +39,7 @@ class TestMemoryFabric:
         start, end = fabric.occupy_bus(4, 1, 8)
         assert (start, end) == (4, 5)
         assert fabric.traffic_bytes == 8
-        assert fabric.port_free() == 5
+        assert fabric.ports.earliest_free() == 5
         # The next reference waits for the single port.
         start, end = fabric.occupy_bus(0, 1, 8)
         assert start == 5
