@@ -191,7 +191,8 @@ class TestConfigurationEffects:
         shallow = simulate_decoupled(
             trace, 50, MachineSpec(family="dva", scalar_data=depth)
         )
-        # Only the AVDQ push stalls the AP, so the SADQ depth moves no cycle.
+        # A full scalar data queue never stalls the AP, so its depth moves
+        # no cycle.
         assert shallow.total_cycles == simulate_decoupled(trace, 50).total_cycles
 
     def test_simulator_class_matches_the_convenience_wrapper(self, trace_from_block):
