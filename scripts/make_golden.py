@@ -9,9 +9,11 @@ machines with one queue cut to its shallowest corner, so the paths a full
 queue takes are pinned on real programs too.  ``fuzz_cycles.json`` pins the
 same counters — or the exact simulation error — for the first cases of the
 fuzzer's default master seed (see :mod:`repro.core.fuzz`), so random
-machines are pinned too.
+machines are pinned too.  ``trace_digests.json`` pins the dynamic stream
+itself: per program and scale, the record count, the basic blocks executed
+and a SHA-256 over the instruction table and the four trace columns.
 
-Both snapshots record the timing-model and trace-generator versions they
+Every snapshot records the timing-model and trace-generator versions they
 were taken at.  A deliberate timing-model change bumps one of those
 constants; this script refuses (exit 1, listing the changed cells) to
 overwrite cells that differ while the recorded versions still equal the
@@ -23,6 +25,7 @@ deliberate, reviewed change:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -38,6 +41,7 @@ from repro.core.fuzz import (  # noqa: E402
 )
 from repro.engine import TIMING_MODEL_VERSION  # noqa: E402
 from repro.trace.generator import TRACE_GENERATOR_VERSION  # noqa: E402
+from repro.workloads.perfect_club import load_program  # noqa: E402
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "golden")
 
@@ -54,6 +58,8 @@ QUEUE_DEPTH_ARCHITECTURES = (
     "dva@ssaq=1",
     "dva@sdq=2",
 )
+
+TRACE_SCALES = (0.1, 1)
 
 VERSIONS = {
     "timing_model": TIMING_MODEL_VERSION,
@@ -89,6 +95,47 @@ def fuzz_payload() -> dict:
     }
 
 
+def trace_digest(trace) -> str:
+    """SHA-256 over the instruction table and the four trace columns.
+
+    An instruction enters as the ``repr`` of its compared fields: its
+    ``uid`` counts instructions created in the process, so it would tie
+    the digest to what else the process built first.
+    """
+    digest = hashlib.sha256()
+    columns = trace.columns
+    for instruction in columns.instructions:
+        fields = (
+            instruction.opcode,
+            instruction.destinations,
+            instruction.sources,
+            instruction.memory,
+            instruction.immediate,
+            instruction.label,
+        )
+        digest.update(repr(fields).encode() + b"\n")
+    for column in (columns.insn, columns.vl, columns.stride, columns.addr):
+        digest.update(",".join(map(str, column)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def trace_digests_payload() -> dict:
+    cells = {}
+    for program in PROGRAMS:
+        for scale in TRACE_SCALES:
+            trace = load_program(program).build_trace(scale=scale)
+            cells[f"{program}/{scale}"] = {
+                "blocks_executed": trace.blocks_executed,
+                "records": len(trace),
+                "sha256": trace_digest(trace),
+            }
+    return {
+        "spec": {"programs": list(PROGRAMS), "scales": list(TRACE_SCALES)},
+        "cells": cells,
+        "versions": VERSIONS,
+    }
+
+
 def drifted_cells(path: str, payload: dict) -> list:
     """Cells that would change although the recorded versions did not."""
     if not os.path.exists(path):
@@ -110,6 +157,7 @@ def main() -> int:
             QUEUE_DEPTH_LATENCIES, QUEUE_DEPTH_ARCHITECTURES
         ),
         os.path.join(GOLDEN_DIR, "fuzz_cycles.json"): fuzz_payload(),
+        os.path.join(GOLDEN_DIR, "trace_digests.json"): trace_digests_payload(),
     }
     refused = False
     for path, payload in snapshots.items():

@@ -9,12 +9,15 @@ corner (one- and two-entry instruction queues, a one-entry AVDQ, VADQ or
 SSAQ, a two-entry scalar data queue), where full queues stall the
 processors.  These tests assert that the simulators, however they are
 implemented internally, still reproduce those numbers exactly.
+``trace_digests.json`` pins the traces the cells run on: a rebuilt trace
+must keep its record count, basic-block count and stream digest.
 
 A failure here means the timing model changed.  That is a bug unless the
 change was deliberate and reviewed, in which case the snapshot is regenerated
 with ``python scripts/make_golden.py``.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -26,6 +29,8 @@ from repro.trace.generator import TRACE_GENERATOR_VERSION
 
 GOLDEN_PATH = Path(__file__).parent / "golden_cycles.json"
 QUEUE_DEPTH_PATH = Path(__file__).parent / "queue_depth_cycles.json"
+TRACE_DIGESTS_PATH = Path(__file__).parent / "trace_digests.json"
+MAKE_GOLDEN = Path(__file__).resolve().parents[2] / "scripts" / "make_golden.py"
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +50,13 @@ def sweep(golden):
 
 
 @pytest.mark.parametrize(
-    "name", ["golden_cycles.json", "queue_depth_cycles.json", "fuzz_cycles.json"]
+    "name",
+    [
+        "golden_cycles.json",
+        "queue_depth_cycles.json",
+        "fuzz_cycles.json",
+        "trace_digests.json",
+    ],
 )
 def test_snapshot_records_the_current_versions(name):
     # scripts/make_golden.py refuses to change cells while these still match
@@ -113,3 +124,18 @@ def test_queue_depth_corners_match_their_snapshot():
         if {name: result.detail[name] for name in expected} != expected:
             mismatches.append(key)
     assert not mismatches, f"queue-depth cells diverged: {mismatches}"
+
+
+def test_trace_streams_match_their_digests():
+    spec = importlib.util.spec_from_file_location("make_golden", MAKE_GOLDEN)
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    with TRACE_DIGESTS_PATH.open() as handle:
+        snapshot = json.load(handle)
+    cells = make_golden.trace_digests_payload()["cells"]
+    assert len(cells) == len(snapshot["cells"]) == 12
+    mismatches = sorted(key for key in cells if cells[key] != snapshot["cells"].get(key))
+    assert not mismatches, (
+        f"trace streams diverged from their digests: {mismatches}; a deliberate "
+        "stream change bumps TRACE_GENERATOR_VERSION"
+    )
