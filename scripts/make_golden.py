@@ -103,8 +103,7 @@ def trace_digest(trace) -> str:
     the digest to what else the process built first.
     """
     digest = hashlib.sha256()
-    columns = trace.columns
-    for instruction in columns.instructions:
+    for instruction in trace.instructions:
         fields = (
             instruction.opcode,
             instruction.destinations,
@@ -114,7 +113,7 @@ def trace_digest(trace) -> str:
             instruction.label,
         )
         digest.update(repr(fields).encode() + b"\n")
-    for column in (columns.insn, columns.vl, columns.stride, columns.addr):
+    for column in (trace.insn, trace.vl, trace.stride, trace.addr):
         digest.update(",".join(map(str, column)).encode() + b"\n")
     return digest.hexdigest()
 

@@ -68,7 +68,7 @@ from repro.core.machine import (
 from repro.core.registry import SpecArchitecture, resolve_architecture
 from repro.core.result import RunResult
 from repro.store import ResultStore, cell_key
-from repro.trace.record import Trace
+from repro.trace.columns import Trace
 from repro.workloads.perfect_club import load_program
 from repro.workloads.program_model import check_scale
 
@@ -388,8 +388,7 @@ def plan_sweep(spec: SweepSpec, store: Optional[ResultStore]) -> List[PlannedCel
 class TraceCache:
     """Builds each (program, scale) trace at most once.
 
-    Cached traces are columnar
-    (:class:`~repro.trace.columns.ColumnarTrace`-backed), so what pool
+    Cached traces are columnar (:class:`~repro.trace.columns.Trace`), so what pool
     workers inherit copy-on-write at fork time is a handful of flat arrays
     plus the small static-instruction table — not millions of per-record
     Python objects whose refcount updates would unshare the pages — which

@@ -39,7 +39,7 @@ from repro.core.machine import (
 from repro.core.result import RunResult
 from repro.dva.simulator import DecoupledSimulator
 from repro.refarch.simulator import ReferenceSimulator
-from repro.trace.record import Trace
+from repro.trace.columns import Trace
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ trace's columns.  The unit picks run inline on the pools' free lists and
 busy-interval lists, so a step calls out only for a memory reference.
 Routing decisions and operand register ids are precomputed per unique static
 instruction (cached on the trace via
-:meth:`~repro.trace.columns.ColumnarTrace.instruction_infos` and the
+:meth:`~repro.trace.columns.Trace.instruction_infos` and the
 ``dva_routes`` annotation); the dynamic facts — vector length, stride, base
 address — are integer column reads.  Register state is flat: the scoreboard
 is three lists indexed by :attr:`~repro.isa.registers.Register.id`, and a
@@ -58,8 +58,7 @@ from repro.dva.fetch import Processor, route_instruction
 from repro.dva.result import DecoupledResult
 from repro.engine import FU_STARTUP, ResourcePool, Scoreboard
 from repro.isa.opcodes import Opcode
-from repro.trace.columns import ColumnarTrace, InstructionInfo
-from repro.trace.record import Trace
+from repro.trace.columns import InstructionInfo, Trace
 
 if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
@@ -154,7 +153,7 @@ def _qmov_register(info: InstructionInfo, qmov: int) -> int:
     return registers[0].id if registers else -1
 
 
-def _routing_table(columns: ColumnarTrace) -> List[RouteEntry]:
+def _routing_table(trace: Trace) -> List[RouteEntry]:
     """The fetch processor's decisions for every unique instruction.
 
     Entries are plain integer codes (not enums or objects) so the main loop
@@ -162,8 +161,8 @@ def _routing_table(columns: ColumnarTrace) -> List[RouteEntry]:
     dict, so repeated simulations of the same trace (every latency and
     machine variant of a sweep) share it.
     """
-    infos = columns.instruction_infos()
-    table = columns.annotations.get("dva_routes")
+    infos = trace.instruction_infos()
+    table = trace.annotations.get("dva_routes")
     if isinstance(table, list) and len(table) == len(infos):
         return table
     table = []
@@ -178,7 +177,7 @@ def _routing_table(columns: ColumnarTrace) -> List[RouteEntry]:
                 _qmov_register(info, qmov),
             )
         )
-    columns.annotations["dva_routes"] = table
+    trace.annotations["dva_routes"] = table
     return table
 
 
@@ -285,13 +284,12 @@ class _DecoupledState:
         least-loaded unit, the first one winning ties, except that an
         instruction needing FU2 always takes FU2.
         """
-        columns = trace.columns
-        infos = columns.instruction_infos()
-        routes = _routing_table(columns)
-        insn = columns.insn
-        lengths = columns.vl
-        strides = columns.stride
-        addresses = columns.addr
+        infos = trace.instruction_infos()
+        routes = _routing_table(trace)
+        insn = trace.insn
+        lengths = trace.vl
+        strides = trace.stride
+        addresses = trace.addr
 
         lanes = self.spec.lanes
         cross_delay = CROSS_PROCESSOR_DELAY

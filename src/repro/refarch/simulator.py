@@ -45,8 +45,8 @@ from repro.trace.columns import (
     KIND_SCALAR_MEMORY,
     KIND_VECTOR_COMPUTE,
     KIND_VECTOR_MEMORY,
+    Trace,
 )
-from repro.trace.record import Trace
 
 if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
@@ -131,11 +131,10 @@ class _SimulationState:
         producer's chain start when it has one; any other read waits for the
         value to be fully written.
         """
-        columns = trace.columns
-        infos = columns.instruction_infos()
-        insn = columns.insn
-        lengths = columns.vl
-        addresses = columns.addr
+        infos = trace.instruction_infos()
+        insn = trace.insn
+        lengths = trace.vl
+        addresses = trace.addr
 
         lanes = self.spec.lanes
         load_chaining = self.spec.chaining

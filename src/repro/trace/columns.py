@@ -1,36 +1,27 @@
-"""Columnar dynamic traces: the canonical in-memory trace representation.
+"""The dynamic trace: one program's executed instruction stream, in columns.
 
 A dynamic trace is billions of repetitions of a few hundred *static*
 instructions, so storing one Python object per executed instruction wastes
-both memory and time — every simulator pass pays attribute lookups and
-property chains per dynamic record.  :class:`ColumnarTrace` stores the
-dynamic stream as parallel machine-typed columns instead:
+both memory and time.  :class:`Trace` stores the dynamic stream as four
+parallel machine-typed columns — exactly what the simulators read:
 
 * ``insn``   — index into the (small) table of unique static instructions,
-* ``kind``   — one byte per record: the instruction's :class:`OpcodeClass`,
-* ``seq``    — the record's declared sequence number (normally its position),
 * ``vl``     — vector length in effect,
 * ``stride`` — vector stride in elements,
 * ``addr``   — base byte address of memory references (:data:`NO_ADDRESS`
-  for non-memory instructions),
-* ``block``  — index into the table of basic-block labels.
+  for non-memory instructions).
 
 Everything a simulator asks *per static instruction* — classification flags,
 operand lists and their register ids, which functional unit it needs — is
 precomputed once per unique instruction into an :class:`InstructionInfo` and
 shared by every dynamic occurrence, so hot loops read plain attributes off a
-table entry plus integers off column slices.
-
-The legacy one-object-per-record view (:class:`~repro.trace.record.DynamicInstruction`)
-is still available through :meth:`ColumnarTrace.record` and
-:meth:`ColumnarTrace.iter_records`; it is materialized on demand and never
-stored.
+table entry plus integers off the columns.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
@@ -40,7 +31,8 @@ from repro.isa.registers import RegisterClass
 #: Sentinel stored in the ``addr`` column for records without a memory address.
 NO_ADDRESS = -1
 
-#: One byte per :class:`OpcodeClass`, the dispatch code of the ``kind`` column.
+#: One small integer per :class:`OpcodeClass`: :attr:`InstructionInfo.kind`,
+#: on which the issue loops dispatch.
 KIND_SCALAR_COMPUTE = 0
 KIND_SCALAR_MEMORY = 1
 KIND_VECTOR_COMPUTE = 2
@@ -58,10 +50,6 @@ _KIND_OF_CLASS = {
     OpcodeClass.CONTROL: KIND_CONTROL,
     OpcodeClass.QUEUE_MOVE: KIND_QUEUE_MOVE,
 }
-
-def kind_of(instruction: Instruction) -> int:
-    """The one-byte ``kind`` code of an instruction's opcode class."""
-    return _KIND_OF_CLASS[instruction.opcode_class]
 
 
 class InstructionInfo:
@@ -158,48 +146,47 @@ class InstructionInfo:
         return f"InstructionInfo({self.instruction})"
 
 
-class ColumnarTrace:
-    """Parallel-column storage of one dynamic instruction stream.
+class Trace:
+    """A full dynamic execution trace of one program, stored as columns.
 
-    Appends validate the same invariants the legacy record constructor did
-    (non-negative vector lengths, memory references carry an address), so a
-    columnar trace can never hold a record its object form would have
-    rejected.
+    Besides the instruction table and the four columns it carries the
+    program ``name``, the number of basic blocks executed (paper Table 1),
+    free-form ``metadata`` (regions, scale, the paper's targets) and
+    ``annotations``, where consumers stash derived per-trace tables.
     """
 
     __slots__ = (
+        "name",
+        "blocks_executed",
+        "metadata",
         "instructions",
         "insn",
-        "kind",
-        "seq",
         "vl",
         "stride",
         "addr",
-        "block",
-        "block_labels",
         "annotations",
         "_intern",
-        "_value_intern",
-        "_block_intern",
         "_infos",
     )
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        blocks_executed: int = 0,
+        metadata: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.name = name
+        self.blocks_executed = blocks_executed
+        self.metadata: Dict[str, object] = metadata if metadata is not None else {}
         self.instructions: List[Instruction] = []
         self.insn = array("q")
-        self.kind = bytearray()
-        self.seq = array("q")
         self.vl = array("q")
         self.stride = array("q")
         self.addr = array("q")
-        self.block = array("q")
-        self.block_labels: List[str] = []
         #: Scratch space for consumers to stash derived per-trace tables
         #: (e.g. the DVA's routing decisions); cleared on structural change.
         self.annotations: Dict[str, object] = {}
-        self._intern: Dict[int, int] = {}
-        self._value_intern: Dict[Instruction, int] = {}
-        self._block_intern: Dict[str, int] = {}
+        self._intern: Dict[Instruction, int] = {}
         self._infos: Optional[List[InstructionInfo]] = None
 
     # -- construction ------------------------------------------------------------------
@@ -207,46 +194,27 @@ class ColumnarTrace:
     def intern_instruction(self, instruction: Instruction) -> int:
         """Index of ``instruction`` in the static table, adding it on first use.
 
-        Interning is by object identity first: trace generation replays the
-        same static :class:`~repro.isa.instruction.Instruction` objects, so
-        the id-keyed fast path avoids hashing instruction contents per
-        record.  A distinct-but-equal object (e.g. one parsed per record
-        from a legacy JSON-lines trace) falls back to value interning, so
-        the table always holds one entry per *unique* instruction.
+        Interning is by value, so equal instructions built as distinct
+        objects share one table entry.  Trace generation calls this once per
+        static instruction object, not per record.
         """
-        index = self._intern.get(id(instruction))
+        index = self._intern.get(instruction)
         if index is None:
-            index = self._value_intern.get(instruction)
-            if index is None:
-                index = len(self.instructions)
-                self.instructions.append(instruction)
-                self._value_intern[instruction] = index
-                # The id shortcut is only safe for objects the table keeps
-                # alive: a transient equal object could be collected and its
-                # id reused by an unrelated instruction.
-                self._intern[id(instruction)] = index
-                self._invalidate()
-        return index
-
-    def intern_block(self, label: str) -> int:
-        """Index of ``label`` in the basic-block label table."""
-        index = self._block_intern.get(label)
-        if index is None:
-            index = len(self.block_labels)
-            self.block_labels.append(label)
-            self._block_intern[label] = index
+            index = len(self.instructions)
+            self.instructions.append(instruction)
+            self._intern[instruction] = index
+            self._infos = None
+            self.annotations.clear()
         return index
 
     def append(
         self,
         instruction: Instruction,
-        sequence: int,
-        block_label: str = "",
         vector_length: int = 1,
         stride_elements: int = 1,
         base_address: Optional[int] = None,
     ) -> None:
-        """Validate one dynamic record, intern its tables and append it."""
+        """Validate one dynamic record, intern its instruction and append it."""
         if vector_length < 0:
             raise TraceError("vector length cannot be negative")
         if instruction.is_memory and base_address is None:
@@ -255,41 +223,24 @@ class ColumnarTrace:
             )
         self.append_row(
             self.intern_instruction(instruction),
-            kind_of(instruction),
-            sequence,
             vector_length,
             stride_elements,
             NO_ADDRESS if base_address is None else base_address,
-            self.intern_block(block_label),
         )
 
     def append_row(
-        self,
-        index: int,
-        kind: int,
-        sequence: int,
-        vector_length: int,
-        stride_elements: int,
-        address: int,
-        block: int,
+        self, index: int, vector_length: int, stride_elements: int, address: int
     ) -> None:
-        """Append one already-validated record of interned table indices.
+        """Append one already-validated record of an interned instruction.
 
         The one writer of the columns: :meth:`append` calls it per record,
         and trace generation calls it directly with facts it validated once
         per static instruction.
         """
         self.insn.append(index)
-        self.kind.append(kind)
-        self.seq.append(sequence)
         self.vl.append(vector_length)
         self.stride.append(stride_elements)
         self.addr.append(address)
-        self.block.append(block)
-
-    def _invalidate(self) -> None:
-        self._infos = None
-        self.annotations.clear()
 
     # -- derived tables ----------------------------------------------------------------
 
@@ -305,56 +256,11 @@ class ColumnarTrace:
             self._infos = infos
         return infos
 
-    # -- record views ------------------------------------------------------------------
-
-    def record(self, index: int):
-        """Materialize the legacy record view of one dynamic slot."""
-        from repro.trace.record import DynamicInstruction
-
-        address = self.addr[index]
-        return DynamicInstruction(
-            instruction=self.instructions[self.insn[index]],
-            sequence=self.seq[index],
-            block_label=self.block_labels[self.block[index]],
-            vector_length=self.vl[index],
-            stride_elements=self.stride[index],
-            base_address=None if address == NO_ADDRESS else address,
-        )
-
-    def iter_records(self) -> Iterator["DynamicInstruction"]:  # noqa: F821
-        """Yield legacy record views one at a time (never stored)."""
-        from repro.trace.record import DynamicInstruction
-
-        instructions = self.instructions
-        labels = self.block_labels
-        for index in range(len(self.insn)):
-            address = self.addr[index]
-            yield DynamicInstruction(
-                instruction=instructions[self.insn[index]],
-                sequence=self.seq[index],
-                block_label=labels[self.block[index]],
-                vector_length=self.vl[index],
-                stride_elements=self.stride[index],
-                base_address=None if address == NO_ADDRESS else address,
-            )
-
-    # -- introspection -----------------------------------------------------------------
-
     def __len__(self) -> int:
         return len(self.insn)
 
-    def validate(self, name: str = "") -> None:
-        """Raise :class:`TraceError` unless sequence numbers count up from zero."""
-        for expected, sequence in enumerate(self.seq):
-            if sequence != expected:
-                raise TraceError(
-                    f"trace {name!r}: record {expected} carries sequence "
-                    f"number {sequence}"
-                )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ColumnarTrace(records={len(self.insn)}, "
-            f"instructions={len(self.instructions)}, "
-            f"blocks={len(self.block_labels)})"
+            f"Trace({self.name!r}, records={len(self.insn)}, "
+            f"instructions={len(self.instructions)})"
         )

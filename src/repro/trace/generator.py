@@ -3,9 +3,9 @@
 The :class:`TraceBuilder` plays the role of running a Dixie-instrumented
 executable: it walks basic blocks in dynamic order, keeps track of the vector
 length and vector stride registers, lays program data regions out in a flat
-address space, and emits one dynamic record per executed instruction —
-directly into the trace's :class:`~repro.trace.columns.ColumnarTrace`
-columns, with no intermediate record object per instruction.
+address space, and appends one row per executed instruction to the
+:class:`~repro.trace.columns.Trace` columns — instruction-table index,
+vector length, stride, base address — with no record object in between.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH
-from repro.trace.columns import NO_ADDRESS, kind_of
-from repro.trace.record import DynamicInstruction, Trace
+from repro.trace.columns import NO_ADDRESS, Trace
 
 #: Version of the trace-generation algorithm.  Any change that alters the
 #: dynamic instruction stream a program model produces (instruction order,
@@ -80,27 +79,25 @@ def _align(value: int, alignment: int) -> int:
 class TraceBuilder:
     """Builds a dynamic trace by replaying basic blocks.
 
-    The builder tracks the architectural vector length and vector stride
-    registers (set by ``SET_VL`` / ``SET_VS`` instructions) and assigns a
-    concrete byte address to every memory reference.  Callers control where a
+    The builder tracks the architectural vector length register (set by
+    ``SET_VL``) and assigns a concrete byte address to every memory
+    reference.  A record's stride is its memory operand's, so ``SET_VS``
+    immediates are checked but feed no record.  Callers control where a
     block's memory references land through ``region_offsets`` — a map from
     region name to an element offset — which is how loop iterations advance
     through their arrays.
 
     Replay touches the same few hundred static instructions again and again,
     so what a record shares with every other occurrence of its instruction
-    (table index, kind, vector-ness, stride, region and its base, the
-    ``SET_VL``/``SET_VS`` value) is derived and validated once per static
-    instruction; each record then only reads the vector-length state and
-    adds its region offset.
+    (table index, vector-ness, stride, region and its base, the ``SET_VL``
+    value) is derived and validated once per static instruction; each record
+    then only reads the vector-length state and adds its region offset.
     """
 
     def __init__(self, name: str, allocator: Optional[RegionAllocator] = None) -> None:
         self.trace = Trace(name=name)
         self.allocator = allocator if allocator is not None else RegionAllocator()
         self._vector_length = VECTOR_REGISTER_LENGTH
-        self._vector_stride = 1
-        self._sequence = 0
         #: ``id(instruction)`` -> its static facts; each entry holds the
         #: instruction itself, so the id cannot be reused while it lives.
         self._static: Dict[int, tuple] = {}
@@ -111,10 +108,6 @@ class TraceBuilder:
     def vector_length(self) -> int:
         return self._vector_length
 
-    @property
-    def vector_stride(self) -> int:
-        return self._vector_stride
-
     # -- emission ---------------------------------------------------------------
 
     def append_block(
@@ -124,61 +117,42 @@ class TraceBuilder:
     ) -> None:
         """Replay one basic block, emitting a dynamic record per instruction."""
         self.trace.blocks_executed += 1
-        self._emit(block.instructions, block.label, region_offsets or {})
+        self._emit(block.instructions, region_offsets or {})
 
     def append_instruction(
         self,
         instruction: Instruction,
-        block_label: str = "",
         region_offsets: Optional[Dict[str, int]] = None,
-    ) -> DynamicInstruction:
-        """Emit a single dynamic record outside of block replay."""
-        self._emit((instruction,), block_label, region_offsets or {})
-        return self.trace[len(self.trace) - 1]
-
-    def _emit(
-        self,
-        instructions: Sequence[Instruction],
-        block_label: str,
-        offsets: Dict[str, int],
     ) -> None:
-        if not instructions:
-            return
-        columns = self.trace.columns
-        append_row = columns.append_row
-        block = columns.intern_block(block_label)
+        """Emit a single dynamic record outside of block replay."""
+        self._emit((instruction,), region_offsets or {})
+
+    def _emit(self, instructions: Sequence[Instruction], offsets: Dict[str, int]) -> None:
+        append_row = self.trace.append_row
         static = self._static
-        sequence = self._sequence
         vector_length = self._vector_length
         try:
             for instruction in instructions:
                 facts = static.get(id(instruction))
                 if facts is None:
                     facts = self._static_facts(instruction)
-                _, index, kind, is_vector, region, base, stride, set_vl, set_vs = facts
+                _, index, is_vector, region, base, stride, set_vl = facts
                 if set_vl is not None:
                     vector_length = set_vl
-                elif set_vs is not None:
-                    self._vector_stride = set_vs
                 append_row(
                     index,
-                    kind,
-                    sequence,
                     vector_length if is_vector else 1,
                     stride,
                     NO_ADDRESS
                     if region is None
                     else base + offsets.get(region, 0) * ELEMENT_SIZE_BYTES,
-                    block,
                 )
-                sequence += 1
         finally:
-            self._sequence = sequence
             self._vector_length = vector_length
 
     def _static_facts(self, instruction: Instruction) -> tuple:
         """Validate ``instruction`` and memoize what all its records share."""
-        set_vl = set_vs = None
+        set_vl = None
         if instruction.opcode is Opcode.SET_VL:
             if instruction.immediate is None:
                 raise TraceError("SET_VL traced without an immediate vector length")
@@ -191,19 +165,16 @@ class TraceBuilder:
         elif instruction.opcode is Opcode.SET_VS:
             if instruction.immediate is None:
                 raise TraceError("SET_VS traced without an immediate stride")
-            set_vs = instruction.immediate
         memory = instruction.memory
         region = None if memory is None else memory.region
         facts = (
             instruction,
-            self.trace.columns.intern_instruction(instruction),
-            kind_of(instruction),
+            self.trace.intern_instruction(instruction),
             instruction.is_vector,
             region,
             None if region is None else self.allocator.base_of(region),
             memory.stride if memory is not None and instruction.is_vector_memory else 1,
             set_vl,
-            set_vs,
         )
         self._static[id(instruction)] = facts
         return facts
@@ -213,5 +184,4 @@ class TraceBuilder:
     def build(self) -> Trace:
         """Finalize and return the accumulated trace."""
         self.trace.metadata.setdefault("regions", self.allocator.regions)
-        self.trace.validate()
         return self.trace

@@ -5,7 +5,7 @@ executed, the number of scalar and vector instructions issued, the number of
 vector operations performed, the percentage of vectorization and the average
 vector length.  :func:`compute_statistics` derives the same quantities (plus a
 few the rest of the paper relies on, such as the spill-access fraction used in
-Section 7) from a :class:`~repro.trace.record.Trace`.
+Section 7) from a :class:`~repro.trace.columns.Trace`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.common.stats import Histogram
 from repro.isa.registers import ELEMENT_SIZE_BYTES
-from repro.trace.record import Trace
+from repro.trace.columns import Trace
 
 
 @dataclass
@@ -76,10 +76,9 @@ def compute_statistics(trace: Trace) -> TraceStatistics:
     are materialized.
     """
     stats = TraceStatistics(name=trace.name, basic_blocks=trace.blocks_executed)
-    columns = trace.columns
-    infos = columns.instruction_infos()
-    insn = columns.insn
-    lengths = columns.vl
+    infos = trace.instruction_infos()
+    insn = trace.insn
+    lengths = trace.vl
     histogram_counts: dict[int, int] = {}
 
     vector_instructions = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.common.errors import WorkloadError
-from repro.trace.record import Trace
+from repro.trace.columns import Trace
 from repro.workloads.program_model import ProgramModel
 from repro.workloads.programs import arc2d, bdna, dyfesm, flo52, spec77, trfd
 

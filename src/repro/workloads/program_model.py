@@ -19,7 +19,7 @@ from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import a_reg, s_reg
 from repro.trace.generator import TraceBuilder
-from repro.trace.record import Trace
+from repro.trace.columns import Trace
 from repro.workloads.compiler import VectorizingCompiler
 from repro.workloads.kernel import KernelSchedule
 

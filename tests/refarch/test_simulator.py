@@ -8,7 +8,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import s_reg, v_reg
 from repro.core import MachineSpec
 from repro.refarch import simulate_reference
-from repro.trace.record import DynamicInstruction, Trace
+from repro.trace.generator import TraceBuilder
 from repro.isa.instruction import make_instruction
 
 
@@ -269,13 +269,14 @@ class TestAccounting:
 class TestValidation:
     def test_queue_move_rejected(self):
         instruction = make_instruction(Opcode.QMOV_V_LOAD, destinations=[v_reg(0)])
-        trace = Trace(name="bad")
-        trace.append(DynamicInstruction(instruction=instruction, sequence=0))
+        builder = TraceBuilder("bad")
+        builder.append_instruction(instruction)
+        trace = builder.build()
         with pytest.raises(SimulationError):
             core_simulate(trace, "ref", latency=1)
 
     def test_empty_trace(self):
-        result = simulate_reference(Trace(name="empty"), latency=10)
+        result = simulate_reference(TraceBuilder("empty").build(), latency=10)
         assert result.total_cycles == 0
         assert result.instructions == 0
         assert result.port_idle_fraction == 0.0

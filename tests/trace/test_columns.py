@@ -1,13 +1,16 @@
-"""Columnar-trace coverage: record equivalence and column invariants."""
+"""Columnar-trace coverage: statistics against the columns, and trace invariants."""
+
+from array import array
 
 import pytest
 
 from repro.common.errors import TraceError
+from repro.isa.builder import InstructionBuilder
 from repro.isa.instruction import MemoryOperand, make_instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VL_REGISTER, VS_REGISTER, v_reg
-from repro.trace.columns import NO_ADDRESS, ColumnarTrace
-from repro.trace.record import Trace
+from repro.trace.columns import NO_ADDRESS, Trace
 from repro.trace.statistics import compute_statistics
 from repro.workloads.perfect_club import load_program, program_names
 
@@ -19,87 +22,90 @@ def _program_trace(name):
     return load_program(name).build_trace(scale=_SCALE)
 
 
-def _records_equal(first, second):
-    assert first.sequence == second.sequence
-    assert first.instruction.opcode == second.instruction.opcode
-    assert first.block_label == second.block_label
-    assert first.vector_length == second.vector_length
-    assert first.stride_elements == second.stride_elements
-    assert first.base_address == second.base_address
-    assert first.instruction.destinations == second.instruction.destinations
-    assert first.instruction.sources == second.instruction.sources
-    assert first.instruction.memory == second.instruction.memory
-    assert first.instruction.immediate == second.instruction.immediate
+def test_statistics_match_a_walk_over_the_columns():
+    """The one-pass statistics agree with a walk over the table and columns.
 
+    The walk asks the static instructions themselves, not their
+    precomputed :class:`~repro.trace.columns.InstructionInfo` entries.
+    """
+    trace = _program_trace("DYFESM")
+    stats = compute_statistics(trace)
+    rows = [(trace.instructions[index], length) for index, length in zip(trace.insn, trace.vl)]
+    assert stats.vector_instructions == sum(1 for i, _ in rows if i.is_vector)
+    assert stats.scalar_instructions == sum(1 for i, _ in rows if not i.is_vector)
+    assert stats.vector_operations == sum(length for i, length in rows if i.is_vector)
+    assert stats.memory_bytes == sum(
+        (length if i.is_vector else 1) * ELEMENT_SIZE_BYTES for i, length in rows if i.is_memory
+    )
+    assert stats.spill_memory_instructions == sum(
+        1 for i, _ in rows if i.is_memory and i.is_spill_access
+    )
 
-class TestColumnarRecordEquivalence:
-    """Columns and record views describe the same stream for every program."""
-
-    @pytest.mark.parametrize("program", program_names())
-    def test_record_roundtrip(self, program):
-        """Re-encoding the record views reproduces the columns exactly."""
-        trace = _program_trace(program)
-        rebuilt = Trace(
-            name=trace.name,
-            records=iter(trace),
-            blocks_executed=trace.blocks_executed,
-            metadata=dict(trace.metadata),
-        )
-        assert len(rebuilt) == len(trace)
-        for name in ("insn", "seq", "vl", "stride", "addr", "block"):
-            assert getattr(rebuilt.columns, name) == getattr(trace.columns, name), name
-        assert rebuilt.columns.kind == trace.columns.kind
-        assert rebuilt.columns.block_labels == trace.columns.block_labels
-        for first, second in zip(trace, rebuilt):
-            _records_equal(first, second)
-
-    def test_statistics_match_record_walk(self):
-        """The one-pass columnar statistics agree with a record-by-record walk."""
-        trace = _program_trace("DYFESM")
-        stats = compute_statistics(trace)
-        static = [r.instruction for r in trace]
-        assert stats.vector_instructions == sum(1 for i in static if i.is_vector)
-        assert stats.scalar_instructions == sum(1 for i in static if not i.is_vector)
-        assert stats.vector_operations == sum(
-            r.vector_length for r in trace if r.instruction.is_vector
-        )
-        assert stats.memory_bytes == sum(
-            (r.vector_length if r.instruction.is_vector else 1) * ELEMENT_SIZE_BYTES
-            for r in trace
-            if r.instruction.is_memory
-        )
-        assert stats.spill_memory_instructions == sum(
-            1 for i in static if i.is_memory and i.is_spill_access
-        )
 
 class TestColumnarTraceInvariants:
+    def test_stores_exactly_the_four_columns_the_simulators_read(self):
+        trace = _program_trace("TRFD")
+        columns = [name for name in Trace.__slots__ if isinstance(getattr(trace, name), array)]
+        assert columns == ["insn", "vl", "stride", "addr"]
+        assert all(len(getattr(trace, name)) == len(trace) for name in columns)
+
     def test_negative_vector_length_rejected(self):
-        columns = ColumnarTrace()
+        trace = Trace("t")
         add = make_instruction(Opcode.V_ADD, destinations=[v_reg(0)])
         with pytest.raises(TraceError):
-            columns.append(add, sequence=0, vector_length=-1)
+            trace.append(add, vector_length=-1)
+        assert len(trace) == 0
 
     def test_memory_without_address_rejected(self):
-        columns = ColumnarTrace()
+        trace = Trace("t")
         load = make_instruction(
             Opcode.V_LOAD, destinations=[v_reg(0)], memory=MemoryOperand(region="x")
         )
         with pytest.raises(TraceError):
-            columns.append(load, sequence=0, vector_length=8)
+            trace.append(load, vector_length=8)
+        assert len(trace) == 0
 
-    def test_no_address_sentinel_maps_to_none(self):
-        columns = ColumnarTrace()
+    def test_non_memory_records_carry_the_no_address_sentinel(self):
+        trace = Trace("t")
         add = make_instruction(Opcode.V_ADD, destinations=[v_reg(0)])
-        columns.append(add, sequence=0, vector_length=8)
-        assert columns.addr[0] == NO_ADDRESS
-        assert columns.record(0).base_address is None
+        trace.append(add, vector_length=8)
+        assert trace.addr[0] == NO_ADDRESS
+
+    def test_appended_records_feed_the_statistics(self):
+        block = BasicBlock("b")
+        builder = InstructionBuilder(block)
+        builder.set_vector_length(50)
+        builder.vector_load(v_reg(0), "x")
+        builder.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
+        trace = Trace("demo")
+        set_vl, load, add = block.instructions
+        trace.append(set_vl)
+        trace.append(load, vector_length=50, base_address=0x100)
+        trace.append(add, vector_length=50)
+        assert len(trace) == 3
+        stats = compute_statistics(trace)
+        assert stats.vector_instructions == 2
+        assert stats.scalar_instructions == 1
+        assert stats.vector_operations == 100
+        assert stats.memory_instructions == 1
+
+    def test_equal_instructions_share_one_table_entry(self):
+        trace = Trace("t")
+        first, second = (
+            make_instruction(Opcode.V_ADD, destinations=[v_reg(0)]) for _ in range(2)
+        )
+        assert first is not second and first == second
+        trace.append(first, vector_length=8)
+        trace.append(second, vector_length=8)
+        assert trace.instructions == [first]
+        assert list(trace.insn) == [0, 0]
 
     def test_instruction_infos_cached_and_aligned(self):
         trace = _program_trace("ARC2D")
-        infos = trace.columns.instruction_infos()
-        assert infos is trace.columns.instruction_infos()
-        assert len(infos) == len(trace.columns.instructions)
-        for info, instruction in zip(infos, trace.columns.instructions):
+        infos = trace.instruction_infos()
+        assert infos is trace.instruction_infos()
+        assert len(infos) == len(trace.instructions)
+        for info, instruction in zip(infos, trace.instructions):
             assert info.instruction is instruction
             assert info.is_vector == instruction.is_vector
             assert info.opcode_class == instruction.opcode_class
@@ -109,7 +115,7 @@ class TestColumnarTraceInvariants:
         def ids(registers):
             return tuple(register.id for register in registers)
 
-        for info in _program_trace(name).columns.instruction_infos():
+        for info in _program_trace(name).instruction_infos():
             assert info.source_ids == ids(info.sources)
             assert info.scalar_source_ids == ids(info.scalar_sources)
             assert info.destination_ids == ids(info.destinations)

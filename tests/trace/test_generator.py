@@ -9,9 +9,17 @@ from repro.isa.instruction import make_instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH, s_reg, v_reg
+from repro.trace.columns import NO_ADDRESS, Trace
 from repro.trace.generator import RegionAllocator, TraceBuilder
-from repro.trace.record import Trace
 from repro.workloads.perfect_club import load_program, program_names
+
+
+def _rows(trace):
+    """``(instruction, vector length, stride, address)`` per trace record."""
+    return [
+        (trace.instructions[index], length, stride, address)
+        for index, length, stride, address in zip(trace.insn, trace.vl, trace.stride, trace.addr)
+    ]
 
 
 def _simple_block(vl=64, region="x"):
@@ -60,8 +68,8 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(_simple_block(vl=33))
         trace = builder.build()
-        vector_records = [r for r in trace if r.instruction.is_vector]
-        assert all(r.vector_length == 33 for r in vector_records)
+        lengths = [length for i, length, _, _ in _rows(trace) if i.is_vector]
+        assert lengths == [33, 33, 33]
 
     @pytest.mark.parametrize("immediate", [None, -1, VECTOR_REGISTER_LENGTH + 1])
     def test_bad_set_vl_raises_on_its_first_occurrence(self, immediate):
@@ -83,14 +91,15 @@ class TestTraceBuilder:
             builder.append_instruction(make_instruction(Opcode.SET_VL, immediate=length))
             builder.append_block(block)
         trace = builder.build()
-        adds = [r for r in trace if r.instruction.opcode is Opcode.V_ADD]
-        assert [r.vector_length for r in adds] == [10, 20, 10]
+        adds = [length for i, length, _, _ in _rows(trace) if i.opcode is Opcode.V_ADD]
+        assert adds == [10, 20, 10]
         assert builder.vector_length == 10
 
-    def test_set_vs_updates_stride_state(self):
+    def test_set_vs_without_an_immediate_raises(self):
         builder = TraceBuilder("demo")
-        builder.append_instruction(make_instruction(Opcode.SET_VS, immediate=4))
-        assert builder.vector_stride == 4
+        with pytest.raises(TraceError, match="SET_VS"):
+            builder.append_instruction(make_instruction(Opcode.SET_VS))
+        assert len(builder.trace) == 0
 
     def test_region_offsets_advance_addresses(self):
         builder = TraceBuilder("demo")
@@ -98,9 +107,9 @@ class TestTraceBuilder:
         builder.append_block(block, region_offsets={"x": 0})
         builder.append_block(block, region_offsets={"x": 64})
         trace = builder.build()
-        loads = [r for r in trace if r.instruction.is_load]
+        loads = [address for i, _, _, address in _rows(trace) if i.is_load]
         base = trace.metadata["regions"]["x"]
-        assert [r.base_address for r in loads] == [base, base + 64 * ELEMENT_SIZE_BYTES]
+        assert loads == [base, base + 64 * ELEMENT_SIZE_BYTES]
 
     def test_block_counting(self):
         builder = TraceBuilder("demo")
@@ -111,12 +120,6 @@ class TestTraceBuilder:
         assert trace.blocks_executed == 5
         assert len(trace) == 5 * len(block)
 
-    def test_sequence_numbers_are_dense(self):
-        builder = TraceBuilder("demo")
-        builder.append_block(_simple_block())
-        trace = builder.build()
-        assert [r.sequence for r in trace] == list(range(len(trace)))
-
     def test_memory_stride_comes_from_operand(self):
         block = BasicBlock("strided")
         ib = InstructionBuilder(block)
@@ -125,8 +128,8 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(block)
         trace = builder.build()
-        load = [r for r in trace if r.instruction.is_load][0]
-        assert load.stride_elements == 5
+        strides = [stride for i, _, stride, _ in _rows(trace) if i.is_load]
+        assert strides == [5]
 
     def test_scalar_memory_gets_addresses_too(self):
         block = BasicBlock("scalar")
@@ -136,7 +139,8 @@ class TestTraceBuilder:
         builder = TraceBuilder("demo")
         builder.append_block(block)
         trace = builder.build()
-        assert all(r.base_address is not None for r in trace if r.instruction.is_memory)
+        addresses = [address for i, _, _, address in _rows(trace) if i.is_memory]
+        assert len(addresses) == 2 and NO_ADDRESS not in addresses
 
     def test_metadata_contains_regions(self):
         builder = TraceBuilder("demo")
@@ -172,13 +176,11 @@ _SOURCES = [(_perfect_club_trace, name) for name in program_names()] + [
 
 @pytest.mark.parametrize("build, name", _SOURCES, ids=[name for _, name in _SOURCES])
 def test_builder_columns_equal_record_by_record_appends(build, name):
-    """The builder's once-per-instruction facts match per-record validation."""
+    """The builder's once-per-instruction facts pass per-record validation."""
     built = build(name)
     replayed = Trace(built.name)
-    for record in built:
-        replayed.append(record)
-    mine, theirs = built.columns, replayed.columns
-    for column in ("insn", "kind", "seq", "vl", "stride", "addr", "block"):
-        assert getattr(mine, column) == getattr(theirs, column), column
-    assert mine.block_labels == theirs.block_labels
-    assert mine.instructions == theirs.instructions
+    for instruction, length, stride, address in _rows(built):
+        replayed.append(instruction, length, stride, None if address == NO_ADDRESS else address)
+    for column in ("insn", "vl", "stride", "addr"):
+        assert getattr(built, column) == getattr(replayed, column), column
+    assert built.instructions == replayed.instructions

@@ -148,10 +148,14 @@ class TestEmission:
         builder = TraceBuilder("demo")
         compiled.emit_invocation(builder)
         trace = builder.build()
-        loads = [r for r in trace if r.instruction.opcode is Opcode.V_LOAD]
+        loads = [
+            length
+            for index, length in zip(trace.insn, trace.vl)
+            if trace.instructions[index].opcode is Opcode.V_LOAD
+        ]
         # Two load streams, three strips each.
         assert len(loads) == 6
-        assert sum(r.vector_length for r in loads) == 2 * 300
+        assert sum(loads) == 2 * 300
 
     def test_stream_addresses_advance_between_strips(self):
         kernel = synthetic.daxpy(elements=256, max_vector_length=128)
@@ -160,10 +164,13 @@ class TestEmission:
         compiled.emit_invocation(builder)
         trace = builder.build()
         x_loads = [
-            r for r in trace if r.instruction.is_load and r.instruction.memory.region == "daxpy.x"
+            address
+            for index, address in zip(trace.insn, trace.addr)
+            if trace.instructions[index].is_load
+            and trace.instructions[index].memory.region == "daxpy.x"
         ]
         assert len(x_loads) == 2
-        assert x_loads[1].base_address == x_loads[0].base_address + 128 * 8
+        assert x_loads[1] == x_loads[0] + 128 * 8
 
     def test_spill_addresses_repeat_within_iteration(self):
         kernel = synthetic.spill_heavy(elements=256, max_vector_length=128, spill_pairs=1)
@@ -172,12 +179,14 @@ class TestEmission:
         compiled.emit_invocation(builder)
         trace = builder.build()
         spills = [
-            r for r in trace
-            if r.instruction.is_spill_access and r.instruction.is_vector_memory
+            address
+            for index, address in zip(trace.insn, trace.addr)
+            if trace.instructions[index].is_spill_access
+            and trace.instructions[index].is_vector_memory
         ]
         assert len(spills) == 4  # store+reload per strip, two strips
-        assert spills[0].base_address == spills[1].base_address
-        assert spills[2].base_address == spills[3].base_address
+        assert spills[0] == spills[1]
+        assert spills[2] == spills[3]
 
     def test_emit_program_repeats_invocations(self):
         kernel = synthetic.daxpy(elements=128, invocations=2)

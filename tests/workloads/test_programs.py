@@ -47,15 +47,21 @@ class TestProgramModel:
     def test_small_scale_keeps_every_kernel(self):
         model = synthetic.simple_program(repetitions=8)
         trace = model.build_trace(scale=0.01)
-        labels = {record.block_label for record in trace}
-        assert any("stream_triad" in label for label in labels)
-        assert any("daxpy" in label for label in labels)
+        regions = {
+            trace.instructions[index].memory.region
+            for index in set(trace.insn)
+            if trace.instructions[index].is_memory
+        }
+        assert any(region.startswith("stream_triad.") for region in regions)
+        assert any(region.startswith("daxpy.") for region in regions)
 
     def test_prologue_emitted_once(self):
         model = synthetic.simple_program()
         trace = model.build_trace()
-        prologue_records = [r for r in trace if "prologue" in r.block_label]
-        assert len(prologue_records) == model.prologue_scalar_instructions
+        prologue = [
+            index for index in trace.insn if trace.instructions[index].label.startswith("prologue")
+        ]
+        assert len(prologue) == model.prologue_scalar_instructions > 0
 
     def test_metadata_carries_targets_and_scale(self):
         model = load_program("ARC2D")
