@@ -71,6 +71,17 @@ def _number(value: object, what: str) -> float:
     return float(value)
 
 
+def _integer(value: object, what: str) -> int:
+    """An integral JSON number; ``NaN`` and ``Infinity`` are not integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{what} must be an integer")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ProtocolError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    return value
+
+
 def _scale(value: object) -> float:
     try:
         return check_scale(_number(value, "'scale'"))
@@ -100,13 +111,10 @@ def parse_run_request(payload: object) -> RunRequest:
     architecture = body.get("arch", body.get("architecture", "dva"))
     if not isinstance(architecture, str) or not architecture.strip():
         raise ProtocolError("'arch' must be a non-empty string")
-    latency = _number(body.get("latency", 1), "'latency'")
-    if latency != int(latency):
-        raise ProtocolError("'latency' must be an integer")
     return RunRequest(
         program=program.strip(),
         architecture=architecture.strip(),
-        latency=int(latency),
+        latency=_integer(body.get("latency", 1), "'latency'"),
         scale=_scale(body.get("scale", 1.0)),
     )
 
@@ -135,10 +143,7 @@ def parse_sweep_request(payload: object) -> SweepSpec:
         except ValueError:
             raise ProtocolError(f"'latencies' must be integers, got {raw_latencies!r}") from None
     elif isinstance(raw_latencies, Sequence):
-        numbers = [_number(item, "'latencies' entry") for item in raw_latencies]
-        if any(number != int(number) for number in numbers):
-            raise ProtocolError("'latencies' entries must be integers")
-        latencies = tuple(int(number) for number in numbers)
+        latencies = tuple(_integer(item, "'latencies' entry") for item in raw_latencies)
     else:
         raise ProtocolError("'latencies' must be a list of integers or a comma-separated string")
 

@@ -55,6 +55,11 @@ class TestParseRunRequest:
             json.loads('{"program": "trfd", "scale": NaN}'),
             json.loads('{"program": "trfd", "scale": Infinity}'),
             json.loads('{"program": "trfd", "scale": -Infinity}'),
+            # ... and as a latency, where int() would raise ValueError or
+            # OverflowError instead.
+            json.loads('{"program": "trfd", "latency": NaN}'),
+            json.loads('{"program": "trfd", "latency": Infinity}'),
+            json.loads('{"program": "trfd", "latency": -Infinity}'),
         ],
     )
     def test_malformed_requests_raise_protocol_errors(self, payload):
@@ -118,6 +123,9 @@ class TestParseSweepRequest:
             {"programs": ["trfd"], "latencies": "1,1"},
             json.loads('{"programs": ["trfd"], "latencies": [1], "scale": NaN}'),
             json.loads('{"programs": ["trfd"], "latencies": [1], "scale": Infinity}'),
+            json.loads('{"programs": ["trfd"], "latencies": [1, NaN]}'),
+            json.loads('{"programs": ["trfd"], "latencies": [Infinity]}'),
+            json.loads('{"programs": ["trfd"], "latencies": [-Infinity]}'),
         ],
     )
     def test_malformed_sweeps_raise_protocol_errors(self, payload):

@@ -274,6 +274,8 @@ class TestEndpoints:
             # fails in the trace build, off the event loop.
             ("POST", "/v1/run", {"program": "trfd", "scale": float("nan")}, 400),
             ("POST", "/v1/run", {"program": "trfd", "scale": 1e308}, 400),
+            ("POST", "/v1/run", {"program": "trfd", "latency": float("nan")}, 400),
+            ("POST", "/v1/sweeps", {"programs": ["trfd"], "latencies": [float("inf")]}, 400),
         ],
     )
     def test_errors_come_back_as_json_with_the_right_status(
