@@ -12,18 +12,21 @@ from repro.core import (
     machine_spec,
 )
 from repro.core.machine import (
+    FAMILIES,
     FIELDS,
     canonical_axis_name,
     lookup_field,
     parse_axis_values,
 )
+from repro.dva import simulate_decoupled
 from repro.dva.simulator import _DecoupledState
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BasicBlock
 from repro.isa.registers import s_reg
+from repro.refarch import simulate_reference
 from repro.trace.generator import TraceBuilder
-from repro.workloads.perfect_club import build_trace
+from repro.workloads.perfect_club import build_trace, program_names
 
 
 class TestStringRoundTrip:
@@ -243,6 +246,73 @@ class TestSimulatorsReadTheSpec:
         assert rings == {"apiq": 3, "vpiq": 3, "spiq": 3, "avdq": 5, "asdq": 8}
         assert state.avdq_occupancy.capacity == 5
         assert (pipeline.cache.line_bytes, pipeline.cache.lines) == (32, 1024)
+
+
+#: Fields that move no cycle of the paper probe, each with the reason.
+INERT_FIELDS = {
+    "sdq": "the AP drops the ASDQ/SADQ push results, so a full scalar data "
+    "queue never stalls its producer (ROADMAP item 4)",
+}
+
+_PROBE_LATENCIES = (1, 100)
+_SIMULATE = {"ref": simulate_reference, "dva": simulate_decoupled}
+
+
+def _probe_cycles(traces, spec):
+    simulate = _SIMULATE[spec.family]
+    return [
+        simulate(trace, latency, spec).total_cycles
+        for trace in traces
+        for latency in _PROBE_LATENCIES
+    ]
+
+
+@pytest.fixture(scope="module")
+def paper_probe():
+    """The six paper programs and each family's default cycles on them."""
+    traces = [build_trace(name) for name in program_names()]
+    defaults = {family: _probe_cycles(traces, MachineSpec(family=family)) for family in FAMILIES}
+    return traces, defaults
+
+
+def _range_ends(info):
+    """The field's range ends other than its default; a bool's flip."""
+    if info.kind == "bool":
+        return [not info.default]
+    return [value for value in (info.lo, info.hi) if value != info.default]
+
+
+class TestEveryFieldMovesAPaperCell:
+    """Each field, on each family it applies to, moves the total cycles of a
+    paper program at latency 1 or 100 at one of its range ends — or it is
+    listed in :data:`INERT_FIELDS` and moves none, so the list shrinks as
+    the model is fixed.  The cases come from :data:`FIELDS`, so a new field
+    is probed too."""
+
+    @pytest.mark.parametrize(
+        "info, family",
+        [(info, family) for info in FIELDS for family in info.families],
+        ids=lambda value: value if isinstance(value, str) else value.key,
+    )
+    def test_field_moves_a_cycle_or_is_listed(self, paper_probe, info, family):
+        traces, defaults = paper_probe
+        moved = {
+            value: sum(
+                pinned != default
+                for pinned, default in zip(
+                    _probe_cycles(traces, MachineSpec(family=family, **{info.attribute: value})),
+                    defaults[family],
+                )
+            )
+            for value in _range_ends(info)
+        }
+        if info.key in INERT_FIELDS:
+            assert not any(moved.values()), f"{info.key} now moves cells {moved}; unlist it"
+        else:
+            assert any(moved.values()), f"{info.key} on {family} moves no paper cell"
+
+    def test_listed_fields_exist(self):
+        assert set(INERT_FIELDS) <= {info.key for info in FIELDS}
 
 
 class TestFieldSchema:
