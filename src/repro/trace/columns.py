@@ -169,15 +169,10 @@ class Trace:
         "_infos",
     )
 
-    def __init__(
-        self,
-        name: str,
-        blocks_executed: int = 0,
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.blocks_executed = blocks_executed
-        self.metadata: Dict[str, object] = metadata if metadata is not None else {}
+        self.blocks_executed = 0
+        self.metadata: Dict[str, object] = {}
         self.instructions: List[Instruction] = []
         self.insn = array("q")
         self.vl = array("q")
@@ -250,11 +245,9 @@ class Trace:
         Computed once per trace and cached; every simulation of the trace —
         and, under ``fork``, every worker process — shares the same table.
         """
-        infos = self._infos
-        if infos is None or len(infos) != len(self.instructions):
-            infos = [InstructionInfo(insn) for insn in self.instructions]
-            self._infos = infos
-        return infos
+        if self._infos is None:
+            self._infos = [InstructionInfo(insn) for insn in self.instructions]
+        return self._infos
 
     def __len__(self) -> int:
         return len(self.insn)
