@@ -26,8 +26,9 @@ pipeline.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder
@@ -69,9 +70,6 @@ class PendingStore:
     traffic_bytes: int
     address_ready: int
     data_ready: Optional[int] = None
-    drained: bool = False
-    drain_end: int = 0
-    bypassed_to_loads: int = 0
 
     @property
     def ready(self) -> int:
@@ -99,6 +97,9 @@ class MemoryPipeline:
     The spec supplies the queue depths, the bypass switch, the port count
     and the scalar-cache geometry.  The VSAQ is as deep as the VADQ: the
     paper treats the store queue length as a single parameter (§5).
+
+    :attr:`pending_stores` holds the queued stores that have not drained,
+    oldest first; a store leaves it when it is performed.
     """
 
     def __init__(self, spec: "MachineSpec", latency: int) -> None:
@@ -112,13 +113,11 @@ class MemoryPipeline:
 
         self.bypass = ResourcePool("BYPASS")
 
-        self.pending_stores: List[PendingStore] = []
-        self._next_undrained = 0
+        self.pending_stores: Deque[PendingStore] = deque()
 
         self.bypassed_loads = 0
         self.bypassed_bytes = 0
         self.disambiguation_stalls = 0
-        self.forced_drains = 0
 
     # -- fabric views ------------------------------------------------------------------
 
@@ -233,11 +232,10 @@ class MemoryPipeline:
     def _make_room(self, queue: TimedQueue) -> None:
         """Force-drain old stores until ``queue`` has a free slot."""
         while queue.outstanding >= queue.capacity:
-            if self._next_undrained >= len(self.pending_stores):
+            if not self.pending_stores:
                 raise SimulationError(
                     f"queue {queue.name!r} is full but there is nothing left to drain"
                 )
-            self.forced_drains += 1
             self._drain_oldest()
 
     # -- load servicing -----------------------------------------------------------------
@@ -258,16 +256,15 @@ class MemoryPipeline:
         available in the AVDQ.
         """
         load_range = access_range(base, vector_length, stride_elements, indexed=indexed)
-        conflict_index = self._youngest_conflict(load_range)
+        conflicts = self._conflict_depth(load_range)
 
-        if conflict_index is not None and self.bypass_enabled:
-            candidate = self.pending_stores[conflict_index]
+        if conflicts and self.bypass_enabled:
+            candidate = self.pending_stores[conflicts - 1]
             # The bypass requires the load to read exactly what the queued
             # store will write: same base, stride and length, both strided
             # vector accesses (paper §7).
             if (
-                not candidate.drained
-                and candidate.is_vector
+                candidate.is_vector
                 and not indexed
                 and not candidate.indexed
                 and base == candidate.base
@@ -276,8 +273,8 @@ class MemoryPipeline:
             ):
                 return self._bypass_load(vector_length, requested, candidate)
 
-        if conflict_index is not None:
-            requested = max(requested, self._drain_through(conflict_index))
+        if conflicts:
+            requested = max(requested, self._drain_through(conflicts))
             self.disambiguation_stalls += 1
 
         return self._memory_load(vector_length, requested)
@@ -285,9 +282,9 @@ class MemoryPipeline:
     def issue_scalar_load(self, base: int, requested: int) -> int:
         """Service a scalar load through the cache; return its data-ready cycle."""
         load_range = MemoryRange(base, base + ELEMENT_SIZE_BYTES)
-        conflict_index = self._youngest_conflict(load_range)
-        if conflict_index is not None:
-            requested = max(requested, self._drain_through(conflict_index))
+        conflicts = self._conflict_depth(load_range)
+        if conflicts:
+            requested = max(requested, self._drain_through(conflicts))
             self.disambiguation_stalls += 1
 
         if self.fabric.cache.access(base):
@@ -307,7 +304,6 @@ class MemoryPipeline:
         end = start + length
         self.bypassed_loads += 1
         self.bypassed_bytes += vector_length * ELEMENT_SIZE_BYTES
-        store.bypassed_to_loads += 1
         return VectorLoadOutcome(start=start, data_ready=end, bypassed=True)
 
     def _memory_load(self, vector_length: int, requested: int) -> VectorLoadOutcome:
@@ -321,20 +317,23 @@ class MemoryPipeline:
 
     # -- disambiguation and draining ------------------------------------------------------
 
-    def _youngest_conflict(self, load_range: MemoryRange) -> Optional[int]:
-        """Index of the youngest queued (undrained) store overlapping ``load_range``."""
-        for index in range(len(self.pending_stores) - 1, self._next_undrained - 1, -1):
-            store = self.pending_stores[index]
-            if store.drained:
-                continue
-            if store.memory_range.overlaps(load_range):
-                return index
-        return None
+    def _conflict_depth(self, load_range: MemoryRange) -> int:
+        """Queued stores up to the youngest one overlapping ``load_range`` (0: none).
 
-    def _drain_through(self, last_index: int) -> int:
-        """Perform every queued store up to and including ``last_index``."""
+        Counted from the oldest, so the youngest conflict is
+        ``pending_stores[depth - 1]`` and draining ``depth`` stores clears it.
+        """
+        depth = len(self.pending_stores)
+        for store in reversed(self.pending_stores):
+            if store.memory_range.overlaps(load_range):
+                return depth
+            depth -= 1
+        return 0
+
+    def _drain_through(self, depth: int) -> int:
+        """Perform the ``depth`` oldest queued stores; return the last one's end."""
         finish = 0
-        while self._next_undrained <= last_index:
+        for _ in range(depth):
             finish = self._drain_oldest()
         return finish
 
@@ -347,8 +346,8 @@ class MemoryPipeline:
         among themselves always retire in program order).
         """
         port_free = self.fabric.ports.free
-        while self._next_undrained < len(self.pending_stores):
-            store = self.pending_stores[self._next_undrained]
+        while self.pending_stores:
+            store = self.pending_stores[0]
             if store.data_ready is None:
                 break
             earliest = min(port_free)
@@ -357,26 +356,18 @@ class MemoryPipeline:
             self._drain_oldest()
 
     def _drain_oldest(self) -> int:
-        store = self.pending_stores[self._next_undrained]
-        self._next_undrained += 1
-        end = self._perform_store(store)
-        return end
-
-    def _perform_store(self, store: PendingStore) -> int:
-        if store.drained:
-            return store.drain_end
+        """Perform the oldest queued store; return the cycle it leaves the queues."""
+        store = self.pending_stores[0]
         ready = store.ready
-        if store.is_vector:
-            _bus_start, bus_end = self.fabric.occupy_bus(
-                ready, store.bus_cycles, store.traffic_bytes
-            )
-            self.vsaq.pop(bus_end)
-            self.vadq.pop(bus_end)
-            store.drain_end = bus_end
-        else:
-            store.drain_end = self._perform_scalar_store(store, ready)
-        store.drained = True
-        return store.drain_end
+        self.pending_stores.popleft()
+        if not store.is_vector:
+            return self._perform_scalar_store(store, ready)
+        _bus_start, bus_end = self.fabric.occupy_bus(
+            ready, store.bus_cycles, store.traffic_bytes
+        )
+        self.vsaq.pop(bus_end)
+        self.vadq.pop(bus_end)
+        return bus_end
 
     def _perform_scalar_store(self, store: PendingStore, ready: int) -> int:
         # A hit is absorbed by the cache; only a miss uses the port.
@@ -395,6 +386,6 @@ class MemoryPipeline:
     def drain_all(self) -> int:
         """Perform every store still sitting in the queues; return the last cycle."""
         finish = self.port_quiet
-        while self._next_undrained < len(self.pending_stores):
+        while self.pending_stores:
             finish = max(finish, self._drain_oldest())
         return finish

@@ -180,21 +180,24 @@ class TestBypass:
         _queued_store(pipeline, key=0, data_ready=10)
         _queued_store(pipeline, key=1, requested=1, data_ready=30)
         outcome = pipeline.issue_vector_load(BASE, 8, 1, False, requested=3)
+        # The copy waits for the younger store's data (30), not the older's.
         assert outcome.bypassed
         assert outcome.start == 30
-        assert pipeline.pending_stores[1].bypassed_to_loads == 1
-        assert pipeline.pending_stores[0].bypassed_to_loads == 0
+        assert pipeline.bypassed_loads == 1
+        # Both stores stay queued and still drain in order afterwards.
+        assert [store.key for store in pipeline.pending_stores] == [0, 1]
+        assert pipeline.drain_all() == 38
+        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(10, 18), (30, 38)]
 
 
 class TestStoreQueues:
     def test_full_vsaq_forces_the_oldest_store_to_drain(self):
         pipeline = _pipeline(vector_store_data=1)
         _queued_store(pipeline, key=0, data_ready=10)
-        pipeline.enqueue_vector_store(1, BASE + 0x800, 8, 1, False, requested=2)
-        assert pipeline.forced_drains == 1
-        assert pipeline.pending_stores[0].drained
-        # The second address waited for the first store's bus release.
-        assert pipeline.vsaq.push_times == [0, 18]
+        # The second address waits for the first store's bus release at 18.
+        assert pipeline.enqueue_vector_store(1, BASE + 0x800, 8, 1, False, requested=2) == 18
+        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(10, 18)]
+        assert [store.key for store in pipeline.pending_stores] == [1]
 
     def test_full_sadq_forces_the_oldest_store_to_drain(self):
         pipeline = _pipeline(scalar_data=1)
@@ -202,11 +205,11 @@ class TestStoreQueues:
         pipeline.attach_scalar_store_data(0, push_time=1, data_ready=5)
         pipeline.enqueue_scalar_store(1, BASE + 0x800, requested=2)
         pipeline.attach_scalar_store_data(1, push_time=3, data_ready=6)
-        assert pipeline.forced_drains == 1
-        assert pipeline.pending_stores[0].drained
         # The first store missed the cache and held the port over [5, 6); the
         # second data entry waited for that release.
-        assert pipeline.sadq.push_times == [1, 6]
+        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(5, 6)]
+        assert [store.key for store in pipeline.pending_stores] == [1]
+        assert list(pipeline.sadq.pushes) == [6]
 
     def test_attaching_data_to_an_unknown_store_raises(self):
         pipeline = _pipeline()
@@ -218,8 +221,19 @@ class TestStoreQueues:
         _queued_store(pipeline, key=0, data_ready=10)
         _queued_store(pipeline, key=1, base=BASE + 0x800, requested=1, data_ready=12)
         assert pipeline.drain_all() == 26
-        assert [store.drain_end for store in pipeline.pending_stores] == [18, 26]
+        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(10, 18), (18, 26)]
+        assert not pipeline.pending_stores
         assert pipeline.vsaq.outstanding == pipeline.vadq.outstanding == 0
+
+    def test_drained_stores_leave_the_pipeline_state(self):
+        pipeline = _pipeline(vector_store_data=2)
+        for key in range(6):
+            _queued_store(pipeline, key=key, base=BASE + 0x800 * key,
+                          requested=key, data_ready=10 + key)
+        # Only the undrained stores and each queue's window remain.
+        assert [store.key for store in pipeline.pending_stores] == [4, 5]
+        assert len(pipeline.vsaq.pushes) == len(pipeline.vadq.pushes) == 2
+        assert len(pipeline.vsaq.pops) == len(pipeline.vadq.pops) == 2
 
     def test_drain_all_without_stores_is_the_port_quiet_cycle(self):
         pipeline = _pipeline()

@@ -17,22 +17,23 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="positive capacity"):
             TimedQueue("VSAQ", capacity)
 
-    def test_new_queue_is_empty(self):
+    def test_new_queue_accepts_capacity_entries_without_waiting(self):
         queue = TimedQueue("VSAQ", 4)
-        assert len(queue) == 0
         assert queue.outstanding == 0
-        assert queue.push_stall_cycles == 0
+        assert [queue.push(cycle) for cycle in range(4)] == [0, 1, 2, 3]
 
 
 class TestFifoOrder:
     def test_pops_release_entries_in_push_order(self):
-        queue = TimedQueue("VADQ", 4)
+        queue = TimedQueue("VADQ", 2)
         queue.push(0)
-        queue.push(1)
-        queue.pop(30)
-        assert queue.pop_times == [30, None]
+        queue.push(10)
+        # The head is the entry pushed at 0, so a pop at 5 is legal.
+        queue.pop(5)
         queue.pop(31)
-        assert queue.pop_times == [30, 31]
+        # Each new entry waits for the entry two places back: 5, then 31.
+        assert queue.push(0) == 5
+        assert queue.push(0) == 31
 
     def test_pop_without_an_outstanding_entry_raises(self):
         queue = TimedQueue("VADQ", 2)
@@ -49,4 +50,12 @@ class TestOccupancy:
             queue.push(cycle)
         queue.pop(5)
         assert queue.outstanding == 2
-        assert len(queue) == 3
+
+    def test_state_is_bounded_by_the_capacity(self):
+        queue = TimedQueue("SSAQ", 3)
+        for cycle in range(50):
+            queue.push(cycle)
+            if cycle >= 2:
+                queue.pop(cycle)
+        assert list(queue.pushes) == [48, 49]
+        assert list(queue.pops) == [47, 48, 49]
