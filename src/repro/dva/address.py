@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder
@@ -380,6 +380,70 @@ class MemoryPipeline:
         self.ssaq.pop(end)
         self.sadq.pop(end)
         return end
+
+    # -- fast-forward ----------------------------------------------------------------------
+
+    def relative(self, origin: int, fetch: int, address: int, row: int) -> tuple:
+        """The pipeline's state relative to ``origin`` (a fast-forward fingerprint).
+
+        ``fetch`` is the floor of every request into the store queues and
+        ``address`` that of every bypass request; a store's key is relative
+        to the mark's ``row``.  Queued stores must match exactly.
+        """
+        bypass_free = self.bypass.free[0]
+        return (
+            self.fabric.relative(origin),
+            None if bypass_free < address else bypass_free - origin,
+            self.vsaq.relative(origin, fetch),
+            self.ssaq.relative(origin, fetch),
+            self.vadq.relative(origin, fetch),
+            self.sadq.relative(origin, fetch),
+            tuple(
+                (
+                    store.key - row,
+                    store.base,
+                    store.length,
+                    store.stride_elements,
+                    store.indexed,
+                    store.is_vector,
+                    store.address_ready - origin,
+                    None if store.data_ready is None else store.data_ready - origin,
+                )
+                for store in self.pending_stores
+            ),
+        )
+
+    def shift(self, cycles: int, rows: int) -> None:
+        """Move every timestamp ``cycles`` later and every store key ``rows`` on."""
+        self.fabric.ports.shift(cycles)
+        self.bypass.shift(cycles)
+        for queue in (self.vsaq, self.ssaq, self.vadq, self.sadq):
+            queue.shift(cycles)
+        for store in self.pending_stores:
+            store.key += rows
+            store.address_ready += cycles
+            if store.data_ready is not None:
+                store.data_ready += cycles
+
+    def counters(self) -> Tuple[int, ...]:
+        """The pipeline's additive counters, the fabric's included."""
+        return (
+            self.bypassed_loads,
+            self.bypassed_bytes,
+            self.disambiguation_stalls,
+        ) + self.fabric.counters()
+
+    def add_counters(
+        self, loads: int, loaded_bytes: int, stalls: int, *fabric: int
+    ) -> None:
+        self.bypassed_loads += loads
+        self.bypassed_bytes += loaded_bytes
+        self.disambiguation_stalls += stalls
+        self.fabric.add_counters(*fabric)
+
+    def timelines(self) -> List[List[int]]:
+        """The port units' and the bypass unit's busy-interval lists."""
+        return self.fabric.ports.timelines() + self.bypass.timelines()
 
     # -- wind-down -------------------------------------------------------------------------
 

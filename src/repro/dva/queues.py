@@ -33,6 +33,7 @@ from collections import deque
 from typing import Deque
 
 from repro.common.errors import SimulationError
+from repro.engine.fastforward import relative
 
 
 class TimedQueue:
@@ -92,6 +93,22 @@ class TimedQueue:
     @property
     def outstanding(self) -> int:
         return len(self.pushes)
+
+    def relative(self, origin: int, floor: int) -> tuple:
+        """The window relative to ``origin`` (a fast-forward fingerprint).
+
+        A push waits for a pop cycle only when it is later than the request,
+        and no future request is earlier than ``floor``.
+        """
+        return (
+            tuple(time - origin for time in self.pushes),
+            relative(self.pops, origin, floor),
+        )
+
+    def shift(self, cycles: int) -> None:
+        """Move every timestamp ``cycles`` later."""
+        self.pushes = deque([time + cycles for time in self.pushes])
+        self.pops = deque([time + cycles for time in self.pops], self.capacity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

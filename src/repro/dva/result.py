@@ -42,6 +42,8 @@ class DecoupledResult:
     fetch_stall_cycles: int = 0
     scalar_cache_hits: int = 0
     scalar_cache_misses: int = 0
+    #: Rows the fast-forward skipped rather than simulated (not in ``to_json``).
+    skipped_rows: int = field(default=0, compare=False)
 
     _breakdown: StateBreakdown | None = field(default=None, repr=False, compare=False)
     _avdq_histogram: Histogram | None = field(default=None, repr=False, compare=False)

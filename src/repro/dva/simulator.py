@@ -56,7 +56,7 @@ from repro.common.timeline import OccupancyTimeline
 from repro.dva.address import MemoryPipeline
 from repro.dva.fetch import Processor, route_instruction
 from repro.dva.result import DecoupledResult
-from repro.engine import FU_STARTUP, ResourcePool, Scoreboard
+from repro.engine import FU_STARTUP, ResourcePool, Scoreboard, fastforward
 from repro.isa.opcodes import Opcode
 from repro.trace.columns import InstructionInfo, Trace
 
@@ -252,18 +252,36 @@ class _DecoupledState:
         self.fetch_stall_cycles = 0
 
         # Per-processor instruction counters, folded into the result's
-        # ``instructions_per_processor`` dict at wind-down.
-        self.fp_count = 0
+        # ``instructions_per_processor`` dict at wind-down (the FP fetches
+        # every row).
         self.ap_count = 0
         self.vp_count = 0
         self.sp_count = 0
         self.vector_loads = 0
         self.vector_stores = 0
+        self.skipped_rows = 0
+
+        #: Append-only timestamp lists a fast-forward replays.
+        self.timelines = (
+            self.fus.timelines()
+            + self.qmovs.timelines()
+            + self.memory.timelines()
+            + [self.avdq_occupancy.enters, self.avdq_occupancy.leaves]
+        )
 
     # -- main loop ------------------------------------------------------------------------
 
     def consume(self, trace: Trace) -> None:
         """Fetch, execute and queue-move every traced instruction in order.
+
+        :func:`repro.engine.fastforward.consume` walks the trace's invocation
+        marks, runs :meth:`issue` between them and skips the invocations a
+        steady state makes predictable.
+        """
+        self.skipped_rows = fastforward.consume(self, trace)
+
+    def issue(self, trace: Trace, first: int, stop: int) -> None:
+        """Fetch, execute and queue-move rows ``[first, stop)`` in order.
 
         One pass over the columns: static facts come from the shared
         instruction-info and routing tables, dynamic facts (VL, stride, base
@@ -327,7 +345,7 @@ class _DecoupledState:
         ap_count = vp_count = sp_count = 0
         vector_loads = vector_stores = 0
 
-        for index in range(len(insn)):
+        for index in range(first, stop):
             table_index = insn[index]
             info = infos[table_index]
             primary, qmov, targets, qmov_register = routes[table_index]
@@ -575,12 +593,76 @@ class _DecoupledState:
         self.sp_free = sp_free
         self.horizon = horizon
         self.fetch_stall_cycles += fetch_stall
-        self.fp_count += len(insn)
         self.ap_count += ap_count
         self.vp_count += vp_count
         self.sp_count += sp_count
         self.vector_loads += vector_loads
         self.vector_stores += vector_stores
+
+    # -- fast-forward ---------------------------------------------------------------------
+
+    def fingerprint(self, row: int) -> tuple:
+        """The loop's state at a mark, relative to the horizon (see fastforward).
+
+        Every processor starts an instruction no earlier than the fetch
+        pointer, and the AP no earlier than its own pointer, so: registers
+        and instruction-queue entries older than the fetch pointer are
+        stale, and so are AVDQ/ASDQ entries older than the AP's floor.  The
+        functional-unit and QMOV free times decide the unit picks, so they
+        must all shift.
+        """
+        origin = self.horizon
+        fetch = self.fp_free
+        address = max(self.ap_free, fetch)
+        relative = fastforward.relative
+        return (
+            fetch - origin,
+            address - origin,
+            max(self.vp_free, fetch) - origin,
+            max(self.sp_free, fetch) - origin,
+            self.scoreboard.relative(origin, fetch),
+            relative(self.apiq, origin, fetch),
+            relative(self.vpiq, origin, fetch),
+            relative(self.spiq, origin, fetch),
+            relative(self.avdq, origin, address),
+            relative(self.asdq, origin, address),
+            tuple(free - origin for free in self.fus.free),
+            tuple(free - origin for free in self.qmovs.free),
+            self.memory.relative(origin, fetch, address, row),
+        )
+
+    def counters(self) -> Tuple[int, ...]:
+        return (
+            self.fetch_stall_cycles,
+            self.ap_count,
+            self.vp_count,
+            self.sp_count,
+            self.vector_loads,
+            self.vector_stores,
+        ) + self.memory.counters()
+
+    def add_counters(self, deltas: List[int]) -> None:
+        self.fetch_stall_cycles += deltas[0]
+        self.ap_count += deltas[1]
+        self.vp_count += deltas[2]
+        self.sp_count += deltas[3]
+        self.vector_loads += deltas[4]
+        self.vector_stores += deltas[5]
+        self.memory.add_counters(*deltas[6:])
+
+    def shift(self, cycles: int, rows: int) -> None:
+        self.horizon += cycles
+        self.fp_free += cycles
+        self.ap_free += cycles
+        self.vp_free += cycles
+        self.sp_free += cycles
+        self.scoreboard.shift(cycles)
+        for name in ("apiq", "vpiq", "spiq", "avdq", "asdq"):
+            ring = getattr(self, name)
+            setattr(self, name, deque([time + cycles for time in ring], ring.maxlen))
+        self.fus.shift(cycles)
+        self.qmovs.shift(cycles)
+        self.memory.shift(cycles, rows)
 
     # -- wind-down ------------------------------------------------------------------------------------------
 
@@ -600,7 +682,7 @@ class _DecoupledState:
             total_cycles = 0
 
         counts = {
-            "FP": self.fp_count,
+            "FP": len(trace),
             "AP": self.ap_count,
             "VP": self.vp_count,
             "SP": self.sp_count,
@@ -627,4 +709,5 @@ class _DecoupledState:
             fetch_stall_cycles=self.fetch_stall_cycles,
             scalar_cache_hits=self.memory.cache.hits,
             scalar_cache_misses=self.memory.cache.misses,
+            skipped_rows=self.skipped_rows,
         )

@@ -126,6 +126,18 @@ class ResourcePool:
         if end > self.free[unit]:
             self.free[unit] = end
 
+    def shift(self, cycles: int) -> None:
+        """Move every unit's free time ``cycles`` later."""
+        self.free[:] = [free + cycles for free in self.free]
+
+    def timelines(self) -> List[List[int]]:
+        """Every unit's busy-interval ``starts`` and ``ends`` lists."""
+        return [
+            values
+            for recorder in self.recorders
+            for values in (recorder.starts, recorder.ends)
+        ]
+
     # -- statistics --------------------------------------------------------------------
 
     def recorder(self, unit: int = 0) -> IntervalRecorder:

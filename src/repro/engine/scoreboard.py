@@ -39,3 +39,24 @@ class Scoreboard:
         self.ready: List[int] = [0] * REGISTER_COUNT
         self.chain_start: List[Optional[int]] = [None] * REGISTER_COUNT
         self.owner: List[Optional[Hashable]] = [None] * REGISTER_COUNT
+
+    def relative(self, origin: int, floor: int) -> List[Optional[tuple]]:
+        """Each register's facts relative to ``origin`` (a fast-forward fingerprint).
+
+        Every read of a register starts no earlier than ``floor``, and a
+        chain start never follows its value's ready cycle, so a register
+        ready before ``floor`` can win no future read: it reads as ``None``.
+        """
+        return [
+            None
+            if ready < floor
+            else (ready - origin, None if chain is None else chain - origin, owner)
+            for ready, chain, owner in zip(self.ready, self.chain_start, self.owner)
+        ]
+
+    def shift(self, cycles: int) -> None:
+        """Move every ready and chain-start cycle ``cycles`` later."""
+        self.ready[:] = [ready + cycles for ready in self.ready]
+        self.chain_start[:] = [
+            None if chain is None else chain + cycles for chain in self.chain_start
+        ]

@@ -29,7 +29,8 @@ class ScalarCache:
             raise ConfigurationError("cache must have at least one line")
         self.line_bytes = line_bytes
         self.lines = lines
-        self._tags: Dict[int, int] = {}
+        #: Set index -> the line number it holds.
+        self.tags: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -42,10 +43,10 @@ class ScalarCache:
         """
         line_number = address // self.line_bytes
         index = line_number % self.lines
-        if self._tags.get(index) == line_number:
+        if self.tags.get(index) == line_number:
             self.hits += 1
             return True
-        self._tags[index] = line_number
+        self.tags[index] = line_number
         self.misses += 1
         return False
 
@@ -61,7 +62,7 @@ class ScalarCache:
 
     def reset(self) -> None:
         """Invalidate all lines and clear statistics."""
-        self._tags.clear()
+        self.tags.clear()
         self.hits = 0
         self.misses = 0
 

@@ -32,6 +32,8 @@ class ReferenceResult:
     scalar_cache_misses: int = 0
     dispatch_stall_cycles: int = 0
     category_cycles: Dict[str, int] = field(default_factory=dict)
+    #: Rows the fast-forward skipped rather than simulated (not in ``to_json``).
+    skipped_rows: int = field(default=0, compare=False)
 
     _breakdown: StateBreakdown | None = field(default=None, repr=False, compare=False)
 

@@ -26,7 +26,7 @@ simulation would produce, at a small fraction of the cost.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.engine import (
@@ -35,6 +35,7 @@ from repro.engine import (
     MemoryFabric,
     ResourcePool,
     Scoreboard,
+    fastforward,
     occupancy_cycles,
     vector_bus_cycles,
 )
@@ -110,15 +111,32 @@ class _SimulationState:
         self.horizon = 0
         self.dispatch_free = 0
         self.dispatch_stall_cycles = 0
-        self.category_cycles: Dict[str, int] = {}
-        self.instructions = 0
         self.vector_instructions = 0
-        self.scalar_instructions = 0
+        # Execution cycles per category, and the categories in the order
+        # they were first charged (the result's dict keeps that order).
+        self.scalar_cycles = 0
+        self.vector_compute_cycles = 0
+        self.vector_memory_cycles = 0
+        self.scalar_memory_cycles = 0
+        self.first_charged: List[str] = []
+        self.skipped_rows = 0
+
+        #: Append-only timestamp lists a fast-forward replays.
+        self.timelines = self.fus.timelines() + self.fabric.ports.timelines()
 
     # -- main issue loop ---------------------------------------------------------------
 
     def consume(self, trace: Trace) -> None:
         """Issue every dynamic instruction of the trace, in program order.
+
+        :func:`repro.engine.fastforward.consume` walks the trace's invocation
+        marks, runs :meth:`issue` between them and skips the invocations a
+        steady state makes predictable.
+        """
+        self.skipped_rows = fastforward.consume(self, trace)
+
+    def issue(self, trace: Trace, first: int, stop: int) -> None:
+        """Issue rows ``[first, stop)`` of the trace, in program order.
 
         One pass over the columns: the static facts of each instruction come
         from the shared :class:`~repro.trace.columns.InstructionInfo` table,
@@ -153,13 +171,13 @@ class _SimulationState:
         horizon = self.horizon
         dispatch_stall = 0
         vector_instructions = 0
-        # Execution cycles per category, and the categories in the order
-        # they were first charged (the result's dict keeps that order).
-        scalar_cycles = vector_compute_cycles = 0
-        vector_memory_cycles = scalar_memory_cycles = 0
-        first_charged = []
+        scalar_cycles = self.scalar_cycles
+        vector_compute_cycles = self.vector_compute_cycles
+        vector_memory_cycles = self.vector_memory_cycles
+        scalar_memory_cycles = self.scalar_memory_cycles
+        first_charged = self.first_charged
 
-        for index in range(len(insn)):
+        for index in range(first, stop):
             info = infos[insn[index]]
             earliest = dispatch_free
             if info.may_chain:
@@ -258,29 +276,74 @@ class _SimulationState:
 
         self.dispatch_free = dispatch_free
         self.horizon = horizon
-        self.dispatch_stall_cycles = dispatch_stall
-        totals = {
-            "scalar": scalar_cycles,
-            "vector_compute": vector_compute_cycles,
-            "vector_memory": vector_memory_cycles,
-            "scalar_memory": scalar_memory_cycles,
-        }
-        self.category_cycles = {category: totals[category] for category in first_charged}
-        self.instructions = len(insn)
-        self.vector_instructions = vector_instructions
-        self.scalar_instructions = len(insn) - vector_instructions
+        self.dispatch_stall_cycles += dispatch_stall
+        self.vector_instructions += vector_instructions
+        self.scalar_cycles = scalar_cycles
+        self.vector_compute_cycles = vector_compute_cycles
+        self.vector_memory_cycles = vector_memory_cycles
+        self.scalar_memory_cycles = scalar_memory_cycles
+
+    # -- fast-forward ---------------------------------------------------------------------
+
+    def fingerprint(self, row: int) -> tuple:
+        """The loop's state at a mark, relative to the horizon (see fastforward).
+
+        Every instruction issues no earlier than the dispatch pointer, so a
+        register ready before it is stale.  The functional-unit free times
+        decide the unit picks, so they must all shift.
+        """
+        origin = self.horizon
+        dispatch = self.dispatch_free
+        return (
+            dispatch - origin,
+            self.scoreboard.relative(origin, dispatch),
+            tuple(free - origin for free in self.fus.free),
+            self.fabric.relative(origin),
+        )
+
+    def counters(self) -> Tuple[int, ...]:
+        return (
+            self.dispatch_stall_cycles,
+            self.vector_instructions,
+            self.scalar_cycles,
+            self.vector_compute_cycles,
+            self.vector_memory_cycles,
+            self.scalar_memory_cycles,
+        ) + self.fabric.counters()
+
+    def add_counters(self, deltas: List[int]) -> None:
+        self.dispatch_stall_cycles += deltas[0]
+        self.vector_instructions += deltas[1]
+        self.scalar_cycles += deltas[2]
+        self.vector_compute_cycles += deltas[3]
+        self.vector_memory_cycles += deltas[4]
+        self.scalar_memory_cycles += deltas[5]
+        self.fabric.add_counters(*deltas[6:])
+
+    def shift(self, cycles: int, rows: int) -> None:
+        self.horizon += cycles
+        self.dispatch_free += cycles
+        self.scoreboard.shift(cycles)
+        self.fus.shift(cycles)
+        self.fabric.ports.shift(cycles)
 
     # -- wind-down -------------------------------------------------------------------------
 
     def finish(self, trace: Trace) -> ReferenceResult:
         total_cycles = max(self.horizon, self.dispatch_free)
+        totals = {
+            "scalar": self.scalar_cycles,
+            "vector_compute": self.vector_compute_cycles,
+            "vector_memory": self.vector_memory_cycles,
+            "scalar_memory": self.scalar_memory_cycles,
+        }
         return ReferenceResult(
             program=trace.name,
             latency=self.fabric.latency,
             total_cycles=total_cycles,
-            instructions=self.instructions,
+            instructions=len(trace),
             vector_instructions=self.vector_instructions,
-            scalar_instructions=self.scalar_instructions,
+            scalar_instructions=len(trace) - self.vector_instructions,
             fu1_busy=self.fus.recorder(_FU1),
             fu2_busy=self.fus.recorder(_FU2),
             port_busy=self.fabric.port_recorder(),
@@ -288,5 +351,6 @@ class _SimulationState:
             scalar_cache_hits=self.fabric.cache.hits,
             scalar_cache_misses=self.fabric.cache.misses,
             dispatch_stall_cycles=self.dispatch_stall_cycles,
-            category_cycles=self.category_cycles,
+            category_cycles={category: totals[category] for category in self.first_charged},
+            skipped_rows=self.skipped_rows,
         )

@@ -16,12 +16,17 @@ operand lists and their register ids, which functional unit it needs — is
 precomputed once per unique instruction into an :class:`InstructionInfo` and
 shared by every dynamic occurrence, so hot loops read plain attributes off a
 table entry plus integers off the columns.
+
+Beside the columns, :attr:`Trace.marks` holds one ``(kernel id, start row)``
+pair per kernel invocation, in row order: the invocation structure the
+issue loops fast-forward over (:mod:`repro.engine.fastforward`).
 """
 
 from __future__ import annotations
 
+import copy
 from array import array
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
@@ -151,8 +156,9 @@ class Trace:
 
     Besides the instruction table and the four columns it carries the
     program ``name``, the number of basic blocks executed (paper Table 1),
-    free-form ``metadata`` (regions, scale, the paper's targets) and
-    ``annotations``, where consumers stash derived per-trace tables.
+    the invocation ``marks``, free-form ``metadata`` (regions, scale, the
+    paper's targets) and ``annotations``, where consumers stash derived
+    per-trace tables.
     """
 
     __slots__ = (
@@ -164,6 +170,7 @@ class Trace:
         "vl",
         "stride",
         "addr",
+        "marks",
         "annotations",
         "_intern",
         "_infos",
@@ -178,6 +185,9 @@ class Trace:
         self.vl = array("q")
         self.stride = array("q")
         self.addr = array("q")
+        #: ``(kernel id, start row)`` per kernel invocation, in row order; an
+        #: invocation runs to the next mark's row (or the end of the trace).
+        self.marks: List[Tuple[int, int]] = []
         #: Scratch space for consumers to stash derived per-trace tables
         #: (e.g. the DVA's routing decisions); cleared on structural change.
         self.annotations: Dict[str, object] = {}
@@ -248,6 +258,16 @@ class Trace:
         if self._infos is None:
             self._infos = [InstructionInfo(insn) for insn in self.instructions]
         return self._infos
+
+    def unmarked(self) -> "Trace":
+        """This trace without its invocation marks, sharing everything else.
+
+        The issue loops simulate an unmarked trace row by row, so comparing
+        its results with the marked trace's checks the fast-forward.
+        """
+        clone = copy.copy(self)
+        clone.marks = []
+        return clone
 
     def __len__(self) -> int:
         return len(self.insn)

@@ -10,7 +10,7 @@ vector length, stride, base address — with no record object in between.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Hashable, Optional, Sequence
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
@@ -101,6 +101,8 @@ class TraceBuilder:
         #: ``id(instruction)`` -> its static facts; each entry holds the
         #: instruction itself, so the id cannot be reused while it lives.
         self._static: Dict[int, tuple] = {}
+        #: Kernel -> the integer id its invocation marks carry.
+        self._kernel_ids: Dict[Hashable, int] = {}
 
     # -- architectural state ---------------------------------------------------
 
@@ -109,6 +111,15 @@ class TraceBuilder:
         return self._vector_length
 
     # -- emission ---------------------------------------------------------------
+
+    def mark_invocation(self, kernel: Hashable) -> None:
+        """Record that an invocation of ``kernel`` starts at the next row.
+
+        Equal kernels share one id, so a kernel's invocations can be told
+        apart from its neighbours' by the id alone.
+        """
+        kernel_id = self._kernel_ids.setdefault(kernel, len(self._kernel_ids))
+        self.trace.marks.append((kernel_id, len(self.trace.insn)))
 
     def append_block(
         self,

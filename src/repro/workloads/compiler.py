@@ -73,6 +73,7 @@ class CompiledKernel:
 
     def emit_invocation(self, builder: TraceBuilder) -> None:
         """Replay one full invocation of the kernel into a trace builder."""
+        builder.mark_invocation(self.kernel)
         elements_done = 0
         for strip_length in self.strip_lengths:
             offsets = self._stream_offsets(elements_done)

@@ -1,5 +1,7 @@
 """Tests for the program models and the Perfect Club registry."""
 
+import math
+
 import pytest
 
 from repro.common.errors import WorkloadError
@@ -130,3 +132,38 @@ class TestPublishedStatistics:
         model = load_program("DYFESM")
         carried = [k for k in model.kernels if k.reduction_carried]
         assert len(carried) == 2
+
+
+class TestInvocationMarks:
+    """One mark per kernel invocation: what the issue loops fast-forward over."""
+
+    @pytest.mark.parametrize("scale", [0.1, 1, 4])
+    @pytest.mark.parametrize("name", PERFECT_CLUB_PROGRAMS)
+    def test_marks_partition_the_rows_after_the_prologue(self, name, scale):
+        model = load_program(name)
+        trace = model.build_trace(scale)
+        rows = [row for _kernel, row in trace.marks]
+        assert rows[0] == model.prologue_scalar_instructions
+        assert rows == sorted(set(rows))
+        assert rows[-1] < len(trace)
+        # One mark per scaled invocation, each schedule's kernel in turn.
+        kernels = [kernel for kernel, _row in trace.marks]
+        counts = [kernels.count(kernel) for kernel in dict.fromkeys(kernels)]
+        assert counts == [
+            max(1, math.ceil(schedule.total_invocations * scale))
+            for schedule in model.schedules
+        ]
+
+    @pytest.mark.parametrize("scale", [0.1, 1, 4])
+    @pytest.mark.parametrize("name", PERFECT_CLUB_PROGRAMS)
+    def test_every_invocation_repeats_the_kernels_previous_one(self, name, scale):
+        trace = load_program(name).build_trace(scale)
+        ends = [row for _kernel, row in trace.marks[1:]] + [len(trace)]
+        previous = {}
+        for (kernel, start), end in zip(trace.marks, ends):
+            rows = tuple(
+                column[start:end]
+                for column in (trace.insn, trace.vl, trace.stride, trace.addr)
+            )
+            assert previous.setdefault(kernel, rows) == rows
+            previous[kernel] = rows
