@@ -18,7 +18,8 @@ Seven subcommands drive the experiment API end to end:
 * ``figures`` — run the paper's headline grid and write the Figure 5,
   Figure 6 and Section 7 artifacts as CSV files (also store-backed).
 * ``cache`` — inspect and manage the result store: ``stats``, ``gc``
-  (eviction by age and/or size), ``clear``.
+  (eviction by age and/or size), ``verify`` (re-simulate stored cells row
+  by row and diff them with their payloads), ``clear``.
 * ``serve`` — run the long-lived sweep service: an asyncio HTTP daemon whose
   JSON API answers warm cells from the store in microseconds, deduplicates
   identical in-flight cells across clients, and streams per-cell progress
@@ -36,7 +37,13 @@ from typing import List, Optional, Sequence
 from repro.common.errors import ReproError
 from repro.core import figures as figures_module
 from repro.core import machine as machine_module
-from repro.core.experiment import CellProgress, Runner, SweepResult, SweepSpec
+from repro.core.experiment import (
+    CellProgress,
+    Runner,
+    SweepResult,
+    SweepSpec,
+    verify_store,
+)
 from repro.core.registry import architecture, architecture_names, simulate
 from repro.store import ResultStore, default_store_root
 from repro.workloads.perfect_club import load_program, program_names
@@ -60,6 +67,17 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store-dir", default=None, help=_STORE_DIR_HELP
     )
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
@@ -225,6 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="report what would be evicted without deleting anything",
     )
     gc_parser.set_defaults(handler=_cmd_cache_gc)
+
+    verify_parser = cache_subparsers.add_parser(
+        "verify",
+        help="re-simulate stored cells without the fast-forward and diff them "
+        "with their stored results (exit 1 on any difference)",
+    )
+    verify_parser.add_argument(
+        "--store-dir", default=None, help=_STORE_DIR_HELP
+    )
+    verify_parser.add_argument(
+        "--sample", type=_positive_int, default=None, metavar="N",
+        help="check N entries spread over the store instead of all of them",
+    )
+    verify_parser.set_defaults(handler=_cmd_cache_verify)
 
     clear_parser = cache_subparsers.add_parser(
         "clear", help="delete every cached result (all format versions)"
@@ -493,6 +525,20 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
         what = "orphaned tmp files removed" if not args.dry_run else "orphaned tmp files to remove"
         print(f"{what}: {orphans}")
     return 0
+
+
+def _cmd_cache_verify(args: argparse.Namespace) -> int:
+    checks = verify_store(_cache_store(args), sample=args.sample)
+    counts = {outcome: 0 for outcome in ("identical", "different", "stale")}
+    for check in checks:
+        counts[check.outcome] += 1
+        if check.outcome == "different":
+            print(f"different: {check.cell}: {check.detail}")
+    print(
+        f"verified {len(checks)} entries: {counts['identical']} identical, "
+        f"{counts['different']} different, {counts['stale']} stale"
+    )
+    return 1 if counts["different"] else 0
 
 
 def _cmd_cache_clear(args: argparse.Namespace) -> int:

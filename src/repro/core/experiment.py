@@ -38,6 +38,7 @@ re-simulated cells and an identical warm re-run is pure cache hits.
 from __future__ import annotations
 
 import gc
+import json
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -61,13 +62,14 @@ from repro.common.errors import ConfigurationError, WorkloadError
 from repro.core.config import RunConfig
 from repro.core.machine import (
     LATENCY_AXIS,
+    MachineSpec,
     axis_combinations,
     canonical_axis_name,
     parse_axis_values,
 )
 from repro.core.registry import SpecArchitecture, resolve_architecture
 from repro.core.result import RunResult
-from repro.store import ResultStore, cell_key
+from repro.store import ResultStore, StoreEntry, cell_key
 from repro.trace.columns import Trace
 from repro.workloads.perfect_club import load_program
 from repro.workloads.program_model import check_scale
@@ -847,6 +849,63 @@ class SweepResult:
         )
         results = [RunResult.from_json(item) for item in data["results"]]  # type: ignore[union-attr]
         return cls(spec=spec, results=results)
+
+
+@dataclass(frozen=True)
+class EntryCheck:
+    """The outcome of re-simulating one store entry (:func:`verify_store`).
+
+    ``outcome`` is ``"identical"``, ``"different"`` (``detail`` names the
+    differing result fields) or ``"stale"``: the entry's key is not the one
+    this code derives for its cell, so it was written under another timing
+    model, trace generator or key scheme and is not comparable.
+    """
+
+    cell: str
+    outcome: str
+    detail: str = ""
+
+
+def verify_store(store: ResultStore, sample: Optional[int] = None) -> List[EntryCheck]:
+    """Re-simulate stored cells and diff each with its stored payload.
+
+    Checks every entry, or ``sample`` of them spread evenly over the store's
+    write order.  Each cell is simulated on its trace with the invocation
+    marks cleared, so it runs row by row: an entry written by the
+    fast-forward is compared with a simulation that never skips.
+    """
+    entries: List[StoreEntry] = store.entries()
+    if sample is not None and sample < len(entries):
+        entries = [entries[index * len(entries) // sample] for index in range(sample)]
+    traces = TraceCache()
+    checks: List[EntryCheck] = []
+    for entry in entries:
+        cell = f"{entry.program}/{entry.latency}/{entry.architecture} (scale {entry.scale:g})"
+        stored = store.get(entry.key)
+        config = RunConfig(latency=entry.latency)
+        machine = None
+        if stored is not None and stored.spec is not None:
+            machine = SpecArchitecture(
+                name=entry.architecture, description="", spec=MachineSpec(**stored.spec)
+            )
+        if machine is None or entry.key != cell_key(
+            entry.program, entry.scale, entry.latency, machine, config
+        ):
+            checks.append(EntryCheck(cell, "stale"))
+            continue
+        fresh = machine.simulate(traces.get(entry.program, entry.scale).unmarked(), config)
+        expected = replace(stored, cached=False, store_key=None).to_json()
+        if json.dumps(fresh.to_json()) == json.dumps(expected):
+            checks.append(EntryCheck(cell, "identical"))
+            continue
+        detail = fresh.detail
+        fields = sorted(
+            name
+            for name in set(detail) | set(stored.detail)
+            if detail.get(name) != stored.detail.get(name)
+        )
+        checks.append(EntryCheck(cell, "different", ", ".join(fields) or "payload layout"))
+    return checks
 
 
 def run_sweep(

@@ -181,6 +181,54 @@ class TestInProcess:
         assert "memory latency" in capsys.readouterr().err
 
 
+class TestCacheVerify:
+    def _filled_store(self, tmp_path):
+        store = tmp_path / "store"
+        assert main(
+            ["sweep", "--programs", "trfd", "--latencies", "1,100",
+             "--arch", "ref,dva", "--scale", "0.5", "--store-dir", str(store)]
+        ) == 0
+        return store
+
+    def test_entries_identical_to_a_row_by_row_simulation_pass(self, capsys, tmp_path):
+        store = self._filled_store(tmp_path)
+        capsys.readouterr()
+        assert main(["cache", "verify", "--store-dir", str(store)]) == 0
+        assert "verified 4 entries: 4 identical, 0 different, 0 stale" in capsys.readouterr().out
+        assert main(["cache", "verify", "--store-dir", str(store), "--sample", "2"]) == 0
+        assert "verified 2 entries: 2 identical" in capsys.readouterr().out
+
+    def test_a_tampered_entry_fails_naming_the_cell(self, capsys, tmp_path):
+        store = self._filled_store(tmp_path)
+        entry = next(path for path in store.rglob("*.json") if path.name != "index.json")
+        payload = json.loads(entry.read_text())
+        payload["result"]["detail"]["total_cycles"] += 1
+        entry.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["cache", "verify", "--store-dir", str(store)]) == 1
+        out = capsys.readouterr().out
+        cell = payload["meta"]
+        assert f"different: TRFD/{cell['latency']}/{cell['architecture']} (scale 0.5): total_cycles" in out
+        assert "1 different" in out
+
+    def test_an_entry_under_a_foreign_key_is_stale_not_different(self, capsys, tmp_path):
+        from repro.store import ResultStore
+
+        store = ResultStore(self._filled_store(tmp_path))
+        result = store.get(store.entries()[0].key)
+        store.put("ab" * 32, result, scale=0.5)
+        capsys.readouterr()
+        assert main(["cache", "verify", "--store-dir", str(store.root)]) == 0
+        assert "4 identical, 0 different, 1 stale" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sample", ["0", "-1", "x"])
+    def test_a_non_positive_sample_is_a_usage_error(self, capsys, sample):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "verify", "--sample", sample])
+        assert excinfo.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+
 def _subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
