@@ -90,12 +90,16 @@ def estimate_cell_cost(program: str, scale: float, latency: int) -> int:
     """A unitless estimate of one cell's simulation cost, for scheduling.
 
     Cost is the program's estimated dynamic trace length; ``latency`` is
-    part of the call shape but not of the value.  The timing core does one
-    pass of timestamp arithmetic per instruction whatever the memory latency:
-    measured on a 2-CPU host (min of 3), every latency-100 cell of the golden
-    grid took 0.97-1.09x the time of its latency-1 cell, while per-cell time
-    followed trace length (1,776-8,879 instructions) at 5.6-8.8 ms per 1k
-    instructions.  Used to put the costliest program first — in the
+    part of the call shape but not of the value.  The timing core does
+    timestamp arithmetic per simulated instruction whatever the memory
+    latency: measured on a 2-CPU host (min of 5), every latency-100 cell of
+    the golden grid took 0.97-1.11x the time of its latency-1 cell.  A cell
+    took 1.3-7.1 ms, 0.26-1.94 ms per 1k trace instructions (1,776-8,879).
+    The issue loops skip the invocations that repeat a steady state (73-89%
+    of a program's rows), so time follows the rows left to simulate,
+    2.1-7.8 ms per 1k, and length ranks cells only roughly: TRFD, twice
+    DYFESM's length, costs less on the DVA (2.8 vs 3.4 ms at latency 50).
+    Used to put the costliest program first — in the
     :class:`Runner`'s pool chunks and the sweep service's batch flush.
     Unknown programs cost 1: scheduling must never fail a cell that
     validation has already admitted.
