@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder
@@ -424,26 +424,6 @@ class MemoryPipeline:
             store.address_ready += cycles
             if store.data_ready is not None:
                 store.data_ready += cycles
-
-    def counters(self) -> Tuple[int, ...]:
-        """The pipeline's additive counters, the fabric's included."""
-        return (
-            self.bypassed_loads,
-            self.bypassed_bytes,
-            self.disambiguation_stalls,
-        ) + self.fabric.counters()
-
-    def add_counters(
-        self, loads: int, loaded_bytes: int, stalls: int, *fabric: int
-    ) -> None:
-        self.bypassed_loads += loads
-        self.bypassed_bytes += loaded_bytes
-        self.disambiguation_stalls += stalls
-        self.fabric.add_counters(*fabric)
-
-    def timelines(self) -> List[List[int]]:
-        """The port units' and the bypass unit's busy-interval lists."""
-        return self.fabric.ports.timelines() + self.bypass.timelines()
 
     # -- wind-down -------------------------------------------------------------------------
 

@@ -44,6 +44,10 @@ ahead of the vector processor because nothing it does waits for vector
 computation — until it meets a full queue, a memory hazard against a queued
 store, or a scalar value that the slower side has not produced yet (the
 DYFESM lockstep case of paper §5).
+
+The loop runs over row ranges between the trace's kernel invocation marks;
+at each mark, :mod:`repro.engine.fastforward` may skip the invocations that
+repeat a steady state, with results identical to simulating every row.
 """
 
 from __future__ import annotations
@@ -261,13 +265,29 @@ class _DecoupledState:
         self.vector_stores = 0
         self.skipped_rows = 0
 
-        #: Append-only timestamp lists a fast-forward replays.
+        # What a fast-forward replays and adds up (see repro.engine.fastforward).
+        memory = self.memory
         self.timelines = (
             self.fus.timelines()
             + self.qmovs.timelines()
-            + self.memory.timelines()
+            + memory.fabric.ports.timelines()
+            + memory.bypass.timelines()
             + [self.avdq_occupancy.enters, self.avdq_occupancy.leaves]
         )
+        self.counters = [
+            (self, "fetch_stall_cycles"),
+            (self, "ap_count"),
+            (self, "vp_count"),
+            (self, "sp_count"),
+            (self, "vector_loads"),
+            (self, "vector_stores"),
+            (memory, "bypassed_loads"),
+            (memory, "bypassed_bytes"),
+            (memory, "disambiguation_stalls"),
+            (memory.fabric, "traffic_bytes"),
+            (memory.cache, "hits"),
+            (memory.cache, "misses"),
+        ]
 
     # -- main loop ------------------------------------------------------------------------
 
@@ -289,7 +309,7 @@ class _DecoupledState:
         processors run inline on locals — the scoreboard lists, the queue
         rings and the AVDQ residency lists, the functional-unit and QMOV
         free times and busy-interval lists, the issue pointers, the horizon
-        and the counters — which are written back once at the end.  Only
+        and the counters — which are written back at the end of the range.  Only
         memory references call out, into the :class:`MemoryPipeline`.
 
         The scoreboard read rule: a value owned by another processor arrives
@@ -630,25 +650,6 @@ class _DecoupledState:
             tuple(free - origin for free in self.qmovs.free),
             self.memory.relative(origin, fetch, address, row),
         )
-
-    def counters(self) -> Tuple[int, ...]:
-        return (
-            self.fetch_stall_cycles,
-            self.ap_count,
-            self.vp_count,
-            self.sp_count,
-            self.vector_loads,
-            self.vector_stores,
-        ) + self.memory.counters()
-
-    def add_counters(self, deltas: List[int]) -> None:
-        self.fetch_stall_cycles += deltas[0]
-        self.ap_count += deltas[1]
-        self.vp_count += deltas[2]
-        self.sp_count += deltas[3]
-        self.vector_loads += deltas[4]
-        self.vector_stores += deltas[5]
-        self.memory.add_counters(*deltas[6:])
 
     def shift(self, cycles: int, rows: int) -> None:
         self.horizon += cycles

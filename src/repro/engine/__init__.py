@@ -18,6 +18,9 @@ ports.  This package is that machinery as one tested kernel:
   (:func:`vector_bus_cycles` is the one bus-occupancy rule).
 * :data:`FU_STARTUP` — the vector functional units' pipeline depth, the
   same on both machines.
+* :mod:`repro.engine.fastforward` — the walk over a trace's kernel
+  invocation marks that both issue loops run in: it skips, exactly, the
+  invocations that repeat a steady state.
 
 Everything works in one-pass timestamp arithmetic: simulators process the
 trace once in program order and never step individual cycles.  The issue

@@ -28,7 +28,7 @@ A loop that uses this module provides:
 * ``issue(trace, start, stop)`` — the inner loop over rows ``[start, stop)``;
 * ``fingerprint(row)`` — its state at the mark starting at ``row``, with
   timestamps relative to ``horizon`` and row numbers relative to ``row``;
-* ``counters()`` / ``add_counters(deltas)`` — its additive counters;
+* ``counters`` — its additive counters, as ``(object, attribute)`` pairs;
 * ``timelines`` — its append-only timestamp lists (busy-interval starts and
   ends, queue residencies);
 * ``shift(cycles, rows)`` — move every timestamp ``cycles`` later and every
@@ -64,7 +64,7 @@ class _Snapshot:
         self.row = row
         self.horizon = machine.horizon
         self.fingerprint = machine.fingerprint(row)
-        self.counters = machine.counters()
+        self.counters = [getattr(owner, name) for owner, name in machine.counters]
         self.lengths = [len(values) for values in machine.timelines]
 
 
@@ -129,9 +129,8 @@ def _jump(machine, trace, index: int, run_end: int, period: int,
         return 0
     delta = now.horizon - earlier.horizon
     replay(machine.timelines, earlier.lengths, now.lengths, delta, repeats)
-    machine.add_counters(
-        [(after - before) * repeats for before, after in zip(earlier.counters, now.counters)]
-    )
+    for (owner, name), before, after in zip(machine.counters, earlier.counters, now.counters):
+        setattr(owner, name, getattr(owner, name) + (after - before) * repeats)
     machine.shift(repeats * delta, repeats * period_rows)
     return repeats * period
 

@@ -69,15 +69,6 @@ class MemoryFabric:
         """
         return tuple(free - origin for free in self.ports.free), dict(self.cache.tags)
 
-    def counters(self) -> Tuple[int, int, int]:
-        """Traffic and cache hits and misses, the fabric's additive counters."""
-        return self.traffic_bytes, self.cache.hits, self.cache.misses
-
-    def add_counters(self, traffic: int, hits: int, misses: int) -> None:
-        self.traffic_bytes += traffic
-        self.cache.hits += hits
-        self.cache.misses += misses
-
     def port_quiet(self) -> int:
         """Cycle at which every port unit has finished (wind-down accounting)."""
         return self.ports.latest_free()

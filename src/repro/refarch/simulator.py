@@ -21,12 +21,15 @@ whose operands are integer register ids indexing the scoreboard lists — plus
 the vector-length and address columns, so the per-record cost is integer
 indexing rather than method calls and dict probes.  Processing
 the trace once in program order yields exactly the timing a cycle-by-cycle
-simulation would produce, at a small fraction of the cost.
+simulation would produce, at a small fraction of the cost.  The loop runs
+over row ranges between the trace's kernel invocation marks; at each mark,
+:mod:`repro.engine.fastforward` may skip the invocations that repeat a
+steady state, with results identical to simulating every row.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.engine import (
@@ -121,8 +124,19 @@ class _SimulationState:
         self.first_charged: List[str] = []
         self.skipped_rows = 0
 
-        #: Append-only timestamp lists a fast-forward replays.
+        # What a fast-forward replays and adds up (see repro.engine.fastforward).
         self.timelines = self.fus.timelines() + self.fabric.ports.timelines()
+        self.counters = [
+            (self, "dispatch_stall_cycles"),
+            (self, "vector_instructions"),
+            (self, "scalar_cycles"),
+            (self, "vector_compute_cycles"),
+            (self, "vector_memory_cycles"),
+            (self, "scalar_memory_cycles"),
+            (self.fabric, "traffic_bytes"),
+            (self.fabric.cache, "hits"),
+            (self.fabric.cache, "misses"),
+        ]
 
     # -- main issue loop ---------------------------------------------------------------
 
@@ -143,7 +157,7 @@ class _SimulationState:
         the dynamic facts (VL, base address) from integer column reads.  The
         issue rules of every instruction class run inline on locals — the
         scoreboard lists, the dispatch pointer, the horizon, the stall and
-        category counters — which are written back once at the end.
+        category counters — which are written back at the end of the range.
 
         The scoreboard read rule: a chaining consumer may start at the
         producer's chain start when it has one; any other read waits for the
@@ -300,25 +314,6 @@ class _SimulationState:
             tuple(free - origin for free in self.fus.free),
             self.fabric.relative(origin),
         )
-
-    def counters(self) -> Tuple[int, ...]:
-        return (
-            self.dispatch_stall_cycles,
-            self.vector_instructions,
-            self.scalar_cycles,
-            self.vector_compute_cycles,
-            self.vector_memory_cycles,
-            self.scalar_memory_cycles,
-        ) + self.fabric.counters()
-
-    def add_counters(self, deltas: List[int]) -> None:
-        self.dispatch_stall_cycles += deltas[0]
-        self.vector_instructions += deltas[1]
-        self.scalar_cycles += deltas[2]
-        self.vector_compute_cycles += deltas[3]
-        self.vector_memory_cycles += deltas[4]
-        self.scalar_memory_cycles += deltas[5]
-        self.fabric.add_counters(*deltas[6:])
 
     def shift(self, cycles: int, rows: int) -> None:
         self.horizon += cycles

@@ -33,6 +33,7 @@ class Clock:
         self.invocations = 0
         self.issued = []
         self.timelines = [[]]
+        self.counters = [(self, "rows"), (self, "invocations")]
 
     def issue(self, trace, start, stop):
         self.issued.append((start, stop))
@@ -44,13 +45,6 @@ class Clock:
 
     def fingerprint(self, row):
         return self.phase(self.invocations)
-
-    def counters(self):
-        return (self.rows, self.invocations)
-
-    def add_counters(self, deltas):
-        self.rows += deltas[0]
-        self.invocations += deltas[1]
 
     def shift(self, cycles, rows):
         self.horizon += cycles
