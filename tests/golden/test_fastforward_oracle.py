@@ -119,11 +119,12 @@ def test_fuzz_cases_with_many_invocations_are_identical():
         replace(generate_case(case_seed(DEFAULT_SEED + 1, index)), invocations=rng.randint(6, 12))
         for index in range(50)
     ]
-    differing, skipped = [], 0
+    differing, skipping = [], 0
     for case in cases:
         differs, rows = _fuzz_differences(case)
-        skipped += rows
+        skipping += rows > 0
         if differs:
             differing.append(case.describe())
     assert not differing
-    assert skipped > 0
+    # The check only bites where the walk skips: most of these cases must.
+    assert skipping >= len(cases) // 2, f"only {skipping} of {len(cases)} cases skipped"
