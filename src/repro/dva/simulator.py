@@ -265,29 +265,14 @@ class _DecoupledState:
         self.vector_stores = 0
         self.skipped_rows = 0
 
-        # What a fast-forward replays and adds up (see repro.engine.fastforward).
-        memory = self.memory
+        #: Append-only timestamp lists a fast-forward replays.
         self.timelines = (
             self.fus.timelines()
             + self.qmovs.timelines()
-            + memory.fabric.ports.timelines()
-            + memory.bypass.timelines()
+            + self.memory.fabric.ports.timelines()
+            + self.memory.bypass.timelines()
             + [self.avdq_occupancy.enters, self.avdq_occupancy.leaves]
         )
-        self.counters = [
-            (self, "fetch_stall_cycles"),
-            (self, "ap_count"),
-            (self, "vp_count"),
-            (self, "sp_count"),
-            (self, "vector_loads"),
-            (self, "vector_stores"),
-            (memory, "bypassed_loads"),
-            (memory, "bypassed_bytes"),
-            (memory, "disambiguation_stalls"),
-            (memory.fabric, "traffic_bytes"),
-            (memory.cache, "hits"),
-            (memory.cache, "misses"),
-        ]
 
     # -- main loop ------------------------------------------------------------------------
 
@@ -650,6 +635,24 @@ class _DecoupledState:
             tuple(free - origin for free in self.qmovs.free),
             self.memory.relative(origin, fetch, address, row),
         )
+
+    def counters(self) -> List[Tuple[object, str]]:
+        """The additive counters a fast-forward adds up, as (object, attribute)."""
+        memory = self.memory
+        return [
+            (self, "fetch_stall_cycles"),
+            (self, "ap_count"),
+            (self, "vp_count"),
+            (self, "sp_count"),
+            (self, "vector_loads"),
+            (self, "vector_stores"),
+            (memory, "bypassed_loads"),
+            (memory, "bypassed_bytes"),
+            (memory, "disambiguation_stalls"),
+            (memory.fabric, "traffic_bytes"),
+            (memory.cache, "hits"),
+            (memory.cache, "misses"),
+        ]
 
     def shift(self, cycles: int, rows: int) -> None:
         self.horizon += cycles

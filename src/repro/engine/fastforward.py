@@ -28,7 +28,10 @@ A loop that uses this module provides:
 * ``issue(trace, start, stop)`` — the inner loop over rows ``[start, stop)``;
 * ``fingerprint(row)`` — its state at the mark starting at ``row``, with
   timestamps relative to ``horizon`` and row numbers relative to ``row``;
-* ``counters`` — its additive counters, as ``(object, attribute)`` pairs;
+* ``counters()`` — its additive counters, as ``(object, attribute)`` pairs
+  (built per call: a stored list holding the machine would be a reference
+  cycle, keeping every finished machine alive until the cyclic collector
+  runs);
 * ``timelines`` — its append-only timestamp lists (busy-interval starts and
   ends, queue residencies);
 * ``shift(cycles, rows)`` — move every timestamp ``cycles`` later and every
@@ -65,7 +68,7 @@ class _Snapshot:
         self.row = row
         self.horizon = machine.horizon
         self.fingerprint = machine.fingerprint(row)
-        self.counters = [getattr(owner, name) for owner, name in machine.counters]
+        self.counters = [getattr(owner, name) for owner, name in machine.counters()]
         self.lengths = [len(values) for values in machine.timelines]
 
 
@@ -130,7 +133,7 @@ def _jump(machine, trace, index: int, run_end: int, period: int,
         return 0
     delta = now.horizon - earlier.horizon
     _replay(machine.timelines, earlier.lengths, now.lengths, delta, repeats)
-    for (owner, name), before, after in zip(machine.counters, earlier.counters, now.counters):
+    for (owner, name), before, after in zip(machine.counters(), earlier.counters, now.counters):
         setattr(owner, name, getattr(owner, name) + (after - before) * repeats)
     machine.shift(repeats * delta, repeats * period_rows)
     return repeats * period

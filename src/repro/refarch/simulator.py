@@ -29,7 +29,7 @@ steady state, with results identical to simulating every row.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.engine import (
@@ -124,19 +124,8 @@ class _SimulationState:
         self.first_charged: List[str] = []
         self.skipped_rows = 0
 
-        # What a fast-forward replays and adds up (see repro.engine.fastforward).
+        #: Append-only timestamp lists a fast-forward replays.
         self.timelines = self.fus.timelines() + self.fabric.ports.timelines()
-        self.counters = [
-            (self, "dispatch_stall_cycles"),
-            (self, "vector_instructions"),
-            (self, "scalar_cycles"),
-            (self, "vector_compute_cycles"),
-            (self, "vector_memory_cycles"),
-            (self, "scalar_memory_cycles"),
-            (self.fabric, "traffic_bytes"),
-            (self.fabric.cache, "hits"),
-            (self.fabric.cache, "misses"),
-        ]
 
     # -- main issue loop ---------------------------------------------------------------
 
@@ -314,6 +303,20 @@ class _SimulationState:
             tuple(free - origin for free in self.fus.free),
             self.fabric.relative(origin),
         )
+
+    def counters(self) -> List[Tuple[object, str]]:
+        """The additive counters a fast-forward adds up, as (object, attribute)."""
+        return [
+            (self, "dispatch_stall_cycles"),
+            (self, "vector_instructions"),
+            (self, "scalar_cycles"),
+            (self, "vector_compute_cycles"),
+            (self, "vector_memory_cycles"),
+            (self, "scalar_memory_cycles"),
+            (self.fabric, "traffic_bytes"),
+            (self.fabric.cache, "hits"),
+            (self.fabric.cache, "misses"),
+        ]
 
     def shift(self, cycles: int, rows: int) -> None:
         self.horizon += cycles

@@ -33,7 +33,6 @@ class Clock:
         self.invocations = 0
         self.issued = []
         self.timelines = [[]]
-        self.counters = [(self, "rows"), (self, "invocations")]
 
     def issue(self, trace, start, stop):
         self.issued.append((start, stop))
@@ -45,6 +44,9 @@ class Clock:
 
     def fingerprint(self, row):
         return self.phase(self.invocations)
+
+    def counters(self):
+        return [(self, "rows"), (self, "invocations")]
 
     def shift(self, cycles, rows):
         self.horizon += cycles
