@@ -6,8 +6,12 @@ invocation marks is simulated row by row, so each check here simulates a
 trace twice — as built, and :meth:`~repro.trace.columns.Trace.unmarked` —
 and requires ``RunResult.to_json()`` to be byte-identical, over the golden
 paper grid, the queue-depth corners, the fuzz snapshot's cases, the paper
-programs at larger scales and fuzz cases with enough invocations to skip.
-The skip must also pay: it covers at least 80% of the golden grid's rows.
+programs at larger scales, a lanes × ports grid and fuzz cases with enough
+invocations to skip.  ``to_json`` rounds the port-idle fraction and keeps
+only the all-idle state, so every check also compares the interval
+aggregates unrounded: the whole state breakdown, each unit's busy time, the
+AVDQ histogram and its last leave.  The skip must also pay: it covers at
+least 80% of the golden grid's rows.
 """
 
 import json
@@ -21,12 +25,14 @@ from repro.common.errors import SimulationError
 from repro.core.fuzz import DEFAULT_SEED, SNAPSHOT_CASES, case_seed, generate_case
 from repro.core.registry import architecture
 from repro.core.result import RunResult
+from repro.dva.result import DecoupledResult
 from repro.dva.simulator import DecoupledSimulator
 from repro.refarch.simulator import ReferenceSimulator
 from repro.workloads.perfect_club import load_program
 
 GOLDEN = Path(__file__).parent
 PAPER_MACHINES = ("ref", "dva", "dva-nobypass")
+PROGRAMS = ("ARC2D", "BDNA", "DYFESM", "FLO52", "SPEC77", "TRFD")
 
 
 def _payload(result, label, spec):
@@ -34,14 +40,26 @@ def _payload(result, label, spec):
     return json.dumps(wrap(result, architecture=label, spec=spec.to_json()).to_json())
 
 
+def _aggregates(result):
+    """Every interval aggregate of a result, unrounded and in key order."""
+    units = [result.fu1_busy, result.fu2_busy, result.port_busy]
+    aggregates = {"breakdown": list(result.state_breakdown().cycles.items())}
+    if isinstance(result, DecoupledResult):
+        units += [*result.qmov_busy, result.bypass_busy]
+        aggregates["avdq"] = list(result.avdq_histogram().items())
+        aggregates["last_leave"] = result.avdq_occupancy.last_leave()
+    aggregates["busy"] = [(unit.name, unit.busy_time()) for unit in units]
+    return aggregates
+
+
 def _run(trace, spec, latency, label):
-    """``(payload, rows skipped)`` of one run, or ``(error text, 0)``."""
+    """``((payload, aggregates), rows skipped)`` of one run, or ``(error text, 0)``."""
     simulator = ReferenceSimulator if spec.family == "ref" else DecoupledSimulator
     try:
         result = simulator(spec, latency).run(trace)
     except SimulationError as exc:
         return f"error: {exc}", 0
-    return _payload(result, label, spec), result.skipped_rows
+    return (_payload(result, label, spec), _aggregates(result)), result.skipped_rows
 
 
 def _differences(trace, machines, latencies):
@@ -91,9 +109,25 @@ def test_queue_depth_corners_are_identical():
 @pytest.mark.parametrize("scale", [4, 16])
 def test_paper_programs_at_larger_scales_are_identical(scale):
     differing = []
-    for program in ("ARC2D", "BDNA", "DYFESM", "FLO52", "SPEC77", "TRFD"):
+    for program in PROGRAMS:
         trace = load_program(program).build_trace(scale)
         differing += _differences(trace, PAPER_MACHINES, (1, 100))[0]
+    assert not differing
+
+
+def test_lanes_and_ports_are_identical():
+    # Two ports run the combined "any port busy" recorder, as serve-mixed's
+    # two-port machines do.
+    machines = [
+        f"{family}@lanes={lanes},ports={ports}"
+        for family in ("ref", "dva")
+        for lanes in (1, 2, 4)
+        for ports in (1, 2)
+    ]
+    differing = []
+    for program in PROGRAMS:
+        trace = load_program(program).build_trace()
+        differing += _differences(trace, machines, (50,))[0]
     assert not differing
 
 
