@@ -103,6 +103,8 @@ class TraceBuilder:
         self._static: Dict[int, tuple] = {}
         #: Kernel -> the integer id its invocation marks carry.
         self._kernel_ids: Dict[Hashable, int] = {}
+        #: ``blocks_executed`` when the last invocation mark was set.
+        self._blocks_at_mark = 0
 
     # -- architectural state ---------------------------------------------------
 
@@ -120,6 +122,24 @@ class TraceBuilder:
         """
         kernel_id = self._kernel_ids.setdefault(kernel, len(self._kernel_ids))
         self.trace.marks.append((kernel_id, len(self.trace.insn)))
+        self._blocks_at_mark = self.trace.blocks_executed
+
+    def repeat_invocation(self, times: int) -> None:
+        """Append ``times`` more copies of the invocation marked last.
+
+        Each copy repeats that invocation's rows, its mark and its blocks.
+        The caller guarantees that emitting the invocation again would give
+        the same rows: it left the vector-length register as it found it,
+        and regions and static facts are fixed after their first use.
+        """
+        trace = self.trace
+        kernel_id, start = trace.marks[-1]
+        stop = len(trace.insn)
+        for column in (trace.insn, trace.vl, trace.stride, trace.addr):
+            column += column[start:stop] * times
+        rows = stop - start
+        trace.marks += [(kernel_id, stop + copy * rows) for copy in range(times)]
+        trace.blocks_executed += (trace.blocks_executed - self._blocks_at_mark) * times
 
     def append_block(
         self,

@@ -81,10 +81,21 @@ class CompiledKernel:
             elements_done += strip_length
 
     def emit_program(self, builder: TraceBuilder, invocations: Optional[int] = None) -> None:
-        """Replay ``invocations`` invocations (default: the kernel's own count)."""
+        """Replay ``invocations`` invocations (default: the kernel's own count).
+
+        Every invocation replays the same blocks at the same offsets, so once
+        one leaves the builder's vector-length register as it found it, the
+        rest are copies of it: :meth:`TraceBuilder.repeat_invocation` appends
+        them without emitting them.  The stream is the one a loop of
+        :meth:`emit_invocation` produces.
+        """
         count = invocations if invocations is not None else self.kernel.invocations
-        for _ in range(count):
+        for emitted in range(1, count + 1):
+            entry = builder.vector_length
             self.emit_invocation(builder)
+            if builder.vector_length == entry:
+                builder.repeat_invocation(count - emitted)
+                return
 
     def _stream_offsets(self, elements_done: int) -> Dict[str, int]:
         """Element offsets for every data stream at a given strip position.

@@ -3,11 +3,15 @@
 import pytest
 
 from repro.common.errors import WorkloadError
+from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
+from repro.isa.program import BasicBlock
 from repro.trace.generator import TraceBuilder
 from repro.trace.statistics import compute_statistics
-from repro.workloads.compiler import VectorizingCompiler
+from repro.isa.registers import VECTOR_REGISTER_LENGTH, v_reg
+from repro.workloads.compiler import CompiledKernel, VectorizingCompiler
 from repro.workloads.kernel import LoopKernel, VectorStream
+from repro.workloads.perfect_club import load_program
 from repro.workloads import synthetic
 
 
@@ -204,3 +208,54 @@ class TestEmission:
         stats = compute_statistics(builder.build())
         assert stats.average_vector_length == pytest.approx(128.0)
         assert stats.vector_memory_instructions == 3 * 4
+
+
+def _emit_each(compiled, builder, invocations=None):
+    """``emit_program`` as a plain loop of ``emit_invocation``."""
+    count = invocations if invocations is not None else compiled.kernel.invocations
+    for _ in range(count):
+        compiled.emit_invocation(builder)
+
+
+def _stream(trace):
+    return (
+        trace.instructions,
+        trace.insn,
+        trace.vl,
+        trace.stride,
+        trace.addr,
+        trace.marks,
+        trace.blocks_executed,
+        trace.metadata,
+    )
+
+
+class TestEmitOnce:
+    """``emit_program`` copies repeated invocations instead of emitting them."""
+
+    @pytest.mark.parametrize("scale", [0.1, 1, 4, 16])
+    @pytest.mark.parametrize("program", ["ARC2D", "BDNA", "DYFESM", "FLO52", "SPEC77", "TRFD"])
+    def test_programs_match_a_loop_of_emit_invocation(self, program, scale, monkeypatch):
+        copied = load_program(program).build_trace(scale)
+        monkeypatch.setattr(CompiledKernel, "emit_program", _emit_each)
+        emitted = load_program(program).build_trace(scale)
+        assert _stream(copied) == _stream(emitted)
+
+    def test_a_first_invocation_that_changes_the_vector_length(self):
+        # The block reads VL before it sets it, so its first invocation sees
+        # the register's initial 128 and every later one the 64 it leaves.
+        kernel = LoopKernel(name="k", elements=128, fu_any_ops=1, invocations=4)
+        _, compiled = _compile(kernel)
+        block = BasicBlock("k.reads_vl_first")
+        emit = InstructionBuilder(block)
+        emit.vector_op(Opcode.V_ADD, v_reg(0), [v_reg(1), v_reg(2)])
+        emit.set_vector_length(64)
+        compiled.blocks[128] = block
+        copied = TraceBuilder("demo")
+        compiled.emit_program(copied)
+        emitted = TraceBuilder("demo")
+        _emit_each(compiled, emitted)
+        assert _stream(copied.build()) == _stream(emitted.build())
+        assert list(copied.trace.vl) == [VECTOR_REGISTER_LENGTH, 1] + [64, 1] * 3
+        assert copied.trace.marks == [(0, 0), (0, 2), (0, 4), (0, 6)]
+        assert copied.trace.blocks_executed == 4
