@@ -64,16 +64,25 @@ class DecoupledResult:
         return self.state_breakdown().cycles_all_idle()
 
     @property
+    def port_busy_cycles(self) -> int:
+        """Cycles the memory port is busy, read off the state breakdown.
+
+        Every port interval ends by ``total_cycles`` (a fuzz invariant), so
+        this is the port's busy time.
+        """
+        return self.state_breakdown().busy_cycles(2)
+
+    @property
     def port_idle_fraction(self) -> float:
         if self.total_cycles == 0:
             return 0.0
-        return 1.0 - self.port_busy.busy_time() / self.total_cycles
+        return 1.0 - self.port_busy_cycles / self.total_cycles
 
     @property
     def port_busy_fraction(self) -> float:
         if self.total_cycles == 0:
             return 0.0
-        return self.port_busy.busy_time() / self.total_cycles
+        return self.port_busy_cycles / self.total_cycles
 
     # -- queue analysis (Figure 6) -------------------------------------------------------
 

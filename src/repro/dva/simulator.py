@@ -265,13 +265,13 @@ class _DecoupledState:
         self.vector_stores = 0
         self.skipped_rows = 0
 
-        #: Append-only timestamp lists a fast-forward replays.
+        #: The interval recorders a fast-forward repeats.
         self.timelines = (
-            self.fus.timelines()
-            + self.qmovs.timelines()
-            + self.memory.fabric.ports.timelines()
-            + self.memory.bypass.timelines()
-            + [self.avdq_occupancy.enters, self.avdq_occupancy.leaves]
+            self.fus.recorders
+            + self.qmovs.recorders
+            + self.memory.fabric.ports.recorders
+            + self.memory.bypass.recorders
+            + [self.avdq_occupancy]
         )
 
     # -- main loop ------------------------------------------------------------------------
@@ -337,8 +337,8 @@ class _DecoupledState:
 
         avdq = self.avdq
         asdq = self.asdq
-        avdq_enter = self.avdq_occupancy.enters.append
-        avdq_leave = self.avdq_occupancy.leaves.append
+        avdq_enter = self.avdq_occupancy.starts.append
+        avdq_leave = self.avdq_occupancy.ends.append
         memory = self.memory
 
         fp_free = self.fp_free

@@ -32,20 +32,22 @@ A loop that uses this module provides:
   (built per call: a stored list holding the machine would be a reference
   cycle, keeping every finished machine alive until the cyclic collector
   runs);
-* ``timelines`` — its append-only timestamp lists (busy-interval starts and
-  ends, queue residencies);
+* ``timelines`` — its interval recorders (busy intervals, queue
+  residencies; :class:`~repro.common.intervals.IntervalRecorder`);
 * ``shift(cycles, rows)`` — move every timestamp ``cycles`` later and every
   row number ``rows`` further.
 
-A jump replays the period's timeline entries shifted by Δ, 2Δ, ..., adds the
-period's counter deltas once per period and shifts the live state, so the
-result is byte-identical to simulating every row.  A trace without marks
-is simulated row by row.
+A jump records the period's intervals in each recorder as one repeat
+(:meth:`~repro.common.intervals.IntervalRecorder.repeat`: the period's
+entries recur k more times, Δ cycles apart), adds the period's counter
+deltas once per period and shifts the live state, so the result is
+byte-identical to simulating every row, and a jump costs the same however
+many periods it skips.  A trace without marks is simulated row by row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 #: Invocations per period the walk tries.  Period 2 catches kernels that
 #: alternate between two states, such as BDNA's bookkeeping loop handing its
@@ -69,7 +71,7 @@ class _Snapshot:
         self.horizon = machine.horizon
         self.fingerprint = machine.fingerprint(row)
         self.counters = [getattr(owner, name) for owner, name in machine.counters()]
-        self.lengths = [len(values) for values in machine.timelines]
+        self.lengths = [len(recorder.starts) for recorder in machine.timelines]
 
 
 def consume(machine, trace) -> int:
@@ -132,7 +134,8 @@ def _jump(machine, trace, index: int, run_end: int, period: int,
     ):
         return 0
     delta = now.horizon - earlier.horizon
-    _replay(machine.timelines, earlier.lengths, now.lengths, delta, repeats)
+    for recorder, first, last in zip(machine.timelines, earlier.lengths, now.lengths):
+        recorder.repeat(first, last, delta, repeats)
     for (owner, name), before, after in zip(machine.counters(), earlier.counters, now.counters):
         setattr(owner, name, getattr(owner, name) + (after - before) * repeats)
     machine.shift(repeats * delta, repeats * period_rows)
@@ -150,19 +153,3 @@ def _rows_repeat(trace, first: int, start: int, end: int) -> bool:
         column[first : end - back] == column[start:end]
         for column in (trace.insn, trace.vl, trace.stride, trace.addr)
     )
-
-
-def _replay(
-    timelines: Sequence[List[int]],
-    first: Sequence[int],
-    last: Sequence[int],
-    delta: int,
-    repeats: int,
-) -> None:
-    """Append each timeline's entries ``[first, last)`` shifted by Δ, 2Δ, ..., repeats·Δ."""
-    for values, start, stop in zip(timelines, first, last):
-        if stop > start:
-            period = values[start:stop]
-            for repeat in range(1, repeats + 1):
-                shift = repeat * delta
-                values += [value + shift for value in period]

@@ -130,14 +130,6 @@ class ResourcePool:
         """Move every unit's free time ``cycles`` later."""
         self.free[:] = [free + cycles for free in self.free]
 
-    def timelines(self) -> List[List[int]]:
-        """Every unit's busy-interval ``starts`` and ``ends`` lists."""
-        return [
-            values
-            for recorder in self.recorders
-            for values in (recorder.starts, recorder.ends)
-        ]
-
     # -- statistics --------------------------------------------------------------------
 
     def recorder(self, unit: int = 0) -> IntervalRecorder:

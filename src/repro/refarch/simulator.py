@@ -124,8 +124,8 @@ class _SimulationState:
         self.first_charged: List[str] = []
         self.skipped_rows = 0
 
-        #: Append-only timestamp lists a fast-forward replays.
-        self.timelines = self.fus.timelines() + self.fabric.ports.timelines()
+        #: The interval recorders a fast-forward repeats.
+        self.timelines = self.fus.recorders + self.fabric.ports.recorders
 
     # -- main issue loop ---------------------------------------------------------------
 

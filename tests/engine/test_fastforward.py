@@ -9,6 +9,7 @@ fingerprint, while a stale value (one no future read can pick) does not.
 
 import pytest
 
+from repro.common.intervals import IntervalRecorder
 from repro.core import MachineSpec
 from repro.dva.simulator import _DecoupledState
 from repro.engine.fastforward import consume, relative
@@ -20,7 +21,7 @@ CYCLES_PER_ROW = 3
 
 
 class Clock:
-    """A machine that spends three cycles per row and records each row's start.
+    """A machine that spends three cycles per row, each recorded as busy.
 
     ``phase(invocations)`` is the part of its fingerprint that is not a
     timestamp: the walk may jump only when it repeats.
@@ -32,12 +33,13 @@ class Clock:
         self.rows = 0
         self.invocations = 0
         self.issued = []
-        self.timelines = [[]]
+        self.busy = IntervalRecorder("clock")
+        self.timelines = [self.busy]
 
     def issue(self, trace, start, stop):
         self.issued.append((start, stop))
         for _ in range(start, stop):
-            self.timelines[0].append(self.horizon)
+            self.busy.record(self.horizon, self.horizon + CYCLES_PER_ROW)
             self.horizon += CYCLES_PER_ROW
             self.rows += 1
         self.invocations += 1
@@ -91,11 +93,14 @@ def test_a_steady_state_skips_the_rest_of_the_run_exactly():
     # state repeats invocation 2's, so invocations 3-9 are skipped.
     assert machine.issued == [(0, 2), (2, 6), (6, 10), (10, 14)]
     assert skipped == 7 * 4
-    assert (machine.horizon, machine.rows, machine.timelines) == (
+    assert (machine.horizon, machine.rows, machine.busy.intervals()) == (
         plain.horizon,
         plain.rows,
-        plain.timelines,
+        plain.busy.intervals(),
     )
+    # The seven skipped invocations are one repeat of invocation 2's rows.
+    assert machine.busy.repeats == [(10, 14, 4 * CYCLES_PER_ROW, 7)]
+    assert plain.busy.repeats == []
 
 
 def test_an_alternating_state_skips_whole_periods_of_two():

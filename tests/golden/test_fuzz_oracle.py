@@ -89,6 +89,17 @@ def test_invariants_flag_an_avdq_residency_past_total_cycles(cases):
     assert message.startswith("AVDQ residency ends at")
 
 
+def test_invariants_flag_a_port_interval_past_total_cycles(cases):
+    # The results read the port's busy time off the [0, total_cycles) state
+    # breakdown, which sees every port interval only if each one ends by then.
+    case = cases[0]
+    trace = case.build_trace()
+    result, _ = case.simulate(trace)
+    result.port_busy.record(0, result.total_cycles + 1)
+    message = check_invariants(case, result, len(trace))
+    assert message.startswith("port busy until")
+
+
 def _violations(case):
     """The metamorphic relations ``case`` violates, with the cycles seen."""
     trace = case.build_trace()
