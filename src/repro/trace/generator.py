@@ -136,9 +136,10 @@ class TraceBuilder:
         kernel_id, start = trace.marks[-1]
         stop = len(trace.insn)
         for column in (trace.insn, trace.vl, trace.stride, trace.addr):
-            column += column[start:stop] * times
-        rows = stop - start
-        trace.marks += [(kernel_id, stop + copy * rows) for copy in range(times)]
+            rows = column[start:stop]
+            for _ in range(times):
+                column += rows
+        trace.marks += [(kernel_id, stop + copy * (stop - start)) for copy in range(times)]
         trace.blocks_executed += (trace.blocks_executed - self._blocks_at_mark) * times
 
     def append_block(
