@@ -92,13 +92,16 @@ def estimate_cell_cost(program: str, scale: float, latency: int) -> int:
     Cost is the program's estimated dynamic trace length; ``latency`` is
     part of the call shape but not of the value.  The timing core does
     timestamp arithmetic per simulated instruction whatever the memory
-    latency: measured on a 2-CPU host (min of 5), every latency-100 cell of
-    the golden grid took 0.97-1.11x the time of its latency-1 cell.  A cell
-    took 1.3-7.1 ms, 0.26-1.94 ms per 1k trace instructions (1,776-8,879).
-    The issue loops skip the invocations that repeat a steady state (73-89%
-    of a program's rows), so time follows the rows left to simulate,
-    2.1-7.8 ms per 1k, and length ranks cells only roughly: TRFD, twice
-    DYFESM's length, costs less on the DVA (2.8 vs 3.4 ms at latency 50).
+    latency: measured on a 2-CPU host (min of 5, simulate and package),
+    every latency-100 cell of the golden grid took 0.98-1.15x the time of
+    its latency-1 cell.  A cell took 1.0-5.9 ms, 0.15-1.71 ms per 1k trace
+    instructions (1,776-8,879).  The issue loops skip the invocations that
+    repeat a steady state (73-89% of a program's rows) and packaging sweeps
+    a skipped run as one repeat, so time follows the rows left to simulate,
+    1.3-6.7 ms per 1k, and length ranks cells only loosely: TRFD, twice
+    DYFESM's length, costs less on the DVA (3.7 vs 4.7 ms at latency 50),
+    and a scale-16 BDNA DVA cell costs about 1.3x its scale-1 cell for 16x
+    the length.
     Used to put the costliest program first — in the
     :class:`Runner`'s pool chunks and the sweep service's batch flush.
     Unknown programs cost 1: scheduling must never fail a cell that
