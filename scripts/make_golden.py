@@ -56,7 +56,6 @@ QUEUE_DEPTH_ARCHITECTURES = (
     "dva@avdq=1",
     "dva@vadq=1",
     "dva@ssaq=1",
-    "dva@sdq=2",
 )
 
 TRACE_SCALES = (0.1, 1)

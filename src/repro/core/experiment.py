@@ -863,9 +863,10 @@ class EntryCheck:
     """The outcome of re-simulating one store entry (:func:`verify_store`).
 
     ``outcome`` is ``"identical"``, ``"different"`` (``detail`` names the
-    differing result fields) or ``"stale"``: the entry's key is not the one
-    this code derives for its cell, so it was written under another timing
-    model, trace generator or key scheme and is not comparable.
+    differing result fields) or ``"stale"``: the entry's machine no longer
+    builds a spec, or its key is not the one this code derives for its cell,
+    so it was written under another machine schema, timing model, trace
+    generator or key scheme and is not comparable.
     """
 
     cell: str
@@ -892,9 +893,12 @@ def verify_store(store: ResultStore, sample: Optional[int] = None) -> List[Entry
         config = RunConfig(latency=entry.latency)
         machine = None
         if stored is not None and stored.spec is not None:
-            machine = SpecArchitecture(
-                name=entry.architecture, description="", spec=MachineSpec(**stored.spec)
-            )
+            try:
+                spec = MachineSpec(**stored.spec)
+            except (TypeError, ConfigurationError):
+                pass  # a field this code no longer has, or a value out of range
+            else:
+                machine = SpecArchitecture(name=entry.architecture, description="", spec=spec)
         if machine is None or entry.key != cell_key(
             entry.program, entry.scale, entry.latency, machine, config
         ):

@@ -111,7 +111,6 @@ class FuzzCase:
     vector_load_data: int = 256
     vector_store_data: int = 16
     scalar_store_address: int = 16
-    scalar_data: int = 256
 
     def describe(self) -> str:
         common = (
@@ -125,8 +124,7 @@ class FuzzCase:
         return (
             f"{common} bypass={'on' if self.bypass else 'off'} "
             f"iq={self.instruction_queue} avdq={self.vector_load_data} "
-            f"vadq={self.vector_store_data} ssaq={self.scalar_store_address} "
-            f"sdq={self.scalar_data}"
+            f"vadq={self.vector_store_data} ssaq={self.scalar_store_address}"
         )
 
     def build_trace(self):
@@ -166,7 +164,6 @@ class FuzzCase:
             vector_load_data=self.vector_load_data,
             vector_store_data=self.vector_store_data,
             scalar_store_address=self.scalar_store_address,
-            scalar_data=self.scalar_data,
         )
 
     def simulate(self, trace=None):
@@ -227,7 +224,6 @@ def generate_case(seed: int) -> FuzzCase:
         vector_load_data=rng.choice((1, 2, 4, 256)),
         vector_store_data=rng.choice((1, 2, 4, 16)),
         scalar_store_address=rng.choice((1, 2, 16)),
-        scalar_data=rng.choice((2, 4, 256)),
     )
 
 

@@ -121,11 +121,6 @@ FIELDS: Tuple[FieldInfo, ...] = (
         description="SSAQ slots (scalar store addresses)",
     ),
     FieldInfo(
-        "scalar_data", "sdq", (), "int", ("dva",), 256,
-        lo=1, hi=65536,
-        description="scalar data queue slots between AP and SP",
-    ),
-    FieldInfo(
         "cache_line_bytes", "cache_line", ("line_bytes",),
         "int", ("ref", "dva"), 32, lo=4, hi=4096, power_of_two=True,
         description="scalar-cache line size in bytes",
@@ -233,7 +228,6 @@ class MachineSpec:
     vector_load_data: Optional[int] = None
     vector_store_data: Optional[int] = None
     scalar_store_address: Optional[int] = None
-    scalar_data: Optional[int] = None
     cache_line_bytes: Optional[int] = None
     cache_lines: Optional[int] = None
 

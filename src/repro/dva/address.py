@@ -6,8 +6,10 @@ main memory in the decoupled architecture (paper §4.2):
 * the pipelined memory port (a :class:`~repro.engine.MemoryFabric` port pool,
   one unit in the paper's machine) with its shared address bus,
 * the two-step store mechanism: store addresses wait in the VSAQ/SSAQ until
-  the matching data arrives in the VADQ/SADQ, after which the store is
-  performed "behind the back" of the AP,
+  the matching data arrives (a vector store's in the VADQ), after which the
+  store is performed "behind the back" of the AP; a scalar store's data
+  waits beside its SSAQ entry, so the SDQ is modelled as at least as deep as
+  the SSAQ and never fills first,
 * dynamic memory disambiguation: a load is checked against every queued
   store; on a conflict the store queues drain up to the youngest offending
   store before the load may access memory,
@@ -36,7 +38,6 @@ from repro.dva.queues import TimedQueue
 from repro.engine import (
     BUS_CYCLES_PER_ELEMENT,
     MemoryFabric,
-    ResourcePool,
     occupancy_cycles,
     vector_bus_cycles,
 )
@@ -109,9 +110,9 @@ class MemoryPipeline:
         self.vsaq = TimedQueue("VSAQ", spec.vector_store_data)
         self.ssaq = TimedQueue("SSAQ", spec.scalar_store_address)
         self.vadq = TimedQueue("VADQ", spec.vector_store_data)
-        self.sadq = TimedQueue("SADQ", spec.scalar_data)
 
-        self.bypass = ResourcePool("BYPASS")
+        #: Next-free cycle of the bypass unit.
+        self.bypass_free = 0
 
         self.pending_stores: Deque[PendingStore] = deque()
 
@@ -142,14 +143,6 @@ class MemoryPipeline:
     @property
     def traffic_bytes(self) -> int:
         return self.fabric.traffic_bytes
-
-    @property
-    def bypass_unit(self) -> IntervalRecorder:
-        return self.bypass.recorder()
-
-    @property
-    def bypass_free(self) -> int:
-        return self.bypass.free_time()
 
     # -- store bookkeeping -------------------------------------------------------------
 
@@ -214,13 +207,8 @@ class MemoryPipeline:
         self.vadq.push(push_time)
         self._find_pending(key).data_ready = data_ready
 
-    def attach_scalar_store_data(self, key: int, push_time: int, data_ready: int) -> None:
-        """Record that the SP has moved store ``key``'s data into the SADQ.
-
-        Like the VADQ, a full SADQ forces the oldest stores to drain first.
-        """
-        self._make_room(self.sadq)
-        self.sadq.push(push_time)
+    def attach_scalar_store_data(self, key: int, data_ready: int) -> None:
+        """Record that the SP has produced store ``key``'s data at ``data_ready``."""
         self._find_pending(key).data_ready = data_ready
 
     def _find_pending(self, key: int) -> PendingStore:
@@ -299,9 +287,9 @@ class MemoryPipeline:
     def _bypass_load(
         self, vector_length: int, requested: int, store: PendingStore
     ) -> VectorLoadOutcome:
-        length = occupancy_cycles(vector_length, 1)
-        start, _unit = self.bypass.acquire(max(requested, store.ready), length)
-        end = start + length
+        start = max(requested, store.ready, self.bypass_free)
+        end = start + occupancy_cycles(vector_length, 1)
+        self.bypass_free = end
         self.bypassed_loads += 1
         self.bypassed_bytes += vector_length * ELEMENT_SIZE_BYTES
         return VectorLoadOutcome(start=start, data_ready=end, bypassed=True)
@@ -378,7 +366,6 @@ class MemoryPipeline:
                 ready, store.bus_cycles, store.traffic_bytes
             )
         self.ssaq.pop(end)
-        self.sadq.pop(end)
         return end
 
     # -- fast-forward ----------------------------------------------------------------------
@@ -390,14 +377,13 @@ class MemoryPipeline:
         ``address`` that of every bypass request; a store's key is relative
         to the mark's ``row``.  Queued stores must match exactly.
         """
-        bypass_free = self.bypass.free[0]
+        bypass_free = self.bypass_free
         return (
             self.fabric.relative(origin),
             None if bypass_free < address else bypass_free - origin,
             self.vsaq.relative(origin, fetch),
             self.ssaq.relative(origin, fetch),
             self.vadq.relative(origin, fetch),
-            self.sadq.relative(origin, fetch),
             tuple(
                 (
                     store.key - row,
@@ -416,8 +402,8 @@ class MemoryPipeline:
     def shift(self, cycles: int, rows: int) -> None:
         """Move every timestamp ``cycles`` later and every store key ``rows`` on."""
         self.fabric.ports.shift(cycles)
-        self.bypass.shift(cycles)
-        for queue in (self.vsaq, self.ssaq, self.vadq, self.sadq):
+        self.bypass_free += cycles
+        for queue in (self.vsaq, self.ssaq, self.vadq):
             queue.shift(cycles)
         for store in self.pending_stores:
             store.key += rows

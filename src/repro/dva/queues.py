@@ -1,7 +1,7 @@
 """Timestamped bounded FIFO queues: the DVA's store queues.
 
 The decoupled simulator never steps cycles; instead every store queue
-(VSAQ, SSAQ for addresses; VADQ, SADQ for data) keeps the cycles at which
+(VSAQ, SSAQ for addresses; VADQ for vector data) keeps the cycles at which
 its outstanding entries were pushed and the cycles at which its last
 ``capacity`` released entries left.  Because producers and consumers both
 work through the program in order, the blocking behaviour of a bounded FIFO
@@ -17,14 +17,15 @@ starts as ``capacity`` zeros, the free slots of an empty queue, so a queue
 of ``n`` outstanding entries makes its next push wait for ``pops[n]``.
 
 The other queues need less and are not :class:`TimedQueue`\\ s.  An entry
-of an instruction queue (APIQ, VPIQ, SPIQ) or a load data queue (AVDQ,
-ASDQ) is pushed and popped in the same trace step, so by the next push every
-earlier entry has been released.  Such a queue is only the pop cycles of
-its last ``capacity`` entries, a ring kept by
-:class:`~repro.dva.simulator.DecoupledSimulator`'s loop: the next push waits
-for the oldest of them.  A store's entries stay unreleased across steps
-(its data waits for its drain), so the store queues also keep the push
-cycles of their outstanding entries.
+of an instruction queue (APIQ, VPIQ, SPIQ) or the AVDQ is pushed and popped
+in the same trace step, so by the next push every earlier entry has been
+released.  Such a queue is only the pop cycles of its last ``capacity``
+entries, a ring kept by :class:`~repro.dva.simulator.DecoupledSimulator`'s
+loop: the next push waits for the oldest of them.  A store's entries stay
+unreleased across steps (its data waits for its drain), so the store queues
+also keep the push cycles of their outstanding entries.  The scalar data
+queues keep nothing: they are modelled deep enough never to delay a step
+(the simulator's module docstring says why).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
 from repro.common.stats import Histogram
@@ -29,8 +29,6 @@ class DecoupledResult:
     fu1_busy: IntervalRecorder
     fu2_busy: IntervalRecorder
     port_busy: IntervalRecorder
-    qmov_busy: List[IntervalRecorder]
-    bypass_busy: IntervalRecorder
 
     avdq_occupancy: OccupancyTimeline
 
@@ -103,16 +101,6 @@ class DecoupledResult:
 
     def mean_avdq_occupancy(self) -> float:
         return self.avdq_histogram().mean()
-
-    # -- bypass analysis (Section 7 / Figure 8) -------------------------------------------
-
-    @property
-    def bypass_fraction_of_loads(self) -> float:
-        """Fraction of vector loads serviced by the bypass unit."""
-        loads = self.instructions_per_processor.get("vector_loads", 0)
-        if loads == 0:
-            return 0.0
-        return self.bypassed_loads / loads
 
     def summary(self) -> Dict[str, object]:
         """Headline numbers as a flat dictionary.

@@ -12,23 +12,31 @@ pass reproduces the timing a cycle-stepped simulation would give.
 Most queues are pop-time rings, relying on one invariant: an entry is pushed
 and popped in the same trace step.  The fetch processor pushes an
 instruction-queue (APIQ, VPIQ, SPIQ) entry and the entry's processor pops it
-(issues the instruction) in that step; the AP pushes a load's data into the
-AVDQ or ASDQ and the VP's or SP's QMOV pops it in that step.  So at a push
-every earlier entry has already been released, the head entry at a pop is
-the one just pushed, and a queue of depth ``n`` is fully described by the
-pop cycles of its last ``n`` entries, ``deque([0] * n, maxlen=n)``.  A push
-waits for the oldest of them, ``ring[0]``, and a pop appends its cycle.
-Only the store queues, whose entries wait across steps for the store to
-drain, are :class:`~repro.dva.queues.TimedQueue`\\ s inside the
-:class:`~repro.dva.address.MemoryPipeline`.  A full ASDQ delays its entry
-but never stalls the AP (the push cycle is computed and checked, not fed
-back), which is why the ``sdq`` depth moves no cycle.
+(issues the instruction) in that step; the AP pushes a vector load's data
+into the AVDQ and the VP's QMOV pops it in that step.  So at a push every
+earlier entry has already been released, the head entry at a pop is the one
+just pushed, and a queue of depth ``n`` is fully described by the pop cycles
+of its last ``n`` entries, ``deque([0] * n, maxlen=n)``.  A push waits for
+the oldest of them, ``ring[0]``, and a pop appends its cycle.  Only the
+store queues, whose entries wait across steps for the store to drain, are
+:class:`~repro.dva.queues.TimedQueue`\\ s inside the
+:class:`~repro.dva.address.MemoryPipeline`.
 
-The register scoreboard and the functional-unit/QMOV/port pools come from
+The scalar data queues between the AP and the SP hold no state.  The AP
+issues a scalar load without waiting for an ASDQ slot, and the SP pops the
+value at least one cycle after the data arrives and no earlier than every
+older pop, so the entry's push (the load's issue, or a freed slot, itself
+an older pop) always precedes its pop and the depth decides nothing.  A
+scalar store's data waits beside its SSAQ entry, so an SDQ at least as deep
+as the SSAQ is never full while the SSAQ has room.
+
+The register scoreboard and the functional-unit and port pools come from
 the shared :mod:`repro.engine` kernel; this module contributes the issue
 rules of the four processors, and runs them inline in one loop over the
-trace's columns.  The unit picks run inline on the pools' free lists and
-busy-interval lists, so a step calls out only for a memory reference.
+trace's columns.  The functional-unit and QMOV picks run inline on their
+free lists, and the functional units' busy intervals are appended inline
+(nothing reads the QMOV units'), so a step calls out only for a memory
+reference.
 Routing decisions and operand register ids are precomputed per unique static
 instruction (cached on the trace via
 :meth:`~repro.trace.columns.Trace.instruction_infos` and the
@@ -233,7 +241,8 @@ class _DecoupledState:
         self.scoreboard = Scoreboard()
         self.memory = MemoryPipeline(spec, latency)
         self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
-        self.qmovs = ResourcePool("QMOV", count=QMOV_UNITS)
+        #: Next-free cycle of each QMOV unit.
+        self.qmov_free = [0] * QMOV_UNITS
 
         # Same-step queues as pop-time rings: the pop cycles of each queue's
         # last ``depth`` entries, oldest first (see the module docstring).
@@ -242,7 +251,6 @@ class _DecoupledState:
         self.vpiq = _ring(spec.instruction_queue)
         self.spiq = _ring(spec.instruction_queue)
         self.avdq = _ring(spec.vector_load_data)
-        self.asdq = _ring(spec.scalar_data)
         self.avdq_occupancy = OccupancyTimeline("AVDQ", capacity=spec.vector_load_data)
 
         # Per-processor issue pointers: the cycle each processor will look at
@@ -267,11 +275,7 @@ class _DecoupledState:
 
         #: The interval recorders a fast-forward repeats.
         self.timelines = (
-            self.fus.recorders
-            + self.qmovs.recorders
-            + self.memory.fabric.ports.recorders
-            + self.memory.bypass.recorders
-            + [self.avdq_occupancy]
+            self.fus.recorders + self.memory.fabric.ports.recorders + [self.avdq_occupancy]
         )
 
     # -- main loop ------------------------------------------------------------------------
@@ -293,9 +297,10 @@ class _DecoupledState:
         address) are integer column reads.  The issue rules of all four
         processors run inline on locals — the scoreboard lists, the queue
         rings and the AVDQ residency lists, the functional-unit and QMOV
-        free times and busy-interval lists, the issue pointers, the horizon
-        and the counters — which are written back at the end of the range.  Only
-        memory references call out, into the :class:`MemoryPipeline`.
+        free times, the functional units' busy-interval lists, the issue
+        pointers, the horizon and the counters — which are written back at
+        the end of the range.  Only memory references call out, into the
+        :class:`MemoryPipeline`.
 
         The scoreboard read rule: a value owned by another processor arrives
         :data:`CROSS_PROCESSOR_DELAY` cycles after it is fully written (it
@@ -331,12 +336,9 @@ class _DecoupledState:
         fu1, fu2 = self.fus.recorders
         fu1_start, fu1_end = fu1.starts.append, fu1.ends.append
         fu2_start, fu2_end = fu2.starts.append, fu2.ends.append
-        qmov_free = self.qmovs.free
-        qmov_starts = [recorder.starts for recorder in self.qmovs.recorders]
-        qmov_ends = [recorder.ends for recorder in self.qmovs.recorders]
+        qmov_free = self.qmov_free
 
         avdq = self.avdq
-        asdq = self.asdq
         avdq_enter = self.avdq_occupancy.starts.append
         avdq_leave = self.avdq_occupancy.ends.append
         memory = self.memory
@@ -404,9 +406,6 @@ class _DecoupledState:
                     ap_free = (pushed if pushed > start else start) + 1
                 elif qmov == _QMOV_S_LOAD:
                     load_ready = memory.issue_scalar_load(addresses[index], start)
-                    # The value's ASDQ entry waits for a free slot, but the AP
-                    # does not wait for it: a full ASDQ never stalls the AP.
-                    load_push = asdq[0] if asdq[0] > start else start
                     if load_ready > horizon:
                         horizon = load_ready
                     ap_free = start + 1
@@ -502,8 +501,6 @@ class _DecoupledState:
                     start = qmov_free[unit]
                 end = start + length
                 qmov_free[unit] = end
-                qmov_starts[unit].append(start)
-                qmov_ends[unit].append(end)
                 if start < push_time:
                     raise _pop_before_push("VPIQ", start, push_time)
                 vpiq_issue(start)
@@ -542,8 +539,6 @@ class _DecoupledState:
                     start = qmov_free[unit]
                 data_ready = start + length
                 qmov_free[unit] = data_ready
-                qmov_starts[unit].append(start)
-                qmov_ends[unit].append(data_ready)
                 if start < push_time:
                     raise _pop_before_push("VPIQ", start, push_time)
                 vpiq_issue(start)
@@ -555,7 +550,6 @@ class _DecoupledState:
                     horizon = data_ready
             elif qmov == _QMOV_S_LOAD:
                 sp_count += 1
-                # The ASDQ's head entry is this step's load.
                 start = sp_free if sp_free > fp_free else fp_free
                 if load_ready > start:
                     start = load_ready
@@ -563,9 +557,6 @@ class _DecoupledState:
                     raise _pop_before_push("SPIQ", start, push_time)
                 spiq_issue(start)
                 sp_free = start + 1
-                if sp_free < load_push:
-                    raise _pop_before_push("ASDQ", sp_free, load_push)
-                asdq.append(sp_free)
                 if qmov_register >= 0:
                     ready_at[qmov_register] = sp_free
                     chain_at[qmov_register] = None
@@ -585,9 +576,7 @@ class _DecoupledState:
                     raise _pop_before_push("SPIQ", start, push_time)
                 spiq_issue(start)
                 sp_free = start + 1
-                memory.attach_scalar_store_data(
-                    index, push_time=start, data_ready=sp_free
-                )
+                memory.attach_scalar_store_data(index, data_ready=sp_free)
                 if sp_free > horizon:
                     horizon = sp_free
 
@@ -612,7 +601,7 @@ class _DecoupledState:
         Every processor starts an instruction no earlier than the fetch
         pointer, and the AP no earlier than its own pointer, so: registers
         and instruction-queue entries older than the fetch pointer are
-        stale, and so are AVDQ/ASDQ entries older than the AP's floor.  The
+        stale, and so are AVDQ entries older than the AP's floor.  The
         functional-unit and QMOV free times decide the unit picks, so they
         must all shift.
         """
@@ -630,9 +619,8 @@ class _DecoupledState:
             relative(self.vpiq, origin, fetch),
             relative(self.spiq, origin, fetch),
             relative(self.avdq, origin, address),
-            relative(self.asdq, origin, address),
             tuple(free - origin for free in self.fus.free),
-            tuple(free - origin for free in self.qmovs.free),
+            tuple(free - origin for free in self.qmov_free),
             self.memory.relative(origin, fetch, address, row),
         )
 
@@ -661,11 +649,11 @@ class _DecoupledState:
         self.vp_free += cycles
         self.sp_free += cycles
         self.scoreboard.shift(cycles)
-        for name in ("apiq", "vpiq", "spiq", "avdq", "asdq"):
+        for name in ("apiq", "vpiq", "spiq", "avdq"):
             ring = getattr(self, name)
             setattr(self, name, deque([time + cycles for time in ring], ring.maxlen))
         self.fus.shift(cycles)
-        self.qmovs.shift(cycles)
+        self.qmov_free[:] = [free + cycles for free in self.qmov_free]
         self.memory.shift(cycles, rows)
 
     # -- wind-down ------------------------------------------------------------------------------------------
@@ -702,8 +690,6 @@ class _DecoupledState:
             fu1_busy=self.fus.recorder(_FU1),
             fu2_busy=self.fus.recorder(_FU2),
             port_busy=self.memory.port,
-            qmov_busy=list(self.qmovs.recorders),
-            bypass_busy=self.memory.bypass_unit,
             avdq_occupancy=self.avdq_occupancy,
             instructions_per_processor=counts,
             memory_traffic_bytes=self.memory.traffic_bytes,

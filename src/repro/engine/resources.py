@@ -1,8 +1,8 @@
 """Free-time bookkeeping for groups of identical execution resources.
 
-Functional units, memory ports and queue-move units all follow one pattern:
-a request starts no earlier than both its operands and the unit allow, holds
-the unit for some cycles, and the unit's next-free time moves forward.  The
+Functional units and memory ports both follow one pattern: a request
+starts no earlier than both its operands and the unit allow, holds the unit
+for some cycles, and the unit's next-free time moves forward.  The
 seed simulators hand-rolled this as ``fu1_free``/``fu2_free``/``port_free``
 integers paired with :class:`~repro.common.intervals.IntervalRecorder`\\ s (and
 a ``setattr`` dance to write the right attribute back); :class:`ResourcePool`
@@ -82,17 +82,9 @@ class ResourcePool:
         free = self.free
         return free.index(min(free))
 
-    def earliest_free(self) -> int:
-        """Earliest cycle at which *some* unit is free."""
-        return min(self.free)
-
     def latest_free(self) -> int:
         """Cycle at which *every* unit is free (the pool has gone quiet)."""
         return max(self.free)
-
-    def free_time(self, unit: int = 0) -> int:
-        """Next-free cycle of one specific unit."""
-        return self.free[unit]
 
     # -- occupation --------------------------------------------------------------------
 

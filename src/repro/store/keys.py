@@ -47,7 +47,9 @@ if TYPE_CHECKING:
 #: v4: the ``machine`` entry is the resolved spec (every field, defaults
 #: included) instead of the configuration block built from it; every v3 key
 #: changes.
-KEY_SCHEME_VERSION = 4
+#: v5: the ``sdq`` field is gone, so the hashed ``machine`` dict has one
+#: entry fewer; every v4 key changes.
+KEY_SCHEME_VERSION = 5
 
 
 def cell_key(

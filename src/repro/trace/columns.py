@@ -69,24 +69,15 @@ class InstructionInfo:
 
     __slots__ = (
         "instruction",
-        "opcode",
-        "opcode_class",
         "kind",
         "is_vector",
         "is_memory",
         "is_load",
         "is_store",
-        "is_vector_memory",
-        "is_scalar_memory",
         "is_indexed",
         "is_spill",
-        "is_branch",
-        "is_conditional_branch",
-        "is_queue_move",
         "requires_fu2",
         "may_chain",
-        "sources",
-        "destinations",
         "vector_destinations",
         "scalar_destinations",
         "vector_sources",
@@ -96,56 +87,47 @@ class InstructionInfo:
         "data_source_ids",
         "destination_ids",
         "destination_id_flags",
-        "immediate",
     )
 
     def __init__(self, instruction: Instruction) -> None:
         self.instruction = instruction
-        self.opcode = instruction.opcode
-        self.opcode_class = instruction.opcode_class
-        self.kind = _KIND_OF_CLASS[self.opcode_class]
+        opcode_class = instruction.opcode_class
+        self.kind = _KIND_OF_CLASS[opcode_class]
         self.is_vector = instruction.is_vector
         self.is_memory = instruction.is_memory
         self.is_load = instruction.is_load
         self.is_store = instruction.is_store
-        self.is_vector_memory = instruction.is_vector_memory
-        self.is_scalar_memory = instruction.is_scalar_memory
         self.is_indexed = instruction.memory is not None and instruction.memory.indexed
         self.is_spill = instruction.is_spill_access
-        self.is_branch = instruction.is_branch
-        self.is_conditional_branch = instruction.is_conditional_branch
-        self.is_queue_move = instruction.is_queue_move
         self.requires_fu2 = instruction.requires_fu2
         # Flexible chaining targets (paper §2.1): vector arithmetic and
         # vector stores may start on a producer's first element.
-        self.may_chain = (
-            self.opcode_class is OpcodeClass.VECTOR_COMPUTE
-            or (self.is_store and self.is_vector_memory)
+        self.may_chain = opcode_class is OpcodeClass.VECTOR_COMPUTE or (
+            self.is_store and instruction.is_vector_memory
         )
-        self.sources = instruction.sources
-        self.destinations = instruction.destinations
+        sources = instruction.sources
+        destinations = instruction.destinations
         self.vector_destinations = instruction.vector_destinations()
         self.scalar_destinations = instruction.scalar_destinations()
         self.vector_sources = instruction.vector_sources()
         self.scalar_sources = instruction.scalar_sources()
         # The issue loops index their scoreboard lists by register id.
-        self.source_ids = tuple(register.id for register in self.sources)
+        self.source_ids = tuple(register.id for register in sources)
         self.scalar_source_ids = tuple(register.id for register in self.scalar_sources)
         # Data sources as the VP sees them: everything except the implicit
         # VL/VS control registers, which the fetch processor resolves.
         self.data_source_ids = tuple(
             register.id
-            for register in instruction.sources
+            for register in sources
             if register.register_class
             not in (RegisterClass.VECTOR_LENGTH, RegisterClass.VECTOR_STRIDE)
         )
-        self.destination_ids = tuple(register.id for register in self.destinations)
+        self.destination_ids = tuple(register.id for register in destinations)
         # (id, is_vector) pairs: issue rules that chain vector results but
         # not scalar ones read the flag instead of a register property.
         self.destination_id_flags = tuple(
-            (register.id, register.is_vector) for register in self.destinations
+            (register.id, register.is_vector) for register in destinations
         )
-        self.immediate = instruction.immediate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"InstructionInfo({self.instruction})"

@@ -27,8 +27,6 @@ def _decoupled_result(timeline, total_cycles):
         fu1_busy=IntervalRecorder("FU1"),
         fu2_busy=IntervalRecorder("FU2"),
         port_busy=IntervalRecorder("LD"),
-        qmov_busy=[],
-        bypass_busy=IntervalRecorder("bypass"),
         avdq_occupancy=timeline,
     )
 

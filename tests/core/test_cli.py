@@ -221,6 +221,19 @@ class TestCacheVerify:
         assert main(["cache", "verify", "--store-dir", str(store.root)]) == 0
         assert "4 identical, 0 different, 1 stale" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "field", [{"warp": 9}, {"lanes": 0}], ids=["unknown-field", "out-of-range"]
+    )
+    def test_an_entry_whose_spec_no_longer_builds_is_stale(self, capsys, tmp_path, field):
+        store = self._filled_store(tmp_path)
+        entry = next(path for path in store.rglob("*.json") if path.name != "index.json")
+        payload = json.loads(entry.read_text())
+        payload["result"]["spec"].update(field)
+        entry.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["cache", "verify", "--store-dir", str(store)]) == 0
+        assert "3 identical, 0 different, 1 stale" in capsys.readouterr().out
+
     @pytest.mark.parametrize("sample", ["0", "-1", "x"])
     def test_a_non_positive_sample_is_a_usage_error(self, capsys, sample):
         with pytest.raises(SystemExit) as excinfo:

@@ -88,7 +88,7 @@ class TestStringErrors:
         with pytest.raises(ConfigurationError, match="no base machine"):
             machine_spec("@lanes=2")
 
-    @pytest.mark.parametrize("text", ["dva@warp=9", "dva@core=event"])
+    @pytest.mark.parametrize("text", ["dva@warp=9", "dva@core=event", "dva@sdq=2"])
     def test_unknown_field(self, text):
         with pytest.raises(ConfigurationError, match="unknown machine field"):
             machine_spec(text)
@@ -126,7 +126,6 @@ class TestStringErrors:
             "vector_load_data",
             "vector_store_data",
             "scalar_store_address",
-            "scalar_data",
         ],
     )
     @pytest.mark.parametrize("size", [0, -4])
@@ -163,7 +162,6 @@ class TestDefaults:
         spec = MachineSpec(family="dva")
         assert (spec.instruction_queue, spec.vector_load_data) == (16, 256)
         assert (spec.vector_store_data, spec.scalar_store_address) == (16, 16)
-        assert spec.scalar_data == 256
         assert (spec.lanes, spec.memory_ports, spec.bypass) == (1, 1, True)
 
     def test_overrides_are_exactly_the_non_default_fields(self):
@@ -228,31 +226,25 @@ class TestSimulatorsReadTheSpec:
         assert pinned.total_cycles != default.total_cycles
 
     def test_queue_depths_size_the_decoupled_queues(self):
-        spec = machine_spec("dva@iq=3,avdq=5,vadq=6,ssaq=7,sdq=8")
+        spec = machine_spec("dva@iq=3,avdq=5,vadq=6,ssaq=7")
         state = _DecoupledState(spec, 50)
         pipeline = state.memory
         capacities = {
             queue.name: queue.capacity
-            for queue in (pipeline.vadq, pipeline.vsaq, pipeline.ssaq, pipeline.sadq)
+            for queue in (pipeline.vadq, pipeline.vsaq, pipeline.ssaq)
         }
         # The VSAQ follows the VADQ: the paper's "store queue length" is
         # one parameter.
-        assert capacities == {"VADQ": 6, "VSAQ": 6, "SSAQ": 7, "SADQ": 8}
+        assert capacities == {"VADQ": 6, "VSAQ": 6, "SSAQ": 7}
         # The queues a trace step pushes and pops are the loop's rings.
         rings = {
             name: getattr(state, name).maxlen
-            for name in ("apiq", "vpiq", "spiq", "avdq", "asdq")
+            for name in ("apiq", "vpiq", "spiq", "avdq")
         }
-        assert rings == {"apiq": 3, "vpiq": 3, "spiq": 3, "avdq": 5, "asdq": 8}
+        assert rings == {"apiq": 3, "vpiq": 3, "spiq": 3, "avdq": 5}
         assert state.avdq_occupancy.capacity == 5
         assert (pipeline.cache.line_bytes, pipeline.cache.lines) == (32, 1024)
 
-
-#: Fields that move no cycle of the paper probe, each with the reason.
-INERT_FIELDS = {
-    "sdq": "the AP drops the ASDQ/SADQ push results, so a full scalar data "
-    "queue never stalls its producer (ROADMAP item 4)",
-}
 
 _PROBE_LATENCIES = (1, 100)
 _SIMULATE = {"ref": simulate_reference, "dva": simulate_decoupled}
@@ -284,17 +276,15 @@ def _range_ends(info):
 
 class TestEveryFieldMovesAPaperCell:
     """Each field, on each family it applies to, moves the total cycles of a
-    paper program at latency 1 or 100 at one of its range ends — or it is
-    listed in :data:`INERT_FIELDS` and moves none, so the list shrinks as
-    the model is fixed.  The cases come from :data:`FIELDS`, so a new field
-    is probed too."""
+    paper program at latency 1 or 100 at one of its range ends.  The cases
+    come from :data:`FIELDS`, so a new field is probed too."""
 
     @pytest.mark.parametrize(
         "info, family",
         [(info, family) for info in FIELDS for family in info.families],
         ids=lambda value: value if isinstance(value, str) else value.key,
     )
-    def test_field_moves_a_cycle_or_is_listed(self, paper_probe, info, family):
+    def test_field_moves_a_cycle(self, paper_probe, info, family):
         traces, defaults = paper_probe
         moved = {
             value: sum(
@@ -306,13 +296,7 @@ class TestEveryFieldMovesAPaperCell:
             )
             for value in _range_ends(info)
         }
-        if info.key in INERT_FIELDS:
-            assert not any(moved.values()), f"{info.key} now moves cells {moved}; unlist it"
-        else:
-            assert any(moved.values()), f"{info.key} on {family} moves no paper cell"
-
-    def test_listed_fields_exist(self):
-        assert set(INERT_FIELDS) <= {info.key for info in FIELDS}
+        assert any(moved.values()), f"{info.key} on {family} moves no paper cell"
 
 
 class TestFieldSchema:

@@ -49,7 +49,7 @@ class TestLoads:
         pipeline.issue_vector_load(BASE, 16, 1, False, requested=0)
         second = pipeline.issue_vector_load(BASE + 0x800, 16, 1, False, requested=0)
         assert second.start == 0
-        assert pipeline.fabric.ports.earliest_free() == 16
+        assert pipeline.fabric.ports.free == [16, 16]
         assert pipeline.port_quiet == 16
 
     def test_scalar_load_hits_the_cache_the_second_time(self):
@@ -64,7 +64,7 @@ class TestLoads:
         pipeline = _pipeline()
         pipeline.issue_scalar_load(BASE, requested=0)  # allocates the line
         pipeline.enqueue_scalar_store(0, BASE, requested=1)
-        pipeline.attach_scalar_store_data(0, push_time=2, data_ready=60)
+        pipeline.attach_scalar_store_data(0, data_ready=60)
         # The cache absorbs the hit (no write-through): one cycle, no bus.
         assert pipeline.drain_all() == 60 + 1
         assert pipeline.port.busy_time() == 1
@@ -99,7 +99,7 @@ class TestDisambiguation:
     def test_scalar_load_waits_for_an_overlapping_scalar_store(self):
         pipeline = _pipeline()
         pipeline.enqueue_scalar_store(0, BASE, requested=0)
-        pipeline.attach_scalar_store_data(0, push_time=1, data_ready=6)
+        pipeline.attach_scalar_store_data(0, data_ready=6)
         # The store misses the cache and takes the port at 6; the load then
         # finds the line allocated and hits.
         assert pipeline.issue_scalar_load(BASE, requested=2) == 7 + 1
@@ -170,7 +170,7 @@ class TestBypass:
     def test_a_scalar_store_is_never_bypassed(self):
         pipeline = _pipeline(bypass=True)
         pipeline.enqueue_scalar_store(0, BASE, requested=0)
-        pipeline.attach_scalar_store_data(0, push_time=1, data_ready=6)
+        pipeline.attach_scalar_store_data(0, data_ready=6)
         outcome = pipeline.issue_vector_load(BASE, 1, 1, False, requested=3)
         assert not outcome.bypassed
         assert pipeline.disambiguation_stalls == 1
@@ -198,18 +198,6 @@ class TestStoreQueues:
         assert pipeline.enqueue_vector_store(1, BASE + 0x800, 8, 1, False, requested=2) == 18
         assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(10, 18)]
         assert [store.key for store in pipeline.pending_stores] == [1]
-
-    def test_full_sadq_forces_the_oldest_store_to_drain(self):
-        pipeline = _pipeline(scalar_data=1)
-        pipeline.enqueue_scalar_store(0, BASE, requested=0)
-        pipeline.attach_scalar_store_data(0, push_time=1, data_ready=5)
-        pipeline.enqueue_scalar_store(1, BASE + 0x800, requested=2)
-        pipeline.attach_scalar_store_data(1, push_time=3, data_ready=6)
-        # The first store missed the cache and held the port over [5, 6); the
-        # second data entry waited for that release.
-        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(5, 6)]
-        assert [store.key for store in pipeline.pending_stores] == [1]
-        assert list(pipeline.sadq.pushes) == [6]
 
     def test_attaching_data_to_an_unknown_store_raises(self):
         pipeline = _pipeline()

@@ -162,14 +162,14 @@ def _bump(values, index=0):
 DVA_MUTATIONS = {
     "fetch pointer": lambda s: setattr(s, "fp_free", s.fp_free + 1),
     "FU2 free": lambda s: _bump(s.fus.free, 1),
-    "QMOV free": lambda s: _bump(s.qmovs.free),
+    "QMOV free": lambda s: _bump(s.qmov_free),
     "port free": lambda s: _bump(s.memory.fabric.ports.free),
     "cache tag": lambda s: s.memory.cache.tags.__setitem__(1, 12345),
     "store key": lambda s: setattr(s.memory.pending_stores[0], "key", s.memory.pending_stores[0].key + 1),
     "SP pointer": lambda s: setattr(s, "sp_free", max(s.sp_free, s.fp_free) + 1),
     "newest VPIQ entry": lambda s: s.vpiq.append(s.horizon + 5),
     "newest AVDQ entry": lambda s: s.avdq.append(s.horizon + 5),
-    "bypass free": lambda s: s.memory.bypass.free.__setitem__(0, s.horizon + 5),
+    "bypass free": lambda s: setattr(s.memory, "bypass_free", s.horizon + 5),
     "newest VADQ pop": lambda s: s.memory.vadq.pops.append(s.horizon + 5),
     "SSAQ push": lambda s: s.memory.ssaq.pushes.append(s.horizon + 5),
     "live register": lambda s: s.scoreboard.ready.__setitem__(
@@ -201,7 +201,7 @@ def test_stale_dva_values_are_left_out_of_its_fingerprint(bdna):
     state.scoreboard.ready[stale_registers[0]] = fetch - 1
     state.scoreboard.owner[stale_registers[0]] = "elsewhere"
     state.avdq[stale_avdq[0]] = floor - 1
-    state.memory.bypass.free[0] = floor - 1
+    state.memory.bypass_free = floor - 1
     assert state.fingerprint(row) == before
 
 

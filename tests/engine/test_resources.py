@@ -71,23 +71,23 @@ class TestAcquire:
     def test_earliest_free_tracks_the_best_unit(self):
         pool = ResourcePool("LD", count=2)
         pool.acquire(0, 7)
-        assert pool.earliest_free() == 0
+        assert pool.free == [7, 0]
         pool.acquire(0, 3)
-        assert pool.earliest_free() == 3
+        assert pool.free == [7, 3]
 
 
 class TestOccupy:
     def test_occupy_records_and_advances(self):
         pool = ResourcePool("AP")
         pool.occupy(5, 9)
-        assert pool.free_time() == 9
+        assert pool.free[0] == 9
         assert pool.recorder().busy_time() == 4
 
     def test_occupy_never_rewinds_free_time(self):
         pool = ResourcePool("AP")
         pool.occupy(0, 10)
         pool.occupy(2, 3)
-        assert pool.free_time() == 10
+        assert pool.free[0] == 10
 
     def test_backwards_interval_rejected(self):
         pool = ResourcePool("AP")

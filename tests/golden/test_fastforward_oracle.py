@@ -45,7 +45,6 @@ def _aggregates(result):
     units = [result.fu1_busy, result.fu2_busy, result.port_busy]
     aggregates = {"breakdown": list(result.state_breakdown().cycles.items())}
     if isinstance(result, DecoupledResult):
-        units += [*result.qmov_busy, result.bypass_busy]
         aggregates["avdq"] = list(result.avdq_histogram().items())
         aggregates["last_leave"] = result.avdq_occupancy.last_leave()
     aggregates["busy"] = [(unit.name, unit.busy_time()) for unit in units]

@@ -108,7 +108,6 @@ class TestColumnarTraceInvariants:
         for info, instruction in zip(infos, trace.instructions):
             assert info.instruction is instruction
             assert info.is_vector == instruction.is_vector
-            assert info.opcode_class == instruction.opcode_class
 
     @pytest.mark.parametrize("name", program_names())
     def test_instruction_info_ids_match_registers(self, name):
@@ -116,14 +115,14 @@ class TestColumnarTraceInvariants:
             return tuple(register.id for register in registers)
 
         for info in _program_trace(name).instruction_infos():
-            assert info.source_ids == ids(info.sources)
+            assert info.source_ids == ids(info.instruction.sources)
             assert info.scalar_source_ids == ids(info.scalar_sources)
-            assert info.destination_ids == ids(info.destinations)
+            assert info.destination_ids == ids(info.instruction.destinations)
             assert info.destination_id_flags == tuple(
-                (register.id, register.is_vector) for register in info.destinations
+                (register.id, register.is_vector) for register in info.instruction.destinations
             )
             assert set(info.data_source_ids) <= set(info.source_ids)
             assert info.data_source_ids == ids(
-                register for register in info.sources
+                register for register in info.instruction.sources
                 if register not in (VL_REGISTER, VS_REGISTER)
             )
