@@ -118,20 +118,14 @@ class TestStringErrors:
             machine_spec("dva@lanes=0")
 
     @pytest.mark.parametrize(
-        "field",
-        [
-            "lanes",
-            "memory_ports",
-            "instruction_queue",
-            "vector_load_data",
-            "vector_store_data",
-            "scalar_store_address",
-        ],
+        "info",
+        [info for info in FIELDS if info.kind == "int"],
+        ids=lambda info: info.attribute,
     )
     @pytest.mark.parametrize("size", [0, -4])
-    def test_non_positive_sizes_are_refused(self, field, size):
-        with pytest.raises(ConfigurationError, match="must be in 1.."):
-            MachineSpec(family="dva", **{field: size})
+    def test_non_positive_sizes_are_refused(self, info, size):
+        with pytest.raises(ConfigurationError, match=f"must be in {info.lo}[.][.]"):
+            MachineSpec(family="dva", **{info.attribute: size})
 
     def test_power_of_two_enforced(self):
         with pytest.raises(ConfigurationError, match="power of two"):

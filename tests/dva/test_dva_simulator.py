@@ -216,6 +216,19 @@ class TestBenchmarkPrograms:
         payload = simulate_decoupled(program_traces[name], latency=10).to_json()
         assert json.loads(json.dumps(payload)) == payload
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_shallow_scalar_store_queue_drains_instead_of_failing(
+        self, program_traces, name, depth
+    ):
+        trace = program_traces[name]
+        spec = MachineSpec(family="dva", scalar_store_address=depth)
+        shallow = simulate_decoupled(trace, latency=50, spec=spec)
+        default = simulate_decoupled(trace, latency=50)
+        # A full SSAQ performs its oldest store early; every instruction
+        # still runs on the processor it ran on before.
+        assert shallow.instructions_per_processor == default.instructions_per_processor
+        assert sum(shallow.state_breakdown().cycles.values()) == shallow.total_cycles
+
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_avdq_occupancy_never_exceeds_its_capacity(self, program_traces, name, capacity):
         spec = MachineSpec(family="dva", bypass=False, vector_load_data=capacity)

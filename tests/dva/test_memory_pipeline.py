@@ -199,6 +199,16 @@ class TestStoreQueues:
         assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(10, 18)]
         assert [store.key for store in pipeline.pending_stores] == [1]
 
+    def test_full_ssaq_forces_the_oldest_store_to_drain(self):
+        pipeline = _pipeline(scalar_store_address=1)
+        pipeline.enqueue_scalar_store(0, BASE, requested=0)
+        pipeline.attach_scalar_store_data(0, data_ready=5)
+        # The first store misses the cache and holds the port over [5, 6);
+        # the second address waits for that release.
+        assert pipeline.enqueue_scalar_store(1, BASE + 0x800, requested=2) == 6
+        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(5, 6)]
+        assert [store.key for store in pipeline.pending_stores] == [1]
+
     def test_attaching_data_to_an_unknown_store_raises(self):
         pipeline = _pipeline()
         with pytest.raises(SimulationError, match="no pending store"):
