@@ -6,10 +6,10 @@ main memory in the decoupled architecture (paper §4.2):
 * the pipelined memory port (a :class:`~repro.engine.MemoryFabric` port pool,
   one unit in the paper's machine) with its shared address bus,
 * the two-step store mechanism: store addresses wait in the VSAQ/SSAQ until
-  the matching data arrives (a vector store's in the VADQ), after which the
-  store is performed "behind the back" of the AP; a scalar store's data
-  waits beside its SSAQ entry, so the SDQ is modelled as at least as deep as
-  the SSAQ and never fills first,
+  the matching data arrives (a vector store's in the VADQ, in the slot its
+  address took), after which the store is performed "behind the back" of
+  the AP; a scalar store's data waits beside its SSAQ entry, so the SDQ is
+  modelled as at least as deep as the SSAQ and never fills first,
 * dynamic memory disambiguation: a load is checked against every queued
   store; on a conflict the store queues drain up to the youngest offending
   store before the load may access memory,
@@ -19,11 +19,16 @@ main memory in the decoupled architecture (paper §4.2):
 * the scalar cache that filters scalar references away from the port (wired
   inside the fabric, shared with the reference machine's wiring).
 
+A store queue is never stepped.  Producers and consumers both work
+through the program in order, so a bounded FIFO's blocking reduces to
+timestamp arithmetic: a push waits until the entry ``depth`` places back
+has left.  A queue therefore keeps only the pop cycles of its last
+``depth`` entries (:func:`ring`) beside the stores still pending.
+
 The interface speaks the columnar trace's language: every reference is
 described by the scalars the simulator already holds in locals (base
-address, vector length, stride, the indexed flag) plus an opaque ``key``
-identifying the dynamic record, so no record objects flow through the
-pipeline.
+address, vector length, stride, the indexed flag), so no record objects
+flow through the pipeline.
 """
 
 from __future__ import annotations
@@ -34,13 +39,13 @@ from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder
-from repro.dva.queues import TimedQueue
 from repro.engine import (
     BUS_CYCLES_PER_ELEMENT,
     MemoryFabric,
     occupancy_cycles,
     vector_bus_cycles,
 )
+from repro.engine.fastforward import relative
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.memory.ranges import MemoryRange, access_range
 from repro.memory.scalar_cache import ScalarCache
@@ -49,26 +54,30 @@ if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
 
 
+def ring(depth: int) -> Deque[int]:
+    """The pop cycles of an empty queue's last ``depth`` entries, oldest first.
+
+    The zeros stand for the free slots of an empty queue; the ``maxlen``
+    drops a pop cycle once no later push can wait for it.
+    """
+    return deque([0] * depth, maxlen=depth)
+
+
 @dataclass(slots=True)
 class PendingStore:
     """A store whose address sits in a store queue awaiting its data.
 
-    The store is described entirely by scalars captured at enqueue time:
-    ``key`` identifies the dynamic record (its trace position), ``length`` is
-    the *effective* vector length (1 for scalar stores) and ``bus_cycles`` /
-    ``traffic_bytes`` are the port occupancy and memory traffic the store
-    will cost when it drains.
+    The store is described entirely by scalars captured at enqueue time;
+    ``length`` is the *effective* vector length (1 for scalar stores), from
+    which its port occupancy and memory traffic follow.
     """
 
-    key: int
     base: int
     length: int
     stride_elements: int
     indexed: bool
     memory_range: MemoryRange
     is_vector: bool
-    bus_cycles: int
-    traffic_bytes: int
     address_ready: int
     data_ready: Optional[int] = None
 
@@ -77,39 +86,38 @@ class PendingStore:
         """Cycle at which both address and data are available."""
         if self.data_ready is None:
             raise SimulationError(
-                f"store #{self.key} has no data yet; the producing QMOV must "
-                f"be simulated before the store can be performed"
+                f"the store to {self.base:#x} has no data yet; the producing "
+                f"QMOV must be simulated before the store can be performed"
             )
         return max(self.address_ready, self.data_ready)
-
-
-@dataclass(slots=True)
-class VectorLoadOutcome:
-    """How one vector load was serviced."""
-
-    start: int
-    data_ready: int
-    bypassed: bool
 
 
 class MemoryPipeline:
     """Port, store queues, disambiguation and bypass of the decoupled AP.
 
     The spec supplies the queue depths, the bypass switch, the port count
-    and the scalar-cache geometry.  The VSAQ is as deep as the VADQ: the
-    paper treats the store queue length as a single parameter (§5).
+    and the scalar-cache geometry.
 
     :attr:`pending_stores` holds the queued stores that have not drained,
-    oldest first; a store leaves it when it is performed.
+    oldest first; a store leaves it when it is performed.  A store queue
+    (the VSAQ for vector stores, the SSAQ for scalar ones) is the pending
+    stores of its kind plus the pop cycles of its last ``depth`` entries:
+    a queue of ``n`` outstanding entries makes its next push wait for
+    ``pops[n]``.  A vector store's data enters the VADQ in the slot its
+    address took in the VSAQ, so the VADQ is no separate queue: the paper
+    treats the store queue length as a single parameter (§5).
     """
 
     def __init__(self, spec: "MachineSpec", latency: int) -> None:
         self.bypass_enabled = spec.bypass
         self.fabric = MemoryFabric(spec, latency)
 
-        self.vsaq = TimedQueue("VSAQ", spec.vector_store_data)
-        self.ssaq = TimedQueue("SSAQ", spec.scalar_store_address)
-        self.vadq = TimedQueue("VADQ", spec.vector_store_data)
+        #: Pop cycles of the VSAQ's and the SSAQ's last ``depth`` entries.
+        self.vector_pops = ring(spec.vector_store_data)
+        self.scalar_pops = ring(spec.scalar_store_address)
+        #: Pending stores of each kind: the VSAQ's and the SSAQ's occupancy.
+        self.vector_queued = 0
+        self.scalar_queued = 0
 
         #: Next-free cycle of the bypass unit.
         self.bypass_free = 0
@@ -148,7 +156,6 @@ class MemoryPipeline:
 
     def enqueue_vector_store(
         self,
-        key: int,
         base: int,
         vector_length: int,
         stride_elements: int,
@@ -156,12 +163,14 @@ class MemoryPipeline:
         requested: int,
     ) -> int:
         """Put a vector store's address into the VSAQ; return the push cycle."""
-        self._make_room(self.vsaq)
-        push_time = self.vsaq.push(requested)
-        bus_cycles = vector_bus_cycles(vector_length)
+        while self.vector_queued >= self.vector_pops.maxlen:
+            self._drain_oldest()
+        push_time = self.vector_pops[self.vector_queued]
+        if requested > push_time:
+            push_time = requested
+        self.vector_queued += 1
         self.pending_stores.append(
             PendingStore(
-                key=key,
                 base=base,
                 length=vector_length,
                 stride_elements=stride_elements,
@@ -170,61 +179,47 @@ class MemoryPipeline:
                     base, vector_length, stride_elements, indexed=indexed
                 ),
                 is_vector=True,
-                bus_cycles=bus_cycles,
-                traffic_bytes=vector_length * ELEMENT_SIZE_BYTES,
                 address_ready=push_time + 1,
             )
         )
         return push_time
 
-    def enqueue_scalar_store(self, key: int, base: int, requested: int) -> int:
+    def enqueue_scalar_store(self, base: int, requested: int) -> int:
         """Put a scalar store's address into the SSAQ; return the push cycle."""
-        self._make_room(self.ssaq)
-        push_time = self.ssaq.push(requested)
+        while self.scalar_queued >= self.scalar_pops.maxlen:
+            self._drain_oldest()
+        push_time = self.scalar_pops[self.scalar_queued]
+        if requested > push_time:
+            push_time = requested
+        self.scalar_queued += 1
         self.pending_stores.append(
             PendingStore(
-                key=key,
                 base=base,
                 length=1,
                 stride_elements=1,
                 indexed=False,
                 memory_range=MemoryRange(base, base + ELEMENT_SIZE_BYTES),
                 is_vector=False,
-                bus_cycles=BUS_CYCLES_PER_ELEMENT,
-                traffic_bytes=ELEMENT_SIZE_BYTES,
                 address_ready=push_time + 1,
             )
         )
         return push_time
 
-    def reserve_vector_store_data_slot(self, requested: int) -> int:
-        """Reserve a VADQ slot for a QMOV (forcing a drain when the queue is full)."""
-        self._make_room(self.vadq)
-        return self.vadq.earliest_push(requested)
+    def vector_data_slot(self) -> int:
+        """Cycle the newest vector store's VADQ slot is free.
 
-    def attach_vector_store_data(self, key: int, push_time: int, data_ready: int) -> None:
-        """Record that the VP has moved store ``key``'s data into the VADQ."""
-        self.vadq.push(push_time)
-        self._find_pending(key).data_ready = data_ready
+        The data takes the slot its address took in the VSAQ, so the QMOV
+        moving it waits for the same pop as the address push did.
+        """
+        return self.vector_pops[self.vector_queued - 1]
 
-    def attach_scalar_store_data(self, key: int, data_ready: int) -> None:
-        """Record that the SP has produced store ``key``'s data at ``data_ready``."""
-        self._find_pending(key).data_ready = data_ready
+    def attach_store_data(self, data_ready: int) -> None:
+        """Record that the newest store's data is in its queue at ``data_ready``.
 
-    def _find_pending(self, key: int) -> PendingStore:
-        for store in reversed(self.pending_stores):
-            if store.key == key:
-                return store
-        raise SimulationError(f"no pending store found for record #{key}")
-
-    def _make_room(self, queue: TimedQueue) -> None:
-        """Force-drain old stores until ``queue`` has a free slot."""
-        while queue.outstanding >= queue.capacity:
-            if not self.pending_stores:
-                raise SimulationError(
-                    f"queue {queue.name!r} is full but there is nothing left to drain"
-                )
-            self._drain_oldest()
+        Every store's QMOV runs in the trace step that queued its address,
+        so the data always belongs to the newest pending store.
+        """
+        self.pending_stores[-1].data_ready = data_ready
 
     # -- load servicing -----------------------------------------------------------------
 
@@ -235,13 +230,12 @@ class MemoryPipeline:
         stride_elements: int,
         indexed: bool,
         requested: int,
-    ) -> VectorLoadOutcome:
+    ) -> int:
         """Service a vector load: bypass it or send it to main memory.
 
         ``requested`` is the cycle at which the AP has the load ready to go
-        (operands available, AVDQ slot reservable).  The returned outcome
-        gives the cycle the load started and the cycle its last element is
-        available in the AVDQ.
+        (operands available, AVDQ slot reservable).  Returns the cycle the
+        load's last element is available in the AVDQ.
         """
         load_range = access_range(base, vector_length, stride_elements, indexed=indexed)
         conflicts = self._conflict_depth(load_range)
@@ -284,24 +278,21 @@ class MemoryPipeline:
         )
         return self.fabric.scalar_load_ready(False, bus_start)
 
-    def _bypass_load(
-        self, vector_length: int, requested: int, store: PendingStore
-    ) -> VectorLoadOutcome:
+    def _bypass_load(self, vector_length: int, requested: int, store: PendingStore) -> int:
         start = max(requested, store.ready, self.bypass_free)
         end = start + occupancy_cycles(vector_length, 1)
         self.bypass_free = end
         self.bypassed_loads += 1
         self.bypassed_bytes += vector_length * ELEMENT_SIZE_BYTES
-        return VectorLoadOutcome(start=start, data_ready=end, bypassed=True)
+        return end
 
-    def _memory_load(self, vector_length: int, requested: int) -> VectorLoadOutcome:
+    def _memory_load(self, vector_length: int, requested: int) -> int:
         self._drain_ready_stores(requested)
         bus_cycles = vector_bus_cycles(vector_length)
         bus_start, _bus_end = self.fabric.occupy_bus(
             requested, bus_cycles, vector_length * ELEMENT_SIZE_BYTES
         )
-        data_ready = self.fabric.vector_load_ready(bus_start, bus_cycles)
-        return VectorLoadOutcome(start=bus_start, data_ready=data_ready, bypassed=False)
+        return self.fabric.vector_load_ready(bus_start, bus_cycles)
 
     # -- disambiguation and draining ------------------------------------------------------
 
@@ -345,48 +336,46 @@ class MemoryPipeline:
 
     def _drain_oldest(self) -> int:
         """Perform the oldest queued store; return the cycle it leaves the queues."""
-        store = self.pending_stores[0]
+        store = self.pending_stores.popleft()
         ready = store.ready
-        self.pending_stores.popleft()
-        if not store.is_vector:
-            return self._perform_scalar_store(store, ready)
-        _bus_start, bus_end = self.fabric.occupy_bus(
-            ready, store.bus_cycles, store.traffic_bytes
-        )
-        self.vsaq.pop(bus_end)
-        self.vadq.pop(bus_end)
-        return bus_end
-
-    def _perform_scalar_store(self, store: PendingStore, ready: int) -> int:
-        # A hit is absorbed by the cache; only a miss uses the port.
-        if self.fabric.cache.access(store.base):
-            end = ready + 1
-        else:
+        if store.is_vector or not self.fabric.cache.access(store.base):
             _bus_start, end = self.fabric.occupy_bus(
-                ready, store.bus_cycles, store.traffic_bytes
+                ready, vector_bus_cycles(store.length), store.length * ELEMENT_SIZE_BYTES
             )
-        self.ssaq.pop(end)
+        else:
+            # A scalar hit is absorbed by the cache; only a miss uses the port.
+            end = ready + 1
+        if end < store.address_ready - 1:
+            raise SimulationError(
+                f"the store to {store.base:#x} leaves at {end}, before its "
+                f"push at {store.address_ready - 1}"
+            )
+        if store.is_vector:
+            self.vector_queued -= 1
+            self.vector_pops.append(end)
+        else:
+            self.scalar_queued -= 1
+            self.scalar_pops.append(end)
         return end
 
     # -- fast-forward ----------------------------------------------------------------------
 
-    def relative(self, origin: int, fetch: int, address: int, row: int) -> tuple:
+    def fingerprint(self, origin: int, fetch: int, address: int) -> tuple:
         """The pipeline's state relative to ``origin`` (a fast-forward fingerprint).
 
         ``fetch`` is the floor of every request into the store queues and
-        ``address`` that of every bypass request; a store's key is relative
-        to the mark's ``row``.  Queued stores must match exactly.
+        ``address`` that of every bypass request.  A push waits for a pop
+        cycle only when it is later than the request.  Queued stores must
+        match exactly.
         """
         bypass_free = self.bypass_free
         return (
             self.fabric.relative(origin),
             None if bypass_free < address else bypass_free - origin,
-            self.vsaq.relative(origin, fetch),
-            self.ssaq.relative(origin, fetch),
-            self.vadq.relative(origin, fetch),
+            relative(self.vector_pops, origin, fetch),
+            relative(self.scalar_pops, origin, fetch),
             tuple(
                 (
-                    store.key - row,
                     store.base,
                     store.length,
                     store.stride_elements,
@@ -399,14 +388,14 @@ class MemoryPipeline:
             ),
         )
 
-    def shift(self, cycles: int, rows: int) -> None:
-        """Move every timestamp ``cycles`` later and every store key ``rows`` on."""
+    def shift(self, cycles: int) -> None:
+        """Move every timestamp ``cycles`` later."""
         self.fabric.ports.shift(cycles)
         self.bypass_free += cycles
-        for queue in (self.vsaq, self.ssaq, self.vadq):
-            queue.shift(cycles)
+        for name in ("vector_pops", "scalar_pops"):
+            pops = getattr(self, name)
+            setattr(self, name, deque([time + cycles for time in pops], pops.maxlen))
         for store in self.pending_stores:
-            store.key += rows
             store.address_ready += cycles
             if store.data_ready is not None:
                 store.data_ready += cycles

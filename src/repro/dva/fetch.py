@@ -16,115 +16,92 @@ distributes each instruction:
 * conditional branches are executed by whichever processor owns the condition
   register, which then reports the outcome through a branch queue (the FP
   never waits for it because the simulated branch prediction is perfect).
+
+The rules answer in the simulator's small integer codes (:data:`AP` ...
+:data:`FP`, :data:`QMOV_NONE` ... :data:`QMOV_S_STORE`), on which its issue
+loop dispatches without hashing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum, unique
-from typing import Optional
+from typing import Tuple
 
 from repro.common.errors import SimulationError
-from repro.isa.opcodes import Opcode, OpcodeClass
+from repro.isa.opcodes import OpcodeClass
 from repro.isa.registers import RegisterClass
 
+#: Processor codes.  They are also the scoreboard's owner codes and the
+#: instruction-queue ids of the three queue-backed processors, in
+#: ``(APIQ, VPIQ, SPIQ)`` order; the FP keeps no instruction queue.
+AP = 0
+VP = 1
+SP = 2
+FP = 3
 
-@unique
-class Processor(Enum):
-    """The four processors of the decoupled architecture."""
+#: QMOV codes: the hidden companion the FP adds to a memory instruction.
+QMOV_NONE = 0
+QMOV_V_LOAD = 1
+QMOV_V_STORE = 2
+QMOV_S_LOAD = 3
+QMOV_S_STORE = 4
 
-    FETCH = "FP"
-    ADDRESS = "AP"
-    VECTOR = "VP"
-    SCALAR = "SP"
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    """Where one instruction goes and which QMOV it spawns.
-
-    ``primary`` is the processor that executes the traced instruction itself.
-    ``queue_move`` is the hidden QMOV opcode inserted by the FP (``None`` when
-    the instruction needs no companion), and ``queue_move_target`` is the
-    processor that executes it.
-    """
-
-    primary: Processor
-    queue_move: Optional[Opcode] = None
-
-    @property
-    def queue_move_target(self) -> Optional[Processor]:
-        if self.queue_move is None:
-            return None
-        if self.queue_move in (Opcode.QMOV_V_LOAD, Opcode.QMOV_V_STORE):
-            return Processor.VECTOR
-        return Processor.SCALAR
-
-    def targets(self) -> tuple[Processor, ...]:
-        """Every processor that receives an instruction-queue entry."""
-        destinations = []
-        if self.primary is not Processor.FETCH:
-            destinations.append(self.primary)
-        target = self.queue_move_target
-        if target is not None:
-            destinations.append(target)
-        return tuple(destinations)
+#: The processor executing each QMOV code (``FP``: no QMOV).
+QMOV_PROCESSOR = (FP, VP, VP, SP, SP)
 
 
-def route_instruction(instruction) -> RoutingDecision:
-    """Routing of one *static* instruction.
+def route_instruction(instruction) -> Tuple[int, int]:
+    """Routing of one *static* instruction: ``(primary, qmov)`` codes.
 
-    Routing depends only on the static instruction, so the simulator computes
-    it once per unique instruction of a trace (via the columnar
-    instruction-info table) instead of once per dynamic record.
+    ``primary`` is the processor that executes the instruction itself and
+    ``qmov`` the QMOV the fetch processor adds to it.  Routing depends only
+    on the static instruction, so the simulator computes it once per unique
+    instruction of a trace (via the columnar instruction-info table) instead
+    of once per dynamic record.
     """
     opcode_class = instruction.opcode_class
 
-    if instruction.is_queue_move:
-        raise SimulationError(
-            "QMOV opcodes are generated by the fetch processor and must not "
-            "appear in the programmer-visible trace"
-        )
-
     if opcode_class is OpcodeClass.VECTOR_MEMORY:
-        queue_move = Opcode.QMOV_V_LOAD if instruction.is_load else Opcode.QMOV_V_STORE
-        return RoutingDecision(Processor.ADDRESS, queue_move)
+        return AP, (QMOV_V_LOAD if instruction.is_load else QMOV_V_STORE)
 
     if opcode_class is OpcodeClass.SCALAR_MEMORY:
-        queue_move = Opcode.QMOV_S_LOAD if instruction.is_load else Opcode.QMOV_S_STORE
-        return RoutingDecision(Processor.ADDRESS, queue_move)
+        return AP, (QMOV_S_LOAD if instruction.is_load else QMOV_S_STORE)
 
     if opcode_class is OpcodeClass.VECTOR_COMPUTE:
-        return RoutingDecision(Processor.VECTOR)
+        return VP, QMOV_NONE
 
     if opcode_class is OpcodeClass.VECTOR_CONTROL:
-        return RoutingDecision(Processor.FETCH)
+        return FP, QMOV_NONE
 
     if opcode_class is OpcodeClass.CONTROL:
         if instruction.is_conditional_branch and instruction.sources:
-            return RoutingDecision(_owner_of(instruction.sources[0].register_class))
-        return RoutingDecision(Processor.FETCH)
+            return _owner_of(instruction.sources[0].register_class), QMOV_NONE
+        return FP, QMOV_NONE
 
     if opcode_class is OpcodeClass.SCALAR_COMPUTE:
-        return RoutingDecision(_scalar_home(instruction))
+        return _scalar_home(instruction), QMOV_NONE
 
     raise SimulationError(f"unroutable instruction: {instruction}")
 
 
-def _scalar_home(instruction) -> Processor:
+def queue_targets(primary: int, qmov: int) -> Tuple[int, ...]:
+    """The processors whose instruction queues receive an entry."""
+    return tuple(
+        processor for processor in (primary, QMOV_PROCESSOR[qmov]) if processor != FP
+    )
+
+
+def _scalar_home(instruction) -> int:
     """Address arithmetic lives on the AP, scalar data computation on the SP."""
     for register in instruction.destinations:
         if register.register_class is RegisterClass.ADDRESS:
-            return Processor.ADDRESS
+            return AP
     if instruction.destinations:
-        return Processor.SCALAR
+        return SP
     for register in instruction.sources:
         if register.register_class is RegisterClass.ADDRESS:
-            return Processor.ADDRESS
-    return Processor.SCALAR
+            return AP
+    return SP
 
 
-def _owner_of(register_class: RegisterClass) -> Processor:
-    if register_class is RegisterClass.ADDRESS:
-        return Processor.ADDRESS
-    return Processor.SCALAR
+def _owner_of(register_class: RegisterClass) -> int:
+    return AP if register_class is RegisterClass.ADDRESS else SP

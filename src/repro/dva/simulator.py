@@ -16,11 +16,12 @@ instruction-queue (APIQ, VPIQ, SPIQ) entry and the entry's processor pops it
 into the AVDQ and the VP's QMOV pops it in that step.  So at a push every
 earlier entry has already been released, the head entry at a pop is the one
 just pushed, and a queue of depth ``n`` is fully described by the pop cycles
-of its last ``n`` entries, ``deque([0] * n, maxlen=n)``.  A push waits for
-the oldest of them, ``ring[0]``, and a pop appends its cycle.  Only the
+of its last ``n`` entries (:func:`~repro.dva.address.ring`).  A push waits
+for the oldest of them, ``ring[0]``, and a pop appends its cycle.  The
 store queues, whose entries wait across steps for the store to drain, are
-:class:`~repro.dva.queues.TimedQueue`\\ s inside the
-:class:`~repro.dva.address.MemoryPipeline`.
+the :class:`~repro.dva.address.MemoryPipeline`'s pending stores beside the
+same kind of ring; a vector store's data takes the VADQ slot its address
+took in the VSAQ, so the QMOV moving it waits for that slot's pop.
 
 The scalar data queues between the AP and the SP hold no state.  The AP
 issues a scalar load without waiting for an ASDQ slot, and the SP pops the
@@ -61,15 +62,25 @@ repeat a steady state, with results identical to simulating every row.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.timeline import OccupancyTimeline
-from repro.dva.address import MemoryPipeline
-from repro.dva.fetch import Processor, route_instruction
+from repro.dva.address import MemoryPipeline, ring
+from repro.dva.fetch import (
+    AP,
+    QMOV_NONE,
+    QMOV_S_LOAD,
+    QMOV_S_STORE,
+    QMOV_V_LOAD,
+    QMOV_V_STORE,
+    SP,
+    VP,
+    queue_targets,
+    route_instruction,
+)
 from repro.dva.result import DecoupledResult
 from repro.engine import FU_STARTUP, ResourcePool, Scoreboard, fastforward
-from repro.isa.opcodes import Opcode
 from repro.trace.columns import InstructionInfo, Trace
 
 if TYPE_CHECKING:
@@ -92,45 +103,10 @@ CROSS_PROCESSOR_DELAY = 1
 _FU1 = 0
 _FU2 = 1
 
-#: Queue-move dispatch codes precomputed per unique instruction.
-_QMOV_NONE = 0
-_QMOV_V_LOAD = 1
-_QMOV_V_STORE = 2
-_QMOV_S_LOAD = 3
-_QMOV_S_STORE = 4
-
-_QMOV_CODES = {
-    None: _QMOV_NONE,
-    Opcode.QMOV_V_LOAD: _QMOV_V_LOAD,
-    Opcode.QMOV_V_STORE: _QMOV_V_STORE,
-    Opcode.QMOV_S_LOAD: _QMOV_S_LOAD,
-    Opcode.QMOV_S_STORE: _QMOV_S_STORE,
-}
-
-#: Primary-processor dispatch codes.  They are also the scoreboard's owner
-#: codes and the instruction-queue ids of the three queue-backed processors,
-#: in ``(APIQ, VPIQ, SPIQ)`` order.
-_PRIMARY_ADDRESS = 0
-_PRIMARY_VECTOR = 1
-_PRIMARY_SCALAR = 2
-_PRIMARY_FETCH = 3
-
-_PRIMARY_CODES = {
-    Processor.ADDRESS: _PRIMARY_ADDRESS,
-    Processor.VECTOR: _PRIMARY_VECTOR,
-    Processor.SCALAR: _PRIMARY_SCALAR,
-    Processor.FETCH: _PRIMARY_FETCH,
-}
-
-#: One routing entry per unique instruction: (primary dispatch code, QMOV
-#: dispatch code, instruction-queue ids receiving an entry, register id the
-#: QMOV writes or reads — ``-1`` when it has none).
+#: One routing entry per unique instruction: (primary processor code, QMOV
+#: code, instruction-queue ids receiving an entry, register id the QMOV
+#: writes or reads — ``-1`` when it has none); see :mod:`repro.dva.fetch`.
 RouteEntry = Tuple[int, int, Tuple[int, ...], int]
-
-
-def _ring(depth: int) -> Deque[int]:
-    """An empty same-step queue of ``depth`` entries (see the module docstring)."""
-    return deque([0] * depth, maxlen=depth)
 
 
 def _pop_before_push(queue: str, pop: int, push: int) -> SimulationError:
@@ -144,21 +120,21 @@ def _qmov_register(info: InstructionInfo, qmov: int) -> int:
     A vector QMOV without its vector register is malformed; checking here
     raises once per static instruction rather than once per dynamic record.
     """
-    if qmov == _QMOV_V_LOAD:
+    if qmov == QMOV_V_LOAD:
         registers = info.vector_destinations
         if not registers:
             raise SimulationError(
                 f"vector load without a vector destination: {info.instruction}"
             )
-    elif qmov == _QMOV_V_STORE:
+    elif qmov == QMOV_V_STORE:
         registers = info.vector_sources
         if not registers:
             raise SimulationError(
                 f"vector store without a vector data register: {info.instruction}"
             )
-    elif qmov == _QMOV_S_LOAD:
+    elif qmov == QMOV_S_LOAD:
         registers = info.scalar_destinations
-    elif qmov == _QMOV_S_STORE:
+    elif qmov == QMOV_S_STORE:
         registers = info.scalar_sources
     else:
         registers = ()
@@ -179,15 +155,9 @@ def _routing_table(trace: Trace) -> List[RouteEntry]:
         return table
     table = []
     for info in infos:
-        decision = route_instruction(info.instruction)
-        qmov = _QMOV_CODES[decision.queue_move]
+        primary, qmov = route_instruction(info.instruction)
         table.append(
-            (
-                _PRIMARY_CODES[decision.primary],
-                qmov,
-                tuple(_PRIMARY_CODES[target] for target in decision.targets()),
-                _qmov_register(info, qmov),
-            )
+            (primary, qmov, queue_targets(primary, qmov), _qmov_register(info, qmov))
         )
     trace.annotations["dva_routes"] = table
     return table
@@ -247,10 +217,10 @@ class _DecoupledState:
         # Same-step queues as pop-time rings: the pop cycles of each queue's
         # last ``depth`` entries, oldest first (see the module docstring).
         # The zeros stand for the free slots of an empty queue.
-        self.apiq = _ring(spec.instruction_queue)
-        self.vpiq = _ring(spec.instruction_queue)
-        self.spiq = _ring(spec.instruction_queue)
-        self.avdq = _ring(spec.vector_load_data)
+        self.apiq = ring(spec.instruction_queue)
+        self.vpiq = ring(spec.instruction_queue)
+        self.spiq = ring(spec.instruction_queue)
+        self.avdq = ring(spec.vector_load_data)
         self.avdq_occupancy = OccupancyTimeline("AVDQ", capacity=spec.vector_load_data)
 
         # Per-processor issue pointers: the cycle each processor will look at
@@ -371,7 +341,7 @@ class _DecoupledState:
             if fp_free > horizon:
                 horizon = fp_free
 
-            if primary == _PRIMARY_ADDRESS:
+            if primary == AP:
                 # The AP only waits for scalar operands (addresses, lengths);
                 # the data registers of vector accesses belong to the VP and
                 # travel through the queues instead.
@@ -379,11 +349,11 @@ class _DecoupledState:
                 start = ap_free if ap_free > fp_free else fp_free
                 for register in info.scalar_source_ids:
                     operand = ready_at[register]
-                    if owner_of[register] != _PRIMARY_ADDRESS:
+                    if owner_of[register] != AP:
                         operand += cross_delay
                     if operand > start:
                         start = operand
-                if qmov == _QMOV_V_LOAD:
+                if qmov == QMOV_V_LOAD:
                     vector_loads += 1
                     # The load waits for a free AVDQ slot for its data.
                     if avdq[0] > start:
@@ -391,26 +361,26 @@ class _DecoupledState:
                     load_ready = memory.issue_vector_load(
                         addresses[index], lengths[index], strides[index],
                         info.is_indexed, start,
-                    ).data_ready
+                    )
                     load_push = start
                     avdq_enter(start)
                     if load_ready > horizon:
                         horizon = load_ready
                     ap_free = start + 1
-                elif qmov == _QMOV_V_STORE:
+                elif qmov == QMOV_V_STORE:
                     vector_stores += 1
                     pushed = memory.enqueue_vector_store(
-                        index, addresses[index], lengths[index], strides[index],
+                        addresses[index], lengths[index], strides[index],
                         info.is_indexed, start,
                     )
                     ap_free = (pushed if pushed > start else start) + 1
-                elif qmov == _QMOV_S_LOAD:
+                elif qmov == QMOV_S_LOAD:
                     load_ready = memory.issue_scalar_load(addresses[index], start)
                     if load_ready > horizon:
                         horizon = load_ready
                     ap_free = start + 1
-                elif qmov == _QMOV_S_STORE:
-                    pushed = memory.enqueue_scalar_store(index, addresses[index], start)
+                elif qmov == QMOV_S_STORE:
+                    pushed = memory.enqueue_scalar_store(addresses[index], start)
                     ap_free = (pushed if pushed > start else start) + 1
                 else:
                     # Address arithmetic and AP-resolved branches take one cycle.
@@ -418,17 +388,17 @@ class _DecoupledState:
                     for register in info.destination_ids:
                         ready_at[register] = ap_free
                         chain_at[register] = None
-                        owner_of[register] = _PRIMARY_ADDRESS
+                        owner_of[register] = AP
                 if start < push_time:
                     raise _pop_before_push("APIQ", start, push_time)
                 apiq_issue(start)
                 if ap_free > horizon:
                     horizon = ap_free
-            elif primary == _PRIMARY_VECTOR:
+            elif primary == VP:
                 vp_count += 1
                 start = vp_free if vp_free > fp_free else fp_free
                 for register in info.data_source_ids:
-                    if owner_of[register] != _PRIMARY_VECTOR:
+                    if owner_of[register] != VP:
                         operand = ready_at[register] + cross_delay
                     else:
                         operand = chain_at[register]
@@ -460,15 +430,15 @@ class _DecoupledState:
                 for register, is_vector in info.destination_id_flags:
                     ready_at[register] = completion
                     chain_at[register] = chain if is_vector else None
-                    owner_of[register] = _PRIMARY_VECTOR
+                    owner_of[register] = VP
                 if completion > horizon:
                     horizon = completion
-            elif primary == _PRIMARY_SCALAR:
+            elif primary == SP:
                 sp_count += 1
                 start = sp_free if sp_free > fp_free else fp_free
                 for register in info.source_ids:
                     operand = ready_at[register]
-                    if owner_of[register] != _PRIMARY_SCALAR:
+                    if owner_of[register] != SP:
                         operand += cross_delay
                     if operand > start:
                         start = operand
@@ -479,14 +449,14 @@ class _DecoupledState:
                 for register in info.destination_ids:
                     ready_at[register] = sp_free
                     chain_at[register] = None
-                    owner_of[register] = _PRIMARY_SCALAR
+                    owner_of[register] = SP
                 if sp_free > horizon:
                     horizon = sp_free
-            # _PRIMARY_FETCH: consumed during translation, nothing further.
+            # FP: consumed during translation, nothing further.
 
-            if qmov == _QMOV_NONE:
+            if qmov == QMOV_NONE:
                 continue
-            if qmov == _QMOV_V_LOAD:
+            if qmov == QMOV_V_LOAD:
                 vp_count += 1
                 # The AVDQ's head entry is this step's load.
                 start = vp_free if vp_free > fp_free else fp_free
@@ -513,13 +483,13 @@ class _DecoupledState:
                 completion = chain + length
                 ready_at[qmov_register] = completion
                 chain_at[qmov_register] = chain
-                owner_of[qmov_register] = _PRIMARY_VECTOR
+                owner_of[qmov_register] = VP
                 if completion > horizon:
                     horizon = completion
-            elif qmov == _QMOV_V_STORE:
+            elif qmov == QMOV_V_STORE:
                 vp_count += 1
                 start = vp_free if vp_free > fp_free else fp_free
-                if owner_of[qmov_register] != _PRIMARY_VECTOR:
+                if owner_of[qmov_register] != VP:
                     operand = ready_at[qmov_register] + cross_delay
                 else:
                     operand = chain_at[qmov_register]
@@ -527,7 +497,7 @@ class _DecoupledState:
                         operand = ready_at[qmov_register]
                 if operand > start:
                     start = operand
-                slot = memory.reserve_vector_store_data_slot(start)
+                slot = memory.vector_data_slot()
                 if slot > start:
                     start = slot
                 # A QMOV unit moves one element per cycle.
@@ -543,12 +513,10 @@ class _DecoupledState:
                     raise _pop_before_push("VPIQ", start, push_time)
                 vpiq_issue(start)
                 vp_free = start + 1
-                memory.attach_vector_store_data(
-                    index, push_time=start, data_ready=data_ready
-                )
+                memory.attach_store_data(data_ready)
                 if data_ready > horizon:
                     horizon = data_ready
-            elif qmov == _QMOV_S_LOAD:
+            elif qmov == QMOV_S_LOAD:
                 sp_count += 1
                 start = sp_free if sp_free > fp_free else fp_free
                 if load_ready > start:
@@ -560,7 +528,7 @@ class _DecoupledState:
                 if qmov_register >= 0:
                     ready_at[qmov_register] = sp_free
                     chain_at[qmov_register] = None
-                    owner_of[qmov_register] = _PRIMARY_SCALAR
+                    owner_of[qmov_register] = SP
                 if sp_free > horizon:
                     horizon = sp_free
             else:
@@ -568,7 +536,7 @@ class _DecoupledState:
                 start = sp_free if sp_free > fp_free else fp_free
                 if qmov_register >= 0:
                     operand = ready_at[qmov_register]
-                    if owner_of[qmov_register] != _PRIMARY_SCALAR:
+                    if owner_of[qmov_register] != SP:
                         operand += cross_delay
                     if operand > start:
                         start = operand
@@ -576,7 +544,7 @@ class _DecoupledState:
                     raise _pop_before_push("SPIQ", start, push_time)
                 spiq_issue(start)
                 sp_free = start + 1
-                memory.attach_scalar_store_data(index, data_ready=sp_free)
+                memory.attach_store_data(sp_free)
                 if sp_free > horizon:
                     horizon = sp_free
 
@@ -595,7 +563,7 @@ class _DecoupledState:
 
     # -- fast-forward ---------------------------------------------------------------------
 
-    def fingerprint(self, row: int) -> tuple:
+    def fingerprint(self) -> tuple:
         """The loop's state at a mark, relative to the horizon (see fastforward).
 
         Every processor starts an instruction no earlier than the fetch
@@ -621,7 +589,7 @@ class _DecoupledState:
             relative(self.avdq, origin, address),
             tuple(free - origin for free in self.fus.free),
             tuple(free - origin for free in self.qmov_free),
-            self.memory.relative(origin, fetch, address, row),
+            self.memory.fingerprint(origin, fetch, address),
         )
 
     def counters(self) -> List[Tuple[object, str]]:
@@ -642,7 +610,7 @@ class _DecoupledState:
             (memory.cache, "misses"),
         ]
 
-    def shift(self, cycles: int, rows: int) -> None:
+    def shift(self, cycles: int) -> None:
         self.horizon += cycles
         self.fp_free += cycles
         self.ap_free += cycles
@@ -654,7 +622,7 @@ class _DecoupledState:
             setattr(self, name, deque([time + cycles for time in ring], ring.maxlen))
         self.fus.shift(cycles)
         self.qmov_free[:] = [free + cycles for free in self.qmov_free]
-        self.memory.shift(cycles, rows)
+        self.memory.shift(cycles)
 
     # -- wind-down ------------------------------------------------------------------------------------------
 

@@ -26,16 +26,15 @@ A loop that uses this module provides:
 
 * ``horizon`` — the latest completion so far, the origin of a fingerprint;
 * ``issue(trace, start, stop)`` — the inner loop over rows ``[start, stop)``;
-* ``fingerprint(row)`` — its state at the mark starting at ``row``, with
-  timestamps relative to ``horizon`` and row numbers relative to ``row``;
+* ``fingerprint()`` — its state at a mark, with timestamps relative to
+  ``horizon`` (no state names a row, so nothing else is relative);
 * ``counters()`` — its additive counters, as ``(object, attribute)`` pairs
   (built per call: a stored list holding the machine would be a reference
   cycle, keeping every finished machine alive until the cyclic collector
   runs);
 * ``timelines`` — its interval recorders (busy intervals, queue
   residencies; :class:`~repro.common.intervals.IntervalRecorder`);
-* ``shift(cycles, rows)`` — move every timestamp ``cycles`` later and every
-  row number ``rows`` further.
+* ``shift(cycles)`` — move every timestamp ``cycles`` later.
 
 A jump records the period's intervals in each recorder as one repeat
 (:meth:`~repro.common.intervals.IntervalRecorder.repeat`: the period's
@@ -69,7 +68,7 @@ class _Snapshot:
     def __init__(self, machine, row: int) -> None:
         self.row = row
         self.horizon = machine.horizon
-        self.fingerprint = machine.fingerprint(row)
+        self.fingerprint = machine.fingerprint()
         self.counters = [getattr(owner, name) for owner, name in machine.counters()]
         self.lengths = [len(recorder.starts) for recorder in machine.timelines]
 
@@ -138,7 +137,7 @@ def _jump(machine, trace, index: int, run_end: int, period: int,
         recorder.repeat(first, last, delta, repeats)
     for (owner, name), before, after in zip(machine.counters(), earlier.counters, now.counters):
         setattr(owner, name, getattr(owner, name) + (after - before) * repeats)
-    machine.shift(repeats * delta, repeats * period_rows)
+    machine.shift(repeats * delta)
     return repeats * period
 
 

@@ -19,7 +19,7 @@ class, register operands, vector length, stride and base address.
 """
 
 from repro.isa.instruction import Instruction, MemoryOperand
-from repro.isa.opcodes import ExecutionUnit, Opcode, OpcodeClass
+from repro.isa.opcodes import Opcode, OpcodeClass
 from repro.isa.program import BasicBlock, Program
 from repro.isa.registers import (
     Register,
@@ -35,7 +35,6 @@ from repro.isa.builder import InstructionBuilder
 
 __all__ = [
     "BasicBlock",
-    "ExecutionUnit",
     "Instruction",
     "InstructionBuilder",
     "MemoryOperand",

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.isa import opcodes as op
-from repro.isa.opcodes import ExecutionUnit, Opcode, OpcodeClass
+from repro.isa.opcodes import Opcode, OpcodeClass
 from repro.isa.registers import Register
 
 _instruction_ids = itertools.count()
@@ -83,10 +83,6 @@ class Instruction:
         return op.opcode_class(self.opcode)
 
     @property
-    def execution_unit(self) -> ExecutionUnit:
-        return op.execution_unit(self.opcode)
-
-    @property
     def is_vector(self) -> bool:
         return op.is_vector(self.opcode)
 
@@ -121,10 +117,6 @@ class Instruction:
     @property
     def is_reduction(self) -> bool:
         return op.is_reduction(self.opcode)
-
-    @property
-    def is_queue_move(self) -> bool:
-        return op.is_queue_move(self.opcode)
 
     @property
     def requires_fu2(self) -> bool:

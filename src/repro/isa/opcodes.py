@@ -3,7 +3,7 @@
 The classification answers the questions the simulators ask of every
 instruction:
 
-* which execution unit can run it (scalar unit, FU1/FU2, memory port), and
+* whether only the general-purpose vector unit (FU2) can run it, and
 * whether it reads or writes memory, so the decoupled fetch processor knows
   which stream to route it to (paper §4.1).
 """
@@ -24,25 +24,6 @@ class OpcodeClass(Enum):
     VECTOR_MEMORY = "vector_memory"
     VECTOR_CONTROL = "vector_control"
     CONTROL = "control"
-    QUEUE_MOVE = "queue_move"
-
-
-@unique
-class ExecutionUnit(Enum):
-    """Which hardware resource executes an instruction.
-
-    ``FU_ANY`` instructions may run on either vector functional unit; the
-    dispatch logic picks whichever is free first.  ``FU2_ONLY`` covers
-    multiply, divide and square root, which the restricted FU1 cannot execute
-    (paper §2.1).
-    """
-
-    SCALAR = "scalar"
-    FU_ANY = "fu_any"
-    FU2_ONLY = "fu2_only"
-    MEMORY = "memory"
-    CONTROL = "control"
-    QMOV = "qmov"
 
 
 @unique
@@ -103,13 +84,6 @@ class Opcode(Enum):
     V_GATHER = "v_gather"
     V_SCATTER = "v_scatter"
 
-    # Queue moves: generated by the decoupled fetch processor, never present
-    # in programmer-visible code (paper §4.1).
-    QMOV_V_LOAD = "qmov_v_load"
-    QMOV_V_STORE = "qmov_v_store"
-    QMOV_S_LOAD = "qmov_s_load"
-    QMOV_S_STORE = "qmov_s_store"
-
 
 _SCALAR_COMPUTE = {
     Opcode.S_ADD,
@@ -149,13 +123,6 @@ _VECTOR_FU2_ONLY = {Opcode.V_MUL, Opcode.V_DIV, Opcode.V_SQRT, Opcode.V_DOT}
 
 _VECTOR_MEMORY = {Opcode.V_LOAD, Opcode.V_STORE, Opcode.V_GATHER, Opcode.V_SCATTER}
 
-_QUEUE_MOVES = {
-    Opcode.QMOV_V_LOAD,
-    Opcode.QMOV_V_STORE,
-    Opcode.QMOV_S_LOAD,
-    Opcode.QMOV_S_STORE,
-}
-
 _LOADS = {Opcode.S_LOAD, Opcode.V_LOAD, Opcode.V_GATHER}
 _STORES = {Opcode.S_STORE, Opcode.V_STORE, Opcode.V_SCATTER}
 _INDEXED = {Opcode.V_GATHER, Opcode.V_SCATTER}
@@ -181,29 +148,7 @@ def opcode_class(opcode: Opcode) -> OpcodeClass:
         return OpcodeClass.VECTOR_COMPUTE
     if opcode in _VECTOR_MEMORY:
         return OpcodeClass.VECTOR_MEMORY
-    if opcode in _QUEUE_MOVES:
-        return OpcodeClass.QUEUE_MOVE
     raise ValueError(f"unclassified opcode: {opcode}")
-
-
-def execution_unit(opcode: Opcode) -> ExecutionUnit:
-    """Return which hardware resource executes an opcode."""
-    cls = opcode_class(opcode)
-    if cls in (OpcodeClass.SCALAR_COMPUTE, OpcodeClass.SCALAR_MEMORY):
-        # Scalar memory occupies the scalar issue slot *and* the memory port;
-        # the memory-port usage is modelled separately by the simulators.
-        return ExecutionUnit.SCALAR if cls is OpcodeClass.SCALAR_COMPUTE else ExecutionUnit.MEMORY
-    if cls is OpcodeClass.CONTROL:
-        return ExecutionUnit.CONTROL
-    if cls is OpcodeClass.VECTOR_CONTROL:
-        return ExecutionUnit.SCALAR
-    if cls is OpcodeClass.VECTOR_MEMORY:
-        return ExecutionUnit.MEMORY
-    if cls is OpcodeClass.QUEUE_MOVE:
-        return ExecutionUnit.QMOV
-    if opcode in _VECTOR_FU2_ONLY:
-        return ExecutionUnit.FU2_ONLY
-    return ExecutionUnit.FU_ANY
 
 
 def is_vector(opcode: Opcode) -> bool:
@@ -244,11 +189,6 @@ def is_conditional_branch(opcode: Opcode) -> bool:
 def is_reduction(opcode: Opcode) -> bool:
     """True for vector instructions that produce a scalar result."""
     return opcode in _REDUCTIONS
-
-
-def is_queue_move(opcode: Opcode) -> bool:
-    """True for the implementation-internal QMOV opcodes."""
-    return opcode in _QUEUE_MOVES
 
 
 def requires_fu2(opcode: Opcode) -> bool:

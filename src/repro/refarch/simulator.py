@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.engine import (
     BUS_CYCLES_PER_ELEMENT,
     FU_STARTUP,
@@ -45,7 +45,6 @@ from repro.engine import (
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.refarch.result import ReferenceResult
 from repro.trace.columns import (
-    KIND_QUEUE_MOVE,
     KIND_SCALAR_MEMORY,
     KIND_VECTOR_COMPUTE,
     KIND_VECTOR_MEMORY,
@@ -258,11 +257,6 @@ class _SimulationState:
                 if not scalar_memory_cycles:
                     first_charged.append("scalar_memory")
                 scalar_memory_cycles += 1
-            elif kind == KIND_QUEUE_MOVE:
-                raise SimulationError(
-                    "queue-move opcodes are internal to the decoupled architecture "
-                    "and cannot appear in a reference-architecture trace"
-                )
             else:
                 # Scalar computation, vector control and branches: one cycle.
                 dispatch_stall += earliest - dispatch_free
@@ -288,7 +282,7 @@ class _SimulationState:
 
     # -- fast-forward ---------------------------------------------------------------------
 
-    def fingerprint(self, row: int) -> tuple:
+    def fingerprint(self) -> tuple:
         """The loop's state at a mark, relative to the horizon (see fastforward).
 
         Every instruction issues no earlier than the dispatch pointer, so a
@@ -318,7 +312,7 @@ class _SimulationState:
             (self.fabric.cache, "misses"),
         ]
 
-    def shift(self, cycles: int, rows: int) -> None:
+    def shift(self, cycles: int) -> None:
         self.horizon += cycles
         self.dispatch_free += cycles
         self.scoreboard.shift(cycles)

@@ -44,7 +44,6 @@ KIND_VECTOR_COMPUTE = 2
 KIND_VECTOR_MEMORY = 3
 KIND_VECTOR_CONTROL = 4
 KIND_CONTROL = 5
-KIND_QUEUE_MOVE = 6
 
 _KIND_OF_CLASS = {
     OpcodeClass.SCALAR_COMPUTE: KIND_SCALAR_COMPUTE,
@@ -53,7 +52,6 @@ _KIND_OF_CLASS = {
     OpcodeClass.VECTOR_MEMORY: KIND_VECTOR_MEMORY,
     OpcodeClass.VECTOR_CONTROL: KIND_VECTOR_CONTROL,
     OpcodeClass.CONTROL: KIND_CONTROL,
-    OpcodeClass.QUEUE_MOVE: KIND_QUEUE_MOVE,
 }
 
 

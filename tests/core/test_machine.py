@@ -223,13 +223,9 @@ class TestSimulatorsReadTheSpec:
         spec = machine_spec("dva@iq=3,avdq=5,vadq=6,ssaq=7")
         state = _DecoupledState(spec, 50)
         pipeline = state.memory
-        capacities = {
-            queue.name: queue.capacity
-            for queue in (pipeline.vadq, pipeline.vsaq, pipeline.ssaq)
-        }
-        # The VSAQ follows the VADQ: the paper's "store queue length" is
-        # one parameter.
-        assert capacities == {"VADQ": 6, "VSAQ": 6, "SSAQ": 7}
+        # The VSAQ follows ``vadq``: the paper's "store queue length" is one
+        # parameter, and a vector store's data takes its address's slot.
+        assert (pipeline.vector_pops.maxlen, pipeline.scalar_pops.maxlen) == (6, 7)
         # The queues a trace step pushes and pops are the loop's rings.
         rings = {
             name: getattr(state, name).maxlen

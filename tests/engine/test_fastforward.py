@@ -44,13 +44,13 @@ class Clock:
             self.rows += 1
         self.invocations += 1
 
-    def fingerprint(self, row):
+    def fingerprint(self):
         return self.phase(self.invocations)
 
     def counters(self):
         return [(self, "rows"), (self, "invocations")]
 
-    def shift(self, cycles, rows):
+    def shift(self, cycles):
         self.horizon += cycles
 
 
@@ -143,15 +143,17 @@ def bdna():
 
 
 def _mid_run(state, trace):
-    """Issue ``trace`` up to the middle of its last kernel run; return the mark's row."""
-    row = trace.marks[len(trace.marks) - 3][1]
-    state.issue(trace, 0, row)
-    return row
+    """Issue ``trace`` up to a mark in the middle of its last kernel run."""
+    state.issue(trace, 0, trace.marks[len(trace.marks) - 3][1])
+    return state
 
 
 def _fresh_dva(trace):
-    state = _DecoupledState(MachineSpec(family="dva"), 50)
-    return state, _mid_run(state, trace)
+    return _mid_run(_DecoupledState(MachineSpec(family="dva"), 50), trace)
+
+
+def _newest_scalar_store(state):
+    return next(store for store in reversed(state.memory.pending_stores) if not store.is_vector)
 
 
 def _bump(values, index=0):
@@ -165,13 +167,15 @@ DVA_MUTATIONS = {
     "QMOV free": lambda s: _bump(s.qmov_free),
     "port free": lambda s: _bump(s.memory.fabric.ports.free),
     "cache tag": lambda s: s.memory.cache.tags.__setitem__(1, 12345),
-    "store key": lambda s: setattr(s.memory.pending_stores[0], "key", s.memory.pending_stores[0].key + 1),
     "SP pointer": lambda s: setattr(s, "sp_free", max(s.sp_free, s.fp_free) + 1),
     "newest VPIQ entry": lambda s: s.vpiq.append(s.horizon + 5),
     "newest AVDQ entry": lambda s: s.avdq.append(s.horizon + 5),
     "bypass free": lambda s: setattr(s.memory, "bypass_free", s.horizon + 5),
-    "newest VADQ pop": lambda s: s.memory.vadq.pops.append(s.horizon + 5),
-    "SSAQ push": lambda s: s.memory.ssaq.pushes.append(s.horizon + 5),
+    "newest VSAQ pop": lambda s: s.memory.vector_pops.append(s.horizon + 5),
+    "newest SSAQ pop": lambda s: s.memory.scalar_pops.append(s.horizon + 5),
+    "SSAQ push": lambda s: setattr(
+        _newest_scalar_store(s), "address_ready", _newest_scalar_store(s).address_ready + 1
+    ),
     "live register": lambda s: s.scoreboard.ready.__setitem__(
         0, max(s.scoreboard.ready[0], s.fp_free) + 1
     ),
@@ -179,17 +183,17 @@ DVA_MUTATIONS = {
 
 
 def test_every_live_part_of_the_dva_state_is_in_its_fingerprint(bdna):
-    assert _fresh_dva(bdna)[0].memory.pending_stores, "the mark should find a queued store"
+    assert _newest_scalar_store(_fresh_dva(bdna)), "the mark should find a queued store"
     for name, mutate in DVA_MUTATIONS.items():
-        state, row = _fresh_dva(bdna)
-        before = state.fingerprint(row)
+        state = _fresh_dva(bdna)
+        before = state.fingerprint()
         mutate(state)
-        assert state.fingerprint(row) != before, name
+        assert state.fingerprint() != before, name
 
 
 def test_stale_dva_values_are_left_out_of_its_fingerprint(bdna):
-    state, row = _fresh_dva(bdna)
-    before = state.fingerprint(row)
+    state = _fresh_dva(bdna)
+    before = state.fingerprint()
     fetch = state.fp_free
     floor = max(state.ap_free, fetch)
     stale_registers = [
@@ -202,13 +206,12 @@ def test_stale_dva_values_are_left_out_of_its_fingerprint(bdna):
     state.scoreboard.owner[stale_registers[0]] = "elsewhere"
     state.avdq[stale_avdq[0]] = floor - 1
     state.memory.bypass_free = floor - 1
-    assert state.fingerprint(row) == before
+    assert state.fingerprint() == before
 
 
 def test_every_live_part_of_the_ref_state_is_in_its_fingerprint(bdna):
     def fresh():
-        state = _SimulationState(MachineSpec(family="ref"), 50)
-        return state, _mid_run(state, bdna)
+        return _mid_run(_SimulationState(MachineSpec(family="ref"), 50), bdna)
 
     mutations = {
         "dispatch pointer": lambda s: setattr(s, "dispatch_free", s.dispatch_free + 1),
@@ -220,7 +223,7 @@ def test_every_live_part_of_the_ref_state_is_in_its_fingerprint(bdna):
         ),
     }
     for name, mutate in mutations.items():
-        state, row = fresh()
-        before = state.fingerprint(row)
+        state = fresh()
+        before = state.fingerprint()
         mutate(state)
-        assert state.fingerprint(row) != before, name
+        assert state.fingerprint() != before, name

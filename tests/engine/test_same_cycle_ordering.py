@@ -2,14 +2,13 @@
 
 The timestamp-arithmetic simulators never step cycles, so every "who goes
 first within one cycle" question is answered by a convention baked into
-:class:`~repro.dva.queues.TimedQueue`,
+the DVA's store queues (:class:`~repro.dva.address.MemoryPipeline`),
 :class:`~repro.common.intervals.IntervalRecorder` and
 :class:`~repro.engine.ResourcePool`.  Each one is pinned here:
 
-* a queue entry may be popped on the very cycle it was pushed (zero
-  residency is legal), but never earlier;
 * a queue slot is reusable on the cycle its entry is released — the blocking
-  time is the pop cycle itself, not the cycle after;
+  time is the pop cycle itself, not the cycle after — so a push stall is
+  exactly the blocked cycles;
 * busy intervals are half-open ``[start, end)``: a resource handed over at a
   cycle boundary is busy each cycle exactly once, and zero-length intervals
   are no-ops rather than errors.
@@ -19,67 +18,47 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder, state_breakdown
-from repro.dva.queues import TimedQueue
+from repro.core import MachineSpec
+from repro.dva.address import MemoryPipeline
 from repro.engine import ResourcePool
 
 
-class TestTimedQueueSameCycleRules:
-    def test_pop_on_the_push_cycle_is_legal(self):
-        queue = TimedQueue("iq", capacity=4)
-        queue.push(5)
-        queue.pop(5)
-        assert queue.outstanding == 0
+def _one_slot_ssaq():
+    """A depth-1 SSAQ whose only store leaves at cycle 5 (a miss on [4, 5))."""
+    pipeline = MemoryPipeline(MachineSpec(family="dva", scalar_store_address=1), 20)
+    pipeline.enqueue_scalar_store(0x1000, requested=0)
+    pipeline.attach_store_data(4)
+    return pipeline
 
-    def test_pop_before_the_push_cycle_raises(self):
-        queue = TimedQueue("iq", capacity=4)
-        queue.push(5)
-        with pytest.raises(SimulationError, match="precedes push"):
-            queue.pop(4)
 
+class TestStoreQueueSameCycleRules:
     def test_slot_is_reusable_on_the_release_cycle_not_after(self):
-        queue = TimedQueue("iq", capacity=1)
-        queue.push(0)
-        queue.pop(5)
-        assert queue.earliest_push(3) == 5
-        assert queue.push(3) == 5  # accepted at the pop cycle, not 6
+        pipeline = _one_slot_ssaq()
+        assert pipeline.enqueue_scalar_store(0x2000, requested=3) == 5  # not 6
+        assert pipeline.port.ends == [5]
 
     def test_push_stall_charges_exactly_the_blocked_cycles(self):
-        queue = TimedQueue("iq", capacity=1)
-        queue.push(0)
-        queue.pop(5)
+        pipeline = _one_slot_ssaq()
         requested = 3
-        assert queue.push(requested) - requested == 2
+        assert pipeline.enqueue_scalar_store(0x2000, requested) - requested == 2
+
+    @pytest.mark.parametrize("requested", [0, 4, 5, 6, 20])
+    def test_push_is_the_later_of_request_and_release(self, requested):
+        pipeline = _one_slot_ssaq()
+        assert pipeline.enqueue_scalar_store(0x2000, requested) == max(5, requested)
 
     def test_push_is_unblocked_under_capacity(self):
-        queue = TimedQueue("iq", capacity=2)
-        queue.push(9)
-        assert queue.earliest_push(0) == 0
-        assert queue.push(0) == 0
+        pipeline = MemoryPipeline(MachineSpec(family="dva", scalar_store_address=2), 20)
+        pipeline.enqueue_scalar_store(0x1000, requested=9)
+        assert pipeline.enqueue_scalar_store(0x2000, requested=0) == 0
 
-    def test_earliest_push_is_the_later_of_request_and_release(self):
-        queue = TimedQueue("iq", capacity=1)
-        queue.push(0)
-        queue.pop(7)
-        for requested in (0, 6, 7, 8, 20):
-            assert queue.earliest_push(requested) == max(7, requested)
-
-    def test_push_requires_the_consumer_to_have_run(self):
-        # Pushing into a full queue whose blocking entry the consumer has not
-        # released yet is a program-order bug and must fail loudly.
-        queue = TimedQueue("iq", capacity=1)
-        queue.push(0)
-        with pytest.raises(SimulationError, match="has not been released yet"):
-            queue.earliest_push(0)
-        with pytest.raises(SimulationError, match="has not been released yet"):
-            queue.push(0)
-
-    def test_same_cycle_push_then_pop_round_trip(self):
-        # A full capacity-1 pipeline: every entry lives zero cycles and the
-        # queue still accepts one entry per cycle with no stalls.
-        queue = TimedQueue("iq", capacity=1)
-        for cycle in range(4):
-            assert queue.push(cycle) == cycle
-            queue.pop(cycle)
+    def test_push_requires_the_blocking_store_to_have_its_data(self):
+        # A full queue whose oldest store has no data yet cannot make room:
+        # the QMOV producing the data must be simulated first.
+        pipeline = MemoryPipeline(MachineSpec(family="dva", scalar_store_address=1), 20)
+        pipeline.enqueue_scalar_store(0x1000, requested=0)
+        with pytest.raises(SimulationError, match="has no data yet"):
+            pipeline.enqueue_scalar_store(0x2000, requested=0)
 
 
 class TestIntervalSameCycleRules:

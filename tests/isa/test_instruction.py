@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.isa.instruction import MemoryOperand, make_instruction
-from repro.isa.opcodes import ExecutionUnit, Opcode, OpcodeClass
+from repro.isa.opcodes import Opcode, OpcodeClass
 from repro.isa.registers import VL_REGISTER, s_reg, v_reg
 
 
@@ -47,7 +47,6 @@ class TestInstruction:
         assert load.is_load
         assert load.is_vector_memory
         assert not load.is_store
-        assert load.execution_unit is ExecutionUnit.MEMORY
         assert load.opcode_class is OpcodeClass.VECTOR_MEMORY
 
         multiply = make_instruction(

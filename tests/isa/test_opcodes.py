@@ -2,14 +2,13 @@
 
 
 from repro.isa import opcodes as op
-from repro.isa.opcodes import ExecutionUnit, Opcode, OpcodeClass
+from repro.isa.opcodes import Opcode, OpcodeClass
 
 
 class TestClassificationCoverage:
     def test_every_opcode_is_classified(self):
         for opcode in Opcode:
             assert op.opcode_class(opcode) in OpcodeClass
-            assert op.execution_unit(opcode) in ExecutionUnit
 
     def test_vector_and_scalar_are_disjoint(self):
         for opcode in Opcode:
@@ -18,7 +17,6 @@ class TestClassificationCoverage:
                 OpcodeClass.SCALAR_MEMORY,
                 OpcodeClass.CONTROL,
                 OpcodeClass.VECTOR_CONTROL,
-                OpcodeClass.QUEUE_MOVE,
             ):
                 assert not op.is_vector(opcode)
 
@@ -34,15 +32,15 @@ class TestSpecificOpcodes:
     def test_fu2_only_operations(self):
         for opcode in (Opcode.V_MUL, Opcode.V_DIV, Opcode.V_SQRT, Opcode.V_DOT):
             assert op.requires_fu2(opcode)
-            assert op.execution_unit(opcode) is ExecutionUnit.FU2_ONLY
+            assert op.opcode_class(opcode) is OpcodeClass.VECTOR_COMPUTE
 
     def test_fu_any_operations(self):
         for opcode in (Opcode.V_ADD, Opcode.V_SUB, Opcode.V_AND, Opcode.V_SUM):
             assert not op.requires_fu2(opcode)
-            assert op.execution_unit(opcode) is ExecutionUnit.FU_ANY
+            assert op.opcode_class(opcode) is OpcodeClass.VECTOR_COMPUTE
 
     def test_vector_memory(self):
-        assert op.execution_unit(Opcode.V_LOAD) is ExecutionUnit.MEMORY
+        assert op.opcode_class(Opcode.V_LOAD) is OpcodeClass.VECTOR_MEMORY
         assert op.is_load(Opcode.V_LOAD)
         assert op.is_store(Opcode.V_STORE)
         assert op.is_load(Opcode.V_GATHER)
@@ -51,9 +49,9 @@ class TestSpecificOpcodes:
         assert op.is_indexed_memory(Opcode.V_SCATTER)
         assert not op.is_indexed_memory(Opcode.V_LOAD)
 
-    def test_scalar_memory_uses_memory_port(self):
-        assert op.execution_unit(Opcode.S_LOAD) is ExecutionUnit.MEMORY
-        assert op.execution_unit(Opcode.S_STORE) is ExecutionUnit.MEMORY
+    def test_scalar_memory(self):
+        assert op.opcode_class(Opcode.S_LOAD) is OpcodeClass.SCALAR_MEMORY
+        assert op.opcode_class(Opcode.S_STORE) is OpcodeClass.SCALAR_MEMORY
 
     def test_branches(self):
         assert op.is_branch(Opcode.BRANCH)
@@ -67,18 +65,7 @@ class TestSpecificOpcodes:
         assert op.is_reduction(Opcode.V_EXTRACT)
         assert not op.is_reduction(Opcode.V_ADD)
 
-    def test_queue_moves_are_internal(self):
-        for opcode in (
-            Opcode.QMOV_V_LOAD,
-            Opcode.QMOV_V_STORE,
-            Opcode.QMOV_S_LOAD,
-            Opcode.QMOV_S_STORE,
-        ):
-            assert op.is_queue_move(opcode)
-            assert op.opcode_class(opcode) is OpcodeClass.QUEUE_MOVE
-            assert op.execution_unit(opcode) is ExecutionUnit.QMOV
-
-    def test_vector_control_executes_on_scalar_unit(self):
-        assert op.execution_unit(Opcode.SET_VL) is ExecutionUnit.SCALAR
-        assert op.execution_unit(Opcode.SET_VS) is ExecutionUnit.SCALAR
+    def test_vector_control_is_not_vector_work(self):
+        assert op.opcode_class(Opcode.SET_VL) is OpcodeClass.VECTOR_CONTROL
+        assert op.opcode_class(Opcode.SET_VS) is OpcodeClass.VECTOR_CONTROL
         assert not op.is_vector(Opcode.SET_VL)

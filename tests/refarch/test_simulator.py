@@ -1,15 +1,10 @@
 """Unit tests for the reference architecture simulator."""
 
-import pytest
-
-from repro.common.errors import SimulationError
-from repro.core import simulate as core_simulate
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import s_reg, v_reg
 from repro.core import MachineSpec
 from repro.refarch import simulate_reference
 from repro.trace.generator import TraceBuilder
-from repro.isa.instruction import make_instruction
 
 
 class TestScalarOnly:
@@ -267,14 +262,6 @@ class TestAccounting:
 
 
 class TestValidation:
-    def test_queue_move_rejected(self):
-        instruction = make_instruction(Opcode.QMOV_V_LOAD, destinations=[v_reg(0)])
-        builder = TraceBuilder("bad")
-        builder.append_instruction(instruction)
-        trace = builder.build()
-        with pytest.raises(SimulationError):
-            core_simulate(trace, "ref", latency=1)
-
     def test_empty_trace(self):
         result = simulate_reference(TraceBuilder("empty").build(), latency=10)
         assert result.total_cycles == 0
