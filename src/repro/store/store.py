@@ -51,7 +51,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigurationError
 from repro.core.result import RunResult
@@ -181,18 +181,26 @@ class ResultStore:
         its ``store_key``.  Unreadable entries (torn files, foreign formats)
         count as misses.
         """
-        path = self.object_path(key)
         try:
-            with path.open() as handle:
-                payload = json.load(handle)
-            if payload.get("format") != STORE_FORMAT_VERSION or payload.get("key") != key:
-                raise ValueError("foreign or mislabelled store entry")
-            result = RunResult.from_json(payload["result"])
+            result = RunResult.from_json(self._load(key)["result"])
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
         return replace(result, cached=True, store_key=key)
+
+    def _load(self, key: str) -> Dict[str, Any]:
+        """The payload stored under ``key``.
+
+        Raises ``OSError`` or ``ValueError`` for a missing or torn file, and
+        ``ValueError`` for one of a foreign format or labelled with another
+        key: such a file is no entry.
+        """
+        with self.object_path(key).open() as handle:
+            payload = json.load(handle)
+        if payload.get("format") != STORE_FORMAT_VERSION or payload.get("key") != key:
+            raise ValueError("foreign or mislabelled store entry")
+        return payload
 
     def put(self, key: str, result: RunResult, scale: float = 1.0) -> None:
         """Persist ``result`` under ``key``, atomically.
@@ -303,19 +311,23 @@ class ResultStore:
             yield from sorted(bucket.glob("*.json"))
 
     def entries(self) -> List[StoreEntry]:
-        """Every readable entry in the store, sorted oldest write first."""
+        """Every entry :meth:`get` can read, sorted oldest write first.
+
+        A file is an entry only where :meth:`get` looks for its stored key,
+        so a mislabelled or misplaced file is left out, as :meth:`get`
+        treats it as foreign.
+        """
         entries: List[StoreEntry] = []
         for path in self._object_files():
+            key = path.stem
             try:
-                stat = path.stat()
-                with path.open() as handle:
-                    payload = json.load(handle)
-                if payload.get("format") != STORE_FORMAT_VERSION:
+                if self.object_path(key) != path:
                     continue
-                meta = payload.get("meta", {})
+                stat = path.stat()
+                meta = self._load(key).get("meta", {})
                 entries.append(
                     StoreEntry(
-                        key=str(payload["key"]),
+                        key=key,
                         program=str(meta.get("program", "?")),
                         architecture=str(meta.get("architecture", "?")),
                         latency=int(meta.get("latency", -1)),
@@ -324,7 +336,7 @@ class ResultStore:
                         mtime=stat.st_mtime,
                     )
                 )
-            except (OSError, ValueError, KeyError, TypeError):
+            except (ConfigurationError, OSError, ValueError, KeyError, TypeError):
                 continue
         entries.sort(key=lambda entry: (entry.mtime, entry.key))
         return entries

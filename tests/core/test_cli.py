@@ -221,6 +221,22 @@ class TestCacheVerify:
         assert main(["cache", "verify", "--store-dir", str(store.root)]) == 0
         assert "4 identical, 0 different, 1 stale" in capsys.readouterr().out
 
+    def test_a_mislabelled_file_is_not_an_entry(self, capsys, tmp_path):
+        store = self._filled_store(tmp_path)
+        entry = next(path for path in store.rglob("*.json") if path.name != "index.json")
+        payload = json.loads(entry.read_text())
+        payload["key"] = "not-a-key"
+        (entry.parent / "deadbeef.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["cache", "verify", "--store-dir", str(store)]) == 0
+        assert "verified 4 entries: 4 identical, 0 different, 0 stale" in capsys.readouterr().out
+        assert main(["cache", "stats", "--json", "--store-dir", str(store)]) == 0
+        assert json.loads(capsys.readouterr().out)["entry_count"] == 4
+        assert main(["cache", "gc", "--max-age-days", "0", "--store-dir", str(store)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--json", "--store-dir", str(store)]) == 0
+        assert json.loads(capsys.readouterr().out)["entry_count"] == 0
+
     @pytest.mark.parametrize(
         "field", [{"warp": 9}, {"lanes": 0}], ids=["unknown-field", "out-of-range"]
     )

@@ -83,6 +83,34 @@ class TestRobustness:
         os.rename(store.object_path(KEY), store.object_path(other))
         assert store.get(other) is None
 
+    @pytest.mark.parametrize(
+        "name, label",
+        [
+            pytest.param("deadbeef", "not-a-key", id="malformed-label"),
+            pytest.param("deadbeef", "cd" * 32, id="other-key"),
+            pytest.param("zzz", "zzz", id="malformed-name"),
+        ],
+    )
+    def test_a_file_get_treats_as_foreign_is_no_entry(self, store, ref_result, name, label):
+        store.put(KEY, ref_result)
+        payload = json.loads(store.object_path(KEY).read_text())
+        payload["key"] = label
+        foreign = store.objects_dir / name[:2] / f"{name}.json"
+        foreign.parent.mkdir(parents=True, exist_ok=True)
+        foreign.write_text(json.dumps(payload))
+        assert [entry.key for entry in store.entries()] == [KEY]
+        assert store.stats()["entry_count"] == 1
+        report = store.gc(max_age_days=0)
+        assert (report["evicted"], report["kept"]) == (1, 0)
+        assert json.loads(store.index_path.read_text())["entries"] == {}
+
+    def test_a_file_in_the_wrong_bucket_is_no_entry(self, store, ref_result):
+        store.put(KEY, ref_result)
+        misplaced = store.objects_dir / "cd" / f"{KEY}.json"
+        misplaced.parent.mkdir(parents=True)
+        os.rename(store.object_path(KEY), misplaced)
+        assert store.entries() == []
+
 
 class TestIndexAndStats:
     def test_write_index_summarizes_the_object_tree(self, store, ref_result):
