@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.errors import SimulationError
+from repro.core.machine import MachineSpec
 from repro.workloads import synthetic
 from repro.workloads.kernel import KernelSchedule
 from repro.workloads.program_model import ProgramModel, ProgramTargets
@@ -89,42 +90,29 @@ def case_seed(master: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class FuzzCase:
-    """One fully-described fuzz case.
+    """One fully-described fuzz case: a synthetic program, a latency, a machine.
 
     Every field that shapes timing is explicit, so ``describe()`` is a
-    complete record of what failed.  Reference-family cases ignore the
-    queue-depth fields; decoupled-family cases ignore ``chaining``.
+    complete record of what failed.
     """
 
     seed: int
-    family: str
     kernel: str
     elements: int
     max_vector_length: int
     invocations: int
     latency: int
-    lanes: int
-    ports: int
-    chaining: bool = False
-    bypass: bool = False
-    instruction_queue: int = 16
-    vector_load_data: int = 256
-    vector_store_data: int = 16
-    scalar_store_address: int = 16
+    spec: MachineSpec
+
+    @property
+    def family(self) -> str:
+        return self.spec.family
 
     def describe(self) -> str:
-        common = (
-            f"seed={self.seed} family={self.family} kernel={self.kernel} "
-            f"elements={self.elements} mvl={self.max_vector_length} "
-            f"invocations={self.invocations} latency={self.latency} "
-            f"lanes={self.lanes} ports={self.ports}"
-        )
-        if self.family == "ref":
-            return f"{common} chaining={'on' if self.chaining else 'off'}"
         return (
-            f"{common} bypass={'on' if self.bypass else 'off'} "
-            f"iq={self.instruction_queue} avdq={self.vector_load_data} "
-            f"vadq={self.vector_store_data} ssaq={self.scalar_store_address}"
+            f"seed={self.seed} kernel={self.kernel} elements={self.elements} "
+            f"mvl={self.max_vector_length} invocations={self.invocations} "
+            f"latency={self.latency} machine={self.spec.to_string()}"
         )
 
     def build_trace(self):
@@ -144,28 +132,6 @@ class FuzzCase:
         )
         return model.build_trace(scale=1.0)
 
-    def build_spec(self):
-        """The case's machine as a :class:`~repro.core.machine.MachineSpec`."""
-        from repro.core.machine import MachineSpec
-
-        if self.family == "ref":
-            return MachineSpec(
-                family="ref",
-                lanes=self.lanes,
-                memory_ports=self.ports,
-                chaining=self.chaining,
-            )
-        return MachineSpec(
-            family="dva",
-            lanes=self.lanes,
-            memory_ports=self.ports,
-            bypass=self.bypass,
-            instruction_queue=self.instruction_queue,
-            vector_load_data=self.vector_load_data,
-            vector_store_data=self.vector_store_data,
-            scalar_store_address=self.scalar_store_address,
-        )
-
     def simulate(self, trace=None):
         """Run this case; returns ``(result, error_message)``.
 
@@ -178,7 +144,7 @@ class FuzzCase:
             from repro.refarch.simulator import ReferenceSimulator as simulator_class
         else:
             from repro.dva.simulator import DecoupledSimulator as simulator_class
-        simulator = simulator_class(self.build_spec(), self.latency)
+        simulator = simulator_class(self.spec, self.latency)
         try:
             return simulator.run(trace), None
         except SimulationError as exc:
@@ -197,34 +163,24 @@ def generate_case(seed: int) -> FuzzCase:
     lanes = rng.choice((1, 2, 3, 4))
     ports = rng.choice((1, 2, 3))
     if family == "ref":
-        return FuzzCase(
-            seed=seed,
-            family=family,
-            kernel=kernel,
-            elements=elements,
-            max_vector_length=max_vector_length,
-            invocations=invocations,
-            latency=latency,
+        spec = MachineSpec(
+            family="ref",
             lanes=lanes,
-            ports=ports,
+            memory_ports=ports,
             chaining=rng.choice((False, True)),
         )
-    return FuzzCase(
-        seed=seed,
-        family=family,
-        kernel=kernel,
-        elements=elements,
-        max_vector_length=max_vector_length,
-        invocations=invocations,
-        latency=latency,
-        lanes=lanes,
-        ports=ports,
-        bypass=rng.choice((False, True)),
-        instruction_queue=rng.choice((1, 2, 4, 16)),
-        vector_load_data=rng.choice((1, 2, 4, 256)),
-        vector_store_data=rng.choice((1, 2, 4, 16)),
-        scalar_store_address=rng.choice((1, 2, 16)),
-    )
+    else:
+        spec = MachineSpec(
+            family="dva",
+            lanes=lanes,
+            memory_ports=ports,
+            bypass=rng.choice((False, True)),
+            instruction_queue=rng.choice((1, 2, 4, 16)),
+            vector_load_data=rng.choice((1, 2, 4, 256)),
+            vector_store_data=rng.choice((1, 2, 4, 16)),
+            scalar_store_address=rng.choice((1, 2, 16)),
+        )
+    return FuzzCase(seed, kernel, elements, max_vector_length, invocations, latency, spec)
 
 
 def check_invariants(case: FuzzCase, result, trace_length: int) -> Optional[str]:

@@ -132,9 +132,8 @@ def test_lanes_and_ports_are_identical():
 
 def _fuzz_differences(case):
     trace = case.build_trace()
-    spec = case.build_spec()
-    marked = _run(trace, spec, case.latency, case.family)
-    plain = _run(trace.unmarked(), spec, case.latency, case.family)
+    marked = _run(trace, case.spec, case.latency, case.family)
+    plain = _run(trace.unmarked(), case.spec, case.latency, case.family)
     return marked[0] != plain[0], marked[1]
 
 

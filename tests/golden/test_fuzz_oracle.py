@@ -104,22 +104,22 @@ def _violations(case):
     """The metamorphic relations ``case`` violates, with the cycles seen."""
     trace = case.build_trace()
 
-    def cycles(**changes):
-        result, error = replace(case, **changes).simulate(trace)
+    def cycles(latency=case.latency, **pins):
+        variant = replace(case, latency=latency, spec=case.spec.with_pins(**pins))
+        result, error = variant.simulate(trace)
         return None if error is not None else result.total_cycles
 
     found = {}
-    by_latency = [cycles(latency=latency) for latency in LATENCIES]
+    by_latency = [cycles(latency) for latency in LATENCIES]
     if None not in by_latency and by_latency != sorted(by_latency):
         found["latency"] = dict(zip(LATENCIES, by_latency))
     base = cycles()
     if base is None:
         return found
-    for relation, changes in (
-        ("lanes", {"lanes": case.lanes + 1}),
-        ("ports", {"ports": case.ports + 1}),
+    for relation, wider in (
+        ("lanes", cycles(lanes=case.spec.lanes + 1)),
+        ("ports", cycles(ports=case.spec.memory_ports + 1)),
     ):
-        wider = cycles(**changes)
         if wider is not None and wider > base:
             found[relation] = {"base": base, relation: wider}
     if case.family == "dva":

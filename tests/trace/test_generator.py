@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import TraceError
-from repro.core import fuzz
+from repro.core import MachineSpec, fuzz
 from repro.isa.builder import InstructionBuilder
 from repro.isa.instruction import make_instruction
 from repro.isa.opcodes import Opcode
@@ -157,14 +157,12 @@ def _perfect_club_trace(name):
 def _kernel_trace(kernel):
     case = fuzz.FuzzCase(
         seed=0,
-        family="dva",
         kernel=kernel,
         elements=200,
         max_vector_length=64,
         invocations=2,
         latency=1,
-        lanes=1,
-        ports=1,
+        spec=MachineSpec(family="dva"),
     )
     return case.build_trace()
 
