@@ -266,6 +266,19 @@ class SweepSpec:
         except WorkloadError as exc:
             raise ConfigurationError(str(exc)) from None
 
+    def to_json(self) -> Dict[str, object]:
+        """The grid as JSON: a sweep result's ``spec`` block and the service's.
+
+        The service's sweep request reads the same shape back.
+        """
+        return {
+            "programs": list(self.programs),
+            "latencies": list(self.latencies),
+            "architectures": list(self.architectures),
+            "scale": self.scale,
+            "axes": [[name, list(values)] for name, values in self.axes],
+        }
+
     @classmethod
     def from_strings(
         cls,
@@ -829,13 +842,7 @@ class SweepResult:
     def to_json(self) -> Dict[str, object]:
         """A dictionary that survives ``json.dumps``/``json.loads`` unchanged."""
         return {
-            "spec": {
-                "programs": list(self.spec.programs),
-                "latencies": list(self.spec.latencies),
-                "architectures": list(self.spec.architectures),
-                "scale": self.spec.scale,
-                "axes": [[name, list(values)] for name, values in self.spec.axes],
-            },
+            "spec": self.spec.to_json(),
             "results": [result.to_json() for result in self.results],
         }
 

@@ -182,17 +182,6 @@ def parse_sweep_request(payload: object) -> SweepSpec:
         raise ProtocolError(str(exc)) from exc
 
 
-def sweep_spec_payload(spec: SweepSpec) -> Dict[str, object]:
-    """The spec as response JSON — the same shape :func:`parse_sweep_request` reads."""
-    return {
-        "programs": list(spec.programs),
-        "latencies": list(spec.latencies),
-        "architectures": list(spec.architectures),
-        "scale": spec.scale,
-        "axes": [[name, list(values)] for name, values in spec.axes],
-    }
-
-
 def result_payload(result: RunResult) -> Dict[str, object]:
     """One cell result as response JSON: headline fields + full detail."""
     return {
@@ -234,5 +223,4 @@ __all__ = [
     "parse_sweep_request",
     "progress_payload",
     "result_payload",
-    "sweep_spec_payload",
 ]

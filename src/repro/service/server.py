@@ -64,7 +64,6 @@ from repro.service.protocol import (
     parse_sweep_request,
     progress_payload,
     result_payload,
-    sweep_spec_payload,
 )
 from repro.service.scheduler import CellScheduler
 from repro.store import ResultStore
@@ -147,7 +146,7 @@ class SweepJob:
             "cached": self.cached_count,
             "simulated": self.simulated_count,
             "created_unix": round(self.created_unix, 3),
-            "spec": sweep_spec_payload(self.spec),
+            "spec": self.spec.to_json(),
         }
         if self.finished_unix is not None:
             payload["elapsed_seconds"] = round(self.finished_unix - self.created_unix, 6)

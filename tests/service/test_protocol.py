@@ -4,14 +4,13 @@ import json
 
 import pytest
 
-from repro.core.experiment import CellProgress, SweepSpec
+from repro.core.experiment import CellProgress, SweepResult, SweepSpec
 from repro.service.protocol import (
     ProtocolError,
     parse_run_request,
     parse_sweep_request,
     progress_payload,
     result_payload,
-    sweep_spec_payload,
 )
 
 
@@ -97,11 +96,12 @@ class TestParseSweepRequest:
         spec = parse_sweep_request(
             {"programs": ["trfd"], "latencies": [1], "axes": [["lanes", [1, 2]]]}
         )
-        assert parse_sweep_request(sweep_spec_payload(spec)) == spec
+        assert parse_sweep_request(spec.to_json()) == spec
 
     def test_spec_payload_matches_sweep_result_spec_block(self):
         spec = SweepSpec(programs=("trfd",), latencies=(1, 50), axes={"lanes": (1, 2)})
-        payload = sweep_spec_payload(spec)
+        payload = spec.to_json()
+        assert SweepResult(spec=spec, results=[]).to_json()["spec"] == payload
         assert payload["programs"] == ["TRFD"]
         assert payload["axes"] == [["lanes", [1, 2]]]
         assert parse_sweep_request(payload) == spec
