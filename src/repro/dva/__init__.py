@@ -7,10 +7,11 @@ through architectural queues:
 
 * instruction queues (APIQ, VPIQ, SPIQ — 16 entries each by default),
 * the vector load data queue AVDQ (AP → VP, 256 vector-register slots),
-* the vector store data queue VADQ (VP → AP, 16 slots),
-* scalar data queues (AP ↔ SP, 256 slots),
-* store *address* queues (VSAQ for vector stores, SSAQ for scalar stores) used
-  by the two-step store mechanism and by dynamic memory disambiguation.
+* store *address* queues (VSAQ for vector stores, SSAQ for scalar stores, 16
+  slots each) used by the two-step store mechanism and by dynamic memory
+  disambiguation; a vector store's data enters the vector store data queue
+  VADQ (VP → AP) in the slot its address took, so one depth sizes both,
+* scalar data queues (AP ↔ SP), modelled deep enough never to delay a step.
 
 Stores are performed "behind the back" of the AP once both their address and
 their data have reached the queues; loads are disambiguated against every
