@@ -16,19 +16,21 @@ becomes a result, and it enforces the three service invariants:
   :func:`asyncio.shield`, so a client that disconnects — cancelling its
   request task — can never cancel the shared simulation out from under the
   other waiters.
-* **cold cells are batched.**  A cache-missing cell does not dispatch
-  immediately: the scheduler gathers everything that arrives within
-  :attr:`CellScheduler.batch_window` seconds (a sweep submission lands its
-  whole grid in one window), groups it by (program, scale) so each
-  batch shares one trace, and hands each group to
+* **cold cells are batched without waiting.**  A cache-missing cell is
+  queued, and the scheduler flushes the queue on the next event-loop turn
+  (``loop.call_soon``), so a lone cold cell dispatches at once while a
+  sweep submission — which registers its whole grid in one turn — still
+  lands together.  The queue is grouped by (program, scale) so each batch
+  shares one trace, and each group goes to
   :meth:`~repro.core.experiment.Runner.run_batch` on a thread-pool executor
   — in-process simulation for one job, the runner's multiprocessing pool
   when the service was started with more.
 
 Simulation results are written back to the store per cell by the runner
-(exactly as CLI sweeps do), and each completed batch merges its cells into
-the store's advisory index under the index lock, so any number of
-concurrent batches — or concurrent services — keep the index consistent.
+(exactly as CLI sweeps do).  Once a batch's futures are resolved, the
+scheduler appends its cells to the store's advisory index inline on the
+loop: one ``stat`` per cell and one ``write``, the same class of work as a
+store hit's synchronous read.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.store import ResultStore, cell_key
 
 @dataclass
 class _PendingCell:
-    """One cold cell waiting for the current batch window to close."""
+    """One cold cell waiting for the next flush."""
 
     program: str
     scale: float
@@ -67,10 +69,6 @@ class CellScheduler:
         jobs: worker ceiling handed to the underlying
             :class:`~repro.core.experiment.Runner`; with ``jobs > 1`` cold
             batches go to its multiprocessing pool.
-        batch_window: seconds to gather cold cells before dispatching, so a
-            burst of concurrent requests coalesces into per-program batches.
-            ``0`` still batches everything that arrived in the same event
-            loop iteration (the callback fires on the next one).
         runner: inject a pre-configured runner (tests); defaults to
             ``Runner(jobs=jobs, store=store)``.
     """
@@ -79,11 +77,9 @@ class CellScheduler:
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        batch_window: float = 0.010,
         runner: Optional[Runner] = None,
     ) -> None:
         self.store = store
-        self.batch_window = batch_window
         self.runner = runner if runner is not None else Runner(jobs=jobs, store=store)
         # Executor threads mostly sleep in pool.apply / file writes; one per
         # job plus one keeps the pool busy without unbounded thread growth.
@@ -93,7 +89,7 @@ class CellScheduler:
         )
         self._inflight: Dict[str, asyncio.Future] = {}
         self._pending: List[_PendingCell] = []
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        self._flush_handle: Optional[asyncio.Handle] = None
         self._batch_tasks: "set[asyncio.Task]" = set()
         self._closed = False
         # Counters surfaced by /v1/stats.
@@ -147,13 +143,13 @@ class CellScheduler:
 
     def _schedule_flush(self, loop: asyncio.AbstractEventLoop) -> None:
         if self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.batch_window, self._flush)
+            self._flush_handle = loop.call_soon(self._flush)
 
     def _flush(self) -> None:
-        """Close the batch window: group pending cells and dispatch each group.
+        """Group the pending cells per program and dispatch each group.
 
         Groups are dispatched costliest first (cells x the program's
-        estimated trace length), so when the window gathered more program
+        estimated trace length), so when one turn queued more program
         groups than the runner has workers, the pool starts the longest
         simulations immediately instead of discovering them last.
         """
@@ -200,9 +196,7 @@ class CellScheduler:
             if not cell.future.done():
                 cell.future.set_result(result)
         if self.store is not None:
-            await loop.run_in_executor(
-                self._executor, self.store.update_index, results, scale
-            )
+            self.store.update_index(results, scale)
 
     # -- introspection and lifecycle ---------------------------------------------------
 

@@ -166,19 +166,17 @@ class ReproService:
             answering from it is the point — so unlike CLI sweeps there is
             no store-less mode.
         jobs: worker ceiling for cold-cell simulation.
-        batch_window: see :class:`~repro.service.scheduler.CellScheduler`.
     """
 
     def __init__(
         self,
         store: Union[ResultStore, str, Path, None] = None,
         jobs: int = 1,
-        batch_window: float = 0.010,
     ) -> None:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
-        self.scheduler = CellScheduler(store=store, jobs=jobs, batch_window=batch_window)
+        self.scheduler = CellScheduler(store=store, jobs=jobs)
         self.jobs = jobs
         self.sweeps: Dict[str, SweepJob] = {}
         self.started_unix = time.time()

@@ -6,7 +6,7 @@ A :class:`ResultStore` maps the cache key of a sweep cell (see
 files under a versioned directory tree::
 
     <root>/v1/objects/<key[:2]>/<key>.json    one file per result
-    <root>/v1/index.json                      rebuildable summary index
+    <root>/v1/index.jsonl                     advisory append-only index
 
 ``<root>`` defaults to ``~/.cache/repro`` (respecting ``XDG_CACHE_HOME``)
 and is overridable with the ``REPRO_CACHE_DIR`` environment variable or the
@@ -21,18 +21,13 @@ the same key simply race to an identical file.  Reads treat anything
 unreadable — missing, torn by an unrelated tool, or written by a different
 format version — as a miss, which the next write repairs.
 
-The advisory index is the one file several writers *merge into* rather than
-replace wholesale, so its read-modify-write cycle is serialized by a
-cooperative lockfile (``index.lock``, created with ``O_CREAT | O_EXCL``):
-without it, two concurrent sweeps — service requests, parallel CI jobs, or
-two hosts sharing the store directory — could each read the same index,
-merge their own cells, and have the second ``os.replace`` silently drop the
-first writer's entries.  The lock is advisory like the index itself: a
-writer that cannot acquire it within :attr:`ResultStore.index_lock_timeout`
-skips the merge (objects are already on disk; the next full rebuild picks
-them up), and a lockfile older than
-:attr:`ResultStore.index_lock_stale_after` is broken, so a killed process
-can never wedge the store.
+The index is a journal: one compact JSON line per written cell (its key
+and six summary fields), where a later line for a key wins.  Writers only
+ever append, each batch with one ``write`` on an ``O_APPEND`` descriptor,
+so concurrent writers need no lock and cannot drop each other's lines on a
+local filesystem.  :meth:`ResultStore.write_index` compacts the journal to
+one line per entry from a fresh scan.  Nothing in the package reads the
+index back; it is for people and external tools.
 
 The store is deliberately *provenance-only*: a loaded result differs from a
 freshly simulated one solely in its ``cached`` flag (and both carry the
@@ -48,7 +43,6 @@ import os
 import shutil
 import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
@@ -101,6 +95,36 @@ class StoreEntry:
     mtime: float
 
 
+def _index_line(entry: StoreEntry) -> str:
+    """One line of ``index.jsonl``: the entry's key and its summary fields."""
+    fields = {
+        "key": entry.key,
+        "program": entry.program,
+        "architecture": entry.architecture,
+        "latency": entry.latency,
+        "scale": entry.scale,
+        "bytes": entry.size_bytes,
+        "mtime": round(entry.mtime, 3),
+    }
+    return json.dumps(fields, separators=(",", ":")) + "\n"
+
+
+def _replace_atomically(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it and ``os.replace``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 class ResultStore:
     """A content-addressed, crash-safe store of :class:`RunResult` payloads.
 
@@ -109,21 +133,12 @@ class ResultStore:
             :func:`default_store_root`.  Created lazily on first write, so
             constructing a store (e.g. in every pool worker) is free.
 
-    The per-instance :attr:`hits`, :attr:`misses`, :attr:`writes`,
-    :attr:`index_merges` and :attr:`index_merges_skipped` counters track
-    this process's traffic only; they exist for reporting ("sweep: 30
-    cached, 6 simulated", the service's ``/v1/stats``), not for accounting
-    across processes.  :meth:`counters` returns them as one dictionary.
+    The per-instance :attr:`hits`, :attr:`misses`, :attr:`writes` and
+    :attr:`index_merges` counters track this process's traffic only; they
+    exist for reporting ("sweep: 30 cached, 6 simulated", the service's
+    ``/v1/stats``), not for accounting across processes.  :meth:`counters`
+    returns them as one dictionary.
     """
-
-    #: How long :meth:`update_index` waits for the index lock before giving
-    #: the merge up (the index is advisory; the object files are already on
-    #: disk and the next full rebuild finds them).
-    index_lock_timeout: float = 10.0
-    #: A lockfile older than this is treated as left behind by a killed
-    #: process and broken.  Merges hold the lock for milliseconds, so a
-    #: minute-old lock can only be an orphan.
-    index_lock_stale_after: float = 60.0
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root).expanduser() if root is not None else default_store_root()
@@ -131,7 +146,6 @@ class ResultStore:
         self.misses = 0
         self.writes = 0
         self.index_merges = 0
-        self.index_merges_skipped = 0
 
     def counters(self) -> Dict[str, int]:
         """This process's store traffic, as one dictionary (for reporting)."""
@@ -140,7 +154,6 @@ class ResultStore:
             "misses": self.misses,
             "writes": self.writes,
             "index_merges": self.index_merges,
-            "index_merges_skipped": self.index_merges_skipped,
         }
 
     # -- paths -----------------------------------------------------------------------
@@ -156,11 +169,7 @@ class ResultStore:
 
     @property
     def index_path(self) -> Path:
-        return self.version_dir / "index.json"
-
-    @property
-    def index_lock_path(self) -> Path:
-        return self.version_dir / "index.lock"
+        return self.version_dir / "index.jsonl"
 
     def object_path(self, key: str) -> Path:
         """Where the entry for ``key`` lives (whether or not it exists yet)."""
@@ -224,81 +233,11 @@ class ResultStore:
             },
             "result": replace(result, cached=False, store_key=key).to_json(),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _replace_atomically(path, json.dumps(payload, separators=(",", ":")))
         self.writes += 1
 
     def __contains__(self, key: str) -> bool:
         return self.object_path(key).exists()
-
-    # -- the index lock ----------------------------------------------------------------
-
-    def _try_create_lock(self) -> bool:
-        """One ``O_CREAT | O_EXCL`` attempt at the lockfile (the atomic step)."""
-        try:
-            fd = os.open(self.index_lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, f"pid={os.getpid()} created={round(time.time(), 3)}\n".encode())
-        finally:
-            os.close(fd)
-        return True
-
-    def _acquire_index_lock(self, timeout: Optional[float] = None) -> bool:
-        """Acquire the cooperative index lock, or give up after ``timeout``.
-
-        Contention is retried with a short sleep; a lockfile whose mtime is
-        older than :attr:`index_lock_stale_after` is unlinked and the
-        acquisition retried (two breakers racing is fine: the second unlink
-        fails silently and exactly one ``O_EXCL`` create wins).
-        """
-        if timeout is None:
-            timeout = self.index_lock_timeout
-        self.version_dir.mkdir(parents=True, exist_ok=True)
-        deadline = time.monotonic() + timeout
-        while True:
-            if self._try_create_lock():
-                return True
-            try:
-                age = time.time() - self.index_lock_path.stat().st_mtime
-            except OSError:
-                continue  # holder released between attempts; retry at once
-            if age > self.index_lock_stale_after:
-                try:
-                    self.index_lock_path.unlink()
-                except OSError:
-                    pass
-                continue
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.005)
-
-    def _release_index_lock(self) -> None:
-        try:
-            self.index_lock_path.unlink()
-        except OSError:
-            pass
-
-    @contextmanager
-    def _index_lock(self, timeout: Optional[float] = None) -> Iterator[bool]:
-        """Hold the index lock for the block; yields whether it was acquired."""
-        acquired = self._acquire_index_lock(timeout)
-        try:
-            yield acquired
-        finally:
-            if acquired:
-                self._release_index_lock()
 
     # -- listing and the index ---------------------------------------------------------
 
@@ -345,128 +284,76 @@ class ResultStore:
         return sum(1 for _ in self._object_files())
 
     def write_index(self, entries: Optional[List[StoreEntry]] = None) -> Path:
-        """Rebuild ``index.json`` from the object tree and write it atomically.
+        """Rebuild ``index.jsonl`` from the object tree and write it atomically.
 
-        The index is a human/tooling convenience (``repro cache stats`` reads
-        it back); correctness never depends on it being fresh.  Callers that
-        just scanned may pass their ``entries`` to avoid a second walk.
+        The rebuild compacts the journal to one line per entry.  ``repro
+        cache stats`` and ``repro cache gc`` run it; nothing in the package
+        reads the index back, so correctness never depends on it being
+        fresh.  Callers that just scanned may pass their ``entries`` to
+        avoid a second walk.
 
-        The write itself takes the index lock so it cannot interleave with a
-        concurrent :meth:`update_index` merge, but a full rebuild is an
-        explicit maintenance operation and proceeds even when the lock
-        cannot be acquired — it is authoritative for what the scan saw.
+        The rebuild replaces the journal (temp file + ``os.replace``), so an
+        :meth:`update_index` append that races it can land in the replaced
+        file and be lost until the next rebuild; the objects themselves are
+        on disk either way.
         """
         if entries is None:
             entries = self.entries()
-        payload = {
-            entry.key: {
-                "program": entry.program,
-                "architecture": entry.architecture,
-                "latency": entry.latency,
-                "scale": entry.scale,
-                "bytes": entry.size_bytes,
-                "mtime": round(entry.mtime, 3),
-            }
-            for entry in entries
-        }
-        with self._index_lock():
-            return self._write_index_payload(payload)
-
-    def _write_index_payload(self, entries: Dict[str, Dict[str, object]]) -> Path:
-        payload = {
-            "format": STORE_FORMAT_VERSION,
-            "updated_unix": round(time.time(), 3),
-            "entry_count": len(entries),
-            "total_bytes": sum(int(entry.get("bytes", 0)) for entry in entries.values()),  # type: ignore[arg-type]
-            "entries": entries,
-        }
-        self.version_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.version_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            os.replace(tmp_name, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _replace_atomically(self.index_path, "".join(map(_index_line, entries)))
         return self.index_path
 
     def update_index(
         self, results: Sequence[RunResult], scale: float = 1.0
     ) -> bool:
-        """Merge just-written results into ``index.json`` without a full scan.
+        """Append just-written results to ``index.jsonl``; always ``True``.
 
         Every cell driver calls this with the results it produced; cached
         results (already indexed when first written) and results without a
         ``store_key`` (simulated with no store) are skipped here, so callers
-        pass their results as they are.  Cost is O(cells written), not O(store
-        size), so a small incremental sweep against a large long-lived store
-        stays cheap.  The existing index is taken as-is (an unreadable or
-        foreign one is discarded and the merge starts from this sweep's
-        entries); entries for keys some other process evicted meanwhile
-        linger until the next full rebuild — the index is advisory, and
-        ``cache stats``/``gc`` rebuild it exactly.
+        pass their results as they are.  The cost is one ``stat`` per cell
+        written and one ``write``, whatever the size of the store.
 
-        The whole read-merge-write cycle holds the index lock, so concurrent
-        mergers (service requests, parallel sweeps, other hosts on a shared
-        store) serialize instead of overwriting each other's entries.  When
-        the lock cannot be acquired within :attr:`index_lock_timeout` the
-        merge is *skipped* — never half-done — and ``False`` is returned;
-        the objects themselves are already on disk and the next merge or
-        full rebuild indexes them.
+        The lines go out in a single ``write`` on an ``O_APPEND`` descriptor,
+        which a local filesystem applies whole and in order with any other
+        appender's, so concurrent writers (service batches, parallel sweeps)
+        need no lock.  NFS gives no atomic append, so writers on different
+        hosts sharing a store can interleave or lose lines; like an append
+        that races :meth:`write_index`, that leaves the advisory index short
+        until the next rebuild, never an object missing.
         """
-        written = [
-            result
-            for result in results
-            if result.store_key is not None and not result.cached
-        ]
-        if not written:
-            return True
-        with self._index_lock() as acquired:
-            if not acquired:
-                self.index_merges_skipped += 1
-                return False
+        lines = []
+        for result in results:
+            key = result.store_key
+            if key is None or result.cached:
+                continue
             try:
-                with self.index_path.open() as handle:
-                    payload = json.load(handle)
-                entries = (
-                    payload["entries"]
-                    if payload.get("format") == STORE_FORMAT_VERSION
-                    else {}
-                )
-                if not isinstance(entries, dict):
-                    entries = {}
-            except (OSError, ValueError, KeyError):
-                entries = {}
-            changed = False
-            for result in written:
-                key = result.store_key
-                try:
-                    stat = self.object_path(key).stat()
-                except OSError:
-                    continue
-                entries[key] = {
-                    "program": result.program,
-                    "architecture": result.architecture,
-                    "latency": result.latency,
-                    "scale": float(scale),
-                    "bytes": stat.st_size,
-                    "mtime": round(stat.st_mtime, 3),
-                }
-                changed = True
-            if changed:
-                self._write_index_payload(entries)
-                self.index_merges += 1
+                stat = self.object_path(key).stat()
+            except OSError:
+                continue
+            entry = StoreEntry(
+                key=key,
+                program=result.program,
+                architecture=result.architecture,
+                latency=result.latency,
+                scale=float(scale),
+                size_bytes=stat.st_size,
+                mtime=stat.st_mtime,
+            )
+            lines.append(_index_line(entry))
+        if lines:
+            fd = os.open(self.index_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                os.write(fd, "".join(lines).encode())
+            finally:
+                os.close(fd)
+            self.index_merges += 1
         return True
 
     def stats(self, refresh_index: bool = False) -> Dict[str, object]:
         """Aggregate numbers for ``repro cache stats`` (always a fresh scan).
 
         With ``refresh_index=True`` the same scan is also written out as
-        ``index.json`` — including when the scan came back empty, so an
+        ``index.jsonl`` — including when the scan came back empty, so an
         index left behind by a since-evicted tree never goes stale.  A store
         that does not exist on disk at all is left untouched.
         """
@@ -595,17 +482,14 @@ class ResultStore:
     def clear(self) -> int:
         """Delete every entry (all format versions); returns entries removed.
 
-        The count covers stale-version trees too — anything that is not an
-        index file — so it matches what actually left the disk.
+        The count covers stale-version trees too — every ``.json`` file
+        under a tree's ``objects`` directory — so it matches what actually
+        left the disk.
         """
         removed = 0
         for version_dir in sorted(self.root.glob("v*")):
             if not version_dir.is_dir():
                 continue
-            removed += sum(
-                1
-                for path in version_dir.rglob("*.json")
-                if path.name != "index.json"
-            )
+            removed += sum(1 for _ in (version_dir / "objects").rglob("*.json"))
             shutil.rmtree(version_dir, ignore_errors=True)
         return removed

@@ -200,7 +200,7 @@ class TestCacheVerify:
 
     def test_a_tampered_entry_fails_naming_the_cell(self, capsys, tmp_path):
         store = self._filled_store(tmp_path)
-        entry = next(path for path in store.rglob("*.json") if path.name != "index.json")
+        entry = next(store.rglob("*.json"))
         payload = json.loads(entry.read_text())
         payload["result"]["detail"]["total_cycles"] += 1
         entry.write_text(json.dumps(payload))
@@ -223,7 +223,7 @@ class TestCacheVerify:
 
     def test_a_mislabelled_file_is_not_an_entry(self, capsys, tmp_path):
         store = self._filled_store(tmp_path)
-        entry = next(path for path in store.rglob("*.json") if path.name != "index.json")
+        entry = next(store.rglob("*.json"))
         payload = json.loads(entry.read_text())
         payload["key"] = "not-a-key"
         (entry.parent / "deadbeef.json").write_text(json.dumps(payload))
@@ -242,7 +242,7 @@ class TestCacheVerify:
     )
     def test_an_entry_whose_spec_no_longer_builds_is_stale(self, capsys, tmp_path, field):
         store = self._filled_store(tmp_path)
-        entry = next(path for path in store.rglob("*.json") if path.name != "index.json")
+        entry = next(store.rglob("*.json"))
         payload = json.loads(entry.read_text())
         payload["result"]["spec"].update(field)
         entry.write_text(json.dumps(payload))

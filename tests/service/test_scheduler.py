@@ -6,6 +6,7 @@ exercised end-to-end in ``test_server.py`` and by the sweep tests.
 """
 
 import asyncio
+import json
 import threading
 import time
 from dataclasses import replace
@@ -30,8 +31,10 @@ class CountingRunner:
         self.batches = []
         self.simulated = 0
         self.effective_jobs = 1
+        self.started = threading.Event()
 
     def run_batch(self, program, scale, tasks):
+        self.started.set()
         if self.delay:
             time.sleep(self.delay)
         if self.fail:
@@ -77,7 +80,7 @@ def store(tmp_path):
 
 def make_scheduler(store=None, **runner_kwargs):
     runner = CountingRunner(store=store, **runner_kwargs)
-    return CellScheduler(store=store, batch_window=0.001, runner=runner), runner
+    return CellScheduler(store=store, runner=runner), runner
 
 
 DVA = resolve_architecture("dva")
@@ -205,14 +208,32 @@ class TestStoreFastPath:
 
         asyncio.run(main())
         key = cell_key("TRFD", 1.0, 50, DVA, RunConfig(latency=50))
-        import json
-
-        index = json.loads(store.index_path.read_text())
-        assert key in index["entries"]
+        [line] = store.index_path.read_text().splitlines()
+        assert json.loads(line)["key"] == key
 
 
 class TestBatching:
-    def test_cells_arriving_in_one_window_coalesce_per_program(self, store):
+    def test_a_lone_cold_cell_dispatches_on_the_next_loop_turn(self, store):
+        # No timer stands between a miss and the runner: the task registers
+        # the cell, the next turn flushes it, the one after that submits the
+        # batch.  The wait below blocks the loop, so a timer could not fire.
+        async def main():
+            scheduler, runner = make_scheduler(store)
+            try:
+                waiter = asyncio.ensure_future(scheduler.run_cell("TRFD", 50, DVA))
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                reached = runner.started.wait(timeout=5)
+                await waiter
+                return reached, scheduler
+            finally:
+                scheduler.close()
+
+        reached, scheduler = asyncio.run(main())
+        assert reached
+        assert scheduler.batches_dispatched == 1
+
+    def test_cells_registered_in_one_loop_turn_coalesce_per_program(self, store):
         async def main():
             scheduler, runner = make_scheduler(store, delay=0.005)
             try:

@@ -66,7 +66,7 @@ class running_service:
     """Async context manager: a started service + its bound port."""
 
     def __init__(self, store, **kwargs):
-        self.service = ReproService(store=store, batch_window=0.002, **kwargs)
+        self.service = ReproService(store=store, **kwargs)
 
     async def __aenter__(self):
         self.server = await self.service.start(host="127.0.0.1", port=0)

@@ -27,6 +27,16 @@ def store(tmp_path):
 KEY = "ab" * 32
 
 
+def journal(store):
+    """Every line of the index journal, parsed, in file order."""
+    return [json.loads(line) for line in store.index_path.read_text().splitlines()]
+
+
+def indexed(store):
+    """The index as a reader sees it: the last line for each key wins."""
+    return {line["key"]: line for line in journal(store)}
+
+
 class TestRoundTrip:
     def test_put_then_get_restores_an_equal_result(self, store, ref_result):
         store.put(KEY, ref_result, scale=0.2)
@@ -102,7 +112,7 @@ class TestRobustness:
         assert store.stats()["entry_count"] == 1
         report = store.gc(max_age_days=0)
         assert (report["evicted"], report["kept"]) == (1, 0)
-        assert json.loads(store.index_path.read_text())["entries"] == {}
+        assert journal(store) == []
 
     def test_a_file_in_the_wrong_bucket_is_no_entry(self, store, ref_result):
         store.put(KEY, ref_result)
@@ -116,25 +126,50 @@ class TestIndexAndStats:
     def test_write_index_summarizes_the_object_tree(self, store, ref_result):
         store.put(KEY, ref_result, scale=0.2)
         path = store.write_index()
-        index = json.loads(path.read_text())
-        assert index["format"] == STORE_FORMAT_VERSION
-        assert index["entry_count"] == 1
-        entry = index["entries"][KEY]
-        assert entry["program"] == "TRFD"
-        assert entry["architecture"] == "ref"
-        assert entry["latency"] == 50
-        assert index["total_bytes"] == store.object_path(KEY).stat().st_size
+        assert path == store.version_dir / "index.jsonl"
+        [entry] = journal(store)
+        stat = store.object_path(KEY).stat()
+        assert entry == {
+            "key": KEY,
+            "program": "TRFD",
+            "architecture": "ref",
+            "latency": 50,
+            "scale": 0.2,
+            "bytes": stat.st_size,
+            "mtime": round(stat.st_mtime, 3),
+        }
 
-    def test_update_index_merges_without_a_full_rebuild(self, store, ref_result):
+    def test_write_index_compacts_the_journal_to_one_line_per_entry(
+        self, store, ref_result
+    ):
+        other = "cd" * 32
+        for key in (KEY, other):
+            store.put(key, ref_result, scale=0.2)
+        for _ in range(3):
+            store.update_index(
+                [replace(ref_result, store_key=key) for key in (KEY, other)], scale=0.2
+            )
+        assert len(journal(store)) == 6
+        store.write_index()
+        assert sorted(line["key"] for line in journal(store)) == [KEY, other]
+
+    def test_update_index_appends_without_a_full_rebuild(self, store, ref_result):
         other = "cd" * 32
         store.put(KEY, ref_result, scale=0.2)
         store.write_index()
         store.put(other, ref_result, scale=0.2)
-        store.update_index([replace(ref_result, store_key=other)], scale=0.2)
-        index = json.loads(store.index_path.read_text())
-        assert set(index["entries"]) == {KEY, other}
-        assert index["entry_count"] == 2
-        assert index["entries"][other]["program"] == "TRFD"
+        assert store.update_index([replace(ref_result, store_key=other)], scale=0.2)
+        assert [line["key"] for line in journal(store)] == [KEY, other]
+        assert indexed(store)[other]["program"] == "TRFD"
+        assert store.index_merges == 1
+
+    def test_a_later_line_for_a_key_wins(self, store, ref_result):
+        store.put(KEY, ref_result, scale=0.2)
+        store.update_index([replace(ref_result, store_key=KEY)], scale=0.2)
+        store.put(KEY, ref_result, scale=0.5)
+        store.update_index([replace(ref_result, store_key=KEY)], scale=0.5)
+        assert [line["scale"] for line in journal(store)] == [0.2, 0.5]
+        assert indexed(store)[KEY]["scale"] == 0.5
 
     def test_update_index_skips_cached_and_keyless_results(self, store, ref_result):
         store.put(KEY, ref_result)
@@ -143,13 +178,18 @@ class TestIndexAndStats:
         assert not store.index_path.exists()
         assert store.index_merges == 0
 
-    def test_update_index_survives_a_corrupt_index(self, store, ref_result):
+    def test_update_index_appends_after_a_corrupt_index(self, store, ref_result):
         store.put(KEY, ref_result)
-        store.version_dir.mkdir(parents=True, exist_ok=True)
-        store.index_path.write_text("{ torn")
+        store.index_path.write_text("{ torn\n")
         store.update_index([replace(ref_result, store_key=KEY)])
-        index = json.loads(store.index_path.read_text())
-        assert set(index["entries"]) == {KEY}
+        assert json.loads(store.index_path.read_text().splitlines()[-1])["key"] == KEY
+        store.write_index()  # the rebuild drops what no scan backs
+        assert list(indexed(store)) == [KEY]
+
+    def test_object_files_are_compact_json(self, store, ref_result):
+        store.put(KEY, ref_result, scale=0.2)
+        text = store.object_path(KEY).read_text()
+        assert json.dumps(json.loads(text), separators=(",", ":")) == text
 
     def test_stats_aggregates_by_architecture(self, store, ref_result):
         store.put(KEY, ref_result)
@@ -165,8 +205,7 @@ class TestIndexAndStats:
         store.object_path(KEY).unlink()  # evicted behind the index's back
         stats = store.stats(refresh_index=True)
         assert stats["entry_count"] == 0
-        index = json.loads(store.index_path.read_text())
-        assert index["entry_count"] == 0 and index["entries"] == {}
+        assert journal(store) == []
 
     def test_stats_refresh_leaves_a_nonexistent_store_untouched(self, tmp_path):
         store = ResultStore(tmp_path / "never")
