@@ -286,11 +286,12 @@ class ResultStore:
     def write_index(self, entries: Optional[List[StoreEntry]] = None) -> Path:
         """Rebuild ``index.jsonl`` from the object tree and write it atomically.
 
-        The rebuild compacts the journal to one line per entry.  ``repro
-        cache stats`` and ``repro cache gc`` run it; nothing in the package
-        reads the index back, so correctness never depends on it being
-        fresh.  Callers that just scanned may pass their ``entries`` to
-        avoid a second walk.
+        The rebuild compacts the journal to one line per entry and deletes
+        the ``index.json`` that stores written before the journal kept, so
+        no stale copy outlives it.  ``repro cache stats`` and ``repro cache
+        gc`` run it; nothing in the package reads the index back, so
+        correctness never depends on it being fresh.  Callers that just
+        scanned may pass their ``entries`` to avoid a second walk.
 
         The rebuild replaces the journal (temp file + ``os.replace``), so an
         :meth:`update_index` append that races it can land in the replaced
@@ -300,6 +301,7 @@ class ResultStore:
         if entries is None:
             entries = self.entries()
         _replace_atomically(self.index_path, "".join(map(_index_line, entries)))
+        (self.version_dir / "index.json").unlink(missing_ok=True)  # pre-journal index
         return self.index_path
 
     def update_index(
@@ -316,10 +318,14 @@ class ResultStore:
         The lines go out in a single ``write`` on an ``O_APPEND`` descriptor,
         which a local filesystem applies whole and in order with any other
         appender's, so concurrent writers (service batches, parallel sweeps)
-        need no lock.  NFS gives no atomic append, so writers on different
-        hosts sharing a store can interleave or lose lines; like an append
-        that races :meth:`write_index`, that leaves the advisory index short
-        until the next rebuild, never an object missing.
+        need no lock.  A journal whose last line was cut short (a writer
+        killed mid-append, a full disk) gets a newline first, so the torn
+        line stays alone and this batch's lines still parse; a short
+        ``write`` is continued until every byte is out.  NFS gives no atomic
+        append, so writers on different hosts sharing a store can interleave
+        or lose lines; like an append that races :meth:`write_index`, that
+        leaves the advisory index short until the next rebuild, never an
+        object missing.
         """
         lines = []
         for result in results:
@@ -341,9 +347,14 @@ class ResultStore:
             )
             lines.append(_index_line(entry))
         if lines:
-            fd = os.open(self.index_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            fd = os.open(self.index_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
             try:
-                os.write(fd, "".join(lines).encode())
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    lines.insert(0, "\n")  # end a torn tail before the first line
+                data = memoryview("".join(lines).encode())
+                while data:
+                    data = data[os.write(fd, data):]
             finally:
                 os.close(fd)
             self.index_merges += 1

@@ -180,10 +180,30 @@ class TestIndexAndStats:
 
     def test_update_index_appends_after_a_corrupt_index(self, store, ref_result):
         store.put(KEY, ref_result)
-        store.index_path.write_text("{ torn\n")
+        store.version_dir.mkdir(parents=True, exist_ok=True)
+        store.index_path.write_text("{ torn")
         store.update_index([replace(ref_result, store_key=KEY)])
         assert json.loads(store.index_path.read_text().splitlines()[-1])["key"] == KEY
         store.write_index()  # the rebuild drops what no scan backs
+        assert list(indexed(store)) == [KEY]
+
+    def test_update_index_finishes_a_short_write(
+        self, store, ref_result, monkeypatch
+    ):
+        keys = ["ab" * 32, "cd" * 32, "ef" * 32]
+        for key in keys:
+            store.put(key, ref_result)
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:40]))
+        store.update_index([replace(ref_result, store_key=key) for key in keys])
+        monkeypatch.undo()
+        assert [line["key"] for line in journal(store)] == keys
+
+    def test_write_index_removes_a_leftover_json_index(self, store, ref_result):
+        store.put(KEY, ref_result)
+        (store.version_dir / "index.json").write_text('{"entries": {}}')
+        store.stats(refresh_index=True)
+        assert not (store.version_dir / "index.json").exists()
         assert list(indexed(store)) == [KEY]
 
     def test_object_files_are_compact_json(self, store, ref_result):
