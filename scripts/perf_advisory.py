@@ -1,19 +1,27 @@
-"""Advisory check of the per-record rates in a benchmark layer ledger.
+"""Advisory check of the rates and dispatch cost in benchmark layer ledgers.
 
 Usage, from the repository root::
 
     python perfbench/run.py --workload paper-cold --seed 1 --seconds 10 --trace 1 > ledger.txt
-    python scripts/perf_advisory.py ledger.txt
+    python perfbench/run.py --workload serve-mixed --smoke --seed 1 --seconds 5 --trace 1 > serve.txt
+    python scripts/perf_advisory.py ledger.txt --serve serve.txt
 
 The ledger's last line is the benchmark's JSON result, holding the hot-loop
 rates ``dva.insns_per_s`` and ``refarch.insns_per_s`` and the trace-build
 rate ``trace.records_per_s``; the line before it describes
 the host (CPU count, Python version).  Each rate is compared with
 ``perf_baseline.json`` next to this script.  A rate more than the baseline's
-tolerance below it prints a GitHub ``::warning::`` line.  The comparison is
-appended to ``$GITHUB_STEP_SUMMARY`` when that variable is set.  The check is
-advisory: it runs no benchmark of its own and always exits 0, also when the
-ledger is missing or unreadable.
+tolerance below it prints a GitHub ``::warning::`` line.
+
+The serve ledger (``--serve``) gives the worker's own time per simulated
+cell: ``pool.batch_s`` (the self time of the pool worker's batch, outside
+simulation, packaging and store writes) over ``service.misses``.  Above the
+baseline's ``pool_batch_ms_per_cell_ceiling`` it warns too; a forced garbage
+collection after every batch once cost about 12 ms per cell there.
+
+The comparisons are appended to ``$GITHUB_STEP_SUMMARY`` when that variable
+is set.  The check is advisory: it runs no benchmark of its own and always
+exits 0, also when a ledger is missing or unreadable.
 """
 
 from __future__ import annotations
@@ -69,17 +77,52 @@ def compare(
     return summary, warnings
 
 
+def compare_dispatch(
+    baseline: Dict[str, object], _host: Dict[str, object], metrics: Dict[str, float]
+) -> Tuple[List[str], List[str]]:
+    """Markdown summary lines and warning messages for one serve ledger."""
+    ceiling = float(baseline["pool_batch_ms_per_cell_ceiling"])
+    misses = metrics["service.misses"]
+    if misses <= 0:
+        return [], ["the serve ledger simulated no cell"]
+    per_cell = 1e3 * metrics["pool.batch_s"] / misses
+    summary = [
+        "",
+        "### dispatch advisory",
+        "",
+        f"pool.batch self time per simulated cell: {per_cell:.3f} ms "
+        f"over {misses:.0f} cells (ceiling {ceiling:.3f} ms)",
+    ]
+    warnings = []
+    if per_cell > ceiling:
+        warnings.append(
+            f"pool.batch self time {per_cell:.3f} ms per simulated cell is above "
+            f"the ceiling {ceiling:.3f} ms"
+        )
+    return summary, warnings
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ledger", type=Path, help="captured output of perfbench/run.py --trace 1")
+    parser.add_argument(
+        "--serve", type=Path, help="captured output of a traced serve-mixed run"
+    )
     args = parser.parse_args(argv)
-    try:
-        baseline = json.loads(BASELINE_PATH.read_text())
-        summary, warnings = compare(baseline, *read_ledger(args.ledger))
-    except (OSError, ValueError, LookupError, TypeError) as exc:
-        summary, warnings = [], [f"advisory skipped: {exc!r}"]
+    summary: List[str] = []
+    warnings: List[str] = []
+    checks = [(compare, args.ledger)]
+    if args.serve is not None:
+        checks.append((compare_dispatch, args.serve))
+    for check, ledger in checks:
+        try:
+            lines, found = check(json.loads(BASELINE_PATH.read_text()), *read_ledger(ledger))
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            lines, found = [], [f"advisory skipped for {ledger}: {exc!r}"]
+        summary += lines
+        warnings += found
     for message in warnings:
-        print(f"::warning title=hot-loop advisory::{message}")
+        print(f"::warning title=perf advisory::{message}")
     summary += [f"- warning: {message}" for message in warnings] or ["- no warning"]
     print("\n".join(summary))
     step_summary = os.environ.get("GITHUB_STEP_SUMMARY")

@@ -21,10 +21,11 @@ architecture of one program re-simulates the same trace), so the runner builds
 each program's trace at most once per process: the serial path keeps a
 per-runner :class:`TraceCache`, and pool workers keep a process-local cache
 that is seeded copy-on-write with whatever the parent had already built when
-the pool forked and fills lazily otherwise — never per cell.  Workers also
-run with the cyclic garbage collector off (they only run simulation batches,
-and the simulators allocate heavily), collecting once per batch instead of
-continuously.
+the pool forked and fills lazily otherwise — never per cell.  Every path
+runs with the generational garbage collector on and never forces a
+collection: a forced full collection cost more than the costliest cell
+simulates in.  Pool workers freeze the heap they inherit when they fork, so
+automatic collections never scan it or touch its copy-on-write pages.
 
 Across *processes and days*, the repeated cost is simulation itself, and a
 :class:`~repro.store.ResultStore` eliminates it: give the runner a store and
@@ -483,16 +484,18 @@ _WORKER_CACHE = TraceCache()
 
 
 def _worker_init() -> None:
-    """Initialize one pool worker: cyclic GC off.
+    """Initialize one pool worker: freeze the heap it inherited.
 
-    Pool workers only ever run simulation batches, so they trade the cyclic
-    garbage collector's continuous scanning for one collection at the end of
-    each batch — the simulators allocate heavily, and the worker's heap is
-    bounded by the batch either way.  Traces are not built here: each worker
-    builds (or, under fork, inherits) them on first use, so workers never
-    pay for programs they are not assigned.
+    ``gc.freeze()`` moves every object the worker inherited from its parent
+    into the permanent generation, so the generational collector, which
+    stays on, only ever scans what the worker's own batches allocate and
+    never writes to the inherited copy-on-write pages.  No batch forces a
+    collection: a full one over the inherited heap took 5–7 ms, more than
+    the costliest paper cell takes to simulate.  Traces are not built here:
+    each worker builds (or, under fork, inherits) them on first use, so
+    workers never pay for programs they are not assigned.
     """
-    gc.disable()
+    gc.freeze()
 
 
 def _run_program_cells(
@@ -512,11 +515,7 @@ def _run_program_cells(
     program, scale, cell_tasks, store_root = task
     store = ResultStore(store_root) if store_root is not None else None
     trace = _WORKER_CACHE.get(program, scale)
-    try:
-        return _run_cells(trace, cell_tasks, store, scale)
-    finally:
-        if not gc.isenabled():
-            gc.collect()
+    return _run_cells(trace, cell_tasks, store, scale)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -552,7 +551,9 @@ class Runner:
     When the grid has fewer programs than workers, each program's cells are
     split into chunks so every worker gets work.  Both paths produce
     identical results in identical order — the simulators are deterministic
-    and each cell is independent — which the test suite asserts.
+    and each cell is independent — which the test suite asserts.  Neither
+    path pauses the garbage collector or forces a collection; pool workers
+    freeze the heap they inherit (:func:`_worker_init`).
 
     With a :class:`~repro.store.ResultStore` attached (``store=`` — an
     instance, or a path to open one at), the runner becomes *incremental*:
@@ -635,29 +636,19 @@ class Runner:
     ) -> None:
         """Run every batch in-process, filling in each cell's result.
 
-        A runner asked for more than one job is in batch-throughput mode even
-        when the machine caps it to in-process execution, so it simulates the
-        way the pool workers do: cyclic GC paused during each batch and a
-        collection between batches (the caller's GC state is restored after).
-        Only programs that actually have tasks get their traces built.
+        The caller's garbage-collector state is left alone, whatever
+        ``jobs`` asked for: the generational collector costs little next to
+        a forced collection per batch, which cost more than a cell.  Only
+        programs that actually have tasks get their traces built.
         """
-        throughput_mode = self.jobs > 1 and gc.isenabled()
-        if throughput_mode:
-            gc.disable()
-        try:
-            for program, cells in batches.items():
-                trace = self.trace_cache.get(program, scale)
-                results = _run_cells(
-                    trace, [cell.task for cell in cells], self.store, scale,
-                    on_result=tracker.report,
-                )
-                for cell, result in zip(cells, results):
-                    cell.result = result
-                if throughput_mode:
-                    gc.collect()
-        finally:
-            if throughput_mode:
-                gc.enable()
+        for program, cells in batches.items():
+            trace = self.trace_cache.get(program, scale)
+            results = _run_cells(
+                trace, [cell.task for cell in cells], self.store, scale,
+                on_result=tracker.report,
+            )
+            for cell, result in zip(cells, results):
+                cell.result = result
 
     def _run_parallel(
         self,

@@ -304,10 +304,8 @@ class ResultStore:
         (self.version_dir / "index.json").unlink(missing_ok=True)  # pre-journal index
         return self.index_path
 
-    def update_index(
-        self, results: Sequence[RunResult], scale: float = 1.0
-    ) -> bool:
-        """Append just-written results to ``index.jsonl``; always ``True``.
+    def update_index(self, results: Sequence[RunResult], scale: float = 1.0) -> None:
+        """Append just-written results to ``index.jsonl``.
 
         Every cell driver calls this with the results it produced; cached
         results (already indexed when first written) and results without a
@@ -358,7 +356,6 @@ class ResultStore:
             finally:
                 os.close(fd)
             self.index_merges += 1
-        return True
 
     def stats(self, refresh_index: bool = False) -> Dict[str, object]:
         """Aggregate numbers for ``repro cache stats`` (always a fresh scan).

@@ -1,12 +1,19 @@
 """Unit tests for SweepSpec, the Runner and sweep determinism."""
 
+import gc
 import json
 
 import pytest
 
 from repro.common.errors import ConfigurationError, WorkloadError
 from repro.core import Runner, SweepSpec, run_sweep
-from repro.core.experiment import SweepResult, estimate_cell_cost, plan_sweep
+from repro.core.experiment import (
+    _WORKER_CACHE,
+    SweepResult,
+    _run_program_cells,
+    estimate_cell_cost,
+    plan_sweep,
+)
 from repro.workloads.perfect_club import load_program, program_names
 
 SPEC = SweepSpec(
@@ -154,6 +161,53 @@ class TestRunner:
     def test_invalid_job_count_rejected(self):
         with pytest.raises(ConfigurationError):
             Runner(jobs=0)
+
+
+
+def _gc_state():
+    """A pool worker's collector state: (enabled, objects frozen)."""
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+class TestGarbageCollection:
+    """Simulation never forces a collection and never pauses the collector."""
+
+    def test_a_pool_batch_forces_no_collection(self):
+        spec = SweepSpec(programs=("trfd",), latencies=(1, 50), scale=0.2)
+        tasks = tuple(cell.task for cell in plan_sweep(spec, None))
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.callbacks.append(record)
+        try:
+            results = _run_program_cells(("TRFD", 0.2, tasks, None))
+        finally:
+            gc.callbacks.remove(record)
+            if was_enabled:
+                gc.enable()
+            _WORKER_CACHE.clear()
+        assert len(results) == len(tasks)
+        assert collections == []
+
+    def test_pool_workers_keep_the_collector_on_over_a_frozen_heap(self):
+        with Runner(jobs=2) as runner:
+            if runner.effective_jobs < 2:
+                pytest.skip("needs two CPUs for a worker pool")
+            enabled, frozen = runner._ensure_pool().apply(_gc_state)
+        assert enabled
+        assert frozen > 0
+
+    def test_a_capped_runner_leaves_the_collector_on(self, monkeypatch):
+        monkeypatch.setattr("repro.core.experiment._available_parallelism", lambda: 1)
+        seen = []
+        sweep = Runner(jobs=2).run(SPEC, progress=lambda _event: seen.append(gc.isenabled()))
+        assert len(seen) == len(sweep.results) == len(SPEC)
+        assert all(seen)
 
 
 class TestSweepResult:

@@ -158,7 +158,7 @@ class TestIndexAndStats:
         store.put(KEY, ref_result, scale=0.2)
         store.write_index()
         store.put(other, ref_result, scale=0.2)
-        assert store.update_index([replace(ref_result, store_key=other)], scale=0.2)
+        store.update_index([replace(ref_result, store_key=other)], scale=0.2)
         assert [line["key"] for line in journal(store)] == [KEY, other]
         assert indexed(store)[other]["program"] == "TRFD"
         assert store.index_merges == 1
@@ -174,7 +174,7 @@ class TestIndexAndStats:
     def test_update_index_skips_cached_and_keyless_results(self, store, ref_result):
         store.put(KEY, ref_result)
         cached = replace(ref_result, store_key=KEY, cached=True)
-        assert store.update_index([cached, replace(ref_result, store_key=None)])
+        store.update_index([cached, replace(ref_result, store_key=None)])
         assert not store.index_path.exists()
         assert store.index_merges == 0
 
