@@ -97,9 +97,9 @@ def fuzz_payload() -> dict:
 def trace_digest(trace) -> str:
     """SHA-256 over the instruction table and the four trace columns.
 
-    An instruction enters as the ``repr`` of its compared fields: its
-    ``uid`` counts instructions created in the process, so it would tie
-    the digest to what else the process built first.
+    An instruction enters as the ``repr`` of its six compared fields; the
+    facts it derives from them when it is built add nothing those fields do
+    not already decide.
     """
     digest = hashlib.sha256()
     for instruction in trace.instructions:

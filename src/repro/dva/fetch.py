@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.common.errors import SimulationError
-from repro.isa.opcodes import OpcodeClass
+from repro.isa.opcodes import OpcodeClass, is_conditional_branch
 from repro.isa.registers import RegisterClass
 
 #: Processor codes.  They are also the scoreboard's owner codes and the
@@ -55,8 +55,8 @@ def route_instruction(instruction) -> Tuple[int, int]:
     ``primary`` is the processor that executes the instruction itself and
     ``qmov`` the QMOV the fetch processor adds to it.  Routing depends only
     on the static instruction, so the simulator computes it once per unique
-    instruction of a trace (via the columnar instruction-info table) instead
-    of once per dynamic record.
+    instruction of a trace (its routing table) instead of once per dynamic
+    record.
     """
     opcode_class = instruction.opcode_class
 
@@ -73,7 +73,7 @@ def route_instruction(instruction) -> Tuple[int, int]:
         return FP, QMOV_NONE
 
     if opcode_class is OpcodeClass.CONTROL:
-        if instruction.is_conditional_branch and instruction.sources:
+        if is_conditional_branch(instruction.opcode) and instruction.sources:
             return _owner_of(instruction.sources[0].register_class), QMOV_NONE
         return FP, QMOV_NONE
 

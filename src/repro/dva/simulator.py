@@ -38,11 +38,12 @@ trace's columns.  The functional-unit and QMOV picks run inline on their
 free lists, and the functional units' busy intervals are appended inline
 (nothing reads the QMOV units'), so a step calls out only for a memory
 reference.
-Routing decisions and operand register ids are precomputed per unique static
-instruction (cached on the trace via
-:meth:`~repro.trace.columns.Trace.instruction_infos` and the
-``dva_routes`` annotation); the dynamic facts — vector length, stride, base
-address — are integer column reads.  Register state is flat: the scoreboard
+Operand register ids come from the trace's table of static
+:class:`~repro.isa.instruction.Instruction` records, which derived them when
+they were built, and routing decisions are computed once per unique static
+instruction (cached on the trace in the ``dva_routes`` annotation); the
+dynamic facts — vector length, stride, base address — are integer column
+reads.  Register state is flat: the scoreboard
 is three lists indexed by :attr:`~repro.isa.registers.Register.id`, and a
 value's owner is the integer code of the processor that produced it (``None``
 for a register never written, whose read is hidden behind the fetch: every
@@ -81,7 +82,8 @@ from repro.dva.fetch import (
 )
 from repro.dva.result import DecoupledResult
 from repro.engine import FU_STARTUP, ResourcePool, Scoreboard, fastforward
-from repro.trace.columns import InstructionInfo, Trace
+from repro.isa.instruction import Instruction
+from repro.trace.columns import Trace
 
 if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
@@ -114,28 +116,26 @@ def _pop_before_push(queue: str, pop: int, push: int) -> SimulationError:
     return SimulationError(f"queue {queue!r}: pop at {pop} precedes push at {push}")
 
 
-def _qmov_register(info: InstructionInfo, qmov: int) -> int:
+def _qmov_register(instruction: Instruction, qmov: int) -> int:
     """Id of the register a QMOV moves into or out of (``-1``: none).
 
     A vector QMOV without its vector register is malformed; checking here
     raises once per static instruction rather than once per dynamic record.
     """
     if qmov == QMOV_V_LOAD:
-        registers = info.vector_destinations
+        registers = instruction.vector_destinations
         if not registers:
-            raise SimulationError(
-                f"vector load without a vector destination: {info.instruction}"
-            )
+            raise SimulationError(f"vector load without a vector destination: {instruction}")
     elif qmov == QMOV_V_STORE:
-        registers = info.vector_sources
+        registers = instruction.vector_sources
         if not registers:
             raise SimulationError(
-                f"vector store without a vector data register: {info.instruction}"
+                f"vector store without a vector data register: {instruction}"
             )
     elif qmov == QMOV_S_LOAD:
-        registers = info.scalar_destinations
+        registers = instruction.scalar_destinations
     elif qmov == QMOV_S_STORE:
-        registers = info.scalar_sources
+        registers = instruction.scalar_sources
     else:
         registers = ()
     return registers[0].id if registers else -1
@@ -149,15 +149,15 @@ def _routing_table(trace: Trace) -> List[RouteEntry]:
     dict, so repeated simulations of the same trace (every latency and
     machine variant of a sweep) share it.
     """
-    infos = trace.instruction_infos()
+    instructions = trace.instructions
     table = trace.annotations.get("dva_routes")
-    if isinstance(table, list) and len(table) == len(infos):
+    if isinstance(table, list) and len(table) == len(instructions):
         return table
     table = []
-    for info in infos:
-        primary, qmov = route_instruction(info.instruction)
+    for instruction in instructions:
+        primary, qmov = route_instruction(instruction)
         table.append(
-            (primary, qmov, queue_targets(primary, qmov), _qmov_register(info, qmov))
+            (primary, qmov, queue_targets(primary, qmov), _qmov_register(instruction, qmov))
         )
     trace.annotations["dva_routes"] = table
     return table
@@ -262,8 +262,8 @@ class _DecoupledState:
     def issue(self, trace: Trace, first: int, stop: int) -> None:
         """Fetch, execute and queue-move rows ``[first, stop)`` in order.
 
-        One pass over the columns: static facts come from the shared
-        instruction-info and routing tables, dynamic facts (VL, stride, base
+        One pass over the columns: static facts come from the trace's
+        instruction table and the shared routing table, dynamic facts (VL, stride, base
         address) are integer column reads.  The issue rules of all four
         processors run inline on locals — the scoreboard lists, the queue
         rings and the AVDQ residency lists, the functional-unit and QMOV
@@ -282,7 +282,7 @@ class _DecoupledState:
         least-loaded unit, the first one winning ties, except that an
         instruction needing FU2 always takes FU2.
         """
-        infos = trace.instruction_infos()
+        instructions = trace.instructions
         routes = _routing_table(trace)
         insn = trace.insn
         lengths = trace.vl
@@ -324,7 +324,7 @@ class _DecoupledState:
 
         for index in range(first, stop):
             table_index = insn[index]
-            info = infos[table_index]
+            instruction = instructions[table_index]
             primary, qmov, targets, qmov_register = routes[table_index]
 
             # Fetch: translate and distribute.  The push cycle is the first
@@ -347,7 +347,7 @@ class _DecoupledState:
                 # travel through the queues instead.
                 ap_count += 1
                 start = ap_free if ap_free > fp_free else fp_free
-                for register in info.scalar_source_ids:
+                for register in instruction.scalar_source_ids:
                     operand = ready_at[register]
                     if owner_of[register] != AP:
                         operand += cross_delay
@@ -360,7 +360,7 @@ class _DecoupledState:
                         start = avdq[0]
                     load_ready = memory.issue_vector_load(
                         addresses[index], lengths[index], strides[index],
-                        info.is_indexed, start,
+                        instruction.is_indexed, start,
                     )
                     load_push = start
                     avdq_enter(start)
@@ -371,7 +371,7 @@ class _DecoupledState:
                     vector_stores += 1
                     pushed = memory.enqueue_vector_store(
                         addresses[index], lengths[index], strides[index],
-                        info.is_indexed, start,
+                        instruction.is_indexed, start,
                     )
                     ap_free = (pushed if pushed > start else start) + 1
                 elif qmov == QMOV_S_LOAD:
@@ -385,7 +385,7 @@ class _DecoupledState:
                 else:
                     # Address arithmetic and AP-resolved branches take one cycle.
                     ap_free = start + 1
-                    for register in info.destination_ids:
+                    for register in instruction.destination_ids:
                         ready_at[register] = ap_free
                         chain_at[register] = None
                         owner_of[register] = AP
@@ -397,7 +397,7 @@ class _DecoupledState:
             elif primary == VP:
                 vp_count += 1
                 start = vp_free if vp_free > fp_free else fp_free
-                for register in info.data_source_ids:
+                for register in instruction.data_source_ids:
                     if owner_of[register] != VP:
                         operand = ready_at[register] + cross_delay
                     else:
@@ -409,7 +409,7 @@ class _DecoupledState:
                 # occupancy_cycles(VL, lanes), inlined.
                 busy = lengths[index]
                 busy = -(-busy // lanes) if busy > 1 else 1
-                if info.requires_fu2 or fu2_free < fu1_free:
+                if instruction.requires_fu2 or fu2_free < fu1_free:
                     if fu2_free > start:
                         start = fu2_free
                     fu2_free = start + busy
@@ -427,7 +427,7 @@ class _DecoupledState:
                 vp_free = start + 1
                 chain = start + FU_STARTUP
                 completion = chain + busy
-                for register, is_vector in info.destination_id_flags:
+                for register, is_vector in instruction.destination_id_flags:
                     ready_at[register] = completion
                     chain_at[register] = chain if is_vector else None
                     owner_of[register] = VP
@@ -436,7 +436,7 @@ class _DecoupledState:
             elif primary == SP:
                 sp_count += 1
                 start = sp_free if sp_free > fp_free else fp_free
-                for register in info.source_ids:
+                for register in instruction.source_ids:
                     operand = ready_at[register]
                     if owner_of[register] != SP:
                         operand += cross_delay
@@ -446,7 +446,7 @@ class _DecoupledState:
                     raise _pop_before_push("SPIQ", start, push_time)
                 spiq_issue(start)
                 sp_free = start + 1
-                for register in info.destination_ids:
+                for register in instruction.destination_ids:
                     ready_at[register] = sp_free
                     chain_at[register] = None
                     owner_of[register] = SP

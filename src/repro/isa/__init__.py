@@ -15,16 +15,16 @@ instruction set that the simulators care about:
 
 Numeric values are never computed: like the Dixie traces the paper uses, an
 instruction only carries the information that affects *timing* — its opcode
-class, register operands, vector length, stride and base address.
+class, register operands, vector length, stride and base address.  The
+static :class:`Instruction` is the one record the compiler emits and the
+issue loops read; a basic block is a plain tuple of them.
 """
 
 from repro.isa.instruction import Instruction, MemoryOperand
 from repro.isa.opcodes import Opcode, OpcodeClass
-from repro.isa.program import BasicBlock, Program
 from repro.isa.registers import (
     Register,
     RegisterClass,
-    RegisterFile,
     VECTOR_REGISTER_COUNT,
     VECTOR_REGISTER_LENGTH,
     a_reg,
@@ -34,16 +34,13 @@ from repro.isa.registers import (
 from repro.isa.builder import InstructionBuilder
 
 __all__ = [
-    "BasicBlock",
     "Instruction",
     "InstructionBuilder",
     "MemoryOperand",
     "Opcode",
     "OpcodeClass",
-    "Program",
     "Register",
     "RegisterClass",
-    "RegisterFile",
     "VECTOR_REGISTER_COUNT",
     "VECTOR_REGISTER_LENGTH",
     "a_reg",

@@ -1,25 +1,24 @@
 """A small fluent builder for emitting instruction sequences.
 
 The vectorizing compiler in :mod:`repro.workloads.compiler` uses the builder
-to lower loop kernels into basic blocks without repeating operand plumbing at
-every emission site.
+to lower loop kernels into basic blocks — tuples of instructions — without
+repeating operand plumbing at every emission site.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.isa.instruction import Instruction, MemoryOperand, make_instruction
+from repro.isa.instruction import Instruction, MemoryOperand
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock
 from repro.isa.registers import Register, VL_REGISTER, VS_REGISTER
 
 
 class InstructionBuilder:
-    """Accumulates instructions and appends them to a basic block."""
+    """Accumulates instructions into :attr:`instructions`, in emission order."""
 
-    def __init__(self, block: BasicBlock, label_prefix: str = "") -> None:
-        self.block = block
+    def __init__(self, label_prefix: str = "") -> None:
+        self.instructions: List[Instruction] = []
         self.label_prefix = label_prefix
 
     # -- low-level emission --------------------------------------------------
@@ -34,15 +33,15 @@ class InstructionBuilder:
         label: str = "",
     ) -> Instruction:
         """Emit one instruction and return it."""
-        instruction = make_instruction(
+        instruction = Instruction(
             opcode,
-            destinations=destinations,
-            sources=sources,
-            memory=memory,
-            immediate=immediate,
-            label=self._compose_label(label),
+            tuple(destinations),
+            tuple(sources),
+            memory,
+            immediate,
+            self._compose_label(label),
         )
-        self.block.append(instruction)
+        self.instructions.append(instruction)
         return instruction
 
     def _compose_label(self, label: str) -> str:

@@ -1,25 +1,104 @@
-"""Static instruction representation.
+"""Static instruction representation: the one record from compiler to issue loop.
 
-An :class:`Instruction` is a *static* entity: it lives inside a basic block of
-a :class:`~repro.isa.program.Program` and names its register operands and, for
-memory instructions, a symbolic memory operand.  The dynamic information a
-Dixie-style trace would carry (actual vector length, stride and base address
-of each executed instance) is attached later by the trace generator in
-:mod:`repro.trace`.
+An :class:`Instruction` is a *static* entity: the compiler emits it into a
+basic block (a tuple of instructions) and it names its register operands
+and, for memory instructions, a symbolic memory operand.  When it is built
+it also derives everything the issue loops ask of it — its kind, its
+classification flags, its operand registers by class and their integer ids
+— so a trace's instruction table is read as plain attributes.  The dynamic
+information a Dixie-style trace would carry (actual vector length, stride
+and base address of each executed instance) is attached later by the trace
+generator in :mod:`repro.trace`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional
 
 from repro.common.errors import ConfigurationError
 from repro.isa import opcodes as op
 from repro.isa.opcodes import Opcode, OpcodeClass
 from repro.isa.registers import Register
 
-_instruction_ids = itertools.count()
+#: One small integer per :class:`OpcodeClass`: :attr:`Instruction.kind`, on
+#: which the issue loops dispatch.
+KIND_SCALAR_COMPUTE = 0
+KIND_SCALAR_MEMORY = 1
+KIND_VECTOR_COMPUTE = 2
+KIND_VECTOR_MEMORY = 3
+KIND_VECTOR_CONTROL = 4
+KIND_CONTROL = 5
+
+_KIND_OF_CLASS = {
+    OpcodeClass.SCALAR_COMPUTE: KIND_SCALAR_COMPUTE,
+    OpcodeClass.SCALAR_MEMORY: KIND_SCALAR_MEMORY,
+    OpcodeClass.VECTOR_COMPUTE: KIND_VECTOR_COMPUTE,
+    OpcodeClass.VECTOR_MEMORY: KIND_VECTOR_MEMORY,
+    OpcodeClass.VECTOR_CONTROL: KIND_VECTOR_CONTROL,
+    OpcodeClass.CONTROL: KIND_CONTROL,
+}
+
+
+def _opcode_facts(opcode: Opcode) -> tuple:
+    """``(opcode_class, kind, is_vector, is_memory, is_load, is_store,
+    requires_fu2, may_chain)`` of ``opcode``."""
+    opcode_class = op.opcode_class(opcode)
+    is_store = op.is_store(opcode)
+    return (
+        opcode_class,
+        _KIND_OF_CLASS[opcode_class],
+        op.is_vector(opcode),
+        op.is_memory(opcode),
+        op.is_load(opcode),
+        is_store,
+        op.requires_fu2(opcode),
+        # Flexible chaining targets (paper §2.1): vector arithmetic and
+        # vector stores may start on a producer's first element.
+        opcode_class is OpcodeClass.VECTOR_COMPUTE
+        or (is_store and opcode_class is OpcodeClass.VECTOR_MEMORY),
+    )
+
+
+_OPCODE_FACTS = {opcode: _opcode_facts(opcode) for opcode in Opcode}
+
+
+@lru_cache(maxsize=None)
+def _operand_facts(destinations: tuple, sources: tuple) -> tuple:
+    """``(vector_destinations, scalar_destinations, vector_sources,
+    scalar_sources, source_ids, scalar_source_ids, data_source_ids,
+    destination_ids, destination_id_flags)`` of one operand list.
+
+    Cached: the keys are tuples of the few interned registers, so the cache
+    holds one entry per operand list the compiler emits.
+    """
+    scalar_sources = tuple(register for register in sources if register.is_scalar)
+    return (
+        tuple(register for register in destinations if register.is_vector),
+        tuple(register for register in destinations if register.is_scalar),
+        tuple(register for register in sources if register.is_vector),
+        scalar_sources,
+        # The issue loops index their scoreboard lists by register id.
+        tuple(register.id for register in sources),
+        tuple(register.id for register in scalar_sources),
+        # Data sources as the VP sees them: everything except the implicit
+        # VL/VS control registers, which the fetch processor resolves.
+        tuple(register.id for register in sources if register.is_vector or register.is_scalar),
+        tuple(register.id for register in destinations),
+        # (id, is_vector) pairs: issue rules that chain vector results but
+        # not scalar ones read the flag instead of a register property.
+        tuple((register.id, register.is_vector) for register in destinations),
+    )
+
+
+def _derived():
+    """A fact derived from the instruction's fields when it is built.
+
+    Kept out of ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__``: two
+    instructions are equal when their fields are.
+    """
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -45,9 +124,9 @@ class MemoryOperand:
             raise ConfigurationError("memory stride of zero is not supported")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
-    """One static instruction.
+    """One static instruction and the facts the issue loops read of it.
 
     Attributes:
         opcode: the operation performed.
@@ -56,6 +135,13 @@ class Instruction:
         memory: symbolic memory operand for loads/stores, ``None`` otherwise.
         immediate: immediate operand (used by ``SET_VL``/``SET_VS``/``S_LI``).
         label: optional human-readable annotation (loop name, spill marker).
+
+    Every other attribute is derived from those six when the instruction is
+    built: the opcode's class and its :data:`KIND_* <KIND_SCALAR_COMPUTE>`
+    code, the classification flags, the operands split by register class,
+    and the operands' register ids (sources; scalar sources; data sources,
+    i.e. without VL/VS; destinations; destinations paired with
+    ``is_vector``).
     """
 
     opcode: Opcode
@@ -64,103 +150,66 @@ class Instruction:
     memory: Optional[MemoryOperand] = None
     immediate: Optional[int] = None
     label: str = ""
-    uid: int = field(default_factory=lambda: next(_instruction_ids), compare=False)
+
+    opcode_class: OpcodeClass = _derived()
+    kind: int = _derived()
+    is_vector: bool = _derived()
+    is_memory: bool = _derived()
+    is_load: bool = _derived()
+    is_store: bool = _derived()
+    requires_fu2: bool = _derived()
+    may_chain: bool = _derived()
+    is_indexed: bool = _derived()
+    is_spill: bool = _derived()
+    vector_destinations: tuple[Register, ...] = _derived()
+    scalar_destinations: tuple[Register, ...] = _derived()
+    vector_sources: tuple[Register, ...] = _derived()
+    scalar_sources: tuple[Register, ...] = _derived()
+    source_ids: tuple[int, ...] = _derived()
+    scalar_source_ids: tuple[int, ...] = _derived()
+    data_source_ids: tuple[int, ...] = _derived()
+    destination_ids: tuple[int, ...] = _derived()
+    destination_id_flags: tuple[tuple[int, bool], ...] = _derived()
 
     def __post_init__(self) -> None:
-        if self.is_memory and self.memory is None:
+        (
+            opcode_class, kind, is_vector, is_memory, is_load, is_store, requires_fu2, may_chain
+        ) = _OPCODE_FACTS[self.opcode]
+        memory = self.memory
+        if is_memory and memory is None:
             raise ConfigurationError(
                 f"memory instruction {self.opcode.value} requires a memory operand"
             )
-        if not self.is_memory and self.memory is not None:
+        if not is_memory and memory is not None:
             raise ConfigurationError(
                 f"non-memory instruction {self.opcode.value} cannot carry a memory operand"
             )
-
-    # -- classification ----------------------------------------------------
-
-    @property
-    def opcode_class(self) -> OpcodeClass:
-        return op.opcode_class(self.opcode)
-
-    @property
-    def is_vector(self) -> bool:
-        return op.is_vector(self.opcode)
-
-    @property
-    def is_memory(self) -> bool:
-        return op.is_memory(self.opcode)
-
-    @property
-    def is_load(self) -> bool:
-        return op.is_load(self.opcode)
-
-    @property
-    def is_store(self) -> bool:
-        return op.is_store(self.opcode)
-
-    @property
-    def is_vector_memory(self) -> bool:
-        return self.opcode_class is OpcodeClass.VECTOR_MEMORY
-
-    @property
-    def is_scalar_memory(self) -> bool:
-        return self.opcode_class is OpcodeClass.SCALAR_MEMORY
-
-    @property
-    def is_branch(self) -> bool:
-        return op.is_branch(self.opcode)
-
-    @property
-    def is_conditional_branch(self) -> bool:
-        return op.is_conditional_branch(self.opcode)
-
-    @property
-    def is_reduction(self) -> bool:
-        return op.is_reduction(self.opcode)
-
-    @property
-    def requires_fu2(self) -> bool:
-        return op.requires_fu2(self.opcode)
-
-    @property
-    def is_spill_access(self) -> bool:
-        """True when the memory operand is marked as compiler spill traffic."""
-        return self.memory is not None and self.memory.is_spill
-
-    # -- operand helpers ----------------------------------------------------
-
-    def reads(self, register: Register) -> bool:
-        """True when the instruction reads ``register``."""
-        return register in self.sources
-
-    def writes(self, register: Register) -> bool:
-        """True when the instruction writes ``register``."""
-        return register in self.destinations
-
-    def vector_destinations(self) -> tuple[Register, ...]:
-        return tuple(r for r in self.destinations if r.is_vector)
-
-    def vector_sources(self) -> tuple[Register, ...]:
-        return tuple(r for r in self.sources if r.is_vector)
-
-    def scalar_destinations(self) -> tuple[Register, ...]:
-        return tuple(r for r in self.destinations if r.is_scalar)
-
-    def scalar_sources(self) -> tuple[Register, ...]:
-        return tuple(r for r in self.sources if r.is_scalar)
-
-    def with_label(self, label: str) -> "Instruction":
-        """Return a copy of the instruction carrying a new label."""
-        return Instruction(
-            opcode=self.opcode,
-            destinations=self.destinations,
-            sources=self.sources,
-            memory=self.memory,
-            immediate=self.immediate,
-            label=label,
-        )
-
-    # -- presentation --------------------------------------------------------
+        (
+            vector_destinations, scalar_destinations, vector_sources, scalar_sources,
+            source_ids, scalar_source_ids, data_source_ids, destination_ids,
+            destination_id_flags,
+        ) = _operand_facts(self.destinations, self.sources)
+        # Frozen: the derived slots are written past the dataclass's guard.
+        derive = object.__setattr__
+        derive(self, "opcode_class", opcode_class)
+        derive(self, "kind", kind)
+        derive(self, "is_vector", is_vector)
+        derive(self, "is_memory", is_memory)
+        derive(self, "is_load", is_load)
+        derive(self, "is_store", is_store)
+        derive(self, "requires_fu2", requires_fu2)
+        derive(self, "may_chain", may_chain)
+        derive(self, "is_indexed", is_memory and memory.indexed)
+        derive(self, "is_spill", is_memory and memory.is_spill)
+        derive(self, "vector_destinations", vector_destinations)
+        derive(self, "scalar_destinations", scalar_destinations)
+        derive(self, "vector_sources", vector_sources)
+        derive(self, "scalar_sources", scalar_sources)
+        derive(self, "source_ids", source_ids)
+        derive(self, "scalar_source_ids", scalar_source_ids)
+        derive(self, "data_source_ids", data_source_ids)
+        derive(self, "destination_ids", destination_ids)
+        derive(self, "destination_id_flags", destination_id_flags)
 
     def __str__(self) -> str:
         parts = [self.opcode.value]
@@ -174,22 +223,3 @@ class Instruction:
         if operands:
             parts.append(", ".join(operands))
         return " ".join(parts)
-
-
-def make_instruction(
-    opcode: Opcode,
-    destinations: Sequence[Register] = (),
-    sources: Sequence[Register] = (),
-    memory: Optional[MemoryOperand] = None,
-    immediate: Optional[int] = None,
-    label: str = "",
-) -> Instruction:
-    """Convenience constructor accepting any register sequences."""
-    return Instruction(
-        opcode=opcode,
-        destinations=tuple(destinations),
-        sources=tuple(sources),
-        memory=memory,
-        immediate=immediate,
-        label=label,
-    )

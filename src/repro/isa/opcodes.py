@@ -11,7 +11,6 @@ instruction:
 from __future__ import annotations
 
 from enum import Enum, unique
-from functools import lru_cache
 
 
 @unique
@@ -125,16 +124,13 @@ _VECTOR_MEMORY = {Opcode.V_LOAD, Opcode.V_STORE, Opcode.V_GATHER, Opcode.V_SCATT
 
 _LOADS = {Opcode.S_LOAD, Opcode.V_LOAD, Opcode.V_GATHER}
 _STORES = {Opcode.S_STORE, Opcode.V_STORE, Opcode.V_SCATTER}
-_INDEXED = {Opcode.V_GATHER, Opcode.V_SCATTER}
-_REDUCTIONS = {Opcode.V_SUM, Opcode.V_DOT, Opcode.V_EXTRACT}
 
 
-@lru_cache(maxsize=None)
 def opcode_class(opcode: Opcode) -> OpcodeClass:
     """Return the broad category an opcode belongs to.
 
-    Cached per opcode: the simulators ask this for every traced instruction,
-    which made the chain of set-membership tests a measurable hot spot.
+    Asked once per opcode, when :mod:`repro.isa.instruction` tabulates the
+    facts every :class:`~repro.isa.instruction.Instruction` carries.
     """
     if opcode in _SCALAR_COMPUTE:
         return OpcodeClass.SCALAR_COMPUTE
@@ -171,24 +167,9 @@ def is_store(opcode: Opcode) -> bool:
     return opcode in _STORES
 
 
-def is_indexed_memory(opcode: Opcode) -> bool:
-    """True for gathers and scatters, which cannot be described by a range."""
-    return opcode in _INDEXED
-
-
-def is_branch(opcode: Opcode) -> bool:
-    """True for control-transfer instructions."""
-    return opcode in _CONTROL
-
-
 def is_conditional_branch(opcode: Opcode) -> bool:
     """True for the conditional branch opcode only."""
     return opcode is Opcode.BRANCH
-
-
-def is_reduction(opcode: Opcode) -> bool:
-    """True for vector instructions that produce a scalar result."""
-    return opcode in _REDUCTIONS
 
 
 def requires_fu2(opcode: Opcode) -> bool:

@@ -58,11 +58,6 @@ _FILE_OFFSETS = dict(zip(_FILE_SIZES, accumulate(_FILE_SIZES.values(), initial=0
 #: Number of architectural registers; :attr:`Register.id` is in ``range(REGISTER_COUNT)``.
 REGISTER_COUNT = sum(_FILE_SIZES.values())
 
-#: The register file of every id, indexed by :attr:`Register.id`.
-REGISTER_CLASS_OF_ID = tuple(
-    register_class for register_class, size in _FILE_SIZES.items() for _ in range(size)
-)
-
 
 @dataclass(frozen=True, order=True)
 class Register:
@@ -95,13 +90,6 @@ class Register:
     @property
     def is_scalar(self) -> bool:
         return self.register_class in (RegisterClass.ADDRESS, RegisterClass.SCALAR)
-
-    @property
-    def bank(self) -> int:
-        """Register bank index: vector registers are grouped pairwise."""
-        if not self.is_vector:
-            raise ConfigurationError("only vector registers belong to a bank")
-        return self.index // 2
 
     @property
     def name(self) -> str:
@@ -150,39 +138,3 @@ VL_REGISTER = canonical_register(RegisterClass.VECTOR_LENGTH, 0)
 
 #: The (single) vector stride register.
 VS_REGISTER = canonical_register(RegisterClass.VECTOR_STRIDE, 0)
-
-
-class RegisterFile:
-    """A named register file used by register allocators in the compiler.
-
-    It hands out registers round-robin, which mimics the behaviour the paper
-    relies on from the Convex compiler: vector registers are allocated so
-    consecutive results land in different register banks, avoiding port
-    conflicts on the restricted crossbar.
-    """
-
-    def __init__(self, register_class: RegisterClass, size: int | None = None) -> None:
-        self.register_class = register_class
-        self.size = size if size is not None else _FILE_SIZES[register_class]
-        if self.size <= 0:
-            raise ConfigurationError("register file size must be positive")
-        if self.size > _FILE_SIZES[register_class]:
-            raise ConfigurationError(
-                f"register file size {self.size} exceeds architectural limit "
-                f"{_FILE_SIZES[register_class]}"
-            )
-        self._next = 0
-
-    def allocate(self) -> Register:
-        """Return the next register in round-robin order."""
-        register = Register(self.register_class, self._next)
-        self._next = (self._next + 1) % self.size
-        return register
-
-    def allocate_many(self, count: int) -> list[Register]:
-        """Allocate ``count`` registers (wrapping around when necessary)."""
-        return [self.allocate() for _ in range(count)]
-
-    def reset(self) -> None:
-        """Restart allocation from register 0."""
-        self._next = 0

@@ -14,12 +14,12 @@ started executing.  An instruction starts executing when
 The register scoreboard and the functional-unit and memory-port pools come
 from the shared :mod:`repro.engine` kernel; this module contributes the
 issue rules of the reference machine, run inline in one loop over the
-trace's columns.  Per
-dynamic instruction the loop reads the precomputed
-:class:`~repro.trace.columns.InstructionInfo` of the static instruction —
-whose operands are integer register ids indexing the scoreboard lists — plus
-the vector-length and address columns, so the per-record cost is integer
-indexing rather than method calls and dict probes.  Processing
+trace's columns.  Per dynamic instruction the loop reads the static
+:class:`~repro.isa.instruction.Instruction` in the trace's table — whose
+facts, operands included as integer register ids indexing the scoreboard
+lists, were derived when it was built — plus the vector-length and address
+columns, so the per-record cost is integer indexing rather than method
+calls and dict probes.  Processing
 the trace once in program order yields exactly the timing a cycle-by-cycle
 simulation would produce, at a small fraction of the cost.  The loop runs
 over row ranges between the trace's kernel invocation marks; at each mark,
@@ -42,14 +42,10 @@ from repro.engine import (
     occupancy_cycles,
     vector_bus_cycles,
 )
+from repro.isa.instruction import KIND_SCALAR_MEMORY, KIND_VECTOR_COMPUTE, KIND_VECTOR_MEMORY
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.refarch.result import ReferenceResult
-from repro.trace.columns import (
-    KIND_SCALAR_MEMORY,
-    KIND_VECTOR_COMPUTE,
-    KIND_VECTOR_MEMORY,
-    Trace,
-)
+from repro.trace.columns import Trace
 
 if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
@@ -141,7 +137,7 @@ class _SimulationState:
         """Issue rows ``[first, stop)`` of the trace, in program order.
 
         One pass over the columns: the static facts of each instruction come
-        from the shared :class:`~repro.trace.columns.InstructionInfo` table,
+        from the trace's :class:`~repro.isa.instruction.Instruction` table,
         the dynamic facts (VL, base address) from integer column reads.  The
         issue rules of every instruction class run inline on locals — the
         scoreboard lists, the dispatch pointer, the horizon, the stall and
@@ -151,7 +147,7 @@ class _SimulationState:
         producer's chain start when it has one; any other read waits for the
         value to be fully written.
         """
-        infos = trace.instruction_infos()
+        instructions = trace.instructions
         insn = trace.insn
         lengths = trace.vl
         addresses = trace.addr
@@ -180,27 +176,27 @@ class _SimulationState:
         first_charged = self.first_charged
 
         for index in range(first, stop):
-            info = infos[insn[index]]
+            instruction = instructions[insn[index]]
             earliest = dispatch_free
-            if info.may_chain:
-                for register in info.source_ids:
+            if instruction.may_chain:
+                for register in instruction.source_ids:
                     operand = chain_at[register]
                     if operand is None:
                         operand = ready_at[register]
                     if operand > earliest:
                         earliest = operand
             else:
-                for register in info.source_ids:
+                for register in instruction.source_ids:
                     operand = ready_at[register]
                     if operand > earliest:
                         earliest = operand
 
-            kind = info.kind
+            kind = instruction.kind
             if kind == KIND_VECTOR_COMPUTE:
                 vector_instructions += 1
                 busy = occupancy_cycles(lengths[index], lanes)
                 issue_time, _unit = acquire_fu(
-                    earliest, busy, _FU2 if info.requires_fu2 else None
+                    earliest, busy, _FU2 if instruction.requires_fu2 else None
                 )
                 dispatch_stall += issue_time - dispatch_free
                 dispatch_free = issue_time + 1
@@ -208,7 +204,7 @@ class _SimulationState:
                 completion = first_element + busy
                 # Scalar results of reductions are not chainable; vector
                 # results are.
-                for register, is_vector in info.destination_id_flags:
+                for register, is_vector in instruction.destination_id_flags:
                     ready_at[register] = completion
                     chain_at[register] = first_element if is_vector else None
                 if not vector_compute_cycles:
@@ -223,12 +219,12 @@ class _SimulationState:
                 )
                 dispatch_stall += issue_time - dispatch_free
                 dispatch_free = issue_time + 1
-                if info.is_load:
+                if instruction.is_load:
                     completion = load_ready(issue_time, bus_cycles)
                     # The port is pipelined: the first element arrives after
                     # the latency.
                     first_element = issue_time + latency if load_chaining else None
-                    for register in info.destination_ids:
+                    for register in instruction.destination_ids:
                         ready_at[register] = completion
                         chain_at[register] = first_element
                 else:
@@ -247,11 +243,11 @@ class _SimulationState:
                     )
                 dispatch_stall += issue_time - dispatch_free
                 dispatch_free = issue_time + 1
-                if info.is_store:
+                if instruction.is_store:
                     completion = issue_time + 1
                 else:
                     completion = fabric.scalar_load_ready(hit, issue_time)
-                    for register in info.destination_ids:
+                    for register in instruction.destination_ids:
                         ready_at[register] = completion
                         chain_at[register] = None
                 if not scalar_memory_cycles:
@@ -262,7 +258,7 @@ class _SimulationState:
                 dispatch_stall += earliest - dispatch_free
                 dispatch_free = earliest + 1
                 completion = dispatch_free
-                for register in info.destination_ids:
+                for register in instruction.destination_ids:
                     ready_at[register] = completion
                     chain_at[register] = None
                 if not scalar_cycles:

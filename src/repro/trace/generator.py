@@ -1,7 +1,8 @@
-"""Trace generation from static programs.
+"""Trace generation from compiled basic blocks.
 
 The :class:`TraceBuilder` plays the role of running a Dixie-instrumented
-executable: it walks basic blocks in dynamic order, keeps track of the vector
+executable: it walks basic blocks (tuples of static instructions) in
+dynamic order, keeps track of the vector
 length and vector stride registers, lays program data regions out in a flat
 address space, and appends one row per executed instruction to the
 :class:`~repro.trace.columns.Trace` columns — instruction-table index,
@@ -15,7 +16,6 @@ from typing import Dict, Hashable, Optional, Sequence
 from repro.common.errors import TraceError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH
 from repro.trace.columns import NO_ADDRESS, Trace
 
@@ -144,27 +144,17 @@ class TraceBuilder:
 
     def append_block(
         self,
-        block: BasicBlock,
+        block: Sequence[Instruction],
         region_offsets: Optional[Dict[str, int]] = None,
     ) -> None:
         """Replay one basic block, emitting a dynamic record per instruction."""
         self.trace.blocks_executed += 1
-        self._emit(block.instructions, region_offsets or {})
-
-    def append_instruction(
-        self,
-        instruction: Instruction,
-        region_offsets: Optional[Dict[str, int]] = None,
-    ) -> None:
-        """Emit a single dynamic record outside of block replay."""
-        self._emit((instruction,), region_offsets or {})
-
-    def _emit(self, instructions: Sequence[Instruction], offsets: Dict[str, int]) -> None:
+        offsets = region_offsets or {}
         append_row = self.trace.append_row
         static = self._static
         vector_length = self._vector_length
         try:
-            for instruction in instructions:
+            for instruction in block:
                 facts = static.get(id(instruction))
                 if facts is None:
                     facts = self._static_facts(instruction)
@@ -205,7 +195,7 @@ class TraceBuilder:
             instruction.is_vector,
             region,
             None if region is None else self.allocator.base_of(region),
-            memory.stride if memory is not None and instruction.is_vector_memory else 1,
+            memory.stride if instruction.is_vector and instruction.is_memory else 1,
             set_vl,
         )
         self._static[id(instruction)] = facts

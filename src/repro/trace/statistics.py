@@ -71,12 +71,11 @@ def compute_statistics(trace: Trace) -> TraceStatistics:
 
     The loop reads the instruction-table index and vector-length columns with
     per-field locals and takes every static fact (vector? memory? spill?)
-    from the precomputed
-    :class:`~repro.trace.columns.InstructionInfo` table — no record objects
-    are materialized.
+    from the trace's :class:`~repro.isa.instruction.Instruction` table — no
+    record objects are materialized.
     """
     stats = TraceStatistics(name=trace.name, basic_blocks=trace.blocks_executed)
-    infos = trace.instruction_infos()
+    instructions = trace.instructions
     insn = trace.insn
     lengths = trace.vl
     histogram_counts: dict[int, int] = {}
@@ -91,24 +90,24 @@ def compute_statistics(trace: Trace) -> TraceStatistics:
     memory_elements = 0
 
     for index in range(len(insn)):
-        info = infos[insn[index]]
-        if info.is_vector:
+        instruction = instructions[insn[index]]
+        if instruction.is_vector:
             length = lengths[index]
             vector_instructions += 1
             vector_operations += length
             histogram_counts[length] = histogram_counts.get(length, 0) + 1
-            if info.is_memory:
+            if instruction.is_memory:
                 memory_elements += length
                 vector_memory += 1
                 vector_memory_operations += length
-                if info.is_spill:
+                if instruction.is_spill:
                     spill_memory += 1
         else:
             scalar_instructions += 1
-            if info.is_memory:
+            if instruction.is_memory:
                 memory_elements += 1
                 scalar_memory += 1
-                if info.is_spill:
+                if instruction.is_spill:
                     spill_memory += 1
 
     stats.vector_instructions = vector_instructions

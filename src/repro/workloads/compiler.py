@@ -10,9 +10,9 @@ loop control.
 
 The output has two halves:
 
-* a static :class:`~repro.isa.program.Program` fragment — one basic block per
-  distinct strip length — exactly as Dixie would see basic blocks in the
-  executable, and
+* one basic block — a tuple of static
+  :class:`~repro.isa.instruction.Instruction` records — per distinct strip
+  length, exactly as Dixie would see basic blocks in the executable, and
 * an emission routine that replays those blocks into a
   :class:`~repro.trace.generator.TraceBuilder`, advancing the memory streams
   so every executed instance carries a concrete base address.
@@ -21,12 +21,12 @@ The output has two halves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import WorkloadError
 from repro.isa.builder import InstructionBuilder
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock, Program
 from repro.isa.registers import (
     ADDRESS_REGISTER_COUNT,
     Register,
@@ -48,16 +48,19 @@ _INDUCTION = a_reg(7)
 #: Address register reserved for the loop-bound comparison result.
 _LOOP_CONDITION = a_reg(6)
 
+#: A basic block: straight-line static instructions, replayed as a unit.
+Block = Tuple[Instruction, ...]
+
 
 @dataclass
 class CompiledKernel:
     """The result of compiling one loop kernel."""
 
     kernel: LoopKernel
-    blocks: Dict[int, BasicBlock] = field(default_factory=dict)
+    blocks: Dict[int, Block] = field(default_factory=dict)
     stream_bases: Dict[str, Register] = field(default_factory=dict)
 
-    def block_for_length(self, vector_length: int) -> BasicBlock:
+    def block_for_length(self, vector_length: int) -> Block:
         """The basic block that executes one strip of ``vector_length`` elements."""
         try:
             return self.blocks[vector_length]
@@ -116,26 +119,26 @@ class CompiledKernel:
 class VectorizingCompiler:
     """Lowers loop kernels into Convex-style vector code."""
 
-    def __init__(self, program_name: str = "kernel") -> None:
-        self.program_name = program_name
-        self._program = Program(name=program_name)
-
-    @property
-    def program(self) -> Program:
-        """The static program accumulated by successive :meth:`compile` calls."""
-        return self._program
+    def __init__(self) -> None:
+        #: Every block compiled so far, by label (``{kernel}.strip{length}``).
+        self.blocks: Dict[str, Block] = {}
 
     def compile(self, kernel: LoopKernel) -> CompiledKernel:
-        """Compile ``kernel`` and register its blocks with the static program."""
+        """Compile ``kernel``; a kernel of a name compiled before reuses its blocks.
+
+        A name therefore stands for one kernel: :class:`ProgramModel
+        <repro.workloads.program_model.ProgramModel>` rejects two different
+        kernels of one name.
+        """
         compiled = CompiledKernel(kernel=kernel)
         compiled.stream_bases = self._assign_stream_bases(kernel)
         for strip_length in sorted(set(kernel.strip_lengths)):
             label = f"{kernel.name}.strip{strip_length}"
-            if self._program.has_block(label):
-                block = self._program.block(label)
-            else:
-                block = self._program.new_block(label)
-                self._lower_strip(kernel, compiled.stream_bases, block, strip_length)
+            block = self.blocks.get(label)
+            if block is None:
+                block = self.blocks[label] = self._lower_strip(
+                    kernel, compiled.stream_bases, strip_length
+                )
             compiled.blocks[strip_length] = block
         return compiled
 
@@ -155,10 +158,9 @@ class VectorizingCompiler:
         self,
         kernel: LoopKernel,
         stream_bases: Dict[str, Register],
-        block: BasicBlock,
         strip_length: int,
-    ) -> None:
-        emit = InstructionBuilder(block, label_prefix=kernel.name)
+    ) -> Block:
+        emit = InstructionBuilder(label_prefix=kernel.name)
         vector_pool = _RoundRobin([v_reg(i) for i in range(VECTOR_REGISTER_COUNT)])
         scalar_pool = _RoundRobin([s_reg(i) for i in range(SCALAR_REGISTER_COUNT - 1)])
 
@@ -181,6 +183,7 @@ class VectorizingCompiler:
             self._emit_reduction(kernel, emit, results)
         self._emit_vector_stores(kernel, stream_bases, emit, results)
         self._emit_loop_control(emit)
+        return tuple(emit.instructions)
 
     def _emit_address_arithmetic(
         self,

@@ -21,7 +21,7 @@ from repro.isa.registers import a_reg, s_reg
 from repro.trace.generator import TraceBuilder
 from repro.trace.columns import Trace
 from repro.workloads.compiler import VectorizingCompiler
-from repro.workloads.kernel import KernelSchedule
+from repro.workloads.kernel import KernelSchedule, LoopKernel
 
 
 def check_scale(scale: float) -> float:
@@ -91,6 +91,15 @@ class ProgramModel:
             raise WorkloadError(f"program model {self.name!r} has no kernels")
         if self.prologue_scalar_instructions < 0:
             raise WorkloadError("prologue length cannot be negative")
+        # A kernel's name labels its code and regions, so one name must mean
+        # one kernel; the same kernel may run in several schedules.
+        kernels: Dict[str, LoopKernel] = {}
+        for kernel in self.kernels:
+            if kernels.setdefault(kernel.name, kernel) != kernel:
+                raise WorkloadError(
+                    f"program model {self.name!r} has two different kernels "
+                    f"named {kernel.name!r}"
+                )
 
     # -- trace generation ---------------------------------------------------------
 
@@ -103,11 +112,11 @@ class ProgramModel:
         emitted so small scales never drop a program phase entirely.
         """
         check_scale(scale)
-        compiler = VectorizingCompiler(program_name=self.name)
+        compiler = VectorizingCompiler()
         compiled = [compiler.compile(schedule.kernel) for schedule in self.schedules]
 
         builder = TraceBuilder(self.name)
-        self._emit_prologue(compiler, builder)
+        self._emit_prologue(builder)
         for schedule, compiled_kernel in zip(self.schedules, compiled):
             invocations = _scaled_invocations(schedule.total_invocations, scale)
             compiled_kernel.emit_program(builder, invocations=invocations)
@@ -142,12 +151,11 @@ class ProgramModel:
             total += invocations * kernel.strips_per_invocation * per_strip
         return total
 
-    def _emit_prologue(self, compiler: VectorizingCompiler, builder: TraceBuilder) -> None:
+    def _emit_prologue(self, builder: TraceBuilder) -> None:
         """Emit the scalar start-up code every real program executes once."""
         if self.prologue_scalar_instructions == 0:
             return
-        block = compiler.program.new_block(f"{self.name}.prologue")
-        emit = InstructionBuilder(block, label_prefix="prologue")
+        emit = InstructionBuilder(label_prefix="prologue")
         for index in range(self.prologue_scalar_instructions):
             if index % 8 == 7:
                 emit.scalar_load(s_reg(index % 4), f"{self.name}.globals")
@@ -155,7 +163,7 @@ class ProgramModel:
                 emit.scalar_op(Opcode.S_LI, a_reg(index % 6), immediate=index)
             else:
                 emit.scalar_op(Opcode.S_ADD, s_reg(index % 6), [s_reg((index + 1) % 6)])
-        builder.append_block(block)
+        builder.append_block(emit.instructions)
 
     # -- descriptive helpers ------------------------------------------------------
 

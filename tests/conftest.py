@@ -12,7 +12,6 @@ their own :class:`~repro.store.ResultStore` on ``tmp_path`` anyway.
 import pytest
 
 from repro.isa.builder import InstructionBuilder
-from repro.isa.program import BasicBlock
 from repro.trace.generator import TraceBuilder
 
 
@@ -32,8 +31,9 @@ def trace_from_block():
     """Build a one-block trace from a callback that emits instructions."""
 
     def _build(emitter, name="unit", repeats=1):
-        block = BasicBlock("body")
-        emitter(InstructionBuilder(block))
+        emit = InstructionBuilder()
+        emitter(emit)
+        block = tuple(emit.instructions)
         builder = TraceBuilder(name)
         for _ in range(repeats):
             builder.append_block(block)

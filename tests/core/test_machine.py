@@ -22,7 +22,6 @@ from repro.dva import simulate_decoupled
 from repro.dva.simulator import _DecoupledState
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock
 from repro.isa.registers import s_reg
 from repro.refarch import simulate_reference
 from repro.trace.generator import TraceBuilder
@@ -171,8 +170,8 @@ def _scalar_walk():
     Program traces touch too few scalar addresses for the cache geometry to
     matter; this trace hits or misses depending on it.
     """
-    block = BasicBlock("scalars")
-    emit = InstructionBuilder(block)
+    emit = InstructionBuilder()
+    block = emit.instructions
     emit.scalar_load(s_reg(1), "a")
     emit.scalar_load(s_reg(3), "c")
     emit.scalar_op(Opcode.S_ADD, s_reg(2), [s_reg(1), s_reg(3)])

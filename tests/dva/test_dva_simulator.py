@@ -26,7 +26,7 @@ SCALE = 0.1
 
 
 def _trace_for_kernel(kernel, name="dva"):
-    compiled = VectorizingCompiler(name).compile(kernel)
+    compiled = VectorizingCompiler().compile(kernel)
     builder = TraceBuilder(name)
     compiled.emit_program(builder, invocations=1)
     return builder.build()

@@ -17,13 +17,12 @@ from repro.dva.fetch import (
 )
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock
 from repro.isa.registers import a_reg, s_reg, v_reg
 
 
 @pytest.fixture
 def emit():
-    return InstructionBuilder(BasicBlock("fetch"))
+    return InstructionBuilder()
 
 
 class TestMemoryAccesses:

@@ -21,8 +21,7 @@ from repro.trace.generator import TraceBuilder
 
 def _trace(*instructions):
     builder = TraceBuilder("scoreboard")
-    for instruction in instructions:
-        builder.append_instruction(instruction)
+    builder.append_block(instructions)
     return builder.build()
 
 

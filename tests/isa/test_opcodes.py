@@ -45,25 +45,16 @@ class TestSpecificOpcodes:
         assert op.is_store(Opcode.V_STORE)
         assert op.is_load(Opcode.V_GATHER)
         assert op.is_store(Opcode.V_SCATTER)
-        assert op.is_indexed_memory(Opcode.V_GATHER)
-        assert op.is_indexed_memory(Opcode.V_SCATTER)
-        assert not op.is_indexed_memory(Opcode.V_LOAD)
 
     def test_scalar_memory(self):
         assert op.opcode_class(Opcode.S_LOAD) is OpcodeClass.SCALAR_MEMORY
         assert op.opcode_class(Opcode.S_STORE) is OpcodeClass.SCALAR_MEMORY
 
     def test_branches(self):
-        assert op.is_branch(Opcode.BRANCH)
-        assert op.is_branch(Opcode.JUMP)
+        assert op.opcode_class(Opcode.BRANCH) is OpcodeClass.CONTROL
+        assert op.opcode_class(Opcode.JUMP) is OpcodeClass.CONTROL
         assert op.is_conditional_branch(Opcode.BRANCH)
         assert not op.is_conditional_branch(Opcode.JUMP)
-
-    def test_reductions(self):
-        assert op.is_reduction(Opcode.V_SUM)
-        assert op.is_reduction(Opcode.V_DOT)
-        assert op.is_reduction(Opcode.V_EXTRACT)
-        assert not op.is_reduction(Opcode.V_ADD)
 
     def test_vector_control_is_not_vector_work(self):
         assert op.opcode_class(Opcode.SET_VL) is OpcodeClass.VECTOR_CONTROL

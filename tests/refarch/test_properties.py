@@ -13,7 +13,7 @@ from repro.workloads.kernel import LoopKernel, VectorStream
 
 
 def _trace_for_kernel(kernel, invocations=1, name="prop"):
-    compiler = VectorizingCompiler(name)
+    compiler = VectorizingCompiler()
     compiled = compiler.compile(kernel)
     builder = TraceBuilder(name)
     compiled.emit_program(builder, invocations=invocations)

@@ -5,9 +5,8 @@ import pytest
 from repro.common.errors import TraceError
 from repro.core import MachineSpec, fuzz
 from repro.isa.builder import InstructionBuilder
-from repro.isa.instruction import make_instruction
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH, s_reg, v_reg
 from repro.trace.columns import NO_ADDRESS, Trace
 from repro.trace.generator import RegionAllocator, TraceBuilder
@@ -23,8 +22,8 @@ def _rows(trace):
 
 
 def _simple_block(vl=64, region="x"):
-    block = BasicBlock("body")
-    builder = InstructionBuilder(block)
+    builder = InstructionBuilder()
+    block = builder.instructions
     builder.set_vector_length(vl)
     builder.vector_load(v_reg(0), region)
     builder.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
@@ -73,23 +72,24 @@ class TestTraceBuilder:
 
     @pytest.mark.parametrize("immediate", [None, -1, VECTOR_REGISTER_LENGTH + 1])
     def test_bad_set_vl_raises_on_its_first_occurrence(self, immediate):
-        block = BasicBlock("bad")
-        block.append(make_instruction(Opcode.S_ADD, destinations=(s_reg(0),)))
-        block.append(make_instruction(Opcode.SET_VL, immediate=immediate))
+        block = (
+            Instruction(Opcode.S_ADD, destinations=(s_reg(0),)),
+            Instruction(Opcode.SET_VL, immediate=immediate),
+        )
         builder = TraceBuilder("demo")
         with pytest.raises(TraceError, match="SET_VL"):
             builder.append_block(block)
         assert len(builder.trace) == 1
         with pytest.raises(TraceError, match="SET_VL"):
-            builder.append_instruction(block.instructions[1])
+            builder.append_block(block[1:])
 
     def test_replayed_block_picks_up_a_new_vector_length(self):
-        block = BasicBlock("body")
-        InstructionBuilder(block).vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
+        emit = InstructionBuilder()
+        emit.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])
         builder = TraceBuilder("demo")
         for length in (10, 20, 10):
-            builder.append_instruction(make_instruction(Opcode.SET_VL, immediate=length))
-            builder.append_block(block)
+            builder.append_block((Instruction(Opcode.SET_VL, immediate=length),))
+            builder.append_block(emit.instructions)
         trace = builder.build()
         adds = [length for i, length, _, _ in _rows(trace) if i.opcode is Opcode.V_ADD]
         assert adds == [10, 20, 10]
@@ -98,7 +98,7 @@ class TestTraceBuilder:
     def test_set_vs_without_an_immediate_raises(self):
         builder = TraceBuilder("demo")
         with pytest.raises(TraceError, match="SET_VS"):
-            builder.append_instruction(make_instruction(Opcode.SET_VS))
+            builder.append_block((Instruction(Opcode.SET_VS),))
         assert len(builder.trace) == 0
 
     def test_region_offsets_advance_addresses(self):
@@ -121,8 +121,8 @@ class TestTraceBuilder:
         assert len(trace) == 5 * len(block)
 
     def test_memory_stride_comes_from_operand(self):
-        block = BasicBlock("strided")
-        ib = InstructionBuilder(block)
+        ib = InstructionBuilder()
+        block = ib.instructions
         ib.set_vector_length(16)
         ib.vector_load(v_reg(0), "m", stride=5)
         builder = TraceBuilder("demo")
@@ -132,8 +132,8 @@ class TestTraceBuilder:
         assert strides == [5]
 
     def test_scalar_memory_gets_addresses_too(self):
-        block = BasicBlock("scalar")
-        ib = InstructionBuilder(block)
+        ib = InstructionBuilder()
+        block = ib.instructions
         ib.scalar_load(s_reg(0), "globals")
         ib.scalar_store(s_reg(0), "globals")
         builder = TraceBuilder("demo")

@@ -4,15 +4,14 @@ import pytest
 
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock
 from repro.isa.registers import s_reg, v_reg
 from repro.trace.generator import TraceBuilder
 from repro.trace.statistics import compute_statistics
 
 
 def _make_trace(vl=50, iterations=4, spill=False):
-    block = BasicBlock("loop")
-    builder = InstructionBuilder(block)
+    builder = InstructionBuilder()
+    block = builder.instructions
     builder.set_vector_length(vl)
     builder.vector_load(v_reg(0), "x")
     builder.vector_load(v_reg(1), "y")

@@ -5,7 +5,6 @@ import pytest
 from repro.common.errors import WorkloadError
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
-from repro.isa.program import BasicBlock
 from repro.trace.generator import TraceBuilder
 from repro.trace.statistics import compute_statistics
 from repro.isa.registers import VECTOR_REGISTER_LENGTH, v_reg
@@ -16,7 +15,7 @@ from repro.workloads import synthetic
 
 
 def _compile(kernel):
-    compiler = VectorizingCompiler("test")
+    compiler = VectorizingCompiler()
     return compiler, compiler.compile(kernel)
 
 
@@ -37,8 +36,8 @@ class TestCompilation:
         kernel = synthetic.daxpy(elements=200, max_vector_length=100)
         _, compiled = _compile(kernel)
         block = compiled.block_for_length(100)
-        assert block.instructions[0].opcode is Opcode.SET_VL
-        assert block.instructions[0].immediate == 100
+        assert block[0].opcode is Opcode.SET_VL
+        assert block[0].immediate == 100
 
     def test_instruction_counts_match_kernel_estimates(self):
         kernel = LoopKernel(
@@ -108,7 +107,7 @@ class TestCompilation:
         kernel = synthetic.spill_heavy(elements=64, spill_pairs=1)
         _, compiled = _compile(kernel)
         block = compiled.block_for_length(64)
-        spill_accesses = [i for i in block if i.is_memory and i.is_spill_access]
+        spill_accesses = [i for i in block if i.is_spill]
         assert len(spill_accesses) == 2
         store, load = spill_accesses
         assert store.is_store and load.is_load
@@ -137,10 +136,10 @@ class TestCompilation:
         assert any(loaded_register in op.sources for op in later)
 
     def test_same_compiler_accumulates_program(self):
-        compiler = VectorizingCompiler("multi")
+        compiler = VectorizingCompiler()
         compiler.compile(synthetic.daxpy(elements=64))
         compiler.compile(synthetic.stream_triad(elements=64))
-        labels = compiler.program.block_labels
+        labels = list(compiler.blocks)
         assert any(label.startswith("daxpy") for label in labels)
         assert any(label.startswith("stream_triad") for label in labels)
 
@@ -185,8 +184,7 @@ class TestEmission:
         spills = [
             address
             for index, address in zip(trace.insn, trace.addr)
-            if trace.instructions[index].is_spill_access
-            and trace.instructions[index].is_vector_memory
+            if trace.instructions[index].is_spill and trace.instructions[index].is_vector
         ]
         assert len(spills) == 4  # store+reload per strip, two strips
         assert spills[0] == spills[1]
@@ -246,11 +244,10 @@ class TestEmitOnce:
         # the register's initial 128 and every later one the 64 it leaves.
         kernel = LoopKernel(name="k", elements=128, fu_any_ops=1, invocations=4)
         _, compiled = _compile(kernel)
-        block = BasicBlock("k.reads_vl_first")
-        emit = InstructionBuilder(block)
+        emit = InstructionBuilder()
         emit.vector_op(Opcode.V_ADD, v_reg(0), [v_reg(1), v_reg(2)])
         emit.set_vector_length(64)
-        compiled.blocks[128] = block
+        compiled.blocks[128] = tuple(emit.instructions)
         copied = TraceBuilder("demo")
         compiled.emit_program(copied)
         emitted = TraceBuilder("demo")

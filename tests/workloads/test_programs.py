@@ -13,7 +13,8 @@ from repro.workloads import (
     program_names,
     synthetic,
 )
-from repro.workloads.kernel import KernelSchedule
+from repro.isa.opcodes import Opcode
+from repro.workloads.kernel import KernelSchedule, LoopKernel
 from repro.workloads.perfect_club import build_trace
 
 
@@ -25,6 +26,23 @@ class TestProgramModel:
     def test_requires_name(self):
         with pytest.raises(WorkloadError):
             ProgramModel(name="", schedules=(KernelSchedule(synthetic.daxpy()),))
+
+    def test_two_different_kernels_may_not_share_a_name(self):
+        # The name labels a kernel's blocks, so the second kernel would run
+        # the first one's code.
+        first = LoopKernel(name="k", elements=128, fu_any_ops=1)
+        second = LoopKernel(name="k", elements=128, fu2_ops=5)
+        with pytest.raises(WorkloadError, match="'k'"):
+            ProgramModel(name="clash", schedules=(KernelSchedule(first), KernelSchedule(second)))
+
+    def test_one_kernel_may_run_in_several_schedules(self):
+        kernel = LoopKernel(name="k", elements=128, fu2_ops=5)
+        model = ProgramModel(
+            name="twice", schedules=(KernelSchedule(kernel), KernelSchedule(kernel, 2))
+        )
+        trace = model.build_trace()
+        multiplies = [i for i in trace.insn if trace.instructions[i].opcode is Opcode.V_MUL]
+        assert len(multiplies) == 3 * 5
 
     def test_build_trace_rejects_non_positive_scale(self):
         model = synthetic.simple_program()

@@ -9,7 +9,7 @@ from repro.workloads.compiler import VectorizingCompiler
 
 
 def _stats_for(kernel):
-    compiler = VectorizingCompiler("synthetic")
+    compiler = VectorizingCompiler()
     compiled = compiler.compile(kernel)
     builder = TraceBuilder("synthetic")
     compiled.emit_invocation(builder)
