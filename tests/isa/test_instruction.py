@@ -1,11 +1,17 @@
 """Tests for the static instruction record and the facts it derives."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.isa import opcodes as op
 from repro.isa.instruction import (
+    KIND_CONTROL,
+    KIND_SCALAR_COMPUTE,
     KIND_SCALAR_MEMORY,
     KIND_VECTOR_COMPUTE,
+    KIND_VECTOR_CONTROL,
     KIND_VECTOR_MEMORY,
     Instruction,
     MemoryOperand,
@@ -135,6 +141,50 @@ class TestInstruction:
         assert first is not second and first == second and hash(first) == hash(second)
         assert "source_ids" not in repr(first) and "kind" not in repr(first)
         assert first != Instruction(Opcode.V_ADD, destinations=(v_reg(0),), label="k.op1")
+
+    def test_every_opcode_carries_its_class_kind_and_flags(self):
+        kinds = {
+            OpcodeClass.SCALAR_COMPUTE: KIND_SCALAR_COMPUTE,
+            OpcodeClass.SCALAR_MEMORY: KIND_SCALAR_MEMORY,
+            OpcodeClass.VECTOR_COMPUTE: KIND_VECTOR_COMPUTE,
+            OpcodeClass.VECTOR_MEMORY: KIND_VECTOR_MEMORY,
+            OpcodeClass.VECTOR_CONTROL: KIND_VECTOR_CONTROL,
+            OpcodeClass.CONTROL: KIND_CONTROL,
+        }
+        assert len(set(kinds.values())) == len(OpcodeClass)
+        for opcode in Opcode:
+            memory = MemoryOperand(region="x") if op.is_memory(opcode) else None
+            instruction = Instruction(opcode, memory=memory)
+            assert instruction.opcode_class is op.opcode_class(opcode)
+            assert instruction.kind == kinds[op.opcode_class(opcode)]
+            assert instruction.is_vector == op.is_vector(opcode)
+            assert instruction.is_memory == op.is_memory(opcode)
+            assert instruction.is_load == op.is_load(opcode)
+            assert instruction.is_store == op.is_store(opcode)
+            assert instruction.requires_fu2 == op.requires_fu2(opcode)
+
+    def test_derived_facts_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            Instruction(Opcode.S_ADD, kind=KIND_VECTOR_COMPUTE)
+        with pytest.raises(TypeError):
+            Instruction(Opcode.S_ADD, source_ids=(0,))
+
+    def test_fields_and_derived_facts_are_frozen(self):
+        instruction = Instruction(Opcode.S_ADD, destinations=(s_reg(0),))
+        with pytest.raises(FrozenInstanceError):
+            instruction.label = "relabelled"
+        with pytest.raises(FrozenInstanceError):
+            instruction.destination_ids = ()
+        assert instruction.label == "" and instruction.destination_ids == (s_reg(0).id,)
+
+    def test_equal_operand_lists_share_their_derived_tuples(self):
+        first = Instruction(Opcode.V_ADD, destinations=(v_reg(2),), sources=(v_reg(0), v_reg(1)))
+        second = Instruction(
+            Opcode.V_SUB, destinations=(v_reg(2),), sources=(v_reg(0), v_reg(1)), label="other"
+        )
+        assert first.source_ids is second.source_ids
+        assert first.destination_id_flags is second.destination_id_flags
+        assert first.vector_sources is second.vector_sources
 
     def test_string_rendering(self):
         instruction = Instruction(

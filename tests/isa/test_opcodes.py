@@ -28,6 +28,12 @@ class TestClassificationCoverage:
                 assert op.is_load(opcode) != op.is_store(opcode)
 
 
+    def test_only_vector_compute_requires_fu2(self):
+        for opcode in Opcode:
+            if op.requires_fu2(opcode):
+                assert op.opcode_class(opcode) is OpcodeClass.VECTOR_COMPUTE
+
+
 class TestSpecificOpcodes:
     def test_fu2_only_operations(self):
         for opcode in (Opcode.V_MUL, Opcode.V_DIV, Opcode.V_SQRT, Opcode.V_DOT):
@@ -38,6 +44,14 @@ class TestSpecificOpcodes:
         for opcode in (Opcode.V_ADD, Opcode.V_SUB, Opcode.V_AND, Opcode.V_SUM):
             assert not op.requires_fu2(opcode)
             assert op.opcode_class(opcode) is OpcodeClass.VECTOR_COMPUTE
+
+    def test_reductions(self):
+        for opcode in (Opcode.V_SUM, Opcode.V_DOT, Opcode.V_EXTRACT):
+            assert op.opcode_class(opcode) is OpcodeClass.VECTOR_COMPUTE
+            assert op.is_vector(opcode)
+        assert not op.requires_fu2(Opcode.V_SUM)
+        assert not op.requires_fu2(Opcode.V_EXTRACT)
+        assert op.requires_fu2(Opcode.V_DOT)
 
     def test_vector_memory(self):
         assert op.opcode_class(Opcode.V_LOAD) is OpcodeClass.VECTOR_MEMORY

@@ -41,6 +41,14 @@ class TestRegisterIds:
         ids = [register.id for register in _every_register()]
         assert sorted(ids) == list(range(REGISTER_COUNT))
 
+    def test_id_names_its_register_file(self):
+        # The files are laid end to end, so each one owns a contiguous id range.
+        start = 0
+        for register_class, size in _FILE_SIZES.items():
+            ids = [Register(register_class, index).id for index in range(size)]
+            assert ids == list(range(start, start + size))
+            start += size
+
     def test_ids_are_stable_under_canonical_register(self):
         for register in _every_register():
             canonical = canonical_register(register.register_class, register.index)
@@ -75,6 +83,12 @@ class TestRegister:
         assert a_reg(0).is_scalar
         assert s_reg(0).is_scalar
         assert not s_reg(0).is_vector
+
+    def test_control_registers_are_neither_vector_nor_scalar(self):
+        # Data-source ids drop exactly the registers that are neither.
+        for register in (VL_REGISTER, VS_REGISTER):
+            assert not register.is_vector
+            assert not register.is_scalar
 
     def test_hashable_and_equal(self):
         assert v_reg(3) == v_reg(3)

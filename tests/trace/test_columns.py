@@ -94,6 +94,20 @@ class TestColumnarTraceInvariants:
         assert stats.vector_operations == 100
         assert stats.memory_instructions == 1
 
+    def test_instruction_table_is_aligned_with_the_insn_column(self):
+        trace = _program_trace("ARC2D")
+        table = trace.instructions
+        # Interned by value: no two entries are equal, and every one is used.
+        assert len(set(table)) == len(table)
+        assert set(trace.insn) == set(range(len(table)))
+
+    def test_the_table_holds_the_appended_instruction_itself(self):
+        trace = Trace("t")
+        instruction = Instruction(Opcode.V_MUL, destinations=(v_reg(2),), sources=(v_reg(0),))
+        trace.append(instruction, vector_length=8)
+        assert trace.instructions[trace.insn[0]] is instruction
+        assert trace.instructions[0].requires_fu2
+
     def test_equal_instructions_share_one_table_entry(self):
         trace = Trace("t")
         first, second = (

@@ -120,6 +120,17 @@ class TestTraceBuilder:
         assert trace.blocks_executed == 5
         assert len(trace) == 5 * len(block)
 
+    def test_a_block_is_any_sequence_of_instructions(self):
+        block = _simple_block()
+        traces = []
+        for replay in (tuple(block), list(block)):
+            builder = TraceBuilder("demo")
+            builder.append_block(replay)
+            traces.append(builder.build())
+        as_tuple, as_list = traces
+        assert _rows(as_tuple) == _rows(as_list)
+        assert [i for i, _, _, _ in _rows(as_tuple)] == block
+
     def test_memory_stride_comes_from_operand(self):
         ib = InstructionBuilder()
         block = ib.instructions

@@ -26,6 +26,23 @@ class TestCompilation:
         assert sorted(compiled.blocks) == [44, 128]
         assert compiled.block_for_length(128) is not compiled.block_for_length(44)
 
+    def test_blocks_are_tuples_kept_by_strip_label(self):
+        kernel = LoopKernel(name="k", elements=300, max_vector_length=128, fu_any_ops=1)
+        compiler, compiled = _compile(kernel)
+        assert sorted(compiler.blocks) == ["k.strip128", "k.strip44"]
+        for length in (128, 44):
+            block = compiler.blocks[f"k.strip{length}"]
+            assert isinstance(block, tuple)
+            assert compiled.block_for_length(length) is block
+
+    def test_recompiling_a_kernel_reuses_its_blocks(self):
+        kernel = LoopKernel(name="k", elements=300, max_vector_length=128, fu2_ops=2)
+        compiler, first = _compile(kernel)
+        second = compiler.compile(kernel)
+        assert len(compiler.blocks) == 2
+        for length in (128, 44):
+            assert second.block_for_length(length) is first.block_for_length(length)
+
     def test_unknown_strip_length_rejected(self):
         kernel = LoopKernel(name="k", elements=128, fu_any_ops=1)
         _, compiled = _compile(kernel)

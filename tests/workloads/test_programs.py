@@ -44,6 +44,15 @@ class TestProgramModel:
         multiplies = [i for i in trace.insn if trace.instructions[i].opcode is Opcode.V_MUL]
         assert len(multiplies) == 3 * 5
 
+    def test_kernels_of_different_names_keep_their_own_code(self):
+        first = LoopKernel(name="k1", elements=128, fu_any_ops=1)
+        second = LoopKernel(name="k2", elements=128, fu2_ops=5)
+        trace = ProgramModel(
+            name="pair", schedules=(KernelSchedule(first), KernelSchedule(second))
+        ).build_trace()
+        multiplies = [i for i in trace.insn if trace.instructions[i].opcode is Opcode.V_MUL]
+        assert len(multiplies) == 5
+
     def test_build_trace_rejects_non_positive_scale(self):
         model = synthetic.simple_program()
         with pytest.raises(WorkloadError):
