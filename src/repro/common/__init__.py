@@ -3,11 +3,13 @@
 The simulators in :mod:`repro.refarch` and :mod:`repro.dva` are event driven:
 instead of stepping the machine cycle by cycle they record, for every hardware
 resource, the *intervals* of time during which the resource was busy, and for
-every queue element the cycles it entered and left.  The helpers in this
-package turn those records back into the per-cycle quantities the paper
-reports with one sweep each per result: the functional-unit state breakdown
-(a busy bitmask per merged interval edge) and the queue occupancy histogram
-(+1/-1 per residency edge), never iterating over individual cycles.
+every queue element the ``[enter, leave)`` interval it spent queued, each in
+an :class:`IntervalRecorder`.  The helpers in this package turn those
+records back into the per-cycle quantities the paper reports with one sweep
+each per result: the functional-unit state breakdown (a busy bitmask per
+merged interval edge) and the queue occupancy histogram
+(:meth:`IntervalRecorder.coverage`, +1/-1 per residency edge), never
+iterating over individual cycles.
 """
 
 from repro.common.errors import (
@@ -19,13 +21,11 @@ from repro.common.errors import (
 )
 from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
 from repro.common.stats import Histogram
-from repro.common.timeline import OccupancyTimeline
 
 __all__ = [
     "ConfigurationError",
     "Histogram",
     "IntervalRecorder",
-    "OccupancyTimeline",
     "ReproError",
     "SimulationError",
     "StateBreakdown",

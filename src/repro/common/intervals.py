@@ -7,7 +7,9 @@ over repeated kernel invocations records each skipped run of intervals as
 one *repeat* (:meth:`IntervalRecorder.repeat`).  :func:`state_breakdown`
 recovers the eight-state execution breakdown of Figure 1 exactly with one
 sweep over the interval edges, and the same sweep yields a recorder's busy
-time and the queue occupancy histogram of :mod:`repro.common.timeline`.
+time and its coverage histogram (:meth:`IntervalRecorder.coverage`), which
+for a queue recorded one ``[enter, leave)`` residency per element is the
+occupancy histogram of Figure 6.
 
 The sweep reads repeats directly: it expands only the copies near each end
 of a repeat and counts the periodic middle once (see :func:`_sweep`), so a
@@ -23,6 +25,7 @@ from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import SimulationError
+from repro.common.stats import Histogram
 
 #: A cut must remove at least this many copies of a repeat.  Removing one
 #: copy saves no more than the one window of cycles that stands in for it.
@@ -35,7 +38,8 @@ class IntervalRecorder:
     The recorder accepts intervals in any order and tolerates overlapping
     pushes: a cycle counts as busy when any interval covers it.  It is the
     building block used by the simulators to describe functional-unit and
-    memory-port occupancy.
+    memory-port occupancy, and queue residencies: one ``[enter, leave)``
+    interval per queue element, whose coverage count is the occupancy.
 
     Intervals are stored as two parallel integer lists, :attr:`starts` and
     :attr:`ends`.  They are the interface the simulators' issue loops use:
@@ -140,6 +144,17 @@ class IntervalRecorder:
         """Total number of distinct cycles during which the resource was busy."""
         end = self.last_end()
         return end - _sweep([self], (1,), end).get(0, 0)
+
+    def coverage(self, total_cycles: int) -> Histogram:
+        """Cycles of ``[0, total_cycles)`` covered by each number of intervals.
+
+        Cycles no interval covers count at level zero, so a non-empty
+        histogram sums to ``total_cycles``.
+        """
+        histogram = Histogram()
+        for level, cycles in _sweep([self], (1,), total_cycles).items():
+            histogram.add(level, cycles)
+        return histogram
 
     def __len__(self) -> int:
         """The number of intervals, each repeat's copies included."""

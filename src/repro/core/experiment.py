@@ -82,16 +82,17 @@ Axes = Tuple[Tuple[str, Tuple[object, ...]], ...]
 #: ``None`` when no store is in play).
 CellTask = Tuple[int, SpecArchitecture, Optional[str]]
 
-#: Estimated trace lengths, memoized per (program, scale): the program models
-#: are tiny dataclasses but there is no reason to rebuild one per cell.
+#: Trace lengths, memoized per (program, scale): counting one compiles the
+#: program's kernels (about 0.5 ms), once per process.
 _LENGTH_CACHE: Dict[Tuple[str, float], int] = {}
 
 
-def estimate_cell_cost(program: str, scale: float, latency: int) -> int:
+def estimate_cell_cost(program: str, scale: float) -> int:
     """A unitless estimate of one cell's simulation cost, for scheduling.
 
-    Cost is the program's estimated dynamic trace length; ``latency`` is
-    part of the call shape but not of the value.  The timing core does
+    Cost is the program's exact dynamic trace length
+    (:meth:`~repro.workloads.program_model.ProgramModel.trace_length`); the
+    cell's latency and machine are not part of it.  The timing core does
     timestamp arithmetic per simulated instruction whatever the memory
     latency: measured on a 2-CPU host (min of 5, simulate and package),
     every latency-100 cell of the golden grid took 0.98-1.15x the time of
@@ -112,7 +113,7 @@ def estimate_cell_cost(program: str, scale: float, latency: int) -> int:
     length = _LENGTH_CACHE.get(key)
     if length is None:
         try:
-            length = load_program(program).estimated_trace_length(scale)
+            length = load_program(program).trace_length(scale)
         except WorkloadError:
             length = 1
         _LENGTH_CACHE[key] = length
@@ -672,11 +673,7 @@ class Runner:
             for cells in batches.values()
             for offset in range(min(per_program, len(cells)))
         ]
-        chunks.sort(
-            key=lambda chunk: -sum(
-                estimate_cell_cost(cell.program, scale, cell.latency) for cell in chunk
-            )
-        )
+        chunks.sort(key=lambda chunk: -len(chunk) * estimate_cell_cost(chunk[0].program, scale))
         tasks = [
             (chunk[0].program, scale, tuple(cell.task for cell in chunk), store_root)
             for chunk in chunks

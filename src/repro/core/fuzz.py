@@ -207,9 +207,9 @@ def check_invariants(case: FuzzCase, result, trace_length: int) -> Optional[str]
         return None
     # The AVDQ peak and mean are read off the [0, total_cycles) histogram,
     # which sees every residency only if each one ends by then.
-    last_leave = result.avdq_occupancy.last_leave()
-    if last_leave > total:
-        return f"AVDQ residency ends at {last_leave}, after total_cycles {total}"
+    leave = result.avdq_occupancy.last_end()
+    if leave > total:
+        return f"AVDQ residency ends at {leave}, after total_cycles {total}"
     avdq = result.avdq_histogram().total()
     if avdq != total:
         return f"AVDQ histogram sums to {avdq}, not total_cycles {total}"

@@ -1,14 +1,14 @@
 """The architecture-independent run result.
 
-Both simulators produce rich, architecture-specific dataclasses
-(:class:`~repro.refarch.result.ReferenceResult`,
-:class:`~repro.dva.result.DecoupledResult`) full of interval recorders and
-occupancy timelines.  The experiment layer needs none of that machinery — it
-needs numbers that compare across architectures, travel through
-``multiprocessing`` pickles and land in JSON files unchanged.
-:class:`RunResult` is that common denominator: the shared headline metrics as
-first-class fields plus the full ``to_json()`` payload of the underlying
-result in :attr:`detail`.
+Both simulators produce a :class:`~repro.engine.result.MachineResult`
+subclass (:class:`~repro.refarch.result.ReferenceResult`,
+:class:`~repro.dva.result.DecoupledResult`) full of interval recorders.  The
+experiment layer needs none of that machinery — it needs numbers that
+compare across architectures, travel through ``multiprocessing`` pickles and
+land in JSON files unchanged.  :class:`RunResult` is that common
+denominator: the shared headline metrics as first-class fields plus the full
+``to_json()`` payload of the underlying result in :attr:`detail`, whose
+first nine keys are :meth:`MachineResult.to_json`'s on every family.
 """
 
 from __future__ import annotations

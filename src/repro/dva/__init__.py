@@ -27,9 +27,10 @@ cross-processor delay are fixed constants of :mod:`repro.dva.simulator`.
 
 Like the reference simulator, the implementation is event driven: the dynamic
 trace is processed once, in program order, and each processor/queue keeps the
-timestamps at which its resources become free.  Per-cycle statistics (queue
-occupancy histograms, unit state breakdowns) are reconstructed from the
-recorded intervals.
+timestamps at which its resources become free.  Per-cycle statistics are
+reconstructed from the recorded intervals: the unit state breakdown the two
+machines share (:class:`~repro.engine.result.MachineResult`) and the AVDQ
+occupancy histogram, the coverage of the AVDQ's residency recorder.
 """
 
 from repro.dva.result import DecoupledResult

@@ -66,7 +66,7 @@ from collections import deque
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.timeline import OccupancyTimeline
+from repro.common.intervals import IntervalRecorder
 from repro.dva.address import MemoryPipeline, ring
 from repro.dva.fetch import (
     AP,
@@ -221,7 +221,7 @@ class _DecoupledState:
         self.vpiq = ring(spec.instruction_queue)
         self.spiq = ring(spec.instruction_queue)
         self.avdq = ring(spec.vector_load_data)
-        self.avdq_occupancy = OccupancyTimeline("AVDQ", capacity=spec.vector_load_data)
+        self.avdq_occupancy = IntervalRecorder("AVDQ")
 
         # Per-processor issue pointers: the cycle each processor will look at
         # its next instruction.

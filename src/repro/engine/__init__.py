@@ -21,6 +21,10 @@ ports.  This package is that machinery as one tested kernel:
 * :mod:`repro.engine.fastforward` — the walk over a trace's kernel
   invocation marks that both issue loops run in: it skips, exactly, the
   invocations that repeat a steady state.
+* :class:`repro.engine.result.MachineResult` — what every run of either
+  machine measures (the unit busy recorders, traffic, scalar-cache
+  counters, Figure 1's state breakdown); each family's result subclasses
+  it.
 
 Everything works in one-pass timestamp arithmetic: simulators process the
 trace once in program order and never step individual cycles.  The issue

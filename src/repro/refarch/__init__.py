@@ -13,7 +13,8 @@ functional unit or the memory port.  The machine is read off a ``ref``-family
 :class:`~repro.core.machine.MachineSpec` (lanes, ports, load chaining,
 scalar-cache geometry).  Per-cycle quantities such as the
 eight-state execution breakdown of Figure 1 are reconstructed from those
-intervals afterwards.
+intervals afterwards, by the :class:`~repro.engine.result.MachineResult`
+that :class:`ReferenceResult` shares with the decoupled machine.
 """
 
 from repro.refarch.result import ReferenceResult

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.common.errors import ReproError, WorkloadError
-from repro.core.experiment import CellProgress, SweepSpec
+from repro.core.experiment import CellProgress, SweepSpec, _split_spec_list
 from repro.core.result import RunResult
 from repro.workloads.program_model import check_scale
 
@@ -55,9 +55,14 @@ def _reject_unknown(payload: Mapping[str, object], allowed: Sequence[str], what:
 
 
 def _string_tuple(value: object, what: str) -> Tuple[str, ...]:
-    """A list of names, or a comma-separated string of them (CLI-style)."""
+    """A list of names, or a comma-separated string of them.
+
+    A string splits the way the CLI splits ``--arch``, so an inline spec's
+    ``@`` clause keeps its commas (``"ref,dva@lanes=2,ports=2"`` is two
+    entries); program names hold no ``@`` and split on every comma.
+    """
     if isinstance(value, str):
-        return tuple(part.strip() for part in value.split(",") if part.strip())
+        return _split_spec_list(value)
     if isinstance(value, Sequence):
         if not all(isinstance(item, str) for item in value):
             raise ProtocolError(f"{what} entries must be strings")

@@ -162,10 +162,7 @@ class CellScheduler:
             groups.setdefault((cell.program, cell.scale), []).append(cell)
         ordered = sorted(
             groups.items(),
-            key=lambda item: -sum(
-                estimate_cell_cost(item[0][0], item[0][1], cell.latency)
-                for cell in item[1]
-            ),
+            key=lambda item: -len(item[1]) * estimate_cell_cost(*item[0]),
         )
         for (program, scale), cells in ordered:
             task = asyncio.ensure_future(self._run_batch(program, scale, cells))

@@ -155,12 +155,6 @@ class LoopKernel:
     # -- derived shape -----------------------------------------------------------
 
     @property
-    def strips_per_invocation(self) -> int:
-        """Number of strip-mined iterations needed to cover ``elements``."""
-        full, remainder = divmod(self.elements, self.max_vector_length)
-        return full + (1 if remainder else 0)
-
-    @property
     def strip_lengths(self) -> list[int]:
         """The vector lengths of the successive strips of one invocation."""
         full, remainder = divmod(self.elements, self.max_vector_length)
@@ -168,70 +162,6 @@ class LoopKernel:
         if remainder:
             lengths.append(remainder)
         return lengths
-
-    @property
-    def vector_memory_streams(self) -> int:
-        """Vector memory instructions per strip iteration (without spill)."""
-        return len(self.loads) + len(self.stores)
-
-    @property
-    def vector_compute_ops(self) -> int:
-        """Vector arithmetic instructions per strip iteration (without QMOV)."""
-        ops = self.fu_any_ops + self.fu2_ops
-        if self.reduction:
-            ops += 1
-        if self.uses_scalar_operand:
-            ops += 1
-        return ops
-
-    @property
-    def emits_seed_splat(self) -> bool:
-        """True when the compiled strip starts with an independent seed value.
-
-        The compiler seeds a value with a scalar broadcast when the kernel has
-        nothing to load from, or when ``load_use_distance`` asks for operations
-        that must not depend on loaded values.
-        """
-        has_initial_value = bool(self.loads) or self.uses_scalar_operand
-        return self.load_use_distance > 0 or not has_initial_value
-
-    @property
-    def vector_instructions_per_strip(self) -> int:
-        """All vector instructions issued per strip iteration.
-
-        Every vector spill pair expands to four vector instructions (spill
-        store, filler operation, reload, consuming operation), matching the
-        code the compiler emits.
-        """
-        count = self.vector_compute_ops + self.vector_memory_streams
-        count += 4 * self.vector_spill_pairs
-        if self.emits_seed_splat:
-            count += 1
-        return count
-
-    @property
-    def scalar_instructions_per_strip(self) -> int:
-        """All scalar instructions issued per strip iteration.
-
-        Includes the ``SET_VL`` update, stride updates for non-unit-stride
-        streams, address and scalar arithmetic, scalar memory traffic, spill,
-        loop control (induction increment, compare, branch) and, for carried
-        reductions, the scalar update of the accumulator.
-        """
-        count = 1  # SET_VL
-        count += self.address_ops + self.scalar_ops
-        count += self.scalar_loads + self.scalar_stores
-        count += 2 * self.scalar_spill_pairs
-        count += 3  # loop control: induction increment + compare + branch
-        strided_streams = sum(
-            1 for stream in tuple(self.loads) + tuple(self.stores) if abs(stream.stride) != 1
-        )
-        count += 2 * strided_streams  # SET_VS before and after each strided access
-        if self.reduction:
-            count += 1  # scalar consumption of the reduction result
-        if self.reduction_carried:
-            count += 1  # accumulator forwarded into the next strip's addressing
-        return count
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import WorkloadError
 from repro.isa.builder import InstructionBuilder
@@ -20,7 +20,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import a_reg, s_reg
 from repro.trace.generator import TraceBuilder
 from repro.trace.columns import Trace
-from repro.workloads.compiler import VectorizingCompiler
+from repro.workloads.compiler import CompiledKernel, VectorizingCompiler
 from repro.workloads.kernel import KernelSchedule, LoopKernel
 
 
@@ -112,12 +112,9 @@ class ProgramModel:
         emitted so small scales never drop a program phase entirely.
         """
         check_scale(scale)
-        compiler = VectorizingCompiler()
-        compiled = [compiler.compile(schedule.kernel) for schedule in self.schedules]
-
         builder = TraceBuilder(self.name)
         self._emit_prologue(builder)
-        for schedule, compiled_kernel in zip(self.schedules, compiled):
+        for schedule, compiled_kernel in zip(self.schedules, self._compile()):
             invocations = _scaled_invocations(schedule.total_invocations, scale)
             compiled_kernel.emit_program(builder, invocations=invocations)
         trace = builder.build()
@@ -128,28 +125,28 @@ class ProgramModel:
         }
         return trace
 
-    def estimated_trace_length(self, scale: float = 1.0) -> int:
-        """A cheap estimate of the dynamic instruction count at ``scale``.
+    def trace_length(self, scale: float = 1.0) -> int:
+        """The exact dynamic instruction count of :meth:`build_trace` at ``scale``.
 
-        Computed from the kernel schedules alone — invocation counts, strip
-        counts and per-strip instruction shapes — without compiling kernels or
-        emitting a single trace record, so callers can rank the *cost* of
-        simulating a cell (the sweep runner and the service order work
-        longest-job-first) before any trace exists.  It tracks the real
-        trace length closely but is not exact; never use it where the actual
-        length matters.
+        The prologue plus, per schedule, its scaled invocations times the
+        compiled blocks of one invocation's strips: the kernels are
+        compiled but no trace row is emitted, so callers can rank the
+        *cost* of simulating a cell (the sweep runner and the service order
+        work longest-job-first) before any trace exists.
         """
         check_scale(scale)
         total = self.prologue_scalar_instructions
-        for schedule in self.schedules:
+        for schedule, compiled in zip(self.schedules, self._compile()):
             invocations = _scaled_invocations(schedule.total_invocations, scale)
-            kernel = schedule.kernel
-            per_strip = (
-                kernel.vector_instructions_per_strip
-                + kernel.scalar_instructions_per_strip
+            total += invocations * sum(
+                len(compiled.block_for_length(length)) for length in compiled.strip_lengths
             )
-            total += invocations * kernel.strips_per_invocation * per_strip
         return total
+
+    def _compile(self) -> List[CompiledKernel]:
+        """Every schedule's kernel, compiled in schedule order."""
+        compiler = VectorizingCompiler()
+        return [compiler.compile(schedule.kernel) for schedule in self.schedules]
 
     def _emit_prologue(self, builder: TraceBuilder) -> None:
         """Emit the scalar start-up code every real program executes once."""

@@ -1,4 +1,4 @@
-"""Unit and property tests for busy-interval bookkeeping."""
+"""Unit and property tests for busy-interval bookkeeping and coverage."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,8 +35,15 @@ class TestIntervalRecorder:
 
     def test_invalid_record_raises(self):
         recorder = IntervalRecorder("fu1")
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="before it starts"):
             recorder.record(10, 2)
+
+    def test_last_end(self):
+        recorder = IntervalRecorder("AVDQ")
+        assert recorder.last_end() == 0
+        recorder.record(0, 10)
+        recorder.record(2, 4)
+        assert recorder.last_end() == 10
 
     def test_merged_pairs_follow_later_records(self):
         recorder = IntervalRecorder("ld")
@@ -131,3 +138,32 @@ class TestStateBreakdown:
         # Patterns appear in the order they are first held.
         assert list(breakdown.cycles) == list(expected)
         assert breakdown.total_cycles == total_cycles
+
+
+class TestCoverage:
+    """A queue's residencies: the coverage count is the occupancy (Figure 6)."""
+
+    def test_record_and_histogram(self):
+        recorder = _recorder("AVDQ", [(0, 10), (5, 7)])
+        histogram = recorder.coverage(total_cycles=20)
+        assert histogram.count(2) == 5
+        assert histogram.count(1) == 7
+        assert histogram.count(0) == 8
+
+    def test_empty_counts_all_cycles_at_zero(self):
+        assert IntervalRecorder("AVDQ").coverage(total_cycles=50).as_dict() == {0: 50}
+
+    def test_overlapping_elements(self):
+        histogram = _recorder("AVDQ", [(0, 10), (5, 10), (5, 3)]).coverage(20)
+        assert histogram.as_dict() == {1: 10, 3: 3, 2: 2, 0: 5}
+
+    def test_zero_cycles(self):
+        assert _recorder("AVDQ", [(0, 5)]).coverage(total_cycles=0).total() == 0
+
+    @given(_intervals, st.integers(0, 80))
+    def test_coverage_equals_a_per_cycle_count(self, pairs, total_cycles):
+        expected = {}
+        for cycle in range(total_cycles):
+            level = sum(start <= cycle < start + length for start, length in pairs)
+            expected[level] = expected.get(level, 0) + 1
+        assert _recorder("AVDQ", pairs).coverage(total_cycles).as_dict() == expected

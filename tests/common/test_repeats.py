@@ -13,12 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder, _plan, state_breakdown
-from repro.common.timeline import OccupancyTimeline
 
 
-def _repeated(name, before, period, delta, times, after, kind=IntervalRecorder):
+def _repeated(name, before, period, delta, times, after):
     """A recorder of ``before``, ``period`` repeated, then ``after`` (start, end) pairs."""
-    recorder = kind(name)
+    recorder = IntervalRecorder(name)
     for start, end in before:
         recorder.record(start, end)
     first = len(recorder.starts)
@@ -31,7 +30,7 @@ def _repeated(name, before, period, delta, times, after, kind=IntervalRecorder):
 
 
 def _materialized(recorder):
-    copy = type(recorder)(recorder.name)
+    copy = IntervalRecorder(recorder.name)
     for start, end in recorder.intervals():
         copy.record(start, end)
     return copy
@@ -49,18 +48,7 @@ def _assert_sweeps_match(recorders, total_cycles):
         assert recorder.busy_time() == copy.busy_time()
         assert recorder.last_end() == copy.last_end()
         assert recorder.merged_pairs() == copy.merged_pairs()
-        timeline = _repeated_as_timeline(recorder)
-        assert timeline.occupancy_histogram(total_cycles) == _materialized(
-            timeline
-        ).occupancy_histogram(total_cycles)
-
-
-def _repeated_as_timeline(recorder):
-    timeline = OccupancyTimeline(recorder.name)
-    timeline.starts += recorder.starts
-    timeline.ends += recorder.ends
-    timeline.repeats += recorder.repeats
-    return timeline
+        assert recorder.coverage(total_cycles) == copy.coverage(total_cycles)
 
 
 def _cuts(recorders, total_cycles):

@@ -231,7 +231,6 @@ class TestSimulatorsReadTheSpec:
             for name in ("apiq", "vpiq", "spiq", "avdq")
         }
         assert rings == {"apiq": 3, "vpiq": 3, "spiq": 3, "avdq": 5}
-        assert state.avdq_occupancy.capacity == 5
         assert (pipeline.cache.line_bytes, pipeline.cache.lines) == (32, 1024)
 
 

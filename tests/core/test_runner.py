@@ -68,19 +68,13 @@ class TestSweepSpec:
 
 
 class TestCostModel:
-    def test_cost_ignores_latency(self):
+    def test_cost_is_the_trace_length(self):
         for program in program_names():
-            costs = {estimate_cell_cost(program, 1.0, latency) for latency in (0, 1, 50, 100)}
-            assert len(costs) == 1, program
+            assert estimate_cell_cost(program, 1.0) == len(load_program(program).build_trace(1.0))
+        assert len({estimate_cell_cost(p, 1.0) for p in program_names()}) == 6
 
-    def test_cost_orders_programs_by_estimated_trace_length(self):
-        def by(key):
-            return sorted(program_names(), key=lambda program: (key(program), program))
-
-        assert by(lambda p: estimate_cell_cost(p, 1.0, 100)) == by(
-            lambda p: load_program(p).estimated_trace_length(1.0)
-        )
-        assert len({estimate_cell_cost(p, 1.0, 1) for p in program_names()}) == 6
+    def test_unknown_programs_cost_one(self):
+        assert estimate_cell_cost("nasa7", 1.0) == 1
 
 
 class TestRunner:

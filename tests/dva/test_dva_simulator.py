@@ -156,8 +156,8 @@ class TestConfigurationEffects:
         one = MachineSpec(family="dva", vector_load_data=1)
         narrow = simulate_decoupled(trace, latency=100, spec=one)
         wide = simulate_decoupled(trace, latency=100)
-        assert narrow.max_avdq_occupancy() == 1
-        assert wide.max_avdq_occupancy() > 1
+        assert narrow.avdq_histogram().max_key() == 1
+        assert wide.avdq_histogram().max_key() > 1
         assert narrow.total_cycles > wide.total_cycles
 
     def test_full_instruction_queue_stalls_the_fetch(self, trace_from_block):
@@ -233,7 +233,7 @@ class TestBenchmarkPrograms:
     def test_avdq_occupancy_never_exceeds_its_capacity(self, program_traces, name, capacity):
         spec = MachineSpec(family="dva", bypass=False, vector_load_data=capacity)
         result = simulate_decoupled(program_traces[name], latency=50, spec=spec)
-        assert result.max_avdq_occupancy() <= capacity
+        assert result.avdq_histogram().max_key() <= capacity
 
     def test_bypass_never_adds_memory_traffic(self, program_traces, name):
         plain = simulate_decoupled(

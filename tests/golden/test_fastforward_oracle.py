@@ -46,7 +46,7 @@ def _aggregates(result):
     aggregates = {"breakdown": list(result.state_breakdown().cycles.items())}
     if isinstance(result, DecoupledResult):
         aggregates["avdq"] = list(result.avdq_histogram().items())
-        aggregates["last_leave"] = result.avdq_occupancy.last_leave()
+        aggregates["last_end"] = result.avdq_occupancy.last_end()
     aggregates["busy"] = [(unit.name, unit.busy_time()) for unit in units]
     return aggregates
 

@@ -284,4 +284,4 @@ class TestStateBreakdown:
         assert sum(breakdown.cycles.values()) == result.total_cycles
         assert result.all_idle_cycles > 0
         port_idle = sum(cycles for (_, _, ld), cycles in breakdown.cycles.items() if not ld)
-        assert port_idle == result.port_idle_cycles
+        assert port_idle == result.total_cycles - result.port_busy_cycles

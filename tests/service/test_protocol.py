@@ -86,6 +86,12 @@ class TestParseSweepRequest:
         assert spec.programs == ("DYFESM", "TRFD")
         assert spec.latencies == (1, 50)
 
+    @pytest.mark.parametrize("text", ["ref,dva@lanes=2,ports=2", "dva@bypass=off,ref@lanes=2"])
+    def test_inline_spec_clauses_keep_their_commas_like_the_cli(self, text):
+        spec = parse_sweep_request({"programs": "trfd", "latencies": "1", "architectures": text})
+        assert spec == SweepSpec.from_strings(programs="trfd", latencies="1", architectures=text)
+        assert len(spec.architectures) == 2
+
     def test_axes_as_mapping(self):
         spec = parse_sweep_request(
             {"programs": ["trfd"], "latencies": [1], "axes": {"lanes": [1, 2]}}

@@ -76,8 +76,11 @@ class TestCompilation:
         _, compiled = _compile(kernel)
         block = compiled.block_for_length(64)
         vector = sum(instruction.is_vector for instruction in block)
-        assert vector == kernel.vector_instructions_per_strip
-        assert len(block) - vector == kernel.scalar_instructions_per_strip
+        # 3 memory streams + 3+2 compute + reduction + splat + 4 per spill pair.
+        assert vector == 3 + 5 + 1 + 1 + 4
+        # set_vl + 4 addr + 3 scalar + 1 load + 1 store + 2 spill + 3 loop
+        # control + 1 reduction accumulate.
+        assert len(block) - vector == 1 + 4 + 3 + 1 + 1 + 2 + 3 + 1
 
     def test_fu2_only_ops_emitted(self):
         kernel = LoopKernel(

@@ -5,7 +5,22 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import WorkloadError
 from repro.isa.registers import VECTOR_REGISTER_LENGTH
+from repro.workloads.compiler import VectorizingCompiler
 from repro.workloads.kernel import KernelSchedule, LoopKernel, VectorStream
+
+
+def _strip(kernel):
+    """The compiled block of the kernel's first strip."""
+    compiled = VectorizingCompiler().compile(kernel)
+    return compiled.block_for_length(kernel.strip_lengths[0])
+
+
+def _vector_count(block):
+    return sum(instruction.is_vector for instruction in block)
+
+
+def _seeds(block):
+    return sum(instruction.label.endswith(".seed") for instruction in block)
 
 
 class TestVectorStream:
@@ -58,12 +73,10 @@ class TestLoopKernelValidation:
 class TestStripMining:
     def test_exact_multiple(self):
         kernel = LoopKernel(name="k", elements=256, max_vector_length=128)
-        assert kernel.strips_per_invocation == 2
         assert kernel.strip_lengths == [128, 128]
 
     def test_remainder_strip(self):
         kernel = LoopKernel(name="k", elements=300, max_vector_length=128)
-        assert kernel.strips_per_invocation == 3
         assert kernel.strip_lengths == [128, 128, 44]
 
     def test_short_loop_single_strip(self):
@@ -79,10 +92,10 @@ class TestStripMining:
         lengths = kernel.strip_lengths
         assert sum(lengths) == elements
         assert all(0 < length <= max_vl for length in lengths)
-        assert len(lengths) == kernel.strips_per_invocation
+        assert len(lengths) == -(-elements // max_vl)
 
 
-class TestInstructionCountEstimates:
+class TestCompiledStripCounts:
     def test_vector_counts(self):
         kernel = LoopKernel(
             name="k",
@@ -95,18 +108,21 @@ class TestInstructionCountEstimates:
             reduction=True,
             uses_scalar_operand=True,
         )
-        # 3 memory streams + 2+1 compute + reduction + splat + 4 per spill pair.
-        assert kernel.vector_memory_streams == 3
-        assert kernel.vector_compute_ops == 5
-        assert kernel.vector_instructions_per_strip == 3 + 5 + 4
+        block = _strip(kernel)
+        memory = sum(instruction.is_vector and instruction.is_memory for instruction in block)
+        # 3 memory streams + a spill pair's store and reload.
+        assert memory == 3 + 2
+        # 2+1 compute + reduction + splat + the spill pair's filler and consumer.
+        assert _vector_count(block) - memory == 5 + 2
+        assert _seeds(block) == 0
 
     def test_seed_splat_conditions(self):
         no_loads = LoopKernel(name="k", elements=16, fu_any_ops=2)
-        assert no_loads.emits_seed_splat
+        assert _seeds(_strip(no_loads)) == 1
         with_loads = LoopKernel(
             name="k", elements=16, loads=(VectorStream("x"),), fu_any_ops=2
         )
-        assert not with_loads.emits_seed_splat
+        assert _seeds(_strip(with_loads)) == 0
         distance = LoopKernel(
             name="k",
             elements=16,
@@ -114,8 +130,9 @@ class TestInstructionCountEstimates:
             fu_any_ops=4,
             load_use_distance=2,
         )
-        assert distance.emits_seed_splat
-        assert distance.vector_instructions_per_strip == 1 + 4 + 1
+        block = _strip(distance)
+        assert _seeds(block) == 1
+        assert _vector_count(block) == 1 + 4 + 1
 
     def test_scalar_counts(self):
         kernel = LoopKernel(
@@ -131,9 +148,10 @@ class TestInstructionCountEstimates:
             reduction=True,
             reduction_carried=True,
         )
+        block = _strip(kernel)
         # set_vl + 2 set_vs + 3 addr + 5 scalar + 1 load + 1 store + 4 spill
         # + 3 loop control + 1 reduction accumulate + 1 carried move.
-        assert kernel.scalar_instructions_per_strip == 1 + 2 + 3 + 5 + 1 + 1 + 4 + 3 + 1 + 1
+        assert len(block) - _vector_count(block) == 1 + 2 + 3 + 5 + 1 + 1 + 4 + 3 + 1 + 1
 
 
 class TestKernelSchedule:

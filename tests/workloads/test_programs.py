@@ -64,7 +64,7 @@ class TestProgramModel:
         with pytest.raises(WorkloadError, match="scale"):
             model.build_trace(scale=scale)
         with pytest.raises(WorkloadError, match="scale"):
-            model.estimated_trace_length(scale=scale)
+            model.trace_length(scale=scale)
 
     def test_scale_changes_trace_length(self):
         model = synthetic.simple_program(repetitions=4)
@@ -116,6 +116,12 @@ class TestPerfectClubRegistry:
         trace = build_trace("FLO52", scale=0.25)
         assert trace.name == "FLO52"
         assert len(trace) > 0
+
+    @pytest.mark.parametrize("scale", [0.1, 1, 4, 16])
+    @pytest.mark.parametrize("name", PERFECT_CLUB_PROGRAMS)
+    def test_trace_length_is_the_built_trace_length(self, name, scale):
+        model = load_program(name)
+        assert model.trace_length(scale) == len(model.build_trace(scale))
 
 
 class TestPublishedStatistics:

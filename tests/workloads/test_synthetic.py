@@ -26,12 +26,12 @@ class TestFactories:
 
     def test_stream_triad_is_memory_bound(self):
         kernel = synthetic.stream_triad()
-        assert kernel.vector_memory_streams > kernel.fu_any_ops + kernel.fu2_ops
+        assert len(kernel.loads) + len(kernel.stores) > kernel.fu_any_ops + kernel.fu2_ops
 
     def test_compute_bound_is_compute_bound(self):
         kernel = synthetic.compute_bound(fu_ops=12)
         assert kernel.fu_any_ops + kernel.fu2_ops == 12
-        assert kernel.vector_memory_streams == 2
+        assert len(kernel.loads) + len(kernel.stores) == 2
         assert kernel.load_use_distance > 0
 
     def test_reduction_flags(self):
