@@ -8,7 +8,10 @@ store, then drives the whole service loop with stdlib ``urllib``:
 2. a small cold sweep runs to completion (every cell simulated);
 3. the *identical* sweep re-submitted is answered entirely from the store
    (0 simulated, no batch dispatched) — the warm path, over the wire;
-4. ``GET /v1/stats`` reflects both: store entries plus service counters.
+4. ``GET /v1/stats`` reflects both: store entries plus service counters;
+5. ``POST /v1/run`` answers a cell of that sweep from the store, simulates
+   a new cell once and then answers it from the store too, and rejects an
+   unknown program or a negative latency with ``400``.
 
 Exits non-zero (with the failing detail on stderr) on any violation, so a
 CI step is just ``python scripts/service_smoke.py``.
@@ -20,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.request
 
 SWEEP = {
@@ -36,6 +40,15 @@ def api(base, path, body=None):
     request = urllib.request.Request(base + path, data=data)
     with urllib.request.urlopen(request, timeout=60) as response:
         return json.load(response)
+
+
+def api_status(base, path, body):
+    """POST ``body``; returns (HTTP status, parsed JSON body), errors included."""
+    try:
+        return 200, api(base, path, body)
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, json.load(exc)
 
 
 def poll(base, sweep_id, timeout=120.0):
@@ -108,6 +121,32 @@ def main():
                 "scheduler counters agree: one simulation per cell, warm from store",
                 scheduler,
             )
+
+            # One cell through /v1/run: planned and keyed like a sweep cell.
+            cell = {"program": "trfd", "arch": "dva", "latency": 50, "scale": SWEEP["scale"]}
+            [swept] = [
+                result for result in cold["results"]
+                if (result["program"], result["architecture"], result["latency"])
+                == ("TRFD", "dva", 50)
+            ]
+            run = api(base, "/v1/run", cell)
+            check(
+                run["cached"] is True and run["total_cycles"] == swept["total_cycles"],
+                "/v1/run answers a swept cell from the store with the sweep's cycles",
+                {"run": run["total_cycles"], "sweep": swept["total_cycles"]},
+            )
+            new_cell = {**cell, "latency": 100}
+            first = api(base, "/v1/run", new_cell)
+            again = api(base, "/v1/run", new_cell)
+            check(
+                first["cached"] is False and again["cached"] is True
+                and again["total_cycles"] == first["total_cycles"],
+                "/v1/run simulates a new cell once, then answers it from the store",
+                {"first": first["cached"], "again": again["cached"]},
+            )
+            for bad in ({**cell, "program": "nosuch"}, {**cell, "latency": -1}):
+                status, payload = api_status(base, "/v1/run", bad)
+                check(status == 400, f"/v1/run rejects {bad} with 400", payload)
             print("service smoke: all checks passed")
         finally:
             server.terminate()

@@ -18,12 +18,11 @@ spec's canonical string becomes the cell's architecture label (``"dva"``,
 
 Trace generation is the repeated cost across cells (every latency and
 architecture of one program re-simulates the same trace), so the runner builds
-each program's trace at most once per process: the serial path keeps a
-per-runner :class:`TraceCache`, and pool workers keep a process-local cache
-that is seeded copy-on-write with whatever the parent had already built when
-the pool forked and fills lazily otherwise — never per cell.  Every path
-runs with the generational garbage collector on and never forces a
-collection: a forced full collection cost more than the costliest cell
+each program's trace at most once per process: in-process batches share a
+per-runner :class:`TraceCache`, and each pool worker fills a process-local
+cache lazily, building only the programs it is handed — never per cell.
+Every path runs with the generational garbage collector on and never forces
+a collection: a forced full collection cost more than the costliest cell
 simulates in.  Pool workers freeze the heap they inherit when they fork, so
 automatic collections never scan it or touch its copy-on-write pages.
 
@@ -77,10 +76,6 @@ from repro.workloads.program_model import check_scale
 
 Overrides = Tuple[Tuple[str, object], ...]
 Axes = Tuple[Tuple[str, Tuple[object, ...]], ...]
-
-#: One dispatchable unit of work: (latency, resolved machine, cache key or
-#: ``None`` when no store is in play).
-CellTask = Tuple[int, SpecArchitecture, Optional[str]]
 
 #: Trace lengths, memoized per (program, scale): counting one compiles the
 #: program's kernels (about 0.5 ms), once per process.
@@ -199,6 +194,33 @@ def _split_spec_list(text: str) -> Tuple[str, ...]:
     return tuple(entries)
 
 
+def _json_names(value: object, what: str) -> Tuple[str, ...]:
+    """A list of names, or a comma-separated string of them.
+
+    A string splits the way the CLI splits ``--arch``, so an inline spec's
+    ``@`` clause keeps its commas (``"ref,dva@lanes=2,ports=2"`` is two
+    entries); program names hold no ``@`` and split on every comma.
+    """
+    if isinstance(value, str):
+        return _split_spec_list(value)
+    if isinstance(value, Sequence):
+        if not all(isinstance(item, str) for item in value):
+            raise ConfigurationError(f"{what} entries must be strings")
+        return tuple(value)
+    raise ConfigurationError(f"{what} must be a list of strings or a comma-separated string")
+
+
+def _json_integer(value: object, what: str) -> int:
+    """An integral JSON number; ``NaN`` and ``Infinity`` are not integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be an integer")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    return value
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A (programs × latencies × machine axes × architectures) grid.
@@ -271,7 +293,7 @@ class SweepSpec:
     def to_json(self) -> Dict[str, object]:
         """The grid as JSON: a sweep result's ``spec`` block and the service's.
 
-        The service's sweep request reads the same shape back.
+        :meth:`from_json` reads the same shape back.
         """
         return {
             "programs": list(self.programs),
@@ -322,6 +344,79 @@ class SweepSpec:
             axes=tuple(parsed_axes),
         )
 
+    @classmethod
+    def from_json(cls, payload: object) -> "SweepSpec":
+        """Read a grid back from :meth:`to_json`'s shape, checking every field.
+
+        The one reader of that shape: a sweep result's ``spec`` block and
+        the service's sweep request both come here.  Only ``programs`` is
+        required; list fields may also be comma-separated strings
+        (``"programs": "dyfesm,trfd"`` parses like the CLI), and ``axes``
+        may be a mapping or a pair list.  Anything malformed raises
+        :class:`~repro.common.errors.ConfigurationError`.
+        """
+        if not isinstance(payload, Mapping):
+            raise ConfigurationError("sweep spec must be a JSON object")
+        fields = ("programs", "latencies", "architectures", "scale", "axes")
+        unknown = sorted(set(payload) - set(fields))
+        if unknown:
+            raise ConfigurationError(
+                f"sweep spec has unknown field(s) {', '.join(map(repr, unknown))}; "
+                f"allowed: {', '.join(sorted(fields))}"
+            )
+        if "programs" not in payload:
+            raise ConfigurationError("sweep spec needs 'programs'")
+        programs = _json_names(payload["programs"], "'programs'")
+
+        raw_latencies = payload.get("latencies", ())
+        if isinstance(raw_latencies, str):
+            parts = [part.strip() for part in raw_latencies.split(",") if part.strip()]
+            try:
+                latencies: Tuple[int, ...] = tuple(int(part) for part in parts)
+            except ValueError:
+                raise ConfigurationError(
+                    f"'latencies' must be integers, got {raw_latencies!r}"
+                ) from None
+        elif isinstance(raw_latencies, Sequence):
+            latencies = tuple(_json_integer(item, "'latencies' entry") for item in raw_latencies)
+        else:
+            raise ConfigurationError(
+                "'latencies' must be a list of integers or a comma-separated string"
+            )
+
+        raw_axes = payload.get("axes", ())
+        axes: List[Tuple[str, Tuple[object, ...]]] = []
+        if isinstance(raw_axes, Mapping):
+            axis_items: Sequence[Tuple[object, object]] = list(raw_axes.items())
+        elif isinstance(raw_axes, Sequence) and not isinstance(raw_axes, str):
+            axis_items = []
+            for pair in raw_axes:
+                if not isinstance(pair, Sequence) or isinstance(pair, str) or len(pair) != 2:
+                    raise ConfigurationError("'axes' pair entries must be [name, values] pairs")
+                axis_items.append((pair[0], pair[1]))
+        else:
+            raise ConfigurationError("'axes' must be a mapping or a list of [name, values] pairs")
+        for name, values in axis_items:
+            if not isinstance(name, str) or not name.strip():
+                raise ConfigurationError("axis names must be non-empty strings")
+            if isinstance(values, (str, int, bool)):
+                values = (values,)
+            elif not isinstance(values, Sequence):
+                raise ConfigurationError(f"axis {name!r} values must be a list or a scalar")
+            axes.append((name.strip(), tuple(values)))
+
+        architectures = _json_names(payload.get("architectures", "ref,dva"), "'architectures'")
+        scale = payload.get("scale", 1.0)
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+            raise ConfigurationError("'scale' must be a number")
+        return cls(
+            programs=programs,
+            latencies=latencies,
+            architectures=architectures,
+            scale=float(scale),
+            axes=tuple(axes),
+        )
+
     def axis_combinations(self) -> List[Overrides]:
         """Every machine-axis combination, axis-major (``[()]`` with no axes)."""
         return axis_combinations(self.axes)  # type: ignore[arg-type]
@@ -365,22 +460,22 @@ def resolve_sweep_machines(spec: SweepSpec) -> List[SpecArchitecture]:
 
 @dataclass
 class PlannedCell:
-    """One grid cell on its way to a result.
+    """One grid cell on its way to a result: the one cell record.
 
-    ``key`` is the cell's store key (``None`` without a store).  ``result``
-    is set at planning time for a store hit and by whoever executes the cell
-    otherwise, so a cell still holding ``None`` is a task to run.
+    :func:`plan_sweep` makes it, and the :class:`Runner`, its pool workers
+    and the sweep service's scheduler execute it as it is.  ``key`` is the
+    cell's :func:`~repro.store.cell_key`, with or without a store.
+    ``result`` is set at planning time for a store hit and by whoever
+    executes the cell otherwise, so a cell still holding ``None`` is a task
+    to run.
     """
 
     program: str
+    scale: float
     latency: int
     simulator: SpecArchitecture
-    key: Optional[str]
+    key: str
     result: Optional[RunResult] = None
-
-    @property
-    def task(self) -> CellTask:
-        return (self.latency, self.simulator, self.key)
 
 
 def plan_sweep(spec: SweepSpec, store: Optional[ResultStore]) -> List[PlannedCell]:
@@ -389,34 +484,31 @@ def plan_sweep(spec: SweepSpec, store: Optional[ResultStore]) -> List[PlannedCel
     Grid order is program-major, then latency, then axis combination, then
     architecture; it is the order every runner executes and reports in.
     Validation (:func:`resolve_sweep_machines`) runs first, so a bad spec
-    fails before any key is computed.  With a store, each cell's key is
-    computed and probed; hits come back holding their ``cached=True``
-    result.  The :class:`Runner` starts from this plan.
+    fails before any key is computed.  Every cell gets its key; with a
+    store, each key is probed and hits come back holding their
+    ``cached=True`` result.  The :class:`Runner` starts from this plan, and
+    so does the sweep service (without a store: its scheduler probes each
+    cell when it is requested).
     """
     machines = resolve_sweep_machines(spec)
     cells: List[PlannedCell] = []
     for program in spec.programs:
         for latency in spec.latencies:
             for simulator in machines:
-                key = None
-                hit = None
-                if store is not None:
-                    key = cell_key(
-                        program, spec.scale, latency, simulator, RunConfig(latency=latency)
-                    )
-                    hit = store.get(key)
-                cells.append(PlannedCell(program, latency, simulator, key, hit))
+                key = cell_key(
+                    program, spec.scale, latency, simulator, RunConfig(latency=latency)
+                )
+                hit = store.get(key) if store is not None else None
+                cells.append(PlannedCell(program, spec.scale, latency, simulator, key, hit))
     return cells
 
 
 class TraceCache:
     """Builds each (program, scale) trace at most once.
 
-    Cached traces are columnar (:class:`~repro.trace.columns.Trace`), so what pool
-    workers inherit copy-on-write at fork time is a handful of flat arrays
-    plus the small static-instruction table — not millions of per-record
-    Python objects whose refcount updates would unshare the pages — which
-    keeps large ``--scale`` sweeps in flat memory across the whole pool.
+    A :class:`Runner` keeps one for its in-process batches and each pool
+    worker one of its own, filled lazily: a trace is built the first time a
+    batch needs it.
     """
 
     def __init__(self) -> None:
@@ -431,55 +523,40 @@ class TraceCache:
             self._traces[key] = trace
         return trace
 
-    def entries(self) -> Dict[Tuple[str, float], Trace]:
-        """A snapshot of everything cached so far."""
-        return dict(self._traces)
-
-    def seed(self, entries: Dict[Tuple[str, float], Trace]) -> None:
-        """Adopt already-built traces (used to hand a cache across processes)."""
-        self._traces.update(entries)
-
-    def clear(self) -> None:
-        """Drop every cached trace (the next ``get`` rebuilds)."""
-        self._traces.clear()
-
     def __len__(self) -> int:
         return len(self._traces)
 
 
 def _run_cells(
     trace: Trace,
-    tasks: Sequence[CellTask],
+    cells: Sequence[PlannedCell],
     store: Optional[ResultStore],
-    scale: float,
     on_result: Optional[Callable[[RunResult], None]] = None,
 ) -> List[RunResult]:
     """Sweep one trace across its cells, persisting each as it completes.
 
-    The one cell executor: the :class:`Runner`'s serial loop and pool
-    workers and the service's batches all simulate here.
-    Each result is stamped with its store key before it is written.
-    Write-back happens per cell, not per batch, so a simulation process
-    killed mid-batch leaves every already-finished cell in the store.
-    ``on_result`` fires per cell, after the store write (serial progress
-    reporting; pool workers run without it).
+    The one simulation loop: the :class:`Runner` runs it in-process and its
+    pool workers run it for :func:`_run_program_cells`.  With a store, each
+    result is stamped with its cell's key and written before the next cell
+    starts, so a simulation process killed mid-batch leaves every
+    already-finished cell in the store.  ``on_result`` fires per cell,
+    after the store write (in-process progress; pool workers run without
+    it).
     """
     results: List[RunResult] = []
-    for latency, simulator, key in tasks:
-        result = simulator.simulate(trace, RunConfig(latency=latency))
+    for cell in cells:
+        result = cell.simulator.simulate(trace, RunConfig(latency=cell.latency))
         if store is not None:
-            result = replace(result, store_key=key)
-            store.put(key, result, scale=scale)
+            result = replace(result, store_key=cell.key)
+            store.put(cell.key, result, scale=cell.scale)
         results.append(result)
         if on_result is not None:
             on_result(result)
     return results
 
 
-# Per-process trace cache used by pool workers.  The parent seeds it right
-# before the pool forks, so fork-started workers inherit the parent's traces
-# copy-on-write; anything missing (spawn start method, or sweeps run after
-# the pool was created) is built once per worker and cached for the pool's
+# Per-process trace cache used by pool workers: each worker builds a trace
+# the first time one of its batches needs it and keeps it for the pool's
 # whole lifetime.
 _WORKER_CACHE = TraceCache()
 
@@ -493,19 +570,19 @@ def _worker_init() -> None:
     never writes to the inherited copy-on-write pages.  No batch forces a
     collection: a full one over the inherited heap took 5–7 ms, more than
     the costliest paper cell takes to simulate.  Traces are not built here:
-    each worker builds (or, under fork, inherits) them on first use, so
-    workers never pay for programs they are not assigned.
+    each worker builds them on first use, so workers never pay for programs
+    they are not assigned.
     """
     gc.freeze()
 
 
 def _run_program_cells(
-    task: Tuple[str, float, Sequence[CellTask], Optional[str]]
+    task: Tuple[Sequence[PlannedCell], Optional[str]]
 ) -> List[RunResult]:
     """Worker: sweep one batch of a program's cells over its cached trace.
 
     Module-level so ``multiprocessing`` can pickle it under both the fork and
-    spawn start methods.  The task carries the resolved
+    spawn start methods.  The cells carry their resolved
     :class:`~repro.core.registry.SpecArchitecture` records rather than
     registry names, so runtime registrations work in workers too.  When the
     parent runs with a result store, the task carries the store *root* (a
@@ -513,14 +590,14 @@ def _run_program_cells(
     :class:`~repro.store.ResultStore` touches no files, and each completed
     cell is written back immediately so killed sweeps keep their progress.
     """
-    program, scale, cell_tasks, store_root = task
+    cells, store_root = task
     store = ResultStore(store_root) if store_root is not None else None
-    trace = _WORKER_CACHE.get(program, scale)
-    return _run_cells(trace, cell_tasks, store, scale)
+    trace = _WORKER_CACHE.get(cells[0].program, cells[0].scale)
+    return _run_cells(trace, cells, store)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    """Fork on Linux (traces inherit copy-on-write), platform default elsewhere."""
+    """Fork on Linux (workers start without re-importing), platform default elsewhere."""
     if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -535,26 +612,29 @@ def _available_parallelism() -> int:
 
 
 class Runner:
-    """Executes sweep grids, serially or across a persistent process pool.
+    """Executes sweep grids, in-process or across a persistent process pool.
 
     ``jobs`` is a ceiling, not a demand: the runner never uses more workers
     than the machine can actually run in parallel, so asking for ``jobs=2``
-    on a one-CPU host degrades gracefully to the in-process serial path
-    instead of paying pool and scheduling overhead for no speedup.  A sweep
-    with a single cell to simulate always runs in-process.
+    on a one-CPU host degrades gracefully to in-process simulation instead
+    of paying pool and scheduling overhead for no speedup.  A sweep with a
+    single cell to simulate always runs in-process.
 
-    The serial path runs in-process against a shared :class:`TraceCache`.
-    The parallel path distributes batches of cells over a ``multiprocessing``
-    pool that is created on the first parallel run and reused for the
-    runner's lifetime, so repeated sweeps pay for worker startup and trace
-    building once: fork-started workers inherit whatever traces the parent
-    had already built, and build anything else lazily, once per worker.
-    When the grid has fewer programs than workers, each program's cells are
-    split into chunks so every worker gets work.  Both paths produce
-    identical results in identical order — the simulators are deterministic
-    and each cell is independent — which the test suite asserts.  Neither
-    path pauses the garbage collector or forces a collection; pool workers
-    freeze the heap they inherit (:func:`_worker_init`).
+    :meth:`run` (a whole grid) and :meth:`run_batch` (one program's cells,
+    for the sweep service) both hand batches of :class:`PlannedCell` to one
+    executor, :meth:`_execute`, the only code that chooses between the two
+    paths.  In-process batches share the runner's :class:`TraceCache`.
+    Pooled batches go to a ``multiprocessing`` pool that is created on first
+    use and reused for the runner's lifetime, so repeated sweeps pay for
+    worker startup and trace building once: each worker builds a program's
+    trace the first time it is handed one of its cells.  A pooled grid
+    splits each program's cells into per-worker chunks, costliest first, so
+    every worker gets work even when the grid has fewer programs than
+    workers.  Both paths produce identical results in identical order — the
+    simulators are deterministic and each cell is independent — which the
+    test suite asserts.  Neither path pauses the garbage collector or forces
+    a collection; pool workers freeze the heap they inherit
+    (:func:`_worker_init`).
 
     With a :class:`~repro.store.ResultStore` attached (``store=`` — an
     instance, or a path to open one at), the runner becomes *incremental*:
@@ -603,137 +683,104 @@ class Runner:
         Results come back in grid order either way.
 
         ``progress`` receives one :class:`CellProgress` per finished cell
-        (store hits first, then simulated cells — cell by cell when serial,
-        batch by batch when parallel), so long sweeps are observable.
+        (store hits first, then simulated cells — cell by cell in-process,
+        batch by batch when pooled), so long sweeps are observable.
         """
         cells = plan_sweep(spec, self.store)
         tracker = _ProgressTracker(progress, len(cells))
-        # Tasks grouped per program, in grid order: each group shares a trace.
+        # Cells to simulate per program, in grid order: each group shares a trace.
         batches: Dict[str, List[PlannedCell]] = {}
         for cell in cells:
             if cell.result is not None:
                 tracker.report(cell.result)
             else:
                 batches.setdefault(cell.program, []).append(cell)
-        pending = sum(len(batch) for batch in batches.values())
-        if pending == 1 or (pending and self.effective_jobs == 1):
-            self._run_serial(spec.scale, batches, tracker)
-        elif pending:
-            self._run_parallel(spec.scale, batches, tracker)
+        chunks = list(batches.values())
+        pooled = sum(map(len, chunks)) > 1 and self.effective_jobs > 1
+        if pooled:
+            # Deal each program's cells round-robin into per-worker chunks
+            # (every cell of a program costs the same, see
+            # estimate_cell_cost) and submit the costliest chunk first, so
+            # the pool starts the longest work immediately.
+            per_program = -(-self.effective_jobs // len(chunks))
+            chunks = [
+                batch[offset::per_program]
+                for batch in chunks
+                for offset in range(min(per_program, len(batch)))
+            ]
+            chunks.sort(
+                key=lambda chunk: -len(chunk) * estimate_cell_cost(chunk[0].program, spec.scale)
+            )
+        for chunk, results in zip(chunks, self._execute(chunks, pooled, tracker.report)):
+            for cell, result in zip(chunk, results):
+                cell.result = result
 
         results = [cell.result for cell in cells]
         if self.store is not None:
-            # Workers (or the serial loop) wrote the objects; merge this
+            # Workers (or the in-process loop) wrote the objects; merge this
             # sweep's cells into the advisory index once, in the parent —
             # O(cells written), never a full store scan.
             self.store.update_index(results, scale=spec.scale)
         return SweepResult(spec=spec, results=results)  # type: ignore[arg-type]
 
-    def _run_serial(
-        self,
-        scale: float,
-        batches: Mapping[str, Sequence[PlannedCell]],
-        tracker: _ProgressTracker,
-    ) -> None:
-        """Run every batch in-process, filling in each cell's result.
-
-        The caller's garbage-collector state is left alone, whatever
-        ``jobs`` asked for: the generational collector costs little next to
-        a forced collection per batch, which cost more than a cell.  Only
-        programs that actually have tasks get their traces built.
-        """
-        for program, cells in batches.items():
-            trace = self.trace_cache.get(program, scale)
-            results = _run_cells(
-                trace, [cell.task for cell in cells], self.store, scale,
-                on_result=tracker.report,
-            )
-            for cell, result in zip(cells, results):
-                cell.result = result
-
-    def _run_parallel(
-        self,
-        scale: float,
-        batches: Mapping[str, Sequence[PlannedCell]],
-        tracker: _ProgressTracker,
-    ) -> None:
-        """Distribute the batches over the worker pool, costliest chunk first.
-
-        Each program's cells are dealt round-robin into per-worker chunks
-        (every cell of a program costs the same, see
-        :func:`estimate_cell_cost`), and the chunks are submitted costliest
-        first so the pool starts the longest work immediately.  Each chunk's
-        results land back on its own cells as the chunk returns, and are
-        reported then.
-        """
-        store_root = str(self.store.root) if self.store is not None else None
-        per_program = -(-self.effective_jobs // len(batches))
-        chunks = [
-            cells[offset::per_program]
-            for cells in batches.values()
-            for offset in range(min(per_program, len(cells)))
-        ]
-        chunks.sort(key=lambda chunk: -len(chunk) * estimate_cell_cost(chunk[0].program, scale))
-        tasks = [
-            (chunk[0].program, scale, tuple(cell.task for cell in chunk), store_root)
-            for chunk in chunks
-        ]
-        pool = self._ensure_pool()
-        for chunk, results in zip(chunks, pool.imap(_run_program_cells, tasks)):
-            for cell, result in zip(chunk, results):
-                cell.result = result
-                tracker.report(result)
-
-    def run_batch(
-        self,
-        program: str,
-        scale: float,
-        tasks: Sequence[CellTask],
-    ) -> List[RunResult]:
+    def run_batch(self, cells: Sequence[PlannedCell]) -> List[RunResult]:
         """Execute one batch of a single program's cells, off the grid path.
 
         This is the dispatch surface the sweep service's scheduler uses for
-        cold cells: with more than one effective job the batch is applied to
-        the persistent worker pool (safe from several threads at once — the
-        pool serializes its task queue internally), otherwise it is
-        simulated in the calling thread against the runner's trace cache.
-        Store write-back matches the sweep path — per cell, in the process
-        that simulated it; merging the advisory index is the caller's job,
-        as it is for :meth:`run`.
+        cold cells, safe from several threads at once: with more than one
+        effective job the batch goes to the persistent worker pool (which
+        serializes its task queue internally), otherwise it is simulated in
+        the calling thread.  Store write-back matches :meth:`run` — per
+        cell, in the process that simulated it; merging the advisory index
+        is the caller's job, as it is for :meth:`run`.
         """
-        tasks = tuple(tasks)
-        if not tasks:
+        if not cells:
             return []
-        if self.effective_jobs > 1:
+        return next(self._execute([cells], self.effective_jobs > 1))
+
+    def _execute(
+        self,
+        batches: Sequence[Sequence[PlannedCell]],
+        pooled: bool,
+        on_result: Optional[Callable[[RunResult], None]] = None,
+    ) -> Iterator[List[RunResult]]:
+        """Simulate each batch of one program's cells; yield its results in turn.
+
+        The one place the runner chooses between its worker pool and
+        in-process simulation.  Pooled batches run in the workers, which
+        write the store themselves, and ``on_result`` fires for each cell
+        when its batch comes back.  In-process batches run over the runner's
+        trace cache, so only programs that have cells to run get their
+        traces built, and ``on_result`` fires per cell right after its store
+        write.  The caller's garbage-collector state is left alone either
+        way.
+        """
+        if pooled:
             store_root = str(self.store.root) if self.store is not None else None
-            pool = self._ensure_pool()
-            return pool.apply(
-                _run_program_cells, ((program, scale, tasks, store_root),)
-            )
-        with self._trace_lock:
-            trace = self.trace_cache.get(program, scale)
-        return _run_cells(trace, tasks, self.store, scale)
+            tasks = [(batch, store_root) for batch in batches]
+            for results in self._ensure_pool().imap(_run_program_cells, tasks):
+                if on_result is not None:
+                    for result in results:
+                        on_result(result)
+                yield results
+            return
+        for batch in batches:
+            with self._trace_lock:
+                trace = self.trace_cache.get(batch[0].program, batch[0].scale)
+            yield _run_cells(trace, batch, self.store, on_result)
 
     def _ensure_pool(self) -> multiprocessing.pool.Pool:
         """The persistent worker pool, created on first use (thread-safe).
 
-        Traces the parent has already built (e.g. by an earlier serial run of
-        this runner) are exposed to fork-started workers copy-on-write; every
-        other trace is built lazily, once per worker that needs it, so a cold
-        multi-program sweep builds its traces in parallel across workers.
+        Workers build traces lazily, once per worker that needs one, so a
+        cold multi-program sweep builds its traces in parallel across
+        workers.
         """
         with self._pool_lock:
             if self._pool is None:
-                _WORKER_CACHE.seed(self.trace_cache.entries())
-                try:
-                    self._pool = _pool_context().Pool(
-                        processes=self.effective_jobs, initializer=_worker_init
-                    )
-                finally:
-                    # The parent-side copies have served their purpose (the
-                    # pool has forked); worker-side caches live in the
-                    # workers.
-                    _WORKER_CACHE.clear()
+                self._pool = _pool_context().Pool(
+                    processes=self.effective_jobs, initializer=_worker_init
+                )
             return self._pool
 
     def close(self) -> None:
@@ -837,18 +884,7 @@ class SweepResult:
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "SweepResult":
         """Rebuild a :class:`SweepResult` from :meth:`to_json` output."""
-        spec_data = data["spec"]
-        assert isinstance(spec_data, Mapping)
-        spec = SweepSpec(
-            programs=tuple(spec_data["programs"]),  # type: ignore[arg-type]
-            latencies=tuple(spec_data["latencies"]),  # type: ignore[arg-type]
-            architectures=tuple(spec_data["architectures"]),  # type: ignore[arg-type]
-            scale=float(spec_data["scale"]),  # type: ignore[arg-type]
-            axes=tuple(
-                (str(name), tuple(values))
-                for name, values in spec_data.get("axes", [])  # type: ignore[union-attr]
-            ),
-        )
+        spec = SweepSpec.from_json(data["spec"])
         results = [RunResult.from_json(item) for item in data["results"]]  # type: ignore[union-attr]
         return cls(spec=spec, results=results)
 

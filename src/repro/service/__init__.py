@@ -14,7 +14,7 @@ Layers, bottom-up:
 * :mod:`repro.service.http` — request parsing, routing, JSON and
   event-stream responses over ``asyncio`` streams (no new dependencies).
 * :mod:`repro.service.protocol` — the JSON wire shapes: request bodies into
-  validated :class:`~repro.core.experiment.SweepSpec` / run descriptions,
+  validated :class:`~repro.core.experiment.SweepSpec` grids (a run is a one-cell grid),
   results and progress events back out.
 * :mod:`repro.service.scheduler` — :class:`CellScheduler`, the single-flight
   store-first cell executor.
@@ -25,7 +25,6 @@ Layers, bottom-up:
 from repro.service.http import HttpError, Request, Response, Router
 from repro.service.protocol import (
     ProtocolError,
-    RunRequest,
     parse_run_request,
     parse_sweep_request,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "Request",
     "Response",
     "Router",
-    "RunRequest",
     "SweepJob",
     "parse_run_request",
     "parse_sweep_request",

@@ -1,9 +1,11 @@
 """The single-flight cell scheduler behind the sweep service.
 
-Every request the service receives decomposes into *cells* — (program,
-scale, latency, machine) points with a content-addressed identity
-(:func:`~repro.store.cell_key`).  The scheduler is the one place a cell
-becomes a result, and it enforces the three service invariants:
+Every request the service receives is planned into *cells* by
+:func:`~repro.core.experiment.plan_sweep`: one
+:class:`~repro.core.experiment.PlannedCell` per (program, scale, latency,
+machine) point, carrying its content-addressed key
+(:func:`~repro.store.cell_key`).  The scheduler is the one place such a
+cell becomes a result, and it enforces the three service invariants:
 
 * **store hits never touch the worker path.**  A cell already in the
   :class:`~repro.store.ResultStore` is answered synchronously on the event
@@ -21,7 +23,7 @@ becomes a result, and it enforces the three service invariants:
   (``loop.call_soon``), so a lone cold cell dispatches at once while a
   sweep submission — which registers its whole grid in one turn — still
   lands together.  The queue is grouped by (program, scale) so each batch
-  shares one trace, and each group goes to
+  shares one trace, and each group's cells go as they are to
   :meth:`~repro.core.experiment.Runner.run_batch` on a thread-pool executor
   — in-process simulation for one job, the runner's multiprocessing pool
   when the service was started with more.
@@ -37,26 +39,14 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import RunConfig
-from repro.core.experiment import CellTask, Runner, estimate_cell_cost
-from repro.core.registry import SpecArchitecture
+from repro.core.experiment import PlannedCell, Runner, estimate_cell_cost
 from repro.core.result import RunResult
-from repro.store import ResultStore, cell_key
+from repro.store import ResultStore
 
-
-@dataclass
-class _PendingCell:
-    """One cold cell waiting for the next flush."""
-
-    program: str
-    scale: float
-    latency: int
-    simulator: SpecArchitecture
-    key: str
-    future: "asyncio.Future[RunResult]"
+#: One cold cell waiting for the next flush, with the future its waiters share.
+_Pending = Tuple[PlannedCell, "asyncio.Future[RunResult]"]
 
 
 class CellScheduler:
@@ -81,14 +71,14 @@ class CellScheduler:
     ) -> None:
         self.store = store
         self.runner = runner if runner is not None else Runner(jobs=jobs, store=store)
-        # Executor threads mostly sleep in pool.apply / file writes; one per
+        # Executor threads mostly wait on the pool / file writes; one per
         # job plus one keeps the pool busy without unbounded thread growth.
         self._executor = ThreadPoolExecutor(
             max_workers=max(2, self.runner.effective_jobs + 1),
             thread_name_prefix="repro-batch",
         )
         self._inflight: Dict[str, asyncio.Future] = {}
-        self._pending: List[_PendingCell] = []
+        self._pending: List[_Pending] = []
         self._flush_handle: Optional[asyncio.Handle] = None
         self._batch_tasks: "set[asyncio.Task]" = set()
         self._closed = False
@@ -101,15 +91,10 @@ class CellScheduler:
 
     # -- the public entry point --------------------------------------------------------
 
-    async def run_cell(
-        self,
-        program: str,
-        latency: int,
-        simulator: SpecArchitecture,
-        scale: float = 1.0,
-    ) -> RunResult:
-        """One cell's result: from the store, a shared in-flight simulation,
-        or a freshly dispatched batch — in that order of preference.
+    async def run_cell(self, cell: PlannedCell) -> RunResult:
+        """One planned cell's result: from the store, a shared in-flight
+        simulation, or a freshly dispatched batch — in that order of
+        preference.  ``cell.key`` is its identity for all three.
 
         Everything from the in-flight check to future registration runs
         synchronously on the event loop, so two coroutines can never both
@@ -118,7 +103,7 @@ class CellScheduler:
         if self._closed:
             raise RuntimeError("scheduler is closed")
         self.cells_requested += 1
-        key = cell_key(program, scale, latency, simulator, RunConfig(latency=latency))
+        key = cell.key
         shared = self._inflight.get(key)
         if shared is not None:
             self.inflight_joins += 1
@@ -133,9 +118,7 @@ class CellScheduler:
         future: "asyncio.Future[RunResult]" = loop.create_future()
         self._inflight[key] = future
         future.add_done_callback(lambda _done, _key=key: self._inflight.pop(_key, None))
-        self._pending.append(
-            _PendingCell(program, scale, latency, simulator, key, future)
-        )
+        self._pending.append((cell, future))
         self._schedule_flush(loop)
         return await asyncio.shield(future)
 
@@ -157,43 +140,36 @@ class CellScheduler:
         pending, self._pending = self._pending, []
         if not pending:
             return
-        groups: Dict[Tuple[str, float], List[_PendingCell]] = {}
-        for cell in pending:
-            groups.setdefault((cell.program, cell.scale), []).append(cell)
+        groups: Dict[Tuple[str, float], List[_Pending]] = {}
+        for cell, future in pending:
+            groups.setdefault((cell.program, cell.scale), []).append((cell, future))
         ordered = sorted(
             groups.items(),
             key=lambda item: -len(item[1]) * estimate_cell_cost(*item[0]),
         )
-        for (program, scale), cells in ordered:
-            task = asyncio.ensure_future(self._run_batch(program, scale, cells))
+        for _group, entries in ordered:
+            task = asyncio.ensure_future(self._run_batch(entries))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
-    async def _run_batch(
-        self,
-        program: str,
-        scale: float,
-        cells: Sequence[_PendingCell],
-    ) -> None:
+    async def _run_batch(self, entries: Sequence[_Pending]) -> None:
         """Simulate one per-program batch off-loop and resolve its futures."""
         loop = asyncio.get_running_loop()
-        tasks: List[CellTask] = [(cell.latency, cell.simulator, cell.key) for cell in cells]
+        cells = [cell for cell, _future in entries]
         self.batches_dispatched += 1
         try:
-            results = await loop.run_in_executor(
-                self._executor, self.runner.run_batch, program, scale, tasks
-            )
+            results = await loop.run_in_executor(self._executor, self.runner.run_batch, cells)
         except Exception as exc:
-            for cell in cells:
-                if not cell.future.done():
-                    cell.future.set_exception(exc)
+            for _cell, future in entries:
+                if not future.done():
+                    future.set_exception(exc)
             return
         self.simulated += len(results)
-        for cell, result in zip(cells, results):
-            if not cell.future.done():
-                cell.future.set_result(result)
+        for (_cell, future), result in zip(entries, results):
+            if not future.done():
+                future.set_result(result)
         if self.store is not None:
-            self.store.update_index(results, scale)
+            self.store.update_index(results, cells[0].scale)
 
     # -- introspection and lifecycle ---------------------------------------------------
 
@@ -231,9 +207,9 @@ class CellScheduler:
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        for cell in self._pending:
-            if not cell.future.done():
-                cell.future.set_exception(RuntimeError("scheduler closed"))
+        for _cell, future in self._pending:
+            if not future.done():
+                future.set_exception(RuntimeError("scheduler closed"))
         self._pending = []
         self._executor.shutdown(wait=False)
         self.runner.close()

@@ -23,11 +23,13 @@ GET       ``/v1/healthz``         liveness + uptime
 GET       ``/v1/stats``           the ``repro cache stats --json`` payload + service counters
 ========  ======================  =================================================
 
-Sweeps execute as *background tasks*: submission validates the whole grid
-(unknown programs, bad architectures, duplicate cells → ``400`` immediately),
-then every cell is fanned out to the scheduler concurrently.  Clients watch
-via polling or the event stream; a client disconnecting mid-stream
-disconnects the *stream*, never the sweep.
+Sweeps execute as *background tasks*: submission plans the whole grid with
+:func:`~repro.core.experiment.plan_sweep` (unknown programs, bad
+architectures, duplicate cells → ``400`` immediately), then every planned
+cell is awaited through the scheduler concurrently.  A run is planned the
+same way, as a one-cell sweep.  Clients watch via polling or the event
+stream; a client disconnecting mid-stream disconnects the *stream*, never
+the sweep.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ from typing import AsyncIterator, Dict, List, Optional, Union
 from repro import __version__
 from repro.core.experiment import (
     CellProgress,
+    PlannedCell,
     SweepResult,
     SweepSpec,
     _ProgressTracker,
-    resolve_sweep_machines,
+    plan_sweep,
 )
-from repro.core.registry import SpecArchitecture, resolve_architecture
 from repro.core.result import RunResult
 from repro.service.http import (
     EventStream,
@@ -67,7 +69,6 @@ from repro.service.protocol import (
 )
 from repro.service.scheduler import CellScheduler
 from repro.store import ResultStore
-from repro.workloads.perfect_club import load_program
 
 
 class SweepJob:
@@ -89,8 +90,6 @@ class SweepJob:
         self.finished_unix: Optional[float] = None
         self.events: List[Dict[str, object]] = []
         self.result: Optional[SweepResult] = None
-        self.cached_count = 0
-        self.simulated_count = 0
         self.task: Optional[asyncio.Task] = None
         self._wakeup: asyncio.Event = asyncio.Event()
 
@@ -102,14 +101,20 @@ class SweepJob:
     def done(self) -> int:
         return len(self.events)
 
+    @property
+    def cached_count(self) -> int:
+        return self.events[-1]["cached"] if self.events else 0  # type: ignore[return-value]
+
+    @property
+    def simulated_count(self) -> int:
+        return self.events[-1]["simulated"] if self.events else 0  # type: ignore[return-value]
+
     def _notify(self) -> None:
         wakeup, self._wakeup = self._wakeup, asyncio.Event()
         wakeup.set()
 
     def record(self, event: CellProgress) -> None:
         """Append one cell's progress event and wake every stream."""
-        self.cached_count = event.cached
-        self.simulated_count = event.simulated
         self.events.append(progress_payload(event))
         self._notify()
 
@@ -221,20 +226,17 @@ class ReproService:
         return json_response(payload)
 
     async def _handle_run(self, request: Request) -> Response:
-        run = parse_run_request(request.json())
-        load_program(run.program)  # unknown program → clean 400
-        simulator: SpecArchitecture = resolve_architecture(run.architecture)
-        result: RunResult = await self.scheduler.run_cell(
-            run.program, run.latency, simulator, scale=run.scale
-        )
+        # Planning is the Runner's own validation: unknown program → 400.
+        [cell] = plan_sweep(parse_run_request(request.json()), None)
+        result: RunResult = await self.scheduler.run_cell(cell)
         return json_response(result_payload(result))
 
     async def _handle_submit_sweep(self, request: Request) -> Response:
         spec = parse_sweep_request(request.json())
-        machines = resolve_sweep_machines(spec)  # the Runner's own validation
+        cells = plan_sweep(spec, None)  # the Runner's own validation
         job = SweepJob(f"sw-{next(self._ids):05d}-{secrets.token_hex(4)}", spec)
         self.sweeps[job.id] = job
-        job.task = asyncio.ensure_future(self._run_sweep(job, machines))
+        job.task = asyncio.ensure_future(self._run_sweep(job, cells))
         return json_response(
             {
                 "sweep": job.id,
@@ -282,34 +284,26 @@ class ReproService:
 
     # -- sweep execution ---------------------------------------------------------------
 
-    async def _run_sweep(self, job: SweepJob, machines: List[SpecArchitecture]) -> None:
-        """Fan the grid out to the scheduler; collect results in grid order.
+    async def _run_sweep(self, job: SweepJob, cells: List[PlannedCell]) -> None:
+        """Await every planned cell through the scheduler, in grid order.
 
-        This is the service-side analogue of ``Runner.run``: same grid
-        order, same progress semantics (via ``_ProgressTracker``), but every
+        This is the service-side analogue of ``Runner.run``: the same plan,
+        the same progress semantics (via ``_ProgressTracker``), but every
         cell is a concurrent awaitable, so store hits resolve immediately,
         duplicates join in-flight simulations from other sweeps, and cold
         cells coalesce into the scheduler's batches.
         """
-        spec = job.spec
-        tracker = _ProgressTracker(job.record, len(spec))
+        tracker = _ProgressTracker(job.record, len(cells))
 
-        async def _cell(program: str, latency: int, simulator: SpecArchitecture) -> RunResult:
-            result = await self.scheduler.run_cell(
-                program, latency, simulator, scale=spec.scale
-            )
+        async def _cell(cell: PlannedCell) -> RunResult:
+            result = await self.scheduler.run_cell(cell)
             tracker.report(result)
             return result
 
-        tasks = [
-            asyncio.ensure_future(_cell(program, latency, simulator))
-            for program in spec.programs
-            for latency in spec.latencies
-            for simulator in machines
-        ]
+        tasks = [asyncio.ensure_future(_cell(cell)) for cell in cells]
         try:
             results = await asyncio.gather(*tasks)
-            job.finish(SweepResult(spec=spec, results=list(results)))
+            job.finish(SweepResult(spec=job.spec, results=list(results)))
         except BaseException as exc:
             for task in tasks:
                 task.cancel()

@@ -8,12 +8,13 @@ import pytest
 from repro.common.errors import ConfigurationError, WorkloadError
 from repro.core import Runner, SweepSpec, run_sweep
 from repro.core.experiment import (
-    _WORKER_CACHE,
     SweepResult,
+    TraceCache,
     _run_program_cells,
     estimate_cell_cost,
     plan_sweep,
 )
+from repro.store import ResultStore
 from repro.workloads.perfect_club import load_program, program_names
 
 SPEC = SweepSpec(
@@ -157,6 +158,87 @@ class TestRunner:
             Runner(jobs=0)
 
 
+def _stored_objects(store):
+    """Every object in ``store`` by key, without its write time."""
+    objects = {}
+    for entry in store.entries():
+        payload = json.loads(store.object_path(entry.key).read_text())
+        del payload["meta"]["created_unix"]
+        objects[entry.key] = payload
+    return objects
+
+
+class TestOneExecutor:
+    """``Runner.run`` and ``Runner.run_batch`` share one executor."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_batch_matches_run_and_writes_the_same_objects(self, tmp_path, two_cpus, jobs):
+        spec = SweepSpec(programs=("trfd",), latencies=(1, 50), scale=0.2)
+        swept_store = ResultStore(tmp_path / "run")
+        swept = Runner(jobs=1, store=swept_store).run(spec)
+        batch_store = ResultStore(tmp_path / "batch")
+        with Runner(jobs=jobs, store=batch_store) as runner:
+            results = runner.run_batch(plan_sweep(spec, None))
+            assert (runner._pool is not None) == (jobs == 2)
+        assert results == swept.results
+        assert len(results) == len(spec)
+        assert _stored_objects(batch_store) == _stored_objects(swept_store)
+
+    def test_an_empty_batch_returns_nothing_and_starts_no_pool(self, two_cpus):
+        with Runner(jobs=2) as runner:
+            assert runner.run_batch([]) == []
+            assert runner._pool is None
+
+
+def _half_warm_store(path):
+    """A store holding SPEC's DYFESM cells, the first half of its grid."""
+    store = ResultStore(path)
+    Runner(jobs=1, store=store).run(
+        SweepSpec(programs=("dyfesm",), latencies=SPEC.latencies, scale=SPEC.scale)
+    )
+    return store
+
+
+def _check_progress_totals(events):
+    assert [event.done for event in events] == list(range(1, len(SPEC) + 1))
+    assert all(event.total == len(SPEC) for event in events)
+    assert all(event.cached + event.simulated == event.done for event in events)
+    # Hits are reported first, before any cell is simulated.
+    assert [event.from_store for event in events] == [True] * 4 + [False] * 4
+    assert (events[-1].cached, events[-1].simulated) == (4, 4)
+
+
+class TestProgress:
+    """The ``CellProgress`` contract, which per-cell timings are read from."""
+
+    GRID = [(c.program, c.latency, c.simulator.name) for c in plan_sweep(SPEC, None)]
+    KEYS = {(c.program, c.latency, c.simulator.name): c.key for c in plan_sweep(SPEC, None)}
+
+    def test_serial_events_follow_each_store_write_in_grid_order(self, tmp_path):
+        store = _half_warm_store(tmp_path / "store")
+        events, stored = [], []
+
+        def record(event):
+            events.append(event)
+            cell = (event.program, event.latency, event.architecture)
+            stored.append(store.object_path(self.KEYS[cell]).exists())
+
+        Runner(jobs=1, store=store).run(SPEC, progress=record)
+        _check_progress_totals(events)
+        assert [(e.program, e.latency, e.architecture) for e in events] == self.GRID
+        assert all(stored)
+
+    def test_pooled_events_have_the_same_totals_and_cells(self, tmp_path, two_cpus):
+        store = _half_warm_store(tmp_path / "store")
+        events = []
+        with Runner(jobs=2, store=store) as runner:
+            runner.run(SPEC, progress=events.append)
+        _check_progress_totals(events)
+        assert sorted((e.program, e.latency, e.architecture) for e in events) == sorted(
+            self.GRID
+        )
+
+
 
 def _gc_state():
     """A pool worker's collector state: (enabled, objects frozen)."""
@@ -166,9 +248,10 @@ def _gc_state():
 class TestGarbageCollection:
     """Simulation never forces a collection and never pauses the collector."""
 
-    def test_a_pool_batch_forces_no_collection(self):
+    def test_a_pool_batch_forces_no_collection(self, monkeypatch):
+        monkeypatch.setattr("repro.core.experiment._WORKER_CACHE", TraceCache())
         spec = SweepSpec(programs=("trfd",), latencies=(1, 50), scale=0.2)
-        tasks = tuple(cell.task for cell in plan_sweep(spec, None))
+        cells = plan_sweep(spec, None)
         collections = []
 
         def record(phase, info):
@@ -179,13 +262,12 @@ class TestGarbageCollection:
         gc.disable()
         gc.callbacks.append(record)
         try:
-            results = _run_program_cells(("TRFD", 0.2, tasks, None))
+            results = _run_program_cells((cells, None))
         finally:
             gc.callbacks.remove(record)
             if was_enabled:
                 gc.enable()
-            _WORKER_CACHE.clear()
-        assert len(results) == len(tasks)
+        assert len(results) == len(cells)
         assert collections == []
 
     def test_pool_workers_keep_the_collector_on_over_a_frozen_heap(self):
@@ -223,6 +305,15 @@ class TestSweepResult:
         rebuilt = SweepResult.from_json(json.loads(json.dumps(sweep.to_json())))
         assert rebuilt.spec == sweep.spec
         assert rebuilt.results == sweep.results
+
+    def test_from_json_reads_the_spec_block_like_a_sweep_request(self):
+        payload = json.loads(json.dumps(run_sweep(SPEC).to_json()))
+        # A block without architectures takes SweepSpec's default, ref and dva.
+        del payload["spec"]["architectures"]
+        assert SweepResult.from_json(payload).spec == SPEC
+        for spec_block in (["DYFESM"], {"latencies": [1]}, {**payload["spec"], "scale": "big"}):
+            with pytest.raises(ConfigurationError):
+                SweepResult.from_json({"spec": spec_block, "results": []})
 
 
 class TestSpecMachines:

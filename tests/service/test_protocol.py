@@ -16,23 +16,26 @@ from repro.service.protocol import (
 
 class TestParseRunRequest:
     def test_minimal_request_gets_defaults(self):
-        run = parse_run_request({"program": "trfd"})
-        assert run.program == "trfd"
-        assert run.architecture == "dva"
-        assert run.latency == 1
-        assert run.scale == 1.0
+        spec = parse_run_request({"program": "trfd"})
+        assert spec == SweepSpec(programs=("trfd",), latencies=(1,), architectures=("dva",))
+        assert spec.programs == ("TRFD",)
+        assert spec.architectures == ("dva",)
+        assert spec.latencies == (1,)
+        assert spec.scale == 1.0
 
     def test_full_request(self):
-        run = parse_run_request(
+        spec = parse_run_request(
             {"program": "DYFESM", "arch": "dva@lanes=2", "latency": 50, "scale": 0.5}
         )
-        assert run.architecture == "dva@lanes=2"
-        assert run.latency == 50
-        assert run.scale == 0.5
+        assert spec.programs == ("DYFESM",)
+        assert spec.architectures == ("dva@lanes=2",)
+        assert spec.latencies == (50,)
+        assert spec.scale == 0.5
+        assert len(spec) == 1
 
     def test_architecture_is_an_accepted_alias_for_arch(self):
-        run = parse_run_request({"program": "trfd", "architecture": "ref"})
-        assert run.architecture == "ref"
+        spec = parse_run_request({"program": "trfd", "architecture": "ref"})
+        assert spec.architectures == ("ref",)
 
     @pytest.mark.parametrize(
         "payload",
@@ -45,6 +48,8 @@ class TestParseRunRequest:
             {"program": "trfd", "latency": "fifty"},
             {"program": "trfd", "latency": 1.5},
             {"program": "trfd", "latency": True},
+            {"program": "trfd", "latency": -1},
+            {"program": "trfd", "latency": [1, 50]},
             {"program": "trfd", "scale": "big"},
             {"program": "trfd", "arch": ""},
             {"program": "trfd", "arch": "ref", "architecture": "dva"},

@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import RunConfig
+from repro.core.experiment import SweepSpec, plan_sweep
 from repro.core.registry import resolve_architecture
 from repro.core.result import RunResult
 from repro.service.scheduler import CellScheduler
@@ -33,39 +34,39 @@ class CountingRunner:
         self.effective_jobs = 1
         self.started = threading.Event()
 
-    def run_batch(self, program, scale, tasks):
+    def run_batch(self, cells):
         self.started.set()
         if self.delay:
             time.sleep(self.delay)
         if self.fail:
             raise RuntimeError("batch exploded")
         with self.lock:
-            self.batches.append((program, scale, tuple(tasks)))
-            self.simulated += len(tasks)
+            self.batches.append(tuple(cells))
+            self.simulated += len(cells)
         results = []
-        for latency, simulator, key in tasks:
+        for cell in cells:
             # Headline fields live in `detail` too, so the result survives
             # the store's JSON round trip (from_json rebuilds from detail).
             detail = {
-                "program": program,
-                "latency": latency,
-                "total_cycles": 1000 + latency,
+                "program": cell.program,
+                "latency": cell.latency,
+                "total_cycles": 1000 + cell.latency,
                 "instructions": 100,
                 "memory_traffic_bytes": 0,
                 "scalar_cache_hits": 0,
                 "scalar_cache_misses": 0,
             }
             result = RunResult(
-                architecture=simulator.name,
-                program=program,
-                latency=latency,
-                total_cycles=1000 + latency,
+                architecture=cell.simulator.name,
+                program=cell.program,
+                latency=cell.latency,
+                total_cycles=1000 + cell.latency,
                 instructions=100,
                 detail=detail,
             )
             if self.store is not None:
-                result = replace(result, store_key=key)
-                self.store.put(key, result, scale=scale)
+                result = replace(result, store_key=cell.key)
+                self.store.put(cell.key, result, scale=cell.scale)
             results.append(result)
         return results
 
@@ -83,8 +84,15 @@ def make_scheduler(store=None, **runner_kwargs):
     return CellScheduler(store=store, runner=runner), runner
 
 
+def planned(program, latency, arch):
+    """One cell as the service plans it: its own resolve, its own key."""
+    [cell] = plan_sweep(
+        SweepSpec(programs=(program,), latencies=(latency,), architectures=(arch,)), None
+    )
+    return cell
+
+
 DVA = resolve_architecture("dva")
-REF = resolve_architecture("ref")
 
 
 class TestSingleFlight:
@@ -93,7 +101,7 @@ class TestSingleFlight:
             scheduler, runner = make_scheduler(store, delay=0.02)
             try:
                 results = await asyncio.gather(
-                    *(scheduler.run_cell("TRFD", 50, DVA) for _ in range(8))
+                    *(scheduler.run_cell(planned("TRFD", 50, "dva")) for _ in range(8))
                 )
             finally:
                 scheduler.close()
@@ -113,8 +121,8 @@ class TestSingleFlight:
             scheduler, runner = make_scheduler(store, delay=0.02)
             try:
                 await asyncio.gather(
-                    scheduler.run_cell("TRFD", 50, resolve_architecture("dva@lanes=2")),
-                    scheduler.run_cell("TRFD", 50, resolve_architecture("dva@lanes=2")),
+                    scheduler.run_cell(planned("TRFD", 50, "dva@lanes=2")),
+                    scheduler.run_cell(planned("TRFD", 50, "dva@lanes=2")),
                 )
             finally:
                 scheduler.close()
@@ -128,9 +136,9 @@ class TestSingleFlight:
         async def main():
             scheduler, runner = make_scheduler(store, delay=0.05)
             try:
-                first = asyncio.ensure_future(scheduler.run_cell("TRFD", 50, DVA))
+                first = asyncio.ensure_future(scheduler.run_cell(planned("TRFD", 50, "dva")))
                 await asyncio.sleep(0)  # let it register in-flight
-                second = asyncio.ensure_future(scheduler.run_cell("TRFD", 50, DVA))
+                second = asyncio.ensure_future(scheduler.run_cell(planned("TRFD", 50, "dva")))
                 await asyncio.sleep(0.01)  # batch dispatched, simulation running
                 first.cancel()
                 result = await second
@@ -147,7 +155,7 @@ class TestSingleFlight:
         async def main():
             scheduler, _runner = make_scheduler(store)
             try:
-                await scheduler.run_cell("TRFD", 1, DVA)
+                await scheduler.run_cell(planned("TRFD", 1, "dva"))
                 return scheduler.inflight_count
             finally:
                 scheduler.close()
@@ -159,7 +167,7 @@ class TestSingleFlight:
             scheduler, _runner = make_scheduler(store, fail=True)
             try:
                 waiters = [
-                    asyncio.ensure_future(scheduler.run_cell("TRFD", 1, DVA))
+                    asyncio.ensure_future(scheduler.run_cell(planned("TRFD", 1, "dva")))
                     for _ in range(3)
                 ]
                 outcomes = await asyncio.gather(*waiters, return_exceptions=True)
@@ -177,7 +185,7 @@ class TestStoreFastPath:
         async def warm():
             scheduler, _runner = make_scheduler(store)
             try:
-                await scheduler.run_cell("TRFD", 50, DVA)
+                await scheduler.run_cell(planned("TRFD", 50, "dva"))
             finally:
                 scheduler.close()
 
@@ -186,7 +194,7 @@ class TestStoreFastPath:
         async def cold_runner_must_stay_cold():
             scheduler, runner = make_scheduler(store, fail=True)  # dispatch would raise
             try:
-                result = await scheduler.run_cell("TRFD", 50, DVA)
+                result = await scheduler.run_cell(planned("TRFD", 50, "dva"))
                 return result, runner, scheduler
             finally:
                 scheduler.close()
@@ -201,7 +209,7 @@ class TestStoreFastPath:
         async def main():
             scheduler, _runner = make_scheduler(store)
             try:
-                await scheduler.run_cell("TRFD", 50, DVA)
+                await scheduler.run_cell(planned("TRFD", 50, "dva"))
                 await scheduler.drain()
             finally:
                 scheduler.close()
@@ -220,7 +228,7 @@ class TestBatching:
         async def main():
             scheduler, runner = make_scheduler(store)
             try:
-                waiter = asyncio.ensure_future(scheduler.run_cell("TRFD", 50, DVA))
+                waiter = asyncio.ensure_future(scheduler.run_cell(planned("TRFD", 50, "dva")))
                 for _ in range(3):
                     await asyncio.sleep(0)
                 reached = runner.started.wait(timeout=5)
@@ -238,10 +246,10 @@ class TestBatching:
             scheduler, runner = make_scheduler(store, delay=0.005)
             try:
                 await asyncio.gather(
-                    scheduler.run_cell("TRFD", 1, DVA),
-                    scheduler.run_cell("TRFD", 50, DVA),
-                    scheduler.run_cell("TRFD", 1, REF),
-                    scheduler.run_cell("DYFESM", 1, DVA),
+                    scheduler.run_cell(planned("TRFD", 1, "dva")),
+                    scheduler.run_cell(planned("TRFD", 50, "dva")),
+                    scheduler.run_cell(planned("TRFD", 1, "ref")),
+                    scheduler.run_cell(planned("DYFESM", 1, "dva")),
                 )
                 return runner, scheduler
             finally:
@@ -249,7 +257,7 @@ class TestBatching:
 
         runner, scheduler = asyncio.run(main())
         assert scheduler.batches_dispatched == 2  # one per program
-        by_program = {program: tasks for program, _scale, tasks in runner.batches}
+        by_program = {batch[0].program: batch for batch in runner.batches}
         assert len(by_program["TRFD"]) == 3
         assert len(by_program["DYFESM"]) == 1
 
@@ -258,7 +266,7 @@ class TestBatching:
         # cell completes, each exactly once, with no cross-talk.
         async def sweep(scheduler, program, latencies):
             return await asyncio.gather(
-                *(scheduler.run_cell(program, latency, DVA) for latency in latencies)
+                *(scheduler.run_cell(planned(program, latency, "dva")) for latency in latencies)
             )
 
         async def main():
@@ -281,8 +289,8 @@ class TestBatching:
         async def main():
             scheduler, _runner = make_scheduler(store)
             try:
-                await scheduler.run_cell("TRFD", 1, DVA)
-                await scheduler.run_cell("TRFD", 1, DVA)
+                await scheduler.run_cell(planned("TRFD", 1, "dva"))
+                await scheduler.run_cell(planned("TRFD", 1, "dva"))
                 return scheduler.counters()
             finally:
                 scheduler.close()
@@ -301,6 +309,6 @@ class TestBatching:
             scheduler, _runner = make_scheduler(store)
             scheduler.close()
             with pytest.raises(RuntimeError):
-                await scheduler.run_cell("TRFD", 1, DVA)
+                await scheduler.run_cell(planned("TRFD", 1, "dva"))
 
         asyncio.run(main())
