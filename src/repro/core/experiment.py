@@ -870,10 +870,6 @@ class SweepResult:
         name = architecture_name.lower()
         return [result for result in self.results if result.architecture == name]
 
-    def summaries(self) -> List[Dict[str, object]]:
-        """Per-cell headline dictionaries, in grid order."""
-        return [result.summary() for result in self.results]
-
     def to_json(self) -> Dict[str, object]:
         """A dictionary that survives ``json.dumps``/``json.loads`` unchanged."""
         return {

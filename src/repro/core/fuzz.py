@@ -118,15 +118,11 @@ class FuzzCase:
     def build_trace(self):
         """The dynamic instruction trace this case simulates."""
         factory = getattr(synthetic, self.kernel)
-        kernel = factory(
-            self.elements,
-            max_vector_length=self.max_vector_length,
-            invocations=self.invocations,
-        )
+        kernel = factory(self.elements, max_vector_length=self.max_vector_length)
         model = ProgramModel(
             name=f"fuzz-{self.seed}",
             description="fuzz case",
-            schedules=(KernelSchedule(kernel, 1),),
+            schedules=(KernelSchedule(kernel, self.invocations),),
             targets=ProgramTargets(),
             prologue_scalar_instructions=8,
         )

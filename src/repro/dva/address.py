@@ -3,8 +3,8 @@
 This module models everything that sits between the address processor and
 main memory in the decoupled architecture (paper §4.2):
 
-* the pipelined memory port (a :class:`~repro.engine.MemoryFabric` port pool,
-  one unit in the paper's machine) with its shared address bus,
+* the pipelined memory port (the :class:`~repro.engine.MemoryFabric`'s port
+  units, one in the paper's machine) with its shared address bus,
 * the two-step store mechanism: store addresses wait in the VSAQ/SSAQ until
   the matching data arrives (a vector store's in the VADQ, in the slot its
   address took), after which the store is performed "behind the back" of
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.common.errors import SimulationError
-from repro.common.intervals import IntervalRecorder
 from repro.engine import (
     BUS_CYCLES_PER_ELEMENT,
     MemoryFabric,
@@ -48,7 +47,6 @@ from repro.engine import (
 from repro.engine.fastforward import relative
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.memory.ranges import MemoryRange, access_range
-from repro.memory.scalar_cache import ScalarCache
 
 if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
@@ -127,30 +125,6 @@ class MemoryPipeline:
         self.bypassed_loads = 0
         self.bypassed_bytes = 0
         self.disambiguation_stalls = 0
-
-    # -- fabric views ------------------------------------------------------------------
-
-    @property
-    def cache(self) -> ScalarCache:
-        return self.fabric.cache
-
-    @property
-    def port(self) -> IntervalRecorder:
-        return self.fabric.port_recorder()
-
-    @property
-    def port_quiet(self) -> int:
-        """Cycle at which every port has finished its last reference.
-
-        Identical to the earliest free port on a single-port machine; on a
-        multi-port machine the wind-down must wait for the *slowest* port,
-        not the first free one.
-        """
-        return self.fabric.port_quiet()
-
-    @property
-    def traffic_bytes(self) -> int:
-        return self.fabric.traffic_bytes
 
     # -- store bookkeeping -------------------------------------------------------------
 
@@ -324,7 +298,7 @@ class MemoryPipeline:
         the load that is currently asking for the port, it goes first (stores
         among themselves always retire in program order).
         """
-        port_free = self.fabric.ports.free
+        port_free = self.fabric.port_free
         while self.pending_stores:
             store = self.pending_stores[0]
             if store.data_ready is None:
@@ -390,7 +364,7 @@ class MemoryPipeline:
 
     def shift(self, cycles: int) -> None:
         """Move every timestamp ``cycles`` later."""
-        self.fabric.ports.shift(cycles)
+        self.fabric.shift(cycles)
         self.bypass_free += cycles
         for name in ("vector_pops", "scalar_pops"):
             pops = getattr(self, name)
@@ -404,7 +378,7 @@ class MemoryPipeline:
 
     def drain_all(self) -> int:
         """Perform every store still sitting in the queues; return the last cycle."""
-        finish = self.port_quiet
+        finish = self.fabric.port_quiet()
         while self.pending_stores:
             finish = max(finish, self._drain_oldest())
         return finish

@@ -31,10 +31,10 @@ an older pop) always precedes its pop and the depth decides nothing.  A
 scalar store's data waits beside its SSAQ entry, so an SDQ at least as deep
 as the SSAQ is never full while the SSAQ has room.
 
-The register scoreboard and the functional-unit and port pools come from
-the shared :mod:`repro.engine` kernel; this module contributes the issue
-rules of the four processors, and runs them inline in one loop over the
-trace's columns.  The functional-unit and QMOV picks run inline on their
+The register scoreboard and the memory fabric come from the shared
+:mod:`repro.engine` kernel; this module contributes the issue rules of the
+four processors, and runs them inline in one loop over the trace's
+columns.  The functional-unit and QMOV picks run inline on their
 free lists, and the functional units' busy intervals are appended inline
 (nothing reads the QMOV units'), so a step calls out only for a memory
 reference.
@@ -81,7 +81,7 @@ from repro.dva.fetch import (
     route_instruction,
 )
 from repro.dva.result import DecoupledResult
-from repro.engine import FU_STARTUP, ResourcePool, Scoreboard, fastforward
+from repro.engine import FU_STARTUP, Scoreboard, fastforward
 from repro.isa.instruction import Instruction
 from repro.trace.columns import Trace
 
@@ -101,9 +101,6 @@ QMOV_STARTUP = 1
 #: Cycles to move a scalar value between processors through the scalar data
 #: queues.
 CROSS_PROCESSOR_DELAY = 1
-
-_FU1 = 0
-_FU2 = 1
 
 #: One routing entry per unique instruction: (primary processor code, QMOV
 #: code, instruction-queue ids receiving an entry, register id the QMOV
@@ -168,7 +165,8 @@ class DecoupledSimulator:
 
     The spec supplies lanes, memory ports, the bypass, the queue depths and
     the scalar-cache geometry; everything else is a fixed value of the
-    paper's machine.
+    paper's machine.  The simulator is the machine's state, so it runs one
+    trace.
     """
 
     def __init__(self, spec: "MachineSpec", latency: int) -> None:
@@ -179,38 +177,11 @@ class DecoupledSimulator:
         if latency < 0:
             raise ConfigurationError("memory latency cannot be negative")
         self.spec = spec
-        self.latency = latency
-
-    def run(self, trace: Trace) -> DecoupledResult:
-        state = _DecoupledState(self.spec, self.latency)
-        state.consume(trace)
-        return state.finish(trace)
-
-
-def simulate_decoupled(
-    trace: Trace,
-    latency: int,
-    spec: Optional["MachineSpec"] = None,
-) -> DecoupledResult:
-    """Convenience wrapper: simulate ``trace`` on the DVA at a given latency.
-
-    Without a spec this is the built-in ``dva`` machine (bypass on).
-    """
-    if spec is None:
-        from repro.core.machine import MachineSpec
-
-        spec = MachineSpec(family="dva")
-    return DecoupledSimulator(spec, latency).run(trace)
-
-
-class _DecoupledState:
-    """Issue rules of the four decoupled processors over the engine primitives."""
-
-    def __init__(self, spec: "MachineSpec", latency: int) -> None:
-        self.spec = spec
         self.scoreboard = Scoreboard()
         self.memory = MemoryPipeline(spec, latency)
-        self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
+        #: Next-free cycle and busy intervals of FU1 and FU2.
+        self.fu_free = [0, 0]
+        self.fu_busy = [IntervalRecorder("FU1"), IntervalRecorder("FU2")]
         #: Next-free cycle of each QMOV unit.
         self.qmov_free = [0] * QMOV_UNITS
 
@@ -241,23 +212,25 @@ class _DecoupledState:
         self.sp_count = 0
         self.vector_loads = 0
         self.vector_stores = 0
-        self.skipped_rows = 0
+        #: Rows the fast-forward skipped; ``None`` until :meth:`run`.
+        self.skipped_rows: Optional[int] = None
 
         #: The interval recorders a fast-forward repeats.
-        self.timelines = (
-            self.fus.recorders + self.memory.fabric.ports.recorders + [self.avdq_occupancy]
-        )
+        self.timelines = self.fu_busy + self.memory.fabric.port_busy + [self.avdq_occupancy]
 
-    # -- main loop ------------------------------------------------------------------------
-
-    def consume(self, trace: Trace) -> None:
-        """Fetch, execute and queue-move every traced instruction in order.
+    def run(self, trace: Trace) -> DecoupledResult:
+        """Fetch, execute and queue-move every traced instruction; return the result.
 
         :func:`repro.engine.fastforward.consume` walks the trace's invocation
         marks, runs :meth:`issue` between them and skips the invocations a
         steady state makes predictable.
         """
+        if self.skipped_rows is not None:
+            raise SimulationError("a simulator runs one trace; build a new one")
         self.skipped_rows = fastforward.consume(self, trace)
+        return self.finish(trace)
+
+    # -- main loop ------------------------------------------------------------------------
 
     def issue(self, trace: Trace, first: int, stop: int) -> None:
         """Fetch, execute and queue-move rows ``[first, stop)`` in order.
@@ -278,9 +251,8 @@ class _DecoupledState:
         consumer (the VP) may start at the producer's chain start; any other
         read waits for the value to be fully written.
 
-        The unit picks follow :class:`~repro.engine.ResourcePool`: the
-        least-loaded unit, the first one winning ties, except that an
-        instruction needing FU2 always takes FU2.
+        The unit picks: the least-loaded unit, the first one winning ties,
+        except that an instruction needing FU2 always takes FU2.
         """
         instructions = trace.instructions
         routes = _routing_table(trace)
@@ -302,8 +274,8 @@ class _DecoupledState:
         vpiq_issue = self.vpiq.append
         spiq_issue = self.spiq.append
 
-        fu1_free, fu2_free = self.fus.free
-        fu1, fu2 = self.fus.recorders
+        fu1_free, fu2_free = self.fu_free
+        fu1, fu2 = self.fu_busy
         fu1_start, fu1_end = fu1.starts.append, fu1.ends.append
         fu2_start, fu2_end = fu2.starts.append, fu2.ends.append
         qmov_free = self.qmov_free
@@ -548,7 +520,7 @@ class _DecoupledState:
                 if sp_free > horizon:
                     horizon = sp_free
 
-        self.fus.free[:] = (fu1_free, fu2_free)
+        self.fu_free[:] = (fu1_free, fu2_free)
         self.fp_free = fp_free
         self.ap_free = ap_free
         self.vp_free = vp_free
@@ -587,7 +559,7 @@ class _DecoupledState:
             relative(self.vpiq, origin, fetch),
             relative(self.spiq, origin, fetch),
             relative(self.avdq, origin, address),
-            tuple(free - origin for free in self.fus.free),
+            tuple(free - origin for free in self.fu_free),
             tuple(free - origin for free in self.qmov_free),
             self.memory.fingerprint(origin, fetch, address),
         )
@@ -606,8 +578,8 @@ class _DecoupledState:
             (memory, "bypassed_bytes"),
             (memory, "disambiguation_stalls"),
             (memory.fabric, "traffic_bytes"),
-            (memory.cache, "hits"),
-            (memory.cache, "misses"),
+            (memory.fabric.cache, "hits"),
+            (memory.fabric.cache, "misses"),
         ]
 
     def shift(self, cycles: int) -> None:
@@ -620,22 +592,24 @@ class _DecoupledState:
         for name in ("apiq", "vpiq", "spiq", "avdq"):
             ring = getattr(self, name)
             setattr(self, name, deque([time + cycles for time in ring], ring.maxlen))
-        self.fus.shift(cycles)
+        self.fu_free[:] = [free + cycles for free in self.fu_free]
         self.qmov_free[:] = [free + cycles for free in self.qmov_free]
         self.memory.shift(cycles)
 
     # -- wind-down ------------------------------------------------------------------------------------------
 
     def finish(self, trace: Trace) -> DecoupledResult:
-        drain_end = self.memory.drain_all()
+        memory = self.memory
+        fabric = memory.fabric
+        drain_end = memory.drain_all()
         total_cycles = max(
             self.horizon,
             self.fp_free,
             self.ap_free,
             self.vp_free,
             self.sp_free,
-            self.memory.port_quiet,
-            self.memory.bypass_free,
+            fabric.port_quiet(),
+            memory.bypass_free,
             drain_end,
         )
         if not len(trace):
@@ -651,21 +625,37 @@ class _DecoupledState:
         }
         return DecoupledResult(
             program=trace.name,
-            latency=self.memory.fabric.latency,
+            latency=fabric.latency,
             total_cycles=total_cycles,
             instructions=len(trace),
             bypass_enabled=self.spec.bypass,
-            fu1_busy=self.fus.recorder(_FU1),
-            fu2_busy=self.fus.recorder(_FU2),
-            port_busy=self.memory.port,
+            fu1_busy=self.fu_busy[0],
+            fu2_busy=self.fu_busy[1],
+            port_busy=fabric.port_recorder(),
             avdq_occupancy=self.avdq_occupancy,
             instructions_per_processor=counts,
-            memory_traffic_bytes=self.memory.traffic_bytes,
-            bypassed_loads=self.memory.bypassed_loads,
-            bypassed_bytes=self.memory.bypassed_bytes,
-            disambiguation_stalls=self.memory.disambiguation_stalls,
+            memory_traffic_bytes=fabric.traffic_bytes,
+            bypassed_loads=memory.bypassed_loads,
+            bypassed_bytes=memory.bypassed_bytes,
+            disambiguation_stalls=memory.disambiguation_stalls,
             fetch_stall_cycles=self.fetch_stall_cycles,
-            scalar_cache_hits=self.memory.cache.hits,
-            scalar_cache_misses=self.memory.cache.misses,
+            scalar_cache_hits=fabric.cache.hits,
+            scalar_cache_misses=fabric.cache.misses,
             skipped_rows=self.skipped_rows,
         )
+
+
+def simulate_decoupled(
+    trace: Trace,
+    latency: int,
+    spec: Optional["MachineSpec"] = None,
+) -> DecoupledResult:
+    """Convenience wrapper: simulate ``trace`` on the DVA at a given latency.
+
+    Without a spec this is the built-in ``dva`` machine (bypass on).
+    """
+    if spec is None:
+        from repro.core.machine import MachineSpec
+
+        spec = MachineSpec(family="dva")
+    return DecoupledSimulator(spec, latency).run(trace)

@@ -8,11 +8,12 @@ ports.  This package is that machinery as one tested kernel:
 * :class:`Scoreboard` — register ready/chain-start/owner lists indexed by
   :attr:`~repro.isa.registers.Register.id`; each simulator's issue loop
   applies its own read rule to them inline.
-* :class:`ResourcePool` — *k* interchangeable units, each a free-time +
-  :class:`~repro.common.intervals.IntervalRecorder` pair, with the seed's
-  least-loaded/first-wins selection rule; :func:`occupancy_cycles` converts
-  vector lengths to busy cycles for multi-lane units.
-* :class:`MemoryFabric` — the memory-port pool, the scalar cache in front of
+* functional units and memory ports as plain lists — one next-free cycle
+  per unit beside one :class:`~repro.common.intervals.IntervalRecorder` per
+  unit — that each issue loop picks from inline: the least-loaded unit, the
+  first one winning ties; :func:`occupancy_cycles` converts vector lengths
+  to busy cycles for multi-lane units.
+* :class:`MemoryFabric` — the memory ports, the scalar cache in front of
   it, and traffic accounting, wired once for both machines, plus the fixed
   bus and cache-hit timing of the paper's memory system
   (:func:`vector_bus_cycles` is the one bus-occupancy rule).
@@ -28,9 +29,10 @@ ports.  This package is that machinery as one tested kernel:
 
 Everything works in one-pass timestamp arithmetic: simulators process the
 trace once in program order and never step individual cycles.  The issue
-rules themselves live in each machine's ``consume`` loop, which keeps its
-completion horizon and stall counters as plain attributes.  Both simulators
-read their machine straight off a :class:`~repro.core.machine.MachineSpec`:
+rules themselves live in each simulator's ``issue`` loop; the simulator
+keeps its unit free lists, completion horizon and stall counters as plain
+attributes.  Both simulators read their machine straight off a
+:class:`~repro.core.machine.MachineSpec`:
 a new variant (more lanes, more ports, different queueing) is a spec value
 over these primitives rather than a new 400-line simulator.  What no spec
 field covers is a named module constant of the paper's machine; editing
@@ -54,7 +56,7 @@ from repro.engine.memory import (
     MemoryFabric,
     vector_bus_cycles,
 )
-from repro.engine.resources import FU_STARTUP, ResourcePool, occupancy_cycles
+from repro.engine.resources import FU_STARTUP, occupancy_cycles
 from repro.engine.scoreboard import Scoreboard
 
 __all__ = [
@@ -63,7 +65,6 @@ __all__ = [
     "FU_STARTUP",
     "TIMING_MODEL_VERSION",
     "MemoryFabric",
-    "ResourcePool",
     "Scoreboard",
     "occupancy_cycles",
     "vector_bus_cycles",

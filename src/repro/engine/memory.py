@@ -1,7 +1,7 @@
 """The engine-level memory interface.
 
 Everything a simulated machine's issue rules need from the memory system sits
-behind :class:`MemoryFabric`: the (possibly multi-unit) memory-port pool, the
+behind :class:`MemoryFabric`: the (possibly multi-unit) memory port, the
 scalar cache that filters scalar references away from the port, and traffic
 accounting.  The reference machine and the DVA's
 :class:`~repro.dva.address.MemoryPipeline` share this one wiring.
@@ -18,10 +18,9 @@ editing one changes simulated cycles and so must bump
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.common.intervals import IntervalRecorder
-from repro.engine.resources import ResourcePool
 from repro.memory.scalar_cache import ScalarCache
 
 if TYPE_CHECKING:
@@ -45,20 +44,25 @@ def vector_bus_cycles(vector_length: int) -> int:
 
 
 class MemoryFabric:
-    """Port pool, scalar cache and traffic accounting for one machine.
+    """Memory ports, scalar cache and traffic accounting for one machine.
 
     The spec's ``memory_ports`` widens the memory port: every bus occupation
     picks the least-loaded port unit, so with one port the timing is a
-    single ``port_free`` integer.  The scalar cache takes the spec's
-    geometry; scalar references use the port exactly when they miss — store
-    hits are absorbed by the cache (no write-through), which is how the
-    paper can count the cache as a resource separate from the port (§5).
+    single next-free cycle.  :attr:`port_free` holds each unit's next-free
+    cycle and :attr:`port_busy` its busy intervals.  The scalar cache takes
+    the spec's geometry; scalar references use the port exactly when they
+    miss — store hits are absorbed by the cache (no write-through), which is
+    how the paper can count the cache as a resource separate from the port
+    (§5).
     """
 
     def __init__(self, spec: "MachineSpec", latency: int) -> None:
         self.latency = latency
         self.cache = ScalarCache(spec.cache_line_bytes, spec.cache_lines)
-        self.ports = ResourcePool("LD", spec.memory_ports)
+        ports = spec.memory_ports
+        names = ["LD"] if ports == 1 else [f"LD{unit}" for unit in range(ports)]
+        self.port_free: List[int] = [0] * ports
+        self.port_busy: List[IntervalRecorder] = [IntervalRecorder(name) for name in names]
         self.traffic_bytes = 0
 
     def relative(self, origin: int) -> tuple:
@@ -67,15 +71,31 @@ class MemoryFabric:
         Part of a fast-forward fingerprint.  The port pick compares the free
         times, so they must all shift; the cache must hold the same lines.
         """
-        return tuple(free - origin for free in self.ports.free), dict(self.cache.tags)
+        return tuple(free - origin for free in self.port_free), dict(self.cache.tags)
+
+    def shift(self, cycles: int) -> None:
+        """Move every port's free time ``cycles`` later."""
+        self.port_free[:] = [free + cycles for free in self.port_free]
 
     def port_quiet(self) -> int:
-        """Cycle at which every port unit has finished (wind-down accounting)."""
-        return self.ports.latest_free()
+        """Cycle at which every port unit has finished (wind-down accounting).
+
+        On a multi-port machine the wind-down must wait for the *slowest*
+        port, not the first free one.
+        """
+        return max(self.port_free)
 
     def port_recorder(self) -> IntervalRecorder:
-        """Busy intervals of the port ("any unit busy" when multi-port)."""
-        return self.ports.combined_recorder()
+        """Busy intervals of the port ("any unit busy" when multi-port).
+
+        With one port this is the port's own recorder.
+        """
+        if len(self.port_busy) == 1:
+            return self.port_busy[0]
+        combined = IntervalRecorder("LD")
+        for recorder in self.port_busy:
+            combined.extend(recorder)
+        return combined
 
     def scalar_load_ready(self, hit: bool, start: int) -> int:
         """Cycle a scalar load's value arrives, given its cache outcome and start."""
@@ -97,16 +117,15 @@ class MemoryFabric:
         The caller supplies the bus occupancy (at least one cycle) and the
         bytes moved, both derived from trace columns; the fabric picks the
         least-loaded port unit (the first one winning ties) and accounts the
-        traffic.  The pick runs inline on the pool's free list and the unit
-        recorder's interval lists, as the issue loops do.
+        traffic.  A unit can be taken again on the cycle it frees.
         """
-        free = self.ports.free
+        free = self.port_free
         unit = free.index(min(free))
         start = free[unit]
         if earliest > start:
             start = earliest
         end = free[unit] = start + cycles
-        recorder = self.ports.recorders[unit]
+        recorder = self.port_busy[unit]
         recorder.starts.append(start)
         recorder.ends.append(end)
         self.traffic_bytes += traffic

@@ -30,13 +30,6 @@ class MemoryRange:
                 f"memory range end ({self.end}) precedes start ({self.start})"
             )
 
-    @property
-    def size(self) -> int:
-        """Number of bytes covered (meaningless for the full range)."""
-        if self.full:
-            raise SimulationError("the full-memory range has no finite size")
-        return self.end - self.start
-
     def overlaps(self, other: "MemoryRange") -> bool:
         """True when the two ranges share at least one byte."""
         if self.full or other.full:
@@ -45,12 +38,6 @@ class MemoryRange:
             # makes for scatters and gathers.
             return True
         return self.start < other.end and other.start < self.end
-
-    def contains(self, address: int) -> bool:
-        """True when ``address`` falls inside the range."""
-        if self.full:
-            return True
-        return self.start <= address < self.end
 
     def __str__(self) -> str:
         if self.full:
@@ -67,20 +54,17 @@ def access_range(
     vector_length: int,
     stride_elements: int,
     *,
-    is_scalar: bool = False,
     indexed: bool = False,
 ) -> MemoryRange:
     """The memory range of one access, from its scalar description.
 
     The simulators read base/length/stride straight off trace columns.
-    Scalar references cover one element; strided vector references follow the
-    paper's formula; indexed references (gathers/scatters) return
-    :data:`FULL_RANGE`.
+    Strided vector references follow the paper's formula (a one-element
+    reference covers one element); indexed references (gathers/scatters)
+    return :data:`FULL_RANGE`.
     """
     if indexed:
         return FULL_RANGE
-    if is_scalar:
-        return MemoryRange(base, base + ELEMENT_SIZE_BYTES)
     if vector_length == 0:
         # A zero-length vector reference touches no memory at all.
         return MemoryRange(base, base)

@@ -60,12 +60,6 @@ class ScalarCache:
             return 0.0
         return self.hits / self.accesses
 
-    def reset(self) -> None:
-        """Invalidate all lines and clear statistics."""
-        self.tags.clear()
-        self.hits = 0
-        self.misses = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ScalarCache(lines={self.lines}, line_bytes={self.line_bytes}, "

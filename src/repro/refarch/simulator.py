@@ -11,10 +11,10 @@ started executing.  An instruction starts executing when
 * and its execution resource is free (FU1/FU2 for vector arithmetic, the
   memory port for vector memory and scalar-cache misses).
 
-The register scoreboard and the functional-unit and memory-port pools come
-from the shared :mod:`repro.engine` kernel; this module contributes the
-issue rules of the reference machine, run inline in one loop over the
-trace's columns.  Per dynamic instruction the loop reads the static
+The register scoreboard and the memory fabric come from the shared
+:mod:`repro.engine` kernel; this module contributes the issue rules of the
+reference machine, run inline in one loop over the trace's columns.  Per
+dynamic instruction the loop reads the static
 :class:`~repro.isa.instruction.Instruction` in the trace's table — whose
 facts, operands included as integer register ids indexing the scoreboard
 lists, were derived when it was built — plus the vector-length and address
@@ -31,15 +31,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.intervals import IntervalRecorder
 from repro.engine import (
     BUS_CYCLES_PER_ELEMENT,
     FU_STARTUP,
     MemoryFabric,
-    ResourcePool,
     Scoreboard,
     fastforward,
-    occupancy_cycles,
     vector_bus_cycles,
 )
 from repro.isa.instruction import KIND_SCALAR_MEMORY, KIND_VECTOR_COMPUTE, KIND_VECTOR_MEMORY
@@ -50,15 +49,13 @@ from repro.trace.columns import Trace
 if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
 
-_FU1 = 0
-_FU2 = 1
-
 
 class ReferenceSimulator:
     """Simulates one trace on a ``ref``-family machine at one memory latency.
 
     The spec supplies lanes, memory ports, load chaining and the scalar-cache
-    geometry; everything else is a fixed value of the paper's machine.
+    geometry; everything else is a fixed value of the paper's machine.  The
+    simulator is the machine's state, so it runs one trace.
     """
 
     def __init__(self, spec: "MachineSpec", latency: int) -> None:
@@ -69,41 +66,11 @@ class ReferenceSimulator:
         if latency < 0:
             raise ConfigurationError("memory latency cannot be negative")
         self.spec = spec
-        self.latency = latency
-
-    # -- public API ----------------------------------------------------------------
-
-    def run(self, trace: Trace) -> ReferenceResult:
-        """Simulate ``trace`` and return the measured result."""
-        state = _SimulationState(self.spec, self.latency)
-        state.consume(trace)
-        return state.finish(trace)
-
-
-def simulate_reference(
-    trace: Trace,
-    latency: int,
-    spec: Optional["MachineSpec"] = None,
-) -> ReferenceResult:
-    """Convenience wrapper: simulate ``trace`` at the given memory latency.
-
-    Without a spec this is the built-in ``ref`` machine.
-    """
-    if spec is None:
-        from repro.core.machine import MachineSpec
-
-        spec = MachineSpec(family="ref")
-    return ReferenceSimulator(spec, latency).run(trace)
-
-
-class _SimulationState:
-    """Issue rules of the reference machine over the engine primitives."""
-
-    def __init__(self, spec: "MachineSpec", latency: int) -> None:
-        self.spec = spec
         self.scoreboard = Scoreboard()
-        self.fus = ResourcePool("FU", count=2, unit_names=("FU1", "FU2"))
         self.fabric = MemoryFabric(spec, latency)
+        #: Next-free cycle and busy intervals of FU1 and FU2.
+        self.fu_free = [0, 0]
+        self.fu_busy = [IntervalRecorder("FU1"), IntervalRecorder("FU2")]
 
         # The latest completion any issued instruction has reached.
         self.horizon = 0
@@ -117,21 +84,25 @@ class _SimulationState:
         self.vector_memory_cycles = 0
         self.scalar_memory_cycles = 0
         self.first_charged: List[str] = []
-        self.skipped_rows = 0
+        #: Rows the fast-forward skipped; ``None`` until :meth:`run`.
+        self.skipped_rows: Optional[int] = None
 
         #: The interval recorders a fast-forward repeats.
-        self.timelines = self.fus.recorders + self.fabric.ports.recorders
+        self.timelines = self.fu_busy + self.fabric.port_busy
 
-    # -- main issue loop ---------------------------------------------------------------
-
-    def consume(self, trace: Trace) -> None:
-        """Issue every dynamic instruction of the trace, in program order.
+    def run(self, trace: Trace) -> ReferenceResult:
+        """Issue every dynamic instruction of ``trace``; return the result.
 
         :func:`repro.engine.fastforward.consume` walks the trace's invocation
         marks, runs :meth:`issue` between them and skips the invocations a
         steady state makes predictable.
         """
+        if self.skipped_rows is not None:
+            raise SimulationError("a simulator runs one trace; build a new one")
         self.skipped_rows = fastforward.consume(self, trace)
+        return self.finish(trace)
+
+    # -- main issue loop ---------------------------------------------------------------
 
     def issue(self, trace: Trace, first: int, stop: int) -> None:
         """Issue rows ``[first, stop)`` of the trace, in program order.
@@ -140,12 +111,14 @@ class _SimulationState:
         from the trace's :class:`~repro.isa.instruction.Instruction` table,
         the dynamic facts (VL, base address) from integer column reads.  The
         issue rules of every instruction class run inline on locals — the
-        scoreboard lists, the dispatch pointer, the horizon, the stall and
-        category counters — which are written back at the end of the range.
+        scoreboard lists, the functional-unit free times and busy-interval
+        lists, the dispatch pointer, the horizon, the stall and category
+        counters — which are written back at the end of the range.
 
         The scoreboard read rule: a chaining consumer may start at the
         producer's chain start when it has one; any other read waits for the
-        value to be fully written.
+        value to be fully written.  The unit pick: an instruction needing FU2
+        takes FU2; any other takes the least-loaded unit, FU1 winning ties.
         """
         instructions = trace.instructions
         insn = trace.insn
@@ -160,7 +133,10 @@ class _SimulationState:
         occupy_bus = fabric.occupy_bus
         load_ready = fabric.vector_load_ready
         bus_cycles_of = vector_bus_cycles
-        acquire_fu = self.fus.acquire
+        fu1_free, fu2_free = self.fu_free
+        fu1, fu2 = self.fu_busy
+        fu1_start, fu1_end = fu1.starts.append, fu1.ends.append
+        fu2_start, fu2_end = fu2.starts.append, fu2.ends.append
         scoreboard = self.scoreboard
         ready_at = scoreboard.ready
         chain_at = scoreboard.chain_start
@@ -194,10 +170,19 @@ class _SimulationState:
             kind = instruction.kind
             if kind == KIND_VECTOR_COMPUTE:
                 vector_instructions += 1
-                busy = occupancy_cycles(lengths[index], lanes)
-                issue_time, _unit = acquire_fu(
-                    earliest, busy, _FU2 if instruction.requires_fu2 else None
-                )
+                # occupancy_cycles(VL, lanes), inlined.
+                busy = lengths[index]
+                busy = -(-busy // lanes) if busy > 1 else 1
+                if instruction.requires_fu2 or fu2_free < fu1_free:
+                    issue_time = fu2_free if fu2_free > earliest else earliest
+                    fu2_free = issue_time + busy
+                    fu2_start(issue_time)
+                    fu2_end(fu2_free)
+                else:
+                    issue_time = fu1_free if fu1_free > earliest else earliest
+                    fu1_free = issue_time + busy
+                    fu1_start(issue_time)
+                    fu1_end(fu1_free)
                 dispatch_stall += issue_time - dispatch_free
                 dispatch_free = issue_time + 1
                 first_element = issue_time + FU_STARTUP
@@ -267,6 +252,7 @@ class _SimulationState:
             if completion > horizon:
                 horizon = completion
 
+        self.fu_free[:] = (fu1_free, fu2_free)
         self.dispatch_free = dispatch_free
         self.horizon = horizon
         self.dispatch_stall_cycles += dispatch_stall
@@ -290,7 +276,7 @@ class _SimulationState:
         return (
             dispatch - origin,
             self.scoreboard.relative(origin, dispatch),
-            tuple(free - origin for free in self.fus.free),
+            tuple(free - origin for free in self.fu_free),
             self.fabric.relative(origin),
         )
 
@@ -312,8 +298,8 @@ class _SimulationState:
         self.horizon += cycles
         self.dispatch_free += cycles
         self.scoreboard.shift(cycles)
-        self.fus.shift(cycles)
-        self.fabric.ports.shift(cycles)
+        self.fu_free[:] = [free + cycles for free in self.fu_free]
+        self.fabric.shift(cycles)
 
     # -- wind-down -------------------------------------------------------------------------
 
@@ -332,8 +318,8 @@ class _SimulationState:
             instructions=len(trace),
             vector_instructions=self.vector_instructions,
             scalar_instructions=len(trace) - self.vector_instructions,
-            fu1_busy=self.fus.recorder(_FU1),
-            fu2_busy=self.fus.recorder(_FU2),
+            fu1_busy=self.fu_busy[0],
+            fu2_busy=self.fu_busy[1],
             port_busy=self.fabric.port_recorder(),
             memory_traffic_bytes=self.fabric.traffic_bytes,
             scalar_cache_hits=self.fabric.cache.hits,
@@ -342,3 +328,19 @@ class _SimulationState:
             category_cycles={category: totals[category] for category in self.first_charged},
             skipped_rows=self.skipped_rows,
         )
+
+
+def simulate_reference(
+    trace: Trace,
+    latency: int,
+    spec: Optional["MachineSpec"] = None,
+) -> ReferenceResult:
+    """Convenience wrapper: simulate ``trace`` at the given memory latency.
+
+    Without a spec this is the built-in ``ref`` machine.
+    """
+    if spec is None:
+        from repro.core.machine import MachineSpec
+
+        spec = MachineSpec(family="ref")
+    return ReferenceSimulator(spec, latency).run(trace)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.core.result import RunResult
 
 #: Version of the on-disk layout.  Entries are stored under ``v<N>/``; a
@@ -187,12 +187,12 @@ class ResultStore:
         """Load the result stored under ``key``, or ``None`` on a miss.
 
         The returned result is marked ``cached=True`` and carries ``key`` as
-        its ``store_key``.  Unreadable entries (torn files, foreign formats)
-        count as misses.
+        its ``store_key``.  Unreadable entries (torn files, foreign formats,
+        results that do not parse) count as misses.
         """
         try:
             result = RunResult.from_json(self._load(key)["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, ReproError):
             self.misses += 1
             return None
         self.hits += 1

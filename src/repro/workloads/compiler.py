@@ -21,7 +21,7 @@ The output has two halves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import WorkloadError
 from repro.isa.builder import InstructionBuilder
@@ -83,8 +83,8 @@ class CompiledKernel:
             builder.append_block(self.block_for_length(strip_length), offsets)
             elements_done += strip_length
 
-    def emit_program(self, builder: TraceBuilder, invocations: Optional[int] = None) -> None:
-        """Replay ``invocations`` invocations (default: the kernel's own count).
+    def emit_program(self, builder: TraceBuilder, invocations: int) -> None:
+        """Replay ``invocations`` invocations of the kernel.
 
         Every invocation replays the same blocks at the same offsets, so once
         one leaves the builder's vector-length register as it found it, the
@@ -92,12 +92,11 @@ class CompiledKernel:
         them without emitting them.  The stream is the one a loop of
         :meth:`emit_invocation` produces.
         """
-        count = invocations if invocations is not None else self.kernel.invocations
-        for emitted in range(1, count + 1):
+        for emitted in range(1, invocations + 1):
             entry = builder.vector_length
             self.emit_invocation(builder)
             if builder.vector_length == entry:
-                builder.repeat_invocation(count - emitted)
+                builder.repeat_invocation(invocations - emitted)
                 return
 
     def _stream_offsets(self, elements_done: int) -> Dict[str, int]:

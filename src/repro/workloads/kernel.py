@@ -86,8 +86,6 @@ class LoopKernel:
             lockstep (paper §5).
         uses_scalar_operand: when ``True`` each iteration broadcasts a scalar
             produced by the scalar processor into a vector register.
-        invocations: how many times the whole loop nest is entered per program
-            run (before scaling).
     """
 
     name: str
@@ -108,7 +106,6 @@ class LoopKernel:
     reduction: bool = False
     reduction_carried: bool = False
     uses_scalar_operand: bool = False
-    invocations: int = 1
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -120,8 +117,6 @@ class LoopKernel:
                 f"kernel {self.name!r}: max vector length must be in "
                 f"[1, {VECTOR_REGISTER_LENGTH}]"
             )
-        if self.invocations <= 0:
-            raise WorkloadError(f"kernel {self.name!r}: invocations must be positive")
         if self.reduction_carried and not self.reduction:
             raise WorkloadError(
                 f"kernel {self.name!r}: a carried reduction requires reduction=True"
@@ -176,7 +171,3 @@ class KernelSchedule:
             raise WorkloadError(
                 f"kernel {self.kernel.name!r}: repetitions must be positive"
             )
-
-    @property
-    def total_invocations(self) -> int:
-        return self.repetitions * self.kernel.invocations

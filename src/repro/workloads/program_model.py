@@ -38,10 +38,10 @@ def check_scale(scale: float) -> float:
     return scale
 
 
-def _scaled_invocations(total_invocations: int, scale: float) -> int:
+def _scaled_invocations(repetitions: int, scale: float) -> int:
     """A schedule's invocation count at ``scale``: at least one."""
     try:
-        return max(1, math.ceil(total_invocations * scale))
+        return max(1, math.ceil(repetitions * scale))
     except OverflowError:
         raise WorkloadError(f"trace scale {scale!r} is too large") from None
 
@@ -115,8 +115,8 @@ class ProgramModel:
         builder = TraceBuilder(self.name)
         self._emit_prologue(builder)
         for schedule, compiled_kernel in zip(self.schedules, self._compile()):
-            invocations = _scaled_invocations(schedule.total_invocations, scale)
-            compiled_kernel.emit_program(builder, invocations=invocations)
+            invocations = _scaled_invocations(schedule.repetitions, scale)
+            compiled_kernel.emit_program(builder, invocations)
         trace = builder.build()
         trace.metadata["program"] = self.name
         trace.metadata["scale"] = scale
@@ -137,7 +137,7 @@ class ProgramModel:
         check_scale(scale)
         total = self.prologue_scalar_instructions
         for schedule, compiled in zip(self.schedules, self._compile()):
-            invocations = _scaled_invocations(schedule.total_invocations, scale)
+            invocations = _scaled_invocations(schedule.repetitions, scale)
             total += invocations * sum(
                 len(compiled.block_for_length(length)) for length in compiled.strip_lengths
             )

@@ -19,7 +19,6 @@ from repro.workloads.kernel import KernelSchedule
 def daxpy(
     elements: int = 1024,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,
-    invocations: int = 1,
 ) -> LoopKernel:
     """``y[i] = a * x[i] + y[i]`` — one multiply, one add, two loads, one store."""
     return LoopKernel(
@@ -33,14 +32,12 @@ def daxpy(
         uses_scalar_operand=True,
         address_ops=2,
         scalar_ops=1,
-        invocations=invocations,
     )
 
 
 def stream_triad(
     elements: int = 2048,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,
-    invocations: int = 1,
 ) -> LoopKernel:
     """``a[i] = b[i] + s * c[i]`` — the memory-bound STREAM triad."""
     return LoopKernel(
@@ -54,14 +51,12 @@ def stream_triad(
         uses_scalar_operand=True,
         address_ops=3,
         scalar_ops=1,
-        invocations=invocations,
     )
 
 
 def stencil3(
     elements: int = 1024,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,
-    invocations: int = 1,
 ) -> LoopKernel:
     """A three-point stencil: three shifted loads, one store, a few adds."""
     return LoopKernel(
@@ -74,7 +69,6 @@ def stencil3(
         fu2_ops=1,
         address_ops=3,
         scalar_ops=2,
-        invocations=invocations,
     )
 
 
@@ -82,7 +76,6 @@ def compute_bound(
     elements: int = 1024,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,
     fu_ops: int = 10,
-    invocations: int = 1,
 ) -> LoopKernel:
     """A kernel dominated by vector arithmetic rather than memory traffic."""
     return LoopKernel(
@@ -96,7 +89,6 @@ def compute_bound(
         load_use_distance=max(fu_ops // 2 - 1, 0),
         address_ops=2,
         scalar_ops=2,
-        invocations=invocations,
     )
 
 
@@ -104,7 +96,6 @@ def reduction(
     elements: int = 1024,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,
     carried: bool = False,
-    invocations: int = 1,
 ) -> LoopKernel:
     """A dot-product style reduction, optionally carried across iterations."""
     return LoopKernel(
@@ -117,7 +108,6 @@ def reduction(
         reduction_carried=carried,
         address_ops=2,
         scalar_ops=2,
-        invocations=invocations,
     )
 
 
@@ -125,7 +115,6 @@ def spill_heavy(
     elements: int = 1024,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,
     spill_pairs: int = 2,
-    invocations: int = 1,
 ) -> LoopKernel:
     """A register-starved loop that spills and reloads vector temporaries."""
     return LoopKernel(
@@ -139,14 +128,12 @@ def spill_heavy(
         vector_spill_pairs=spill_pairs,
         address_ops=3,
         scalar_ops=2,
-        invocations=invocations,
     )
 
 
 def gather_scatter(
     elements: int = 512,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,
-    invocations: int = 1,
 ) -> LoopKernel:
     """An indexed (gather/scatter) kernel that defeats range disambiguation."""
     return LoopKernel(
@@ -158,7 +145,6 @@ def gather_scatter(
         fu_any_ops=2,
         address_ops=3,
         scalar_ops=2,
-        invocations=invocations,
     )
 
 
@@ -166,7 +152,6 @@ def strided(
     elements: int = 1024,
     stride: int = 4,
     max_vector_length: int = VECTOR_REGISTER_LENGTH,
-    invocations: int = 1,
 ) -> LoopKernel:
     """A column-access kernel with non-unit stride."""
     return LoopKernel(
@@ -178,7 +163,6 @@ def strided(
         fu_any_ops=2,
         address_ops=3,
         scalar_ops=1,
-        invocations=invocations,
     )
 
 

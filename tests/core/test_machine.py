@@ -19,7 +19,7 @@ from repro.core.machine import (
     parse_axis_values,
 )
 from repro.dva import simulate_decoupled
-from repro.dva.simulator import _DecoupledState
+from repro.dva.simulator import DecoupledSimulator
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import s_reg
@@ -220,7 +220,7 @@ class TestSimulatorsReadTheSpec:
 
     def test_queue_depths_size_the_decoupled_queues(self):
         spec = machine_spec("dva@iq=3,avdq=5,vadq=6,ssaq=7")
-        state = _DecoupledState(spec, 50)
+        state = DecoupledSimulator(spec, 50)
         pipeline = state.memory
         # The VSAQ follows ``vadq``: the paper's "store queue length" is one
         # parameter, and a vector store's data takes its address's slot.
@@ -231,7 +231,7 @@ class TestSimulatorsReadTheSpec:
             for name in ("apiq", "vpiq", "spiq", "avdq")
         }
         assert rings == {"apiq": 3, "vpiq": 3, "spiq": 3, "avdq": 5}
-        assert (pipeline.cache.line_bytes, pipeline.cache.lines) == (32, 1024)
+        assert (pipeline.fabric.cache.line_bytes, pipeline.fabric.cache.lines) == (32, 1024)
 
 
 _PROBE_LATENCIES = (1, 100)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.core import (
     MachineSpec,
     RunConfig,
@@ -192,6 +192,28 @@ class TestAdapters:
     def test_negative_latency_is_refused(self, trace, make):
         with pytest.raises(ConfigurationError, match="latency cannot be negative"):
             make(trace)
+
+    @pytest.mark.parametrize(
+        "simulator, family",
+        [(ReferenceSimulator, "ref"), (DecoupledSimulator, "dva")],
+    )
+    def test_a_simulator_runs_one_trace(self, trace, simulator, family):
+        machine = simulator(MachineSpec(family=family), 50)
+        machine.run(trace)
+        with pytest.raises(SimulationError, match="runs one trace"):
+            machine.run(trace)
+
+    @pytest.mark.parametrize(
+        "simulator, family",
+        [(ReferenceSimulator, "ref"), (DecoupledSimulator, "dva")],
+    )
+    def test_a_simulator_names_its_unit_recorders(self, trace, simulator, family):
+        machine = simulator(MachineSpec(family=family, memory_ports=2), 50)
+        assert machine.fu_free == [0, 0]
+        assert [recorder.name for recorder in machine.fu_busy] == ["FU1", "FU2"]
+        result = machine.run(trace)
+        assert (result.fu1_busy.name, result.fu2_busy.name) == ("FU1", "FU2")
+        assert result.port_busy.name == "LD"
 
     def test_dva_nobypass_disables_bypass(self, trace):
         with_bypass = simulate(trace, "dva", latency=50)

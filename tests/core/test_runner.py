@@ -106,7 +106,7 @@ class TestRunner:
         first = run_sweep(SPEC)
         second = run_sweep(SPEC)
         assert first.results == second.results
-        assert first.summaries() == second.summaries()
+        assert first.to_json() == second.to_json()
 
     def test_serial_and_multiprocess_runs_are_identical(self, two_cpus):
         serial = Runner(jobs=1).run(SPEC)

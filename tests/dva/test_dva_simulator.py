@@ -128,6 +128,24 @@ class TestHandTimings:
         assert result.fu2_busy.merged_pairs() == [(2, 18)]
         assert result.fu1_busy.merged_pairs() == [(11, 19)]
 
+    def test_unit_pick_is_least_loaded_fu1_on_ties_fu2_when_required(
+        self, trace_from_block
+    ):
+        def emit(b):
+            b.set_vector_length(10)
+            b.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])  # 0/0 tie: FU1
+            b.set_vector_length(8)
+            b.vector_op(Opcode.V_ADD, v_reg(2), [v_reg(0), v_reg(0)])  # 12/0: FU2
+            b.vector_op(Opcode.V_ADD, v_reg(3), [v_reg(0), v_reg(0)])  # 12/12 tie: FU1
+            b.vector_op(Opcode.V_ADD, v_reg(4), [v_reg(0), v_reg(0)])  # 20/12: FU2
+            b.vector_op(Opcode.V_MUL, v_reg(5), [v_reg(0), v_reg(0)])  # 20/21, FU2 only
+
+        result = simulate_decoupled(trace_from_block(emit), 1)
+        # Each op reaches the VP the cycle after it is fetched (2, 4, 5, 6, 7)
+        # and issues once its unit frees, one per cycle in order.
+        assert result.fu1_busy.intervals() == [(2, 12), (12, 20)]
+        assert result.fu2_busy.intervals() == [(4, 12), (13, 21), (21, 29)]
+
 
 class TestConfigurationEffects:
     def test_bypass_services_a_reload_of_just_stored_data(self, trace_from_block):

@@ -33,30 +33,30 @@ class TestLoads:
     def test_load_without_queued_stores_goes_straight_to_memory(self):
         pipeline = _pipeline()
         assert pipeline.issue_vector_load(BASE, 16, 1, False, requested=5) == 5 + LATENCY + 16
-        assert pipeline.port.starts == [5]
-        assert pipeline.traffic_bytes == 16 * 8
+        assert pipeline.fabric.port_recorder().starts == [5]
+        assert pipeline.fabric.traffic_bytes == 16 * 8
         assert pipeline.disambiguation_stalls == 0
 
     def test_loads_serialize_on_a_single_port(self):
         pipeline = _pipeline()
         pipeline.issue_vector_load(BASE, 16, 1, False, requested=0)
         pipeline.issue_vector_load(BASE + 0x800, 16, 1, False, requested=0)
-        assert pipeline.port.starts == [0, 16]
+        assert pipeline.fabric.port_recorder().starts == [0, 16]
 
     def test_a_second_port_overlaps_loads(self):
         pipeline = _pipeline(memory_ports=2)
         pipeline.issue_vector_load(BASE, 16, 1, False, requested=0)
         second = pipeline.issue_vector_load(BASE + 0x800, 16, 1, False, requested=0)
         assert second == 0 + LATENCY + 16
-        assert pipeline.fabric.ports.free == [16, 16]
-        assert pipeline.port_quiet == 16
+        assert pipeline.fabric.port_free == [16, 16]
+        assert pipeline.fabric.port_quiet() == 16
 
     def test_scalar_load_hits_the_cache_the_second_time(self):
         pipeline = _pipeline()
         assert pipeline.issue_scalar_load(BASE, requested=0) == 0 + 1 + LATENCY
         assert pipeline.issue_scalar_load(BASE, requested=40) == 40 + 1
-        assert (pipeline.cache.hits, pipeline.cache.misses) == (1, 1)
-        assert pipeline.traffic_bytes == 8
+        assert (pipeline.fabric.cache.hits, pipeline.fabric.cache.misses) == (1, 1)
+        assert pipeline.fabric.traffic_bytes == 8
 
 
     def test_a_scalar_store_hit_stays_off_the_port(self):
@@ -66,8 +66,8 @@ class TestLoads:
         pipeline.attach_store_data(60)
         # The cache absorbs the hit (no write-through): one cycle, no bus.
         assert pipeline.drain_all() == 60 + 1
-        assert pipeline.port.busy_time() == 1
-        assert pipeline.traffic_bytes == 8
+        assert pipeline.fabric.port_recorder().busy_time() == 1
+        assert pipeline.fabric.traffic_bytes == 8
 
 
 class TestDisambiguation:
@@ -75,7 +75,7 @@ class TestDisambiguation:
         pipeline = _pipeline()
         pipeline.enqueue_vector_store(BASE, 8, 1, False, requested=0)
         pipeline.issue_vector_load(BASE + 0x800, 8, 1, False, requested=3)
-        assert pipeline.port.starts == [3]
+        assert pipeline.fabric.port_recorder().starts == [3]
         assert pipeline.disambiguation_stalls == 0
 
     def test_overlapping_load_waits_for_the_store_to_drain(self):
@@ -83,16 +83,16 @@ class TestDisambiguation:
         _queued_store(pipeline, data_ready=10)
         data_ready = pipeline.issue_vector_load(BASE + 8, 8, 1, False, requested=3)
         # The store drains as soon as its data is ready: bus [10, 18).
-        assert pipeline.port.starts == [10, 18]
+        assert pipeline.fabric.port_recorder().starts == [10, 18]
         assert data_ready == 18 + LATENCY + 8
         assert pipeline.disambiguation_stalls == 1
-        assert pipeline.traffic_bytes == 2 * 8 * 8
+        assert pipeline.fabric.traffic_bytes == 2 * 8 * 8
 
     def test_gather_conflicts_with_every_queued_store(self):
         pipeline = _pipeline()
         _queued_store(pipeline, data_ready=10)
         pipeline.issue_vector_load(0xF0000, 8, 1, True, requested=3)
-        assert pipeline.port.starts == [10, 18]
+        assert pipeline.fabric.port_recorder().starts == [10, 18]
         assert pipeline.disambiguation_stalls == 1
 
     def test_scalar_load_waits_for_an_overlapping_scalar_store(self):
@@ -115,7 +115,7 @@ class TestDisambiguation:
         _queued_store(pipeline, data_ready=2)
         pipeline.issue_vector_load(BASE + 0x800, 8, 1, False, requested=5)
         # The store (ready at 2) is performed first: bus [2, 10).
-        assert pipeline.port.starts == [2, 10]
+        assert pipeline.fabric.port_recorder().starts == [2, 10]
         assert pipeline.disambiguation_stalls == 0
 
 
@@ -128,7 +128,7 @@ class TestBypass:
         assert pipeline.issue_vector_load(BASE, 8, 1, False, requested=3) == 18
         assert pipeline.bypassed_loads == 1
         assert pipeline.bypassed_bytes == 64
-        assert pipeline.traffic_bytes == 0
+        assert pipeline.fabric.traffic_bytes == 0
         assert pipeline.disambiguation_stalls == 0
         assert pipeline.bypass_free == 18
 
@@ -182,7 +182,7 @@ class TestBypass:
         # Both stores stay queued and still drain in order afterwards.
         assert [store.data_ready for store in pipeline.pending_stores] == [10, 30]
         assert pipeline.drain_all() == 38
-        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(10, 18), (30, 38)]
+        assert pipeline.fabric.port_recorder().intervals() == [(10, 18), (30, 38)]
 
 
 class TestStoreQueues:
@@ -191,7 +191,7 @@ class TestStoreQueues:
         _queued_store(pipeline, data_ready=10)
         # The second address waits for the first store's bus release at 18.
         assert pipeline.enqueue_vector_store(BASE + 0x800, 8, 1, False, requested=2) == 18
-        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(10, 18)]
+        assert pipeline.fabric.port_recorder().intervals() == [(10, 18)]
         assert [store.base for store in pipeline.pending_stores] == [BASE + 0x800]
 
     def test_full_ssaq_forces_the_oldest_store_to_drain(self):
@@ -201,7 +201,7 @@ class TestStoreQueues:
         # The first store misses the cache and holds the port over [5, 6);
         # the second address waits for that release.
         assert pipeline.enqueue_scalar_store(BASE + 0x800, requested=2) == 6
-        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(5, 6)]
+        assert pipeline.fabric.port_recorder().intervals() == [(5, 6)]
         assert [store.base for store in pipeline.pending_stores] == [BASE + 0x800]
 
     def test_the_queues_fill_separately(self):
@@ -210,7 +210,7 @@ class TestStoreQueues:
         # A scalar store neither waits for nor drains the full VSAQ.
         assert pipeline.enqueue_scalar_store(BASE + 0x800, requested=2) == 2
         assert (pipeline.vector_queued, pipeline.scalar_queued) == (1, 1)
-        assert pipeline.port.starts == []
+        assert pipeline.fabric.port_recorder().starts == []
 
     def test_a_full_queue_drains_the_oldest_store_of_either_kind(self):
         pipeline = _pipeline(vector_store_data=1)
@@ -220,7 +220,7 @@ class TestStoreQueues:
         # Stores leave in program order, so the full VSAQ first drains the
         # older scalar store (port [3, 4)), then its own (port [10, 18)).
         assert pipeline.enqueue_vector_store(BASE, 8, 1, False, requested=2) == 18
-        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(3, 4), (10, 18)]
+        assert pipeline.fabric.port_recorder().intervals() == [(3, 4), (10, 18)]
 
     def test_data_attaches_to_the_newest_store(self):
         pipeline = _pipeline()
@@ -260,7 +260,7 @@ class TestStoreQueues:
         _queued_store(pipeline, data_ready=10)
         _queued_store(pipeline, base=BASE + 0x800, requested=1, data_ready=12)
         assert pipeline.drain_all() == 26
-        assert list(zip(pipeline.port.starts, pipeline.port.ends)) == [(10, 18), (18, 26)]
+        assert pipeline.fabric.port_recorder().intervals() == [(10, 18), (18, 26)]
         assert not pipeline.pending_stores
         assert pipeline.vector_queued == 0
 

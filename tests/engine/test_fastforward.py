@@ -11,9 +11,9 @@ import pytest
 
 from repro.common.intervals import IntervalRecorder
 from repro.core import MachineSpec
-from repro.dva.simulator import _DecoupledState
+from repro.dva.simulator import DecoupledSimulator
 from repro.engine.fastforward import consume, relative
-from repro.refarch.simulator import _SimulationState
+from repro.refarch.simulator import ReferenceSimulator
 from repro.trace.columns import Trace
 from repro.workloads.perfect_club import load_program
 
@@ -149,7 +149,7 @@ def _mid_run(state, trace):
 
 
 def _fresh_dva(trace):
-    return _mid_run(_DecoupledState(MachineSpec(family="dva"), 50), trace)
+    return _mid_run(DecoupledSimulator(MachineSpec(family="dva"), 50), trace)
 
 
 def _newest_scalar_store(state):
@@ -163,10 +163,10 @@ def _bump(values, index=0):
 #: Changes to live DVA state, each of which a future step can see.
 DVA_MUTATIONS = {
     "fetch pointer": lambda s: setattr(s, "fp_free", s.fp_free + 1),
-    "FU2 free": lambda s: _bump(s.fus.free, 1),
+    "FU2 free": lambda s: _bump(s.fu_free, 1),
     "QMOV free": lambda s: _bump(s.qmov_free),
-    "port free": lambda s: _bump(s.memory.fabric.ports.free),
-    "cache tag": lambda s: s.memory.cache.tags.__setitem__(1, 12345),
+    "port free": lambda s: _bump(s.memory.fabric.port_free),
+    "cache tag": lambda s: s.memory.fabric.cache.tags.__setitem__(1, 12345),
     "SP pointer": lambda s: setattr(s, "sp_free", max(s.sp_free, s.fp_free) + 1),
     "newest VPIQ entry": lambda s: s.vpiq.append(s.horizon + 5),
     "newest AVDQ entry": lambda s: s.avdq.append(s.horizon + 5),
@@ -211,12 +211,12 @@ def test_stale_dva_values_are_left_out_of_its_fingerprint(bdna):
 
 def test_every_live_part_of_the_ref_state_is_in_its_fingerprint(bdna):
     def fresh():
-        return _mid_run(_SimulationState(MachineSpec(family="ref"), 50), bdna)
+        return _mid_run(ReferenceSimulator(MachineSpec(family="ref"), 50), bdna)
 
     mutations = {
         "dispatch pointer": lambda s: setattr(s, "dispatch_free", s.dispatch_free + 1),
-        "FU1 free": lambda s: _bump(s.fus.free),
-        "port free": lambda s: _bump(s.fabric.ports.free),
+        "FU1 free": lambda s: _bump(s.fu_free),
+        "port free": lambda s: _bump(s.fabric.port_free),
         "cache tag": lambda s: s.fabric.cache.tags.__setitem__(1, 12345),
         "live register": lambda s: s.scoreboard.ready.__setitem__(
             0, max(s.scoreboard.ready[0], s.dispatch_free) + 1
@@ -227,3 +227,18 @@ def test_every_live_part_of_the_ref_state_is_in_its_fingerprint(bdna):
         before = state.fingerprint()
         mutate(state)
         assert state.fingerprint() != before, name
+
+
+@pytest.mark.parametrize("family", ["ref", "dva"])
+def test_a_shift_moves_every_live_time_together(bdna, family):
+    """A skipped invocation shifts the state; its fingerprint must not move."""
+    simulator = ReferenceSimulator if family == "ref" else DecoupledSimulator
+    state = _mid_run(simulator(MachineSpec(family=family), 50), bdna)
+    before = state.fingerprint()
+    fu_free = list(state.fu_free)
+    fabric = state.fabric if family == "ref" else state.memory.fabric
+    port_free = list(fabric.port_free)
+    state.shift(1000)
+    assert state.fu_free == [free + 1000 for free in fu_free]
+    assert fabric.port_free == [free + 1000 for free in port_free]
+    assert state.fingerprint() == before

@@ -3,12 +3,14 @@
 The timestamp-arithmetic simulators never step cycles, so every "who goes
 first within one cycle" question is answered by a convention baked into
 the DVA's store queues (:class:`~repro.dva.address.MemoryPipeline`),
-:class:`~repro.common.intervals.IntervalRecorder` and
-:class:`~repro.engine.ResourcePool`.  Each one is pinned here:
+:class:`~repro.common.intervals.IntervalRecorder` and the memory ports'
+pick (:meth:`~repro.engine.MemoryFabric.occupy_bus`).  Each one is pinned
+here:
 
 * a queue slot is reusable on the cycle its entry is released — the blocking
   time is the pop cycle itself, not the cycle after — so a push stall is
-  exactly the blocked cycles;
+  exactly the blocked cycles; likewise a port can be taken again on the
+  cycle it frees;
 * busy intervals are half-open ``[start, end)``: a resource handed over at a
   cycle boundary is busy each cycle exactly once, and zero-length intervals
   are no-ops rather than errors.
@@ -20,7 +22,7 @@ from repro.common.errors import SimulationError
 from repro.common.intervals import IntervalRecorder, state_breakdown
 from repro.core import MachineSpec
 from repro.dva.address import MemoryPipeline
-from repro.engine import ResourcePool
+from repro.engine import MemoryFabric
 
 
 def _one_slot_ssaq():
@@ -35,7 +37,7 @@ class TestStoreQueueSameCycleRules:
     def test_slot_is_reusable_on_the_release_cycle_not_after(self):
         pipeline = _one_slot_ssaq()
         assert pipeline.enqueue_scalar_store(0x2000, requested=3) == 5  # not 6
-        assert pipeline.port.ends == [5]
+        assert pipeline.fabric.port_recorder().ends == [5]
 
     def test_push_stall_charges_exactly_the_blocked_cycles(self):
         pipeline = _one_slot_ssaq()
@@ -96,19 +98,18 @@ class TestIntervalSameCycleRules:
         assert recorder.merged_pairs()[-1][1] == 6
 
 
-class TestResourcePoolSameCycleRules:
+class TestPortSameCycleRules:
     def test_unit_is_reacquirable_on_its_free_cycle(self):
-        pool = ResourcePool("LD", 1)
-        assert pool.acquire(0, 5) == (0, 0)
-        # The next acquisition starts on the cycle the unit frees, not after.
-        start, unit = pool.acquire(0, 3)
-        assert (start, unit) == (5, 0)
-        assert pool.free[0] == 8
+        fabric = MemoryFabric(MachineSpec(family="ref"), 20)
+        assert fabric.occupy_bus(0, 5, 8) == (0, 5)
+        # The next reference starts on the cycle the port frees, not after.
+        assert fabric.occupy_bus(0, 3, 8) == (5, 8)
+        assert fabric.port_free == [8]
 
-    def test_occupy_then_acquire_agree_on_the_boundary(self):
-        pool = ResourcePool("LD", 1)
-        pool.occupy(0, 5)
-        assert pool.free[0] == 5
-        start, _unit = pool.acquire(5, 2)
-        assert start == 5
-        assert pool.free[0] == 7
+    def test_a_request_on_the_free_cycle_starts_on_it(self):
+        fabric = MemoryFabric(MachineSpec(family="ref", memory_ports=2), 20)
+        fabric.occupy_bus(0, 5, 8)
+        fabric.occupy_bus(0, 6, 8)
+        # LD0 frees at 5, LD1 at 6: a request at 5 takes LD0 at once.
+        assert fabric.occupy_bus(5, 2, 8) == (5, 7)
+        assert fabric.port_free == [7, 6]

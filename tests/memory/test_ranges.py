@@ -13,19 +13,16 @@ class TestMemoryRange:
         with pytest.raises(SimulationError):
             MemoryRange(100, 50)
 
-    def test_size_and_contains(self):
+    def test_bounds_are_half_open(self):
         memory_range = MemoryRange(0x100, 0x140)
-        assert memory_range.size == 0x40
-        assert memory_range.contains(0x100)
-        assert memory_range.contains(0x13F)
-        assert not memory_range.contains(0x140)
+        assert memory_range.overlaps(MemoryRange(0x100, 0x101))
+        assert memory_range.overlaps(MemoryRange(0x13F, 0x140))
+        assert not memory_range.overlaps(MemoryRange(0x140, 0x141))
 
     def test_full_range(self):
-        assert FULL_RANGE.contains(0)
-        assert FULL_RANGE.contains(2**62)
+        assert FULL_RANGE.overlaps(MemoryRange(0, 1))
+        assert FULL_RANGE.overlaps(MemoryRange(2**62, 2**62 + 1))
         assert FULL_RANGE.overlaps(MemoryRange(0, 0))
-        with pytest.raises(SimulationError):
-            _ = FULL_RANGE.size
 
     def test_overlap(self):
         assert MemoryRange(0, 10).overlaps(MemoryRange(9, 20))
@@ -51,11 +48,11 @@ class TestRangeOfAccess:
 
     def test_zero_length_vector(self):
         memory_range = access_range(0x4000, 0, 1)
-        assert memory_range.size == 0
+        assert (memory_range.start, memory_range.end) == (0x4000, 0x4000)
 
     def test_scalar_access_covers_one_element(self):
-        memory_range = access_range(0x5000, 1, 1, is_scalar=True)
-        assert memory_range.size == ELEMENT_SIZE_BYTES
+        memory_range = access_range(0x5000, 1, 1)
+        assert (memory_range.start, memory_range.end) == (0x5000, 0x5000 + ELEMENT_SIZE_BYTES)
 
     def test_gather_and_scatter_cover_all_memory(self):
         gather = access_range(0x100, 8, 1, indexed=True)
@@ -73,4 +70,4 @@ class TestRangeOfAccess:
         memory_range = access_range(base, vl, stride)
         for element in range(vl):
             address = base + element * stride * ELEMENT_SIZE_BYTES
-            assert memory_range.contains(address)
+            assert memory_range.start <= address < memory_range.end

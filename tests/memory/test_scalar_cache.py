@@ -41,13 +41,6 @@ class TestScalarCache:
         cache.access(0x40)          # maps to line 0 again, evicts
         assert not cache.access(0x00)
 
-    def test_reset(self):
-        cache = _cache()
-        cache.access(0x100)
-        cache.reset()
-        assert cache.accesses == 0
-        assert not cache.access(0x100)
-
     def test_hit_rate_empty(self):
         assert _cache().hit_rate == 0.0
 

@@ -168,6 +168,22 @@ class TestFunctionalUnits:
         [(start, end)] = result.fu2_busy.merged_pairs()
         assert end - start == 100
 
+    def test_unit_pick_is_least_loaded_fu1_on_ties_fu2_when_required(
+        self, trace_from_block
+    ):
+        def emit(b):
+            b.set_vector_length(10)  # dispatches at 0
+            b.vector_op(Opcode.V_ADD, v_reg(1), [v_reg(0), v_reg(0)])  # 0/0 tie: FU1
+            b.set_vector_length(8)
+            b.vector_op(Opcode.V_ADD, v_reg(2), [v_reg(0), v_reg(0)])  # 11/0: FU2
+            b.vector_op(Opcode.V_ADD, v_reg(3), [v_reg(0), v_reg(0)])  # 11/11 tie: FU1
+            b.vector_op(Opcode.V_ADD, v_reg(4), [v_reg(0), v_reg(0)])  # 19/11: FU2
+            b.vector_op(Opcode.V_MUL, v_reg(5), [v_reg(0), v_reg(0)])  # 19/20, FU2 only
+
+        result = simulate_reference(trace_from_block(emit), latency=1)
+        assert result.fu1_busy.intervals() == [(1, 11), (11, 19)]
+        assert result.fu2_busy.intervals() == [(3, 11), (12, 20), (20, 28)]
+
 
 class TestScalarMemory:
     def test_scalar_cache_hit_avoids_port(self, trace_from_block):

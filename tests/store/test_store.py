@@ -8,6 +8,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core import RunConfig, architecture
+from repro.core.experiment import verify_store
 from repro.store import ResultStore, cell_key, default_store_root
 from repro.store.store import STORE_FORMAT_VERSION
 from repro.workloads.perfect_club import build_trace
@@ -76,6 +77,21 @@ class TestRobustness:
         store.put(KEY, ref_result)
         store.object_path(KEY).write_text("{ torn json")
         assert store.get(KEY) is None
+        store.put(KEY, ref_result)
+        assert store.get(KEY) == ref_result
+
+    def test_unreadable_result_is_a_miss_verify_calls_stale_and_put_repairs(
+        self, store, ref_result
+    ):
+        store.put(KEY, ref_result)
+        payload = json.loads(store.object_path(KEY).read_text())
+        payload["result"] = {"architecture": "dva", "detail": 5}
+        store.object_path(KEY).write_text(json.dumps(payload))
+        misses = store.misses
+        assert store.get(KEY) is None
+        assert store.misses == misses + 1
+        [check] = verify_store(store)
+        assert check.outcome == "stale"
         store.put(KEY, ref_result)
         assert store.get(KEY) == ref_result
 

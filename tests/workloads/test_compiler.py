@@ -211,10 +211,10 @@ class TestEmission:
         assert spills[2] == spills[3]
 
     def test_emit_program_repeats_invocations(self):
-        kernel = synthetic.daxpy(elements=128, invocations=2)
+        kernel = synthetic.daxpy(elements=128)
         _, compiled = _compile(kernel)
         builder = TraceBuilder("demo")
-        compiled.emit_program(builder)
+        compiled.emit_program(builder, 2)
         trace = builder.build()
         assert trace.blocks_executed == 2
 
@@ -228,10 +228,9 @@ class TestEmission:
         assert stats.vector_memory_instructions == 3 * 4
 
 
-def _emit_each(compiled, builder, invocations=None):
+def _emit_each(compiled, builder, invocations):
     """``emit_program`` as a plain loop of ``emit_invocation``."""
-    count = invocations if invocations is not None else compiled.kernel.invocations
-    for _ in range(count):
+    for _ in range(invocations):
         compiled.emit_invocation(builder)
 
 
@@ -262,16 +261,16 @@ class TestEmitOnce:
     def test_a_first_invocation_that_changes_the_vector_length(self):
         # The block reads VL before it sets it, so its first invocation sees
         # the register's initial 128 and every later one the 64 it leaves.
-        kernel = LoopKernel(name="k", elements=128, fu_any_ops=1, invocations=4)
+        kernel = LoopKernel(name="k", elements=128, fu_any_ops=1)
         _, compiled = _compile(kernel)
         emit = InstructionBuilder()
         emit.vector_op(Opcode.V_ADD, v_reg(0), [v_reg(1), v_reg(2)])
         emit.set_vector_length(64)
         compiled.blocks[128] = tuple(emit.instructions)
         copied = TraceBuilder("demo")
-        compiled.emit_program(copied)
+        compiled.emit_program(copied, 4)
         emitted = TraceBuilder("demo")
-        _emit_each(compiled, emitted)
+        _emit_each(compiled, emitted, 4)
         assert _stream(copied.build()) == _stream(emitted.build())
         assert list(copied.trace.vl) == [VECTOR_REGISTER_LENGTH, 1] + [64, 1] * 3
         assert copied.trace.marks == [(0, 0), (0, 2), (0, 4), (0, 6)]

@@ -65,10 +65,6 @@ class TestLoopKernelValidation:
         with pytest.raises(WorkloadError):
             LoopKernel(name="k", elements=10, fu_any_ops=0)
 
-    def test_invocations_positive(self):
-        with pytest.raises(WorkloadError):
-            LoopKernel(name="k", elements=10, invocations=0)
-
 
 class TestStripMining:
     def test_exact_multiple(self):
@@ -155,11 +151,6 @@ class TestCompiledStripCounts:
 
 
 class TestKernelSchedule:
-    def test_total_invocations(self):
-        kernel = LoopKernel(name="k", elements=10, invocations=3)
-        schedule = KernelSchedule(kernel, repetitions=4)
-        assert schedule.total_invocations == 12
-
     def test_rejects_non_positive_repetitions(self):
         kernel = LoopKernel(name="k", elements=10)
         with pytest.raises(WorkloadError):

@@ -183,7 +183,7 @@ class TestInvocationMarks:
         kernels = [kernel for kernel, _row in trace.marks]
         counts = [kernels.count(kernel) for kernel in dict.fromkeys(kernels)]
         assert counts == [
-            max(1, math.ceil(schedule.total_invocations * scale))
+            max(1, math.ceil(schedule.repetitions * scale))
             for schedule in model.schedules
         ]
 
