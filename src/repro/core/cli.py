@@ -32,7 +32,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError
 from repro.core import figures as figures_module
@@ -80,9 +80,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _axis_pair(text: str) -> Tuple[str, str]:
+    """An argparse type: one ``--axis name=v1,v2,...`` as its ``(name, "v1,v2,...")`` pair."""
+    name, eq, values = text.partition("=")
+    if not eq or not name.strip():
+        raise argparse.ArgumentTypeError(
+            f"malformed sweep axis {text!r} (expected name=v1,v2,...)"
+        )
+    return name, values
+
+
 def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
     """The :class:`ResultStore` the command should use, or ``None`` when off."""
-    if not getattr(args, "store", False):
+    if not args.store:
         return None
     return ResultStore(args.store_dir)
 
@@ -158,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--axis",
         action="append",
+        type=_axis_pair,
         default=[],
         metavar="NAME=V1,V2,...",
         help="extra sweep axis over a machine field, e.g. --axis lanes=1,2,4 "
@@ -376,20 +387,6 @@ def _print_progress(event: "CellProgress") -> None:
     )
 
 
-def _run_sweep(args: argparse.Namespace) -> SweepResult:
-    spec = SweepSpec.from_strings(
-        programs=args.programs,
-        latencies=args.latencies,
-        architectures=args.arch,
-        scale=args.scale,
-        axes=tuple(getattr(args, "axis", ()) or ()),
-    )
-    progress = _print_progress if getattr(args, "progress", False) else None
-    return Runner(jobs=args.jobs, store=_store_from_args(args)).run(
-        spec, progress=progress
-    )
-
-
 def _print_store_line(sweep: SweepResult, store: Optional[ResultStore]) -> None:
     if store is None:
         return
@@ -426,14 +423,23 @@ def _print_speedup_table(sweep: SweepResult) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    sweep = _run_sweep(args)
+    spec = SweepSpec(
+        programs=args.programs,
+        latencies=args.latencies,
+        architectures=args.arch,
+        scale=args.scale,
+        axes=args.axis,
+    )
+    store = _store_from_args(args)
+    progress = _print_progress if args.progress else None
+    sweep = Runner(jobs=args.jobs, store=store).run(spec, progress=progress)
     shape = (f"{len(sweep.spec.programs)} programs x "
              f"{len(sweep.spec.latencies)} latencies x "
              f"{len(sweep.spec.architectures)} architectures")
     for name, values in sweep.spec.axes:
         shape += f" x {len(values)} {name}"
     print(f"sweep: {len(sweep)} cells ({shape})")
-    _print_store_line(sweep, _store_from_args(args))
+    _print_store_line(sweep, store)
     print()
     print(figures_module.format_table(_summary_rows(sweep)))
     _print_speedup_table(sweep)
@@ -445,10 +451,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    spec = SweepSpec.from_strings(
+    spec = SweepSpec(
         programs=args.programs,
         latencies=args.latencies,
-        architectures="ref,dva,dva-nobypass",
+        architectures=("ref", "dva", "dva-nobypass"),
         scale=args.scale,
     )
     store = _store_from_args(args)

@@ -4,7 +4,11 @@ The paper's central experiment is a grid — six Perfect Club programs × memory
 latencies {1, 10, 50, 100} × machines {REF, DVA} (§4–§7).  A
 :class:`SweepSpec` declares such a grid and a :class:`Runner` executes every
 cell either serially or across a ``multiprocessing`` pool.  A cell is fully
-described by its program, scale, latency and machine spec.
+described by its program, scale, latency and machine spec.  The
+:class:`SweepSpec` constructor is the one reader of a grid: code, the
+service's JSON bodies and the command line's flags all hand it their values
+as they are (a list field may be one comma-separated string), so a grid
+reads, and fails, the same way on every path.
 
 Sweeps are not limited to the latency axis: any
 :class:`~repro.core.machine.MachineSpec` field can be an axis too, so
@@ -44,7 +48,7 @@ import multiprocessing.pool
 import os
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -175,13 +179,14 @@ class _ProgressTracker:
 
 
 def _split_spec_list(text: str) -> Tuple[str, ...]:
-    """Split a comma-separated architecture list that may contain inline specs.
+    """Split a comma-separated list that may contain inline machine specs.
 
     A bare comma separates entries, but a token containing ``=`` (and no
     ``@`` of its own — that would start the next spec) is an assignment
     belonging to the previous entry's ``@`` clause, so
     ``"ref,dva@lanes=2,ports=2"`` is two entries and
-    ``"dva@bypass=off,ref@lanes=2"`` is two as well.
+    ``"dva@bypass=off,ref@lanes=2"`` is two as well.  Only architectures
+    hold ``@``; every other list splits on every comma.
     """
     entries: List[str] = []
     for token in (t.strip() for t in text.split(",")):
@@ -194,48 +199,52 @@ def _split_spec_list(text: str) -> Tuple[str, ...]:
     return tuple(entries)
 
 
-def _json_names(value: object, what: str) -> Tuple[str, ...]:
-    """A list of names, or a comma-separated string of them.
-
-    A string splits the way the CLI splits ``--arch``, so an inline spec's
-    ``@`` clause keeps its commas (``"ref,dva@lanes=2,ports=2"`` is two
-    entries); program names hold no ``@`` and split on every comma.
-    """
+def _entries(value: object, what: str) -> Tuple[object, ...]:
+    """A list field's entries: a sequence, or one comma-separated string."""
     if isinstance(value, str):
         return _split_spec_list(value)
     if isinstance(value, Sequence):
-        if not all(isinstance(item, str) for item in value):
-            raise ConfigurationError(f"{what} entries must be strings")
         return tuple(value)
-    raise ConfigurationError(f"{what} must be a list of strings or a comma-separated string")
+    raise ConfigurationError(f"{what} must be a list or a comma-separated string")
 
 
-def _json_integer(value: object, what: str) -> int:
-    """An integral JSON number; ``NaN`` and ``Infinity`` are not integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{what} must be an integer")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-        value = int(value)
-    return value
+def _names(value: object, what: str) -> Tuple[str, ...]:
+    """A list field of names, each a non-empty string, stripped."""
+    names = []
+    for name in _entries(value, what):
+        if not isinstance(name, str) or not name.strip():
+            raise ConfigurationError(f"{what} entries must be non-empty strings, got {name!r}")
+        names.append(name.strip())
+    return tuple(names)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """A (programs × latencies × machine axes × architectures) grid.
 
-    Program names are normalized to the registry's upper-case form and
-    architecture names to lower case, so specs parsed from a command line
-    compare equal to specs built in code.  ``architectures`` entries may be
-    registry names or inline machine-spec strings (``"dva@lanes=2"``).
+    The constructor is the one reader of a grid, whether it comes from code,
+    from JSON (:meth:`from_json`) or from the command line, so every input
+    follows one rule set:
+
+    * every list field is a sequence or one comma-separated string
+      (``"dyfesm,trfd"``); an architecture string keeps the commas of an
+      inline spec's ``@`` clause (``"ref,dva@lanes=2,ports=2"`` is two
+      entries);
+    * names are non-empty strings; programs are upper-cased to the
+      registry's form and architectures lower-cased, which may be registry
+      names or inline machine-spec strings (``"dva@lanes=2"``);
+    * a latency is a non-negative int, an integral float or a string of
+      digits — never a ``bool``, ``1.5``, ``NaN`` or an infinity;
+    * ``scale`` is a finite positive number (not a ``bool``).
 
     ``axes`` declares extra sweep dimensions over
-    :class:`~repro.core.machine.MachineSpec` fields, as a mapping (or pair
-    sequence) of axis name → values, e.g. ``{"lanes": (1, 2, 4), "ports":
-    (1, 2)}``.  A ``"latency"`` axis is folded into :attr:`latencies` (it is
-    the one axis that is not a machine field), so it may be given either way
-    but not both.
+    :class:`~repro.core.machine.MachineSpec` fields, as a mapping (or a
+    sequence of ``(name, values)`` pairs) of axis name → values, e.g.
+    ``{"lanes": (1, 2, 4), "ports": "1,2"}``; values may be a scalar, a
+    sequence or a comma-separated string.  A ``"latency"`` axis is folded
+    into :attr:`latencies` (it is the one axis that is not a machine field),
+    so it may be given either way but not both.  Anything malformed raises
+    :class:`~repro.common.errors.ConfigurationError`.
     """
 
     programs: Tuple[str, ...]
@@ -245,21 +254,28 @@ class SweepSpec:
     axes: Axes = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "programs", tuple(str(p).upper() for p in self.programs)
+        programs = tuple(name.upper() for name in _names(self.programs, "programs"))
+        architectures = tuple(
+            name.lower() for name in _names(self.architectures, "architectures")
         )
-        object.__setattr__(
-            self, "architectures", tuple(str(a).lower() for a in self.architectures)
-        )
-        latencies = tuple(int(lat) for lat in self.latencies)
+        latencies = _entries(self.latencies, "latencies")
+        if latencies:
+            latencies = parse_axis_values(LATENCY_AXIS, latencies)
+        pairs = list(self.axes.items()) if isinstance(self.axes, Mapping) else self.axes
+        if isinstance(pairs, str) or not isinstance(pairs, Sequence) or not all(
+            isinstance(pair, Sequence) and not isinstance(pair, str) and len(pair) == 2
+            for pair in pairs
+        ):
+            raise ConfigurationError(
+                "sweep axes must be a mapping or a list of [name, values] pairs"
+            )
         axes: List[Tuple[str, Tuple[object, ...]]] = []
-        axis_items = (
-            self.axes.items() if isinstance(self.axes, Mapping) else self.axes
-        )
-        for name, values in axis_items:
-            if isinstance(values, (int, bool, str)):
+        for name, values in pairs:
+            if not isinstance(name, str):
+                raise ConfigurationError(f"sweep axis names must be strings, got {name!r}")
+            if not isinstance(values, (str, Sequence)):
                 values = (values,)
-            values = parse_axis_values(name, values)
+            values = parse_axis_values(name, _entries(values, f"sweep axis {name!r}"))
             key = canonical_axis_name(name)
             if key == LATENCY_AXIS:
                 if latencies:
@@ -267,28 +283,31 @@ class SweepSpec:
                         "latencies given twice (both the 'latencies' field "
                         "and a 'latency' axis)"
                     )
-                latencies = tuple(int(v) for v in values)  # type: ignore[arg-type]
+                latencies = values
                 continue
             if any(key == existing for existing, _ in axes):
                 raise ConfigurationError(f"sweep axis {key!r} declared twice")
             axes.append((key, values))
-        object.__setattr__(self, "latencies", latencies)
-        object.__setattr__(self, "axes", tuple(axes))
-        if not self.programs:
-            raise ConfigurationError("a sweep needs at least one program")
-        if not self.latencies:
-            raise ConfigurationError("a sweep needs at least one memory latency")
-        if not self.architectures:
-            raise ConfigurationError("a sweep needs at least one architecture")
-        if any(latency < 0 for latency in self.latencies):
-            raise ConfigurationError("memory latencies cannot be negative")
-        for axis, values in (("programs", self.programs), ("latencies", self.latencies)):
-            if len(set(values)) != len(values):
-                raise ConfigurationError(f"sweep {axis} repeat a value")
+        scale = self.scale
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+            raise ConfigurationError(f"scale must be a number, got {scale!r}")
         try:
-            check_scale(self.scale)
-        except WorkloadError as exc:
+            scale = check_scale(float(scale))
+        except (OverflowError, WorkloadError) as exc:
             raise ConfigurationError(str(exc)) from None
+        object.__setattr__(self, "programs", programs)
+        object.__setattr__(self, "latencies", latencies)
+        object.__setattr__(self, "architectures", architectures)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "axes", tuple(axes))
+        if not programs:
+            raise ConfigurationError("a sweep needs at least one program")
+        if not latencies:
+            raise ConfigurationError("a sweep needs at least one memory latency")
+        if not architectures:
+            raise ConfigurationError("a sweep needs at least one architecture")
+        if len(set(programs)) != len(programs):
+            raise ConfigurationError("sweep programs repeat a value")
 
     def to_json(self) -> Dict[str, object]:
         """The grid as JSON: a sweep result's ``spec`` block and the service's.
@@ -304,118 +323,26 @@ class SweepSpec:
         }
 
     @classmethod
-    def from_strings(
-        cls,
-        programs: str,
-        latencies: str,
-        architectures: str = "ref,dva",
-        scale: float = 1.0,
-        axes: Sequence[str] = (),
-    ) -> "SweepSpec":
-        """Parse comma-separated lists, as given on the command line.
-
-        Each ``axes`` entry reads ``name=v1,v2,...`` (e.g. ``"lanes=1,2,4"``);
-        ``architectures`` may mix registry names and inline specs, with the
-        assignments of an inline spec's ``@`` clause kept together.
-        """
-        try:
-            parsed_latencies = tuple(
-                int(s) for s in (s.strip() for s in latencies.split(",")) if s
-            )
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"latencies must be integers, got {latencies!r}"
-            ) from exc
-        parsed_axes: List[Tuple[str, Tuple[object, ...]]] = []
-        for entry in axes:
-            name, eq, values = entry.partition("=")
-            if not eq or not name.strip():
-                raise ConfigurationError(
-                    f"malformed sweep axis {entry!r} (expected name=v1,v2,...)"
-                )
-            parsed_axes.append(
-                (name.strip(), tuple(v.strip() for v in values.split(",") if v.strip()))
-            )
-        return cls(
-            programs=tuple(p for p in (s.strip() for s in programs.split(",")) if p),
-            latencies=parsed_latencies,
-            architectures=_split_spec_list(architectures),
-            scale=scale,
-            axes=tuple(parsed_axes),
-        )
-
-    @classmethod
     def from_json(cls, payload: object) -> "SweepSpec":
-        """Read a grid back from :meth:`to_json`'s shape, checking every field.
+        """Read a grid from :meth:`to_json`'s shape: a sweep result's ``spec``
+        block or the service's sweep request.
 
-        The one reader of that shape: a sweep result's ``spec`` block and
-        the service's sweep request both come here.  Only ``programs`` is
-        required; list fields may also be comma-separated strings
-        (``"programs": "dyfesm,trfd"`` parses like the CLI), and ``axes``
-        may be a mapping or a pair list.  Anything malformed raises
-        :class:`~repro.common.errors.ConfigurationError`.
+        Only the payload's shape is checked here — a mapping of known fields
+        that has ``programs``; the constructor reads every value, so a JSON
+        body follows the same rules as code and the command line.
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError("sweep spec must be a JSON object")
-        fields = ("programs", "latencies", "architectures", "scale", "axes")
-        unknown = sorted(set(payload) - set(fields))
+        names = sorted(field.name for field in fields(cls))
+        unknown = sorted(map(repr, set(payload) - set(names)))
         if unknown:
             raise ConfigurationError(
-                f"sweep spec has unknown field(s) {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(sorted(fields))}"
+                f"sweep spec has unknown field(s) {', '.join(unknown)}; "
+                f"allowed: {', '.join(names)}"
             )
         if "programs" not in payload:
             raise ConfigurationError("sweep spec needs 'programs'")
-        programs = _json_names(payload["programs"], "'programs'")
-
-        raw_latencies = payload.get("latencies", ())
-        if isinstance(raw_latencies, str):
-            parts = [part.strip() for part in raw_latencies.split(",") if part.strip()]
-            try:
-                latencies: Tuple[int, ...] = tuple(int(part) for part in parts)
-            except ValueError:
-                raise ConfigurationError(
-                    f"'latencies' must be integers, got {raw_latencies!r}"
-                ) from None
-        elif isinstance(raw_latencies, Sequence):
-            latencies = tuple(_json_integer(item, "'latencies' entry") for item in raw_latencies)
-        else:
-            raise ConfigurationError(
-                "'latencies' must be a list of integers or a comma-separated string"
-            )
-
-        raw_axes = payload.get("axes", ())
-        axes: List[Tuple[str, Tuple[object, ...]]] = []
-        if isinstance(raw_axes, Mapping):
-            axis_items: Sequence[Tuple[object, object]] = list(raw_axes.items())
-        elif isinstance(raw_axes, Sequence) and not isinstance(raw_axes, str):
-            axis_items = []
-            for pair in raw_axes:
-                if not isinstance(pair, Sequence) or isinstance(pair, str) or len(pair) != 2:
-                    raise ConfigurationError("'axes' pair entries must be [name, values] pairs")
-                axis_items.append((pair[0], pair[1]))
-        else:
-            raise ConfigurationError("'axes' must be a mapping or a list of [name, values] pairs")
-        for name, values in axis_items:
-            if not isinstance(name, str) or not name.strip():
-                raise ConfigurationError("axis names must be non-empty strings")
-            if isinstance(values, (str, int, bool)):
-                values = (values,)
-            elif not isinstance(values, Sequence):
-                raise ConfigurationError(f"axis {name!r} values must be a list or a scalar")
-            axes.append((name.strip(), tuple(values)))
-
-        architectures = _json_names(payload.get("architectures", "ref,dva"), "'architectures'")
-        scale = payload.get("scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            raise ConfigurationError("'scale' must be a number")
-        return cls(
-            programs=programs,
-            latencies=latencies,
-            architectures=architectures,
-            scale=float(scale),
-            axes=tuple(axes),
-        )
+        return cls(**payload)
 
     def axis_combinations(self) -> List[Overrides]:
         """Every machine-axis combination, axis-major (``[()]`` with no axes)."""

@@ -324,34 +324,48 @@ def canonical_axis_name(name: str) -> str:
     return lookup_field(key).key
 
 
+def _latency(value: object) -> int:
+    """One memory latency: a non-negative int, integral float or digit string."""
+    if isinstance(value, str) and value.strip().isdecimal():
+        return int(value)
+    if isinstance(value, float) and value.is_integer() and value >= 0:
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ConfigurationError(
+        f"memory latencies must be non-negative integers, got {value!r}"
+    )
+
+
+def _field_value(info: FieldInfo, value: object) -> FieldValue:
+    """One machine-field axis value: its spec-string form or its own type."""
+    if isinstance(value, str):
+        return parse_field_value(info, value)
+    if isinstance(value, int) and isinstance(value, bool) == (info.kind == "bool"):
+        return value
+    takes = "on/off" if info.kind == "bool" else "an integer"
+    raise ConfigurationError(f"field {info.key!r} takes {takes}, got {value!r}")
+
+
 def parse_axis_values(name: str, values: Iterable[object]) -> Tuple[FieldValue, ...]:
-    """Validate and normalize one axis' values (strings are parsed)."""
+    """Validate and normalize one axis' values (strings are parsed).
+
+    The one check of a latency list, whether it is a sweep's ``latencies``
+    field or a ``latency`` axis.
+    """
     key = canonical_axis_name(name)
-    parsed: List[FieldValue] = []
     if key == LATENCY_AXIS:
-        for value in values:
-            try:
-                latency = int(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"latencies must be integers, got {value!r}"
-                ) from None
-            if latency < 0:
-                raise ConfigurationError("memory latencies cannot be negative")
-            parsed.append(latency)
+        parsed: Tuple[FieldValue, ...] = tuple(_latency(value) for value in values)
+        repeats = "sweep latencies repeat a value"
     else:
         info = lookup_field(key)
-        for value in values:
-            parsed.append(
-                parse_field_value(info, value)
-                if isinstance(value, str)
-                else value  # type: ignore[arg-type]
-            )
+        parsed = tuple(_field_value(info, value) for value in values)
+        repeats = f"sweep axis {key!r} repeats a value"
     if not parsed:
         raise ConfigurationError(f"sweep axis {key!r} needs at least one value")
     if len(set(parsed)) != len(parsed):
-        raise ConfigurationError(f"sweep axis {key!r} repeats a value")
-    return tuple(parsed)
+        raise ConfigurationError(repeats)
+    return parsed
 
 
 def axis_combinations(

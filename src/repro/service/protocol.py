@@ -17,10 +17,12 @@ is validated, planned and keyed exactly like a cell of a sweep::
 
 ``POST /v1/sweeps`` — the same shape :meth:`SweepResult.to_json` emits
 under ``"spec"``, so a sweep result downloaded from one service can be
-re-submitted to another verbatim; :meth:`SweepSpec.from_json` is the one
-reader of that shape.  Scalars are accepted where lists read more
-naturally as strings (``"programs": "dyfesm,trfd"`` parses like the CLI),
-and ``axes`` may be a mapping or a pair list::
+re-submitted to another verbatim.  :meth:`SweepSpec.from_json` checks only
+the body's shape; the :class:`SweepSpec` constructor reads every value, by
+the same rules as code and the CLI: a list field may be a comma-separated
+string (``"programs": "dyfesm,trfd"``, ``"latencies": "1,50"``), and
+``axes`` may be a mapping or a pair list whose values may be a scalar, a
+list or a comma-separated string::
 
     {"programs": ["dyfesm"], "latencies": [1, 50], "architectures": ["ref", "dva"],
      "scale": 1.0, "axes": {"lanes": [1, 2]}}
@@ -47,8 +49,9 @@ def parse_run_request(payload: object) -> SweepSpec:
     """Validate a ``/v1/run`` body into the one-cell :class:`SweepSpec` it names.
 
     ``arch`` (alias ``architecture``) defaults to ``"dva"``, ``latency`` to
-    1 and ``scale`` to 1.0.  The cell's fields become the sweep request's
-    one-entry lists, so grid-level checks are the sweep's own.
+    1 and ``scale`` to 1.0.  Only the body's shape is checked here: the
+    cell's fields become the sweep request's one-entry lists, so every value
+    is read by the same code as a sweep's.
     """
     if not isinstance(payload, Mapping):
         raise ProtocolError("run request must be a JSON object")
@@ -60,17 +63,13 @@ def parse_run_request(payload: object) -> SweepSpec:
         )
     if "arch" in payload and "architecture" in payload:
         raise ProtocolError("run request gives both 'arch' and 'architecture'")
-    program = payload.get("program")
-    if not isinstance(program, str) or not program.strip():
-        raise ProtocolError("run request needs a non-empty 'program' string")
-    architecture = payload.get("arch", payload.get("architecture", "dva"))
-    if not isinstance(architecture, str) or not architecture.strip():
-        raise ProtocolError("'arch' must be a non-empty string")
+    if "program" not in payload:
+        raise ProtocolError("run request needs 'program'")
     return parse_sweep_request(
         {
-            "programs": [program.strip()],
+            "programs": [payload["program"]],
             "latencies": [payload.get("latency", 1)],
-            "architectures": [architecture.strip()],
+            "architectures": [payload.get("arch", payload.get("architecture", "dva"))],
             "scale": payload.get("scale", 1.0),
         }
     )

@@ -291,10 +291,6 @@ class VectorizingCompiler:
                 pool = independent
                 first = pool[index % len(pool)]
                 second = pool[(index + 1) % len(pool)]
-            elif kernel.chained_ops:
-                pool = results[-2:] if len(results) > 1 else results[-1:]
-                first = pool[0]
-                second = pool[-1]
             elif unconsumed_loads:
                 # Consume every loaded value exactly once before recombining
                 # intermediate results, as a scheduler filling both units

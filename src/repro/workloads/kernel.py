@@ -58,9 +58,6 @@ class LoopKernel:
         stores: vector store streams written every iteration.
         fu_any_ops: vector operations executable on either functional unit.
         fu2_ops: vector multiply/divide/sqrt operations (FU2 only).
-        chained_ops: when ``True`` the vector operations form one dependence
-            chain (each op consumes the previous result); when ``False`` they
-            only depend on the loaded values, leaving more parallelism.
         load_use_distance: number of vector operations scheduled *before* the
             first operation that consumes a loaded value.  A non-zero distance
             models a compiler that hoists loads to the top of the loop body so
@@ -95,7 +92,6 @@ class LoopKernel:
     stores: Tuple[VectorStream, ...] = ()
     fu_any_ops: int = 1
     fu2_ops: int = 0
-    chained_ops: bool = False
     load_use_distance: int = 0
     vector_spill_pairs: int = 0
     scalar_spill_pairs: int = 0

@@ -68,26 +68,22 @@ class TestSpecAxes:
         assert [cell.simulator.name for cell in cells] == ["dva", "dva@lanes=2"]
         assert [cell.simulator.spec.lanes for cell in cells] == [1, 2]
 
-    def test_from_strings_axes(self):
-        spec = SweepSpec.from_strings(
-            "trfd", "1,50", "dva", axes=("lanes=1,2,4", "ports=1,2")
+    def test_comma_string_axes(self):
+        spec = SweepSpec(
+            "trfd", "1,50", "dva", axes=(("lanes", "1,2,4"), ("ports", "1,2"))
         )
         assert spec.axes == (("lanes", (1, 2, 4)), ("ports", (1, 2)))
 
-    def test_from_strings_malformed_axis(self):
-        with pytest.raises(ConfigurationError, match="malformed sweep axis"):
-            SweepSpec.from_strings("trfd", "1", "dva", axes=("lanes",))
-
-    def test_from_strings_inline_spec_architectures(self):
-        spec = SweepSpec.from_strings(
+    def test_comma_string_inline_spec_architectures(self):
+        spec = SweepSpec(
             "trfd", "1", "ref,dva@lanes=2,ports=2,dva-nobypass"
         )
         assert spec.architectures == (
             "ref", "dva@lanes=2,ports=2", "dva-nobypass"
         )
 
-    def test_from_strings_two_adjacent_inline_specs(self):
-        spec = SweepSpec.from_strings("trfd", "1", "dva@bypass=off,ref@lanes=2")
+    def test_comma_string_two_adjacent_inline_specs(self):
+        spec = SweepSpec("trfd", "1", "dva@bypass=off,ref@lanes=2")
         assert spec.architectures == ("dva@bypass=off", "ref@lanes=2")
 
     def test_axis_overriding_inline_base_pin_rebuilds_label(self):

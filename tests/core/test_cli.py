@@ -180,6 +180,14 @@ class TestInProcess:
         assert excinfo.value.code == 2
         assert "memory latency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["lanes", "=1,2"])
+    def test_malformed_sweep_axis_errors_cleanly(self, capsys, axis):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--programs", "trfd", "--latencies", "1", "--arch", "dva",
+                  "--axis", axis, "--no-store"])
+        assert excinfo.value.code == 2
+        assert "malformed sweep axis" in capsys.readouterr().err
+
 
 class TestCacheVerify:
     def _filled_store(self, tmp_path):

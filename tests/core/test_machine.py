@@ -314,6 +314,21 @@ class TestFieldSchema:
         with pytest.raises(ConfigurationError, match="negative"):
             parse_axis_values("latency", (-1,))
 
+    def test_latency_axis_values_are_strict(self):
+        assert parse_axis_values("latency", ("50", 100.0, 7)) == (50, 100, 7)
+        for value in (True, 1.5, float("nan"), float("inf"), "1e3", "x", None, (1,)):
+            with pytest.raises(ConfigurationError, match="non-negative integers"):
+                parse_axis_values("latency", (value,))
+        with pytest.raises(ConfigurationError, match="sweep latencies repeat a value"):
+            parse_axis_values("latency", ("1", 1))
+
+    @pytest.mark.parametrize(
+        "name, value", [("lanes", True), ("lanes", 1.0), ("lanes", [1]), ("bypass", 1)]
+    )
+    def test_machine_axis_values_must_have_the_fields_type(self, name, value):
+        with pytest.raises(ConfigurationError, match="takes"):
+            parse_axis_values(name, (value,))
+
 
 class TestRegistryResolution:
     def test_inline_spec_resolves_without_registration(self):

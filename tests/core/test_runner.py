@@ -36,8 +36,8 @@ class TestSweepSpec:
         assert cells[:3] == [("DYFESM", 1, "ref"), ("DYFESM", 1, "dva"), ("DYFESM", 50, "ref")]
         assert cells[-1] == ("TRFD", 50, "dva")
 
-    def test_from_strings(self):
-        parsed = SweepSpec.from_strings("dyfesm, trfd", "1, 50", "ref,dva", scale=0.2)
+    def test_comma_strings_read_like_sequences(self):
+        parsed = SweepSpec("dyfesm, trfd", "1, 50", "ref,dva", scale=0.2)
         assert parsed == SPEC
 
     @pytest.mark.parametrize(

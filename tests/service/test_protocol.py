@@ -94,8 +94,16 @@ class TestParseSweepRequest:
     @pytest.mark.parametrize("text", ["ref,dva@lanes=2,ports=2", "dva@bypass=off,ref@lanes=2"])
     def test_inline_spec_clauses_keep_their_commas_like_the_cli(self, text):
         spec = parse_sweep_request({"programs": "trfd", "latencies": "1", "architectures": text})
-        assert spec == SweepSpec.from_strings(programs="trfd", latencies="1", architectures=text)
+        assert spec == SweepSpec(programs="trfd", latencies="1", architectures=text)
         assert len(spec.architectures) == 2
+
+    def test_digit_strings_and_comma_axis_values_read_like_the_cli(self):
+        spec = parse_sweep_request(
+            {"programs": ["trfd"], "latencies": ["1", 50], "axes": {"lanes": "1,2"}}
+        )
+        assert spec.latencies == (1, 50)
+        assert spec.axes == (("lanes", (1, 2)),)
+        assert parse_run_request({"program": "trfd", "latency": "50"}).latencies == (50,)
 
     def test_axes_as_mapping(self):
         spec = parse_sweep_request(
@@ -137,6 +145,10 @@ class TestParseSweepRequest:
             json.loads('{"programs": ["trfd"], "latencies": [1, NaN]}'),
             json.loads('{"programs": ["trfd"], "latencies": [Infinity]}'),
             json.loads('{"programs": ["trfd"], "latencies": [-Infinity]}'),
+            {"programs": ["trfd"], "latencies": [1], "axes": {"lanes": [[1, 2]]}},
+            {"programs": ["trfd"], "latencies": [True]},
+            {"programs": [7], "latencies": [1]},
+            {"programs": ["trfd"], "latencies": [1], "scale": "1"},
         ],
     )
     def test_malformed_sweeps_raise_protocol_errors(self, payload):
