@@ -11,14 +11,18 @@ store, then drives the whole service loop with stdlib ``urllib``:
 4. ``GET /v1/stats`` reflects both: store entries plus service counters;
 5. ``POST /v1/run`` answers a cell of that sweep from the store, simulates
    a new cell once and then answers it from the store too, and rejects an
-   unknown program or a negative latency with ``400``.
+   unknown program or a negative latency with ``400``;
+6. SIGINT shuts the server down cleanly (exit 0, ``shutting down``), and
+   the server and every simulation worker it forked have exited.
 
 Exits non-zero (with the failing detail on stderr) on any violation, so a
 CI step is just ``python scripts/service_smoke.py``.
 """
 
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -60,6 +64,31 @@ def poll(base, sweep_id, timeout=120.0):
         if time.monotonic() > deadline:
             raise SystemExit(f"sweep {sweep_id} never settled: {payload}")
         time.sleep(0.25)
+
+
+def children(pid):
+    """Live processes whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        stat = _stat(int(entry)) if entry.isdigit() else None
+        if stat is not None and stat[0] != "Z" and stat[1] == pid:
+            found.append(int(entry))
+    return found
+
+
+def _stat(pid):
+    """``(state, parent pid)`` of a process, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def alive(pid):
+    found = _stat(pid)
+    return found is not None and found[0] != "Z"
 
 
 def check(condition, what, context):
@@ -147,12 +176,24 @@ def main():
             for bad in ({**cell, "program": "nosuch"}, {**cell, "latency": -1}):
                 status, payload = api_status(base, "/v1/run", bad)
                 check(status == 400, f"/v1/run rejects {bad} with 400", payload)
+
+            workers = children(server.pid)
+            check(workers, "the server forked its simulation workers", {"workers": workers})
+            server.send_signal(signal.SIGINT)
+            code = server.wait(timeout=30)
+            output = server.stdout.read()
+            check(
+                code == 0 and "shutting down" in output,
+                "SIGINT shuts the server down cleanly",
+                {"exit code": code, "output": output},
+            )
+            left = [pid for pid in workers if alive(pid)]
+            check(not left, "every simulation worker exited with the server", {"left": left})
             print("service smoke: all checks passed")
         finally:
-            server.terminate()
-            try:
-                server.wait(timeout=10)
-            except subprocess.TimeoutExpired:
+            if server.poll() is None:
+                for pid in children(server.pid):
+                    os.kill(pid, signal.SIGKILL)
                 server.kill()
                 server.wait()
 

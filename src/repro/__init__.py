@@ -16,7 +16,7 @@ contribution:
   and the store→load bypass.
 * :mod:`repro.core` — the unified experiment API: machine specs and the
   architecture registry, run configuration, the sweep
-  runner (serial or multiprocessing, with per-program trace caching),
+  runner (serial or over forked worker processes, with per-program trace caching),
   figure/table reproduction and the ``python -m repro`` command line.
 * :mod:`repro.store` — the persistent, content-addressed result store that
   makes sweeps incremental and resumable: completed cells are cached under

@@ -17,7 +17,7 @@ touching the per-architecture packages:
 * :class:`SweepSpec` declaring (programs × latencies ×
   machine axes × architectures) grids — any :class:`MachineSpec` field can
   be a sweep axis — and the :class:`Runner` executing them serially or
-  across a ``multiprocessing`` pool with per-program trace caching.
+  across a pool of worker processes with per-program trace caching.
 * :class:`~repro.store.ResultStore` / :func:`~repro.store.cell_key`
   (re-exported from :mod:`repro.store`) — the persistent content-addressed
   result cache; hand a store to the :class:`Runner` (or ``run_sweep``'s

@@ -306,15 +306,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Library-level :class:`~repro.common.errors.ReproError` failures become
     exit code 2 with a one-line message, matching argparse's own behaviour
-    for unparseable input.
+    for unparseable input.  A reader that closes stdout early (``repro
+    sweep ... | head -2``) ends the command quietly with exit code 1, as the
+    Python documentation's note on SIGPIPE recommends.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except ReproError as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2  # pragma: no cover - parser.exit raises SystemExit
+    except BrokenPipeError:
+        # Later flushes (at exit too) go to /dev/null instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 # -- subcommand handlers ---------------------------------------------------------------

@@ -3,12 +3,13 @@
 The paper's central experiment is a grid — six Perfect Club programs × memory
 latencies {1, 10, 50, 100} × machines {REF, DVA} (§4–§7).  A
 :class:`SweepSpec` declares such a grid and a :class:`Runner` executes every
-cell either serially or across a ``multiprocessing`` pool.  A cell is fully
-described by its program, scale, latency and machine spec.  The
-:class:`SweepSpec` constructor is the one reader of a grid: code, the
-service's JSON bodies and the command line's flags all hand it their values
-as they are (a list field may be one comma-separated string), so a grid
-reads, and fails, the same way on every path.
+cell either serially or across a pool of worker processes
+(:mod:`repro.core.pool`).  A cell is fully described by its program, scale,
+latency and machine spec.  The :class:`SweepSpec` constructor is the one
+reader of a grid: code, the service's JSON bodies and the command line's
+flags all hand it their values as they are (a list field may be one
+comma-separated string), so a grid reads, and fails, the same way on every
+path.
 
 Sweeps are not limited to the latency axis: any
 :class:`~repro.core.machine.MachineSpec` field can be an axis too, so
@@ -41,16 +42,12 @@ re-simulated cells and an identical warm re-run is pure cache hits.
 
 from __future__ import annotations
 
-import gc
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
-import sys
-import threading
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -77,6 +74,11 @@ from repro.store import ResultStore, StoreEntry, cell_key
 from repro.trace.columns import Trace
 from repro.workloads.perfect_club import load_program
 from repro.workloads.program_model import check_scale
+
+if TYPE_CHECKING:  # pragma: no cover
+    import asyncio
+
+    from repro.core.pool import WorkerPool
 
 Overrides = Tuple[Tuple[str, object], ...]
 Axes = Tuple[Tuple[str, Tuple[object, ...]], ...]
@@ -488,28 +490,14 @@ def _run_cells(
 _WORKER_CACHE = TraceCache()
 
 
-def _worker_init() -> None:
-    """Initialize one pool worker: freeze the heap it inherited.
-
-    ``gc.freeze()`` moves every object the worker inherited from its parent
-    into the permanent generation, so the generational collector, which
-    stays on, only ever scans what the worker's own batches allocate and
-    never writes to the inherited copy-on-write pages.  No batch forces a
-    collection: a full one over the inherited heap took 5–7 ms, more than
-    the costliest paper cell takes to simulate.  Traces are not built here:
-    each worker builds them on first use, so workers never pay for programs
-    they are not assigned.
-    """
-    gc.freeze()
-
-
 def _run_program_cells(
     task: Tuple[Sequence[PlannedCell], Optional[str]]
 ) -> List[RunResult]:
     """Worker: sweep one batch of a program's cells over its cached trace.
 
-    Module-level so ``multiprocessing`` can pickle it under both the fork and
-    spawn start methods.  The cells carry their resolved
+    Every :class:`~repro.core.pool.WorkerPool` worker runs each task it
+    receives through this function and :data:`_WORKER_CACHE`, both looked up
+    on this module when the task arrives.  The cells carry their resolved
     :class:`~repro.core.registry.SpecArchitecture` records rather than
     registry names, so runtime registrations work in workers too.  When the
     parent runs with a result store, the task carries the store *root* (a
@@ -521,13 +509,6 @@ def _run_program_cells(
     store = ResultStore(store_root) if store_root is not None else None
     trace = _WORKER_CACHE.get(cells[0].program, cells[0].scale)
     return _run_cells(trace, cells, store)
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Fork on Linux (workers start without re-importing), platform default elsewhere."""
-    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 def _available_parallelism() -> int:
@@ -547,21 +528,22 @@ class Runner:
     of paying pool and scheduling overhead for no speedup.  A sweep with a
     single cell to simulate always runs in-process.
 
-    :meth:`run` (a whole grid) and :meth:`run_batch` (one program's cells,
-    for the sweep service) both hand batches of :class:`PlannedCell` to one
-    executor, :meth:`_execute`, the only code that chooses between the two
-    paths.  In-process batches share the runner's :class:`TraceCache`.
-    Pooled batches go to a ``multiprocessing`` pool that is created on first
-    use and reused for the runner's lifetime, so repeated sweeps pay for
-    worker startup and trace building once: each worker builds a program's
-    trace the first time it is handed one of its cells.  A pooled grid
-    splits each program's cells into per-worker chunks, costliest first, so
-    every worker gets work even when the grid has fewer programs than
-    workers.  Both paths produce identical results in identical order — the
-    simulators are deterministic and each cell is independent — which the
-    test suite asserts.  Neither path pauses the garbage collector or forces
-    a collection; pool workers freeze the heap they inherit
-    (:func:`_worker_init`).
+    :meth:`run` (a whole grid) and :meth:`run_batch` (one program's cells)
+    both hand batches of :class:`PlannedCell` to one executor,
+    :meth:`_execute`, the only code that chooses between the two paths.
+    In-process batches share the runner's :class:`TraceCache`.  Pooled
+    batches go to the runner's :class:`~repro.core.pool.WorkerPool`, whose
+    workers start at the first pooled batch and are reused for the runner's
+    lifetime, so repeated sweeps pay for worker startup and trace building
+    once: each worker builds a program's trace the first time it is handed
+    one of its cells.  A pooled grid splits each program's cells into
+    per-worker chunks, costliest first, so every worker gets work even when
+    the grid has fewer programs than workers.  Both paths produce identical
+    results in identical order — the simulators are deterministic and each
+    cell is independent — which the test suite asserts.  Neither path
+    pauses the garbage collector or forces a collection; pool workers freeze
+    the heap they inherit.  The sweep service drives the same pool from its
+    event loop through :meth:`submit_batch`.
 
     With a :class:`~repro.store.ResultStore` attached (``store=`` — an
     instance, or a path to open one at), the runner becomes *incremental*:
@@ -586,12 +568,7 @@ class Runner:
             store = ResultStore(store)
         self.store = store
         self.trace_cache = TraceCache()
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        # The sweep service calls run_batch from several executor threads at
-        # once; pool creation and first-touch trace builds are the two
-        # critical sections (the pool's own methods are thread-safe).
-        self._pool_lock = threading.Lock()
-        self._trace_lock = threading.Lock()
+        self._pool: Optional[WorkerPool] = None
 
     @property
     def effective_jobs(self) -> int:
@@ -653,17 +630,32 @@ class Runner:
     def run_batch(self, cells: Sequence[PlannedCell]) -> List[RunResult]:
         """Execute one batch of a single program's cells, off the grid path.
 
-        This is the dispatch surface the sweep service's scheduler uses for
-        cold cells, safe from several threads at once: with more than one
-        effective job the batch goes to the persistent worker pool (which
-        serializes its task queue internally), otherwise it is simulated in
-        the calling thread.  Store write-back matches :meth:`run` — per
-        cell, in the process that simulated it; merging the advisory index
-        is the caller's job, as it is for :meth:`run`.
+        With more than one effective job the batch goes to a worker of the
+        persistent pool and the call blocks until it is back; otherwise it
+        is simulated in the calling thread.  Store write-back matches
+        :meth:`run` — per cell, in the process that simulated it; merging
+        the advisory index is the caller's job, as it is for :meth:`run`.
         """
         if not cells:
             return []
         return next(self._execute([cells], self.effective_jobs > 1))
+
+    def submit_batch(self, cells: Sequence[PlannedCell]) -> "asyncio.Future[List[RunResult]]":
+        """Send one batch of a single program's cells to a pool worker.
+
+        Called on a running event loop (the sweep service's scheduler); the
+        returned future of that loop resolves with the batch's results, or
+        with its exception, when the worker's reply is read.  The batch
+        always goes to the pool, whatever ``jobs`` is, so the caller never
+        simulates in its own process; it waits for an idle worker when all
+        of them are busy.  Store write-back is the worker's, as in
+        :meth:`run_batch`.
+        """
+        return self._ensure_pool().submit(self._task(cells))
+
+    def _task(self, cells: Sequence[PlannedCell]) -> Tuple[Sequence[PlannedCell], Optional[str]]:
+        """A worker's task: the cells and the store root it writes back to."""
+        return cells, str(self.store.root) if self.store is not None else None
 
     def _execute(
         self,
@@ -675,46 +667,42 @@ class Runner:
 
         The one place the runner chooses between its worker pool and
         in-process simulation.  Pooled batches run in the workers, which
-        write the store themselves, and ``on_result`` fires for each cell
-        when its batch comes back.  In-process batches run over the runner's
-        trace cache, so only programs that have cells to run get their
-        traces built, and ``on_result`` fires per cell right after its store
-        write.  The caller's garbage-collector state is left alone either
-        way.
+        write the store themselves, while the calling thread waits on their
+        pipes; ``on_result`` fires for each cell when its batch comes back,
+        and a batch's exception (or a worker that died running it) is
+        raised here.  In-process batches run over the runner's trace cache,
+        so only programs that have cells to run get their traces built, and
+        ``on_result`` fires per cell right after its store write.  The
+        caller's garbage-collector state is left alone either way.
         """
         if pooled:
-            store_root = str(self.store.root) if self.store is not None else None
-            tasks = [(batch, store_root) for batch in batches]
-            for results in self._ensure_pool().imap(_run_program_cells, tasks):
+            for results in self._ensure_pool().map([self._task(batch) for batch in batches]):
                 if on_result is not None:
                     for result in results:
                         on_result(result)
                 yield results
             return
         for batch in batches:
-            with self._trace_lock:
-                trace = self.trace_cache.get(batch[0].program, batch[0].scale)
+            trace = self.trace_cache.get(batch[0].program, batch[0].scale)
             yield _run_cells(trace, batch, self.store, on_result)
 
-    def _ensure_pool(self) -> multiprocessing.pool.Pool:
-        """The persistent worker pool, created on first use (thread-safe).
+    def _ensure_pool(self) -> "WorkerPool":
+        """The persistent worker pool, created on first use.
 
-        Workers build traces lazily, once per worker that needs one, so a
-        cold multi-program sweep builds its traces in parallel across
-        workers.
+        Its workers start as batches need them and build traces lazily,
+        once per worker that needs one, so a cold multi-program sweep builds
+        its traces in parallel across workers.
         """
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = _pool_context().Pool(
-                    processes=self.effective_jobs, initializer=_worker_init
-                )
-            return self._pool
+        if self._pool is None:
+            from repro.core.pool import WorkerPool
+
+            self._pool = WorkerPool(self.effective_jobs)
+        return self._pool
 
     def close(self) -> None:
         """Release the worker pool (idempotent; the runner stays usable)."""
         if self._pool is not None:
             self._pool.close()
-            self._pool.join()
             self._pool = None
 
     def __enter__(self) -> "Runner":

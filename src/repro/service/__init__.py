@@ -5,9 +5,9 @@ system.  A :class:`ReproService` accepts JSON run/sweep requests over a
 minimal stdlib-only asyncio HTTP layer, answers warm cells straight from the
 :class:`~repro.store.ResultStore` without touching the worker path,
 deduplicates identical in-flight cells across clients (single-flight
-futures keyed by :func:`~repro.store.cell_key`), batches cold cells onto
-the multiprocessing sweep runner, and streams per-cell progress as
-server-sent events.
+futures keyed by :func:`~repro.store.cell_key`), hands cold cells in
+batches to the runner's worker processes straight from the event loop, and
+streams per-cell progress as server-sent events.
 
 Layers, bottom-up:
 

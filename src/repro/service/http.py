@@ -15,6 +15,8 @@ implements that minimal slice directly on ``asyncio``'s stream API:
 * :func:`serve_connection` — the per-connection loop: keep-alive for plain
   responses, ``Connection: close`` after a stream, and any library error
   mapped to a JSON error body (:class:`HttpError` → its status,
+  :class:`~repro.common.errors.SimulationError` — a simulator fault or a
+  simulation worker that died — → 500, any other
   :class:`~repro.common.errors.ReproError` → 400, anything else → 500).
 """
 
@@ -35,7 +37,7 @@ from typing import (
 )
 from urllib.parse import parse_qsl, unquote, urlsplit
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, SimulationError
 from repro.service.protocol import ProtocolError, error_payload
 
 MAX_HEADER_BYTES = 16 * 1024
@@ -308,6 +310,8 @@ async def serve_connection(
                 result = await handler(request, **params)
             except HttpError as exc:
                 result = _error_response(exc.status, str(exc))
+            except SimulationError as exc:
+                result = _error_response(500, f"simulation failed: {exc}")
             except (ProtocolError, ReproError) as exc:
                 result = _error_response(400, str(exc))
             except asyncio.CancelledError:

@@ -9,8 +9,8 @@ cell becomes a result, and it enforces the three service invariants:
 
 * **store hits never touch the worker path.**  A cell already in the
   :class:`~repro.store.ResultStore` is answered synchronously on the event
-  loop — one small file read, no trace build, no executor hop, no pool
-  dispatch — so a fully-warm sweep costs microseconds per cell.
+  loop — one small file read, no trace build, no pool dispatch — so a
+  fully-warm sweep costs microseconds per cell.
 * **in-flight cells are deduplicated.**  Two concurrent requests for the
   same ``cell_key`` share one simulation: the first registers a future under
   the key, later arrivals await that same future
@@ -24,21 +24,27 @@ cell becomes a result, and it enforces the three service invariants:
   sweep submission — which registers its whole grid in one turn — still
   lands together.  The queue is grouped by (program, scale) so each batch
   shares one trace, and each group's cells go as they are to
-  :meth:`~repro.core.experiment.Runner.run_batch` on a thread-pool executor
-  — in-process simulation for one job, the runner's multiprocessing pool
-  when the service was started with more.
+  :meth:`~repro.core.experiment.Runner.submit_batch`, which writes them to
+  an idle worker of the runner's :class:`~repro.core.pool.WorkerPool` (or
+  queues them until one is idle) and reads the reply in a
+  ``loop.add_reader`` callback.  No thread stands between a request and a
+  worker, and the service never simulates in its own process: with
+  ``--jobs 1`` the pool has one worker.
 
-Simulation results are written back to the store per cell by the runner
+Simulation results are written back to the store per cell by the worker
 (exactly as CLI sweeps do).  Once a batch's futures are resolved, the
 scheduler appends its cells to the store's advisory index inline on the
 loop: one ``stat`` per cell and one ``write``, the same class of work as a
-store hit's synchronous read.
+store hit's synchronous read.  A batch that fails — its exception, or a
+worker that died running it — fails every waiter of its cells, and the
+cells leave the in-flight registry, so the next request simulates them
+again (on a fresh worker, if one died).
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import PlannedCell, Runner, estimate_cell_cost
@@ -57,8 +63,8 @@ class CellScheduler:
             ones; ``None`` runs store-less (every cell simulates — useful
             only for tests).
         jobs: worker ceiling handed to the underlying
-            :class:`~repro.core.experiment.Runner`; with ``jobs > 1`` cold
-            batches go to its multiprocessing pool.
+            :class:`~repro.core.experiment.Runner`, whose pool (at least one
+            worker) simulates every cold batch.
         runner: inject a pre-configured runner (tests); defaults to
             ``Runner(jobs=jobs, store=store)``.
     """
@@ -71,16 +77,10 @@ class CellScheduler:
     ) -> None:
         self.store = store
         self.runner = runner if runner is not None else Runner(jobs=jobs, store=store)
-        # Executor threads mostly wait on the pool / file writes; one per
-        # job plus one keeps the pool busy without unbounded thread growth.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(2, self.runner.effective_jobs + 1),
-            thread_name_prefix="repro-batch",
-        )
         self._inflight: Dict[str, asyncio.Future] = {}
         self._pending: List[_Pending] = []
         self._flush_handle: Optional[asyncio.Handle] = None
-        self._batch_tasks: "set[asyncio.Task]" = set()
+        self._batches: "set[asyncio.Future]" = set()
         self._closed = False
         # Counters surfaced by /v1/stats.
         self.cells_requested = 0
@@ -134,7 +134,8 @@ class CellScheduler:
         Groups are dispatched costliest first (cells x the program's
         estimated trace length), so when one turn queued more program
         groups than the runner has workers, the pool starts the longest
-        simulations immediately instead of discovering them last.
+        simulations immediately instead of discovering them last.  Each
+        batch's future settles its cells' futures (:meth:`_settle`).
         """
         self._flush_handle = None
         pending, self._pending = self._pending, []
@@ -148,28 +149,29 @@ class CellScheduler:
             key=lambda item: -len(item[1]) * estimate_cell_cost(*item[0]),
         )
         for _group, entries in ordered:
-            task = asyncio.ensure_future(self._run_batch(entries))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            self.batches_dispatched += 1
+            batch = asyncio.ensure_future(
+                self.runner.submit_batch([cell for cell, _future in entries])
+            )
+            self._batches.add(batch)
+            batch.add_done_callback(functools.partial(self._settle, entries))
 
-    async def _run_batch(self, entries: Sequence[_Pending]) -> None:
-        """Simulate one per-program batch off-loop and resolve its futures."""
-        loop = asyncio.get_running_loop()
-        cells = [cell for cell, _future in entries]
-        self.batches_dispatched += 1
-        try:
-            results = await loop.run_in_executor(self._executor, self.runner.run_batch, cells)
-        except Exception as exc:
+    def _settle(self, entries: Sequence[_Pending], batch: "asyncio.Future") -> None:
+        """Resolve one finished batch's cell futures and index its results."""
+        self._batches.discard(batch)
+        failure = RuntimeError("batch cancelled") if batch.cancelled() else batch.exception()
+        if failure is not None:
             for _cell, future in entries:
                 if not future.done():
-                    future.set_exception(exc)
+                    future.set_exception(failure)
             return
+        results = batch.result()
         self.simulated += len(results)
         for (_cell, future), result in zip(entries, results):
             if not future.done():
                 future.set_result(result)
         if self.store is not None:
-            self.store.update_index(results, cells[0].scale)
+            self.store.update_index(results, entries[0][0].scale)
 
     # -- introspection and lifecycle ---------------------------------------------------
 
@@ -191,18 +193,23 @@ class CellScheduler:
 
     async def drain(self) -> None:
         """Wait for every queued and in-flight batch to finish (tests, shutdown)."""
-        while self._pending or self._flush_handle is not None or self._batch_tasks:
+        while self._pending or self._flush_handle is not None or self._batches:
             if self._flush_handle is not None:
                 self._flush_handle.cancel()
                 self._flush_handle = None
                 self._flush()
-            if self._batch_tasks:
-                await asyncio.gather(*list(self._batch_tasks), return_exceptions=True)
+            if self._batches:
+                await asyncio.gather(*list(self._batches), return_exceptions=True)
             else:
                 await asyncio.sleep(0)
 
     def close(self) -> None:
-        """Stop accepting cells and release the executor and worker pool."""
+        """Stop accepting cells and release the worker pool.
+
+        Batches still running fail with the pool's closing error; their
+        workers finish the batch in hand, find their pipes closed and exit,
+        and the runner joins them.
+        """
         self._closed = True
         if self._flush_handle is not None:
             self._flush_handle.cancel()
@@ -211,7 +218,6 @@ class CellScheduler:
             if not future.done():
                 future.set_exception(RuntimeError("scheduler closed"))
         self._pending = []
-        self._executor.shutdown(wait=False)
         self.runner.close()
 
 

@@ -5,9 +5,9 @@ long-running system.  Many concurrent clients submit runs and sweeps; the
 service answers warm cells straight from the
 :class:`~repro.store.ResultStore` in microseconds, deduplicates identical
 in-flight cells across clients (single-flight, see
-:class:`~repro.service.scheduler.CellScheduler`), batches cold cells onto
-the multiprocessing runner, and streams per-cell progress as server-sent
-events.
+:class:`~repro.service.scheduler.CellScheduler`), hands cold cells in
+batches to the runner's worker processes, and streams per-cell progress as
+server-sent events.
 
 The JSON API (all under ``/v1``):
 
@@ -330,7 +330,7 @@ class ReproService:
         return await asyncio.start_server(self._on_connection, host=host, port=port)
 
     async def aclose(self) -> None:
-        """Cancel running sweeps and release the scheduler's pools."""
+        """Cancel running sweeps and release the scheduler's worker pool."""
         for job in list(self.sweeps.values()):
             if job.task is not None and not job.task.done():
                 job.task.cancel()

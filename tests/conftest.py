@@ -9,6 +9,9 @@ test ordering by construction; tests that exercise the store itself build
 their own :class:`~repro.store.ResultStore` on ``tmp_path`` anyway.
 """
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.isa.builder import InstructionBuilder
@@ -24,6 +27,30 @@ def _isolated_result_store(tmp_path, monkeypatch):
 def two_cpus(monkeypatch):
     """Let a ``Runner(jobs=2)`` use its pool even on a one-CPU host."""
     monkeypatch.setattr("repro.core.experiment._available_parallelism", lambda: 2)
+
+
+@pytest.fixture()
+def deadline():
+    """A context manager that fails a block still running after ``seconds``.
+
+    It raises ``TimeoutError`` in the main thread (SIGALRM), so a test of
+    code that could hang fails instead of stalling the suite.
+    """
+
+    @contextlib.contextmanager
+    def within(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within
 
 
 @pytest.fixture

@@ -301,3 +301,30 @@ class TestSubprocess:
         assert "Traceback" not in completed.stderr
         assert completed.stderr.startswith("error: ")
         assert completed.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["list-programs"],
+            ["sweep", "--programs", "trfd,dyfesm", "--latencies", "1,50", "--arch", "ref,dva",
+             "--scale", "0.2", "--no-store"],
+        ],
+    )
+    def test_a_closed_stdout_ends_the_command_quietly(self, command):
+        # The reader is gone before the command writes a byte, so its first
+        # write fails with EPIPE every time.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", *command],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=_subprocess_env(),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 1
+        assert completed.stderr == ""

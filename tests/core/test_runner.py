@@ -2,11 +2,13 @@
 
 import gc
 import json
+import os
+import signal
 
 import pytest
 
-from repro.common.errors import ConfigurationError, WorkloadError
-from repro.core import Runner, SweepSpec, run_sweep
+from repro.common.errors import ConfigurationError, SimulationError, WorkloadError
+from repro.core import Runner, SweepSpec, experiment, run_sweep
 from repro.core.experiment import (
     SweepResult,
     TraceCache,
@@ -120,10 +122,14 @@ class TestRunner:
             first = runner.run(SPEC)
             pool = runner._pool
             assert pool is not None
+            processes = [worker.process for worker in pool._workers]
+            assert len(processes) == 2
             second = runner.run(SPEC)
             assert runner._pool is pool
+            assert [worker.process for worker in pool._workers] == processes
             assert first.results == second.results
         assert runner._pool is None
+        assert all(process.exitcode == 0 for process in processes)
 
     def test_single_program_grid_parallelizes_by_cell_chunks(self, two_cpus):
         spec = SweepSpec(
@@ -190,6 +196,77 @@ class TestOneExecutor:
             assert runner._pool is None
 
 
+def _exit_worker(task):
+    """A worker's batch that kills the worker."""
+    os._exit(3)
+
+
+def _raise_workload_error(task):
+    raise WorkloadError("batch exploded")
+
+
+class TestWorkerPool:
+    """The pool's failure paths: every batch either returns or raises, never hangs."""
+
+    def test_a_batch_exception_reaches_its_caller_and_keeps_the_worker(
+        self, monkeypatch, two_cpus
+    ):
+        cells = plan_sweep(SPEC, None)[:2]
+        with Runner(jobs=2) as runner:
+            monkeypatch.setattr(experiment, "_run_program_cells", _raise_workload_error)
+            with pytest.raises(WorkloadError, match="batch exploded"):
+                runner.run_batch(cells)
+            [worker] = runner._pool._workers
+            with pytest.raises(WorkloadError, match="batch exploded"):
+                runner.run_batch(cells)
+            assert runner._pool._workers == [worker]
+            assert worker.process.is_alive()
+
+    def test_a_dead_worker_fails_its_batch_and_is_replaced(
+        self, monkeypatch, two_cpus, deadline
+    ):
+        cells = [cell for cell in plan_sweep(SPEC, None) if cell.program == "TRFD"]
+        with deadline(60), Runner(jobs=2) as runner:
+            monkeypatch.setattr(experiment, "_run_program_cells", _exit_worker)
+            with pytest.raises(SimulationError, match=r"exited with code 3 .* TRFD batch"):
+                runner.run_batch(cells)
+            assert runner._pool._workers == []
+            monkeypatch.setattr(experiment, "_run_program_cells", _run_program_cells)
+            assert runner.run_batch(cells) == Runner(jobs=1).run_batch(cells)
+
+    def test_a_worker_killed_while_idle_fails_the_next_batch_and_is_replaced(
+        self, two_cpus, deadline
+    ):
+        cells = [cell for cell in plan_sweep(SPEC, None) if cell.program == "TRFD"]
+        with deadline(60), Runner(jobs=2) as runner:
+            expected = runner.run_batch(cells)
+            [worker] = runner._pool._workers
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.join(timeout=10)
+            with pytest.raises(SimulationError, match=f"code -{int(signal.SIGKILL)} "):
+                runner.run_batch(cells)
+            assert runner.run_batch(cells) == expected
+
+    def test_a_dead_worker_fails_a_pooled_grid_and_leaves_no_reply_behind(
+        self, monkeypatch, tmp_path, two_cpus, deadline
+    ):
+        marker = tmp_path / "died"
+
+        def exit_once_on_trfd(task):
+            if task[0][0].program == "TRFD" and not marker.exists():
+                marker.touch()
+                os._exit(3)
+            return _run_program_cells(task)
+
+        with deadline(60), Runner(jobs=2) as runner:
+            monkeypatch.setattr(experiment, "_run_program_cells", exit_once_on_trfd)
+            with pytest.raises(SimulationError, match="TRFD batch"):
+                runner.run(SPEC)
+            # Every other batch's reply was read before the error was
+            # raised, so the same pool's next grid gets its own results.
+            assert runner.run(SPEC).results == Runner(jobs=1).run(SPEC).results
+
+
 def _half_warm_store(path):
     """A store holding SPEC's DYFESM cells, the first half of its grid."""
     store = ResultStore(path)
@@ -240,8 +317,8 @@ class TestProgress:
 
 
 
-def _gc_state():
-    """A pool worker's collector state: (enabled, objects frozen)."""
+def _gc_state(task):
+    """Stands in for a pool worker's batch: its collector state, (enabled, objects frozen)."""
     return gc.isenabled(), gc.get_freeze_count()
 
 
@@ -270,11 +347,12 @@ class TestGarbageCollection:
         assert len(results) == len(cells)
         assert collections == []
 
-    def test_pool_workers_keep_the_collector_on_over_a_frozen_heap(self):
+    def test_pool_workers_keep_the_collector_on_over_a_frozen_heap(self, monkeypatch):
+        monkeypatch.setattr("repro.core.experiment._run_program_cells", _gc_state)
         with Runner(jobs=2) as runner:
             if runner.effective_jobs < 2:
                 pytest.skip("needs two CPUs for a worker pool")
-            enabled, frozen = runner._ensure_pool().apply(_gc_state)
+            enabled, frozen = runner.run_batch(plan_sweep(SPEC, None)[:2])
         assert enabled
         assert frozen > 0
 

@@ -7,12 +7,14 @@ exercised end-to-end in ``test_server.py`` and by the sweep tests.
 
 import asyncio
 import json
+import os
 import threading
-import time
 from dataclasses import replace
 
 import pytest
 
+from repro.common.errors import SimulationError
+from repro.core import experiment
 from repro.core.config import RunConfig
 from repro.core.experiment import SweepSpec, plan_sweep
 from repro.core.registry import resolve_architecture
@@ -28,21 +30,18 @@ class CountingRunner:
         self.store = store
         self.delay = delay
         self.fail = fail
-        self.lock = threading.Lock()
         self.batches = []
         self.simulated = 0
-        self.effective_jobs = 1
         self.started = threading.Event()
 
-    def run_batch(self, cells):
+    async def submit_batch(self, cells):
         self.started.set()
         if self.delay:
-            time.sleep(self.delay)
+            await asyncio.sleep(self.delay)
         if self.fail:
             raise RuntimeError("batch exploded")
-        with self.lock:
-            self.batches.append(tuple(cells))
-            self.simulated += len(cells)
+        self.batches.append(tuple(cells))
+        self.simulated += len(cells)
         results = []
         for cell in cells:
             # Headline fields live in `detail` too, so the result survives
@@ -312,3 +311,41 @@ class TestBatching:
                 await scheduler.run_cell(planned("TRFD", 1, "dva"))
 
         asyncio.run(main())
+
+
+_run_program_cells = experiment._run_program_cells
+
+
+def _exit_worker(task):
+    """A worker's batch that kills the worker."""
+    os._exit(3)
+
+
+class TestDeadWorker:
+    """A worker that dies mid-batch fails its cells; it never hangs the service."""
+
+    def test_the_cell_fails_leaves_the_registry_and_simulates_on_a_fresh_worker(
+        self, store, monkeypatch
+    ):
+        async def main():
+            scheduler = CellScheduler(store=store, jobs=1)
+            try:
+                cell = planned("TRFD", 50, "dva")
+                monkeypatch.setattr(experiment, "_run_program_cells", _exit_worker)
+                waiters = [scheduler.run_cell(cell), scheduler.run_cell(cell)]
+                failures = await asyncio.wait_for(
+                    asyncio.gather(*waiters, return_exceptions=True), timeout=60
+                )
+                inflight = scheduler.inflight_count
+                monkeypatch.setattr(experiment, "_run_program_cells", _run_program_cells)
+                result = await asyncio.wait_for(scheduler.run_cell(cell), timeout=60)
+                return failures, inflight, result, list(scheduler.runner._pool._workers)
+            finally:
+                scheduler.close()
+
+        failures, inflight, result, workers = asyncio.run(main())
+        assert all(isinstance(failure, SimulationError) for failure in failures)
+        assert "exited with code 3" in str(failures[0]) and "TRFD" in str(failures[0])
+        assert inflight == 0
+        assert result.cached is False and result.total_cycles > 0
+        assert len(workers) == 1

@@ -8,9 +8,14 @@ that path).
 
 import asyncio
 import json
+import os
+import threading
+import time
 
 import pytest
 
+from repro.core import experiment
+from repro.core.experiment import Runner, SweepSpec
 from repro.service.server import ReproService
 from repro.store import ResultStore
 
@@ -120,7 +125,7 @@ class TestEndpoints:
                 # whose cold paths are booby-trapped: if the warm sweep
                 # builds a trace or dispatches a batch, it detonates.
                 async with running_service(store) as warm_svc:
-                    warm_svc.service.scheduler.runner.run_batch = _detonate
+                    warm_svc.service.scheduler.runner.submit_batch = _detonate
                     from repro.core.experiment import TraceCache
 
                     original = TraceCache.get
@@ -323,3 +328,72 @@ class TestEndpoints:
 
 def _detonate(*args, **kwargs):
     raise AssertionError("warm sweep took a cold path")
+
+
+_run_program_cells = experiment._run_program_cells
+
+
+def _slow_batch(task):
+    """A worker's batch that takes a second longer than it should."""
+    time.sleep(1.0)
+    return _run_program_cells(task)
+
+
+def _exit_worker(task):
+    """A worker's batch that kills the worker."""
+    os._exit(3)
+
+
+class TestWorkerPath:
+    """The event loop talks to the pool workers itself, and survives their death."""
+
+    def test_a_cold_cell_starts_no_thread(self, store):
+        async def main():
+            before = set(threading.enumerate())
+            async with running_service(store) as svc:
+                body = {"program": "trfd", "arch": "dva", "latency": 1, "scale": SCALE}
+                status, payload = await request(svc.port, "POST", "/v1/run", body)
+                during = set(threading.enumerate())
+            return before, during, status, payload
+
+        before, during, status, payload = asyncio.run(main())
+        assert status == 200 and payload["cached"] is False
+        assert during == before
+
+    def test_a_store_hit_is_answered_while_a_slow_batch_runs(self, store, monkeypatch):
+        warm = {"program": "trfd", "arch": "dva", "latency": 1, "scale": SCALE}
+        cold = {**warm, "latency": 50}
+        Runner(jobs=1, store=store).run(
+            SweepSpec(programs="trfd", latencies=(1,), architectures="dva", scale=SCALE)
+        )
+        monkeypatch.setattr(experiment, "_run_program_cells", _slow_batch)
+
+        async def main():
+            async with running_service(store) as svc:
+                simulating = asyncio.ensure_future(request(svc.port, "POST", "/v1/run", cold))
+                while not svc.service.scheduler.inflight_count:
+                    await asyncio.sleep(0.005)
+                hit = await request(svc.port, "POST", "/v1/run", warm)
+                answered_first = not simulating.done()
+                return hit, answered_first, await asyncio.wait_for(simulating, timeout=60)
+
+        (hit_status, hit), answered_first, (cold_status, simulated) = asyncio.run(main())
+        assert hit_status == cold_status == 200
+        assert hit["cached"] is True and simulated["cached"] is False
+        assert answered_first
+
+    def test_a_dead_worker_answers_500_and_the_next_request_simulates(self, store, monkeypatch):
+        body = {"program": "trfd", "arch": "dva", "latency": 1, "scale": SCALE}
+
+        async def main():
+            async with running_service(store) as svc:
+                monkeypatch.setattr(experiment, "_run_program_cells", _exit_worker)
+                failed = await asyncio.wait_for(request(svc.port, "POST", "/v1/run", body), 60)
+                monkeypatch.setattr(experiment, "_run_program_cells", _run_program_cells)
+                again = await asyncio.wait_for(request(svc.port, "POST", "/v1/run", body), 60)
+                return failed, again
+
+        (failed_status, failed), (status, simulated) = asyncio.run(main())
+        assert failed_status == 500
+        assert "exited with code 3" in failed["error"] and "TRFD" in failed["error"]
+        assert status == 200 and simulated["cached"] is False
