@@ -10,17 +10,13 @@ each per result: the functional-unit state breakdown (a busy bitmask per
 merged interval edge) and the queue occupancy histogram
 (:meth:`IntervalRecorder.coverage`, +1/-1 per residency edge), never
 iterating over individual cycles.
+
+Like every facade of the package, this one is lazy (PEP 562): importing
+:mod:`repro.common` loads no submodule, so code that needs only the error
+types never loads the interval machinery.
 """
 
-from repro.common.errors import (
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-    TraceError,
-    WorkloadError,
-)
-from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
-from repro.common.stats import Histogram
+from repro import _lazy_exports
 
 __all__ = [
     "ConfigurationError",
@@ -33,3 +29,18 @@ __all__ = [
     "WorkloadError",
     "state_breakdown",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.common.errors": [
+            "ConfigurationError",
+            "ReproError",
+            "SimulationError",
+            "TraceError",
+            "WorkloadError",
+        ],
+        "repro.common.intervals": ["IntervalRecorder", "StateBreakdown", "state_breakdown"],
+        "repro.common.stats": ["Histogram"],
+    },
+)

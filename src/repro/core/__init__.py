@@ -26,32 +26,14 @@ touching the per-architecture packages:
   (Figure 5 speedup curves, Figure 6 queue-occupancy histograms, the
   Section 7 bypass-traffic table) as plain rows.
 * :mod:`repro.core.cli` backing the ``python -m repro`` command line.
+
+The facade is lazy (PEP 562): importing :mod:`repro.core` loads no
+submodule, and each name above imports its defining module on first access,
+so ``repro.core.MachineSpec`` loads the machine schema alone and the
+simulators wait for the first :func:`simulate`.
 """
 
-from repro.core.config import RunConfig
-from repro.core.experiment import (
-    CellProgress,
-    Runner,
-    SweepResult,
-    SweepSpec,
-    TraceCache,
-    resolve_sweep_machines,
-    run_sweep,
-)
-from repro.core.machine import FieldInfo, MachineSpec
-from repro.core.registry import (
-    SpecArchitecture,
-    architecture,
-    architecture_names,
-    machine_spec,
-    register_architecture,
-    resolve_architecture,
-    simulate,
-    unregister_architecture,
-)
-from repro.core.result import RunResult
-from repro.core import figures
-from repro.store import ResultStore, cell_key
+from repro import _lazy_exports
 
 __all__ = [
     "CellProgress",
@@ -77,3 +59,33 @@ __all__ = [
     "simulate",
     "unregister_architecture",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.core.config": ["RunConfig"],
+        "repro.core.experiment": [
+            "CellProgress",
+            "Runner",
+            "SweepResult",
+            "SweepSpec",
+            "TraceCache",
+            "resolve_sweep_machines",
+            "run_sweep",
+        ],
+        "repro.core.machine": ["FieldInfo", "MachineSpec"],
+        "repro.core.registry": [
+            "SpecArchitecture",
+            "architecture",
+            "architecture_names",
+            "machine_spec",
+            "register_architecture",
+            "resolve_architecture",
+            "simulate",
+            "unregister_architecture",
+        ],
+        "repro.core.result": ["RunResult"],
+        "repro.core.figures": ["figures"],
+        "repro.store": ["ResultStore", "cell_key"],
+    },
+)

@@ -32,21 +32,15 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError
-from repro.core import figures as figures_module
-from repro.core import machine as machine_module
-from repro.core.experiment import (
-    CellProgress,
-    Runner,
-    SweepResult,
-    SweepSpec,
-    verify_store,
-)
-from repro.core.registry import architecture, architecture_names, simulate
-from repro.store import ResultStore, default_store_root
-from repro.workloads.perfect_club import load_program, program_names
+
+# Each handler imports what it runs, so building the parser (and ``--help``)
+# loads no simulator, program model or service code.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.experiment import CellProgress, SweepResult
+    from repro.store import ResultStore
 
 
 _STORE_DIR_HELP = (
@@ -94,6 +88,8 @@ def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
     """The :class:`ResultStore` the command should use, or ``None`` when off."""
     if not args.store:
         return None
+    from repro.store import ResultStore
+
     return ResultStore(args.store_dir)
 
 
@@ -104,6 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     ``scripts/gen_cli_docs.py`` renders ``docs/cli.md`` from exactly this
     parser, and CI fails when the two drift apart.
     """
+    from repro.core.config import PROGRAM_NAMES
+    from repro.core.registry import architecture_names
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=1.0, help="trace scale factor"
     )
     sweep_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = serial)"
+        "--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)"
     )
     sweep_parser.add_argument(
         "--output", help="write the full sweep result as JSON to this path"
@@ -197,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures_parser.add_argument(
         "--programs",
-        default=",".join(program_names()),
+        default=",".join(PROGRAM_NAMES),
         help="comma-separated program names (default: all six)",
     )
     figures_parser.add_argument(
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=1.0, help="trace scale factor"
     )
     figures_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = serial)"
+        "--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)"
     )
     figures_parser.add_argument(
         "--out-dir", default="figures", help="directory to write the CSV files into"
@@ -290,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8023, help="TCP port to bind (0 = ephemeral)"
     )
     serve_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for cold cells (1 = simulate in-process)",
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes that simulate cold cells (the server process "
+        "itself never simulates)",
     )
     serve_parser.add_argument(
         "--store-dir", default=None, help=_STORE_DIR_HELP
@@ -329,6 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _cmd_list_programs(args: argparse.Namespace) -> int:
+    from repro.core.registry import architecture_names
+    from repro.workloads.perfect_club import load_program, program_names
+
     for name in program_names():
         model = load_program(name)
         print(f"{name:8s} {model.description}")
@@ -337,6 +340,10 @@ def _cmd_list_programs(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_archs(args: argparse.Namespace) -> int:
+    from repro.core.figures import format_table
+    from repro.core.machine import FIELDS
+    from repro.core.registry import architecture, architecture_names
+
     names = architecture_names()
     width = max(len(name) for name in names)
     for name in names:
@@ -358,9 +365,9 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
             "families": ",".join(info.families),
             "description": info.description,
         }
-        for info in machine_module.FIELDS
+        for info in FIELDS
     ]
-    print(figures_module.format_table(rows))
+    print(format_table(rows))
 
     print("\npresets (fields that differ from the defaults above; the rest run at them):")
     for name in names:
@@ -373,6 +380,9 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.registry import architecture, simulate
+    from repro.workloads.perfect_club import load_program
+
     architecture(args.arch)  # fail fast before the (slower) trace build
     trace = load_program(args.program).build_trace(scale=args.scale)
     result = simulate(trace, args.arch, latency=args.latency)
@@ -419,6 +429,8 @@ def _summary_rows(sweep: SweepResult) -> List[dict]:
 
 
 def _print_speedup_table(sweep: SweepResult) -> None:
+    from repro.core.figures import format_table, speedup_table
+
     baseline = "ref"
     labels = sweep.architecture_labels()
     targets = [name for name in labels if name != baseline]
@@ -427,10 +439,13 @@ def _print_speedup_table(sweep: SweepResult) -> None:
         return
     for target in targets:
         print(f"\nFigure 5 — {target.upper()} speedup over REF:")
-        print(figures_module.format_table(figures_module.speedup_table(sweep, target=target)))
+        print(format_table(speedup_table(sweep, target=target)))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.core.experiment import Runner, SweepSpec
+    from repro.core.figures import format_table
+
     spec = SweepSpec(
         programs=args.programs,
         latencies=args.latencies,
@@ -449,7 +464,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"sweep: {len(sweep)} cells ({shape})")
     _print_store_line(sweep, store)
     print()
-    print(figures_module.format_table(_summary_rows(sweep)))
+    print(format_table(_summary_rows(sweep)))
     _print_speedup_table(sweep)
     if args.output:
         with open(args.output, "w") as handle:
@@ -459,6 +474,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.core import figures
+    from repro.core.experiment import Runner, SweepSpec
+
     spec = SweepSpec(
         programs=args.programs,
         latencies=args.latencies,
@@ -471,16 +489,14 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     artifacts = {
-        "figure5_speedup.csv": figures_module.speedup_table(sweep),
-        "figure5_speedup_nobypass.csv": figures_module.speedup_table(
-            sweep, target="dva-nobypass"
-        ),
-        "figure6_avdq_occupancy.csv": figures_module.queue_occupancy_rows(sweep),
-        "section7_bypass.csv": figures_module.bypass_traffic_table(sweep),
+        "figure5_speedup.csv": figures.speedup_table(sweep),
+        "figure5_speedup_nobypass.csv": figures.speedup_table(sweep, target="dva-nobypass"),
+        "figure6_avdq_occupancy.csv": figures.queue_occupancy_rows(sweep),
+        "section7_bypass.csv": figures.bypass_traffic_table(sweep),
     }
     for filename, rows in artifacts.items():
         path = os.path.join(args.out_dir, filename)
-        figures_module.write_csv(rows, path)
+        figures.write_csv(rows, path)
         print(f"wrote {path} ({len(rows)} rows)")
 
     sweep_path = os.path.join(args.out_dir, "sweep.json")
@@ -494,6 +510,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cache_store(args: argparse.Namespace) -> ResultStore:
+    from repro.store import ResultStore, default_store_root
+
     return ResultStore(args.store_dir if args.store_dir else default_store_root())
 
 
@@ -542,6 +560,8 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
+    from repro.core.experiment import verify_store
+
     checks = verify_store(_cache_store(args), sample=args.sample)
     counts = {outcome: 0 for outcome in ("identical", "different", "stale")}
     for check in checks:
@@ -566,8 +586,6 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # Imported here so the (asyncio-heavy) service layer is only paid for by
-    # the one subcommand that needs it.
     from repro.service import serve
 
     serve(

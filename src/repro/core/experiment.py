@@ -60,7 +60,7 @@ from typing import (
 )
 
 from repro.common.errors import ConfigurationError, WorkloadError
-from repro.core.config import RunConfig
+from repro.core.config import RunConfig, check_scale
 from repro.core.machine import (
     LATENCY_AXIS,
     MachineSpec,
@@ -69,16 +69,18 @@ from repro.core.machine import (
     parse_axis_values,
 )
 from repro.core.registry import SpecArchitecture, resolve_architecture
-from repro.core.result import RunResult
-from repro.store import ResultStore, StoreEntry, cell_key
-from repro.trace.columns import Trace
-from repro.workloads.perfect_club import load_program
-from repro.workloads.program_model import check_scale
+from repro.store import ResultStore
 
+# The program models, the trace builder, the simulators and the key scheme
+# (which hashes their versions) are imported where a cell first needs them,
+# so declaring a grid or building a Runner loads none of them.
 if TYPE_CHECKING:  # pragma: no cover
     import asyncio
 
     from repro.core.pool import WorkerPool
+    from repro.core.result import RunResult
+    from repro.store import StoreEntry
+    from repro.trace.columns import Trace
 
 Overrides = Tuple[Tuple[str, object], ...]
 Axes = Tuple[Tuple[str, Tuple[object, ...]], ...]
@@ -113,6 +115,8 @@ def estimate_cell_cost(program: str, scale: float) -> int:
     key = (program.upper(), float(scale))
     length = _LENGTH_CACHE.get(key)
     if length is None:
+        from repro.workloads.perfect_club import load_program
+
         try:
             length = load_program(program).trace_length(scale)
         except WorkloadError:
@@ -368,6 +372,8 @@ def resolve_sweep_machines(spec: SweepSpec) -> List[SpecArchitecture]:
     The returned machines are axis-combo-major, architecture-minor: the
     order each (program, latency) group of :func:`plan_sweep` runs them in.
     """
+    from repro.workloads.perfect_club import load_program
+
     for program in spec.programs:
         load_program(program)
     machines: List[SpecArchitecture] = []
@@ -419,6 +425,8 @@ def plan_sweep(spec: SweepSpec, store: Optional[ResultStore]) -> List[PlannedCel
     so does the sweep service (without a store: its scheduler probes each
     cell when it is requested).
     """
+    from repro.store.keys import cell_key
+
     machines = resolve_sweep_machines(spec)
     cells: List[PlannedCell] = []
     for program in spec.programs:
@@ -448,6 +456,8 @@ class TraceCache:
         key = (program.upper(), scale)
         trace = self._traces.get(key)
         if trace is None:
+            from repro.workloads.perfect_club import load_program
+
             trace = load_program(program).build_trace(scale=scale)
             self._traces[key] = trace
         return trace
@@ -795,6 +805,8 @@ class SweepResult:
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "SweepResult":
         """Rebuild a :class:`SweepResult` from :meth:`to_json` output."""
+        from repro.core.result import RunResult
+
         spec = SweepSpec.from_json(data["spec"])
         results = [RunResult.from_json(item) for item in data["results"]]  # type: ignore[union-attr]
         return cls(spec=spec, results=results)
@@ -824,6 +836,8 @@ def verify_store(store: ResultStore, sample: Optional[int] = None) -> List[Entry
     marks cleared, so it runs row by row: an entry written by the
     fast-forward is compared with a simulation that never skips.
     """
+    from repro.store.keys import cell_key
+
     entries: List[StoreEntry] = store.entries()
     if sample is not None and sample < len(entries):
         entries = [entries[index * len(entries) // sample] for index in range(sample)]

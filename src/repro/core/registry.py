@@ -26,7 +26,7 @@ registered name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import RunConfig
@@ -36,10 +36,10 @@ from repro.core.machine import (
     lookup_field,
     parse_assignments,
 )
-from repro.core.result import RunResult
-from repro.dva.simulator import DecoupledSimulator
-from repro.refarch.simulator import ReferenceSimulator
-from repro.trace.columns import Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.result import RunResult
+    from repro.trace.columns import Trace
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,24 @@ class SpecArchitecture:
     spec: MachineSpec
 
     def simulate(self, trace: Trace, config: RunConfig) -> RunResult:
-        """Run ``trace`` on this machine at ``config.latency``."""
+        """Run ``trace`` on this machine at ``config.latency``.
+
+        The family's simulator is imported here, at the first simulation,
+        so resolving machines and building sweep grids never loads one.
+        """
+        from repro.core.result import RunResult
+
         provenance = self.spec.to_json()
         if self.spec.family == "ref":
+            from repro.refarch.simulator import ReferenceSimulator
+
             return RunResult.from_reference(
                 ReferenceSimulator(self.spec, config.latency).run(trace),
                 architecture=self.name,
                 spec=provenance,
             )
+        from repro.dva.simulator import DecoupledSimulator
+
         return RunResult.from_decoupled(
             DecoupledSimulator(self.spec, config.latency).run(trace),
             architecture=self.name,

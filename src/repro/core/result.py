@@ -14,11 +14,13 @@ first nine keys are :meth:`MachineResult.to_json`'s on every family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.common.errors import SimulationError
-from repro.dva.result import DecoupledResult
-from repro.refarch.result import ReferenceResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dva.result import DecoupledResult
+    from repro.refarch.result import ReferenceResult
 
 
 @dataclass(frozen=True)

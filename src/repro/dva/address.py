@@ -46,7 +46,7 @@ from repro.engine import (
 )
 from repro.engine.fastforward import relative
 from repro.isa.registers import ELEMENT_SIZE_BYTES
-from repro.memory.ranges import MemoryRange, access_range
+from repro.memory.ranges import access_range, overlaps
 
 if TYPE_CHECKING:
     from repro.core.machine import MachineSpec
@@ -67,14 +67,16 @@ class PendingStore:
 
     The store is described entirely by scalars captured at enqueue time;
     ``length`` is the *effective* vector length (1 for scalar stores), from
-    which its port occupancy and memory traffic follow.
+    which its port occupancy and memory traffic follow, and ``[start, end)``
+    is its memory range (:func:`~repro.memory.ranges.access_range`).
     """
 
     base: int
     length: int
     stride_elements: int
     indexed: bool
-    memory_range: MemoryRange
+    start: int
+    end: int
     is_vector: bool
     address_ready: int
     data_ready: Optional[int] = None
@@ -143,17 +145,10 @@ class MemoryPipeline:
         if requested > push_time:
             push_time = requested
         self.vector_queued += 1
+        start, end = access_range(base, vector_length, stride_elements, indexed=indexed)
         self.pending_stores.append(
             PendingStore(
-                base=base,
-                length=vector_length,
-                stride_elements=stride_elements,
-                indexed=indexed,
-                memory_range=access_range(
-                    base, vector_length, stride_elements, indexed=indexed
-                ),
-                is_vector=True,
-                address_ready=push_time + 1,
+                base, vector_length, stride_elements, indexed, start, end, True, push_time + 1
             )
         )
         return push_time
@@ -168,13 +163,7 @@ class MemoryPipeline:
         self.scalar_queued += 1
         self.pending_stores.append(
             PendingStore(
-                base=base,
-                length=1,
-                stride_elements=1,
-                indexed=False,
-                memory_range=MemoryRange(base, base + ELEMENT_SIZE_BYTES),
-                is_vector=False,
-                address_ready=push_time + 1,
+                base, 1, 1, False, base, base + ELEMENT_SIZE_BYTES, False, push_time + 1
             )
         )
         return push_time
@@ -211,8 +200,8 @@ class MemoryPipeline:
         (operands available, AVDQ slot reservable).  Returns the cycle the
         load's last element is available in the AVDQ.
         """
-        load_range = access_range(base, vector_length, stride_elements, indexed=indexed)
-        conflicts = self._conflict_depth(load_range)
+        start, end = access_range(base, vector_length, stride_elements, indexed=indexed)
+        conflicts = self._conflict_depth(start, end)
 
         if conflicts and self.bypass_enabled:
             candidate = self.pending_stores[conflicts - 1]
@@ -237,8 +226,7 @@ class MemoryPipeline:
 
     def issue_scalar_load(self, base: int, requested: int) -> int:
         """Service a scalar load through the cache; return its data-ready cycle."""
-        load_range = MemoryRange(base, base + ELEMENT_SIZE_BYTES)
-        conflicts = self._conflict_depth(load_range)
+        conflicts = self._conflict_depth(base, base + ELEMENT_SIZE_BYTES)
         if conflicts:
             requested = max(requested, self._drain_through(conflicts))
             self.disambiguation_stalls += 1
@@ -270,15 +258,15 @@ class MemoryPipeline:
 
     # -- disambiguation and draining ------------------------------------------------------
 
-    def _conflict_depth(self, load_range: MemoryRange) -> int:
-        """Queued stores up to the youngest one overlapping ``load_range`` (0: none).
+    def _conflict_depth(self, start: int, end: int) -> int:
+        """Queued stores up to the youngest one overlapping ``[start, end)`` (0: none).
 
         Counted from the oldest, so the youngest conflict is
         ``pending_stores[depth - 1]`` and draining ``depth`` stores clears it.
         """
         depth = len(self.pending_stores)
         for store in reversed(self.pending_stores):
-            if store.memory_range.overlaps(load_range):
+            if overlaps(store.start, store.end, start, end):
                 return depth
             depth -= 1
         return 0

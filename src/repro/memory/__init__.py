@@ -9,14 +9,11 @@ arguments depend on beyond the fixed bus arithmetic of
   §5),
 * memory ranges and the dynamic disambiguation rule used by the decoupled
   architecture's address processor (gathers and scatters conservatively cover
-  all of memory).
+  all of memory), in :mod:`repro.memory.ranges`.
 """
 
-from repro.memory.ranges import FULL_RANGE, MemoryRange
 from repro.memory.scalar_cache import ScalarCache
 
 __all__ = [
-    "FULL_RANGE",
-    "MemoryRange",
     "ScalarCache",
 ]

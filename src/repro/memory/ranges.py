@@ -6,47 +6,32 @@ granularity ``S`` as all locations between ``BA`` and ``BA + (VL-1)*VS + S``
 (with the two terms inverted for negative strides).  Two references conflict
 when their ranges overlap in at least one byte.  Gathers and scatters cannot
 be characterised by a range, so they are treated as covering all of memory.
+
+A range is two ints, the half-open byte interval ``[start, end)``: the
+decoupled machine's memory pipeline takes one per memory reference, so it
+builds no object for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
-from repro.common.errors import SimulationError
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 
-
-@dataclass(frozen=True, slots=True)
-class MemoryRange:
-    """A half-open byte range ``[start, end)``; ``full`` covers all memory."""
-
-    start: int = 0
-    end: int = 0
-    full: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.full and self.end < self.start:
-            raise SimulationError(
-                f"memory range end ({self.end}) precedes start ({self.start})"
-            )
-
-    def overlaps(self, other: "MemoryRange") -> bool:
-        """True when the two ranges share at least one byte."""
-        if self.full or other.full:
-            # A range that covers all of memory conflicts with everything,
-            # including an empty range: the conservative assumption the paper
-            # makes for scatters and gathers.
-            return True
-        return self.start < other.end and other.start < self.end
-
-    def __str__(self) -> str:
-        if self.full:
-            return "[all memory]"
-        return f"[0x{self.start:x}, 0x{self.end:x})"
+#: The bounds of a gather or scatter.  Trace bases and strides are 64-bit
+#: columns and a vector holds at most 128 elements, so every strided range
+#: lies within ``±2**75``; these bounds lie strictly outside it and overlap
+#: every range, including an empty one — the conservative assumption the
+#: paper makes for scatters and gathers.
+INDEXED_BOUNDS = (-(1 << 96), 1 << 96)
 
 
-#: Sentinel range used for gathers and scatters.
-FULL_RANGE = MemoryRange(full=True)
+def overlaps(start: int, end: int, other_start: int, other_end: int) -> bool:
+    """True when ``[start, end)`` and ``[other_start, other_end)`` share a byte.
+
+    The disambiguation rule; :data:`INDEXED_BOUNDS` overlap everything.
+    """
+    return start < other_end and other_start < end
 
 
 def access_range(
@@ -55,20 +40,20 @@ def access_range(
     stride_elements: int,
     *,
     indexed: bool = False,
-) -> MemoryRange:
-    """The memory range of one access, from its scalar description.
+) -> Tuple[int, int]:
+    """The ``(start, end)`` memory range of one access, from its scalar description.
 
     The simulators read base/length/stride straight off trace columns.
     Strided vector references follow the paper's formula (a one-element
     reference covers one element); indexed references (gathers/scatters)
-    return :data:`FULL_RANGE`.
+    return :data:`INDEXED_BOUNDS`.
     """
     if indexed:
-        return FULL_RANGE
+        return INDEXED_BOUNDS
     if vector_length == 0:
         # A zero-length vector reference touches no memory at all.
-        return MemoryRange(base, base)
+        return base, base
     span = (vector_length - 1) * stride_elements * ELEMENT_SIZE_BYTES
     if span >= 0:
-        return MemoryRange(base, base + span + ELEMENT_SIZE_BYTES)
-    return MemoryRange(base + span, base + ELEMENT_SIZE_BYTES)
+        return base, base + span + ELEMENT_SIZE_BYTES
+    return base + span, base + ELEMENT_SIZE_BYTES

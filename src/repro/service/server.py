@@ -326,7 +326,17 @@ class ReproService:
 
         Pass ``port=0`` to bind an ephemeral port; read the actual address
         back from the returned server's ``sockets``.
+
+        The simulation stack, which the rest of the library imports at its
+        first use, is loaded here first: the scheduler's workers fork from
+        this process, so each inherits it instead of importing (and
+        compiling) it at its first cell.
         """
+        import repro.dva.simulator  # noqa: F401
+        import repro.refarch.simulator  # noqa: F401
+        import repro.store.keys  # noqa: F401
+        import repro.workloads.perfect_club  # noqa: F401
+
         return await asyncio.start_server(self._on_connection, host=host, port=port)
 
     async def aclose(self) -> None:

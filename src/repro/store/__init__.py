@@ -20,15 +20,14 @@ freshly simulated cell back the moment it completes, so
 Manage the store from the command line with ``repro cache stats``,
 ``repro cache gc`` and ``repro cache clear``; see :mod:`repro.store.store`
 for the on-disk layout.
+
+The package is a lazy facade (PEP 562): :mod:`repro.store.keys`, which pulls
+in the timing-model and trace-generator versions it hashes, loads at the
+first :func:`cell_key`, so opening a store to list or evict entries loads
+neither simulator nor trace code.
 """
 
-from repro.store.keys import KEY_SCHEME_VERSION, cell_key
-from repro.store.store import (
-    STORE_FORMAT_VERSION,
-    ResultStore,
-    StoreEntry,
-    default_store_root,
-)
+from repro import _lazy_exports
 
 __all__ = [
     "KEY_SCHEME_VERSION",
@@ -38,3 +37,16 @@ __all__ = [
     "cell_key",
     "default_store_root",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "repro.store.keys": ["KEY_SCHEME_VERSION", "cell_key"],
+        "repro.store.store": [
+            "STORE_FORMAT_VERSION",
+            "ResultStore",
+            "StoreEntry",
+            "default_store_root",
+        ],
+    },
+)

@@ -45,10 +45,12 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigurationError, ReproError
-from repro.core.result import RunResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.result import RunResult
 
 #: Version of the on-disk layout.  Entries are stored under ``v<N>/``; a
 #: bump strands the old tree, which ``gc`` and ``clear`` then reclaim.
@@ -190,6 +192,8 @@ class ResultStore:
         its ``store_key``.  Unreadable entries (torn files, foreign formats,
         results that do not parse) count as misses.
         """
+        from repro.core.result import RunResult
+
         try:
             result = RunResult.from_json(self._load(key)["result"])
         except (OSError, ValueError, KeyError, TypeError, ReproError):

@@ -2,7 +2,8 @@
 
 The paper selects the six Perfect Club programs whose vectorization exceeds
 70 % (ARC2D, FLO52, BDNA, SPEC77, TRFD and DYFESM); this module is the single
-place the rest of the library looks them up.
+place the rest of the library builds them.  Their names are
+:data:`repro.core.config.PROGRAM_NAMES`, which loads no model.
 """
 
 from __future__ import annotations
@@ -10,24 +11,21 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.common.errors import WorkloadError
+from repro.core.config import PROGRAM_NAMES
 from repro.trace.columns import Trace
+from repro.workloads import programs
 from repro.workloads.program_model import ProgramModel
-from repro.workloads.programs import arc2d, bdna, dyfesm, flo52, spec77, trfd
 
-#: Factories for the six benchmark program models, keyed by paper name.
+#: Factories for the six benchmark program models, keyed by paper name; each
+#: is the ``build`` of the :mod:`repro.workloads.programs` module of that name.
 PERFECT_CLUB_PROGRAMS: Dict[str, Callable[[], ProgramModel]] = {
-    "ARC2D": arc2d.build,
-    "FLO52": flo52.build,
-    "BDNA": bdna.build,
-    "TRFD": trfd.build,
-    "DYFESM": dyfesm.build,
-    "SPEC77": spec77.build,
+    name: getattr(programs, name.lower()).build for name in PROGRAM_NAMES
 }
 
 
 def program_names() -> List[str]:
     """The benchmark program names, in the paper's customary order."""
-    return list(PERFECT_CLUB_PROGRAMS)
+    return list(PROGRAM_NAMES)
 
 
 def load_program(name: str) -> ProgramModel:

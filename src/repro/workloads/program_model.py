@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import WorkloadError
+from repro.core.config import check_scale
 from repro.isa.builder import InstructionBuilder
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import a_reg, s_reg
@@ -22,20 +23,6 @@ from repro.trace.generator import TraceBuilder
 from repro.trace.columns import Trace
 from repro.workloads.compiler import CompiledKernel, VectorizingCompiler
 from repro.workloads.kernel import KernelSchedule, LoopKernel
-
-
-def check_scale(scale: float) -> float:
-    """Return ``scale`` if it is a finite positive number, else raise.
-
-    The one validation of a trace scale factor: program models, sweep specs
-    and service requests all call it, so NaN, infinities, zero and negative
-    scales fail the same way everywhere (:class:`WorkloadError`).
-    """
-    if not (math.isfinite(scale) and scale > 0):
-        raise WorkloadError(
-            f"trace scale must be a finite positive number, got {scale!r}"
-        )
-    return scale
 
 
 def _scaled_invocations(repetitions: int, scale: float) -> int:

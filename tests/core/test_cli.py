@@ -188,6 +188,22 @@ class TestInProcess:
         assert excinfo.value.code == 2
         assert "malformed sweep axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--programs", "trfd", "--latencies", "1", "--jobs", "0"],
+            ["sweep", "--programs", "trfd", "--latencies", "1", "--jobs", "-3"],
+            ["figures", "--jobs", "0"],
+            ["serve", "--port", "0", "--jobs", "0"],
+            ["serve", "--port", "0", "--jobs", "two"],
+        ],
+    )
+    def test_a_non_positive_job_count_is_a_usage_error_naming_the_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "argument --jobs: expected a positive integer" in capsys.readouterr().err
+
 
 class TestCacheVerify:
     def _filled_store(self, tmp_path):

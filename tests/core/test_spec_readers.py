@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core import cli
+from repro.core import cli, experiment
 from repro.core.experiment import SweepSpec
 
 # (Python keyword arguments, JSON body, `repro sweep` argv, expected to_json())
@@ -77,7 +77,8 @@ def cli_spec(monkeypatch, argv):
         def run(self, spec, progress=None):
             raise _SpecBuilt(spec)
 
-    monkeypatch.setattr(cli, "Runner", CapturingRunner)
+    # The sweep handler imports its Runner from the experiment module at call time.
+    monkeypatch.setattr(experiment, "Runner", CapturingRunner)
     with pytest.raises(_SpecBuilt) as excinfo:
         cli.main(["sweep", *argv, "--no-store"])
     return excinfo.value.args[0]
