@@ -15,7 +15,7 @@ contribution:
 * :mod:`repro.dva` — the decoupled vector architecture with load/store queues
   and the store→load bypass.
 * :mod:`repro.core` — the unified experiment API: machine specs and the
-  architecture registry, run configuration, the sweep
+  paper's three machine presets, run configuration, the sweep
   runner (serial or over forked worker processes, with per-program trace caching),
   figure/table reproduction and the ``python -m repro`` command line.
 * :mod:`repro.store` — the persistent, content-addressed result store that
@@ -56,8 +56,6 @@ __all__ = [
     "architecture",
     "architecture_names",
     "machine_spec",
-    "register_architecture",
-    "resolve_architecture",
     "run_sweep",
     "simulate",
 ]

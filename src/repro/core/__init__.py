@@ -8,12 +8,12 @@ touching the per-architecture packages:
   geometry) with a canonical string form (``dva@lanes=2,ports=2``) that
   :func:`machine_spec` parses back.
 * the architecture registry: every machine is a :class:`SpecArchitecture`
-  (a name, a description and a :class:`MachineSpec`).  The built-ins
-  (``"ref"``, ``"dva"``, ``"dva-nobypass"``, ``"ref-2lane"``,
-  ``"dva-2port"``) and inline spec strings resolve to one, and
-  :func:`register_architecture` names further specs.  Results come back as
-  a unified, JSON-serializable :class:`RunResult` carrying the resolved
-  spec as provenance.
+  (a label and a :class:`MachineSpec`).  :func:`architecture` resolves the
+  paper's three presets (``"ref"``, ``"dva"``, ``"dva-nobypass"``) and
+  inline spec strings built on them, and labels each machine by its spec
+  alone, so one machine has one name.  Results come back as a unified,
+  JSON-serializable :class:`RunResult` carrying the resolved spec as
+  provenance.
 * :class:`SweepSpec` declaring (programs × latencies ×
   machine axes × architectures) grids — any :class:`MachineSpec` field can
   be a sweep axis — and the :class:`Runner` executing them serially or
@@ -52,12 +52,9 @@ __all__ = [
     "architecture_names",
     "figures",
     "machine_spec",
-    "register_architecture",
-    "resolve_architecture",
     "resolve_sweep_machines",
     "run_sweep",
     "simulate",
-    "unregister_architecture",
 ]
 
 __getattr__, __dir__ = _lazy_exports(
@@ -79,10 +76,7 @@ __getattr__, __dir__ = _lazy_exports(
             "architecture",
             "architecture_names",
             "machine_spec",
-            "register_architecture",
-            "resolve_architecture",
             "simulate",
-            "unregister_architecture",
         ],
         "repro.core.result": ["RunResult"],
         "repro.core.figures": ["figures"],

@@ -3,9 +3,9 @@
 Seven subcommands drive the experiment API end to end:
 
 * ``list-programs`` — the available Perfect Club program models and the
-  registered architectures they can run on.
-* ``list-archs`` — the registered architectures with their canonical machine
-  specs; ``--schema`` adds every machine field, its valid range and each
+  machine presets they can run on.
+* ``list-archs`` — the paper's three machine presets with their canonical
+  machine specs; ``--schema`` adds every machine field, its valid range and each
   preset's full field values.
 * ``run`` — simulate one (program, architecture, latency) cell.  The
   architecture may be an inline machine spec (``dva@lanes=2,ports=2``).
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.set_defaults(handler=_cmd_list_programs)
 
     archs_parser = subparsers.add_parser(
-        "list-archs", help="list the registered architectures"
+        "list-archs", help="list the paper's three machine presets"
     )
     archs_parser.add_argument(
         "--schema",
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--arch",
         default="ref,dva",
-        help="comma-separated architectures, registry names or inline specs "
+        help="comma-separated architectures, preset names or inline specs "
         "(default: ref,dva)",
     )
     sweep_parser.add_argument(
@@ -342,13 +342,11 @@ def _cmd_list_programs(args: argparse.Namespace) -> int:
 def _cmd_list_archs(args: argparse.Namespace) -> int:
     from repro.core.figures import format_table
     from repro.core.machine import FIELDS
-    from repro.core.registry import architecture, architecture_names
+    from repro.core.registry import PRESETS
 
-    names = architecture_names()
-    width = max(len(name) for name in names)
-    for name in names:
-        arch = architecture(name)
-        print(f"{name:{width}s}  {arch.spec.to_string():24s}  {arch.description}")
+    width = max(len(name) for name in PRESETS)
+    for name, (spec, description) in PRESETS.items():
+        print(f"{name:{width}s}  {spec.to_string():24s}  {description}")
     if not args.schema:
         return 0
 
@@ -356,8 +354,7 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
     rows = [
         {
             "key": info.key,
-            "aliases": ",".join(a for a in (info.attribute, *info.aliases)
-                                if a != info.key) or "-",
+            "aliases": info.attribute if info.attribute != info.key else "-",
             "type": info.kind,
             "range": info.range_text,
             "default": info.default if info.kind != "bool"
@@ -370,8 +367,7 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
     print(format_table(rows))
 
     print("\npresets (fields that differ from the defaults above; the rest run at them):")
-    for name in names:
-        spec = architecture(name).spec
+    for name, (spec, _) in PRESETS.items():
         fields = ", ".join(
             f"{attr}={value}" for attr, value in spec.overrides().items()
         ) or "-"

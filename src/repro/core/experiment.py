@@ -60,7 +60,7 @@ from typing import (
 )
 
 from repro.common.errors import ConfigurationError, WorkloadError
-from repro.core.config import RunConfig, check_scale
+from repro.core.config import PROGRAM_NAMES, RunConfig, check_scale
 from repro.core.machine import (
     LATENCY_AXIS,
     MachineSpec,
@@ -68,7 +68,7 @@ from repro.core.machine import (
     canonical_axis_name,
     parse_axis_values,
 )
-from repro.core.registry import SpecArchitecture, resolve_architecture
+from repro.core.registry import SpecArchitecture, architecture, machine_label
 from repro.store import ResultStore
 
 # The program models, the trace builder, the simulators and the key scheme
@@ -237,8 +237,9 @@ class SweepSpec:
       inline spec's ``@`` clause (``"ref,dva@lanes=2,ports=2"`` is two
       entries);
     * names are non-empty strings; programs are upper-cased to the
-      registry's form and architectures lower-cased, which may be registry
-      names or inline machine-spec strings (``"dva@lanes=2"``);
+      registry's form and architectures lower-cased, which may be preset
+      names (``"ref"``, ``"dva"``, ``"dva-nobypass"``) or inline
+      machine-spec strings (``"dva@lanes=2"``);
     * a latency is a non-negative int, an integral float or a string of
       digits — never a ``bool``, ``1.5``, ``NaN`` or an infinity;
     * ``scale`` is a finite positive number (not a ``bool``).
@@ -364,29 +365,32 @@ class SweepSpec:
 def resolve_sweep_machines(spec: SweepSpec) -> List[SpecArchitecture]:
     """Check ``spec``'s programs and resolve every (axis-combo × architecture).
 
-    Unknown programs, unknown architectures, and distinct grid cells that
-    collapse onto the same machine label all fail here, before any
-    simulation: :func:`plan_sweep` calls this first, and the sweep service
-    calls it at request admission so a bad sweep is rejected with a clean
-    error instead of dying mid-run.
+    Unknown programs, unknown architectures, and two grid cells that are
+    the same machine (``dva-nobypass`` beside ``dva`` with a ``bypass=off``
+    axis) all fail here, before any simulation: :func:`plan_sweep` calls
+    this first, and the sweep service calls it at request admission so a
+    bad sweep is rejected with a clean error instead of dying mid-run.
+    Program names are checked against ``PROGRAM_NAMES``, so no program
+    model is built here.
     The returned machines are axis-combo-major, architecture-minor: the
     order each (program, latency) group of :func:`plan_sweep` runs them in.
     """
-    from repro.workloads.perfect_club import load_program
-
     for program in spec.programs:
-        load_program(program)
+        if program not in PROGRAM_NAMES:
+            raise WorkloadError(
+                f"unknown benchmark program {program!r} (known: {', '.join(PROGRAM_NAMES)})"
+            )
     machines: List[SpecArchitecture] = []
     seen_labels: Dict[str, Tuple[str, Overrides]] = {}
     for combo in spec.axis_combinations():
         for arch in spec.architectures:
-            simulator = resolve_architecture(arch, combo)
+            simulator = architecture(arch, combo)
             previous = seen_labels.get(simulator.name)
             if previous is not None:
                 raise ConfigurationError(
-                    f"sweep cells {previous!r} and {(arch, combo)!r} both "
-                    f"resolve to machine {simulator.name!r}; every cell "
-                    "must be a distinct machine"
+                    f"sweep cells {previous!r} and {(arch, combo)!r} are the "
+                    f"same machine, {simulator.name!r}; every cell must be a "
+                    "distinct machine"
                 )
             seen_labels[simulator.name] = (arch, combo)
             machines.append(simulator)
@@ -508,8 +512,8 @@ def _run_program_cells(
     Every :class:`~repro.core.pool.WorkerPool` worker runs each task it
     receives through this function and :data:`_WORKER_CACHE`, both looked up
     on this module when the task arrives.  The cells carry their resolved
-    :class:`~repro.core.registry.SpecArchitecture` records rather than
-    registry names, so runtime registrations work in workers too.  When the
+    :class:`~repro.core.registry.SpecArchitecture` records, so a worker
+    resolves no name.  When the
     parent runs with a result store, the task carries the store *root* (a
     plain path) and the worker opens its own handle: constructing a
     :class:`~repro.store.ResultStore` touches no files, and each completed
@@ -819,8 +823,8 @@ class EntryCheck:
     ``outcome`` is ``"identical"``, ``"different"`` (``detail`` names the
     differing result fields) or ``"stale"``: the entry's machine no longer
     builds a spec, or its key is not the one this code derives for its cell,
-    so it was written under another machine schema, timing model, trace
-    generator or key scheme and is not comparable.
+    so it was written under another machine schema, machine label, timing
+    model, trace generator or key scheme and is not comparable.
     """
 
     cell: str
@@ -854,7 +858,7 @@ def verify_store(store: ResultStore, sample: Optional[int] = None) -> List[Entry
             except (TypeError, ConfigurationError):
                 pass  # a field this code no longer has, or a value out of range
             else:
-                machine = SpecArchitecture(name=entry.architecture, description="", spec=spec)
+                machine = SpecArchitecture(machine_label(spec), spec)
         if machine is None or entry.key != cell_key(
             entry.program, entry.scale, entry.latency, machine, config
         ):

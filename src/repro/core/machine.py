@@ -6,18 +6,17 @@ store→load bypass on/off, datapath width — and every one of those knobs is a
 exactly that: a validated, frozen description of one whole machine — the
 simulator family (``ref`` or ``dva``), lanes, memory ports, the bypass and
 chaining switches, the decoupled queue depths and the scalar-cache geometry —
-that the registry (:mod:`repro.core.registry`) names and resolves into a
+that the registry (:mod:`repro.core.registry`) labels and resolves into a
 runnable machine.  Every field the family has gets a value: one left out
 takes its :data:`FIELDS` default, so ``MachineSpec(family="dva")`` is the
-``dva`` built-in.  The simulators read their machine straight off the spec;
+``dva`` preset.  The simulators read their machine straight off the spec;
 what no field covers is a fixed value of the paper's machine, a named
 constant in the module that uses it.
 
 Spec strings use the grammar::
 
     spec        := base [ "@" assignment { "," assignment } ]
-    base        := any registered architecture name ("ref", "dva",
-                   "dva-nobypass", ...) — the family names are built-ins
+    base        := a preset: "ref", "dva" or "dva-nobypass"
     assignment  := key "=" value
     value       := integer | "on" | "off" | "true" | "false" | "yes" | "no"
 
@@ -51,7 +50,6 @@ class FieldInfo:
         attribute: the :class:`MachineSpec` attribute the field stores to.
         key: the primary key used in spec strings (``ports`` rather than
             ``memory_ports``).
-        aliases: accepted alternative keys (the attribute name always is).
         kind: ``"int"`` or ``"bool"``.
         families: the simulator families the field applies to.
         lo / hi: inclusive valid range for integer fields.
@@ -63,7 +61,6 @@ class FieldInfo:
 
     attribute: str
     key: str
-    aliases: Tuple[str, ...]
     kind: str
     families: Tuple[str, ...]
     default: FieldValue
@@ -84,65 +81,64 @@ class FieldInfo:
 
 FIELDS: Tuple[FieldInfo, ...] = (
     FieldInfo(
-        "lanes", "lanes", (), "int", ("ref", "dva"), 1, lo=1, hi=64,
+        "lanes", "lanes", "int", ("ref", "dva"), 1, lo=1, hi=64,
         description="parallel lanes per vector functional unit",
     ),
     FieldInfo(
-        "memory_ports", "ports", (), "int", ("ref", "dva"), 1,
+        "memory_ports", "ports", "int", ("ref", "dva"), 1,
         lo=1, hi=16,
         description="memory-port units sharing the address bus",
     ),
     FieldInfo(
-        "bypass", "bypass", (), "bool", ("dva",), True,
+        "bypass", "bypass", "bool", ("dva",), True,
         description="service loads from the VADQ→AVDQ store→load bypass (paper §7)",
     ),
     FieldInfo(
-        "chaining", "chaining", ("load_chaining",), "bool", ("ref",), False,
+        "chaining", "chaining", "bool", ("ref",), False,
         description="allow consumers to chain off vector loads (off on the C34)",
     ),
     FieldInfo(
-        "instruction_queue", "iq", (), "int", ("dva",), 16,
+        "instruction_queue", "iq", "int", ("dva",), 16,
         lo=1, hi=4096,
         description="slots in each of APIQ, VPIQ and SPIQ",
     ),
     FieldInfo(
-        "vector_load_data", "avdq", (), "int", ("dva",), 256,
+        "vector_load_data", "avdq", "int", ("dva",), 256,
         lo=1, hi=65536,
         description="AVDQ slots (whole vector registers of load data)",
     ),
     FieldInfo(
-        "vector_store_data", "vadq", (), "int", ("dva",), 16,
+        "vector_store_data", "vadq", "int", ("dva",), 16,
         lo=1, hi=65536,
         description="VADQ slots (vector store data; the VSAQ follows it)",
     ),
     FieldInfo(
-        "scalar_store_address", "ssaq", (), "int", ("dva",), 16,
+        "scalar_store_address", "ssaq", "int", ("dva",), 16,
         lo=1, hi=65536,
         description="SSAQ slots (scalar store addresses)",
     ),
     FieldInfo(
-        "cache_line_bytes", "cache_line", ("line_bytes",),
-        "int", ("ref", "dva"), 32, lo=4, hi=4096, power_of_two=True,
+        "cache_line_bytes", "cache_line", "int", ("ref", "dva"), 32,
+        lo=4, hi=4096, power_of_two=True,
         description="scalar-cache line size in bytes",
     ),
     FieldInfo(
-        "cache_lines", "cache_lines", ("lines",), "int", ("ref", "dva"), 1024,
+        "cache_lines", "cache_lines", "int", ("ref", "dva"), 1024,
         lo=1, hi=1048576,
         description="scalar-cache lines (capacity = line bytes × lines)",
     ),
 )
 
-_BY_KEY: Dict[str, FieldInfo] = {}
-for _info in FIELDS:
-    for _key in (_info.key, _info.attribute, *_info.aliases):
-        _BY_KEY.setdefault(_key, _info)
+_BY_KEY: Dict[str, FieldInfo] = {
+    name: info for info in FIELDS for name in (info.key, info.attribute)
+}
 
 _TRUE_WORDS = frozenset({"on", "true", "yes", "1"})
 _FALSE_WORDS = frozenset({"off", "false", "no", "0"})
 
 
 def lookup_field(name: str) -> FieldInfo:
-    """Resolve a field by primary key, attribute name or alias."""
+    """Resolve a field by primary key or attribute name."""
     try:
         return _BY_KEY[name.strip().lower()]
     except KeyError:
@@ -284,7 +280,7 @@ class MachineSpec:
         }
 
     def with_pins(self, **overrides: FieldValue) -> "MachineSpec":
-        """A copy with some fields changed (keys may be primary, alias or attribute)."""
+        """A copy with some fields changed (keys may be primary or attribute names)."""
         resolved = {
             lookup_field(name).attribute: value for name, value in overrides.items()
         }

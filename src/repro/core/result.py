@@ -28,9 +28,9 @@ class RunResult:
     """The unified, JSON-serializable summary of one simulation run.
 
     Attributes:
-        architecture: registry name of the architecture that produced the run
-            (``"ref"``, ``"dva"``, ``"dva-nobypass"``, or a registered
-            extension).
+        architecture: label of the machine that produced the run — a
+            preset name (``"ref"``, ``"dva"``, ``"dva-nobypass"``) or the
+            canonical spec string of any other machine (``"dva@lanes=2"``).
         program: name of the traced program.
         latency: memory latency the run was simulated at.
         total_cycles: execution time in cycles.

@@ -652,7 +652,7 @@ def simulate_decoupled(
 ) -> DecoupledResult:
     """Convenience wrapper: simulate ``trace`` on the DVA at a given latency.
 
-    Without a spec this is the built-in ``dva`` machine (bypass on).
+    Without a spec this is the ``dva`` preset (bypass on).
     """
     if spec is None:
         from repro.core.machine import MachineSpec

@@ -337,7 +337,7 @@ def simulate_reference(
 ) -> ReferenceResult:
     """Convenience wrapper: simulate ``trace`` at the given memory latency.
 
-    Without a spec this is the built-in ``ref`` machine.
+    Without a spec this is the ``ref`` preset.
     """
     if spec is None:
         from repro.core.machine import MachineSpec

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core import Runner, SweepSpec, figures, run_sweep
-from repro.core.experiment import SweepResult, plan_sweep
+from repro.core.experiment import SweepResult, plan_sweep, resolve_sweep_machines
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +86,10 @@ class TestSpecAxes:
         spec = SweepSpec("trfd", "1", "dva@bypass=off,ref@lanes=2")
         assert spec.architectures == ("dva@bypass=off", "ref@lanes=2")
 
-    def test_axis_overriding_inline_base_pin_rebuilds_label(self):
-        """An axis crossing a field the inline base pins must replace the
-        assignment in the label, never emit the key twice."""
+    def test_axis_overriding_an_inline_pin_labels_the_merged_spec(self):
+        """An axis crossing a field the inline base pins labels the machine it
+        makes: the lanes=1 cell is the ``dva-nobypass`` preset, and no label
+        carries a key twice."""
         spec = SweepSpec(
             programs=("trfd",), latencies=(1,),
             architectures=("dva@lanes=2,bypass=off",),
@@ -97,7 +98,7 @@ class TestSpecAxes:
         )
         sweep = run_sweep(spec)
         labels = sweep.architecture_labels()
-        assert labels == ["dva@bypass=off,lanes=1", "dva@lanes=2,bypass=off"]
+        assert labels == ["dva-nobypass", "dva@lanes=2,bypass=off"]
         # Every label re-resolves through architecture() to the same machine.
         from repro.core import architecture
 
@@ -160,56 +161,37 @@ class TestMultiAxisExecution:
         spec = SweepSpec(
             programs=("trfd",), latencies=(1,), architectures=("dva", "dva"),
         )
-        with pytest.raises(ConfigurationError, match="resolve to machine"):
+        with pytest.raises(ConfigurationError, match="same machine"):
             Runner(jobs=1).run(spec)
 
-    def test_overlapping_bases_stay_distinguishable(self):
-        """Labels are base-anchored, so dva@ports=2 and dva-2port@ports=2 —
-        the same machine reached from different bases — both run, each under
-        its own label, instead of falsely colliding."""
+    def test_axes_out_of_field_order_label_in_field_order(self):
+        """``--axis ports=... --axis lanes=...`` and ``dva@lanes=2,ports=2``
+        are one machine, so they have one label."""
+        spec = SweepSpec(
+            programs=("trfd",), latencies=(1,), architectures=("dva",),
+            axes={"ports": (1, 2), "lanes": (1, 2)},
+        )
+        assert [machine.name for machine in resolve_sweep_machines(spec)] == [
+            "dva", "dva@lanes=2", "dva@ports=2", "dva@lanes=2,ports=2"
+        ]
+
+    def test_overlapping_bases_fail_before_running(self, monkeypatch):
+        """``dva`` and ``dva-nobypass`` crossed with a bypass axis name each of
+        the two machines twice, so the grid is refused before any cell runs."""
+        from repro.core import SpecArchitecture
+
+        def refuse(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(SpecArchitecture, "simulate", refuse)
         spec = SweepSpec(
             programs=("trfd",), latencies=(50,),
-            architectures=("dva", "dva-2port"),
-            axes={"ports": (1, 2)},
+            architectures=("dva", "dva-nobypass"),
+            axes={"bypass": ("on", "off")},
             scale=0.2,
         )
-        sweep = Runner(jobs=1).run(spec)
-        # Overrides matching a base's own pins are elided from its label.
-        assert sweep.architecture_labels() == [
-            "dva", "dva-2port@ports=1", "dva@ports=2", "dva-2port"
-        ]
-        # Same machine, same timing, different provenance labels.
-        assert (
-            sweep.get("trfd", 50, "dva@ports=2").total_cycles
-            == sweep.get("trfd", 50, "dva-2port").total_cycles
-        )
-
-    def test_registered_copy_of_a_preset_keeps_its_identity(self):
-        """A registration equal to the 'dva' preset runs the same machine;
-        base-anchored labels keep the two apart."""
-        from repro.core import MachineSpec, register_architecture, unregister_architecture
-
-        register_architecture(MachineSpec(family="dva"), name="dva-copy")
-        try:
-            spec = SweepSpec(
-                programs=("trfd",), latencies=(1,),
-                architectures=("dva", "dva-copy"),
-                axes={"lanes": (1, 2)},
-                scale=0.2,
-            )
-            sweep = Runner(jobs=1).run(spec)
-            # Both bases have lanes=1, so that override is elided from both.
-            assert sweep.architecture_labels() == [
-                "dva", "dva-copy", "dva@lanes=2", "dva-copy@lanes=2",
-            ]
-            for label in ("dva", "dva@lanes=2"):
-                copy = label.replace("dva", "dva-copy", 1)
-                assert (
-                    sweep.get("trfd", 1, copy).total_cycles
-                    == sweep.get("trfd", 1, label).total_cycles
-                )
-        finally:
-            unregister_architecture("dva-copy")
+        with pytest.raises(ConfigurationError, match="are the same machine, 'dva'"):
+            Runner(jobs=1).run(spec)
 
 
 class TestSweepResultIndex:

@@ -112,11 +112,22 @@ class TestInProcess:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_one_machine_named_twice_is_a_usage_error(self, capsys):
+        """``dva,dva-nobypass`` crossed with ``bypass=on,off`` names each machine twice."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--programs", "trfd", "--latencies", "1",
+                  "--arch", "dva,dva-nobypass", "--axis", "bypass=on,off", "--no-store"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "are the same machine, 'dva'" in err
+
     def test_list_archs_default_listing(self, capsys):
         assert main(["list-archs"]) == 0
         out = capsys.readouterr().out
-        assert "dva-2port" in out
-        assert "dva@ports=2" in out  # canonical spec string per preset
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "ref", "dva", "dva-nobypass"
+        ]
+        assert "dva@bypass=off" in out  # canonical spec string per preset
 
     def test_list_archs_schema(self, capsys):
         assert main(["list-archs", "--schema"]) == 0
@@ -126,21 +137,20 @@ class TestInProcess:
         assert "on|off" in out  # bypass range
         assert "presets" in out
         assert "family=dva" in out
-        assert "memory_ports=2" in out  # dva-2port's one non-default field
+        assert "bypass=False" in out  # dva-nobypass's one non-default field
+        # The aliases column holds the attribute name, the one other spelling.
+        rows = out.split("\npresets")[0].splitlines()
+        aliases = {row.split()[0]: row.split()[1] for row in rows if row.strip()}
+        assert {key: aliases[key] for key in ("lanes", "cache_line", "cache_lines")} == {
+            "lanes": "-", "cache_line": "cache_line_bytes", "cache_lines": "-"
+        }
 
     def test_list_archs_schema_shows_what_runs(self, capsys):
-        """A registered bare-family spec lists as the default machine it runs."""
-        from repro.core import MachineSpec, register_architecture, unregister_architecture
-
-        register_architecture(MachineSpec(family="dva"), name="dva-bare")
-        try:
-            assert main(["list-archs", "--schema"]) == 0
-        finally:
-            unregister_architecture("dva-bare")
+        """Each preset lists the fields it runs at, beyond the defaults."""
+        assert main(["list-archs", "--schema"]) == 0
         presets = capsys.readouterr().out.split("\npresets")[1].splitlines()[1:]
         fields = {line.split()[0]: line.split()[2:] for line in presets}
-        assert fields["dva-bare"] == fields["dva"] == ["-"]
-        assert fields["dva-nobypass"] == ["bypass=False"]
+        assert fields == {"ref": ["-"], "dva": ["-"], "dva-nobypass": ["bypass=False"]}
 
     def test_multi_axis_sweep_end_to_end(self, capsys, tmp_path):
         """CLI → Runner(jobs=2) → JSON → figures, over lanes × ports × latency."""
@@ -260,6 +270,24 @@ class TestCacheVerify:
         capsys.readouterr()
         assert main(["cache", "stats", "--json", "--store-dir", str(store)]) == 0
         assert json.loads(capsys.readouterr().out)["entry_count"] == 0
+
+    @pytest.mark.parametrize(
+        "label, text",
+        [("dva@bypass=off", "dva-nobypass"), ("dva-nobypass@lanes=2", "dva@lanes=2,bypass=off")],
+    )
+    def test_an_entry_under_a_retired_label_is_stale(self, capsys, tmp_path, label, text):
+        """An entry keyed by a label this code no longer gives its machine."""
+        from repro.core import RunConfig, SpecArchitecture, architecture
+        from repro.store import ResultStore, cell_key
+        from repro.workloads.perfect_club import build_trace
+
+        store = ResultStore(tmp_path / "store")
+        retired = SpecArchitecture(label, architecture(text).spec)
+        config = RunConfig(latency=1)
+        result = retired.simulate(build_trace("TRFD", scale=0.5), config)
+        store.put(cell_key("TRFD", 0.5, 1, retired, config), result, scale=0.5)
+        assert main(["cache", "verify", "--store-dir", str(store.root)]) == 0
+        assert "0 identical, 0 different, 1 stale" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "field", [{"warp": 9}, {"lanes": 0}], ids=["unknown-field", "out-of-range"]

@@ -58,8 +58,8 @@ class TestStringRoundTrip:
 
     def test_preset_base_with_overrides(self):
         assert (
-            machine_spec("dva-2port@lanes=2")
-            == machine_spec("dva@lanes=2,ports=2")
+            machine_spec("dva-nobypass@lanes=2")
+            == machine_spec("dva@lanes=2,bypass=off")
         )
 
     def test_family_names_are_builtins(self):
@@ -70,6 +70,11 @@ class TestStringRoundTrip:
         spec = machine_spec("dva@memory_ports=2,vector_load_data=8")
         assert spec.memory_ports == 2
         assert spec.vector_load_data == 8
+
+    @pytest.mark.parametrize("key", ["lines", "line_bytes", "load_chaining"])
+    def test_retired_aliases_are_unknown_fields(self, key):
+        with pytest.raises(ConfigurationError, match="unknown machine field"):
+            machine_spec(f"ref@{key}=1")
 
     def test_bool_words(self):
         for word, expected in [("on", True), ("true", True), ("yes", True),
@@ -340,20 +345,13 @@ class TestRegistryResolution:
         with pytest.raises(ConfigurationError, match="unknown machine field"):
             architecture("dva@warp=9")
 
-    def test_inline_spec_over_runtime_registered_base(self):
-        """An @-clause composes with any registered name."""
-        from repro.core import register_architecture, unregister_architecture
-
-        register_architecture(
-            machine_spec("dva@avdq=4"), name="dva-tiny"
-        )
-        try:
-            extended = architecture("dva-tiny@lanes=2")
-            assert extended.spec.vector_load_data == 4
-            assert extended.spec.lanes == 2
-            assert extended.name == "dva@lanes=2,avdq=4"
-        finally:
-            unregister_architecture("dva-tiny")
+    def test_inline_spec_over_a_preset_base(self):
+        """An @-clause composes with any preset, and the label is the spec's."""
+        extended = architecture("dva-nobypass@avdq=4,lanes=2")
+        assert extended.spec.vector_load_data == 4
+        assert extended.spec.lanes == 2
+        assert extended.spec.bypass is False
+        assert extended.name == "dva@lanes=2,bypass=off,avdq=4"
 
     def test_unknown_name_still_lists_known(self):
         with pytest.raises(ConfigurationError, match="unknown architecture"):

@@ -10,11 +10,9 @@ from repro.core import (
     architecture,
     architecture_names,
     machine_spec,
-    register_architecture,
-    resolve_architecture,
     simulate,
-    unregister_architecture,
 )
+from repro.core.registry import PRESETS
 from repro.dva.simulator import DecoupledSimulator, simulate_decoupled
 from repro.refarch.simulator import ReferenceSimulator, simulate_reference
 from repro.workloads import program_names
@@ -28,10 +26,10 @@ def trace():
 
 class TestLookup:
     def test_builtins_are_registered(self):
-        assert architecture_names()[:3] == ["ref", "dva", "dva-nobypass"]
+        assert architecture_names() == ["ref", "dva", "dva-nobypass"]
 
     def test_lookup_is_case_insensitive(self):
-        assert architecture("REF") is architecture("ref")
+        assert architecture("REF") == architecture("ref")
 
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown architecture"):
@@ -50,76 +48,61 @@ class TestLookup:
             "ref": MachineSpec(family="ref"),
             "dva": MachineSpec(family="dva"),
             "dva-nobypass": MachineSpec(family="dva", bypass=False),
-            "ref-2lane": MachineSpec(family="ref", lanes=2),
-            "dva-2port": MachineSpec(family="dva", memory_ports=2),
         }
 
+    def test_presets_table_is_immutable(self):
+        with pytest.raises(TypeError):
+            PRESETS["dva-4port"] = (MachineSpec(family="dva", memory_ports=4), "")
 
-class TestRegistration:
-    def test_register_and_use_extension(self, trace):
-        register_architecture(
-            MachineSpec(family="ref", lanes=4), name="ref-wide", description="4 lanes"
+
+class TestLabels:
+    """A machine's label is a function of its spec alone."""
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("dva-nobypass", ()),
+            ("dva@bypass=off", ()),
+            ("dva@lanes=1,bypass=off", ()),
+            ("DVA@Bypass=OFF", ()),
+            ("dva", (("bypass", False),)),
+            ("dva-nobypass", (("lanes", 1),)),
+        ],
+    )
+    def test_every_spelling_of_a_preset_is_labelled_by_its_name(self, name, overrides):
+        assert architecture(name, overrides) == SpecArchitecture(
+            "dva-nobypass", MachineSpec(family="dva", bypass=False)
         )
-        try:
-            result = simulate(trace, "ref-wide", latency=7)
-            assert result.architecture == "ref-wide"
-            assert result.latency == 7
-            assert "ref-wide" in architecture_names()
-            assert architecture("ref-wide").description == "4 lanes"
-        finally:
-            unregister_architecture("ref-wide")
-        with pytest.raises(ConfigurationError):
-            architecture("ref-wide")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_architecture(MachineSpec(family="ref"), name="REF")
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("dva-nobypass@lanes=2", ()),
+            ("dva-nobypass", (("lanes", 2),)),
+            ("dva@bypass=off,lanes=2", ()),
+            ("dva@lanes=2", {"bypass": False}),
+        ],
+    )
+    def test_other_machines_are_labelled_by_their_canonical_spec(self, name, overrides):
+        assert architecture(name, overrides).name == "dva@lanes=2,bypass=off"
 
-    def test_empty_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="empty"):
-            register_architecture(MachineSpec(family="ref"))
+    def test_an_override_back_to_a_preset_gives_the_preset_label(self):
+        """``dva@lanes=2`` overridden to one lane is the plain ``dva`` machine.
 
-    @pytest.mark.parametrize("candidate", [object(), "dva@lanes=2", None])
-    def test_only_machine_specs_register(self, candidate):
-        with pytest.raises(ConfigurationError, match="takes a MachineSpec"):
-            register_architecture(candidate)
-
-    @pytest.mark.parametrize("name", ["dva@lanes=4", "a,b", "lanes=4"])
-    def test_names_with_spec_separators_rejected(self, name):
-        """A name holding '@', ',' or '=' would be read back as another machine.
-
-        ``dva@lanes=4`` registered as a lanes=1 machine once ran under that
-        label, and ``a,b`` could not be picked from ``--arch``.
+        The label was once rebuilt from the base name, which called this
+        machine ``dva@lanes=1``.
         """
-        with pytest.raises(ConfigurationError, match="separator"):
-            register_architecture(MachineSpec(family="dva"), name=name)
-        assert name not in architecture_names()
+        assert architecture("dva@lanes=2", {"lanes": 1}).name == "dva"
+        assert architecture("ref@lanes=1").name == "ref"
+        assert architecture("dva@bypass=on").name == "dva"
 
-    def test_axis_labels_re_resolve_to_the_machine_they_run(self):
-        register_architecture(MachineSpec(family="dva", lanes=4), name="dva-4lane")
-        try:
-            for name in architecture_names():
-                resolved = resolve_architecture(name, (("ports", 4),))
-                assert architecture(resolved.name).spec == resolved.spec, name
-        finally:
-            unregister_architecture("dva-4lane")
-
-    def test_register_machine_spec_directly(self, trace):
-        """A registered spec runs exactly like the inline string it came from."""
-        register_architecture(
-            machine_spec("dva@ports=2,bypass=off"),
-            name="dva-wide",
-            description="two ports, no bypass",
-        )
-        try:
-            registered = architecture("dva-wide")
-            assert registered.spec.memory_ports == 2
-            assert registered.spec.bypass is False
-            inline = simulate(trace, "dva@ports=2,bypass=off", latency=50)
-            named = simulate(trace, "dva-wide", latency=50)
-            assert named.total_cycles == inline.total_cycles
-        finally:
-            unregister_architecture("dva-wide")
+    @pytest.mark.parametrize(
+        "text", ["dva", "dva-nobypass", "ref@lanes=4", "dva@ports=2,iq=4,bypass=off"]
+    )
+    def test_labels_re_resolve_to_the_machine_they_name(self, text):
+        for overrides in ((), (("ports", 4),), (("lanes", 2), ("ports", 1))):
+            resolved = architecture(text, overrides)
+            assert architecture(resolved.name) == resolved, (text, overrides)
 
     def test_bare_family_spec_runs_the_family_defaults(self):
         """A spec that leaves every field out is the family's default machine.
@@ -128,14 +111,11 @@ class TestRegistration:
         without it (41,155 cycles on BDNA at latency 50).
         """
         bdna = build_trace("BDNA")
-        register_architecture(MachineSpec(family="dva"), name="dva-bare")
-        try:
-            bare = simulate(bdna, "dva-bare", latency=50)
-            named = simulate(bdna, "dva", latency=50)
-        finally:
-            unregister_architecture("dva-bare")
-        assert bare.total_cycles == named.total_cycles == 28292
-        assert bare.detail["bypass"] is True
+        bare = SpecArchitecture("dva-bare", MachineSpec(family="dva"))
+        bare_result = bare.simulate(bdna, RunConfig(latency=50))
+        named = simulate(bdna, "dva", latency=50)
+        assert bare_result.total_cycles == named.total_cycles == 28292
+        assert bare_result.detail["bypass"] is True
 
 
 class TestAdapters:

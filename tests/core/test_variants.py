@@ -1,8 +1,8 @@
-"""Tests for the engine-derived architecture variants (ref-2lane, dva-2port)."""
+"""Tests for wider-datapath variants of the paper's machines (ref@lanes=2, dva@ports=2)."""
 
 import pytest
 
-from repro.core import MachineSpec, architecture, architecture_names, simulate
+from repro.core import MachineSpec, architecture, simulate
 from repro.core.experiment import SweepSpec, run_sweep
 from repro.core import figures
 from repro.workloads.perfect_club import build_trace
@@ -19,58 +19,50 @@ def sweep():
         SweepSpec(
             programs=("dyfesm",),
             latencies=(1, 50),
-            architectures=("ref", "ref-2lane", "dva", "dva-2port"),
+            architectures=("ref", "ref@lanes=2", "dva", "dva@ports=2"),
             scale=0.2,
         )
     )
 
 
-class TestRegistration:
-    def test_variants_are_registered(self):
-        names = architecture_names()
-        assert "ref-2lane" in names
-        assert "dva-2port" in names
-
+class TestInlineVariants:
     def test_variant_parameters(self):
-        assert architecture("ref-2lane").spec.lanes == 2
-        assert architecture("dva-2port").spec.memory_ports == 2
+        assert architecture("ref@lanes=2").spec.lanes == 2
+        assert architecture("dva@ports=2").spec.memory_ports == 2
 
     def test_variants_pin_their_datapath(self, trace):
         """A variant runs exactly the machine its spec names, and not its base."""
-        for variant, inline, base in (
-            ("ref-2lane", "ref@lanes=2", "ref"),
-            ("dva-2port", "dva@ports=2", "dva"),
-        ):
-            cycles = simulate(trace, variant, latency=50).total_cycles
-            assert cycles == simulate(trace, inline, latency=50).total_cycles
-            assert cycles != simulate(trace, base, latency=50).total_cycles
+        for variant, base in (("ref@lanes=2", "ref"), ("dva@ports=2", "dva")):
+            result = simulate(trace, variant, latency=50)
+            assert result.architecture == variant
+            assert result.total_cycles != simulate(trace, base, latency=50).total_cycles
 
 
 class TestTiming:
     def test_two_lanes_never_slower(self, sweep):
         for latency in sweep.spec.latencies:
             base = sweep.get("DYFESM", latency, "ref")
-            wide = sweep.get("DYFESM", latency, "ref-2lane")
+            wide = sweep.get("DYFESM", latency, "ref@lanes=2")
             assert wide.total_cycles <= base.total_cycles
 
     def test_two_lanes_speed_up_compute_bound_run(self, sweep):
         """DYFESM at latency 1 is compute bound; halving lane time must show."""
         base = sweep.get("DYFESM", 1, "ref")
-        wide = sweep.get("DYFESM", 1, "ref-2lane")
+        wide = sweep.get("DYFESM", 1, "ref@lanes=2")
         assert wide.total_cycles < base.total_cycles
 
     def test_two_ports_never_slower(self, sweep):
         for latency in sweep.spec.latencies:
             base = sweep.get("DYFESM", latency, "dva")
-            wide = sweep.get("DYFESM", latency, "dva-2port")
+            wide = sweep.get("DYFESM", latency, "dva@ports=2")
             assert wide.total_cycles <= base.total_cycles
 
     def test_total_cycles_cover_all_port_activity(self, trace):
         """A machine may not report finishing while a port is still driving.
 
         On a multi-port machine the wind-down must wait for the slowest port
-        unit, not the first free one — regression test for the dva-2port
-        finish accounting.
+        unit, not the first free one — regression test for the two-port
+        DVA's finish accounting.
         """
         from repro.dva.simulator import simulate_decoupled
         from repro.refarch.simulator import simulate_reference
@@ -96,15 +88,15 @@ class TestFiguresIntegration:
     """The figures layer must accept the variants without special-casing."""
 
     def test_speedup_table_against_variant_target(self, sweep):
-        rows = figures.speedup_table(sweep, target="ref-2lane")
+        rows = figures.speedup_table(sweep, target="ref@lanes=2")
         assert rows and all(row["speedup"] >= 1.0 for row in rows)
 
     def test_speedup_table_variant_baseline(self, sweep):
-        rows = figures.speedup_table(sweep, baseline="dva", target="dva-2port")
+        rows = figures.speedup_table(sweep, baseline="dva", target="dva@ports=2")
         assert rows and all(row["speedup"] >= 1.0 for row in rows)
 
     def test_queue_occupancy_rows_for_two_port_dva(self, sweep):
-        rows = figures.queue_occupancy_rows(sweep, architecture="dva-2port")
+        rows = figures.queue_occupancy_rows(sweep, architecture="dva@ports=2")
         assert rows
         assert {row["program"] for row in rows} == {"DYFESM"}
 

@@ -7,10 +7,8 @@ than ``>>>`` transcripts, so plain execution is the doctest equivalent —
 a snippet that raises fails the build, which is the property that matters:
 documented examples cannot rot.)
 
-Each block runs hermetically: stdout is swallowed, and any architecture a
-block registers is unregistered afterwards so the process-wide registry
-stays clean for the rest of the suite.  The store examples inherit the
-per-session ``REPRO_CACHE_DIR`` from ``tests/conftest.py``.
+Each block runs hermetically: stdout is swallowed.  The store examples
+inherit the per-session ``REPRO_CACHE_DIR`` from ``tests/conftest.py``.
 """
 
 import contextlib
@@ -19,8 +17,6 @@ import re
 from pathlib import Path
 
 import pytest
-
-from repro.core.registry import architecture_names, unregister_architecture
 
 README = Path(__file__).resolve().parents[2] / "README.md"
 
@@ -39,13 +35,8 @@ def _python_blocks():
     ids=lambda block: "readme-" + block.strip().splitlines()[0][:40],
 )
 def test_readme_python_block_executes(block):
-    registered_before = set(architecture_names())
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
-    finally:
-        for name in set(architecture_names()) - registered_before:
-            unregister_architecture(name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
 
 
 def test_readme_mentions_every_cli_subcommand():

@@ -17,7 +17,7 @@ from repro.common.errors import SimulationError
 from repro.core import experiment
 from repro.core.config import RunConfig
 from repro.core.experiment import SweepSpec, plan_sweep
-from repro.core.registry import resolve_architecture
+from repro.core.registry import architecture
 from repro.core.result import RunResult
 from repro.service.scheduler import CellScheduler
 from repro.store import ResultStore, cell_key
@@ -91,7 +91,7 @@ def planned(program, latency, arch):
     return cell
 
 
-DVA = resolve_architecture("dva")
+DVA = architecture("dva")
 
 
 class TestSingleFlight:

@@ -61,7 +61,7 @@ class TestKeySensitivity:
         # The spec string leaves default fields out, so a plain "dva" spells
         # the same before and after a default changes; the key must not.
         def dva_key():
-            machine = SpecArchitecture("dva", "", MachineSpec(family="dva"))
+            machine = SpecArchitecture("dva", MachineSpec(family="dva"))
             return cell_key("trfd", 1.0, 50, machine, CONFIG)
 
         base = dva_key()
@@ -73,11 +73,32 @@ class TestKeySensitivity:
         assert MachineSpec(family="dva").to_string() == "dva"
         assert dva_key() != base
 
-    def test_distinct_labels_for_the_same_machine_get_distinct_keys(self):
-        # "dva-nobypass" and "dva@bypass=off" resolve to the same machine but
-        # carry different labels; the label lands on the result as provenance,
-        # so a hit must restore it — the keys must differ.
-        assert _key(arch="dva-nobypass") != _key(arch="dva@bypass=off")
+    @pytest.mark.parametrize(
+        "label, spellings",
+        [
+            (
+                "dva-nobypass",
+                [("dva-nobypass", ()), ("dva@bypass=off", ()),
+                 ("dva@lanes=1,bypass=off", ()), ("dva", (("bypass", False),))],
+            ),
+            (
+                "dva@lanes=2,bypass=off",
+                [("dva-nobypass@lanes=2", ()), ("dva-nobypass", (("lanes", 2),)),
+                 ("dva@lanes=2,bypass=off", ())],
+            ),
+            (
+                "dva@lanes=2,ports=2",
+                [("dva", (("ports", 2), ("lanes", 2))), ("dva@ports=2,lanes=2", ()),
+                 ("dva@lanes=2,ports=2", ())],
+            ),
+        ],
+    )
+    def test_every_spelling_of_one_machine_gets_one_key(self, label, spellings):
+        # The label lands on the result as provenance and is hashed, so it is
+        # a function of the machine alone: one machine, one label, one key.
+        machines = [architecture(name, overrides) for name, overrides in spellings]
+        assert {machine.name for machine in machines} == {label}
+        assert len({cell_key("trfd", 1.0, 50, m, CONFIG) for m in machines}) == 1
 
     def test_latency_in_config_does_not_leak_into_the_key(self):
         # The cell's latency is an explicit argument; the config's own
@@ -87,7 +108,7 @@ class TestKeySensitivity:
 
 class TestEveryMachineHasAKey:
     @pytest.mark.parametrize(
-        "arch", [*architecture_names(), "dva-2port@lanes=2,bypass=off"]
+        "arch", [*architecture_names(), "dva-nobypass@lanes=2,ports=2"]
     )
     def test_registered_and_inline_machines_get_a_sha256_key(self, arch):
         key = _key(arch=arch)

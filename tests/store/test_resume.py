@@ -158,23 +158,35 @@ class TestStoreScoping:
         assert all(r.cached == (r.architecture == "dva") for r in sweep)
         assert len(calls) == 12
 
-    def test_runtime_registered_machines_are_cached(self, store, simulated):
+    def test_inline_machines_are_cached(self, store, simulated):
         calls, _ = simulated
-        from repro.core import MachineSpec, register_architecture, unregister_architecture
-
-        register_architecture(MachineSpec(family="ref", lanes=4), name="ref-4lane")
-        try:
-            spec = SweepSpec(
-                programs=("trfd",), latencies=(1,),
-                architectures=("ref-4lane",), scale=0.2,
-            )
-            first = run_sweep(spec, store=store)
-            second = run_sweep(spec, store=store)
-        finally:
-            unregister_architecture("ref-4lane")
+        spec = SweepSpec(
+            programs=("trfd",), latencies=(1,), architectures=("ref@lanes=4",), scale=0.2,
+        )
+        first = run_sweep(spec, store=store)
+        second = run_sweep(spec, store=store)
         assert first.cached_count == 0 and second.cached_count == 1
         assert second.results == first.results
         assert len(calls) == 1
+
+    def test_a_store_filled_under_one_spelling_answers_every_other(self, store, simulated):
+        """``dva-nobypass``, ``dva@bypass=off`` and a ``bypass=off`` axis are
+        one machine, so the store holds it once and every spelling hits."""
+        calls, _ = simulated
+
+        def sweep(architecture, axes=()):
+            return run_sweep(
+                SweepSpec(programs=("trfd",), latencies=(1,),
+                          architectures=(architecture,), axes=axes, scale=0.2),
+                store=store,
+            )
+
+        first = sweep("dva-nobypass")
+        for later in (sweep("dva@bypass=off"), sweep("dva", {"bypass": "off"})):
+            assert later.simulated_count == 0 and later.cached_count == 1
+            assert later.results == first.results
+            assert later.architecture_labels() == ["dva-nobypass"]
+        assert len(calls) == 1 and len(store) == 1
 
     def test_runner_accepts_a_path_in_place_of_a_store(self, tmp_path):
         root = tmp_path / "by-path"
