@@ -29,6 +29,7 @@ Seven subcommands drive the experiment API end to end:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -71,6 +72,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _port(text: str) -> int:
+    """An argparse type: a TCP port number, 0-65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"expected a port number 0-65535, got {text!r}")
     return value
 
 
@@ -286,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="interface to bind"
     )
     serve_parser.add_argument(
-        "--port", type=int, default=8023, help="TCP port to bind (0 = ephemeral)"
+        "--port", type=_port, default=8023, help="TCP port to bind (0 = ephemeral)"
     )
     serve_parser.add_argument(
         "--jobs", type=_positive_int, default=1,
@@ -304,11 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    Library-level :class:`~repro.common.errors.ReproError` failures become
-    exit code 2 with a one-line message, matching argparse's own behaviour
-    for unparseable input.  A reader that closes stdout early (``repro
-    sweep ... | head -2``) ends the command quietly with exit code 1, as the
-    Python documentation's note on SIGPIPE recommends.
+    Library-level :class:`~repro.common.errors.ReproError` failures and
+    :class:`OSError` failures (an output path that cannot be written)
+    become exit code 2 with a one-line message, matching argparse's own
+    behaviour for unparseable input.  A reader that closes stdout early
+    (``repro sweep ... | head -2``) ends the command quietly with exit
+    code 1, as the Python documentation's note on SIGPIPE recommends.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -316,13 +329,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
-    except ReproError as exc:
-        parser.exit(2, f"error: {exc}\n")
-        return 2  # pragma: no cover - parser.exit raises SystemExit
     except BrokenPipeError:
         # Later flushes (at exit too) go to /dev/null instead of failing again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (ReproError, OSError) as exc:
+        parser.exit(2, f"error: {exc}\n")
+        return 2  # pragma: no cover - parser.exit raises SystemExit
 
 
 # -- subcommand handlers ---------------------------------------------------------------
@@ -376,12 +389,11 @@ def _cmd_list_archs(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.core.registry import architecture, simulate
-    from repro.workloads.perfect_club import load_program
+    from repro.core.experiment import Runner, SweepSpec
 
-    architecture(args.arch)  # fail fast before the (slower) trace build
-    trace = load_program(args.program).build_trace(scale=args.scale)
-    result = simulate(trace, args.arch, latency=args.latency)
+    # The one-cell sweep it names, validated like any grid before its trace is built.
+    spec = SweepSpec((args.program,), (args.latency,), (args.arch,), args.scale)
+    [result] = Runner().run(spec)
     print(json.dumps(result.summary(), indent=2))
     return 0
 
@@ -451,7 +463,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     store = _store_from_args(args)
     progress = _print_progress if args.progress else None
-    sweep = Runner(jobs=args.jobs, store=store).run(spec, progress=progress)
+    # Opened before any cell runs, so a path that cannot be written fails first.
+    with open(args.output, "w") if args.output else contextlib.nullcontext() as output:
+        sweep = Runner(jobs=args.jobs, store=store).run(spec, progress=progress)
+        if output is not None:
+            json.dump(sweep.to_json(), output, indent=2)
     shape = (f"{len(sweep.spec.programs)} programs x "
              f"{len(sweep.spec.latencies)} latencies x "
              f"{len(sweep.spec.architectures)} architectures")
@@ -463,8 +479,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(format_table(_summary_rows(sweep)))
     _print_speedup_table(sweep)
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(sweep.to_json(), handle, indent=2)
         print(f"\nwrote {args.output}")
     return 0
 
@@ -480,9 +494,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         scale=args.scale,
     )
     store = _store_from_args(args)
+    os.makedirs(args.out_dir, exist_ok=True)  # before any cell runs
     sweep = Runner(jobs=args.jobs, store=store).run(spec)
     _print_store_line(sweep, store)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     artifacts = {
         "figure5_speedup.csv": figures.speedup_table(sweep),

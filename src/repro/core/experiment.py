@@ -4,7 +4,7 @@ The paper's central experiment is a grid — six Perfect Club programs × memory
 latencies {1, 10, 50, 100} × machines {REF, DVA} (§4–§7).  A
 :class:`SweepSpec` declares such a grid and a :class:`Runner` executes every
 cell either serially or across a pool of worker processes
-(:mod:`repro.core.pool`).  A cell is fully described by its program, scale,
+(:mod:`repro.core.scheduler`, :mod:`repro.core.pool`).  A cell is fully described by its program, scale,
 latency and machine spec.  The :class:`SweepSpec` constructor is the one
 reader of a grid: code, the service's JSON bodies and the command line's
 flags all hand it their values as they are (a list field may be one
@@ -42,6 +42,7 @@ re-simulated cells and an identical warm re-run is pure cache hits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, fields, replace
@@ -75,10 +76,8 @@ from repro.store import ResultStore
 # (which hashes their versions) are imported where a cell first needs them,
 # so declaring a grid or building a Runner loads none of them.
 if TYPE_CHECKING:  # pragma: no cover
-    import asyncio
-
-    from repro.core.pool import WorkerPool
     from repro.core.result import RunResult
+    from repro.core.scheduler import CellScheduler
     from repro.store import StoreEntry
     from repro.trace.columns import Trace
 
@@ -88,6 +87,35 @@ Axes = Tuple[Tuple[str, Tuple[object, ...]], ...]
 #: Trace lengths, memoized per (program, scale): counting one compiles the
 #: program's kernels (about 0.5 ms), once per process.
 _LENGTH_CACHE: Dict[Tuple[str, float], int] = {}
+
+#: The most rows a cell's trace may have.  A row is four ``int64`` columns
+#: (``insn``, ``vl``, ``stride``, ``addr``), 32 bytes, so the limit holds one
+#: trace's columns to 1 GiB; the paper's programs have 1,776-8,879 rows at
+#: scale 1, and TRFD reaches the limit near scale 3,900.
+MAX_TRACE_ROWS = 1 << 25
+
+
+def trace_rows(program: str, scale: float) -> int:
+    """The exact row count of ``program``'s trace at ``scale``, refused above
+    :data:`MAX_TRACE_ROWS`.
+
+    Counted by :meth:`~repro.workloads.program_model.ProgramModel.trace_length`,
+    which emits no row.  :func:`resolve_sweep_machines` calls this for every
+    program of a grid, so a ``run``, a ``sweep``, ``/v1/run`` and
+    ``/v1/sweeps`` all refuse an oversized trace before any row is built.
+    """
+    key = (program.upper(), float(scale))
+    rows = _LENGTH_CACHE.get(key)
+    if rows is None:
+        from repro.workloads.perfect_club import load_program
+
+        rows = _LENGTH_CACHE[key] = load_program(program).trace_length(scale)
+    if rows > MAX_TRACE_ROWS:
+        raise WorkloadError(
+            f"{program} at trace scale {scale:g} has {rows:,} rows, more than "
+            f"the {MAX_TRACE_ROWS:,} a cell may build"
+        )
+    return rows
 
 
 def estimate_cell_cost(program: str, scale: float) -> int:
@@ -107,22 +135,15 @@ def estimate_cell_cost(program: str, scale: float) -> int:
     DYFESM's length, costs less on the DVA (3.7 vs 4.7 ms at latency 50),
     and a scale-16 BDNA DVA cell costs about 1.3x its scale-1 cell for 16x
     the length.
-    Used to put the costliest program first — in the
-    :class:`Runner`'s pool chunks and the sweep service's batch flush.
-    Unknown programs cost 1: scheduling must never fail a cell that
-    validation has already admitted.
+    Used to put the costliest batch first in the
+    :class:`~repro.core.scheduler.CellScheduler`'s flush.  A program
+    :func:`trace_rows` refuses costs 1: scheduling must never fail a cell
+    that validation has already admitted.
     """
-    key = (program.upper(), float(scale))
-    length = _LENGTH_CACHE.get(key)
-    if length is None:
-        from repro.workloads.perfect_club import load_program
-
-        try:
-            length = load_program(program).trace_length(scale)
-        except WorkloadError:
-            length = 1
-        _LENGTH_CACHE[key] = length
-    return length
+    try:
+        return trace_rows(program, scale)
+    except WorkloadError:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -370,8 +391,8 @@ def resolve_sweep_machines(spec: SweepSpec) -> List[SpecArchitecture]:
     axis) all fail here, before any simulation: :func:`plan_sweep` calls
     this first, and the sweep service calls it at request admission so a
     bad sweep is rejected with a clean error instead of dying mid-run.
-    Program names are checked against ``PROGRAM_NAMES``, so no program
-    model is built here.
+    Each program's trace length is counted (:func:`trace_rows`, which
+    refuses one above :data:`MAX_TRACE_ROWS`) without emitting a row.
     The returned machines are axis-combo-major, architecture-minor: the
     order each (program, latency) group of :func:`plan_sweep` runs them in.
     """
@@ -380,6 +401,7 @@ def resolve_sweep_machines(spec: SweepSpec) -> List[SpecArchitecture]:
             raise WorkloadError(
                 f"unknown benchmark program {program!r} (known: {', '.join(PROGRAM_NAMES)})"
             )
+        trace_rows(program, spec.scale)
     machines: List[SpecArchitecture] = []
     seen_labels: Dict[str, Tuple[str, Overrides]] = {}
     for combo in spec.axis_combinations():
@@ -478,13 +500,14 @@ def _run_cells(
 ) -> List[RunResult]:
     """Sweep one trace across its cells, persisting each as it completes.
 
-    The one simulation loop: the :class:`Runner` runs it in-process and its
+    The one simulation loop: the :class:`Runner` runs it in-process and the
     pool workers run it for :func:`_run_program_cells`.  With a store, each
     result is stamped with its cell's key and written before the next cell
     starts, so a simulation process killed mid-batch leaves every
-    already-finished cell in the store.  ``on_result`` fires per cell,
-    after the store write (in-process progress; pool workers run without
-    it).
+    already-finished cell in the store, and the batch's lines are appended
+    to the store's advisory index once its last cell is written.
+    ``on_result`` fires per cell, after the store write (in-process
+    progress; pool workers run without it).
     """
     results: List[RunResult] = []
     for cell in cells:
@@ -495,6 +518,8 @@ def _run_cells(
         results.append(result)
         if on_result is not None:
             on_result(result)
+    if store is not None:
+        store.update_index(results, scale=cells[0].scale)
     return results
 
 
@@ -533,6 +558,11 @@ def _available_parallelism() -> int:
         return os.cpu_count() or 1
 
 
+def worker_count(jobs: int) -> int:
+    """The workers a ``jobs`` ceiling gets: never more than the usable CPUs."""
+    return min(jobs, _available_parallelism())
+
+
 class Runner:
     """Executes sweep grids, in-process or across a persistent process pool.
 
@@ -540,24 +570,21 @@ class Runner:
     than the machine can actually run in parallel, so asking for ``jobs=2``
     on a one-CPU host degrades gracefully to in-process simulation instead
     of paying pool and scheduling overhead for no speedup.  A sweep with a
-    single cell to simulate always runs in-process.
+    single cell to simulate always runs in-process, and so does every sweep
+    run from a thread whose event loop is already running.
 
-    :meth:`run` (a whole grid) and :meth:`run_batch` (one program's cells)
-    both hand batches of :class:`PlannedCell` to one executor,
-    :meth:`_execute`, the only code that chooses between the two paths.
-    In-process batches share the runner's :class:`TraceCache`.  Pooled
-    batches go to the runner's :class:`~repro.core.pool.WorkerPool`, whose
-    workers start at the first pooled batch and are reused for the runner's
-    lifetime, so repeated sweeps pay for worker startup and trace building
-    once: each worker builds a program's trace the first time it is handed
-    one of its cells.  A pooled grid splits each program's cells into
-    per-worker chunks, costliest first, so every worker gets work even when
-    the grid has fewer programs than workers.  Both paths produce identical
-    results in identical order — the simulators are deterministic and each
-    cell is independent — which the test suite asserts.  Neither path
-    pauses the garbage collector or forces a collection; pool workers freeze
-    the heap they inherit.  The sweep service drives the same pool from its
-    event loop through :meth:`submit_batch`.
+    :meth:`run` (a whole grid) and :meth:`run_batch` (cells already planned)
+    both simulate through :meth:`_simulate`.  In-process cells run
+    program by program over the runner's :class:`TraceCache`.  Pooled cells
+    are awaited, on an event loop of the call's own, through the runner's
+    :class:`~repro.core.scheduler.CellScheduler`, which batches them and
+    owns the :class:`~repro.core.pool.WorkerPool`; its workers start at the
+    first pooled batch and are reused for the runner's lifetime, so repeated
+    sweeps pay for worker startup and trace building once.  Both paths
+    produce identical results in identical order — the simulators are
+    deterministic and each cell is independent — which the test suite
+    asserts.  Neither path pauses the garbage collector or forces a
+    collection; pool workers freeze the heap they inherit.
 
     With a :class:`~repro.store.ResultStore` attached (``store=`` — an
     instance, or a path to open one at), the runner becomes *incremental*:
@@ -567,7 +594,7 @@ class Runner:
     :class:`SweepResult` via its per-result ``cached`` flags.
 
     The pool is released by :meth:`close`, by using the runner as a context
-    manager, or at garbage collection.
+    manager, at garbage collection, or when an interrupt stops a pooled run.
     """
 
     def __init__(
@@ -582,12 +609,12 @@ class Runner:
             store = ResultStore(store)
         self.store = store
         self.trace_cache = TraceCache()
-        self._pool: Optional[WorkerPool] = None
+        self._scheduler: Optional[CellScheduler] = None
 
     @property
     def effective_jobs(self) -> int:
         """Workers the runner will actually use for a parallel sweep."""
-        return min(self.jobs, _available_parallelism())
+        return worker_count(self.jobs)
 
     def run(
         self,
@@ -601,123 +628,95 @@ class Runner:
         Results come back in grid order either way.
 
         ``progress`` receives one :class:`CellProgress` per finished cell
-        (store hits first, then simulated cells — cell by cell in-process,
+        (store hits first, then simulated cells — in grid order in-process,
         batch by batch when pooled), so long sweeps are observable.
         """
         cells = plan_sweep(spec, self.store)
         tracker = _ProgressTracker(progress, len(cells))
-        # Cells to simulate per program, in grid order: each group shares a trace.
-        batches: Dict[str, List[PlannedCell]] = {}
         for cell in cells:
             if cell.result is not None:
                 tracker.report(cell.result)
-            else:
-                batches.setdefault(cell.program, []).append(cell)
-        chunks = list(batches.values())
-        pooled = sum(map(len, chunks)) > 1 and self.effective_jobs > 1
-        if pooled:
-            # Deal each program's cells round-robin into per-worker chunks
-            # (every cell of a program costs the same, see
-            # estimate_cell_cost) and submit the costliest chunk first, so
-            # the pool starts the longest work immediately.
-            per_program = -(-self.effective_jobs // len(chunks))
-            chunks = [
-                batch[offset::per_program]
-                for batch in chunks
-                for offset in range(min(per_program, len(batch)))
-            ]
-            chunks.sort(
-                key=lambda chunk: -len(chunk) * estimate_cell_cost(chunk[0].program, spec.scale)
-            )
-        for chunk, results in zip(chunks, self._execute(chunks, pooled, tracker.report)):
-            for cell, result in zip(chunk, results):
-                cell.result = result
-
+        misses = [cell for cell in cells if cell.result is None]
+        for cell, result in zip(misses, self._simulate(misses, tracker.report)):
+            cell.result = result
         results = [cell.result for cell in cells]
-        if self.store is not None:
-            # Workers (or the in-process loop) wrote the objects; merge this
-            # sweep's cells into the advisory index once, in the parent —
-            # O(cells written), never a full store scan.
-            self.store.update_index(results, scale=spec.scale)
         return SweepResult(spec=spec, results=results)  # type: ignore[arg-type]
 
     def run_batch(self, cells: Sequence[PlannedCell]) -> List[RunResult]:
-        """Execute one batch of a single program's cells, off the grid path.
+        """Simulate planned cells, off the grid path, and return their results.
 
-        With more than one effective job the batch goes to a worker of the
-        persistent pool and the call blocks until it is back; otherwise it
-        is simulated in the calling thread.  Store write-back matches
-        :meth:`run` — per cell, in the process that simulated it; merging
-        the advisory index is the caller's job, as it is for :meth:`run`.
+        The cells run exactly as :meth:`run`'s misses do: in-process or
+        through the pool, written to the store per cell and indexed per
+        batch.
         """
-        if not cells:
-            return []
-        return next(self._execute([cells], self.effective_jobs > 1))
+        return self._simulate(cells)
 
-    def submit_batch(self, cells: Sequence[PlannedCell]) -> "asyncio.Future[List[RunResult]]":
-        """Send one batch of a single program's cells to a pool worker.
-
-        Called on a running event loop (the sweep service's scheduler); the
-        returned future of that loop resolves with the batch's results, or
-        with its exception, when the worker's reply is read.  The batch
-        always goes to the pool, whatever ``jobs`` is, so the caller never
-        simulates in its own process; it waits for an idle worker when all
-        of them are busy.  Store write-back is the worker's, as in
-        :meth:`run_batch`.
-        """
-        return self._ensure_pool().submit(self._task(cells))
-
-    def _task(self, cells: Sequence[PlannedCell]) -> Tuple[Sequence[PlannedCell], Optional[str]]:
-        """A worker's task: the cells and the store root it writes back to."""
-        return cells, str(self.store.root) if self.store is not None else None
-
-    def _execute(
+    def _simulate(
         self,
-        batches: Sequence[Sequence[PlannedCell]],
-        pooled: bool,
+        cells: Sequence[PlannedCell],
         on_result: Optional[Callable[[RunResult], None]] = None,
-    ) -> Iterator[List[RunResult]]:
-        """Simulate each batch of one program's cells; yield its results in turn.
+    ) -> List[RunResult]:
+        """Simulate ``cells``; their results in order.
 
-        The one place the runner chooses between its worker pool and
-        in-process simulation.  Pooled batches run in the workers, which
-        write the store themselves, while the calling thread waits on their
-        pipes; ``on_result`` fires for each cell when its batch comes back,
-        and a batch's exception (or a worker that died running it) is
-        raised here.  In-process batches run over the runner's trace cache,
-        so only programs that have cells to run get their traces built, and
-        ``on_result`` fires per cell right after its store write.  The
-        caller's garbage-collector state is left alone either way.
+        More than one cell and more than one effective job go through the
+        scheduler, unless this thread already runs an event loop: a call
+        from inside a coroutine runs its cells in-process rather than block
+        that loop on a second one.  ``on_result`` fires per cell, right
+        after its store write in-process, as its batch comes back pooled.
         """
-        if pooled:
-            for results in self._ensure_pool().map([self._task(batch) for batch in batches]):
-                if on_result is not None:
-                    for result in results:
-                        on_result(result)
-                yield results
-            return
-        for batch in batches:
-            trace = self.trace_cache.get(batch[0].program, batch[0].scale)
-            yield _run_cells(trace, batch, self.store, on_result)
+        if len(cells) > 1 and self.effective_jobs > 1:
+            import asyncio
 
-    def _ensure_pool(self) -> "WorkerPool":
-        """The persistent worker pool, created on first use.
+            if asyncio._get_running_loop() is None:
+                return asyncio.run(self._simulate_pooled(cells, on_result))
+        results: List[RunResult] = []
+        for (program, scale), group in itertools.groupby(
+            cells, key=lambda cell: (cell.program, cell.scale)
+        ):
+            trace = self.trace_cache.get(program, scale)
+            results += _run_cells(trace, list(group), self.store, on_result)
+        return results
 
-        Its workers start as batches need them and build traces lazily,
-        once per worker that needs one, so a cold multi-program sweep builds
-        its traces in parallel across workers.
+    async def _simulate_pooled(
+        self,
+        cells: Sequence[PlannedCell],
+        on_result: Optional[Callable[[RunResult], None]],
+    ) -> List[RunResult]:
+        """Await every cell through the scheduler; raise the first failure
+        only once every batch has come back, so no reply is left in a pipe.
+
+        An interrupt (the loop cancels this coroutine) closes the scheduler,
+        which joins its workers once they finish the batch in hand.
         """
-        if self._pool is None:
-            from repro.core.pool import WorkerPool
+        import asyncio
 
-            self._pool = WorkerPool(self.effective_jobs)
-        return self._pool
+        if self._scheduler is None:
+            from repro.core.scheduler import CellScheduler
+
+            self._scheduler = CellScheduler(self.store, self.jobs)
+        scheduler = self._scheduler
+
+        async def finish(cell: PlannedCell) -> RunResult:
+            result = await scheduler.run_cell(cell)
+            if on_result is not None:
+                on_result(result)
+            return result
+
+        try:
+            outcomes = await asyncio.gather(*map(finish, cells), return_exceptions=True)
+        except BaseException:
+            self.close()
+            raise
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return outcomes
 
     def close(self) -> None:
         """Release the worker pool (idempotent; the runner stays usable)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        if self._scheduler is not None:
+            self._scheduler.close()
+            self._scheduler = None
 
     def __enter__(self) -> "Runner":
         return self

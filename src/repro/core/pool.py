@@ -3,14 +3,13 @@
 A worker answers each ``(cells, store_root)`` task with ``(True, results)``
 or ``(False, exception)``, running it through
 :func:`repro.core.experiment._run_program_cells` looked up on the module at
-call time.  The pool has two drivers and no thread of its own:
-:meth:`WorkerPool.map` blocks the calling thread in
-:func:`multiprocessing.connection.wait` on the busy pipes (the
-:class:`~repro.core.experiment.Runner`), and :meth:`WorkerPool.submit`
-writes from the event loop and reads each reply in a ``loop.add_reader``
-callback (the sweep service).  Workers start one at a time, when a batch
-finds none idle; one that dies fails its batch with a
-:class:`~repro.common.errors.SimulationError` and is replaced the same way.
+call time.  The pool has one entry point and no thread of its own:
+:meth:`WorkerPool.submit` writes a task from the running event loop and
+reads its reply in a ``loop.add_reader`` callback; the
+:class:`~repro.core.scheduler.CellScheduler` is its one caller.  Workers
+start one at a time, when a batch finds none idle; one that dies fails
+its batch with a :class:`~repro.common.errors.SimulationError` and is
+replaced the same way.
 A worker ignores SIGINT and exits at its pipe's end of file, so it never
 outlives its parent.
 """
@@ -24,18 +23,8 @@ import signal
 import stat
 import sys
 from collections import deque
-from multiprocessing.connection import Connection, wait
-from typing import (
-    TYPE_CHECKING,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from multiprocessing.connection import Connection
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -100,7 +89,7 @@ def _serve(connection: Connection) -> None:
     while True:
         try:
             task = connection.recv()
-        except EOFError:
+        except (EOFError, OSError):  # closed, or reset with a reply still unread
             return
         try:
             reply = (True, experiment._run_program_cells(task))
@@ -128,7 +117,10 @@ class _Worker:
         """Write ``task`` to the worker; fails if the worker has died."""
         try:
             self.connection.send(task)
-        except OSError:
+        except OSError as exc:
+            # The failed write's frames hold the pickled task's buffer; the
+            # batch's future keeps this error, so it must not keep them too.
+            exc.__traceback__ = None
             raise self._died(task) from None
 
     def receive(self, task: Task) -> list:
@@ -157,8 +149,7 @@ class _Worker:
 class WorkerPool:
     """Up to ``size`` simulation workers, started on demand and reused.
 
-    A pool serves one driver: :meth:`map` from one thread, or
-    :meth:`submit` from one event loop.
+    Tasks come in through :meth:`submit`, from one event loop at a time.
     """
 
     def __init__(self, size: int) -> None:
@@ -166,8 +157,7 @@ class WorkerPool:
         self._context = _pool_context()
         self._workers: List[_Worker] = []
         self._idle: List[_Worker] = []
-        # Event-loop driver state: batches waiting for an idle worker, and
-        # each busy worker's loop and future.
+        # Batches waiting for an idle worker, and each busy worker's loop and future.
         self._waiting: Deque[Tuple[Task, "asyncio.Future"]] = deque()
         self._reading: Dict[_Worker, Tuple["asyncio.AbstractEventLoop", "asyncio.Future"]] = {}
 
@@ -199,47 +189,7 @@ class WorkerPool:
                 raise
         return worker
 
-    def _collect(self, worker: _Worker, task: Task) -> list:
-        """Read ``worker``'s reply to ``task`` and hand the worker back."""
-        try:
-            return worker.receive(task)
-        finally:
-            self._release(worker)
-
-    # -- the blocking driver ----------------------------------------------------------
-
-    def map(self, tasks: Iterable[Task]) -> Iterator[list]:
-        """Run every task on the workers; yield the results in task order.
-
-        The first failing task's exception is raised once every batch
-        already running has come back, so no reply is left in a pipe.
-        """
-        pending = deque(enumerate(tasks))
-        busy: Dict[Connection, Tuple[_Worker, int, Task]] = {}
-        done: Dict[int, list] = {}
-        next_index = 0
-        try:
-            while pending or busy:
-                while pending:
-                    worker = self._start(pending[0][1])
-                    if worker is None:
-                        break
-                    index, task = pending.popleft()
-                    busy[worker.connection] = (worker, index, task)
-                for connection in wait(list(busy)):
-                    worker, index, task = busy.pop(connection)
-                    done[index] = self._collect(worker, task)
-                while next_index in done:
-                    yield done.pop(next_index)
-                    next_index += 1
-        finally:
-            for worker, _index, task in busy.values():
-                try:
-                    self._collect(worker, task)
-                except Exception:  # the failure being raised is the first one
-                    pass
-
-    # -- the event-loop driver --------------------------------------------------------
+    # -- submitting tasks -------------------------------------------------------------
 
     def submit(self, task: Task) -> "asyncio.Future[list]":
         """Run ``task`` on a worker; a future of the running loop resolves with it."""
@@ -273,28 +223,27 @@ class WorkerPool:
         loop, future = self._reading.pop(worker)
         loop.remove_reader(worker.connection.fileno())
         try:
-            results = self._collect(worker, task)
+            results = worker.receive(task)
         except Exception as exc:
             if not future.done():
                 future.set_exception(exc)
         else:
             if not future.done():
                 future.set_result(results)
+        finally:
+            self._release(worker)
         self._dispatch(loop)
 
     # -- lifecycle --------------------------------------------------------------------
 
     def close(self) -> None:
-        """Fail waiting batches, close every pipe and join the workers."""
-        closed = RuntimeError("worker pool closed")
+        """Cancel unanswered batches, close every pipe and join the workers."""
         for worker, (loop, future) in self._reading.items():
             loop.remove_reader(worker.connection.fileno())
-            if not future.done():
-                future.set_exception(closed)
+            future.cancel()
         self._reading.clear()
         for _task, future in self._waiting:
-            if not future.done():
-                future.set_exception(closed)
+            future.cancel()
         self._waiting.clear()
         for worker in self._workers:
             worker.close()

@@ -1,11 +1,11 @@
-"""The single-flight cell scheduler behind the sweep service.
+"""The single-flight cell scheduler: the one path from a cold cell to a worker.
 
-Every request the service receives is planned into *cells* by
-:func:`~repro.core.experiment.plan_sweep`: one
-:class:`~repro.core.experiment.PlannedCell` per (program, scale, latency,
-machine) point, carrying its content-addressed key
-(:func:`~repro.store.cell_key`).  The scheduler is the one place such a
-cell becomes a result, and it enforces the three service invariants:
+Every cell is planned by :func:`~repro.core.experiment.plan_sweep` into a
+:class:`~repro.core.experiment.PlannedCell` carrying its content-addressed
+key (:func:`~repro.store.cell_key`).  The scheduler turns such cells into
+results for both of its callers: a pooled
+:meth:`~repro.core.experiment.Runner.run` and the sweep service.  It keeps
+three invariants:
 
 * **store hits never touch the worker path.**  A cell already in the
   :class:`~repro.store.ResultStore` is answered synchronously on the event
@@ -21,24 +21,22 @@ cell becomes a result, and it enforces the three service invariants:
 * **cold cells are batched without waiting.**  A cache-missing cell is
   queued, and the scheduler flushes the queue on the next event-loop turn
   (``loop.call_soon``), so a lone cold cell dispatches at once while a
-  sweep submission — which registers its whole grid in one turn — still
-  lands together.  The queue is grouped by (program, scale) so each batch
-  shares one trace, and each group's cells go as they are to
-  :meth:`~repro.core.experiment.Runner.submit_batch`, which writes them to
-  an idle worker of the runner's :class:`~repro.core.pool.WorkerPool` (or
-  queues them until one is idle) and reads the reply in a
-  ``loop.add_reader`` callback.  No thread stands between a request and a
-  worker, and the service never simulates in its own process: with
-  ``--jobs 1`` the pool has one worker.
+  grid — which registers all its cells in one turn — still lands together.
+  The flush is the one batching rule: one group per (program, scale), so
+  each batch shares one trace; groups dealt round-robin into smaller
+  batches when there are fewer groups than workers, so every worker gets
+  one; costliest batch first.  Each batch goes to the scheduler's own
+  :class:`~repro.core.pool.WorkerPool`, which writes it to an idle worker
+  (or queues it until one is idle) and reads the reply in a
+  ``loop.add_reader`` callback.  No thread stands between a cell and a
+  worker, and the scheduler never simulates in its own process.
 
-Simulation results are written back to the store per cell by the worker
-(exactly as CLI sweeps do).  Once a batch's futures are resolved, the
-scheduler appends its cells to the store's advisory index inline on the
-loop: one ``stat`` per cell and one ``write``, the same class of work as a
-store hit's synchronous read.  A batch that fails — its exception, or a
-worker that died running it — fails every waiter of its cells, and the
-cells leave the in-flight registry, so the next request simulates them
-again (on a fresh worker, if one died).
+Workers write each result to the store as it completes and append their
+batch's lines to the store's advisory index
+(:func:`~repro.core.experiment._run_cells`).  A batch that fails — its
+exception, or a worker that died running it — fails every waiter of its
+cells, and the cells leave the in-flight registry, so the next request
+simulates them again (on a fresh worker, if one died).
 """
 
 from __future__ import annotations
@@ -47,7 +45,8 @@ import asyncio
 import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.experiment import PlannedCell, Runner, estimate_cell_cost
+from repro.core.experiment import PlannedCell, estimate_cell_cost, worker_count
+from repro.core.pool import WorkerPool
 from repro.core.result import RunResult
 from repro.store import ResultStore
 
@@ -60,27 +59,18 @@ class CellScheduler:
 
     Args:
         store: the result store answering warm cells and persisting cold
-            ones; ``None`` runs store-less (every cell simulates — useful
-            only for tests).
-        jobs: worker ceiling handed to the underlying
-            :class:`~repro.core.experiment.Runner`, whose pool (at least one
-            worker) simulates every cold batch.
-        runner: inject a pre-configured runner (tests); defaults to
-            ``Runner(jobs=jobs, store=store)``.
+            ones; ``None`` runs store-less (every cell simulates).
+        jobs: worker ceiling for the scheduler's pool, capped like a
+            :class:`~repro.core.experiment.Runner`'s (at least one worker).
     """
 
-    def __init__(
-        self,
-        store: Optional[ResultStore] = None,
-        jobs: int = 1,
-        runner: Optional[Runner] = None,
-    ) -> None:
+    def __init__(self, store: Optional[ResultStore] = None, jobs: int = 1) -> None:
         self.store = store
-        self.runner = runner if runner is not None else Runner(jobs=jobs, store=store)
+        self._store_root = str(store.root) if store is not None else None
+        self._pool = WorkerPool(worker_count(jobs))
         self._inflight: Dict[str, asyncio.Future] = {}
         self._pending: List[_Pending] = []
         self._flush_handle: Optional[asyncio.Handle] = None
-        self._batches: "set[asyncio.Future]" = set()
         self._closed = False
         # Counters surfaced by /v1/stats.
         self.cells_requested = 0
@@ -129,13 +119,15 @@ class CellScheduler:
             self._flush_handle = loop.call_soon(self._flush)
 
     def _flush(self) -> None:
-        """Group the pending cells per program and dispatch each group.
+        """Batch the pending cells and submit every batch to the pool.
 
-        Groups are dispatched costliest first (cells x the program's
-        estimated trace length), so when one turn queued more program
-        groups than the runner has workers, the pool starts the longest
-        simulations immediately instead of discovering them last.  Each
-        batch's future settles its cells' futures (:meth:`_settle`).
+        One group per (program, scale).  With fewer groups than workers,
+        each group's cells are dealt round-robin into enough batches that
+        every worker gets one (every cell of a group costs the same, see
+        :func:`~repro.core.experiment.estimate_cell_cost`).  Batches are
+        submitted costliest first (cells x the program's trace length), so
+        the pool starts the longest simulations immediately.  Each batch's
+        future settles its cells' futures (:meth:`_settle`).
         """
         self._flush_handle = None
         pending, self._pending = self._pending, []
@@ -144,21 +136,23 @@ class CellScheduler:
         groups: Dict[Tuple[str, float], List[_Pending]] = {}
         for cell, future in pending:
             groups.setdefault((cell.program, cell.scale), []).append((cell, future))
-        ordered = sorted(
-            groups.items(),
-            key=lambda item: -len(item[1]) * estimate_cell_cost(*item[0]),
+        deal = -(-self._pool.size // len(groups))
+        batches = [
+            entries[offset::deal]
+            for entries in groups.values()
+            for offset in range(min(deal, len(entries)))
+        ]
+        batches.sort(
+            key=lambda entries: -len(entries)
+            * estimate_cell_cost(entries[0][0].program, entries[0][0].scale)
         )
-        for _group, entries in ordered:
+        for entries in batches:
             self.batches_dispatched += 1
-            batch = asyncio.ensure_future(
-                self.runner.submit_batch([cell for cell, _future in entries])
-            )
-            self._batches.add(batch)
+            batch = self._pool.submit(([cell for cell, _future in entries], self._store_root))
             batch.add_done_callback(functools.partial(self._settle, entries))
 
     def _settle(self, entries: Sequence[_Pending], batch: "asyncio.Future") -> None:
-        """Resolve one finished batch's cell futures and index its results."""
-        self._batches.discard(batch)
+        """Resolve one finished batch's cell futures."""
         failure = RuntimeError("batch cancelled") if batch.cancelled() else batch.exception()
         if failure is not None:
             for _cell, future in entries:
@@ -170,8 +164,6 @@ class CellScheduler:
         for (_cell, future), result in zip(entries, results):
             if not future.done():
                 future.set_result(result)
-        if self.store is not None:
-            self.store.update_index(results, entries[0][0].scale)
 
     # -- introspection and lifecycle ---------------------------------------------------
 
@@ -191,34 +183,22 @@ class CellScheduler:
             "inflight_now": self.inflight_count,
         }
 
-    async def drain(self) -> None:
-        """Wait for every queued and in-flight batch to finish (tests, shutdown)."""
-        while self._pending or self._flush_handle is not None or self._batches:
-            if self._flush_handle is not None:
-                self._flush_handle.cancel()
-                self._flush_handle = None
-                self._flush()
-            if self._batches:
-                await asyncio.gather(*list(self._batches), return_exceptions=True)
-            else:
-                await asyncio.sleep(0)
-
     def close(self) -> None:
         """Stop accepting cells and release the worker pool.
 
-        Batches still running fail with the pool's closing error; their
-        workers finish the batch in hand, find their pipes closed and exit,
-        and the runner joins them.
+        Every unanswered cell and batch is cancelled, so no failure is left
+        unread on a loop that may never run again.  Workers finish the
+        batch in hand, find their pipes closed and exit, and the pool joins
+        them.
         """
         self._closed = True
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        for _cell, future in self._pending:
-            if not future.done():
-                future.set_exception(RuntimeError("scheduler closed"))
+        for future in list(self._inflight.values()):
+            future.cancel()
         self._pending = []
-        self.runner.close()
+        self._pool.close()
 
 
 __all__ = ["CellScheduler"]

@@ -6,8 +6,11 @@ minimal stdlib-only asyncio HTTP layer, answers warm cells straight from the
 :class:`~repro.store.ResultStore` without touching the worker path,
 deduplicates identical in-flight cells across clients (single-flight
 futures keyed by :func:`~repro.store.cell_key`), hands cold cells in
-batches to the runner's worker processes straight from the event loop, and
-streams per-cell progress as server-sent events.
+batches to worker processes straight from the event loop, and streams
+per-cell progress as server-sent events.  The cell path itself is the
+library's: :class:`~repro.core.scheduler.CellScheduler`, the same
+scheduler a pooled :meth:`~repro.core.experiment.Runner.run` awaits its
+cells through.
 
 Layers, bottom-up:
 
@@ -16,8 +19,6 @@ Layers, bottom-up:
 * :mod:`repro.service.protocol` — the JSON wire shapes: request bodies into
   validated :class:`~repro.core.experiment.SweepSpec` grids (a run is a one-cell grid),
   results and progress events back out.
-* :mod:`repro.service.scheduler` — :class:`CellScheduler`, the single-flight
-  store-first cell executor.
 * :mod:`repro.service.server` — :class:`ReproService` (routes + sweep jobs)
   and the blocking :func:`serve` entry point behind ``repro serve``.
 """
@@ -28,11 +29,9 @@ from repro.service.protocol import (
     parse_run_request,
     parse_sweep_request,
 )
-from repro.service.scheduler import CellScheduler
 from repro.service.server import ReproService, SweepJob, serve
 
 __all__ = [
-    "CellScheduler",
     "HttpError",
     "ProtocolError",
     "ReproService",

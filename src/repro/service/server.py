@@ -5,9 +5,9 @@ long-running system.  Many concurrent clients submit runs and sweeps; the
 service answers warm cells straight from the
 :class:`~repro.store.ResultStore` in microseconds, deduplicates identical
 in-flight cells across clients (single-flight, see
-:class:`~repro.service.scheduler.CellScheduler`), hands cold cells in
-batches to the runner's worker processes, and streams per-cell progress as
-server-sent events.
+:class:`~repro.core.scheduler.CellScheduler`), hands cold cells in
+batches to the scheduler's worker processes, and streams per-cell progress
+as server-sent events.
 
 The JSON API (all under ``/v1``):
 
@@ -52,6 +52,7 @@ from repro.core.experiment import (
     plan_sweep,
 )
 from repro.core.result import RunResult
+from repro.core.scheduler import CellScheduler
 from repro.service.http import (
     EventStream,
     HttpError,
@@ -67,7 +68,6 @@ from repro.service.protocol import (
     progress_payload,
     result_payload,
 )
-from repro.service.scheduler import CellScheduler
 from repro.store import ResultStore
 
 

@@ -118,8 +118,9 @@ class ProgramModel:
         The prologue plus, per schedule, its scaled invocations times the
         compiled blocks of one invocation's strips: the kernels are
         compiled but no trace row is emitted, so callers can rank the
-        *cost* of simulating a cell (the sweep runner and the service order
-        work longest-job-first) before any trace exists.
+        *cost* of simulating a cell (the cell scheduler submits the
+        costliest batch first) and refuse an oversized trace before any
+        trace exists.
         """
         check_scale(scale)
         total = self.prologue_scalar_instructions

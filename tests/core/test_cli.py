@@ -104,6 +104,9 @@ class TestInProcess:
                 )
                 for scale in ("nan", "inf", "-inf", "1e308")
             ),
+            # A trace over the row limit is refused by its row count.
+            (["run", "--program", "trfd", "--scale", "1e30"], "rows"),
+            (["sweep", "--programs", "trfd", "--latencies", "1", "--scale", "1e4"], "rows"),
         ],
     )
     def test_invalid_inline_spec_exits_with_error(self, capsys, argv, message):
@@ -111,6 +114,33 @@ class TestInProcess:
             main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--programs", "trfd", "--latencies", "1", "--output", "{tmp}/no-dir/x.json"],
+            ["figures", "--programs", "trfd", "--latencies", "1", "--out-dir", "{tmp}/a-file"],
+        ],
+        ids=["sweep --output", "figures --out-dir"],
+    )
+    def test_an_unwritable_output_fails_before_any_cell_runs(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.setattr("repro.core.experiment.Runner.run", _detonate)
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1", "http"])
+    def test_serve_refuses_a_port_out_of_range(self, capsys, monkeypatch, port):
+        monkeypatch.setattr("repro.service.serve", _detonate)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", port])
+        assert excinfo.value.code == 2
+        assert "argument --port: expected a port number 0-65535" in capsys.readouterr().err
 
     def test_one_machine_named_twice_is_a_usage_error(self, capsys):
         """``dva,dva-nobypass`` crossed with ``bypass=on,off`` names each machine twice."""
@@ -308,6 +338,10 @@ class TestCacheVerify:
             main(["cache", "verify", "--sample", sample])
         assert excinfo.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+
+def _detonate(*args, **kwargs):
+    raise AssertionError("the command ran past its argument checks")
 
 
 def _subprocess_env():

@@ -1,5 +1,6 @@
 """Unit tests for SweepSpec, the Runner and sweep determinism."""
 
+import asyncio
 import gc
 import json
 import os
@@ -10,14 +11,17 @@ import pytest
 from repro.common.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.core import Runner, SweepSpec, experiment, run_sweep
 from repro.core.experiment import (
+    MAX_TRACE_ROWS,
     SweepResult,
     TraceCache,
     _run_program_cells,
     estimate_cell_cost,
     plan_sweep,
+    trace_rows,
 )
 from repro.store import ResultStore
 from repro.workloads.perfect_club import load_program, program_names
+from repro.workloads.program_model import ProgramModel
 
 SPEC = SweepSpec(
     programs=("dyfesm", "trfd"),
@@ -79,6 +83,18 @@ class TestCostModel:
     def test_unknown_programs_cost_one(self):
         assert estimate_cell_cost("nasa7", 1.0) == 1
 
+    def test_a_trace_over_the_row_limit_is_refused_before_a_row_is_built(self, monkeypatch):
+        assert trace_rows("TRFD", 16.0) == 138_272 <= MAX_TRACE_ROWS
+        monkeypatch.setattr(ProgramModel, "build_trace", _detonate)
+        for scale in (1e4, 1e30):
+            spec = SweepSpec(programs="trfd", latencies=(1,), scale=scale)
+            with pytest.raises(WorkloadError, match=r"rows, more than the 33,554,432"):
+                Runner().run(spec)
+
+
+def _detonate(*args, **kwargs):
+    raise AssertionError("a trace was built")
+
 
 class TestRunner:
     def test_unknown_architecture_fails_before_running(self):
@@ -120,15 +136,14 @@ class TestRunner:
     def test_pool_persists_across_runs(self, two_cpus):
         with Runner(jobs=2) as runner:
             first = runner.run(SPEC)
-            pool = runner._pool
-            assert pool is not None
+            pool = runner._scheduler._pool
             processes = [worker.process for worker in pool._workers]
             assert len(processes) == 2
             second = runner.run(SPEC)
-            assert runner._pool is pool
+            assert runner._scheduler._pool is pool
             assert [worker.process for worker in pool._workers] == processes
             assert first.results == second.results
-        assert runner._pool is None
+        assert runner._scheduler is None
         assert all(process.exitcode == 0 for process in processes)
 
     def test_single_program_grid_parallelizes_by_cell_chunks(self, two_cpus):
@@ -147,7 +162,7 @@ class TestRunner:
         spec = SweepSpec(programs=("trfd",), latencies=(1,), architectures=("dva",), scale=0.2)
         with Runner(jobs=2) as runner:
             assert runner.run(spec).results == Runner(jobs=1).run(spec).results
-            assert runner._pool is None
+            assert runner._scheduler is None
 
     def test_runner_caps_workers_to_available_cpus(self, monkeypatch):
         monkeypatch.setattr("repro.core.experiment._available_parallelism", lambda: 3)
@@ -157,7 +172,7 @@ class TestRunner:
         runner = Runner(jobs=4096)
         # Capped to one worker, the runner stays in-process.
         assert runner.run(SPEC).results == Runner(jobs=1).run(SPEC).results
-        assert runner._pool is None
+        assert runner._scheduler is None
 
     def test_invalid_job_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -185,7 +200,7 @@ class TestOneExecutor:
         batch_store = ResultStore(tmp_path / "batch")
         with Runner(jobs=jobs, store=batch_store) as runner:
             results = runner.run_batch(plan_sweep(spec, None))
-            assert (runner._pool is not None) == (jobs == 2)
+            assert (runner._scheduler is not None) == (jobs == 2)
         assert results == swept.results
         assert len(results) == len(spec)
         assert _stored_objects(batch_store) == _stored_objects(swept_store)
@@ -193,7 +208,7 @@ class TestOneExecutor:
     def test_an_empty_batch_returns_nothing_and_starts_no_pool(self, two_cpus):
         with Runner(jobs=2) as runner:
             assert runner.run_batch([]) == []
-            assert runner._pool is None
+            assert runner._scheduler is None
 
 
 def _exit_worker(task):
@@ -216,11 +231,11 @@ class TestWorkerPool:
             monkeypatch.setattr(experiment, "_run_program_cells", _raise_workload_error)
             with pytest.raises(WorkloadError, match="batch exploded"):
                 runner.run_batch(cells)
-            [worker] = runner._pool._workers
+            workers = list(runner._scheduler._pool._workers)
             with pytest.raises(WorkloadError, match="batch exploded"):
                 runner.run_batch(cells)
-            assert runner._pool._workers == [worker]
-            assert worker.process.is_alive()
+            assert runner._scheduler._pool._workers == workers
+            assert all(worker.process.is_alive() for worker in workers)
 
     def test_a_dead_worker_fails_its_batch_and_is_replaced(
         self, monkeypatch, two_cpus, deadline
@@ -230,7 +245,7 @@ class TestWorkerPool:
             monkeypatch.setattr(experiment, "_run_program_cells", _exit_worker)
             with pytest.raises(SimulationError, match=r"exited with code 3 .* TRFD batch"):
                 runner.run_batch(cells)
-            assert runner._pool._workers == []
+            assert runner._scheduler._pool._workers == []
             monkeypatch.setattr(experiment, "_run_program_cells", _run_program_cells)
             assert runner.run_batch(cells) == Runner(jobs=1).run_batch(cells)
 
@@ -240,7 +255,7 @@ class TestWorkerPool:
         cells = [cell for cell in plan_sweep(SPEC, None) if cell.program == "TRFD"]
         with deadline(60), Runner(jobs=2) as runner:
             expected = runner.run_batch(cells)
-            [worker] = runner._pool._workers
+            worker = runner._scheduler._pool._workers[0]
             os.kill(worker.process.pid, signal.SIGKILL)
             worker.process.join(timeout=10)
             with pytest.raises(SimulationError, match=f"code -{int(signal.SIGKILL)} "):
@@ -265,6 +280,32 @@ class TestWorkerPool:
             # Every other batch's reply was read before the error was
             # raised, so the same pool's next grid gets its own results.
             assert runner.run(SPEC).results == Runner(jobs=1).run(SPEC).results
+
+    @pytest.mark.parametrize("interrupt", ["raise", "signal"])
+    def test_an_interrupted_pooled_run_leaves_no_worker_alive(self, two_cpus, deadline, interrupt):
+        processes = []
+
+        def stop(_event):
+            processes.extend(worker.process for worker in runner._scheduler._pool._workers)
+            if interrupt == "raise":
+                raise KeyboardInterrupt
+            os.kill(os.getpid(), signal.SIGINT)
+
+        with deadline(60), Runner(jobs=2) as runner:
+            with pytest.raises(KeyboardInterrupt):
+                runner.run(SPEC, progress=stop)
+            assert processes and not any(process.is_alive() for process in processes)
+            assert runner._scheduler is None
+            assert runner.run(SPEC).results == Runner(jobs=1).run(SPEC).results
+
+    def test_a_pooled_runner_inside_a_running_event_loop_runs_in_process(self, two_cpus):
+        async def main():
+            with Runner(jobs=2) as runner:
+                return runner.run(SPEC), runner._scheduler
+
+        sweep, scheduler = asyncio.run(main())
+        assert scheduler is None
+        assert sweep.results == Runner(jobs=1).run(SPEC).results
 
 
 def _half_warm_store(path):
@@ -316,10 +357,22 @@ class TestProgress:
         )
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_appends_one_index_line_per_simulated_cell(tmp_path, two_cpus, jobs):
+    store = _half_warm_store(tmp_path / "store")
+    warm_lines = len(store.index_path.read_text().splitlines())
+    with Runner(jobs=jobs, store=store) as runner:
+        sweep = runner.run(SPEC)
+    lines = store.index_path.read_text().splitlines()[warm_lines:]
+    assert sweep.simulated_count == 4
+    assert sorted(json.loads(line)["key"] for line in lines) == sorted(
+        result.store_key for result in sweep if not result.cached
+    )
+
 
 def _gc_state(task):
-    """Stands in for a pool worker's batch: its collector state, (enabled, objects frozen)."""
-    return gc.isenabled(), gc.get_freeze_count()
+    """Stands in for a pool worker's batch: each cell's (collector on, objects frozen)."""
+    return [(gc.isenabled(), gc.get_freeze_count())] * len(task[0])
 
 
 class TestGarbageCollection:
@@ -352,7 +405,7 @@ class TestGarbageCollection:
         with Runner(jobs=2) as runner:
             if runner.effective_jobs < 2:
                 pytest.skip("needs two CPUs for a worker pool")
-            enabled, frozen = runner.run_batch(plan_sweep(SPEC, None)[:2])
+            [(enabled, frozen), _] = runner.run_batch(plan_sweep(SPEC, None)[:2])
         assert enabled
         assert frozen > 0
 

@@ -1,12 +1,12 @@
 """The single-flight cell scheduler: dedup, store fast path, batching.
 
-Simulation itself is faked with a counting runner so every concurrency
-property is asserted deterministically and fast; the real runner is
-exercised end-to-end in ``test_server.py`` and by the sweep tests.
+Simulation itself is faked with a counting pool so every concurrency
+property is asserted deterministically and fast; the real pool is
+exercised end-to-end in ``tests/service/test_server.py`` and by the pooled
+runner tests.
 """
 
 import asyncio
-import json
 import os
 import threading
 from dataclasses import replace
@@ -15,26 +15,27 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.core import experiment
-from repro.core.config import RunConfig
 from repro.core.experiment import SweepSpec, plan_sweep
-from repro.core.registry import architecture
 from repro.core.result import RunResult
-from repro.service.scheduler import CellScheduler
-from repro.store import ResultStore, cell_key
+from repro.core.scheduler import CellScheduler
+from repro.store import ResultStore
 
 
-class CountingRunner:
-    """A Runner stand-in: records batches, fabricates results, can be slow."""
+class CountingPool:
+    """A WorkerPool stand-in: records batches, fabricates results, can be slow."""
 
-    def __init__(self, store=None, delay=0.0, fail=False):
-        self.store = store
+    def __init__(self, size=1, delay=0.0, fail=False):
+        self.size = size
         self.delay = delay
         self.fail = fail
         self.batches = []
         self.simulated = 0
         self.started = threading.Event()
 
-    async def submit_batch(self, cells):
+    def submit(self, task):
+        return asyncio.ensure_future(self._run(*task))
+
+    async def _run(self, cells, store_root):
         self.started.set()
         if self.delay:
             await asyncio.sleep(self.delay)
@@ -63,9 +64,9 @@ class CountingRunner:
                 instructions=100,
                 detail=detail,
             )
-            if self.store is not None:
+            if store_root is not None:
                 result = replace(result, store_key=cell.key)
-                self.store.put(cell.key, result, scale=cell.scale)
+                ResultStore(store_root).put(cell.key, result, scale=cell.scale)
             results.append(result)
         return results
 
@@ -78,9 +79,10 @@ def store(tmp_path):
     return ResultStore(tmp_path / "cache")
 
 
-def make_scheduler(store=None, **runner_kwargs):
-    runner = CountingRunner(store=store, **runner_kwargs)
-    return CellScheduler(store=store, runner=runner), runner
+def make_scheduler(store=None, **pool_kwargs):
+    scheduler = CellScheduler(store=store)
+    scheduler._pool = pool = CountingPool(**pool_kwargs)
+    return scheduler, pool
 
 
 def planned(program, latency, arch):
@@ -91,24 +93,21 @@ def planned(program, latency, arch):
     return cell
 
 
-DVA = architecture("dva")
-
-
 class TestSingleFlight:
     def test_concurrent_identical_cells_share_one_simulation(self, store):
         async def main():
-            scheduler, runner = make_scheduler(store, delay=0.02)
+            scheduler, pool = make_scheduler(store, delay=0.02)
             try:
                 results = await asyncio.gather(
                     *(scheduler.run_cell(planned("TRFD", 50, "dva")) for _ in range(8))
                 )
             finally:
                 scheduler.close()
-            return results, runner, scheduler
+            return results, pool, scheduler
 
-        results, runner, scheduler = asyncio.run(main())
-        assert runner.simulated == 1
-        assert len(runner.batches) == 1
+        results, pool, scheduler = asyncio.run(main())
+        assert pool.simulated == 1
+        assert len(pool.batches) == 1
         assert scheduler.inflight_joins == 7
         assert scheduler.cells_requested == 8
         assert all(result == results[0] for result in results)
@@ -117,7 +116,7 @@ class TestSingleFlight:
         """Cell identity is the spec and label, not the resolved object."""
 
         async def main():
-            scheduler, runner = make_scheduler(store, delay=0.02)
+            scheduler, pool = make_scheduler(store, delay=0.02)
             try:
                 await asyncio.gather(
                     scheduler.run_cell(planned("TRFD", 50, "dva@lanes=2")),
@@ -125,15 +124,15 @@ class TestSingleFlight:
                 )
             finally:
                 scheduler.close()
-            return runner, scheduler
+            return pool, scheduler
 
-        runner, scheduler = asyncio.run(main())
-        assert runner.simulated == 1
+        pool, scheduler = asyncio.run(main())
+        assert pool.simulated == 1
         assert scheduler.inflight_joins == 1
 
     def test_a_cancelled_waiter_does_not_cancel_the_shared_simulation(self, store):
         async def main():
-            scheduler, runner = make_scheduler(store, delay=0.05)
+            scheduler, pool = make_scheduler(store, delay=0.05)
             try:
                 first = asyncio.ensure_future(scheduler.run_cell(planned("TRFD", 50, "dva")))
                 await asyncio.sleep(0)  # let it register in-flight
@@ -142,17 +141,17 @@ class TestSingleFlight:
                 first.cancel()
                 result = await second
                 assert first.cancelled()
-                return result, runner
+                return result, pool
             finally:
                 scheduler.close()
 
-        result, runner = asyncio.run(main())
-        assert runner.simulated == 1
+        result, pool = asyncio.run(main())
+        assert pool.simulated == 1
         assert result.total_cycles == 1050
 
     def test_in_flight_map_empties_once_results_land(self, store):
         async def main():
-            scheduler, _runner = make_scheduler(store)
+            scheduler, _pool = make_scheduler(store)
             try:
                 await scheduler.run_cell(planned("TRFD", 1, "dva"))
                 return scheduler.inflight_count
@@ -163,7 +162,7 @@ class TestSingleFlight:
 
     def test_batch_failure_propagates_to_every_waiter(self, store):
         async def main():
-            scheduler, _runner = make_scheduler(store, fail=True)
+            scheduler, _pool = make_scheduler(store, fail=True)
             try:
                 waiters = [
                     asyncio.ensure_future(scheduler.run_cell(planned("TRFD", 1, "dva")))
@@ -180,9 +179,9 @@ class TestSingleFlight:
 
 
 class TestStoreFastPath:
-    def test_warm_cells_never_touch_the_runner(self, store):
+    def test_warm_cells_never_touch_the_pool(self, store):
         async def warm():
-            scheduler, _runner = make_scheduler(store)
+            scheduler, _pool = make_scheduler(store)
             try:
                 await scheduler.run_cell(planned("TRFD", 50, "dva"))
             finally:
@@ -190,47 +189,33 @@ class TestStoreFastPath:
 
         asyncio.run(warm())
 
-        async def cold_runner_must_stay_cold():
-            scheduler, runner = make_scheduler(store, fail=True)  # dispatch would raise
+        async def cold_pool_must_stay_cold():
+            scheduler, pool = make_scheduler(store, fail=True)  # dispatch would raise
             try:
                 result = await scheduler.run_cell(planned("TRFD", 50, "dva"))
-                return result, runner, scheduler
+                return result, pool, scheduler
             finally:
                 scheduler.close()
 
-        result, runner, scheduler = asyncio.run(cold_runner_must_stay_cold())
+        result, pool, scheduler = asyncio.run(cold_pool_must_stay_cold())
         assert result.cached is True
         assert scheduler.store_hits == 1
         assert scheduler.batches_dispatched == 0
-        assert runner.batches == []
-
-    def test_simulated_cells_are_merged_into_the_advisory_index(self, store):
-        async def main():
-            scheduler, _runner = make_scheduler(store)
-            try:
-                await scheduler.run_cell(planned("TRFD", 50, "dva"))
-                await scheduler.drain()
-            finally:
-                scheduler.close()
-
-        asyncio.run(main())
-        key = cell_key("TRFD", 1.0, 50, DVA, RunConfig(latency=50))
-        [line] = store.index_path.read_text().splitlines()
-        assert json.loads(line)["key"] == key
+        assert pool.batches == []
 
 
 class TestBatching:
     def test_a_lone_cold_cell_dispatches_on_the_next_loop_turn(self, store):
-        # No timer stands between a miss and the runner: the task registers
+        # No timer stands between a miss and the pool: the task registers
         # the cell, the next turn flushes it, the one after that submits the
         # batch.  The wait below blocks the loop, so a timer could not fire.
         async def main():
-            scheduler, runner = make_scheduler(store)
+            scheduler, pool = make_scheduler(store)
             try:
                 waiter = asyncio.ensure_future(scheduler.run_cell(planned("TRFD", 50, "dva")))
                 for _ in range(3):
                     await asyncio.sleep(0)
-                reached = runner.started.wait(timeout=5)
+                reached = pool.started.wait(timeout=5)
                 await waiter
                 return reached, scheduler
             finally:
@@ -242,7 +227,7 @@ class TestBatching:
 
     def test_cells_registered_in_one_loop_turn_coalesce_per_program(self, store):
         async def main():
-            scheduler, runner = make_scheduler(store, delay=0.005)
+            scheduler, pool = make_scheduler(store, delay=0.005)
             try:
                 await asyncio.gather(
                     scheduler.run_cell(planned("TRFD", 1, "dva")),
@@ -250,15 +235,46 @@ class TestBatching:
                     scheduler.run_cell(planned("TRFD", 1, "ref")),
                     scheduler.run_cell(planned("DYFESM", 1, "dva")),
                 )
-                return runner, scheduler
+                return pool, scheduler
             finally:
                 scheduler.close()
 
-        runner, scheduler = asyncio.run(main())
+        pool, scheduler = asyncio.run(main())
         assert scheduler.batches_dispatched == 2  # one per program
-        by_program = {batch[0].program: batch for batch in runner.batches}
+        by_program = {batch[0].program: batch for batch in pool.batches}
         assert len(by_program["TRFD"]) == 3
         assert len(by_program["DYFESM"]) == 1
+
+    def test_a_one_program_grid_is_dealt_to_every_worker(self, store):
+        cells = plan_sweep(SweepSpec(programs="trfd", latencies=(1, 50), scale=0.2), None)
+
+        async def main():
+            scheduler, pool = make_scheduler(store, size=2)
+            try:
+                await asyncio.gather(*map(scheduler.run_cell, cells))
+                return pool, scheduler
+            finally:
+                scheduler.close()
+
+        pool, scheduler = asyncio.run(main())
+        assert scheduler.batches_dispatched == 2
+        # Dealt round-robin: every other cell of the grid in each batch.
+        assert pool.batches == [tuple(cells[0::2]), tuple(cells[1::2])]
+
+    def test_groups_are_submitted_costliest_first(self, store):
+        async def main():
+            scheduler, pool = make_scheduler(store)
+            try:
+                await asyncio.gather(
+                    scheduler.run_cell(planned("DYFESM", 1, "dva")),
+                    scheduler.run_cell(planned("TRFD", 1, "dva")),
+                )
+                return pool
+            finally:
+                scheduler.close()
+
+        # TRFD's trace is twice DYFESM's length.
+        assert [batch[0].program for batch in asyncio.run(main()).batches] == ["TRFD", "DYFESM"]
 
     def test_distinct_sweeps_interleave_through_the_same_scheduler(self, store):
         # Two "sweeps" (disjoint cell sets) submitted concurrently: every
@@ -269,24 +285,24 @@ class TestBatching:
             )
 
         async def main():
-            scheduler, runner = make_scheduler(store, delay=0.01)
+            scheduler, pool = make_scheduler(store, delay=0.01)
             try:
                 first, second = await asyncio.gather(
                     sweep(scheduler, "TRFD", (1, 50, 100)),
                     sweep(scheduler, "DYFESM", (1, 50, 100)),
                 )
-                return first, second, runner
+                return first, second, pool
             finally:
                 scheduler.close()
 
-        first, second, runner = asyncio.run(main())
+        first, second, pool = asyncio.run(main())
         assert [result.latency for result in first] == [1, 50, 100]
         assert [result.program for result in second] == ["DYFESM"] * 3
-        assert runner.simulated == 6
+        assert pool.simulated == 6
 
     def test_counters_have_exactly_the_documented_keys(self, store):
         async def main():
-            scheduler, _runner = make_scheduler(store)
+            scheduler, _pool = make_scheduler(store)
             try:
                 await scheduler.run_cell(planned("TRFD", 1, "dva"))
                 await scheduler.run_cell(planned("TRFD", 1, "dva"))
@@ -305,7 +321,7 @@ class TestBatching:
 
     def test_closed_scheduler_rejects_new_cells(self, store):
         async def main():
-            scheduler, _runner = make_scheduler(store)
+            scheduler, _pool = make_scheduler(store)
             scheduler.close()
             with pytest.raises(RuntimeError):
                 await scheduler.run_cell(planned("TRFD", 1, "dva"))
@@ -339,7 +355,7 @@ class TestDeadWorker:
                 inflight = scheduler.inflight_count
                 monkeypatch.setattr(experiment, "_run_program_cells", _run_program_cells)
                 result = await asyncio.wait_for(scheduler.run_cell(cell), timeout=60)
-                return failures, inflight, result, list(scheduler.runner._pool._workers)
+                return failures, inflight, result, list(scheduler._pool._workers)
             finally:
                 scheduler.close()
 

@@ -125,7 +125,7 @@ class TestEndpoints:
                 # whose cold paths are booby-trapped: if the warm sweep
                 # builds a trace or dispatches a batch, it detonates.
                 async with running_service(store) as warm_svc:
-                    warm_svc.service.scheduler.runner.submit_batch = _detonate
+                    warm_svc.service.scheduler._pool.submit = _detonate
                     from repro.core.experiment import TraceCache
 
                     original = TraceCache.get
@@ -153,6 +153,17 @@ class TestEndpoints:
         # Same cells, same answers.
         cycles = lambda payload: sorted(r["total_cycles"] for r in payload["results"])  # noqa: E731
         assert cycles(warm) == cycles(cold)
+
+    def test_a_one_program_sweep_is_dealt_to_both_workers(self, store, two_cpus):
+        async def main():
+            async with running_service(store, jobs=2) as svc:
+                _, submitted = await request(svc.port, "POST", "/v1/sweeps", SWEEP_BODY)
+                final = await poll_until_settled(svc.port, submitted["sweep"])
+                return final, svc.service.scheduler.counters()
+
+        final, counters = asyncio.run(main())
+        assert final["state"] == "done" and final["simulated"] == 4
+        assert counters["batches_dispatched"] == 2
 
     def test_sweep_events_stream_replays_and_completes(self, store):
         async def main():
@@ -275,10 +286,13 @@ class TestEndpoints:
                 {"programs": ["trfd"], "latencies": [1], "axes": {"core": ["tick"]}},
                 400,
             ),
-            # json.dumps writes the NaN literal; 1e308 passes the protocol and
-            # fails in the trace build, off the event loop.
+            # json.dumps writes the NaN literal.  1e308, 1e30 and 1e4 pass the
+            # protocol; planning counts their traces' rows, builds none, and
+            # refuses them (1e308 overflows the count).
             ("POST", "/v1/run", {"program": "trfd", "scale": float("nan")}, 400),
             ("POST", "/v1/run", {"program": "trfd", "scale": 1e308}, 400),
+            ("POST", "/v1/run", {"program": "trfd", "scale": 1e30}, 400),
+            ("POST", "/v1/sweeps", {"programs": ["trfd"], "latencies": [1], "scale": 1e4}, 400),
             ("POST", "/v1/run", {"program": "trfd", "latency": float("nan")}, 400),
             ("POST", "/v1/sweeps", {"programs": ["trfd"], "latencies": [float("inf")]}, 400),
         ],
@@ -293,6 +307,19 @@ class TestEndpoints:
         got_status, payload = asyncio.run(main())
         assert got_status == status
         assert payload["status"] == status and payload["error"]
+
+    def test_an_oversized_trace_is_refused_at_admission(self, store):
+        async def main():
+            async with running_service(store) as svc:
+                run = await request(svc.port, "POST", "/v1/run", {"program": "trfd", "scale": 1e30})
+                body = {"programs": "trfd", "latencies": [1], "scale": 1e4}
+                sweep = await request(svc.port, "POST", "/v1/sweeps", body)
+                return run, sweep, svc.service.sweeps, svc.service.scheduler.counters()
+
+        run, sweep, sweeps, counters = asyncio.run(main())
+        for status, payload in (run, sweep):
+            assert status == 400 and "rows, more than the" in payload["error"]
+        assert sweeps == {} and counters["cells_requested"] == 0
 
     def test_keep_alive_serves_sequential_requests_on_one_connection(self, store):
         async def main():
