@@ -13,7 +13,11 @@ store, then drives the whole service loop with stdlib ``urllib``:
    a new cell once and then answers it from the store too, and rejects an
    unknown program or a negative latency with ``400``;
 6. SIGINT shuts the server down cleanly (exit 0, ``shutting down``), and
-   the server and every simulation worker it forked have exited.
+   the server and every simulation worker it forked have exited, although
+   the server was started with SIGINT ignored (as a background job of a
+   non-interactive shell is);
+7. a second server on the same store simulates one new cell and SIGTERM
+   shuts it down just as cleanly.
 
 Exits non-zero (with the failing detail on stderr) on any violation, so a
 CI step is just ``python scripts/service_smoke.py``.
@@ -97,25 +101,59 @@ def check(condition, what, context):
     print(f"ok: {what}")
 
 
+def start(store_dir, preexec_fn=None):
+    """A ``repro serve --jobs 2`` on ``store_dir`` and its base URL."""
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", "0", "--store-dir", store_dir, "--jobs", "2",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        preexec_fn=preexec_fn,
+    )
+    # The server announces its bound address on the first line.
+    line = server.stdout.readline()
+    match = re.search(r"http://([\d.]+):(\d+)", line)
+    if not match:
+        stop_now(server)
+        raise SystemExit(f"no address announcement, got: {line!r}")
+    base = f"http://{match.group(1)}:{match.group(2)}"
+    print(f"server up at {base} (store: {store_dir})")
+    return server, base
+
+
+def shut_down(server, signum):
+    """Send ``signum``; the server must exit 0, say so, and leave no worker."""
+    workers = children(server.pid)
+    check(workers, "the server forked its simulation workers", {"workers": workers})
+    server.send_signal(signum)
+    code = server.wait(timeout=30)
+    output = server.stdout.read()
+    check(
+        code == 0 and "shutting down" in output,
+        f"{signum.name} shuts the server down cleanly",
+        {"exit code": code, "output": output},
+    )
+    left = [pid for pid in workers if alive(pid)]
+    check(not left, "every simulation worker exited with the server", {"left": left})
+
+
+def stop_now(server):
+    if server.poll() is None:
+        for pid in children(server.pid):
+            os.kill(pid, signal.SIGKILL)
+        server.kill()
+        server.wait()
+
+
 def main():
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as store_dir:
-        server = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--store-dir", store_dir, "--jobs", "2",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
+        server, base = start(
+            store_dir, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)
         )
         try:
-            # The server announces its bound address on the first line.
-            line = server.stdout.readline()
-            match = re.search(r"http://([\d.]+):(\d+)", line)
-            if not match:
-                raise SystemExit(f"no address announcement, got: {line!r}")
-            base = f"http://{match.group(1)}:{match.group(2)}"
-            print(f"server up at {base} (store: {store_dir})")
 
             health = api(base, "/v1/healthz")
             check(health["status"] == "ok", "healthz answers ok", health)
@@ -177,25 +215,18 @@ def main():
                 status, payload = api_status(base, "/v1/run", bad)
                 check(status == 400, f"/v1/run rejects {bad} with 400", payload)
 
-            workers = children(server.pid)
-            check(workers, "the server forked its simulation workers", {"workers": workers})
-            server.send_signal(signal.SIGINT)
-            code = server.wait(timeout=30)
-            output = server.stdout.read()
-            check(
-                code == 0 and "shutting down" in output,
-                "SIGINT shuts the server down cleanly",
-                {"exit code": code, "output": output},
-            )
-            left = [pid for pid in workers if alive(pid)]
-            check(not left, "every simulation worker exited with the server", {"left": left})
-            print("service smoke: all checks passed")
+            shut_down(server, signal.SIGINT)
         finally:
-            if server.poll() is None:
-                for pid in children(server.pid):
-                    os.kill(pid, signal.SIGKILL)
-                server.kill()
-                server.wait()
+            stop_now(server)
+
+        server, base = start(store_dir)
+        try:
+            fresh = api(base, "/v1/run", {**cell, "latency": 7})
+            check(fresh["cached"] is False, "a second server simulates a new cell", fresh)
+            shut_down(server, signal.SIGTERM)
+        finally:
+            stop_now(server)
+        print("service smoke: all checks passed")
 
 
 if __name__ == "__main__":

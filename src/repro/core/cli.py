@@ -32,8 +32,9 @@ import argparse
 import contextlib
 import json
 import os
+import signal
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from repro.common.errors import ReproError
 
@@ -321,7 +322,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     become exit code 2 with a one-line message, matching argparse's own
     behaviour for unparseable input.  A reader that closes stdout early
     (``repro sweep ... | head -2``) ends the command quietly with exit
-    code 1, as the Python documentation's note on SIGPIPE recommends.
+    code 1, as the Python documentation's note on SIGPIPE recommends.  A
+    SIGINT prints one ``interrupted`` line instead of a traceback, then ends
+    the process by that signal, as an uncaught ``KeyboardInterrupt`` would.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -336,6 +339,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ReproError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2  # pragma: no cover - parser.exit raises SystemExit
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            sys.stdout.flush()
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        return 130  # pragma: no cover - the signal ends the process
 
 
 # -- subcommand handlers ---------------------------------------------------------------
@@ -463,8 +473,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     store = _store_from_args(args)
     progress = _print_progress if args.progress else None
-    # Opened before any cell runs, so a path that cannot be written fails first.
-    with open(args.output, "w") if args.output else contextlib.nullcontext() as output:
+    with _replaced_on_success(args.output) if args.output else contextlib.nullcontext() as output:
         sweep = Runner(jobs=args.jobs, store=store).run(spec, progress=progress)
         if output is not None:
             json.dump(sweep.to_json(), output, indent=2)
@@ -481,6 +490,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.output:
         print(f"\nwrote {args.output}")
     return 0
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path: str) -> Iterator[TextIO]:
+    """A file beside ``path``, created at once and moved onto it if the block succeeds."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path!r} is a directory")
+    temporary = f"{path}.{os.getpid()}.tmp"
+    handle = open(temporary, "x")
+    try:
+        with handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:

@@ -69,7 +69,7 @@ from repro.core.machine import (
     canonical_axis_name,
     parse_axis_values,
 )
-from repro.core.registry import SpecArchitecture, architecture, machine_label
+from repro.core.registry import SpecArchitecture, architecture
 from repro.store import ResultStore
 
 # The program models, the trace builder, the simulators and the key scheme
@@ -389,8 +389,9 @@ def resolve_sweep_machines(spec: SweepSpec) -> List[SpecArchitecture]:
     Unknown programs, unknown architectures, and two grid cells that are
     the same machine (``dva-nobypass`` beside ``dva`` with a ``bypass=off``
     axis) all fail here, before any simulation: :func:`plan_sweep` calls
-    this first, and the sweep service calls it at request admission so a
-    bad sweep is rejected with a clean error instead of dying mid-run.
+    this first, so every driver (the CLI, the library and the sweep
+    service, which plans at request admission) rejects a bad sweep with a
+    clean error instead of dying mid-run.
     Each program's trace length is counted (:func:`trace_rows`, which
     refuses one above :data:`MAX_TRACE_ROWS`) without emitting a row.
     The returned machines are axis-combo-major, architecture-minor: the
@@ -857,7 +858,7 @@ def verify_store(store: ResultStore, sample: Optional[int] = None) -> List[Entry
             except (TypeError, ConfigurationError):
                 pass  # a field this code no longer has, or a value out of range
             else:
-                machine = SpecArchitecture(machine_label(spec), spec)
+                machine = SpecArchitecture(spec)
         if machine is None or entry.key != cell_key(
             entry.program, entry.scale, entry.latency, machine, config
         ):

@@ -10,8 +10,9 @@ reads its reply in a ``loop.add_reader`` callback; the
 start one at a time, when a batch finds none idle; one that dies fails
 its batch with a :class:`~repro.common.errors.SimulationError` and is
 replaced the same way.
-A worker ignores SIGINT and exits at its pipe's end of file, so it never
-outlives its parent.
+A worker ignores SIGINT, dies by SIGTERM (not by a handler the service's
+event loop installed before the fork) and exits at its pipe's end of file,
+so it never outlives its parent.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ def _serve(connection: Connection) -> None:
     they are not assigned.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the service's loop handler
     _drop_inherited_sockets(connection.fileno())
     gc.freeze()
     from repro.core import experiment

@@ -7,7 +7,7 @@ types).  This module hides both behind one shape::
 
     result = architecture("dva").simulate(trace, RunConfig(latency=50))
 
-Machines are *data*: a :class:`SpecArchitecture` is a label and the
+Machines are *data*: a :class:`SpecArchitecture` is the
 :class:`~repro.core.machine.MachineSpec` that is the whole machine.  The
 fixed :data:`PRESETS` table names the paper's three machines — ``"ref"``,
 ``"dva"`` (store→load bypass enabled, paper §7) and ``"dva-nobypass"`` (the
@@ -25,7 +25,7 @@ sweep axis — therefore gets one label, and one store key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, List, Mapping, Tuple, Union
 
@@ -40,15 +40,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class SpecArchitecture:
-    """A labelled :class:`MachineSpec`, ready to simulate.
+    """A :class:`MachineSpec`, ready to simulate.
 
     The spec is the whole machine; the run configuration only supplies the
-    memory latency.  The record is a frozen dataclass of plain data, so
-    sweep cells pickle into pool workers.
+    memory latency.  ``name`` is the spec's :func:`machine_label`, set when
+    the record is built, so it pickles into pool workers with the spec.
     """
 
-    name: str
     spec: MachineSpec
+    name: str = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name", machine_label(self.spec))
 
     def simulate(self, trace: Trace, config: RunConfig) -> RunResult:
         """Run ``trace`` on this machine at ``config.latency``.
@@ -130,7 +133,7 @@ def architecture(
     the resulting spec alone (:func:`machine_label`), whatever the spelling.
     """
     spec = machine_spec(name).with_pins(**dict(overrides))
-    return SpecArchitecture(machine_label(spec), spec)
+    return SpecArchitecture(spec)
 
 
 def architecture_names() -> List[str]:

@@ -6,14 +6,14 @@ subclass (:class:`~repro.refarch.result.ReferenceResult`,
 experiment layer needs none of that machinery — it needs numbers that
 compare across architectures, travel through ``multiprocessing`` pickles and
 land in JSON files unchanged.  :class:`RunResult` is that common
-denominator: the shared headline metrics as first-class fields plus the full
-``to_json()`` payload of the underlying result in :attr:`detail`, whose
-first nine keys are :meth:`MachineResult.to_json`'s on every family.
+denominator: the full ``to_json()`` payload of the underlying result in
+:attr:`detail`, whose first nine keys are :meth:`MachineResult.to_json`'s on
+every family, with the shared headline metrics read off it as attributes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.common.errors import SimulationError
@@ -21,6 +21,21 @@ from repro.common.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dva.result import DecoupledResult
     from repro.refarch.result import ReferenceResult
+
+
+#: The headline counts every ``detail`` must hold as integers.
+_COUNTS = (
+    "latency",
+    "total_cycles",
+    "instructions",
+    "memory_traffic_bytes",
+    "scalar_cache_hits",
+    "scalar_cache_misses",
+)
+
+
+def _view(key: str) -> property:
+    return property(lambda self: self.detail[key])
 
 
 @dataclass(frozen=True)
@@ -31,15 +46,11 @@ class RunResult:
         architecture: label of the machine that produced the run — a
             preset name (``"ref"``, ``"dva"``, ``"dva-nobypass"``) or the
             canonical spec string of any other machine (``"dva@lanes=2"``).
-        program: name of the traced program.
-        latency: memory latency the run was simulated at.
-        total_cycles: execution time in cycles.
-        instructions: dynamic instructions simulated.
-        memory_traffic_bytes: bytes moved over the memory port.
-        scalar_cache_hits / scalar_cache_misses: scalar-cache behaviour.
         detail: the underlying result's full ``to_json()`` payload —
             architecture-specific keys such as ``avdq_histogram`` (DVA) or
-            ``category_cycles`` (REF) live here.
+            ``category_cycles`` (REF) live here.  ``program`` and the
+            :data:`_COUNTS` are read-only attributes viewing it; a
+            ``detail`` without them as a string and integers is refused.
         spec: provenance of the machine that produced the run — the resolved
             :class:`~repro.core.machine.MachineSpec` as its ``to_json()``
             payload — or ``None`` for simulators not described by a spec.
@@ -54,17 +65,25 @@ class RunResult:
     """
 
     architecture: str
-    program: str
-    latency: int
-    total_cycles: int
-    instructions: int
-    memory_traffic_bytes: int = 0
-    scalar_cache_hits: int = 0
-    scalar_cache_misses: int = 0
-    detail: Dict[str, object] = field(default_factory=dict)
+    detail: Dict[str, object]
     spec: Optional[Dict[str, object]] = None
     cached: bool = field(default=False, compare=False)
     store_key: Optional[str] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        detail = self.detail
+        if not isinstance(detail.get("program"), str) or not all(
+            isinstance(detail.get(key), int) for key in _COUNTS
+        ):
+            raise SimulationError("RunResult detail lacks its program or an integer count")
+
+    program = _view("program")
+    latency = _view("latency")
+    total_cycles = _view("total_cycles")
+    instructions = _view("instructions")
+    memory_traffic_bytes = _view("memory_traffic_bytes")
+    scalar_cache_hits = _view("scalar_cache_hits")
+    scalar_cache_misses = _view("scalar_cache_misses")
 
     # -- constructors ----------------------------------------------------------------
 
@@ -76,7 +95,7 @@ class RunResult:
         spec: Optional[Dict[str, object]] = None,
     ) -> "RunResult":
         """Wrap a reference-architecture result."""
-        return cls._from_detail(architecture, result.to_json(), spec=spec)
+        return cls(architecture, result.to_json(), spec)
 
     @classmethod
     def from_decoupled(
@@ -86,27 +105,7 @@ class RunResult:
         spec: Optional[Dict[str, object]] = None,
     ) -> "RunResult":
         """Wrap a decoupled-architecture result."""
-        return cls._from_detail(architecture, result.to_json(), spec=spec)
-
-    @classmethod
-    def _from_detail(
-        cls,
-        architecture: str,
-        detail: Dict[str, object],
-        spec: Optional[Dict[str, object]] = None,
-    ) -> "RunResult":
-        return cls(
-            architecture=architecture,
-            program=str(detail["program"]),
-            latency=int(detail["latency"]),  # type: ignore[arg-type]
-            total_cycles=int(detail["total_cycles"]),  # type: ignore[arg-type]
-            instructions=int(detail["instructions"]),  # type: ignore[arg-type]
-            memory_traffic_bytes=int(detail["memory_traffic_bytes"]),  # type: ignore[arg-type]
-            scalar_cache_hits=int(detail["scalar_cache_hits"]),  # type: ignore[arg-type]
-            scalar_cache_misses=int(detail["scalar_cache_misses"]),  # type: ignore[arg-type]
-            detail=detail,
-            spec=spec,
-        )
+        return cls(architecture, result.to_json(), spec)
 
     # -- derived quantities -----------------------------------------------------------
 
@@ -159,17 +158,13 @@ class RunResult:
         if not isinstance(detail, Mapping):
             raise SimulationError("RunResult JSON payload lacks a 'detail' mapping")
         spec = data.get("spec")
-        result = cls._from_detail(
+        provenance = data.get("provenance")
+        provenance = provenance if isinstance(provenance, Mapping) else {}
+        key = provenance.get("store_key")
+        return cls(
             str(data["architecture"]),
             dict(detail),
-            spec=dict(spec) if isinstance(spec, Mapping) else None,
+            dict(spec) if isinstance(spec, Mapping) else None,
+            cached=bool(provenance.get("cached", False)),
+            store_key=str(key) if key is not None else None,
         )
-        provenance = data.get("provenance")
-        if isinstance(provenance, Mapping):
-            key = provenance.get("store_key")
-            result = replace(
-                result,
-                cached=bool(provenance.get("cached", False)),
-                store_key=str(key) if key is not None else None,
-            )
-        return result

@@ -18,9 +18,13 @@ class ReferenceResult(MachineResult):
     """
 
     vector_instructions: int
-    scalar_instructions: int
     dispatch_stall_cycles: int = 0
     category_cycles: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def scalar_instructions(self) -> int:
+        """Every instruction that is not a vector instruction."""
+        return self.instructions - self.vector_instructions
 
     def to_json(self) -> Dict[str, object]:
         accesses = self.scalar_cache_hits + self.scalar_cache_misses

@@ -317,7 +317,6 @@ class ReferenceSimulator:
             total_cycles=total_cycles,
             instructions=len(trace),
             vector_instructions=self.vector_instructions,
-            scalar_instructions=len(trace) - self.vector_instructions,
             fu1_busy=self.fu_busy[0],
             fu2_busy=self.fu_busy[1],
             port_busy=self.fabric.port_recorder(),

@@ -16,30 +16,23 @@ Layers, bottom-up:
 
 * :mod:`repro.service.http` — request parsing, routing, JSON and
   event-stream responses over ``asyncio`` streams (no new dependencies).
-* :mod:`repro.service.protocol` — the JSON wire shapes: request bodies into
-  validated :class:`~repro.core.experiment.SweepSpec` grids (a run is a one-cell grid),
-  results and progress events back out.
+* :mod:`repro.service.protocol` — a run body into the one-cell
+  :class:`~repro.core.experiment.SweepSpec` it names; results and errors out.
 * :mod:`repro.service.server` — :class:`ReproService` (routes + sweep jobs)
   and the blocking :func:`serve` entry point behind ``repro serve``.
 """
 
 from repro.service.http import HttpError, Request, Response, Router
-from repro.service.protocol import (
-    ProtocolError,
-    parse_run_request,
-    parse_sweep_request,
-)
+from repro.service.protocol import parse_run_request
 from repro.service.server import ReproService, SweepJob, serve
 
 __all__ = [
     "HttpError",
-    "ProtocolError",
     "ReproService",
     "Request",
     "Response",
     "Router",
     "SweepJob",
     "parse_run_request",
-    "parse_sweep_request",
     "serve",
 ]

@@ -38,7 +38,7 @@ from typing import (
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.common.errors import ReproError, SimulationError
-from repro.service.protocol import ProtocolError, error_payload
+from repro.service.protocol import error_payload
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -312,7 +312,7 @@ async def serve_connection(
                 result = _error_response(exc.status, str(exc))
             except SimulationError as exc:
                 result = _error_response(500, f"simulation failed: {exc}")
-            except (ProtocolError, ReproError) as exc:
+            except ReproError as exc:
                 result = _error_response(400, str(exc))
             except asyncio.CancelledError:
                 raise

@@ -35,9 +35,11 @@ the sweep.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import json
 import secrets
+import signal
 import time
 from pathlib import Path
 from typing import AsyncIterator, Dict, List, Optional, Union
@@ -62,12 +64,7 @@ from repro.service.http import (
     json_response,
     serve_connection,
 )
-from repro.service.protocol import (
-    parse_run_request,
-    parse_sweep_request,
-    progress_payload,
-    result_payload,
-)
+from repro.service.protocol import parse_run_request, result_payload
 from repro.store import ResultStore
 
 
@@ -101,21 +98,13 @@ class SweepJob:
     def done(self) -> int:
         return len(self.events)
 
-    @property
-    def cached_count(self) -> int:
-        return self.events[-1]["cached"] if self.events else 0  # type: ignore[return-value]
-
-    @property
-    def simulated_count(self) -> int:
-        return self.events[-1]["simulated"] if self.events else 0  # type: ignore[return-value]
-
     def _notify(self) -> None:
         wakeup, self._wakeup = self._wakeup, asyncio.Event()
         wakeup.set()
 
     def record(self, event: CellProgress) -> None:
         """Append one cell's progress event and wake every stream."""
-        self.events.append(progress_payload(event))
+        self.events.append(dataclasses.asdict(event))
         self._notify()
 
     def finish(self, result: SweepResult) -> None:
@@ -143,13 +132,15 @@ class SweepJob:
             await waiter.wait()
 
     def status_payload(self, include_results: bool = False) -> Dict[str, object]:
+        # The last event holds the running cached/simulated counts.
+        last = self.events[-1] if self.events else {"cached": 0, "simulated": 0}
         payload: Dict[str, object] = {
             "sweep": self.id,
             "state": self.state,
             "done": self.done,
             "total": self.total,
-            "cached": self.cached_count,
-            "simulated": self.simulated_count,
+            "cached": last["cached"],
+            "simulated": last["simulated"],
             "created_unix": round(self.created_unix, 3),
             "spec": self.spec.to_json(),
         }
@@ -232,7 +223,7 @@ class ReproService:
         return json_response(result_payload(result))
 
     async def _handle_submit_sweep(self, request: Request) -> Response:
-        spec = parse_sweep_request(request.json())
+        spec = SweepSpec.from_json(request.json())
         cells = plan_sweep(spec, None)  # the Runner's own validation
         job = SweepJob(f"sw-{next(self._ids):05d}-{secrets.token_hex(4)}", spec)
         self.sweeps[job.id] = job
@@ -358,29 +349,34 @@ def serve(
     jobs: int = 1,
     announce=print,
 ) -> None:
-    """Run the service until interrupted (the ``repro serve`` entry point)."""
+    """Run the service until SIGINT or SIGTERM (the ``repro serve`` entry point).
+
+    The event loop handles both, whatever disposition the process inherited
+    (a background job of a script starts with SIGINT ignored).
+    """
 
     async def _main() -> None:
         service = ReproService(store=store, jobs=jobs)
         server = await service.start(host=host, port=port)
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         try:
-            sockets = server.sockets or ()
-            for sock in sockets:
+            for sock in server.sockets or ():
                 bound_host, bound_port = sock.getsockname()[:2]
                 announce(
                     f"serving on http://{bound_host}:{bound_port} "
                     f"(store: {service.store.root}, jobs: {jobs})"
                 )
-            await server.serve_forever()
+            await stop.wait()
+            announce("shutting down")
         finally:
             server.close()
             await server.wait_closed()
             await service.aclose()
 
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        announce("shutting down")
+    asyncio.run(_main())
 
 
 __all__ = ["ReproService", "SweepJob", "serve"]

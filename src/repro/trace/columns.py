@@ -41,15 +41,13 @@ class Trace:
 
     Besides the instruction table and the four columns it carries the
     program ``name``, the number of basic blocks executed (paper Table 1),
-    the invocation ``marks``, free-form ``metadata`` (regions, scale, the
-    paper's targets) and ``annotations``, where consumers stash derived
-    per-trace tables.
+    the invocation ``marks`` and ``annotations``, where consumers stash
+    derived per-trace tables.
     """
 
     __slots__ = (
         "name",
         "blocks_executed",
-        "metadata",
         "instructions",
         "insn",
         "vl",
@@ -63,7 +61,6 @@ class Trace:
     def __init__(self, name: str) -> None:
         self.name = name
         self.blocks_executed = 0
-        self.metadata: Dict[str, object] = {}
         self.instructions: List[Instruction] = []
         self.insn = array("q")
         self.vl = array("q")

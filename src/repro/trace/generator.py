@@ -34,8 +34,8 @@ _DATA_SEGMENT_BASE = 0x1000_0000
 #: Base of the (scalar + vector spill) stack segment.
 _STACK_SEGMENT_BASE = 0x7000_0000
 
-#: Alignment (bytes) between allocated regions, to keep ranges visually distinct.
-_REGION_ALIGNMENT = 0x1000
+#: Bytes of address space every region gets.
+_REGION_BYTES = 0x10000
 
 
 class RegionAllocator:
@@ -51,29 +51,18 @@ class RegionAllocator:
         self._next_data = _DATA_SEGMENT_BASE
         self._next_stack = _STACK_SEGMENT_BASE
 
-    def base_of(self, region: str, size_bytes: int = 0x10000) -> int:
+    def base_of(self, region: str) -> int:
         """Return (allocating on first use) the base address of ``region``."""
-        if region in self._addresses:
-            return self._addresses[region]
-        is_stack = region.startswith("spill") or region.startswith("stack")
-        aligned = _align(size_bytes, _REGION_ALIGNMENT)
-        if is_stack:
-            base = self._next_stack
-            self._next_stack += aligned
-        else:
-            base = self._next_data
-            self._next_data += aligned
-        self._addresses[region] = base
+        base = self._addresses.get(region)
+        if base is None:
+            if region.startswith("spill") or region.startswith("stack"):
+                base = self._next_stack
+                self._next_stack += _REGION_BYTES
+            else:
+                base = self._next_data
+                self._next_data += _REGION_BYTES
+            self._addresses[region] = base
         return base
-
-    @property
-    def regions(self) -> Dict[str, int]:
-        """A copy of the region → base-address map."""
-        return dict(self._addresses)
-
-
-def _align(value: int, alignment: int) -> int:
-    return ((value + alignment - 1) // alignment) * alignment
 
 
 class TraceBuilder:
@@ -94,9 +83,9 @@ class TraceBuilder:
     then only reads the vector-length state and adds its region offset.
     """
 
-    def __init__(self, name: str, allocator: Optional[RegionAllocator] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.trace = Trace(name=name)
-        self.allocator = allocator if allocator is not None else RegionAllocator()
+        self.allocator = RegionAllocator()
         self._vector_length = VECTOR_REGISTER_LENGTH
         #: ``id(instruction)`` -> its static facts; each entry holds the
         #: instruction itself, so the id cannot be reused while it lives.
@@ -204,6 +193,5 @@ class TraceBuilder:
     # -- results -----------------------------------------------------------------
 
     def build(self) -> Trace:
-        """Finalize and return the accumulated trace."""
-        self.trace.metadata.setdefault("regions", self.allocator.regions)
+        """Return the accumulated trace."""
         return self.trace

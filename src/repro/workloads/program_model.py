@@ -3,9 +3,9 @@
 A :class:`ProgramModel` combines several loop kernels (with invocation counts)
 into a stand-in for one Perfect Club program.  The model also records the
 *targets* (:class:`ProgramTargets`) — the numbers the paper publishes for the
-real program — and every trace it builds carries the published ones in
-``trace.metadata["targets"]``.  ``docs/paper-map.md`` maps the paper's
-sections and figures to the code that reproduces them.
+real program — in :attr:`ProgramModel.targets`, their one home.
+``docs/paper-map.md`` maps the paper's sections and figures to the code that
+reproduces them.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ class ProgramTargets:
     dva_speedup_at_latency_100: Optional[float] = None
     bypass_speedup_at_latency_1: Optional[float] = None
     traffic_reduction: Optional[float] = None
-
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        return {
-            "vectorization_percent": self.vectorization_percent,
-            "average_vector_length": self.average_vector_length,
-            "spill_fraction": self.spill_fraction,
-            "ref_port_idle_fraction": self.ref_port_idle_fraction,
-            "dva_speedup_at_latency_100": self.dva_speedup_at_latency_100,
-            "bypass_speedup_at_latency_1": self.bypass_speedup_at_latency_1,
-            "traffic_reduction": self.traffic_reduction,
-        }
 
 
 @dataclass
@@ -104,13 +93,7 @@ class ProgramModel:
         for schedule, compiled_kernel in zip(self.schedules, self._compile()):
             invocations = _scaled_invocations(schedule.repetitions, scale)
             compiled_kernel.emit_program(builder, invocations)
-        trace = builder.build()
-        trace.metadata["program"] = self.name
-        trace.metadata["scale"] = scale
-        trace.metadata["targets"] = {
-            key: value for key, value in self.targets.as_dict().items() if value is not None
-        }
-        return trace
+        return builder.build()
 
     def trace_length(self, scale: float = 1.0) -> int:
         """The exact dynamic instruction count of :meth:`build_trace` at ``scale``.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -119,9 +120,10 @@ class TestInProcess:
         "argv",
         [
             ["sweep", "--programs", "trfd", "--latencies", "1", "--output", "{tmp}/no-dir/x.json"],
+            ["sweep", "--programs", "trfd", "--latencies", "1", "--output", "{tmp}"],
             ["figures", "--programs", "trfd", "--latencies", "1", "--out-dir", "{tmp}/a-file"],
         ],
-        ids=["sweep --output", "figures --out-dir"],
+        ids=["sweep --output", "sweep --output a directory", "figures --out-dir"],
     )
     def test_an_unwritable_output_fails_before_any_cell_runs(
         self, capsys, monkeypatch, tmp_path, argv
@@ -306,15 +308,24 @@ class TestCacheVerify:
         [("dva@bypass=off", "dva-nobypass"), ("dva-nobypass@lanes=2", "dva@lanes=2,bypass=off")],
     )
     def test_an_entry_under_a_retired_label_is_stale(self, capsys, tmp_path, label, text):
-        """An entry keyed by a label this code no longer gives its machine."""
-        from repro.core import RunConfig, SpecArchitecture, architecture
+        """An entry keyed by a label this code no longer gives its machine.
+
+        ``cell_key`` reads only a machine's ``name`` and ``spec``, so a
+        stand-in with the retired label computes the key it was filed under.
+        """
+        from dataclasses import replace
+        from types import SimpleNamespace
+
+        from repro.core import RunConfig, architecture
         from repro.store import ResultStore, cell_key
         from repro.workloads.perfect_club import build_trace
 
         store = ResultStore(tmp_path / "store")
-        retired = SpecArchitecture(label, architecture(text).spec)
+        machine = architecture(text)
+        retired = SimpleNamespace(name=label, spec=machine.spec)
         config = RunConfig(latency=1)
-        result = retired.simulate(build_trace("TRFD", scale=0.5), config)
+        result = machine.simulate(build_trace("TRFD", scale=0.5), config)
+        result = replace(result, architecture=label)
         store.put(cell_key("TRFD", 0.5, 1, retired, config), result, scale=0.5)
         assert main(["cache", "verify", "--store-dir", str(store.root)]) == 0
         assert "0 identical, 0 different, 1 stale" in capsys.readouterr().out
@@ -406,3 +417,74 @@ class TestSubprocess:
             os.close(write_end)
         assert completed.returncode == 1
         assert completed.stderr == ""
+
+
+#: ``repro`` whose every simulation announces its process and then sleeps, so
+#: a test can interrupt a sweep once its cells (and, pooled, its workers) run.
+_SLOW_REPRO = (
+    "import os, sys, time\n"
+    "from repro.core import experiment\n"
+    "from repro.core.cli import main\n"
+    "from repro.core.registry import SpecArchitecture\n"
+    "experiment._available_parallelism = lambda: 2\n"
+    "def simulate(self, trace, config):\n"
+    "    print('simulating in', os.getpid(), flush=True)\n"
+    "    time.sleep(2)\n"
+    "SpecArchitecture.simulate = simulate\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "pooled"])
+    def test_sigint_prints_one_line_and_ends_the_sweep_by_the_signal(self, jobs, deadline):
+        sweep = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_REPRO, "sweep", "--programs", "trfd,dyfesm",
+             "--latencies", "1", "--arch", "dva", "--scale", "0.05", "--no-store",
+             "--jobs", jobs],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_subprocess_env(),
+        )
+        with deadline(60):
+            pids = {int(sweep.stdout.readline().split()[-1]) for _ in range(int(jobs))}
+            sweep.send_signal(signal.SIGINT)
+            _out, err = sweep.communicate()
+        assert sweep.returncode == -signal.SIGINT
+        assert err == "interrupted\n"
+        assert (pids == {sweep.pid}) if jobs == "1" else (sweep.pid not in pids)
+        assert not [pid for pid in pids if _alive(pid)]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("failure", ["unknown-program", "failing-run"])
+    def test_a_failing_sweep_leaves_an_existing_output_untouched(
+        self, capsys, monkeypatch, tmp_path, failure
+    ):
+        from repro.common.errors import SimulationError
+
+        def fail(*args, **kwargs):
+            raise SimulationError("the sweep failed")
+
+        program = "nosuch"  # refused when the sweep runs, after the file is made
+        if failure == "failing-run":
+            program = "trfd"
+            monkeypatch.setattr("repro.core.experiment.Runner.run", fail)
+        output = tmp_path / "out.json"
+        output.write_bytes(b'{"an earlier": "sweep"}\n')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--programs", program, "--latencies", "1", "--no-store",
+                  "--output", str(output)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert output.read_bytes() == b'{"an earlier": "sweep"}\n'
+        assert [path.name for path in tmp_path.iterdir()] == ["out.json"]

@@ -1,5 +1,7 @@
 """Unit tests for the architecture registry."""
 
+import pickle
+
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
@@ -12,7 +14,8 @@ from repro.core import (
     machine_spec,
     simulate,
 )
-from repro.core.registry import PRESETS
+from repro.core import fuzz
+from repro.core.registry import PRESETS, machine_label
 from repro.dva.simulator import DecoupledSimulator, simulate_decoupled
 from repro.refarch.simulator import ReferenceSimulator, simulate_reference
 from repro.workloads import program_names
@@ -70,9 +73,9 @@ class TestLabels:
         ],
     )
     def test_every_spelling_of_a_preset_is_labelled_by_its_name(self, name, overrides):
-        assert architecture(name, overrides) == SpecArchitecture(
-            "dva-nobypass", MachineSpec(family="dva", bypass=False)
-        )
+        machine = architecture(name, overrides)
+        assert machine == SpecArchitecture(MachineSpec(family="dva", bypass=False))
+        assert machine.name == "dva-nobypass"
 
     @pytest.mark.parametrize(
         "name, overrides",
@@ -104,6 +107,23 @@ class TestLabels:
             resolved = architecture(text, overrides)
             assert architecture(resolved.name) == resolved, (text, overrides)
 
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_a_preset_machine_is_labelled_by_its_spec(self, name):
+        machine = architecture(name)
+        assert machine.name == machine_label(machine.spec) == name
+        assert SpecArchitecture(PRESETS[name][0]).name == name
+
+    def test_every_fuzz_machine_is_labelled_by_its_spec(self):
+        for seed in range(500):
+            spec = fuzz.generate_case(seed).spec
+            machine = SpecArchitecture(spec)
+            assert machine.name == machine_label(spec), spec
+            assert architecture(machine.name) == machine, spec
+
+    def test_the_label_survives_a_pickle(self):
+        machine = architecture("dva@lanes=2")
+        assert pickle.loads(pickle.dumps(machine)).name == "dva@lanes=2"
+
     def test_bare_family_spec_runs_the_family_defaults(self):
         """A spec that leaves every field out is the family's default machine.
 
@@ -111,7 +131,7 @@ class TestLabels:
         without it (41,155 cycles on BDNA at latency 50).
         """
         bdna = build_trace("BDNA")
-        bare = SpecArchitecture("dva-bare", MachineSpec(family="dva"))
+        bare = SpecArchitecture(MachineSpec(family="dva"))
         bare_result = bare.simulate(bdna, RunConfig(latency=50))
         named = simulate(bdna, "dva", latency=50)
         assert bare_result.total_cycles == named.total_cycles == 28292

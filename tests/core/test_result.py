@@ -172,7 +172,7 @@ class TestPortIdleFraction:
             port_busy=port,
         )
         for result in (
-            ReferenceResult(**shared, vector_instructions=0, scalar_instructions=0),
+            ReferenceResult(**shared, vector_instructions=0),
             DecoupledResult(
                 **shared, bypass_enabled=False, avdq_occupancy=IntervalRecorder("AVDQ")
             ),

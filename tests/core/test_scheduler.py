@@ -45,8 +45,6 @@ class CountingPool:
         self.simulated += len(cells)
         results = []
         for cell in cells:
-            # Headline fields live in `detail` too, so the result survives
-            # the store's JSON round trip (from_json rebuilds from detail).
             detail = {
                 "program": cell.program,
                 "latency": cell.latency,
@@ -56,14 +54,7 @@ class CountingPool:
                 "scalar_cache_hits": 0,
                 "scalar_cache_misses": 0,
             }
-            result = RunResult(
-                architecture=cell.simulator.name,
-                program=cell.program,
-                latency=cell.latency,
-                total_cycles=1000 + cell.latency,
-                instructions=100,
-                detail=detail,
-            )
+            result = RunResult(cell.simulator.name, detail)
             if store_root is not None:
                 result = replace(result, store_key=cell.key)
                 ResultStore(store_root).put(cell.key, result, scale=cell.scale)

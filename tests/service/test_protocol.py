@@ -4,14 +4,10 @@ import json
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.core.experiment import CellProgress, SweepResult, SweepSpec
-from repro.service.protocol import (
-    ProtocolError,
-    parse_run_request,
-    parse_sweep_request,
-    progress_payload,
-    result_payload,
-)
+from repro.service.protocol import parse_run_request, result_payload
+from repro.service.server import SweepJob
 
 
 class TestParseRunRequest:
@@ -66,14 +62,16 @@ class TestParseRunRequest:
             json.loads('{"program": "trfd", "latency": -Infinity}'),
         ],
     )
-    def test_malformed_requests_raise_protocol_errors(self, payload):
-        with pytest.raises(ProtocolError):
+    def test_malformed_requests_raise_configuration_errors(self, payload):
+        with pytest.raises(ConfigurationError):
             parse_run_request(payload)
 
 
-class TestParseSweepRequest:
+class TestSweepRequest:
+    """A ``/v1/sweeps`` body is read by ``SweepSpec.from_json`` itself."""
+
     def test_lists_parse_into_a_spec(self):
-        spec = parse_sweep_request(
+        spec = SweepSpec.from_json(
             {
                 "programs": ["dyfesm", "trfd"],
                 "latencies": [1, 50],
@@ -85,7 +83,7 @@ class TestParseSweepRequest:
         )
 
     def test_comma_separated_strings_parse_like_the_cli(self):
-        spec = parse_sweep_request(
+        spec = SweepSpec.from_json(
             {"programs": "dyfesm,trfd", "latencies": "1,50", "architectures": "ref,dva"}
         )
         assert spec.programs == ("DYFESM", "TRFD")
@@ -93,12 +91,12 @@ class TestParseSweepRequest:
 
     @pytest.mark.parametrize("text", ["ref,dva@lanes=2,ports=2", "dva@bypass=off,ref@lanes=2"])
     def test_inline_spec_clauses_keep_their_commas_like_the_cli(self, text):
-        spec = parse_sweep_request({"programs": "trfd", "latencies": "1", "architectures": text})
+        spec = SweepSpec.from_json({"programs": "trfd", "latencies": "1", "architectures": text})
         assert spec == SweepSpec(programs="trfd", latencies="1", architectures=text)
         assert len(spec.architectures) == 2
 
     def test_digit_strings_and_comma_axis_values_read_like_the_cli(self):
-        spec = parse_sweep_request(
+        spec = SweepSpec.from_json(
             {"programs": ["trfd"], "latencies": ["1", 50], "axes": {"lanes": "1,2"}}
         )
         assert spec.latencies == (1, 50)
@@ -106,16 +104,16 @@ class TestParseSweepRequest:
         assert parse_run_request({"program": "trfd", "latency": "50"}).latencies == (50,)
 
     def test_axes_as_mapping(self):
-        spec = parse_sweep_request(
+        spec = SweepSpec.from_json(
             {"programs": ["trfd"], "latencies": [1], "axes": {"lanes": [1, 2]}}
         )
         assert spec.axes == (("lanes", (1, 2)),)
 
     def test_axes_as_pair_list_round_trips_with_payload(self):
-        spec = parse_sweep_request(
+        spec = SweepSpec.from_json(
             {"programs": ["trfd"], "latencies": [1], "axes": [["lanes", [1, 2]]]}
         )
-        assert parse_sweep_request(spec.to_json()) == spec
+        assert SweepSpec.from_json(spec.to_json()) == spec
 
     def test_spec_payload_matches_sweep_result_spec_block(self):
         spec = SweepSpec(programs=("trfd",), latencies=(1, 50), axes={"lanes": (1, 2)})
@@ -123,7 +121,7 @@ class TestParseSweepRequest:
         assert SweepResult(spec=spec, results=[]).to_json()["spec"] == payload
         assert payload["programs"] == ["TRFD"]
         assert payload["axes"] == [["lanes", [1, 2]]]
-        assert parse_sweep_request(payload) == spec
+        assert SweepSpec.from_json(payload) == spec
 
     @pytest.mark.parametrize(
         "payload",
@@ -149,18 +147,13 @@ class TestParseSweepRequest:
             {"programs": ["trfd"], "latencies": [True]},
             {"programs": [7], "latencies": [1]},
             {"programs": ["trfd"], "latencies": [1], "scale": "1"},
+            # A latency declared twice, once as an axis: SweepSpec's own check.
+            {"programs": ["trfd"], "latencies": [1], "axes": {"latency": [1, 50]}},
         ],
     )
-    def test_malformed_sweeps_raise_protocol_errors(self, payload):
-        with pytest.raises(ProtocolError):
-            parse_sweep_request(payload)
-
-    def test_configuration_errors_surface_as_protocol_errors(self):
-        # Duplicate latency declaration is SweepSpec's own validation.
-        with pytest.raises(ProtocolError):
-            parse_sweep_request(
-                {"programs": ["trfd"], "latencies": [1], "axes": {"latency": [1, 50]}}
-            )
+    def test_malformed_sweeps_raise_configuration_errors(self, payload):
+        with pytest.raises(ConfigurationError):
+            SweepSpec.from_json(payload)
 
 
 class TestResponsePayloads:
@@ -176,14 +169,15 @@ class TestResponsePayloads:
         assert payload["cached"] is False
         assert payload["summary"]["total_cycles"] == result.total_cycles
 
-    def test_progress_payload_round_trips_the_event_fields(self):
+    def test_a_recorded_progress_event_carries_the_event_fields(self):
         event = CellProgress(
             done=3, total=8, cached=2, simulated=1, program="TRFD",
             latency=50, architecture="dva", from_store=False,
         )
-        payload = progress_payload(event)
-        assert payload == {
+        job = SweepJob("sw-1", SweepSpec(programs="trfd", latencies="50"))
+        job.record(event)
+        assert job.events == [{
             "done": 3, "total": 8, "cached": 2, "simulated": 1,
             "program": "TRFD", "latency": 50, "architecture": "dva",
             "from_store": False,
-        }
+        }]

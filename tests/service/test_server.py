@@ -2,15 +2,20 @@
 
 Every test starts a :class:`ReproService` on an ephemeral port inside one
 ``asyncio.run`` and talks to it with a raw reader/writer HTTP client — no
-external HTTP library, and no server subprocess (the CI smoke script covers
-that path).
+external HTTP library, and no server subprocess, except where the process
+itself is the subject: :class:`TestShutdown` signals a ``repro serve``.
 """
 
 import asyncio
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -424,3 +429,64 @@ class TestWorkerPath:
         assert failed_status == 500
         assert "exited with code 3" in failed["error"] and "TRFD" in failed["error"]
         assert status == 200 and simulated["cached"] is False
+
+
+def _stat(pid):
+    """``(state, parent pid)`` of a process, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state, parent = handle.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(parent)
+
+
+def _alive(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid):
+    """Live processes whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        stat = _stat(int(entry)) if entry.isdigit() else None
+        if stat is not None and stat[0] != "Z" and stat[1] == pid:
+            found.append(int(entry))
+    return found
+
+
+class TestShutdown:
+    """``repro serve`` stops cleanly on SIGINT or SIGTERM, however it was started."""
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+    def test_a_signal_stops_a_server_started_with_sigint_ignored(self, tmp_path, signum):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store-dir", str(tmp_path / "store"), "--jobs", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            address = re.search(r"http://([\d.]+:\d+)", server.stdout.readline()).group(1)
+            body = json.dumps({"program": "trfd", "latency": 1, "scale": SCALE}).encode()
+            with urllib.request.urlopen(f"http://{address}/v1/run", body, timeout=60) as answer:
+                assert json.load(answer)["cached"] is False
+            workers = _children(server.pid)
+            assert workers
+            server.send_signal(signum)
+            assert server.wait(timeout=30) == 0
+            assert "shutting down" in server.stdout.read()
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if server.poll() is None:
+                for pid in _children(server.pid):
+                    os.kill(pid, signal.SIGKILL)
+                server.kill()
+                server.wait()
+            server.stdout.close()

@@ -21,14 +21,21 @@ from repro.store import ResultStore
 KEYS = [format(n, "02x") * 32 for n in range(16)]
 
 
+def _detail(program: str, latency: int, total_cycles: int, instructions: int) -> dict:
+    return {
+        "program": program,
+        "latency": latency,
+        "total_cycles": total_cycles,
+        "instructions": instructions,
+        "memory_traffic_bytes": 0,
+        "scalar_cache_hits": 0,
+        "scalar_cache_misses": 0,
+    }
+
+
 def make_result(key_number: int) -> RunResult:
     return RunResult(
-        architecture="dva",
-        program=f"PROG{key_number}",
-        latency=1,
-        total_cycles=100 + key_number,
-        instructions=10,
-        store_key=KEYS[key_number],
+        "dva", _detail(f"PROG{key_number}", 1, 100 + key_number, 10), store_key=KEYS[key_number]
     )
 
 
@@ -98,10 +105,11 @@ worker = int(sys.argv[2])
 batch = []
 for number in range(50):
     key = format(worker, "02x") + format(number, "062x")
-    result = RunResult(
-        architecture="dva", program="P" * 40, latency=number,
-        total_cycles=1, instructions=1, store_key=key,
-    )
+    detail = {
+        "program": "P" * 40, "latency": number, "total_cycles": 1, "instructions": 1,
+        "memory_traffic_bytes": 0, "scalar_cache_hits": 0, "scalar_cache_misses": 0,
+    }
+    result = RunResult("dva", detail, store_key=key)
     store.put(key, result)
     batch.append(result)
     if len(batch) == 5:

@@ -61,7 +61,7 @@ class TestKeySensitivity:
         # The spec string leaves default fields out, so a plain "dva" spells
         # the same before and after a default changes; the key must not.
         def dva_key():
-            machine = SpecArchitecture("dva", MachineSpec(family="dva"))
+            machine = SpecArchitecture(MachineSpec(family="dva"))
             return cell_key("trfd", 1.0, 50, machine, CONFIG)
 
         base = dva_key()

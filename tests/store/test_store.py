@@ -95,6 +95,20 @@ class TestRobustness:
         store.put(KEY, ref_result)
         assert store.get(KEY) == ref_result
 
+    @pytest.mark.parametrize("count", [None, "12", 1.5])
+    def test_a_detail_without_an_integer_total_cycles_is_a_miss(self, store, ref_result, count):
+        store.put(KEY, ref_result)
+        payload = json.loads(store.object_path(KEY).read_text())
+        detail = payload["result"]["detail"]
+        if count is None:
+            del detail["total_cycles"]
+        else:
+            detail["total_cycles"] = count
+        store.object_path(KEY).write_text(json.dumps(payload))
+        misses = store.misses
+        assert store.get(KEY) is None
+        assert store.misses == misses + 1
+
     def test_foreign_format_version_is_a_miss(self, store, ref_result):
         store.put(KEY, ref_result)
         payload = json.loads(store.object_path(KEY).read_text())

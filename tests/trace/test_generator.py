@@ -9,7 +9,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import ELEMENT_SIZE_BYTES, VECTOR_REGISTER_LENGTH, s_reg, v_reg
 from repro.trace.columns import NO_ADDRESS, Trace
-from repro.trace.generator import RegionAllocator, TraceBuilder
+from repro.trace.generator import _REGION_BYTES, RegionAllocator, TraceBuilder
 from repro.workloads.perfect_club import load_program, program_names
 
 
@@ -40,22 +40,15 @@ class TestRegionAllocator:
 
     def test_distinct_regions_do_not_overlap(self):
         allocator = RegionAllocator()
-        base_a = allocator.base_of("a", size_bytes=0x2000)
-        base_b = allocator.base_of("b", size_bytes=0x2000)
-        assert abs(base_a - base_b) >= 0x2000
+        base_a = allocator.base_of("a")
+        base_b = allocator.base_of("b")
+        assert abs(base_a - base_b) >= _REGION_BYTES
 
     def test_spill_regions_live_in_stack_segment(self):
         allocator = RegionAllocator()
         data = allocator.base_of("matrix")
         spill = allocator.base_of("spill_loop0")
         assert spill > data
-
-    def test_regions_map_copy(self):
-        allocator = RegionAllocator()
-        allocator.base_of("a")
-        regions = allocator.regions
-        regions["a"] = 0
-        assert allocator.base_of("a") != 0
 
 
 class TestTraceBuilder:
@@ -108,7 +101,7 @@ class TestTraceBuilder:
         builder.append_block(block, region_offsets={"x": 64})
         trace = builder.build()
         loads = [address for i, _, _, address in _rows(trace) if i.is_load]
-        base = trace.metadata["regions"]["x"]
+        base = builder.allocator.base_of("x")
         assert loads == [base, base + 64 * ELEMENT_SIZE_BYTES]
 
     def test_block_counting(self):
@@ -152,13 +145,6 @@ class TestTraceBuilder:
         trace = builder.build()
         addresses = [address for i, _, _, address in _rows(trace) if i.is_memory]
         assert len(addresses) == 2 and NO_ADDRESS not in addresses
-
-    def test_metadata_contains_regions(self):
-        builder = TraceBuilder("demo")
-        builder.append_block(_simple_block())
-        trace = builder.build()
-        assert "x" in trace.metadata["regions"]
-        assert "y" in trace.metadata["regions"]
 
 
 def _perfect_club_trace(name):

@@ -243,7 +243,6 @@ def _stream(trace):
         trace.addr,
         trace.marks,
         trace.blocks_executed,
-        trace.metadata,
     )
 
 

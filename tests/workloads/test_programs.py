@@ -92,13 +92,6 @@ class TestProgramModel:
         ]
         assert len(prologue) == model.prologue_scalar_instructions > 0
 
-    def test_metadata_carries_targets_and_scale(self):
-        model = load_program("ARC2D")
-        trace = model.build_trace(scale=0.5)
-        assert trace.metadata["program"] == "ARC2D"
-        assert trace.metadata["scale"] == 0.5
-        assert "vectorization_percent" in trace.metadata["targets"]
-
 
 class TestPerfectClubRegistry:
     def test_six_programs_registered(self):
