@@ -12,13 +12,16 @@ fuzzer's default master seed (see :mod:`repro.core.fuzz`), so random
 machines are pinned too.  ``trace_digests.json`` pins the dynamic stream
 itself: per program and scale, the record count, the basic blocks executed
 and a SHA-256 over the instruction table and the four trace columns.
+``payload_digests.json`` pins the bytes reports and the store read: a
+SHA-256 of each paper-grid cell's ``RunResult.to_json()``, encoded the way
+the store writes it.
 
 Every snapshot records the timing-model and trace-generator versions they
-were taken at.  A deliberate timing-model change bumps one of those
-constants; this script refuses (exit 1, listing the changed cells) to
-overwrite cells that differ while the recorded versions still equal the
-code's, so numbers never drift silently.  Regenerate only after a
-deliberate, reviewed change:
+were taken at; the payload digests record the key-scheme version too.  A
+deliberate timing-model change bumps one of those constants; this script
+refuses (exit 1, listing the changed cells) to overwrite cells that differ
+while the recorded versions still equal the code's, so numbers never drift
+silently.  Regenerate only after a deliberate, reviewed change:
 
     PYTHONPATH=src python scripts/make_golden.py
 """
@@ -40,6 +43,7 @@ from repro.core.fuzz import (  # noqa: E402
     snapshot_keys,
 )
 from repro.engine import TIMING_MODEL_VERSION  # noqa: E402
+from repro.store.keys import KEY_SCHEME_VERSION  # noqa: E402
 from repro.trace.generator import TRACE_GENERATOR_VERSION  # noqa: E402
 from repro.workloads.perfect_club import load_program  # noqa: E402
 
@@ -64,6 +68,7 @@ VERSIONS = {
     "timing_model": TIMING_MODEL_VERSION,
     "trace_generator": TRACE_GENERATOR_VERSION,
 }
+PAYLOAD_VERSIONS = {**VERSIONS, "key_scheme": KEY_SCHEME_VERSION}
 
 
 def grid_payload(latencies: tuple, architectures: tuple) -> dict:
@@ -83,6 +88,29 @@ def grid_payload(latencies: tuple, architectures: tuple) -> dict:
         },
         "cells": cells,
         "versions": VERSIONS,
+    }
+
+
+def payload_digest(result) -> str:
+    """SHA-256 of ``result.to_json()`` encoded the way the store writes it."""
+    encoded = json.dumps(result.to_json(), separators=(",", ":")).encode()
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def payload_digests_payload() -> dict:
+    spec = SweepSpec(programs=PROGRAMS, latencies=LATENCIES, architectures=ARCHITECTURES)
+    cells = {
+        f"{result.program}/{result.latency}/{result.architecture}": payload_digest(result)
+        for result in Runner(jobs=1).run(spec)
+    }
+    return {
+        "spec": {
+            "programs": list(PROGRAMS),
+            "latencies": list(LATENCIES),
+            "architectures": list(ARCHITECTURES),
+        },
+        "cells": cells,
+        "versions": PAYLOAD_VERSIONS,
     }
 
 
@@ -140,7 +168,7 @@ def drifted_cells(path: str, payload: dict) -> list:
         return []
     with open(path) as handle:
         recorded = json.load(handle)
-    if recorded.get("versions") != VERSIONS:
+    if recorded.get("versions") != payload["versions"]:
         return []
     old, new = recorded["cells"], payload["cells"]
     return sorted(key for key in set(old) | set(new) if old.get(key) != new.get(key))
@@ -156,6 +184,7 @@ def main() -> int:
         ),
         os.path.join(GOLDEN_DIR, "fuzz_cycles.json"): fuzz_payload(),
         os.path.join(GOLDEN_DIR, "trace_digests.json"): trace_digests_payload(),
+        os.path.join(GOLDEN_DIR, "payload_digests.json"): payload_digests_payload(),
     }
     refused = False
     for path, payload in snapshots.items():
@@ -165,8 +194,9 @@ def main() -> int:
             print(
                 f"refusing to overwrite {os.path.normpath(path)}: "
                 f"{len(drifted)} cells changed with versions unchanged "
-                f"{VERSIONS}; bump TIMING_MODEL_VERSION or "
-                f"TRACE_GENERATOR_VERSION if the change is deliberate: "
+                f"{payload['versions']}; bump TIMING_MODEL_VERSION, "
+                f"TRACE_GENERATOR_VERSION or KEY_SCHEME_VERSION if the change "
+                f"is deliberate: "
                 + ", ".join(drifted),
                 file=sys.stderr,
             )

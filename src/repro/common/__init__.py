@@ -6,10 +6,10 @@ resource, the *intervals* of time during which the resource was busy, and for
 every queue element the ``[enter, leave)`` interval it spent queued, each in
 an :class:`IntervalRecorder`.  The helpers in this package turn those
 records back into the per-cycle quantities the paper reports with one sweep
-each per result: the functional-unit state breakdown (a busy bitmask per
-merged interval edge) and the queue occupancy histogram
-(:meth:`IntervalRecorder.coverage`, +1/-1 per residency edge), never
-iterating over individual cycles.
+each per result, never iterating over individual cycles: the
+functional-unit state breakdown (:func:`state_breakdown`, a dict of cycles
+per busy-flag tuple) and the queue occupancy histogram
+(:meth:`IntervalRecorder.coverage`, a dict of cycles per level).
 
 Like every facade of the package, this one is lazy (PEP 562): importing
 :mod:`repro.common` loads no submodule, so code that needs only the error
@@ -20,11 +20,9 @@ from repro import _lazy_exports
 
 __all__ = [
     "ConfigurationError",
-    "Histogram",
     "IntervalRecorder",
     "ReproError",
     "SimulationError",
-    "StateBreakdown",
     "TraceError",
     "WorkloadError",
     "state_breakdown",
@@ -40,7 +38,6 @@ __getattr__, __dir__ = _lazy_exports(
             "TraceError",
             "WorkloadError",
         ],
-        "repro.common.intervals": ["IntervalRecorder", "StateBreakdown", "state_breakdown"],
-        "repro.common.stats": ["Histogram"],
+        "repro.common.intervals": ["IntervalRecorder", "state_breakdown"],
     },
 )

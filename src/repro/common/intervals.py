@@ -7,9 +7,9 @@ over repeated kernel invocations records each skipped run of intervals as
 one *repeat* (:meth:`IntervalRecorder.repeat`).  :func:`state_breakdown`
 recovers the eight-state execution breakdown of Figure 1 exactly with one
 sweep over the interval edges, and the same sweep yields a recorder's busy
-time and its coverage histogram (:meth:`IntervalRecorder.coverage`), which
-for a queue recorded one ``[enter, leave)`` residency per element is the
-occupancy histogram of Figure 6.
+time and its coverage (:meth:`IntervalRecorder.coverage`), which for a
+queue recorded one ``[enter, leave)`` residency per element is the
+occupancy histogram of Figure 6.  Both results are plain dicts of cycles.
 
 The sweep reads repeats directly: it expands only the copies near each end
 of a repeat and counts the periodic middle once (see :func:`_sweep`), so a
@@ -20,12 +20,10 @@ stands for.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import SimulationError
-from repro.common.stats import Histogram
 
 #: A cut must remove at least this many copies of a repeat.  Removing one
 #: copy saves no more than the one window of cycles that stands in for it.
@@ -145,16 +143,14 @@ class IntervalRecorder:
         end = self.last_end()
         return end - _sweep([self], (1,), end).get(0, 0)
 
-    def coverage(self, total_cycles: int) -> Histogram:
+    def coverage(self, total_cycles: int) -> Dict[int, int]:
         """Cycles of ``[0, total_cycles)`` covered by each number of intervals.
 
-        Cycles no interval covers count at level zero, so a non-empty
-        histogram sums to ``total_cycles``.
+        The dict maps a level to its cycles, in the order levels are first
+        held.  Cycles no interval covers count at level zero, so the values
+        sum to ``total_cycles`` (the dict is empty when that is not positive).
         """
-        histogram = Histogram()
-        for level, cycles in _sweep([self], (1,), total_cycles).items():
-            histogram.add(level, cycles)
-        return histogram
+        return _sweep([self], (1,), total_cycles)
 
     def __len__(self) -> int:
         """The number of intervals, each repeat's copies included."""
@@ -166,45 +162,17 @@ class IntervalRecorder:
         return f"IntervalRecorder(name={self.name!r}, intervals={len(self)})"
 
 
-@dataclass
-class StateBreakdown:
-    """Cycles spent in each combination of busy resources.
-
-    The paper describes the reference machine with a 3-tuple
-    ``(FU2, FU1, LD)`` and partitions execution time into the eight possible
-    busy/idle combinations.  :func:`state_breakdown` computes this partition
-    for an arbitrary number of resources; keys are tuples of booleans in the
-    order the recorders were supplied.
-    """
-
-    resource_names: tuple[str, ...]
-    cycles: dict[tuple[bool, ...], int] = field(default_factory=dict)
-    total_cycles: int = 0
-
-    def cycles_in(self, *busy: bool) -> int:
-        """Cycles spent with exactly the given busy pattern."""
-        return self.cycles.get(tuple(busy), 0)
-
-    def cycles_all_idle(self) -> int:
-        """Cycles spent with every resource idle — the paper's ``( , , )`` state."""
-        return self.cycles_in(*([False] * len(self.resource_names)))
-
-    def busy_cycles(self, position: int) -> int:
-        """Cycles with resource ``position`` busy, whatever the others do.
-
-        This is the resource's busy time when its intervals all end by
-        ``total_cycles``.
-        """
-        return sum(count for busy, count in self.cycles.items() if busy[position])
-
-
 def state_breakdown(
     recorders: Sequence[IntervalRecorder], total_cycles: int
-) -> StateBreakdown:
+) -> Dict[Tuple[bool, ...], int]:
     """Partition ``[0, total_cycles)`` by which resources are busy.
 
-    Each recorder's coverage count (how many of its intervals cover a cycle)
-    gets its own bit field of one packed level, wide enough for the
+    The result maps a tuple of busy flags, one per recorder in the order
+    given, to the cycles spent in exactly that pattern; for the paper's
+    ``(FU2, FU1, LD)`` the eight patterns are Figure 1's states.
+
+    Each recorder's coverage count (how many of its intervals cover a
+    cycle) gets its own bit field of one packed level, wide enough for the
     recorder's interval count, and one :func:`_sweep` yields the cycles per
     level.  A recorder is busy where its field is non-zero.  The cost is
     proportional to the number of intervals swept, not to the number of
@@ -217,15 +185,11 @@ def state_breakdown(
         weights.append(1 << offset)
         fields.append((offset, (1 << width) - 1))
         offset += width
-    cycles: Dict[tuple[bool, ...], int] = {}
+    cycles: Dict[Tuple[bool, ...], int] = {}
     for level, count in _sweep(recorders, weights, total_cycles).items():
         key = tuple(level >> shift & mask != 0 for shift, mask in fields)
         cycles[key] = cycles.get(key, 0) + count
-    return StateBreakdown(
-        resource_names=tuple(recorder.name for recorder in recorders),
-        cycles=cycles,
-        total_cycles=total_cycles,
-    )
+    return cycles
 
 
 def _events(starts: Sequence[int], ends: Sequence[int], weight: int) -> List[Tuple[int, int]]:

@@ -190,7 +190,7 @@ def check_invariants(case: FuzzCase, result, trace_length: int) -> Optional[str]
         end = recorder.last_end()
         if end > total:
             return f"{name} busy until {end}, after total_cycles {total}"
-    states = sum(result.state_breakdown().cycles.values())
+    states = sum(result.state_breakdown().values())
     if states != total:
         return f"state breakdown sums to {states}, not total_cycles {total}"
     if case.family == "ref":
@@ -205,7 +205,7 @@ def check_invariants(case: FuzzCase, result, trace_length: int) -> Optional[str]
     leave = result.avdq_occupancy.last_end()
     if leave > total:
         return f"AVDQ residency ends at {leave}, after total_cycles {total}"
-    avdq = result.avdq_histogram().total()
+    avdq = sum(result.avdq_histogram().values())
     if avdq != total:
         return f"AVDQ histogram sums to {avdq}, not total_cycles {total}"
     if result.instructions != trace_length:

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.common.intervals import IntervalRecorder
-from repro.common.stats import Histogram
 from repro.engine.result import MachineResult
 
 
@@ -29,10 +28,10 @@ class DecoupledResult(MachineResult):
     disambiguation_stalls: int = 0
     fetch_stall_cycles: int = 0
 
-    _avdq_histogram: Histogram | None = field(default=None, repr=False, compare=False)
+    _avdq_histogram: Dict[int, int] | None = field(default=None, repr=False, compare=False)
 
-    def avdq_histogram(self) -> Histogram:
-        """Cycles at each AVDQ occupancy level over the whole run (swept once).
+    def avdq_histogram(self) -> Dict[int, int]:
+        """``{occupancy: cycles}`` over the whole run (swept once).
 
         Every AVDQ residency ends by ``total_cycles`` (a fuzz invariant), so
         this histogram also yields the run's peak and mean occupancy.
@@ -48,15 +47,17 @@ class DecoupledResult(MachineResult):
         pairs because JSON objects cannot have integer keys.
         """
         histogram = self.avdq_histogram()
+        cycles = sum(histogram.values())
+        weighted = sum(level * count for level, count in histogram.items())
         return {
             **super().to_json(),
             "bypass": self.bypass_enabled,
             "bypassed_loads": self.bypassed_loads,
-            "max_avdq_occupancy": histogram.max_key(),
+            "max_avdq_occupancy": max(histogram, default=0),
             "fetch_stall_cycles": self.fetch_stall_cycles,
             "bypassed_bytes": self.bypassed_bytes,
             "disambiguation_stalls": self.disambiguation_stalls,
             "instructions_per_processor": dict(self.instructions_per_processor),
-            "mean_avdq_occupancy": round(histogram.mean(), 4),
-            "avdq_histogram": [[level, cycles] for level, cycles in histogram.items()],
+            "mean_avdq_occupancy": round(weighted / cycles if cycles else 0.0, 4),
+            "avdq_histogram": [list(pair) for pair in sorted(histogram.items())],
         }

@@ -10,9 +10,9 @@ subclasses it with only its own fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
-from repro.common.intervals import IntervalRecorder, StateBreakdown, state_breakdown
+from repro.common.intervals import IntervalRecorder, state_breakdown
 
 
 @dataclass(kw_only=True)
@@ -38,10 +38,12 @@ class MachineResult:
     #: Rows the fast-forward skipped rather than simulated (not in ``to_json``).
     skipped_rows: int = field(default=0, compare=False)
 
-    _breakdown: StateBreakdown | None = field(default=None, repr=False, compare=False)
+    _breakdown: Dict[Tuple[bool, ...], int] | None = field(
+        default=None, repr=False, compare=False
+    )
 
-    def state_breakdown(self) -> StateBreakdown:
-        """Cycles spent in each (FU2, FU1, LD) busy/idle combination."""
+    def state_breakdown(self) -> Dict[Tuple[bool, ...], int]:
+        """Cycles spent in each ``(FU2, FU1, LD)`` busy/idle combination."""
         if self._breakdown is None:
             self._breakdown = state_breakdown(
                 [self.fu2_busy, self.fu1_busy, self.port_busy], self.total_cycles
@@ -51,7 +53,7 @@ class MachineResult:
     @property
     def all_idle_cycles(self) -> int:
         """Cycles in the paper's ``( , , )`` state: every vector unit idle."""
-        return self.state_breakdown().cycles_all_idle()
+        return self.state_breakdown().get((False, False, False), 0)
 
     @property
     def port_busy_cycles(self) -> int:
@@ -60,7 +62,7 @@ class MachineResult:
         Every port interval ends by ``total_cycles`` (a fuzz invariant), so
         this is the port's busy time.
         """
-        return self.state_breakdown().busy_cycles(2)
+        return sum(cycles for (_, _, port), cycles in self.state_breakdown().items() if port)
 
     @property
     def port_idle_fraction(self) -> float:

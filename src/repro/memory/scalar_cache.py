@@ -50,18 +50,8 @@ class ScalarCache:
         self.misses += 1
         return False
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ScalarCache(lines={self.lines}, line_bytes={self.line_bytes}, "
-            f"hit_rate={self.hit_rate:.2f})"
+            f"hits={self.hits}, misses={self.misses})"
         )

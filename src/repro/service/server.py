@@ -202,8 +202,12 @@ class ReproService:
         )
 
     async def _handle_stats(self, request: Request) -> Response:
-        # The exact `repro cache stats --json` payload, extended with the
-        # live service-side counters (one surface, two transports).
+        """The exact ``repro cache stats --json`` payload plus a ``service`` block.
+
+        The store's numbers are a fresh scan of the disk.  The traffic
+        counters are the scheduler's, which sees every cell the service
+        answers; the workers write the store from their own processes.
+        """
         payload = self.store.stats()
         payload["service"] = {
             "uptime_seconds": round(time.time() - self.started_unix, 3),

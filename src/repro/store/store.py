@@ -11,9 +11,12 @@ files under a versioned directory tree::
 ``<root>`` defaults to ``~/.cache/repro`` (respecting ``XDG_CACHE_HOME``)
 and is overridable with the ``REPRO_CACHE_DIR`` environment variable or the
 CLI's ``--store-dir``.  Every object file is self-describing — it carries
-the store format version, its own key and a small metadata block — so the
-index is pure convenience: it can always be rebuilt by scanning the object
-tree, and :meth:`ResultStore.write_index` does exactly that.
+the store format version, its own key and a small metadata block (the
+cell's program, architecture, latency and scale) — so the index is pure
+convenience: it can always be rebuilt by scanning the object tree, and
+:meth:`ResultStore.write_index` does exactly that.  An object is a pure
+function of its key, result and scale: writing a cell twice, from any
+process, writes the same bytes.  Entry ages come from file mtimes.
 
 Writes are atomic (temp file + ``os.replace`` in the same directory), so a
 killed sweep never leaves a torn entry, and concurrent pool workers writing
@@ -134,29 +137,10 @@ class ResultStore:
         root: directory to keep the store under; defaults to
             :func:`default_store_root`.  Created lazily on first write, so
             constructing a store (e.g. in every pool worker) is free.
-
-    The per-instance :attr:`hits`, :attr:`misses`, :attr:`writes` and
-    :attr:`index_merges` counters track this process's traffic only; they
-    exist for reporting ("sweep: 30 cached, 6 simulated", the service's
-    ``/v1/stats``), not for accounting across processes.  :meth:`counters`
-    returns them as one dictionary.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root).expanduser() if root is not None else default_store_root()
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.index_merges = 0
-
-    def counters(self) -> Dict[str, int]:
-        """This process's store traffic, as one dictionary (for reporting)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "index_merges": self.index_merges,
-        }
 
     # -- paths -----------------------------------------------------------------------
 
@@ -197,9 +181,7 @@ class ResultStore:
         try:
             result = RunResult.from_json(self._load(key)["result"])
         except (OSError, ValueError, KeyError, TypeError, ReproError):
-            self.misses += 1
             return None
-        self.hits += 1
         return replace(result, cached=True, store_key=key)
 
     def _load(self, key: str) -> Dict[str, Any]:
@@ -221,8 +203,8 @@ class ResultStore:
         ``scale`` is the trace scale the cell ran at — part of the key
         already, recorded in the metadata block only so listings can show it.
         Concurrent writers of the same key race benignly: the key determines
-        the content, so whichever ``os.replace`` lands last installs an
-        identical payload.
+        the content, so whichever ``os.replace`` lands last installs
+        identical bytes.
         """
         path = self.object_path(key)
         payload = {
@@ -233,12 +215,10 @@ class ResultStore:
                 "architecture": result.architecture,
                 "latency": result.latency,
                 "scale": float(scale),
-                "created_unix": round(time.time(), 3),
             },
             "result": replace(result, cached=False, store_key=key).to_json(),
         }
         _replace_atomically(path, json.dumps(payload, separators=(",", ":")))
-        self.writes += 1
 
     def __contains__(self, key: str) -> bool:
         return self.object_path(key).exists()
@@ -359,7 +339,6 @@ class ResultStore:
                     data = data[os.write(fd, data):]
             finally:
                 os.close(fd)
-            self.index_merges += 1
 
     def stats(self, refresh_index: bool = False) -> Dict[str, object]:
         """Aggregate numbers for ``repro cache stats`` (always a fresh scan).
@@ -389,7 +368,6 @@ class ResultStore:
             "total_bytes": sum(entry.size_bytes for entry in entries),
             "by_architecture": by_architecture,
             "stale_version_dirs": stale,
-            "process_counters": self.counters(),
         }
 
     # -- eviction --------------------------------------------------------------------

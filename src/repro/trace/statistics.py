@@ -11,8 +11,8 @@ Section 7) from a :class:`~repro.trace.columns.Trace`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
-from repro.common.stats import Histogram
 from repro.isa.registers import ELEMENT_SIZE_BYTES
 from repro.trace.columns import Trace
 
@@ -31,7 +31,8 @@ class TraceStatistics:
     vector_memory_operations: int = 0
     spill_memory_instructions: int = 0
     memory_bytes: int = 0
-    vector_length_histogram: Histogram = field(default_factory=Histogram)
+    #: Vector instructions issued at each vector length.
+    vector_length_histogram: Dict[int, int] = field(default_factory=dict)
 
     @property
     def total_operations(self) -> int:
@@ -78,7 +79,7 @@ def compute_statistics(trace: Trace) -> TraceStatistics:
     instructions = trace.instructions
     insn = trace.insn
     lengths = trace.vl
-    histogram_counts: dict[int, int] = {}
+    histogram_counts = stats.vector_length_histogram
 
     vector_instructions = 0
     vector_operations = 0
@@ -118,6 +119,4 @@ def compute_statistics(trace: Trace) -> TraceStatistics:
     stats.vector_memory_operations = vector_memory_operations
     stats.spill_memory_instructions = spill_memory
     stats.memory_bytes = memory_elements * ELEMENT_SIZE_BYTES
-    for length, count in histogram_counts.items():
-        stats.vector_length_histogram.add(length, count)
     return stats

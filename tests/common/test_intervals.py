@@ -104,8 +104,7 @@ class TestStateBreakdown:
         fu1 = IntervalRecorder("FU1")
         ld = IntervalRecorder("LD")
         breakdown = state_breakdown([fu2, fu1, ld], total_cycles=100)
-        assert breakdown.cycles_all_idle() == 100
-        assert breakdown.cycles_in(True, True, True) == 0
+        assert breakdown == {(False, False, False): 100}
 
     def test_three_unit_partition(self):
         fu2 = IntervalRecorder("FU2")
@@ -115,17 +114,17 @@ class TestStateBreakdown:
         fu1.record(5, 15)
         ld.record(0, 20)
         breakdown = state_breakdown([fu2, fu1, ld], total_cycles=25)
-        assert breakdown.resource_names == ("FU2", "FU1", "LD")
-        assert breakdown.cycles_in(True, False, True) == 5    # [0, 5)
-        assert breakdown.cycles_in(True, True, True) == 5     # [5, 10)
-        assert breakdown.cycles_in(False, True, True) == 5    # [10, 15)
-        assert breakdown.cycles_in(False, False, True) == 5   # [15, 20)
-        assert breakdown.cycles_all_idle() == 5               # [20, 25)
-        assert sum(breakdown.cycles.values()) == 25
+        assert breakdown == {
+            (True, False, True): 5,    # [0, 5)
+            (True, True, True): 5,     # [5, 10)
+            (False, True, True): 5,    # [10, 15)
+            (False, False, True): 5,   # [15, 20)
+            (False, False, False): 5,  # [20, 25)
+        }
 
     def test_zero_total_cycles(self):
         breakdown = state_breakdown([_recorder("FU2", [(0, 5)])], total_cycles=0)
-        assert breakdown.cycles == {}
+        assert breakdown == {}
 
     @given(st.lists(_intervals, min_size=1, max_size=4), st.integers(0, 80))
     def test_breakdown_equals_a_per_cycle_count(self, pair_lists, total_cycles):
@@ -134,10 +133,10 @@ class TestStateBreakdown:
         ]
         breakdown = state_breakdown(recorders, total_cycles)
         expected = _brute_force_breakdown(pair_lists, total_cycles)
-        assert breakdown.cycles == expected
+        assert breakdown == expected
         # Patterns appear in the order they are first held.
-        assert list(breakdown.cycles) == list(expected)
-        assert breakdown.total_cycles == total_cycles
+        assert list(breakdown) == list(expected)
+        assert sum(breakdown.values()) == total_cycles
 
 
 class TestCoverage:
@@ -145,20 +144,17 @@ class TestCoverage:
 
     def test_record_and_histogram(self):
         recorder = _recorder("AVDQ", [(0, 10), (5, 7)])
-        histogram = recorder.coverage(total_cycles=20)
-        assert histogram.count(2) == 5
-        assert histogram.count(1) == 7
-        assert histogram.count(0) == 8
+        assert recorder.coverage(total_cycles=20) == {0: 8, 1: 7, 2: 5}
 
     def test_empty_counts_all_cycles_at_zero(self):
-        assert IntervalRecorder("AVDQ").coverage(total_cycles=50).as_dict() == {0: 50}
+        assert IntervalRecorder("AVDQ").coverage(total_cycles=50) == {0: 50}
 
     def test_overlapping_elements(self):
         histogram = _recorder("AVDQ", [(0, 10), (5, 10), (5, 3)]).coverage(20)
-        assert histogram.as_dict() == {1: 10, 3: 3, 2: 2, 0: 5}
+        assert histogram == {1: 10, 3: 3, 2: 2, 0: 5}
 
     def test_zero_cycles(self):
-        assert _recorder("AVDQ", [(0, 5)]).coverage(total_cycles=0).total() == 0
+        assert _recorder("AVDQ", [(0, 5)]).coverage(total_cycles=0) == {}
 
     @given(_intervals, st.integers(0, 80))
     def test_coverage_equals_a_per_cycle_count(self, pairs, total_cycles):
@@ -166,4 +162,4 @@ class TestCoverage:
         for cycle in range(total_cycles):
             level = sum(start <= cycle < start + length for start, length in pairs)
             expected[level] = expected.get(level, 0) + 1
-        assert _recorder("AVDQ", pairs).coverage(total_cycles).as_dict() == expected
+        assert _recorder("AVDQ", pairs).coverage(total_cycles) == expected

@@ -41,8 +41,8 @@ def _assert_sweeps_match(recorders, total_cycles):
     assert not any(recorder.repeats for recorder in plain)
     repeated = state_breakdown(recorders, total_cycles)
     expected = state_breakdown(plain, total_cycles)
-    assert repeated.cycles == expected.cycles
-    assert list(repeated.cycles) == list(expected.cycles)
+    assert repeated == expected
+    assert list(repeated) == list(expected)
     for recorder, copy in zip(recorders, plain):
         assert len(recorder) == len(copy)
         assert recorder.busy_time() == copy.busy_time()

@@ -180,13 +180,8 @@ class TestRunner:
 
 
 def _stored_objects(store):
-    """Every object in ``store`` by key, without its write time."""
-    objects = {}
-    for entry in store.entries():
-        payload = json.loads(store.object_path(entry.key).read_text())
-        del payload["meta"]["created_unix"]
-        objects[entry.key] = payload
-    return objects
+    """Every object in ``store`` by key, as the bytes on disk."""
+    return {entry.key: store.object_path(entry.key).read_bytes() for entry in store.entries()}
 
 
 class TestOneExecutor:

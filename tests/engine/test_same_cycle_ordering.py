@@ -90,7 +90,7 @@ class TestIntervalSameCycleRules:
         assert recorder.merged_pairs() == [(0, 5), (6, 8)]
         assert recorder.busy_time() == 7
         breakdown = state_breakdown([recorder], total_cycles=8)
-        assert breakdown.cycles == {(True,): 7, (False,): 1}
+        assert breakdown == {(True,): 7, (False,): 1}
 
     def test_last_end_is_the_handover_cycle(self):
         recorder = IntervalRecorder("FU")

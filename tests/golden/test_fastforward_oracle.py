@@ -43,7 +43,7 @@ def _payload(result, label, spec):
 def _aggregates(result):
     """Every interval aggregate of a result, unrounded and in key order."""
     units = [result.fu1_busy, result.fu2_busy, result.port_busy]
-    aggregates = {"breakdown": list(result.state_breakdown().cycles.items())}
+    aggregates = {"breakdown": list(result.state_breakdown().items())}
     if isinstance(result, DecoupledResult):
         aggregates["avdq"] = list(result.avdq_histogram().items())
         aggregates["last_end"] = result.avdq_occupancy.last_end()

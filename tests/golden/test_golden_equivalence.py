@@ -11,6 +11,8 @@ the simulators, however they are implemented internally, still reproduce
 those numbers exactly.
 ``trace_digests.json`` pins the traces the cells run on: a rebuilt trace
 must keep its record count, basic-block count and stream digest.
+``payload_digests.json`` pins each paper-grid cell's ``RunResult.to_json()``
+byte for byte, as the store encodes it.
 
 A failure here means the timing model changed.  That is a bug unless the
 change was deliberate and reviewed, in which case the snapshot is regenerated
@@ -25,11 +27,13 @@ import pytest
 
 from repro import Runner, SweepSpec
 from repro.engine import TIMING_MODEL_VERSION
+from repro.store.keys import KEY_SCHEME_VERSION
 from repro.trace.generator import TRACE_GENERATOR_VERSION
 
 GOLDEN_PATH = Path(__file__).parent / "golden_cycles.json"
 QUEUE_DEPTH_PATH = Path(__file__).parent / "queue_depth_cycles.json"
 TRACE_DIGESTS_PATH = Path(__file__).parent / "trace_digests.json"
+PAYLOAD_DIGESTS_PATH = Path(__file__).parent / "payload_digests.json"
 MAKE_GOLDEN = Path(__file__).resolve().parents[2] / "scripts" / "make_golden.py"
 
 
@@ -126,10 +130,15 @@ def test_queue_depth_corners_match_their_snapshot():
     assert not mismatches, f"queue-depth cells diverged: {mismatches}"
 
 
-def test_trace_streams_match_their_digests():
+@pytest.fixture(scope="module")
+def make_golden():
     spec = importlib.util.spec_from_file_location("make_golden", MAKE_GOLDEN)
-    make_golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_golden)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_streams_match_their_digests(make_golden):
     with TRACE_DIGESTS_PATH.open() as handle:
         snapshot = json.load(handle)
     cells = make_golden.trace_digests_payload()["cells"]
@@ -138,4 +147,26 @@ def test_trace_streams_match_their_digests():
     assert not mismatches, (
         f"trace streams diverged from their digests: {mismatches}; a deliberate "
         "stream change bumps TRACE_GENERATOR_VERSION"
+    )
+
+
+def test_payloads_match_their_digests(golden, sweep, make_golden):
+    with PAYLOAD_DIGESTS_PATH.open() as handle:
+        snapshot = json.load(handle)
+    assert snapshot["versions"] == {
+        "timing_model": TIMING_MODEL_VERSION,
+        "trace_generator": TRACE_GENERATOR_VERSION,
+        "key_scheme": KEY_SCHEME_VERSION,
+    }
+    assert snapshot["spec"] == golden["spec"]
+    cells = {
+        f"{result.program}/{result.latency}/{result.architecture}":
+            make_golden.payload_digest(result)
+        for result in sweep
+    }
+    assert len(cells) == len(snapshot["cells"]) == 54
+    mismatches = sorted(key for key in cells if cells[key] != snapshot["cells"].get(key))
+    assert not mismatches, (
+        f"result payloads diverged from their digests: {mismatches}; reports and "
+        "the store read these bytes"
     )

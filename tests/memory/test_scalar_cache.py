@@ -32,17 +32,14 @@ class TestScalarCache:
         cache = _cache(lines=8)
         assert not cache.access(0x0)
         assert not cache.access(0x20)
-        assert cache.accesses == 2
-        assert cache.hit_rate == 0.0
+        assert cache.hits == 0
+        assert cache.misses == 2
 
     def test_conflict_eviction(self):
         cache = _cache(lines=2)
         cache.access(0x00)          # line 0
         cache.access(0x40)          # maps to line 0 again, evicts
         assert not cache.access(0x00)
-
-    def test_hit_rate_empty(self):
-        assert _cache().hit_rate == 0.0
 
     @given(st.lists(st.integers(0, 0x3FF), min_size=1, max_size=200))
     def test_repeated_small_working_set_eventually_hits(self, addresses):

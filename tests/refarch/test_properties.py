@@ -75,7 +75,7 @@ class TestBenchmarkPrograms:
         assert result.total_cycles > 0
         assert result.instructions == len(trace)
         breakdown = result.state_breakdown()
-        assert sum(breakdown.cycles.values()) == result.total_cycles
+        assert sum(breakdown.values()) == result.total_cycles
 
     def test_memory_bound_programs_keep_port_busy(self):
         trace = load_program("ARC2D").build_trace(scale=0.5)

@@ -297,7 +297,7 @@ class TestStateBreakdown:
         trace = trace_from_block(emit, repeats=5)
         result = simulate_reference(trace, latency=25)
         breakdown = result.state_breakdown()
-        assert sum(breakdown.cycles.values()) == result.total_cycles
+        assert sum(breakdown.values()) == result.total_cycles
         assert result.all_idle_cycles > 0
-        port_idle = sum(cycles for (_, _, ld), cycles in breakdown.cycles.items() if not ld)
+        port_idle = sum(cycles for (_, _, ld), cycles in breakdown.items() if not ld)
         assert port_idle == result.total_cycles - result.port_busy_cycles

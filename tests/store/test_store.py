@@ -46,11 +46,12 @@ class TestRoundTrip:
         assert loaded.cached is True
         assert loaded.store_key == KEY
         assert ref_result.cached is False
-        assert store.hits == 1 and store.writes == 1
+        # No write time: an object is a function of its key, result and scale.
+        meta = json.loads(store.object_path(KEY).read_text())["meta"]
+        assert set(meta) == {"program", "architecture", "latency", "scale"}
 
     def test_get_missing_key_is_a_miss(self, store):
         assert store.get(KEY) is None
-        assert store.misses == 1
 
     def test_contains_and_len(self, store, ref_result):
         assert KEY not in store and len(store) == 0
@@ -87,9 +88,7 @@ class TestRobustness:
         payload = json.loads(store.object_path(KEY).read_text())
         payload["result"] = {"architecture": "dva", "detail": 5}
         store.object_path(KEY).write_text(json.dumps(payload))
-        misses = store.misses
         assert store.get(KEY) is None
-        assert store.misses == misses + 1
         [check] = verify_store(store)
         assert check.outcome == "stale"
         store.put(KEY, ref_result)
@@ -105,9 +104,7 @@ class TestRobustness:
         else:
             detail["total_cycles"] = count
         store.object_path(KEY).write_text(json.dumps(payload))
-        misses = store.misses
         assert store.get(KEY) is None
-        assert store.misses == misses + 1
 
     def test_foreign_format_version_is_a_miss(self, store, ref_result):
         store.put(KEY, ref_result)
@@ -191,7 +188,6 @@ class TestIndexAndStats:
         store.update_index([replace(ref_result, store_key=other)], scale=0.2)
         assert [line["key"] for line in journal(store)] == [KEY, other]
         assert indexed(store)[other]["program"] == "TRFD"
-        assert store.index_merges == 1
 
     def test_a_later_line_for_a_key_wins(self, store, ref_result):
         store.put(KEY, ref_result, scale=0.2)
@@ -206,7 +202,6 @@ class TestIndexAndStats:
         cached = replace(ref_result, store_key=KEY, cached=True)
         store.update_index([cached, replace(ref_result, store_key=None)])
         assert not store.index_path.exists()
-        assert store.index_merges == 0
 
     def test_update_index_appends_after_a_corrupt_index(self, store, ref_result):
         store.put(KEY, ref_result)
@@ -292,10 +287,7 @@ class TestEviction:
         for index, key in enumerate(keys):
             store.put(key, ref_result)
             self._age(store, key, days=len(keys) - index)
-        # Budget exactly the two newest entries.  Entry files differ by a
-        # few bytes (the created_unix float's repr length varies), so a
-        # budget of 2x the oldest entry's size can undershoot the two the
-        # test means to keep and evict a second entry.
+        # Budget exactly the two newest entries.
         budget = sum(store.object_path(key).stat().st_size for key in keys[1:])
         report = store.gc(max_bytes=budget)
         assert report["evicted"] == 1

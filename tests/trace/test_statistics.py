@@ -71,4 +71,4 @@ class TestComputeStatistics:
 
     def test_vector_length_histogram(self):
         stats = compute_statistics(_make_trace(vl=32, iterations=3))
-        assert stats.vector_length_histogram.count(32) == 12
+        assert stats.vector_length_histogram == {32: 12}
