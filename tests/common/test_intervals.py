@@ -126,6 +126,16 @@ class TestStateBreakdown:
         breakdown = state_breakdown([_recorder("FU2", [(0, 5)])], total_cycles=0)
         assert breakdown == {}
 
+    def test_flags_follow_the_order_of_the_recorders(self):
+        fu2 = _recorder("FU2", [(0, 10)])
+        ld = _recorder("LD", [(5, 10)])
+        assert state_breakdown([fu2, ld], total_cycles=20) == {
+            (True, False): 5, (True, True): 5, (False, True): 5, (False, False): 5,
+        }
+        assert state_breakdown([ld, fu2], total_cycles=20) == {
+            (False, True): 5, (True, True): 5, (True, False): 5, (False, False): 5,
+        }
+
     @given(st.lists(_intervals, min_size=1, max_size=4), st.integers(0, 80))
     def test_breakdown_equals_a_per_cycle_count(self, pair_lists, total_cycles):
         recorders = [
@@ -155,6 +165,12 @@ class TestCoverage:
 
     def test_zero_cycles(self):
         assert _recorder("AVDQ", [(0, 5)]).coverage(total_cycles=0) == {}
+
+    @pytest.mark.parametrize("start, order", [(3, [0, 1]), (0, [1, 0])])
+    def test_levels_appear_in_the_order_first_held(self, start, order):
+        coverage = _recorder("AVDQ", [(start, 4)]).coverage(total_cycles=10)
+        assert list(coverage) == order
+        assert coverage == {0: 6, 1: 4}
 
     @given(_intervals, st.integers(0, 80))
     def test_coverage_equals_a_per_cycle_count(self, pairs, total_cycles):

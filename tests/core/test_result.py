@@ -153,6 +153,53 @@ class TestAvdqNumbers:
         assert payload["mean_avdq_occupancy"] == round(mean, 4)
         assert payload["avdq_histogram"] == sorted(map(list, expected.items()))
 
+    def test_a_run_without_cycles_reads_zero_occupancy(self):
+        result = _decoupled_result([(0, 5)], total_cycles=0)
+        assert result.avdq_histogram() == {}
+        payload = result.to_json()
+        assert payload["max_avdq_occupancy"] == 0
+        assert payload["mean_avdq_occupancy"] == 0.0
+        assert payload["avdq_histogram"] == []
+
+    def test_histogram_pairs_are_sorted_by_level(self):
+        # The sweep holds levels 1, 3, 2, 0 in that order; the payload sorts.
+        result = _decoupled_result([(0, 10), (5, 10), (5, 3)], total_cycles=20)
+        assert list(result.avdq_histogram()) == [1, 3, 2, 0]
+        payload = result.to_json()
+        assert payload["avdq_histogram"] == [[0, 5], [1, 10], [2, 2], [3, 3]]
+        assert payload["max_avdq_occupancy"] == 3
+        assert payload["mean_avdq_occupancy"] == round((10 + 2 * 2 + 3 * 3) / 20, 4)
+
+
+class TestStateBreakdown:
+    def test_idle_and_port_cycles_read_the_breakdown(self):
+        fu2 = IntervalRecorder("FU2")
+        fu1 = IntervalRecorder("FU1")
+        port = IntervalRecorder("LD")
+        fu2.record(0, 10)
+        fu1.record(5, 15)
+        port.record(0, 20)
+        result = ReferenceResult(
+            program="p",
+            latency=1,
+            total_cycles=25,
+            instructions=0,
+            vector_instructions=0,
+            fu1_busy=fu1,
+            fu2_busy=fu2,
+            port_busy=port,
+        )
+        assert result.state_breakdown() == {
+            (True, False, True): 5,
+            (True, True, True): 5,
+            (False, True, True): 5,
+            (False, False, True): 5,
+            (False, False, False): 5,
+        }
+        assert result.state_breakdown() is result.state_breakdown()
+        assert result.all_idle_cycles == 5
+        assert result.port_busy_cycles == 20
+
 
 class TestPortIdleFraction:
     def test_idle_fraction_is_idle_cycles_over_total(self):

@@ -170,3 +170,25 @@ def test_payloads_match_their_digests(golden, sweep, make_golden):
         f"result payloads diverged from their digests: {mismatches}; reports and "
         "the store read these bytes"
     )
+
+
+def _digest_snapshot(versions, digest):
+    return {"cells": {"trfd/1/ref": digest}, "versions": versions}
+
+
+def test_make_golden_refuses_a_changed_digest_at_the_same_versions(tmp_path, make_golden):
+    path = tmp_path / "payload_digests.json"
+    path.write_text(json.dumps(_digest_snapshot(make_golden.PAYLOAD_VERSIONS, "0" * 64)))
+    unchanged = _digest_snapshot(make_golden.PAYLOAD_VERSIONS, "0" * 64)
+    changed = _digest_snapshot(make_golden.PAYLOAD_VERSIONS, "1" * 64)
+    assert make_golden.drifted_cells(str(path), unchanged) == []
+    assert make_golden.drifted_cells(str(path), changed) == ["trfd/1/ref"]
+
+
+def test_make_golden_accepts_a_changed_digest_after_a_version_bump(tmp_path, make_golden):
+    path = tmp_path / "payload_digests.json"
+    path.write_text(json.dumps(_digest_snapshot(make_golden.PAYLOAD_VERSIONS, "0" * 64)))
+    bumped = {**make_golden.PAYLOAD_VERSIONS, "key_scheme": KEY_SCHEME_VERSION + 1}
+    assert make_golden.drifted_cells(str(path), _digest_snapshot(bumped, "1" * 64)) == []
+    missing = str(tmp_path / "absent.json")
+    assert make_golden.drifted_cells(missing, _digest_snapshot(bumped, "1" * 64)) == []

@@ -41,6 +41,13 @@ class TestScalarCache:
         cache.access(0x40)          # maps to line 0 again, evicts
         assert not cache.access(0x00)
 
+    @given(st.lists(st.integers(0, 0xFFFF), max_size=100))
+    def test_every_access_is_one_hit_or_one_miss(self, addresses):
+        cache = _cache(lines=8)
+        hits = sum(cache.access(address) for address in addresses)
+        assert cache.hits == hits
+        assert cache.misses == len(addresses) - hits
+
     @given(st.lists(st.integers(0, 0x3FF), min_size=1, max_size=200))
     def test_repeated_small_working_set_eventually_hits(self, addresses):
         # A working set smaller than the cache must hit on every second pass.

@@ -53,6 +53,14 @@ class TestRoundTrip:
     def test_get_missing_key_is_a_miss(self, store):
         assert store.get(KEY) is None
 
+    def test_rewriting_a_cell_writes_the_same_bytes(self, store, ref_result):
+        store.put(KEY, ref_result, scale=0.2)
+        path = store.object_path(KEY)
+        first = path.read_bytes()
+        os.utime(path, (path.stat().st_atime, path.stat().st_mtime - 100))
+        store.put(KEY, replace(ref_result, cached=True), scale=0.2)
+        assert path.read_bytes() == first
+
     def test_contains_and_len(self, store, ref_result):
         assert KEY not in store and len(store) == 0
         store.put(KEY, ref_result)
@@ -243,6 +251,18 @@ class TestIndexAndStats:
         assert stats["entry_count"] == 2
         assert stats["by_architecture"] == {"ref": 2}
         assert stats["total_bytes"] > 0
+
+    def test_stats_report_only_what_is_on_disk(self, store, ref_result):
+        store.put(KEY, ref_result)
+        assert store.get(KEY) is not None and store.get("cd" * 32) is None
+        assert set(store.stats()) == {
+            "root",
+            "format",
+            "entry_count",
+            "total_bytes",
+            "by_architecture",
+            "stale_version_dirs",
+        }
 
     def test_stats_can_refresh_a_stale_index(self, store, ref_result):
         store.put(KEY, ref_result)
